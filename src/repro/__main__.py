@@ -6,20 +6,17 @@ energy      RHF / CCSD / FCI / VQE / DMET energies of a molecule
 scaling     replay the paper's strong/weak scaling (Figs. 12-13)
 info        system inventory: basis functions, qubits, Pauli strings
 bench       run the pinned performance suite; gate vs the baseline ledger
-calibrate   probe kernel timings into the autotuner calibration cache
 serve       run the in-process job service over a JSON request file
 status      render the live snapshot a serve --status-file maintains
 
 Examples
 --------
     python -m repro energy --molecule h2 --method vqe
-    python -m repro energy --molecule lih --method vqe --simulator mps --tune auto
     python -m repro energy --molecule ring:6 --method dmet-vqe --fragment-atoms 2
     python -m repro energy --xyz geom.xyz --method fci
     python -m repro scaling --mode strong
     python -m repro info --molecule h2o
     python -m repro bench --quick
-    python -m repro calibrate --quick
 """
 
 from __future__ import annotations
@@ -96,9 +93,7 @@ def _run_energy(args) -> int:
                              measurement=args.measurement,
                              optimizer=optimizer, grad=args.grad,
                              max_iterations=args.max_iterations,
-                             parallel=parallel, n_workers=args.workers,
-                             tune=args.tune,
-                             calibration_cache=args.calibration_cache)
+                             parallel=parallel, n_workers=args.workers)
         print(f"E(VQE)  = {res.energy:+.8f} Ha "
               f"({res.n_evaluations} evaluations, {res.optimizer})")
     elif method.startswith("dmet"):
@@ -247,43 +242,6 @@ def cmd_bench(args) -> int:
     return bench.run_cli(args)
 
 
-def cmd_calibrate(args) -> int:
-    """Probe kernel timings and write the autotuner calibration cache."""
-    from repro.tune import calibrate as probe
-    from repro.tune import cache_path, get_calibration
-
-    quick = not args.full
-    if args.refresh:
-        cal = probe(quick=quick)
-        path = cal.save(cache_path(args.calibration_cache))
-    else:
-        cal = get_calibration(cache_dir=args.calibration_cache, quick=quick)
-        path = cache_path(args.calibration_cache)
-    if args.output:
-        cal.save(args.output)
-    doc = cal.doc
-    fp = doc["fingerprint"]
-    print(f"calibration {doc['fingerprint_key']} "
-          f"({'quick' if doc['probe']['quick'] else 'full'} probe, "
-          f"{doc['probe']['wall_s']:.2f}s)")
-    print(f"  machine : {fp['system']}/{fp['machine']}, "
-          f"{fp['cpu_count']} cpus, numpy {fp['numpy']} ({fp['blas']})")
-    models = doc.get("models", {})
-    for kernel in ("gemm", "env_advance", "mpo_transfer", "svd"):
-        if kernel in models:
-            print(f"  {kernel:<12}: peak "
-                  f"{models[kernel]['peak_gflops']:8.2f} GFLOP/s")
-    if "combine" in models:
-        print(f"  {'combine':<12}: peak "
-              f"{models['combine']['peak_gbps']:8.2f} GB/s")
-    dispatch = doc["kernels"]["dispatch"]["overhead_s"]
-    print(f"  {'dispatch':<12}: {dispatch * 1e6:8.2f} us/task")
-    print(f"written to {path}")
-    if args.output:
-        print(f"copy written to {args.output}")
-    return 0
-
-
 def cmd_scaling(args) -> int:
     """Replay the paper's strong/weak scaling curves."""
     from repro.parallel.perfmodel import CircuitCostModel, ScalingExperiment
@@ -398,17 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="thread count for the level-3 bond-sliced MPS "
                          "measurement GEMMs (bitwise identical to the "
                          "unsliced path; shipped to process workers)")
-    pe.add_argument("--tune", default=None,
-                    choices=["off", "static", "auto"],
-                    help="kernel autotuner: off (static flop dispatch), "
-                         "static (same decisions, routed through the "
-                         "policy layer for observability), auto "
-                         "(calibrated predicted-time dispatch; probes "
-                         "once into the calibration cache).  Requires a "
-                         "tunable backend (mps)")
-    pe.add_argument("--calibration-cache", default=None, metavar="DIR",
-                    help="autotuner calibration cache directory (default: "
-                         "$REPRO_CALIBRATION_CACHE or ~/.cache/repro/tune)")
     pe.add_argument("--fragment-atoms", type=int, default=2)
     pe.add_argument("--equivalent", action="store_true",
                     help="treat all fragments as symmetry equivalent")
@@ -492,26 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     _bench.add_arguments(pb)
     pb.set_defaults(func=cmd_bench)
-
-    pc = sub.add_parser(
-        "calibrate",
-        help="run the kernel microbenchmark probe and write the "
-             "content-addressed calibration cache (schema 'repro.tune/1') "
-             "the --tune auto dispatcher reads")
-    pc.add_argument("--quick", action="store_true", default=True,
-                    help="coarse probe grid (default; finishes in ~1s)")
-    pc.add_argument("--full", action="store_true",
-                    help="dense probe grid (slower, tighter interpolation)")
-    pc.add_argument("--refresh", action="store_true",
-                    help="re-probe even when a valid cached calibration "
-                         "exists")
-    pc.add_argument("--calibration-cache", default=None, metavar="DIR",
-                    help="cache directory (default: "
-                         "$REPRO_CALIBRATION_CACHE or ~/.cache/repro/tune)")
-    pc.add_argument("--output", default=None, metavar="PATH",
-                    help="also write the calibration JSON to an explicit "
-                         "path (e.g. a CI artifact)")
-    pc.set_defaults(func=cmd_calibrate)
     return parser
 
 

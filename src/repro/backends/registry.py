@@ -132,10 +132,6 @@ class BackendSpec:
     #: :mod:`repro.vqe.gradients`); empty means only the universal
     #: parameter-shift / finite-difference sources apply
     gradients: tuple[str, ...] = field(default=())
-    #: the backend's kernels honor the calibrated autotuner
-    #: (:mod:`repro.tune`) - ``tune="static"|"auto"`` is only accepted by
-    #: the evaluator layer when this is set
-    tunable: bool = False
 
     def create(self, n_qubits: int, **opts) -> Any:
         """Instantiate the backend for ``n_qubits`` (circuit kind only)."""
@@ -159,7 +155,6 @@ def register_backend(name: str, factory: Callable[..., Any] | None = None, *,
                      measurement_modes: tuple[str, ...] = (),
                      default_measurement: str | None = None,
                      gradients: tuple[str, ...] = (),
-                     tunable: bool = False,
                      overwrite: bool = False) -> BackendSpec:
     """Register a backend under ``name`` (third parties welcome).
 
@@ -186,9 +181,6 @@ def register_backend(name: str, factory: Callable[..., Any] | None = None, *,
     gradients:
         Analytic gradient engines the VQE gradient layer may run against
         the backend (see :class:`BackendSpec`).
-    tunable:
-        The backend's kernels honor the calibrated autotuner
-        (:mod:`repro.tune`).
     overwrite:
         Allow replacing an existing registration.
     """
@@ -220,8 +212,7 @@ def register_backend(name: str, factory: Callable[..., Any] | None = None, *,
                        transport=transport,
                        measurement_modes=modes,
                        default_measurement=default_measurement,
-                       gradients=tuple(gradients),
-                       tunable=tunable)
+                       gradients=tuple(gradients))
     _REGISTRY[key] = spec
     return spec
 
@@ -331,7 +322,6 @@ register_backend(
     measurement_modes=("auto", "sweep", "mpo", "per_term"),
     default_measurement="auto",
     gradients=("adjoint",),
-    tunable=True,
 )
 register_backend(
     "density_matrix", _make_density_matrix,

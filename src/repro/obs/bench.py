@@ -3,9 +3,8 @@
 ``python -m repro bench`` runs a fixed set of reference workloads (H2 /
 LiH statevector and MPS-sweep/MPO evaluations, 1/2/4-worker three-level
 dispatches, process-parallel MPS measurements over the ``mps_shm``
-state transport, calibrated-autotuner dispatch races against their
-static arms), writes a schema-versioned ``BENCH_<date>.json`` at the
-current directory, and compares it against the committed baseline
+state transport), writes a schema-versioned ``BENCH_<date>.json`` at
+the current directory, and compares it against the committed baseline
 (``BENCH_baseline.json``), exiting nonzero on regression - the
 machine-readable perf trajectory the ROADMAP's "as fast as the hardware
 allows" goal needs to be enforceable.
@@ -93,19 +92,6 @@ _GRADIENT_CASES: dict[str, tuple[str, dict]] = {
                                  "max_bond_dimension": 16}),
 }
 
-#: autotuned measurement cases: a pinned random state measured through
-#: the calibrated ``auto`` dispatch, timed against each static arm on
-#: the same state; name -> (n_qubits, bond_dimension, seed, case spec).
-#: ``arms`` names the static measurement modes raced against the auto
-#: pick; ``level3_workers`` additionally turns on bond-sliced level 3 so
-#: the tuned slice-row pick (not the mode pick) is what differs.
-_TUNED_CASES: dict[str, tuple[int, int, int, dict]] = {
-    "lih_tuned_sweep": (12, 4, 7, {"arms": ("sweep", "mpo")}),
-    "lih_tuned_mpo": (12, 32, 7, {"arms": ("sweep", "mpo")}),
-    "lih_tuned_level3": (12, 32, 7, {"arms": ("sweep",),
-                                     "level3_workers": 4}),
-}
-
 #: job-service cases: a fixed request mix pushed through a fresh
 #: :class:`repro.serve.JobService`; name -> (cache bytes, request dicts).
 #: The workload repeats specs on purpose - the deterministic cache
@@ -128,7 +114,7 @@ _SERVE_CASES: dict[str, tuple[int, tuple[dict, ...]]] = {
 _QUICK_CASES = ("h2_sv_direct", "h2_mps_sweep", "h2_mps_mpo",
                 "h2_threelevel_w1", "h2_threelevel_w2",
                 "lih_mps_proc_sweep_w1", "lih_mps_proc_sweep_w2",
-                "lih_tuned_sweep", "serve_throughput")
+                "serve_throughput")
 
 
 #: pinned process-parallel speedup acceptance (w1 sweep vs w4 sweep)
@@ -140,18 +126,10 @@ MPS_SPEEDUP_CASES = ("lih_mps_proc_sweep_w1", "lih_mps_proc_sweep_w4")
 ADJOINT_EVAL_RATIO_TARGET = 5.0
 ADJOINT_RATIO_CASE = "lih_adjoint_grad"
 
-#: pinned autotuner acceptance: per tuned case the calibrated auto pick
-#: must stay within TUNED_SLACK of the best static arm, and on at least
-#: one case beat the worst static arm by TUNED_ADVANTAGE_TARGET
-TUNED_SLACK = 0.15
-TUNED_ADVANTAGE_TARGET = 1.3
-
-
 def _known_cases() -> list[str]:
-    """All case names: evaluator, MPS-parallel, gradient, tuned, serve."""
+    """All case names: evaluator, MPS-parallel, gradient, serve."""
     return (list(_CASES) + list(_MPS_PARALLEL_CASES)
-            + list(_GRADIENT_CASES) + list(_TUNED_CASES)
-            + list(_SERVE_CASES))
+            + list(_GRADIENT_CASES) + list(_SERVE_CASES))
 
 
 def available_cores() -> int:
@@ -197,36 +175,6 @@ def adjoint_eval_ratio(doc: dict) -> float | None:
     if record is None:
         return None
     return record.get("eval_equivalents_ratio")
-
-
-def tuned_speedup(doc: dict) -> tuple[dict[str, dict] | None, bool]:
-    """``(ratios, enforceable)`` for the autotuned measurement cases.
-
-    ``ratios`` maps each tuned case present in the ledger to
-    ``auto_vs_best`` (wall of the fastest static arm over the auto
-    pick's wall - near 1.0 when the calibrated dispatch lands on the
-    winning arm) and ``auto_vs_worst`` (the slowest arm over auto - the
-    measured payoff of picking by time instead of guessing wrong), or
-    None when no tuned case is in the ledger.  Like :func:`mps_speedup`
-    the gate is only *enforceable* on a machine with >= 4 schedulable
-    cores: on an oversubscribed single-core runner the wall ratios are
-    scheduler noise, so the gate reports but does not trip.
-    """
-    cases = doc.get("cases", {})
-    ratios: dict[str, dict] = {}
-    for name in _TUNED_CASES:
-        record = cases.get(name)
-        if record is None or not record.get("wall_static"):
-            continue
-        auto = record["wall_s"]
-        statics = record["wall_static"].values()
-        ratios[name] = {
-            "auto_vs_best": min(statics) / auto,
-            "auto_vs_worst": max(statics) / auto,
-        }
-    if not ratios:
-        return None, False
-    return ratios, available_cores() >= 4
 
 
 # molecule name -> (hamiltonian, ansatz circuit); built once per run
@@ -408,98 +356,6 @@ def _run_gradient_case(name: str) -> dict:
     }
 
 
-# in-memory quick calibration shared by the tuned cases: probed once per
-# suite run, never written to (or read from) the user's on-disk cache
-_TUNED_CAL: list = []
-
-
-def _tuned_calibration():
-    if not _TUNED_CAL:
-        from repro.tune import calibrate
-
-        _TUNED_CAL.append(calibrate(quick=True))
-    return _TUNED_CAL[0]
-
-
-def _run_tuned_case(name: str) -> dict:
-    """One calibrated auto-dispatch measurement raced against its arms.
-
-    Times the calibrated ``auto`` pick and every static arm on the same
-    pinned state, best-of-3 warm.  A fresh engine per repetition defeats
-    the per-state term-value cache (so every run does the full sweep)
-    while the module-level plan/MPO caches stay warm - timings measure
-    kernels, not compilation.  Which arm wins is machine-dependent *by
-    design* (that is the point of measured-time dispatch), so neither
-    the wall nor the decision counters can gate against a committed
-    baseline; the ledger energy is the sweep arm's (deterministic), the
-    auto pick is checked against every arm to the cross-mode tolerance,
-    and :func:`tuned_speedup` reports the auto-vs-static ratios.
-    """
-    from repro.simulators.mps import MPS
-    from repro.simulators.mps_measure import (
-        MPSMeasurementEngine,
-        configure_level3,
-        level3_config,
-    )
-    from repro.tune.policy import configure_tuning
-
-    n_qubits, bond_dimension, seed, spec = _TUNED_CASES[name]
-    ham, _ = _system("lih")
-    state = MPS.random_state(n_qubits, bond_dimension=bond_dimension,
-                             seed=seed)
-    calibration = _tuned_calibration()
-    saved_level3 = level3_config()
-    _clear_caches()
-
-    def _best_of(mode: str, repeats: int = 3) -> tuple[float, float]:
-        energy = MPSMeasurementEngine().expectation(state, ham, n_qubits,
-                                                    mode)  # warm compile
-        best = float("inf")
-        for _ in range(repeats):
-            engine = MPSMeasurementEngine()
-            t0 = time.perf_counter()
-            again = engine.expectation(state, ham, n_qubits, mode)
-            best = min(best, time.perf_counter() - t0)
-            if again != energy:
-                raise AssertionError(
-                    f"{name}: warm {mode} re-evaluation drifted "
-                    f"({again!r} vs {energy!r})"
-                )
-        return energy, best
-
-    try:
-        if "level3_workers" in spec:
-            configure_level3(workers=spec["level3_workers"])
-        configure_tuning("off")
-        energies: dict[str, float] = {}
-        wall_static: dict[str, float] = {}
-        for mode in spec["arms"]:
-            energies[mode], wall_static[mode] = _best_of(mode)
-        configure_tuning("auto", calibration=calibration)
-        with obs.collect() as reg:
-            energy_auto, wall_s = _best_of("auto")
-            snap = reg.snapshot()
-    finally:
-        configure_tuning("off")
-        configure_level3(*saved_level3)
-    for mode, arm_energy in energies.items():
-        # sweep and MPO contract in different orders: ~1e-10, not bitwise
-        if abs(arm_energy - energy_auto) > 1e-8:
-            raise AssertionError(
-                f"{name}: {mode} arm energy {arm_energy!r} disagrees "
-                f"with the auto pick {energy_auto!r}"
-            )
-    return {
-        "molecule": "lih",
-        "energy": energies.get("sweep", energy_auto),
-        "wall_s": wall_s,
-        "wall_static": wall_static,
-        "wall_gated": False,
-        "counters": {},
-        "cost": cost_report(snap, wall_s=wall_s, calibration=calibration),
-    }
-
-
 def _run_serve_case(name: str) -> dict:
     """One fixed request mix through a fresh in-process job service.
 
@@ -553,8 +409,6 @@ def run_case(name: str) -> dict:
         return _run_mps_parallel_case(name)
     if name in _GRADIENT_CASES:
         return _run_gradient_case(name)
-    if name in _TUNED_CASES:
-        return _run_tuned_case(name)
     if name in _SERVE_CASES:
         return _run_serve_case(name)
     molecule, kwargs = _CASES[name]
@@ -768,27 +622,6 @@ def run_cli(args: argparse.Namespace) -> int:
             print("PERF REGRESSION: adjoint gradient eval-equivalents "
                   "advantage below target")
             return 2
-    tuned, tuned_enforceable = tuned_speedup(doc)
-    if tuned is not None:
-        floor = 1.0 / (1.0 + TUNED_SLACK)
-        lagging = [name for name, r in tuned.items()
-                   if r["auto_vs_best"] < floor]
-        advantage = max(r["auto_vs_worst"] for r in tuned.values())
-        met = not lagging and advantage >= TUNED_ADVANTAGE_TARGET
-        note = ("ok" if met else "below target") + \
-            ("" if tuned_enforceable
-             else f" [not enforced: {available_cores()} core(s)]")
-        for name, r in tuned.items():
-            print(f"  {name:<20} auto vs best static "
-                  f"{r['auto_vs_best']:.2f}x, vs worst "
-                  f"{r['auto_vs_worst']:.2f}x")
-        print(f"  tuned dispatch: best-arm floor {floor:.2f}x, "
-              f"max advantage {advantage:.2f}x "
-              f"(target {TUNED_ADVANTAGE_TARGET:.1f}x, {note})")
-        if tuned_enforceable and not met:
-            print("PERF REGRESSION: calibrated auto dispatch slower than "
-                  "the best static arm or below the advantage target")
-            return 2
     if args.write_baseline:
         base_path = Path.cwd() / BASELINE_NAME
         write_ledger(doc, base_path)
@@ -838,8 +671,6 @@ __all__ = [
     "BASELINE_NAME",
     "MPS_SPEEDUP_CASES",
     "MPS_SPEEDUP_TARGET",
-    "TUNED_ADVANTAGE_TARGET",
-    "TUNED_SLACK",
     "add_arguments",
     "adjoint_eval_ratio",
     "available_cores",
@@ -850,7 +681,6 @@ __all__ = [
     "run_case",
     "run_cli",
     "run_suite",
-    "tuned_speedup",
     "validate_ledger",
     "write_ledger",
 ]

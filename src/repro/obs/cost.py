@@ -152,7 +152,6 @@ def cost_report(doc: dict | MetricsRegistry | None = None, *,
                 wall_s: float | None = None,
                 bond_dimension: int | None = None,
                 peak_gflops: float | None = None,
-                calibration=None,
                 model: CostModel | None = None) -> dict:
     """Roofline-style report over one run's counters.
 
@@ -162,21 +161,7 @@ def cost_report(doc: dict | MetricsRegistry | None = None, *,
     ``peak_gflops`` names the machine's roof); per-VQE-iteration and
     per-DMET-fragment normalizations appear whenever the matching
     counters were recorded.
-
-    ``calibration`` turns the hand-entered roof into a *measured* one: a
-    :class:`repro.tune.Calibration` (or, with ``calibration=True``, the
-    one attached to the active :mod:`repro.tune` policy) contributes its
-    microbenchmarked per-kernel peaks - utilization is then achieved
-    GFLOP/s over the calibrated GEMM peak of this very machine, and the
-    report carries a ``calibration`` section with the peaks and the
-    fingerprint key for provenance.  An explicit ``peak_gflops`` still
-    wins.
     """
-    if calibration is True:
-        from repro.tune.policy import active_policy
-
-        pol = active_policy()
-        calibration = pol.calibration if pol is not None else None
     if doc is None:
         doc = REGISTRY
     if isinstance(doc, MetricsRegistry):
@@ -197,20 +182,6 @@ def cost_report(doc: dict | MetricsRegistry | None = None, *,
     if total_bytes:
         report["totals"]["intensity_flop_per_byte"] = \
             total_flops / total_bytes
-    if calibration is not None and calibration is not False:
-        models = calibration.doc.get("models", {})
-        peaks = {name: float(entry["peak_gflops"])
-                 for name, entry in models.items()
-                 if "peak_gflops" in entry}
-        report["calibration"] = {
-            "fingerprint_key": calibration.key,
-            "peak_gflops": peaks,
-        }
-        if "combine" in models:
-            report["calibration"]["peak_gbps"] = \
-                float(models["combine"]["peak_gbps"])
-        if peak_gflops is None and "gemm" in peaks:
-            peak_gflops = peaks["gemm"]
     if wall_s is not None and wall_s > 0:
         report["wall_s"] = float(wall_s)
         report["achieved_gflops"] = total_flops / wall_s / 1e9

@@ -28,19 +28,17 @@ with at least one recorded value appear).  Counter/gauge ``value`` is a
 number; histogram ``value`` is a ``{count, sum, min, max}`` summary.
 ``spans`` is present only when tracing is on.  The JSONL exporter writes
 one span object per line after a single header line carrying the metrics -
-the streaming-friendly form for long traces.  :func:`validate_document`
-also dispatches ``repro.bench/1`` performance ledgers and
-``repro.tune/1`` autotuner calibrations to their own validators.
+the streaming-friendly form for long traces.
 
-``repro.obs/2`` (this revision) is structurally identical to ``/1`` but
-documents cross-process semantics: metric snapshots may be the result of
+``repro.obs/2`` documents cross-process semantics: metric snapshots may
+be the result of
 :meth:`~repro.obs.metrics.MetricsRegistry.merge` folds of worker-process
 deltas (counters add, gauges last-write-by-worker-id, histograms combine
 aggregate fields), per-worker provenance appears in the built-in
 ``obs.merges{worker}`` / ``obs.merged_events{worker}`` counters, and
-merged spans carry ``attrs.worker``.  :func:`validate_document` accepts
-both revisions, plus ``repro.bench/1`` performance-ledger documents
-(dispatched to :func:`repro.obs.bench.validate_ledger`).
+merged spans carry ``attrs.worker``.  :func:`validate_document` also
+dispatches ``repro.bench/1`` performance ledgers, flight dumps and
+telemetry samples to their own validators.
 """
 
 from __future__ import annotations
@@ -54,8 +52,8 @@ from repro.obs.trace import TRACER, Tracer
 #: bumped when the exported structure changes shape
 SCHEMA_VERSION = "repro.obs/2"
 
-#: revisions validate_document still accepts (documents from older runs)
-_ACCEPTED_VERSIONS = ("repro.obs/1", "repro.obs/2")
+#: metrics-document revisions validate_document accepts
+_ACCEPTED_VERSIONS = ("repro.obs/2",)
 
 #: one serve-telemetry time-series sample (a JSONL line of the
 #: ``--telemetry-out`` stream and the body of the ``--status-file``)
@@ -147,40 +145,18 @@ def write_jsonl(path_or_file: str | IO, *,
         return _emit(fh)
 
 
-def validate_document(doc: dict) -> None:
-    """Raise ``ValueError`` unless ``doc`` matches the documented schema.
+def _validate_bench(doc: dict) -> None:
+    from repro.obs.bench import validate_ledger
+    validate_ledger(doc)
 
-    Used by the CLI smoke test and available to downstream consumers that
-    want to fail fast on malformed artifacts.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError("metrics document must be a JSON object")
-    schema = doc.get("schema")
-    if schema == "repro.bench/1":
-        from repro.obs.bench import validate_ledger
-        validate_ledger(doc)
-        return
-    if schema == "repro.tune/1":
-        from repro.common.errors import ValidationError
-        from repro.tune import validate_calibration
-        try:
-            validate_calibration(doc)
-        except ValidationError as exc:
-            raise ValueError(str(exc)) from exc
-        return
-    if schema == "repro.obs.flight/1":
-        from repro.obs.flight import validate_flight
-        validate_flight(doc)
-        return
-    if schema == TS_SCHEMA:
-        validate_ts_sample(doc)
-        return
-    if schema not in _ACCEPTED_VERSIONS:
-        raise ValueError(
-            f"unknown schema {schema!r}; expected one of "
-            f"{_ACCEPTED_VERSIONS}, 'repro.bench/1', 'repro.tune/1', "
-            f"'repro.obs.flight/1' or '{TS_SCHEMA}'"
-        )
+
+def _validate_flight(doc: dict) -> None:
+    from repro.obs.flight import validate_flight
+    validate_flight(doc)
+
+
+def _validate_metrics(doc: dict) -> None:
+    """The ``repro.obs/2`` metrics (+ optional spans) document."""
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict):
         raise ValueError("'metrics' must be an object")
@@ -207,6 +183,32 @@ def validate_document(doc: dict) -> None:
         for field in ("span_id", "name", "depth", "wall_s", "cpu_s"):
             if field not in span:
                 raise ValueError(f"span missing field {field!r}")
+
+
+#: schema -> validator; the one place a document kind is made acceptable
+_VALIDATORS = {
+    **{version: _validate_metrics for version in _ACCEPTED_VERSIONS},
+    "repro.bench/1": _validate_bench,
+    "repro.obs.flight/1": _validate_flight,
+    TS_SCHEMA: validate_ts_sample,
+}
+
+
+def validate_document(doc: dict) -> None:
+    """Raise ``ValueError`` unless ``doc`` matches the documented schema.
+
+    Used by the CLI smoke test and available to downstream consumers that
+    want to fail fast on malformed artifacts.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("metrics document must be a JSON object")
+    schema = doc.get("schema")
+    validator = _VALIDATORS.get(schema) if isinstance(schema, str) else None
+    if validator is None:
+        raise ValueError(
+            f"unknown schema {schema!r}; expected one of "
+            f"{', '.join(repr(known) for known in _VALIDATORS)}")
+    validator(doc)
 
 
 __all__ = [

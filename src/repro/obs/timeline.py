@@ -39,7 +39,7 @@ def _span_dicts(source) -> list[dict]:
     """Span dicts from a tracer snapshot, an obs document, or None."""
     if source is None:
         return TRACER.snapshot()
-    if isinstance(source, dict):        # a repro.obs/1-or-2 document
+    if isinstance(source, dict):        # a repro.obs/2 document
         return list(source.get("spans") or [])
     out = []
     for rec in source:

@@ -28,7 +28,6 @@ from repro.parallel.executor import (
     GroupedObservable,
     ProcessExecutor,
     SerialExecutor,
-    SharedStatevector,
     ThreadExecutor,
     available_executors,
     register_executor,
@@ -60,7 +59,6 @@ __all__ = [
     "GroupedObservable",
     "ProcessExecutor",
     "SerialExecutor",
-    "SharedStatevector",
     "ThreadExecutor",
     "available_executors",
     "register_executor",

@@ -31,7 +31,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import get_context, get_all_start_methods
-from multiprocessing import shared_memory as _shm
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -355,69 +354,6 @@ register_executor("process", ProcessExecutor,
                               "true multi-core")
 
 
-# -- shared-memory statevector ------------------------------------------------
-
-
-class SharedStatevector:
-    """A dense statevector exported through POSIX shared memory.
-
-    The parent copies the amplitudes in once; every worker attaches
-    read-only by name and gathers just its groups' flip-mask permutations,
-    so the 16 * 2^n byte state never crosses a pipe.  Use as a context
-    manager - the segment is unlinked on exit.
-
-    Legacy standalone API: the executor itself now ships states through
-    the generic :mod:`repro.parallel.transport` layer (``dense_shm`` is
-    the equivalent transport); this class remains for callers that manage
-    a raw amplitude segment directly.
-    """
-
-    def __init__(self, psi: np.ndarray):
-        psi = np.ascontiguousarray(np.asarray(psi, dtype=complex).reshape(-1))
-        self._shm = _shm.SharedMemory(create=True, size=psi.nbytes)
-        self._size = psi.size
-        view = np.ndarray((psi.size,), dtype=complex, buffer=self._shm.buf)
-        view[:] = psi
-
-    @property
-    def handle(self) -> tuple[str, int]:
-        """Picklable (segment name, element count) pair for workers."""
-        return (self._shm.name, self._size)
-
-    def array(self) -> np.ndarray:
-        """Zero-copy view of the shared amplitudes (parent side)."""
-        return np.ndarray((self._size,), dtype=complex, buffer=self._shm.buf)
-
-    def close(self) -> None:
-        """Unmap and unlink the segment (idempotent)."""
-        if self._shm is not None:
-            self._shm.close()
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # already unlinked
-                pass
-            self._shm = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
-def _attach_shared(handle: tuple[str, int]) -> tuple[np.ndarray, Any]:
-    """Worker-side attach; returns (amplitude view, segment to close)."""
-    name, size = handle
-    try:
-        # track=False (3.13+): the parent owns the segment lifetime; the
-        # worker must not register it with its resource tracker
-        seg = _shm.SharedMemory(name=name, track=False)
-    except TypeError:  # Python <= 3.12: attaching never registers
-        seg = _shm.SharedMemory(name=name)
-    return np.ndarray((size,), dtype=complex, buffer=seg.buf), seg
-
-
 # -- per-level timing counters ------------------------------------------------
 
 
@@ -548,29 +484,20 @@ def _worker_mps_engine():
 def _mps_group_expectation_task(task: tuple):
     """Worker entry point: evaluate term groups against a shared MPS.
 
-    ``task`` is ``(handle, n_qubits, mode, chunk, directive, level3,
-    tune_cfg)``: ``handle`` reattaches the exported tensor-train state
-    read-only (``mps_shm`` transport), ``mode`` picks the measurement path
-    (``"sweep"`` | ``"mpo"`` | ``"auto"``), ``chunk`` is a list of
-    ``(group_index, payload)``, ``level3`` mirrors the parent's
+    ``task`` is ``(handle, n_qubits, mode, chunk, directive, level3)``:
+    ``handle`` reattaches the exported tensor-train state read-only
+    (``mps_shm`` transport), ``mode`` picks the measurement path
+    (``"sweep"`` | ``"mpo"``), ``chunk`` is a list of ``(group_index,
+    payload)`` and ``level3`` mirrors the parent's
     :func:`repro.simulators.mps_measure.level3_config` so bond slicing
-    behaves identically in every process, and ``tune_cfg`` carries the
-    parent's :func:`repro.tune.policy.tuning_config` - workers adopt the
-    already-probed calibration instead of ever probing themselves
-    (legacy 6-tuples mean "tuning off").  Returns ``(pairs, obs_doc)``
+    behaves identically in every process.  Returns ``(pairs, obs_doc)``
     exactly like :func:`_group_expectation_task`.
     """
-    if len(task) == 7:
-        handle, n_qubits, mode, chunk, directive, level3, tune_cfg = task
-    else:
-        handle, n_qubits, mode, chunk, directive, level3 = task
-        tune_cfg = ("off", None)
+    handle, n_qubits, mode, chunk, directive, level3 = task
     _worker_obs_begin(directive)
     from repro.simulators.mps_measure import configure_level3
-    from repro.tune.policy import apply_tuning_config
 
     configure_level3(*level3)
-    apply_tuning_config(tune_cfg)
     mps, closer = attach_state(handle)
     try:
         engine = _worker_mps_engine()
@@ -579,8 +506,6 @@ def _mps_group_expectation_task(task: tuple):
             op = _operator_from_payload(payload)
             if mode == "mpo":
                 value = engine.expectation_mpo(mps, op, n_qubits)
-            elif mode == "auto":
-                value = engine.expectation(mps, op, n_qubits)
             else:
                 value = engine.expectation_sweep(mps, op, n_qubits)
             out.append((gidx, value))
@@ -721,9 +646,7 @@ class GroupedObservable:
         The level-2 dispatch for the MPS backend: each group is evaluated
         through the shared-environment sweep engine
         (:class:`repro.simulators.mps_measure.MPSMeasurementEngine`) or,
-        with ``mode="mpo"``, the compressed-MPO contraction;
-        ``mode="auto"`` lets the engine's cost model (static flops, or
-        calibrated times under ``tune="auto"``) pick per group.  In-process
+        with ``mode="mpo"``, the compressed-MPO contraction.  In-process
         executors share one engine across all groups; the ``process``
         executor exports the state once through the ``mps_shm`` transport
         (:mod:`repro.parallel.transport`) and every worker reattaches the
@@ -736,10 +659,10 @@ class GroupedObservable:
                 f"state register {mps.n_qubits} != operator register "
                 f"{self.n_qubits}"
             )
-        if mode not in ("sweep", "mpo", "auto"):
+        if mode not in ("sweep", "mpo"):
             raise ValidationError(
                 f"unknown MPS group-path mode {mode!r}; "
-                f"expected 'sweep', 'mpo' or 'auto'"
+                f"expected 'sweep' or 'mpo'"
             )
         t0 = time.perf_counter()
         owned = isinstance(executor, str)  # resolved here -> closed here
@@ -783,8 +706,6 @@ class GroupedObservable:
         engine = self._mps_engine
         if mode == "mpo":
             return engine.expectation_mpo
-        if mode == "auto":
-            return engine.expectation  # defaults to the auto dispatch
         return engine.expectation_sweep
 
     def _expectation_mps_in_process(self, mps, executor,
@@ -804,7 +725,6 @@ class GroupedObservable:
     def _expectation_mps_shared(self, mps, executor,
                                 mode: str) -> list[float]:
         from repro.simulators.mps_measure import level3_config
-        from repro.tune.policy import tuning_config
 
         if transport_for_state(mps) is None:
             raise TransportError(
@@ -819,12 +739,11 @@ class GroupedObservable:
         _flight.FLIGHT.note("dispatch", "mps_groups", chunks=len(chunks),
                             executor=getattr(executor, "name", "?"))
         level3 = level3_config()
-        tune_cfg = tuning_config()
         with export_state(mps) as exported:
             tasks = [
                 (exported.handle, self.n_qubits, mode,
                  [(i, self.payloads[i]) for i in idxs],
-                 _obs_directive(worker), level3, tune_cfg)
+                 _obs_directive(worker), level3)
                 for worker, idxs in enumerate(chunks)
             ]
             results = executor.map(_mps_group_expectation_task, tasks)
@@ -870,7 +789,6 @@ __all__ = [
     "GroupedObservable",
     "ProcessExecutor",
     "SerialExecutor",
-    "SharedStatevector",
     "ThreadExecutor",
     "available_executors",
     "clear_worker_compiled_cache",

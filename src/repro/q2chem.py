@@ -101,8 +101,6 @@ class Q2Chemistry:
                    initial_parameters: np.ndarray | None = None,
                    parallel: str | None = None,
                    n_workers: int | None = None,
-                   tune: str | None = None,
-                   calibration_cache: str | None = None,
                    checkpoint_path: str | None = None,
                    checkpoint_every: int = 1, resume: bool = False,
                    seed: int | None = None,
@@ -116,8 +114,7 @@ class Q2Chemistry:
         "per_term"); ``parallel``/``n_workers`` route
         energy evaluations through the level-2 parallel measurement engine
         (executor name + pool width); results are bitwise identical across
-        executors and worker counts.  ``tune``/``calibration_cache``
-        engage the calibrated kernel autotuner (see :mod:`repro.tune`).
+        executors and worker counts.
         ``checkpoint_path``/``checkpoint_every``/``resume`` snapshot the
         optimizer state each iteration and restart interrupted runs to a
         bitwise-identical trajectory (adam/spsa only, see
@@ -134,7 +131,6 @@ class Q2Chemistry:
                  measurement=measurement, optimizer=optimizer,
                  tolerance=tolerance, max_iterations=max_iterations,
                  grad=grad, parallel=parallel, n_workers=n_workers,
-                 tune=tune, calibration_cache=calibration_cache,
                  checkpoint_path=checkpoint_path,
                  checkpoint_every=checkpoint_every, resume=resume) as vqe:
             if observe:

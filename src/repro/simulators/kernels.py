@@ -29,11 +29,6 @@ from scipy import linalg as sla
 from repro.common.errors import ValidationError
 from repro.obs import metrics as _obs
 
-#: bump when kernel arithmetic or plan layout changes - part of the
-#: calibration-cache fingerprint (repro.tune), so stale timing models are
-#: re-probed instead of silently trusted against new kernels
-KERNEL_VERSION = 1
-
 #: compiled contraction plans kept per backend; one (shape, axes) signature
 #: per gate/measurement shape class, so steady state is far below this -
 #: the bound only guards long multi-molecule runs against unbounded growth

@@ -42,7 +42,6 @@ from repro.obs import metrics as _obs
 from repro.operators.pauli import QubitOperator
 from repro.simulators.mps import MPS
 from repro.simulators.pauli_kernels import observable_cache_key
-from repro.tune import policy as _tunepolicy
 
 # observability instruments (free unless `repro.obs` is enabled); every
 # counter is a deterministic function of (operator, state shape), so the
@@ -139,10 +138,6 @@ class SweepPlan:
     #: environment advances one full evaluation performs (the D^3 work);
     #: the cost model's sweep-side input
     n_env_steps: int
-    #: total support-span sites across all terms - what the *independent*
-    #: per-term walk would traverse (no environment sharing); the tuned
-    #: per-term arm's cost-model input
-    n_walk_steps: int = 0
 
     @property
     def n_terms(self) -> int:
@@ -200,7 +195,6 @@ def build_sweep_plan(op: QubitOperator, n_qubits: int) -> SweepPlan:
     combos: list[tuple[list[int], list[int]]] = [
         ([], []) for _ in range(n_qubits + 1)]
     n_env_steps = 0
-    n_walk_steps = 0
 
     def left_node(start: int, prefix: str) -> int:
         key = (start, prefix)
@@ -231,7 +225,6 @@ def build_sweep_plan(op: QubitOperator, n_qubits: int) -> SweepPlan:
         coeffs.append(complex(coeff))
         term_keys.append((term.x, term.z))
         span = len(chars)
-        n_walk_steps += span
         rev = chars[::-1]
         # choose the split bond greedily: cumulative weighted cost of the
         # *new* trie nodes each side would add (existing nodes are free;
@@ -319,7 +312,6 @@ def build_sweep_plan(op: QubitOperator, n_qubits: int) -> SweepPlan:
         combos=tuple((np.asarray(r, dtype=np.intp),
                       np.asarray(t, dtype=np.intp)) for r, t in combos),
         n_env_steps=n_env_steps,
-        n_walk_steps=n_walk_steps,
     )
 
 
@@ -523,11 +515,7 @@ def _dispatch_advance(advance, env: np.ndarray, bk: np.ndarray,
     if workers <= 1:
         out[dst] = advance(env, bk, bc)
         return
-    # a calibrated policy sizes the slice from the measured roofline; the
-    # partition stays a pure function of (rows, step), so any step choice
-    # is bitwise identical to the unsliced call
-    step = _tunepolicy.level3_slice_rows(
-        rows, env.shape[1], workers, _LEVEL3["slice_rows"])
+    step = _LEVEL3["slice_rows"]
     if rows <= step:
         out[dst] = advance(env, bk, bc)
         return
@@ -542,20 +530,25 @@ def _dispatch_advance(advance, env: np.ndarray, bk: np.ndarray,
 
 
 # -- cost model ---------------------------------------------------------------
-#
-# The static formulas live in `repro.tune.policy` (single source of truth
-# for both this module's off-mode dispatch and the policy's static arm);
-# the historic names stay as thin wrappers for callers and tests.
 
 
 def _sweep_flops(plan: SweepPlan, d: int) -> float:
-    """Estimated flops of one sweep evaluation at bond dimension ``d``."""
-    return _tunepolicy.static_sweep_flops(plan.n_env_steps, plan.n_terms, d)
+    """Estimated flops of one sweep evaluation at bond dimension ``d``.
+
+    Each environment advance is two complex (D,D)x(D,2D)-shaped GEMMs;
+    each term combines with one O(D^2) Frobenius product.
+    """
+    return plan.n_env_steps * 16.0 * d ** 3 + plan.n_terms * 8.0 * d * d
 
 
 def _mpo_flops(mpo, d: int) -> float:
     """Estimated flops of one MPS-MPO-MPS contraction at bond ``d``."""
-    return _tunepolicy.static_mpo_flops(mpo.bond_dimensions(), d)
+    dims = [1] + list(mpo.bond_dimensions()) + [1]
+    total = 0.0
+    for wl, wr in zip(dims[:-1], dims[1:]):
+        total += 8.0 * d ** 3 * wl + 16.0 * d * d * wl * wr \
+            + 8.0 * d ** 3 * wr
+    return total
 
 
 class MPSMeasurementEngine:
@@ -776,14 +769,11 @@ class MPSMeasurementEngine:
 
     def _expectation_auto(self, mps: MPS, op: QubitOperator,
                           n_qubits: int | None = None) -> float:
-        """Cost-model selection between the sweep, MPO and per-term paths.
+        """Pick the sweep or the MPO path, whichever models fewer flops.
 
-        With tuning off the decision is the historic static flop
-        comparison (sweep vs MPO only); ``tune=static`` routes the same
-        comparison through the policy layer for observability;
-        ``tune=auto`` compares *calibrated predicted times*, which also
-        unlocks the per-term arm for tiny operators where per-call
-        overhead, invisible to a flop model, dominates.
+        A pure function of ``(plan.n_env_steps, plan.n_terms,
+        mpo.bond_dimensions(), D)``, so every process holding the same
+        operator and state makes the same choice.
         """
         n = mps.n_qubits if n_qubits is None else int(n_qubits)
         if n != mps.n_qubits:
@@ -801,14 +791,11 @@ class MPSMeasurementEngine:
         if (mpo is None and n >= 2
                 and _MPO_MIN_TERMS <= plan.n_terms <= _MPO_MAX_TERMS):
             mpo = compiled_mpo(op, n, _key=key)
-        pick = _tunepolicy.choose_measurement(plan, d, mpo)
-        if pick == "mpo":
+        if mpo is not None and _mpo_flops(mpo, d) < _sweep_flops(plan, d):
             if _obs.REGISTRY.enabled:
                 _M_EVALS.inc(path="mpo")
                 _M_FLOPS.inc(_mpo_flops(mpo, d), path="mpo")
             return float(mpo.expectation(mps))
-        if pick == "per_term":
-            return self.expectation_per_term(mps, op)
         return self._evaluate_plan(mps, plan)
 
 

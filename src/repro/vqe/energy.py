@@ -86,16 +86,6 @@ class EnergyEvaluator:
         ``measurement_modes`` (the MPS backend: "auto" | "sweep" | "mpo" |
         "per_term").  None keeps the backend's registered default; naming
         a mode on a backend without the knob is a validation error.
-    tune, calibration_cache:
-        The kernel autotuner (:mod:`repro.tune`): ``tune=None`` (or
-        ``"off"``) leaves dispatch on the static flop model,
-        ``"static"`` routes the identical decisions through the policy
-        layer for observability, ``"auto"`` attaches the calibrated
-        time model - loading (or probing once into)
-        ``calibration_cache`` / the default on-disk cache.  Only
-        accepted on backends whose spec declares ``tunable`` (the MPS
-        backend); the configuration is process-global and shipped to
-        process-pool workers so every process dispatches identically.
     parallel, n_workers, n_groups:
         The level-2 parallel measurement path: ``parallel`` names a
         registered executor ("serial" | "thread" | "process"), the
@@ -116,8 +106,6 @@ class EnergyEvaluator:
                  simulator: str = "mps", method: str = "direct",
                  max_bond_dimension: int | None = None,
                  cutoff: float = 1e-12, measurement: str | None = None,
-                 tune: str | None = None,
-                 calibration_cache: str | None = None,
                  shots: int | None = None,
                  seed: int | None = None, parallel: str | None = None,
                  n_workers: int | None = None, n_groups: int | None = None):
@@ -147,21 +135,6 @@ class EnergyEvaluator:
                     f"unknown measurement mode {measurement!r} for backend "
                     f"{simulator!r}; expected one of {spec.measurement_modes}"
                 )
-        if tune is not None:
-            from repro.tune.policy import TUNE_MODES, configure_tuning
-
-            if tune not in TUNE_MODES:
-                raise ValidationError(
-                    f"unknown tune mode {tune!r}; expected one of "
-                    f"{TUNE_MODES}")
-            if tune != "off" and not spec.tunable:
-                raise ValidationError(
-                    f"backend {simulator!r} does not honor the kernel "
-                    f"autotuner; tune= requires a tunable backend "
-                    f"(e.g. 'mps')")
-            # an explicit "off" resets the process-global state; None
-            # leaves an externally configured policy alone
-            configure_tuning(tune, cache_dir=calibration_cache)
         if parallel is not None:
             if method != "direct":
                 raise ValidationError(
@@ -183,8 +156,6 @@ class EnergyEvaluator:
         self.max_bond_dimension = max_bond_dimension
         self.cutoff = cutoff
         self.measurement = measurement
-        self.tune = tune if tune is not None else "off"
-        self.calibration_cache = calibration_cache
         #: finite measurement budget per Pauli string: the exact ancilla
         #: <Z> is replaced by a binomial estimate, modelling what a real
         #: quantum computer returns (the noiseless-expectation default is
@@ -339,15 +310,7 @@ class EnergyEvaluator:
             if isinstance(state, MPS):
                 grouped, executor, counters = self._parallel_engine()
                 _M_PARALLEL_EVALS.inc(executor=executor.name)
-                if self.measurement == "mpo":
-                    mode = "mpo"
-                elif (self.tune == "auto"
-                        and self.measurement in (None, "auto")):
-                    # calibrated dispatch decides per group; workers ship
-                    # the parent's calibration so choices agree everywhere
-                    mode = "auto"
-                else:
-                    mode = "sweep"
+                mode = "mpo" if self.measurement == "mpo" else "sweep"
                 return grouped.expectation_mps(state, executor=executor,
                                                counters=counters, mode=mode)
         if (getattr(sim, "natively_dense", False)

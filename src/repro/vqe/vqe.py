@@ -85,11 +85,6 @@ class VQE:
         Forwarded to :class:`EnergyEvaluator`: executor name for the
         level-2 parallel measurement path and its worker count.  Call
         :meth:`close` after the run to release the worker pool.
-    tune / calibration_cache:
-        Forwarded to :class:`EnergyEvaluator`: the kernel autotuner knob
-        ("off" | "static" | "auto") and its on-disk calibration cache
-        directory.  Requires a backend declaring ``tunable`` on its
-        :class:`repro.backends.BackendSpec` (the MPS backend).
     checkpoint_path / checkpoint_every / resume:
         Per-iteration optimizer snapshots (:mod:`repro.serve.checkpoint`,
         schema ``repro.ckpt/1``).  Only the iteration-structured
@@ -116,8 +111,7 @@ class VQE:
                  optimizer: str = "cobyla", tolerance: float = 1e-8,
                  max_iterations: int = 2000, grad: str | None = None,
                  parallel: str | None = None,
-                 n_workers: int | None = None, tune: str | None = None,
-                 calibration_cache: str | None = None,
+                 n_workers: int | None = None,
                  checkpoint_path: str | None = None,
                  checkpoint_every: int = 1, resume: bool = False):
         self.uccsd = ansatz if isinstance(ansatz, UCCSDAnsatz) else None
@@ -140,11 +134,6 @@ class VQE:
                     f"measurement= needs a circuit backend with the knob "
                     f"(e.g. 'mps')"
                 )
-            if tune is not None and tune != "off":
-                raise ValidationError(
-                    f"backend {simulator!r} evaluates in closed form; "
-                    f"tune= needs a tunable circuit backend (e.g. 'mps')"
-                )
             self.evaluator = spec.make_evaluator(hamiltonian, self.uccsd)
             self.n_parameters = self.uccsd.n_parameters
         else:
@@ -155,8 +144,7 @@ class VQE:
             self.evaluator = EnergyEvaluator(
                 hamiltonian, circuit, simulator=simulator, method=method,
                 max_bond_dimension=max_bond_dimension,
-                measurement=measurement, tune=tune,
-                calibration_cache=calibration_cache, parallel=parallel,
+                measurement=measurement, parallel=parallel,
                 n_workers=n_workers)
             self.n_parameters = circuit.n_parameters
         self.optimizer = optimizer.lower()

@@ -124,17 +124,3 @@ def water():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20220914)
-
-
-@pytest.fixture(scope="session")
-def quick_calibration():
-    """One quick autotuner probe shared by every tune-aware test.
-
-    The probe times real kernels (~0.2 s quick); session scope keeps the
-    whole suite at a single probe.  Never written to the user's on-disk
-    cache - tests that exercise the cache protocol save copies into
-    ``tmp_path`` directories.
-    """
-    from repro.tune import calibrate
-
-    return calibrate(quick=True)

@@ -191,7 +191,6 @@ class TestBenchGateIntegration:
                             lambda quick=False, cases=None: cur)
         monkeypatch.setattr(bench, "mps_speedup", lambda doc: (None, False))
         monkeypatch.setattr(bench, "adjoint_eval_ratio", lambda doc: None)
-        monkeypatch.setattr(bench, "tuned_speedup", lambda doc: (None, False))
 
         args = argparse.Namespace(
             quick=True, cases=None, out=str(tmp_path / "BENCH_cur.json"),
@@ -220,7 +219,6 @@ class TestBenchGateIntegration:
                             copy.deepcopy(base))
         monkeypatch.setattr(bench, "mps_speedup", lambda doc: (None, False))
         monkeypatch.setattr(bench, "adjoint_eval_ratio", lambda doc: None)
-        monkeypatch.setattr(bench, "tuned_speedup", lambda doc: (None, False))
 
         args = argparse.Namespace(
             quick=True, cases=None, out=str(tmp_path / "BENCH_cur.json"),

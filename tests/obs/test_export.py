@@ -116,11 +116,13 @@ class TestSchemaV2:
     def test_current_schema_is_v2(self):
         assert SCHEMA_VERSION == "repro.obs/2"
 
-    def test_v1_documents_still_validate(self, populated):
+    def test_v1_documents_rejected(self, populated):
         reg, trc = populated
         doc = snapshot(reg, trc)
         doc["schema"] = "repro.obs/1"
-        validate_document(doc)
+        with pytest.raises(ValueError, match="unknown schema 'repro.obs/1'"
+                                             ".*'repro.obs/2'"):
+            validate_document(doc)
 
     def test_merged_multiworker_document_roundtrips(self, populated):
         """The shape the parent produces after folding worker deltas -

@@ -19,7 +19,6 @@ from repro.parallel.executor import (
     GroupedObservable,
     ProcessExecutor,
     SerialExecutor,
-    SharedStatevector,
     ThreadExecutor,
     available_executors,
     default_worker_count,
@@ -111,21 +110,6 @@ class TestExecutors:
 def _square(x: int) -> int:
     """Top-level (picklable) helper for pool map tests."""
     return x * x
-
-
-class TestSharedStatevector:
-    def test_roundtrip(self):
-        psi = _random_state(5)
-        with SharedStatevector(psi) as shared:
-            np.testing.assert_array_equal(shared.array(), psi)
-            name, size = shared.handle
-            assert size == psi.size
-            assert isinstance(name, str)
-
-    def test_close_idempotent(self):
-        shared = SharedStatevector(np.ones(4, dtype=complex))
-        shared.close()
-        shared.close()
 
 
 class TestGroupedObservableEdgeCases:

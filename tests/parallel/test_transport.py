@@ -119,6 +119,9 @@ class TestDenseRoundTrip:
         exported.close()
         with pytest.raises(ValidationError):
             exported.views()
+        # the segment is unlinked, not just unmapped: nothing can reattach
+        with pytest.raises(FileNotFoundError):
+            attach_state(exported.handle)
 
 
 class TestMPSRoundTrip:

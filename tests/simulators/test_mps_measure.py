@@ -19,6 +19,8 @@ from repro.simulators.mps_circuit import MPSSimulator
 from repro.simulators.mps_measure import (
     MEASUREMENT_MODES,
     MPSMeasurementEngine,
+    _mpo_flops,
+    _sweep_flops,
     build_sweep_plan,
     compiled_mpo,
     sweep_plan,
@@ -142,6 +144,33 @@ class TestAutoMode:
         ref = engine.expectation_per_term(mps, ham)
         assert engine.expectation(mps, ham, mode="auto") \
             == pytest.approx(ref, abs=ATOL)
+
+    def test_flop_model_crossover_on_lih(self, lih_hamiltonian):
+        # the sweep's D^3 term count outgrows the MPO's between D=4 and D=8
+        ham, n = lih_hamiltonian
+        plan, mpo = sweep_plan(ham, n), compiled_mpo(ham, n)
+        assert (_sweep_flops(plan, 4), _mpo_flops(mpo, 4)) == \
+            (1890048.0, 2580992.0)
+        for d in (1, 2, 4):
+            assert _sweep_flops(plan, d) < _mpo_flops(mpo, d), d
+        for d in (8, 16, 32, 64):
+            assert _mpo_flops(mpo, d) < _sweep_flops(plan, d), d
+
+    @pytest.mark.parametrize("bond_dimension,arm",
+                             [(4, "sweep"), (32, "mpo")])
+    def test_auto_pick_pinned_on_both_sides_of_crossover(
+            self, lih_hamiltonian, bond_dimension, arm):
+        """``auto`` runs the arm the flop rule names and is bitwise that
+        arm (the retired lih_tuned_sweep / lih_tuned_mpo ledger shapes)."""
+        from repro import obs
+
+        ham, n = lih_hamiltonian
+        mps = MPS.random_state(n, bond_dimension=bond_dimension, seed=7)
+        explicit = MPSMeasurementEngine().expectation(mps, ham, mode=arm)
+        with obs.collect() as reg:
+            auto = MPSMeasurementEngine().expectation(mps, ham, mode="auto")
+            assert reg.value("mps_measure.evaluations", path=arm) == 1
+        assert auto == explicit
 
     def test_auto_handles_tiny_operators(self):
         # below the MPO window: must silently use the sweep
@@ -299,13 +328,22 @@ class TestLevel3Slicing:
         from repro.simulators.mps_measure import configure_level3
 
         ham, n = lih_hamiltonian
-        mps = MPS.random_state(n, bond_dimension=16, seed=21)
-        baseline = MPSMeasurementEngine().expectation_sweep(mps, ham)
+        cases = (
+            (16, 21, ((2, 4), (4, 2), (4, 7))),
+            # any slice size is neutral, however it is picked: the default
+            # 32 against sizes well below and above it on a D=32 state
+            (32, 7, ((2, 8), (2, 32), (2, 256))),
+        )
         try:
-            for workers, slice_rows in ((2, 4), (4, 2), (4, 7)):
-                configure_level3(workers=workers, slice_rows=slice_rows)
-                engine = MPSMeasurementEngine()
-                assert engine.expectation_sweep(mps, ham) == baseline
+            for bond_dimension, seed, configs in cases:
+                mps = MPS.random_state(n, bond_dimension=bond_dimension,
+                                       seed=seed)
+                configure_level3(workers=1)
+                baseline = MPSMeasurementEngine().expectation_sweep(mps, ham)
+                for workers, slice_rows in configs:
+                    configure_level3(workers=workers, slice_rows=slice_rows)
+                    engine = MPSMeasurementEngine()
+                    assert engine.expectation_sweep(mps, ham) == baseline
         finally:
             self._restore()
 

@@ -15,6 +15,13 @@ class TestParser:
         assert args.molecule == "h2"
         assert args.method == "vqe"
 
+    @pytest.mark.parametrize("argv", [["calibrate"],
+                                      ["energy", "--tune", "auto"]])
+    def test_retired_autotuner_surface_is_an_argparse_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
 
 class TestEnergyCommand:
     def test_hf(self, capsys):
@@ -176,32 +183,6 @@ class TestScalingCommand:
     def test_weak(self, capsys):
         assert main(["scaling", "--mode", "weak"]) == 0
         assert "weak scaling" in capsys.readouterr().out
-
-
-class TestCalibrateCommand:
-    def test_probe_writes_cache_and_artifact(self, tmp_path, capsys):
-        from repro.tune import Calibration, cache_path
-
-        artifact = tmp_path / "cal.json"
-        assert main(["calibrate", "--quick",
-                     "--calibration-cache", str(tmp_path),
-                     "--output", str(artifact)]) == 0
-        out = capsys.readouterr().out
-        assert "calibration" in out
-        assert "GFLOP/s" in out
-        assert "written to" in out
-        cached = Calibration.load(cache_path(tmp_path))
-        assert Calibration.load(artifact).doc == cached.doc
-
-        # second invocation reuses the cached document without re-probing
-        from repro import obs
-
-        with obs.collect() as reg:
-            assert main(["calibrate", "--quick",
-                         "--calibration-cache", str(tmp_path)]) == 0
-            assert reg.value("tune.probe_runs") == 0
-            assert reg.value("tune.cache", outcome="hit") == 1
-        assert cached.doc["fingerprint_key"] in capsys.readouterr().out
 
 
 class TestServeCommand:
