@@ -99,8 +99,9 @@ def test_ablation_gate_fusion(benchmark):
 
     ansatz = UCCSDAnsatz(5, 4)
     rng = default_rng(9)
+    # the elementary-gate stream: fusion has nothing to absorb into a PR
     circ = ansatz.circuit().bind(0.1 * rng.standard_normal(
-        ansatz.n_parameters))
+        ansatz.n_parameters)).decomposed()
     n = circ.n_qubits
     fused = fuse_single_qubit_gates(circ)
 
@@ -161,12 +162,14 @@ def test_ablation_dmrg_vs_vqe(benchmark, h2_mo):
 
 
 def test_ablation_jw_vs_bk_on_mps(benchmark):
-    """Why the MPS pipeline uses Jordan-Wigner: contiguous supports.
+    """Why the MPS pipeline uses Jordan-Wigner: near-contiguous supports.
 
-    JW excitation strings have contiguous qubit support, so the CNOT
-    staircases are already nearest-neighbour; Bravyi-Kitaev strings are
-    lower weight but scattered, and SWAP routing for the linear MPS
-    topology inflates the two-qubit gate count.
+    JW excitation strings are contiguous up to the one identity gap of a
+    double excitation, so their CNOT staircases need few routing swaps;
+    Bravyi-Kitaev strings are lower weight but scattered, and SWAP routing
+    for the linear MPS topology inflates the two-qubit gate count.  (The
+    same locality is what keeps the span - the SVD count - of a directly
+    applied ``PR`` rotation short.)
     """
     from repro.circuits.routing import route_to_nearest_neighbour
     from repro.circuits.uccsd import UCCSDAnsatz
@@ -176,7 +179,8 @@ def test_ablation_jw_vs_bk_on_mps(benchmark):
     for mapping in ("jw", "bk"):
         ansatz = UCCSDAnsatz(5, 4, mapping=mapping)
         circ = ansatz.circuit().bind(
-            0.1 * default_rng(1).standard_normal(ansatz.n_parameters))
+            0.1 * default_rng(1).standard_normal(
+                ansatz.n_parameters)).decomposed()
         routed = route_to_nearest_neighbour(circ)
         max_w = max(pt.weight for exc in ansatz.excitations
                     for pt, _ in exc.pauli_terms)

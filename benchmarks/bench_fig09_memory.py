@@ -41,7 +41,8 @@ def _setup(molecule, circuits_per_process: int):
     terms = [t for t, _ in ham if not t.is_identity()]
     ansatz = UCCSDAnsatz(mo.n_orbitals, mo.n_electrons)
     width = ansatz.n_qubits + 1  # ancilla row
-    circuit = ansatz.circuit(n_qubits=width)
+    # the stores model elementary-gate circuits, as the paper's do
+    circuit = ansatz.circuit(n_qubits=width).decomposed()
     batch = terms[:circuits_per_process]
     return circuit, terms, batch, width, ansatz.n_parameters
 

@@ -15,7 +15,7 @@ import pytest
 from repro.common.timing import timed
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
-from repro.circuits.trotter import pauli_rotation_circuit
+from repro.circuits.trotter import pauli_rotation_gate
 from repro.operators.fermion import FermionOperator
 from repro.operators.jordan_wigner import jordan_wigner
 from repro.simulators.mps_circuit import MPSSimulator
@@ -50,7 +50,7 @@ def local_uccsd_chain_circuit(n_atoms: int, theta: float = 0.05) -> Circuit:
         for tau in taus:
             gen = (tau - tau.dagger()).normal_ordered()
             for pt, coeff in jordan_wigner(gen):
-                circ.extend(pauli_rotation_circuit(
+                circ.append(pauli_rotation_gate(
                     pt, n_qubits, angle=float(coeff.imag) * theta))
     return circ
 
@@ -65,7 +65,7 @@ def test_fig10_linear_scaling(benchmark):
         nq = circ.n_qubits
         t, sim = timed(lambda: MPSSimulator(
             nq, max_bond_dimension=bond_dim).run(circ), repeat=2)
-        rows.append([n, nq, len(circ), t, sim.max_bond()])
+        rows.append([n, nq, len(circ.decomposed()), t, sim.max_bond()])
         sizes.append(nq)
         times.append(t)
 
@@ -106,7 +106,7 @@ def test_fig10_large_chain_200_qubits(benchmark, n_atoms):
         return MPSSimulator(nq, max_bond_dimension=16).run(circ)
 
     sim = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\n200-qubit circuit: {len(circ)} gates, "
+    print(f"\n200-qubit circuit: {len(circ.decomposed())} gates, "
           f"max bond reached {sim.max_bond()}, "
           f"memory {sim.memory_bytes() / 1e6:.2f} MB")
     assert sim.max_bond() <= 16

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.circuits.gates import Gate
+from repro.circuits.gates import PARAMETRIC, Gate
 
 #: Reference to an optimizer parameter: (index, multiplier).
 ParamRef = tuple[int, float]
@@ -97,6 +97,25 @@ class Circuit:
             name=self.name,
         )
 
+    def decomposed(self) -> "Circuit":
+        """Equivalent circuit of one- and two-qubit gates only.
+
+        Every ``PR`` Pauli rotation is replaced by its CNOT staircase
+        (:meth:`repro.circuits.gates.Gate.decompose`), bound or not -
+        parameter references move to the central RZ, so binding and
+        decomposing commute.  This is the form the dense simulators, the
+        routing pass and gate-count reports consume; a circuit without
+        ``PR`` gates is returned as is.
+        """
+        if all(g.name != "PR" for g in self.gates):
+            return self
+        return Circuit(
+            n_qubits=self.n_qubits,
+            gates=[e for g in self.gates for e in g.decompose()],
+            n_parameters=self.n_parameters,
+            name=self.name,
+        )
+
     # -- queries ---------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -107,8 +126,7 @@ class Circuit:
 
     def is_bound(self) -> bool:
         return all(g.param is None and
-                   (g.angle is not None or g.name not in
-                    ("RX", "RY", "RZ", "RZZ"))
+                   (g.angle is not None or g.name not in PARAMETRIC)
                    for g in self.gates)
 
     def count_gates(self) -> dict[str, int]:

@@ -11,6 +11,11 @@ qubits no two-qubit gate ever touches.
 Optionally, consecutive two-qubit gates acting on the same pair are merged.
 The output circuit contains only U2 (and possibly U1) gates, which is the
 densest form for the simulators.
+
+A ``PR`` Pauli rotation is already one unit for the MPS simulator and
+passes through unchanged.  It is a barrier on its qubits: single-qubit
+gates pending there are emitted as U1 gates in front of it, and nothing
+after it is folded backwards across it.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ def _expand_single(u: np.ndarray, position: int) -> np.ndarray:
 
 def fuse_single_qubit_gates(circuit: Circuit, *,
                             merge_two_qubit_runs: bool = True) -> Circuit:
-    """Return an equivalent circuit of fused U2 (+ residual U1) gates."""
+    """Return an equivalent circuit of fused U2 (+ residual U1, + PR) gates."""
     if not circuit.is_bound():
         raise ValidationError("fusion requires a bound circuit")
 
@@ -41,6 +46,13 @@ def fuse_single_qubit_gates(circuit: Circuit, *,
     last_touch: dict[int, int] = {}
 
     for gate in circuit.gates:
+        if gate.name == "PR":
+            for q in gate.qubits:
+                if q in pending:
+                    fused.append(Gate("U1", (q,), unitary=pending.pop(q)))
+                last_touch.pop(q, None)
+            fused.append(gate)
+            continue
         if gate.n_qubits == 1:
             u = gate.matrix()
             q = gate.qubits[0]
@@ -51,12 +63,11 @@ def fuse_single_qubit_gates(circuit: Circuit, *,
         for pos, q in enumerate(gate.qubits):
             if q in pending:
                 mat = mat @ _expand_single(pending.pop(q), pos)
-        if (merge_two_qubit_runs and fused
-                and fused[-1].qubits == gate.qubits):
+        merge = merge_two_qubit_runs and fused and fused[-1].name == "U2"
+        if merge and fused[-1].qubits == gate.qubits:
             mat = mat @ fused[-1].matrix()
             fused[-1] = Gate("U2", gate.qubits, unitary=mat)
-        elif (merge_two_qubit_runs and fused
-                and fused[-1].qubits == gate.qubits[::-1]):
+        elif merge and fused[-1].qubits == gate.qubits[::-1]:
             # same pair, swapped order: permute previous into this ordering
             prev = _permute_two_qubit(fused[-1].matrix())
             fused[-1] = Gate("U2", gate.qubits, unitary=mat @ prev)

@@ -1,11 +1,13 @@
 """SWAP routing onto a linear (MPS-friendly) topology.
 
-The UCCSD staircases emitted by :mod:`repro.circuits.trotter` are already
-nearest-neighbour, but the Hadamard-test measurement circuits couple an
-ancilla to arbitrary qubits.  This pass rewrites any circuit so every
-two-qubit gate acts on adjacent qubits, by swapping the first operand next to
-the second and back.  All simulators accept the routed circuit unchanged,
-which keeps cross-simulator comparisons (Fig. 8) apples-to-apples.
+The staircases of Jordan-Wigner double excitations have identity gaps (see
+:mod:`repro.circuits.trotter`) and the Hadamard-test measurement circuits
+couple an ancilla to arbitrary qubits.  This pass rewrites any circuit so
+every two-qubit gate acts on adjacent qubits, by swapping the first operand
+next to the second and back; ``PR`` Pauli rotations are decomposed into
+their staircases first.  All simulators accept the routed circuit
+unchanged, which keeps cross-simulator comparisons (Fig. 8)
+apples-to-apples.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ def route_to_nearest_neighbour(circuit: Circuit) -> Circuit:
     out = Circuit(n_qubits=circuit.n_qubits,
                   n_parameters=circuit.n_parameters,
                   name=circuit.name + "+routed")
-    for gate in circuit.gates:
+    for gate in circuit.decomposed().gates:
         if gate.n_qubits != 2:
             out.append(gate)
             continue

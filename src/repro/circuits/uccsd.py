@@ -7,8 +7,9 @@ per spatial-orbital excitation (spin components share their amplitude).
 
 Under Jordan-Wigner each excitation generator maps to a set of mutually
 commuting Pauli strings with purely imaginary coefficients i*c_k, so each
-factor exp(theta_m (tau_m - tau_m+)) compiles exactly into CNOT-staircase
-rotations with angles c_k * theta_m.
+factor exp(theta_m (tau_m - tau_m+)) is exactly a product of Pauli
+rotations exp(i c_k theta_m P_k), emitted as one ``PR`` gate each
+(``Circuit.decomposed()`` turns them into CNOT staircases).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.operators.jordan_wigner import jordan_wigner
 from repro.operators.pauli import PauliTerm
 from repro.circuits.gates import Gate
 from repro.circuits.circuit import Circuit
-from repro.circuits.trotter import pauli_rotation_circuit
+from repro.circuits.trotter import pauli_rotation_gate
 
 
 @dataclass
@@ -173,8 +174,9 @@ class UCCSDAnsatz:
             c.append(Gate("X", (q,)))
         for exc in self.excitations:
             for pt, coeff in exc.pauli_terms:
-                # exp(i (coeff * theta_m) P)
-                c.extend(pauli_rotation_circuit(
+                # exp(i (coeff * theta_m) P); excitation terms are never
+                # the identity string, so a gate always comes back
+                c.append(pauli_rotation_gate(
                     pt, n, param=(exc.param_index, coeff)))
         return c
 

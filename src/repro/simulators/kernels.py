@@ -258,7 +258,9 @@ def svd_truncated(m: np.ndarray, max_dim: int | None = None,
             # numpy's gesdd binding has the lowest call overhead, which
             # matters at the small bond dimensions typical of VQE circuits
             u, s, vh = np.linalg.svd(m, full_matrices=False)
-        except np.linalg.LinAlgError:  # pragma: no cover - rare fallback
+        except np.linalg.LinAlgError:
+            # gesdd's divide-and-conquer can fail to converge where the
+            # slower QR-iteration driver does not
             u, s, vh = sla.svd(m, full_matrices=False, lapack_driver="gesvd")
     total = float(np.sum(s * s))
     if total == 0.0:

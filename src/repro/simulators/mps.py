@@ -11,6 +11,10 @@ Implements the paper's Sec. III-A verbatim:
 * the left tensor is restored with the Hastings trick B = M V+ (Eq. 10),
   which avoids dividing by small Schmidt values and keeps both tensors
   right-canonical;
+* a Pauli rotation exp(-i a/2 P) over any span is applied whole, as its
+  bond-dimension-2 MPO cos(a/2) 1 - i sin(a/2) P followed by one
+  compression sweep that runs Eqs. 8-10 once per bond of the span
+  (:meth:`MPS.apply_pauli_rotation`) - no CNOT staircase, no routing swaps;
 * local expectation values close with lambda^2 on the left and the
   right-canonical identity on the right (Eq. 11);
 * the cumulative discarded Schmidt weight is tracked as the truncation-error
@@ -28,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.circuits.gates import GATE_MATRICES
 from repro.common.errors import TruncationOverflowError, ValidationError
 from repro.common.rng import default_rng
 from repro.obs import metrics as _obs
@@ -47,6 +52,10 @@ _M_GATE_2Q = _obs.counter(
     "mps.gate_2q", "two-qubit gate applications (before routing)")
 _M_SWAP = _obs.counter(
     "mps.swap", "adjacent SWAPs inserted by routing plans")
+_M_ROTATION = _obs.counter(
+    "mps.pauli_rotation",
+    "Pauli rotations applied as one bond-2 MPO update + compression sweep "
+    "(spans of two or more sites; one SVD per bond of the span)")
 _M_SVD = _obs.counter(
     "mps.svd", "truncated SVDs (Eq. 9 updates and canonicalization sweeps)")
 _M_DISCARDED = _obs.counter(
@@ -72,6 +81,22 @@ _SWAP = np.array([[1, 0, 0, 0],
                   [0, 0, 1, 0],
                   [0, 1, 0, 0],
                   [0, 0, 0, 1]], dtype=complex)
+
+#: P.B on a (left, physical, right) site tensor without a GEMM, as (flip
+#: the physical index?, scale of its two entries after the flip)
+_PAULI_ACTION = {
+    "X": (True, None),
+    "Y": (True, np.array([-1j, 1j]).reshape(1, 2, 1)),
+    "Z": (False, np.array([1.0, -1.0]).reshape(1, 2, 1)),
+}
+
+
+def _pauli_times(ch: str, b: np.ndarray) -> np.ndarray:
+    """P.B for P in X/Y/Z acting on the physical (middle) index of ``b``."""
+    flip, phase = _PAULI_ACTION[ch]
+    if flip:
+        b = b[:, ::-1, :]
+    return b if phase is None else b * phase
 
 
 @dataclass
@@ -364,25 +389,9 @@ class MPS:
         m_scaled = m * lam_left[:, None, None, None]
         dl, _, _, dr = m.shape
         # Eq. 9: SVD + truncation
-        u, s, vh, disc = svd_truncated(
-            m_scaled.reshape(dl * 2, 2 * dr),
-            self.max_bond_dimension, self.cutoff, backend=self.backend)
+        u, s, vh, disc = self._split_bond(
+            m_scaled.reshape(dl * 2, 2 * dr), q + 1)
         chi = s.size
-        if _obs.REGISTRY.enabled:
-            _M_SVD.inc()
-        self.stats.record(disc, chi, bond=q + 1)
-        if (self.max_truncation_error is not None
-                and self.stats.total_discarded_weight
-                > self.max_truncation_error):
-            raise TruncationOverflowError(
-                f"accumulated truncation error "
-                f"{self.stats.total_discarded_weight:.3e} exceeds limit "
-                f"{self.max_truncation_error:.3e} (D="
-                f"{self.max_bond_dimension})",
-                accumulated_error=self.stats.total_discarded_weight,
-            )
-        s_norm = np.linalg.norm(s)
-        self.lambdas[q + 1] = s / s_norm
         new_b2 = vh.reshape(chi, 2, dr)
         self.tensors[q + 1] = new_b2
         if self.update_scheme == "vidal":
@@ -397,17 +406,127 @@ class MPS:
             new_b1 = tensordot_fused(m, new_b2.conj(), axes=((2, 3), (1, 2)),
                                      backend=self.backend)  # l i chi
         if disc > 0.0:
-            # truncation removed weight; restore normalization exactly using
-            # the local norm sum_l lambda_l^2 |B_q[l,:,:]|^2 (left part is
-            # canonical, right part is isometric); |.|^2 row sums beat the
-            # three-operand einsum here - no complex multiplies
-            row_norms = (new_b1.real ** 2 + new_b1.imag ** 2) \
-                .reshape(new_b1.shape[0], -1).sum(axis=1)
-            local = float((lam_left * lam_left) @ row_norms)
-            if local <= 0.0:
-                raise ValidationError("state collapsed during truncation")
-            new_b1 = new_b1 / np.sqrt(local)
+            new_b1 = _renormalized(new_b1, lam_left)
         self.tensors[q] = new_b1
+        self.revision += 1
+
+    def _split_bond(self, scaled: np.ndarray, bond: int):
+        """Eq. 9 on one bond: SVD of the lambda-scaled unfolding, truncated.
+
+        Books the discarded weight against ``bond``, enforces the
+        truncation-error ceiling and stores the new (unit-norm) Schmidt
+        values; returns ``(u, s, vh, discarded)`` for the caller to
+        rebuild its site tensors from.
+        """
+        u, s, vh, disc = svd_truncated(
+            scaled, self.max_bond_dimension, self.cutoff,
+            backend=self.backend)
+        if _obs.REGISTRY.enabled:
+            _M_SVD.inc()
+        self.stats.record(disc, s.size, bond=bond)
+        if (self.max_truncation_error is not None
+                and self.stats.total_discarded_weight
+                > self.max_truncation_error):
+            raise TruncationOverflowError(
+                f"accumulated truncation error "
+                f"{self.stats.total_discarded_weight:.3e} exceeds limit "
+                f"{self.max_truncation_error:.3e} (D="
+                f"{self.max_bond_dimension})",
+                accumulated_error=self.stats.total_discarded_weight,
+            )
+        self.lambdas[bond] = s / np.linalg.norm(s)
+        return u, s, vh, disc
+
+    def apply_pauli_rotation(self, ops, angle: float) -> None:
+        """Apply exp(-i angle/2 P) for a Pauli string P in one sweep.
+
+        ``ops`` is the sparse ``(qubit, 'X'|'Y'|'Z')`` list of the string
+        (:meth:`repro.operators.pauli.PauliTerm.ops`); the angle convention
+        is the ``PR``/``RZ`` gate's.  The rotation is the bond-dimension-2
+        MPO cos(a/2) 1 - i sin(a/2) P over the span [lo, hi] of the string:
+
+        1. *stack*: every site tensor of the span becomes the pair
+           (B_q, P_q B_q) - identity on gap sites, cos and -i sin folded
+           into site lo - which doubles the bonds lo+1..hi.  P_q B_q is an
+           index flip and/or sign, no GEMM;
+        2. *QR sweep*, right to left over hi..lo+1: restores right-canonical
+           form on those sites and pushes the non-orthogonal remainder
+           into site lo;
+        3. *compression sweep*, left to right: Eqs. 8-10 once per bond -
+           scale by the left Schmidt values, truncated SVD at the state's D
+           and cutoff, Hastings B_q = M V+, renormalize after a truncation.
+
+        That is hi - lo SVDs and no swaps, against 2(k - 1) two-site
+        updates plus the routing swaps of every identity gap for the CNOT
+        staircase of a weight-k string, and it truncates less: the
+        staircase's mid-ladder states carry more entanglement than the
+        states before and after the rotation, this sweep only ever
+        truncates the rotated state itself.  A one-site span is a plain
+        single-qubit gate.
+        """
+        ops = list(ops)
+        factors = dict(ops)
+        if not factors or len(factors) != len(ops):
+            raise ValidationError(
+                f"Pauli rotation needs distinct qubits, got {ops}")
+        lo, hi = min(factors), max(factors)
+        if lo < 0 or hi >= self.n_qubits:
+            raise ValidationError(f"Pauli support {ops} out of range")
+        if any(ch not in _PAULI_ACTION for ch in factors.values()):
+            raise ValidationError(f"bad Pauli string {ops}")
+        if self.update_scheme != "hastings":
+            raise ValidationError(
+                "apply_pauli_rotation implements the Hastings update only; "
+                f"run the decomposed() gate stream on a "
+                f"{self.update_scheme!r} state")
+        c, sn = np.cos(0.5 * angle), np.sin(0.5 * angle)
+        if lo == hi:
+            self.apply_one_qubit(
+                c * GATE_MATRICES["I"] - 1j * sn * GATE_MATRICES[factors[lo]],
+                lo)
+            return
+        if _obs.REGISTRY.enabled:
+            _M_ROTATION.inc()
+        be = self.backend
+
+        def stacked_pair(q, carry):
+            """(B_q . carry[0], P_q B_q . carry[1]): the two MPO blocks."""
+            top = bot = self.tensors[q]
+            if carry is not None:
+                # one GEMM for both blocks: (l, i, block, new right bond)
+                prod = tensordot_fused(top, carry, axes=((2,), (1,)),
+                                       backend=be)
+                top, bot = prod[:, :, 0, :], prod[:, :, 1, :]
+            ch = factors.get(q)
+            return top, bot if ch is None else _pauli_times(ch, bot)
+
+        # steps 1 + 2, from hi down to lo + 1; ``carry`` is the (block,
+        # old right bond, new right bond) remainder each QR hands left
+        carry = None
+        canon: dict[int, np.ndarray] = {}
+        for q in range(hi, lo, -1):
+            top, bot = stacked_pair(q, carry)
+            dl, _, k = top.shape
+            rows = np.concatenate((top, bot), axis=0).reshape(2 * dl, 2 * k)
+            qm, rm = np.linalg.qr(rows.conj().T)
+            canon[q] = qm.conj().T.reshape(-1, 2, k)
+            carry = rm.conj().T.reshape(2, dl, -1)
+        top, bot = stacked_pair(lo, carry)
+        cur = c * top - 1j * sn * bot
+        # step 3: Eqs. 8-10 once per bond, left to right
+        for q in range(lo, hi):
+            lam_left = self.lambdas[q]
+            dl, _, k = cur.shape
+            _, _, vh, disc = self._split_bond(
+                (cur * lam_left[:, None, None]).reshape(dl * 2, k), q + 1)
+            new_b = tensordot_fused(cur, vh.conj(), axes=((2,), (1,)),
+                                    backend=be)
+            if disc > 0.0:
+                new_b = _renormalized(new_b, lam_left)
+            self.tensors[q] = new_b
+            cur = tensordot_fused(vh, canon[q + 1], axes=((1,), (0,)),
+                                  backend=be)
+        self.tensors[hi] = cur
         self.revision += 1
 
     # -- measurement -----------------------------------------------------------------
@@ -445,8 +564,6 @@ class MPS:
 
     def expectation_pauli(self, term) -> float:
         """<psi| P |psi> for a Pauli string (uses the local-op contraction)."""
-        from repro.circuits.gates import GATE_MATRICES
-
         ops = {q: GATE_MATRICES[ch] for q, ch in term.ops()}
         return float(np.real(self.expectation_local(ops)))
 
@@ -531,6 +648,21 @@ class MPS:
             dict(self.stats.per_bond_discarded_weight),
         )
         return other
+
+
+def _renormalized(new_b: np.ndarray, lam_left: np.ndarray) -> np.ndarray:
+    """Restore unit norm after a truncation removed Schmidt weight.
+
+    Uses the local norm sum_l lambda_l^2 |B_q[l,:,:]|^2 (left part is
+    canonical, right part is isometric); |.|^2 row sums beat the
+    three-operand einsum here - no complex multiplies.
+    """
+    row_norms = (new_b.real ** 2 + new_b.imag ** 2) \
+        .reshape(new_b.shape[0], -1).sum(axis=1)
+    local = float((lam_left * lam_left) @ row_norms)
+    if local <= 0.0:
+        raise ValidationError("state collapsed during truncation")
+    return new_b / np.sqrt(local)
 
 
 def _permute4(mat: np.ndarray) -> np.ndarray:

@@ -113,7 +113,7 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, *,
               max_qubits: int = 13) -> DensityMatrixSimulator:
     """Simulate a bound circuit with noise after every gate."""
     sim = DensityMatrixSimulator(circuit.n_qubits, max_qubits=max_qubits)
-    for gate in circuit.gates:
+    for gate in circuit.decomposed().gates:
         sim.apply_gate(gate)
         for channel in noise.channels_for(gate.n_qubits):
             for q in gate.qubits:

@@ -98,7 +98,7 @@ class StatevectorSimulator:
             raise ValidationError(
                 f"circuit width {circuit.n_qubits} != register {self.n_qubits}"
             )
-        for g in circuit.gates:
+        for g in circuit.decomposed().gates:
             self.apply_gate(g)
         return self
 

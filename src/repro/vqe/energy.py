@@ -151,6 +151,11 @@ class EnergyEvaluator:
                     available=tuple(available_transports()))
         self.hamiltonian = hamiltonian
         self.ansatz = ansatz
+        #: the circuit every evaluation binds and runs.  The MPS backend
+        #: applies ``PR`` Pauli rotations whole; every other backend runs
+        #: elementary gates, so the staircases are laid out once here, not
+        #: on each evaluation (binding re-creates only parametric gates)
+        self.program = ansatz if spec.name == "mps" else ansatz.decomposed()
         self.simulator = simulator
         self.method = method
         self.max_bond_dimension = max_bond_dimension
@@ -197,7 +202,7 @@ class EnergyEvaluator:
         return resolve_backend(self.simulator, width, **opts)
 
     def _run_ansatz(self, theta: np.ndarray, width: int):
-        bound = self.ansatz.bind(theta)
+        bound = self.program.bind(theta)
         if width != bound.n_qubits:
             wide = Circuit(n_qubits=width, gates=list(bound.gates),
                            n_parameters=0, name=bound.name)

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.backends import backend_spec
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import GATE_MATRICES, Gate
+from repro.circuits.gates import GATE_MATRICES, PARAMETRIC, Gate
 from repro.common.errors import ValidationError
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
@@ -91,21 +91,18 @@ _G_EQUIV = _obs.counter(
 #: the two states - independent of the parameter count
 ADJOINT_EVAL_EQUIVALENTS = 4
 
-_GENERATOR = {"RX": "X", "RY": "Y", "RZ": "Z"}
-
-
 def _generator_ops(gate: Gate) -> dict[int, np.ndarray]:
-    """Single-site factors of the gate generator G (RZZ: Z on each site)."""
-    if gate.name == "RZZ":
-        z = GATE_MATRICES["Z"]
-        return {gate.qubits[0]: z, gate.qubits[1]: z}
-    ch = _GENERATOR.get(gate.name)
-    if ch is None:
+    """Single-site factors of the generator G of exp(-i angle/2 G).
+
+    RX/RY/RZ: the one Pauli; RZZ: Z on each site; PR: the string's factors.
+    """
+    if gate.name not in PARAMETRIC:
         raise ValidationError(
             f"gate {gate.name!r} has no known generator; cannot "
             f"differentiate it analytically"
         )
-    return {gate.qubits[0]: GATE_MATRICES[ch]}
+    pauli = gate.pauli if gate.name == "PR" else gate.name[1:]
+    return {q: GATE_MATRICES[ch] for q, ch in zip(gate.qubits, pauli)}
 
 
 def _strip_identity(op: QubitOperator) -> QubitOperator:
@@ -144,9 +141,14 @@ def _apply_operator_dense(op: QubitOperator, psi: np.ndarray) -> np.ndarray:
 
 def _adjoint_dense(hamiltonian: QubitOperator, circuit: Circuit,
                    theta: np.ndarray) -> np.ndarray:
-    """Exact adjoint gradient on the dense statevector (the oracle)."""
+    """Exact adjoint gradient on the dense statevector (the oracle).
+
+    Runs the elementary-gate stream: a ``PR`` rotation's parameter moves
+    to the central RZ of its staircase, whose generator Z differentiates
+    the same angle.
+    """
     n = circuit.n_qubits
-    gates = list(circuit.gates)
+    gates = list(circuit.decomposed().gates)
     bound = [g.bound(theta) for g in gates]
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
@@ -269,16 +271,12 @@ class _OverlapEnvironments:
         return complex(np.einsum("ij,ij->", env[0], r[0]))
 
 
-def _undo_gate_mps(state, gate: Gate) -> tuple[int, int]:
-    """Apply the inverse gate; returns the touched site span [lo, hi]."""
-    inv = gate.matrix().conj().T
-    if gate.n_qubits == 1:
-        q = gate.qubits[0]
-        state.apply_one_qubit(inv, q)
-        return q, q
-    q1, q2 = gate.qubits
-    state.apply_two_qubit(inv, q1, q2)
-    return min(q1, q2), max(q1, q2)
+def _inverse(gate: Gate) -> Gate:
+    """The bound gate undoing ``gate``: PR(-angle), else the adjoint matrix."""
+    if gate.name == "PR":
+        return replace(gate, angle=-gate.angle)
+    return Gate("U1" if gate.n_qubits == 1 else "U2", gate.qubits,
+                unitary=gate.matrix().conj().T)
 
 
 def _adjoint_mps(hamiltonian: QubitOperator, circuit: Circuit,
@@ -287,7 +285,9 @@ def _adjoint_mps(hamiltonian: QubitOperator, circuit: Circuit,
     """Two-state adjoint gradient on matrix product states.
 
     Forward: run the *unfused* bound gate stream on a fresh MPS (fusion
-    would absorb parametric rotations into opaque U2 blocks).  The bra
+    would absorb parametric one-qubit rotations into opaque U2 blocks; a
+    ``PR`` Pauli rotation is one unit either way, so for UCCSD this is the
+    same stream the energy evaluation runs).  The bra
     ``H|psi>`` is materialized once as an MPS through the compiled-MPO
     zip-up (:meth:`repro.simulators.mpo.MPO.apply`) - its exact Schmidt
     rank is capped at ``min(2^b, 2^(n-b))``, so it stays small - and
@@ -296,6 +296,7 @@ def _adjoint_mps(hamiltonian: QubitOperator, circuit: Circuit,
     per parametric gate through the cached overlap environments.
     """
     from repro.simulators.mps import MPS
+    from repro.simulators.mps_circuit import apply_gate
     from repro.simulators.mps_measure import compiled_mpo
 
     n = circuit.n_qubits
@@ -303,10 +304,7 @@ def _adjoint_mps(hamiltonian: QubitOperator, circuit: Circuit,
     bound = [g.bound(theta) for g in gates]
     ket = MPS(n, max_bond_dimension=max_bond_dimension, cutoff=cutoff)
     for g in bound:
-        if g.n_qubits == 1:
-            ket.apply_one_qubit(g.matrix(), g.qubits[0])
-        else:
-            ket.apply_two_qubit(g.matrix(), *g.qubits)
+        apply_gate(ket, g)
     _G_FWD.inc()
     grad = np.zeros(circuit.n_parameters)
     op = _strip_identity(hamiltonian)
@@ -322,8 +320,9 @@ def _adjoint_mps(hamiltonian: QubitOperator, circuit: Circuit,
             idx, mult = raw.param
             ov = envs.overlap(_generator_ops(raw))
             grad[idx] += mult * scale * ov.imag
-        lo, hi = _undo_gate_mps(ket, g)
-        _undo_gate_mps(bra, g)
+        inv = _inverse(g)
+        lo, hi = apply_gate(ket, inv)
+        apply_gate(bra, inv)
         if _obs.REGISTRY.enabled:
             _G_UNDO.inc(2)
         envs.invalidate(lo, hi)
@@ -343,7 +342,7 @@ def param_shift_gradient(evaluator, theta: np.ndarray, *,
     parity suite uses this to spot-check single components on circuits
     where the full 2G sweep would be wasteful.
     """
-    circuit = evaluator.ansatz
+    circuit = evaluator.program
     theta = np.asarray(theta, dtype=float)
     gates = list(circuit.gates)
     bound = [g.bound(theta) for g in gates]
@@ -434,7 +433,7 @@ def adjoint_gradient(evaluator, theta: np.ndarray) -> np.ndarray:
     two-state tensor-network sweep at the evaluator's truncation settings;
     dense backends run the exact statevector oracle.
     """
-    circuit = evaluator.ansatz
+    circuit = evaluator.program
     theta = np.asarray(theta, dtype=float)
     spec = backend_spec(evaluator.simulator)
     if "adjoint" not in spec.gradients:

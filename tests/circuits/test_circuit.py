@@ -98,3 +98,30 @@ class TestQueries:
         with_u = Circuit(2, [Gate("U2", (0, 1), unitary=u)])
         without = Circuit(2, [Gate("CX", (0, 1))])
         assert with_u.memory_bytes() > without.memory_bytes()
+
+
+class TestPauliRotations:
+    def test_unbound_pr_is_not_bound(self):
+        """is_bound reads the parametric set of gates.py (it used to
+        hardcode RX/RY/RZ/RZZ and call an angle-less PR bound)."""
+        c = Circuit(3, [Gate("PR", (0, 2), pauli="XY")])
+        assert not c.is_bound()
+        c = Circuit(3, [Gate("PR", (0, 2), pauli="XY", param=(0, 1.0))],
+                    n_parameters=1)
+        assert not c.is_bound()
+        assert c.bind(np.array([0.3])).is_bound()
+
+    def test_decomposed_keeps_parameters_and_commutes_with_bind(self):
+        c = Circuit(4, [Gate("H", (1,)),
+                        Gate("PR", (0, 2, 3), pauli="XZY", param=(1, -2.0))],
+                    n_parameters=2, name="toy")
+        d = c.decomposed()
+        assert d.n_parameters == 2 and d.name == "toy"
+        assert all(g.name != "PR" for g in d)
+        assert d.parameter_indices() == {1}
+        theta = np.array([0.1, 0.7])
+        assert d.bind(theta).gates == c.bind(theta).decomposed().gates
+
+    def test_decomposed_without_rotations_is_the_circuit_itself(self):
+        c = _toy()
+        assert c.decomposed() is c

@@ -113,3 +113,47 @@ class TestRouting:
         c.append(Gate("CX", (3, 0)))  # control above target
         routed = route_to_nearest_neighbour(c)
         assert np.allclose(_state(c), _state(routed), atol=1e-12)
+
+
+def _mixed_circuit_with_rotations(n=5, seed=8):
+    """1q/2q gates interleaved with PR rotations on overlapping qubits."""
+    rng = default_rng(seed)
+    c = _random_mixed_circuit(n, seed)
+    gates = list(c.gates)
+    for at in sorted(rng.choice(len(gates), size=4, replace=False))[::-1]:
+        qubits = tuple(sorted(int(q) for q in rng.choice(
+            n, size=int(rng.integers(1, n + 1)), replace=False)))
+        pauli = "".join("XYZ"[int(rng.integers(3))] for _ in qubits)
+        gates.insert(int(at), Gate("PR", qubits, pauli=pauli,
+                                   angle=float(rng.uniform(-3, 3))))
+    return Circuit(n, gates + [Gate("H", (q,)) for q in range(n)])
+
+
+class TestPauliRotationBarrier:
+    def test_fusion_passes_rotations_through_as_barriers(self):
+        from repro.simulators.mps_circuit import MPSSimulator
+
+        for seed in range(6):
+            circ = _mixed_circuit_with_rotations(seed=seed)
+            fused = fuse_single_qubit_gates(circ)
+            assert {g.name for g in fused} <= {"U1", "U2", "PR"}
+            assert ([g for g in fused if g.name == "PR"]
+                    == [g for g in circ if g.name == "PR"])
+            # the fused stream is what the optimized MPS mode executes
+            mps = MPSSimulator(circ.n_qubits).run(circ).statevector()
+            assert np.allclose(mps, _state(circ), atol=1e-10)
+
+    def test_two_qubit_rotation_is_not_merged_into_a_u2_run(self):
+        c = Circuit(2, [Gate("CX", (0, 1)),
+                        Gate("PR", (0, 1), pauli="XY", angle=0.3),
+                        Gate("CX", (0, 1))])
+        assert [g.name for g in fuse_single_qubit_gates(c)] \
+            == ["U2", "PR", "U2"]
+
+    def test_routing_decomposes_rotations_first(self):
+        c = Circuit(5, [Gate("PR", (0, 2, 4), pauli="XZY", angle=0.7)])
+        routed = route_to_nearest_neighbour(c)
+        assert all(g.name != "PR" for g in routed)
+        assert all(abs(g.qubits[0] - g.qubits[1]) == 1
+                   for g in routed if g.n_qubits == 2)
+        assert np.allclose(_state(routed), _state(c), atol=1e-12)

@@ -109,3 +109,67 @@ class TestControlledPauli:
     def test_bad_pauli(self):
         with pytest.raises(ValidationError):
             controlled_pauli_gate(0, 1, "I")
+
+
+class TestPauliRotationGate:
+    """``PR``: exp(-i angle/2 P), the one gate that is not elementary."""
+
+    def test_matrix_is_the_pauli_exponential(self):
+        from scipy.linalg import expm
+
+        from repro.operators.pauli import pauli_string
+
+        g = Gate("PR", (0, 2, 3), angle=0.83, pauli="xzy")
+        assert g.pauli == "XZY"
+        p = pauli_string([(0, "X"), (1, "Z"), (2, "Y")]).matrix(3)
+        assert np.allclose(g.matrix(), expm(-0.5j * 0.83 * p), atol=1e-12)
+
+    def test_single_qubit_string_matches_rz(self):
+        assert np.allclose(Gate("PR", (1,), angle=0.4, pauli="Z").matrix(),
+                           Gate("RZ", (1,), angle=0.4).matrix())
+
+    def test_decompose_multiplies_back_to_the_exponential(self):
+        from scipy.linalg import expm
+
+        from repro.circuits.circuit import Circuit
+        from repro.operators.pauli import pauli_string
+        from repro.simulators.statevector import StatevectorSimulator
+
+        g = Gate("PR", (0, 1, 3), angle=-1.1, pauli="YXZ")
+        elementary = g.decompose()
+        assert all(e.n_qubits <= 2 and e.name != "PR" for e in elementary)
+        # a gapped string couples non-adjacent qubits
+        assert Gate("CX", (1, 3)) in elementary
+        cols = []
+        for basis in range(16):
+            sim = StatevectorSimulator(4)
+            sim.set_state(np.eye(16)[basis])
+            cols.append(sim.run(Circuit(4, elementary)).statevector())
+        p = pauli_string([(0, "Y"), (1, "X"), (3, "Z")]).matrix(4)
+        assert np.allclose(np.array(cols).T, expm(0.55j * p), atol=1e-12)
+
+    def test_elementary_gates_decompose_to_themselves(self):
+        g = Gate("CX", (0, 1))
+        assert g.decompose() == [g]
+
+    def test_decompose_moves_the_parameter_to_the_rz(self):
+        g = Gate("PR", (0, 1), param=(3, -0.5), pauli="ZZ")
+        rz = [e for e in g.decompose() if e.name == "RZ"]
+        assert rz == [Gate("RZ", (1,), param=(3, -0.5))]
+
+    def test_unbound_matrix_raises(self):
+        with pytest.raises(ValidationError):
+            Gate("PR", (0, 1), param=(0, 1.0), pauli="XX").matrix()
+
+    @pytest.mark.parametrize("qubits,pauli", [
+        ((0, 1), None), ((0, 1), ""), ((0, 1), "XI"), ((0, 1), "XYZ"),
+        ((1, 0), "XY"), ((0, 0), "XY"),
+    ])
+    def test_validation(self, qubits, pauli):
+        with pytest.raises(ValidationError):
+            Gate("PR", qubits, angle=0.1, pauli=pauli)
+
+    def test_parametric_set_is_exported(self):
+        from repro.circuits.gates import PARAMETRIC
+
+        assert PARAMETRIC == {"RX", "RY", "RZ", "RZZ", "PR"}

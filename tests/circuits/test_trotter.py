@@ -91,3 +91,25 @@ def test_composition_of_commuting_factors():
     u = _circuit_unitary(c)
     expected = expm(1j * (phi1 * a.matrix(2) + phi2 * b.matrix(2)))
     assert np.allclose(u, expected, atol=1e-10)
+
+
+def test_rotation_gate_is_the_staircase_source():
+    from repro.circuits.trotter import pauli_rotation_gate
+
+    term = pauli_string([(0, "X"), (1, "Z"), (3, "Y")])
+    gate = pauli_rotation_gate(term, 4, angle=0.35)
+    assert (gate.name, gate.qubits, gate.pauli) == ("PR", (0, 1, 3), "XZY")
+    assert gate.angle == -0.7                 # PR(a) = exp(-i a P / 2)
+    assert gate.decompose() == pauli_rotation_circuit(term, 4, angle=0.35)
+    assert pauli_rotation_gate(PauliTerm(0, 0), 4, angle=0.35) is None
+    par = pauli_rotation_gate(term, 4, param=(2, 0.25))
+    assert par.param == (2, -0.5) and par.angle is None
+
+
+def test_ladder_crosses_identity_gaps():
+    """A double excitation's string has a gap: its ladder is not
+    nearest-neighbour, which is where the routing swaps came from."""
+    term = pauli_string([(0, "X"), (1, "Y"), (4, "X"), (5, "Y")])
+    cx = [g.qubits for g in pauli_rotation_circuit(term, 6, angle=0.1)
+          if g.name == "CX"]
+    assert (1, 4) in cx

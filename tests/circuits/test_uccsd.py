@@ -104,5 +104,8 @@ class TestCircuits:
         """The paper's Fig. 5 quotes ~120 ansatz gates for H2 + 2 X gates."""
         ansatz = UCCSDAnsatz(2, 2)
         circ = ansatz.circuit()
-        assert 80 <= len(circ) <= 200
-        assert circ.count_gates()["X"] == 2
+        # one PR gate per Pauli term of the excitation generators
+        assert circ.count_gates() == {"X": 2, "PR": 12}
+        gates = circ.decomposed()
+        assert 80 <= len(gates) <= 200
+        assert gates.count_gates()["X"] == 2

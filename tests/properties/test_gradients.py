@@ -58,33 +58,40 @@ def random_parametric_circuit(rng: np.random.Generator, n: int,
                               n_gates: int = 14) -> Circuit:
     """Random parametric circuit exercising the full generator set.
 
-    Mixes parametric RX/RY/RZ/RZZ (with *shared* parameter indices and
-    non-unit multipliers - the UCCSD binding pattern that makes naive
-    per-parameter shift rules inexact), frozen-angle rotations and CX
-    entanglers.
+    Mixes parametric RX/RY/RZ/RZZ and ``PR`` Pauli rotations over random
+    strings - identity gaps and Y factors included - (with *shared*
+    parameter indices and non-unit multipliers - the UCCSD binding pattern
+    that makes naive per-parameter shift rules inexact), frozen-angle
+    rotations and CX entanglers.
     """
     c = Circuit(n_qubits=n, name="random_parametric")
     c.n_parameters = n_params
-    rotations = ("RX", "RY", "RZ", "RZZ")
+    rotations = ("RX", "RY", "RZ", "RZZ", "PR")
     for _ in range(n_gates):
-        kind = int(rng.integers(0, 5))
-        if kind == 4:
+        kind = int(rng.integers(0, 6))
+        if kind == 5:
             q = int(rng.integers(0, n - 1))
             c.append(Gate("CX", (q, q + 1)))
             continue
         name = rotations[kind]
-        if name == "RZZ":
+        pauli = None
+        if name == "PR":
+            weight = int(rng.integers(1, n + 1))
+            qubits = tuple(sorted(
+                int(q) for q in rng.choice(n, size=weight, replace=False)))
+            pauli = "".join("XYZ"[int(rng.integers(3))] for _ in qubits)
+        elif name == "RZZ":
             q = int(rng.integers(0, n - 1))
             qubits = (q, q + 1)
         else:
             qubits = (int(rng.integers(0, n)),)
         if rng.random() < 0.25:
-            c.append(Gate(name, qubits,
+            c.append(Gate(name, qubits, pauli=pauli,
                           angle=float(rng.uniform(-np.pi, np.pi))))
         else:
             idx = int(rng.integers(0, n_params))
             mult = float(rng.choice([-2.0, -1.0, 0.5, 1.0]))
-            c.append(Gate(name, qubits, param=(idx, mult)))
+            c.append(Gate(name, qubits, pauli=pauli, param=(idx, mult)))
     return c
 
 
@@ -123,6 +130,26 @@ def test_random_circuit_adjoint_mps_matches_oracle(seed: int) -> None:
     g_mps = adjoint_gradient(
         EnergyEvaluator(op, circuit, simulator="mps"), theta)
     assert np.abs(g_sv - g_mps).max() <= ATOL_ANALYTIC
+
+
+@given_seed(max_examples=8)
+def test_pauli_rotation_circuit_three_way_parity_mps(seed: int) -> None:
+    """adjoint == parameter shift == central FD through the MPS rotation
+    kernel (forward, PR(-angle) undo on ket and bra, gapped-string overlap),
+    and the gradient equals the dense oracle's on the decomposed stream."""
+    rng = rng_for(seed)
+    n = 5
+    circuit = random_parametric_circuit(rng, n, n_params=3, n_gates=10)
+    # whatever the draw, one gapped string with a Y factor is in
+    circuit.append(Gate("PR", (0, 2, 4), pauli="XZY", param=(0, 0.5)))
+    op = random_observable(rng, n)
+    theta = rng.uniform(-np.pi, np.pi, circuit.n_parameters)
+    evaluator = EnergyEvaluator(op, circuit, simulator="mps")
+    _three_way_parity(evaluator, theta)
+    g_sv = adjoint_gradient(
+        EnergyEvaluator(op, circuit, simulator="statevector"), theta)
+    assert np.abs(adjoint_gradient(evaluator, theta) - g_sv).max() \
+        <= ATOL_ANALYTIC
 
 
 @pytest.mark.parametrize("simulator", ["statevector", "mps"])

@@ -10,7 +10,10 @@ when every energy still comes out right.
 
 Budgets were recorded from the current implementation; if an
 *intentional* algorithmic change shifts them, update the tables here and
-say why in the commit message.
+say why in the commit message.  (ISSUE 13 re-derived the MPS tables: UCCSD
+factors reach the MPS as ``PR`` rotations - one SVD per bond of the
+string's span, no routing - and the old staircase counts moved, unchanged,
+to ``STAIRCASE_BUDGETS`` on the ``decomposed()`` stream.)
 """
 
 from __future__ import annotations
@@ -28,9 +31,46 @@ from repro.simulators.pauli_kernels import clear_observable_cache
 from repro.vqe.energy import EnergyEvaluator
 
 #: one MPS energy evaluation at theta = 0 (a single direct measurement
-#: of the UCCSD reference state); keyed by (molecule, measurement mode)
+#: of the UCCSD reference state); keyed by (molecule, measurement mode).
+#: Every UCCSD factor is one ``PR`` gate applied by
+#: ``MPS.apply_pauli_rotation``: mps.svd is the summed span (hi - lo) of
+#: the strings - 4 x 2 + 8 x 3 bonds for H2 - and nothing is routed.
+_H2_PREP = {
+    "mps.pauli_rotation": 12,
+    "mps.gate_1q": 2,
+    "mps.gate_2q": 0,
+    "mps.svd": 32,
+    "mps.swap": 0,
+    "mps.routing_plan.requests": 0,
+}
+_LIH_PREP = {
+    "mps.pauli_rotation": 736,
+    "mps.gate_1q": 4,
+    "mps.gate_2q": 0,
+    "mps.svd": 6016,
+    "mps.swap": 0,
+    "mps.routing_plan.requests": 0,
+}
 MPS_BUDGETS = {
-    ("h2", "sweep"): {
+    ("h2", "sweep"): {**_H2_PREP, "mps_measure.env_steps": 21,
+                      "mps_measure.gemm_calls": 22},
+    ("h2", "mpo"): {**_H2_PREP, "mps_measure.env_steps": 0,
+                    "mps_measure.gemm_calls": 0},
+    ("h2", "per_term"): {**_H2_PREP, "mps_measure.env_steps": 0,
+                         "mps_measure.gemm_calls": 0},
+    ("lih", "sweep"): {**_LIH_PREP, "mps_measure.env_steps": 1767,
+                       "mps_measure.gemm_calls": 86},
+    ("lih", "mpo"): {**_LIH_PREP, "mps_measure.env_steps": 0,
+                     "mps_measure.gemm_calls": 0},
+}
+
+#: the same evaluation on the ``decomposed()`` gate stream - the CNOT
+#: staircases through the fused two-site path, i.e. what every UCCSD
+#: evaluation cost before ``PR``: these pin the two-site kernel and the
+#: routing-plan cache, which UCCSD circuits no longer reach
+STAIRCASE_BUDGETS = {
+    "h2": {
+        "mps.pauli_rotation": 0,
         "mps.gate_2q": 43,
         "mps.svd": 43,
         "mps.swap": 0,
@@ -38,32 +78,11 @@ MPS_BUDGETS = {
         "mps.routing_plan.misses": 3,
         "mps.routing_plan.hits": 40,
         "mps.routing_plan.evictions": 0,
-        "mps_measure.env_steps": 21,
-        "mps_measure.gemm_calls": 22,
+        "kernels.gemm_calls": 129,
+        "kernels.svd_calls": 43,
     },
-    ("h2", "mpo"): {
-        "mps.gate_2q": 43,
-        "mps.svd": 43,
-        "mps.swap": 0,
-        "mps.routing_plan.requests": 43,
-        "mps.routing_plan.misses": 3,
-        "mps.routing_plan.hits": 40,
-        "mps.routing_plan.evictions": 0,
-        "mps_measure.env_steps": 0,
-        "mps_measure.gemm_calls": 0,
-    },
-    ("h2", "per_term"): {
-        "mps.gate_2q": 43,
-        "mps.svd": 43,
-        "mps.swap": 0,
-        "mps.routing_plan.requests": 43,
-        "mps.routing_plan.misses": 3,
-        "mps.routing_plan.hits": 40,
-        "mps.routing_plan.evictions": 0,
-        "mps_measure.env_steps": 0,
-        "mps_measure.gemm_calls": 0,
-    },
-    ("lih", "sweep"): {
+    "lih": {
+        "mps.pauli_rotation": 0,
         "mps.gate_2q": 6769,
         "mps.svd": 14449,
         "mps.swap": 7680,
@@ -71,19 +90,6 @@ MPS_BUDGETS = {
         "mps.routing_plan.misses": 31,
         "mps.routing_plan.hits": 6738,
         "mps.routing_plan.evictions": 0,
-        "mps_measure.env_steps": 1767,
-        "mps_measure.gemm_calls": 86,
-    },
-    ("lih", "mpo"): {
-        "mps.gate_2q": 6769,
-        "mps.svd": 14449,
-        "mps.swap": 7680,
-        "mps.routing_plan.requests": 6769,
-        "mps.routing_plan.misses": 31,
-        "mps.routing_plan.hits": 6738,
-        "mps.routing_plan.evictions": 0,
-        "mps_measure.env_steps": 0,
-        "mps_measure.gemm_calls": 0,
     },
 }
 
@@ -134,10 +140,20 @@ class TestMPSBudgets:
         assert got == budget
         assert reg.value("mps_measure.evaluations", path=mode) == 1
 
+    @pytest.mark.parametrize("molecule", ["h2", "lih"])
+    def test_decomposed_stream_keeps_the_staircase_budget(self, request,
+                                                          molecule):
+        ham, ansatz = _hamiltonian_and_ansatz(
+            request.getfixturevalue(molecule))
+        _, reg = _measured_energy(ham, ansatz.decomposed(),
+                                  simulator="mps", measurement="sweep")
+        budget = STAIRCASE_BUDGETS[molecule]
+        assert {name: reg.value(name) for name in budget} == budget
+
     def test_budgets_identical_across_measurement_modes(self, h2):
         """State-preparation work must not depend on how we measure."""
         ham, ansatz = _hamiltonian_and_ansatz(h2)
-        prep = ("mps.gate_2q", "mps.svd", "mps.swap")
+        prep = ("mps.pauli_rotation", "mps.gate_2q", "mps.svd", "mps.swap")
         seen = []
         for mode in ("sweep", "mpo", "per_term"):
             _, reg = _measured_energy(ham, ansatz, simulator="mps",
@@ -151,9 +167,9 @@ class TestMPSBudgets:
 #: are independent of the module-global plan-LRU warmth (unlike the
 #: hit/miss split, which depends on what earlier tests left cached).
 KERNEL_BUDGETS = {
-    "sweep": {"kernels.gemm_calls": 129, "kernels.svd_calls": 43},
-    "mpo": {"kernels.gemm_calls": 147, "kernels.svd_calls": 52},
-    "per_term": {"kernels.gemm_calls": 233, "kernels.svd_calls": 43},
+    "sweep": {"kernels.gemm_calls": 98, "kernels.svd_calls": 32},
+    "mpo": {"kernels.gemm_calls": 116, "kernels.svd_calls": 41},
+    "per_term": {"kernels.gemm_calls": 202, "kernels.svd_calls": 32},
 }
 
 
@@ -328,7 +344,7 @@ class TestMPSProcessParity:
     #: totals that are pure functions of one cold-cache MPS evaluation,
     #: independent of executor kind and worker count
     MPS_EVAL_COUNTERS = (
-        "mps.gate_2q", "mps.svd", "mps.swap",
+        "mps.pauli_rotation", "mps.gate_2q", "mps.svd", "mps.swap",
         "mps.routing_plan.requests", "mps.routing_plan.misses",
         "mps_measure.evaluations", "mps_measure.env_steps",
         "mps_measure.gemm_calls", "mps_measure.plan_cache",
@@ -456,13 +472,17 @@ GRADIENT_BUDGETS = {
     ("h2", "mps"): {
         "grad.forward_sweeps": 1,
         "grad.backward_sweeps": 1,
-        "grad.gate_undos": 316,       # 2 x 158 gates (ket + bra)
+        "grad.gate_undos": 28,        # 2 x 14 gates (ket + bra)
         "grad.gemm_calls": 92,
+        # forward + ket undo + bra undo: 3 x 12 rotations, 3 x 32 bonds
+        "mps.pauli_rotation": 36,
+        "mps.gate_2q": 0,
+        "mps.swap": 0,
     },
     ("h2", "statevector"): {
         "grad.forward_sweeps": 1,
         "grad.backward_sweeps": 1,
-        "grad.gate_undos": 316,
+        "grad.gate_undos": 316,       # 2 x 158 decomposed gates
     },
     ("lih", "statevector"): {
         "grad.forward_sweeps": 1,
@@ -503,8 +523,11 @@ class TestGradientBudgets:
 
     def test_h2_mps_environment_cache(self, h2):
         _, reg = self._gradient(h2, simulator="mps")
-        assert reg.value("grad.cached_tensors", outcome="built") == 34
-        assert reg.value("grad.cached_tensors", outcome="reused") == 11
+        # one overlap per rotation, two environment requests each: the
+        # eight full-span doubles find both edges cached, each pair of
+        # singles builds one environment and reuses it
+        assert reg.value("grad.cached_tensors", outcome="built") == 2
+        assert reg.value("grad.cached_tensors", outcome="reused") == 22
 
     def test_lih_statevector(self, lih):
         _, reg = self._gradient(lih, simulator="statevector")

@@ -50,11 +50,15 @@ class TestUCCSDCircuits:
         theta = np.array([0.12, -0.23])
         circ = ansatz.circuit().bind(theta)
         sv = StatevectorSimulator(4).run(circ)
+        # two MPS kernels: rotations applied whole / decomposed staircases
         mps = MPSSimulator(4).run(circ)
+        naive = MPSSimulator(4, mode="naive").run(circ)
         dm = DensityMatrixSimulator(4).run(circ)
-        energies = [sim.expectation(ham) for sim in (sv, mps, dm)]
-        assert energies[0] == pytest.approx(energies[1], abs=1e-10)
-        assert energies[0] == pytest.approx(energies[2], abs=1e-10)
+        energies = [sim.expectation(ham) for sim in (sv, mps, naive, dm)]
+        for other in energies[1:]:
+            assert energies[0] == pytest.approx(other, abs=1e-10)
+        assert _overlap(sv.statevector(), mps.statevector()) \
+            == pytest.approx(1.0, abs=1e-10)
 
     def test_naive_and_optimized_mps_agree(self):
         circ = brick_ansatz(6, window=3)

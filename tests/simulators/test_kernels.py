@@ -90,6 +90,34 @@ class TestSVD:
         with pytest.raises(ValidationError):
             svd_truncated(np.zeros((3, 3)), backend=backend)
 
+    def test_gesdd_failure_falls_back_to_gesvd(self, monkeypatch, rng):
+        """Fault injection: ``np.linalg.svd`` raising LinAlgError once must
+        yield the same truncated factors and discarded weight through the
+        gesvd driver, not an exception or a silently different answer."""
+        m = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+        want = svd_truncated(m, max_dim=4, cutoff=1e-12,
+                             backend=KernelBackend())
+        real_svd, calls = np.linalg.svd, []
+
+        def failing_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_once)
+        be = KernelBackend()
+        u, s, vh, disc = svd_truncated(m, max_dim=4, cutoff=1e-12,
+                                       backend=be)
+        assert len(calls) == 1 and be.svd_calls == 1
+        assert np.allclose(s, want[1], rtol=1e-13, atol=0)
+        assert disc == pytest.approx(want[3], rel=1e-12)
+        assert u.shape == want[0].shape and vh.shape == want[2].shape
+        # singular vectors are fixed up to a phase per triplet: compare
+        # the rank-4 reconstructions
+        assert np.allclose((u * s) @ vh, (want[0] * want[1]) @ want[2],
+                           atol=1e-12)
+
     def test_reference_svd_matches(self, rng):
         for shape in [(6, 4), (4, 6), (5, 5)]:
             m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

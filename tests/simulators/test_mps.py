@@ -193,3 +193,61 @@ class TestMeasurement:
 
     def test_memory_bytes_positive(self):
         assert MPS.random_state(6, 4, seed=0).memory_bytes() > 0
+
+
+class TestPauliRotation:
+    """Entry checks of ``apply_pauli_rotation`` (its numerics live in
+    tests/properties/test_pauli_rotation.py)."""
+
+    @pytest.mark.parametrize("ops", [
+        [], [(0, "X"), (0, "Z")], [(-1, "X"), (1, "Z")], [(1, "X"), (4, "Z")],
+        [(0, "I"), (1, "Z")], [(0, "x"), (1, "Z")],
+    ])
+    def test_bad_strings_rejected(self, ops):
+        with pytest.raises(ValidationError):
+            MPS(4).apply_pauli_rotation(ops, 0.3)
+
+    def test_vidal_state_rejected(self):
+        """The sweep is the Hastings update; a vidal state must get the
+        decomposed gate stream instead of a silently different scheme."""
+        mps = MPS(4, update_scheme="vidal")
+        with pytest.raises(ValidationError, match="decomposed"):
+            mps.apply_pauli_rotation([(0, "X"), (2, "Y")], 0.3)
+        with pytest.raises(ValidationError):
+            mps.apply_pauli_rotation([(1, "Z")], 0.3)
+
+    def test_one_site_span_is_a_single_qubit_gate(self):
+        from repro import obs
+
+        with obs.collect() as reg:
+            mps = MPS(3)
+            mps.apply_pauli_rotation([(1, "Y")], 0.8)
+        assert reg.value("mps.gate_1q") == 1
+        assert reg.value("mps.pauli_rotation") == 0
+        assert reg.value("mps.svd") == 0
+        # RY(0.8)|0> on qubit 1
+        assert mps.amplitude("010") == pytest.approx(np.sin(0.4))
+
+    def test_one_svd_per_bond_of_the_span_and_no_swaps(self):
+        from repro import obs
+
+        with obs.collect() as reg:
+            mps = MPS.from_bitstring("010010")
+            mps.apply_pauli_rotation([(1, "X"), (2, "Z"), (5, "Y")], 0.8)
+        assert reg.value("mps.pauli_rotation") == 1
+        assert reg.value("mps.svd") == 4              # bonds 2..5
+        assert reg.value("mps.gate_2q") == reg.value("mps.swap") == 0
+        assert mps.bond_dimensions() == [1, 2, 2, 2, 2]
+
+    def test_accepts_an_iterator_and_bumps_the_revision_once(self):
+        mps = MPS(4)
+        before = mps.revision
+        mps.apply_pauli_rotation(zip((0, 3), "XY"), 0.5)
+        assert mps.revision == before + 1
+
+    def test_truncation_ceiling_enforced_inside_the_sweep(self):
+        mps = MPS.random_state(6, 4, seed=2, max_bond_dimension=2,
+                               max_truncation_error=1e-9)
+        with pytest.raises(TruncationOverflowError):
+            mps.apply_pauli_rotation(
+                [(0, "X"), (2, "Y"), (3, "Z"), (5, "X")], 1.1)

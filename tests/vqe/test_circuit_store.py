@@ -16,8 +16,9 @@ def stores(request):
     h2 = request.getfixturevalue("h2")
     ham = molecular_qubit_hamiltonian(h2.mo)
     ansatz = UCCSDAnsatz(2, 2)
-    # circuits live on the widened register that includes the ancilla
-    circuit = ansatz.circuit(n_qubits=5)
+    # circuits live on the widened register that includes the ancilla;
+    # the stores model elementary-gate circuits, as the paper's do
+    circuit = ansatz.circuit(n_qubits=5).decomposed()
     terms = [t for t, _ in ham if not t.is_identity()]
     return (ReplicatedCircuitStore(circuit, terms),
             SharedAnsatzCircuitStore(circuit, terms),
