@@ -1,20 +1,18 @@
-"""The cross-request cache tier: one content-addressed, size-bounded store.
+"""The one content-addressed, byte-bounded store of memoised artifacts.
 
-PRs 1-8 left expensive artifacts behind *module-level* caches, each with
-its own entry-count bound: compiled observables
-(:mod:`repro.simulators.pauli_kernels`), sweep plans and compressed MPOs
-(:mod:`repro.simulators.mps_measure`) and swap-routing plans
-(:mod:`repro.simulators.mps`).  Those bounds are entry counts, invisible
-to each other, and reset with every process - fine for one optimization,
-wrong for a long-running service where many tenants share one memory
-budget.
-
-:class:`ServeCache` promotes them into a single shared store:
+Compiled observables (:mod:`repro.simulators.pauli_kernels`), sweep plans
+and compressed MPOs (:mod:`repro.simulators.mps_measure`), worker group
+payloads (:mod:`repro.parallel.executor`) and the job service's results
+and prepared systems (:mod:`repro.serve.service`) are pure functions of
+their content key, built once and "kept constant afterwards" (paper
+Sec. III-D).  They all live in the process's current :class:`ServeCache`
+(:func:`current`), so only this module knows the eviction policy and the
+byte budget:
 
 * **content-addressed** - every entry is keyed by ``(namespace, key)``
-  where ``key`` is the producer's existing content hash (the same
-  ``observable_cache_key`` tuples the module caches already use), so
-  identical requests from different tenants land on one entry;
+  where ``key`` is the producer's content hash (the
+  ``observable_cache_key`` tuples), so identical requests land on one
+  entry whoever makes them;
 * **size-bounded** - one byte budget across all namespaces, enforced by
   least-recently-used eviction (:func:`sizeof` estimates entry payloads
   by walking numpy buffers);
@@ -24,12 +22,10 @@ budget.
   (:meth:`ServeCache.stats`) survives the per-request
   ``obs.collect()`` resets the job service performs.
 
-Promotion is reversible: :func:`promote_module_caches` installs the
-store behind the producer modules' ``set_shared_cache`` hooks (their
-bounded-dict behaviour is untouched when no store is installed), and
-:func:`demote_module_caches` restores the default.  Promotion never
-changes *what* is computed - only where the memoized artifact lives - so
-served energies stay bitwise identical to direct library calls.
+:func:`install` swaps the current store and returns the one it replaced;
+a :class:`repro.serve.JobService` installs its own for its lifetime and
+puts the previous one back on close.  Which store is current never
+changes *what* is computed - only where the memoised artifact lives.
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ _M_EVICTIONS = _obs.counter(
 _M_BYTES = _obs.gauge(
     "serve.cache.bytes", "bytes held by the cross-request cache", unit="By")
 
-#: default byte budget of a service cache (256 MiB)
+#: default byte budget of a store (256 MiB)
 DEFAULT_MAX_BYTES = 256 << 20
 
 #: overhead charged per entry on top of the payload estimate (dict slots,
@@ -160,8 +156,7 @@ class ServeCache:
         """The cached value or None - no counters, no LRU touch.
 
         For probe-style callers (the MPS auto dispatcher asking "is the
-        MPO already compiled?") whose module caches also answer such
-        peeks without counting them.
+        MPO already compiled?") that must not look like demand.
         """
         with self._lock:
             entry = self._entries.get((namespace, key))
@@ -252,47 +247,32 @@ class ServeCache:
             _M_BYTES.set(0)
 
 
-# -- promotion of the module-level caches -------------------------------------
+# -- the process-wide current store -------------------------------------------
 
-#: producer modules exposing a ``set_shared_cache(store)`` hook; promotion
-#: namespaces are chosen by the producers themselves (see their modules)
-_PRODUCERS = (
-    "repro.simulators.pauli_kernels",
-    "repro.simulators.mps_measure",
-    "repro.simulators.mps",
-)
+_current = ServeCache()
 
 
-def promote_module_caches(store: ServeCache) -> None:
-    """Route the content-keyed module caches through ``store``.
+def current() -> ServeCache:
+    """The store every memoising producer reads and writes right now."""
+    return _current
 
-    After promotion, :func:`repro.simulators.pauli_kernels.compile_observable`,
-    :func:`repro.simulators.mps_measure.sweep_plan` /
-    :func:`~repro.simulators.mps_measure.compiled_mpo` and
-    :func:`repro.simulators.mps.routing_plan` consult the shared store
-    instead of their bounded module dicts.  Their own hit/miss counters
-    keep ticking; the shared store adds the ``serve.cache.*`` layer and
-    the one cross-namespace byte budget.
+
+def install(store: ServeCache) -> ServeCache:
+    """Make ``store`` the current store; returns the one it replaced.
+
+    The caller that installs a store owns putting the returned one back
+    (``install(previous)``) when it is done.
     """
-    import importlib
-
-    for name in _PRODUCERS:
-        importlib.import_module(name).set_shared_cache(store)
-
-
-def demote_module_caches() -> None:
-    """Restore the default bounded module-dict caches."""
-    import importlib
-
-    for name in _PRODUCERS:
-        importlib.import_module(name).set_shared_cache(None)
+    global _current
+    previous, _current = _current, store
+    return previous
 
 
 __all__ = [
     "DEFAULT_MAX_BYTES",
     "ENTRY_OVERHEAD",
     "ServeCache",
-    "demote_module_caches",
-    "promote_module_caches",
+    "current",
+    "install",
     "sizeof",
 ]

@@ -205,15 +205,9 @@ def _system(molecule: str):
 
 def _clear_caches() -> None:
     """Cold caches: counter totals must match the regression budgets."""
-    from repro.parallel.executor import clear_worker_compiled_cache
-    from repro.simulators.mps import routing_plan
-    from repro.simulators.mps_measure import clear_measurement_caches
-    from repro.simulators.pauli_kernels import clear_observable_cache
+    from repro.common import cache
 
-    clear_measurement_caches()
-    clear_observable_cache()
-    clear_worker_compiled_cache()
-    routing_plan.cache_clear()
+    cache.current().clear()
 
 
 def calibration_probe(repeat: int = 5) -> float:

@@ -35,6 +35,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.common import cache as _cache
 from repro.common.errors import TransportError, ValidationError
 from repro.common.reductions import kahan_sum
 from repro.obs import flight as _flight
@@ -383,12 +384,11 @@ class ExecutorCounters:
 
 # -- level 2: parallel Pauli-group expectation --------------------------------
 
-# worker-side cache: payload key -> CompiledObservable.  Lives at module
-# scope so a long-lived process pool compiles each group once and reuses it
-# across every optimizer iteration (the paper's "constant measurement
-# circuits" observation, Sec. III-D).
-_WORKER_COMPILED: dict[tuple, Any] = {}
-_WORKER_CACHE_MAX = 256
+# payload key -> CompiledObservable in the process's current store, so a
+# long-lived process pool compiles each group once and reuses it across
+# every optimizer iteration (the paper's "constant measurement circuits"
+# observation, Sec. III-D).
+_PAYLOAD_NAMESPACE = "parallel.group_payload"
 
 GroupPayload = tuple[tuple[int, int, float, float], ...]
 
@@ -407,15 +407,13 @@ def _operator_from_payload(payload: GroupPayload) -> QubitOperator:
 
 
 def clear_worker_compiled_cache() -> None:
-    """Drop this process's compiled-group cache (tests / memory pressure).
+    """Drop the obs state a recording pool worker leaves in this process.
 
-    Worker processes of a live pool keep their own copies; those empty
-    naturally when the pool is closed.  In a process that has acted as a
-    recording pool worker this also disables and resets the local obs
-    registry/tracer, so no stale telemetry survives into the next run; in
-    a parent process (``_WORKER_OBS`` flag unset) obs state is untouched.
+    In a process that has acted as a recording pool worker this disables
+    and resets the local obs registry/tracer, so no stale telemetry
+    survives into the next run; in a parent process (``_WORKER_OBS`` flag
+    unset) obs state is untouched.
     """
-    _WORKER_COMPILED.clear()
     if _WORKER_OBS["active"]:
         _obs.REGISTRY.disable()
         _trace.TRACER.disable()
@@ -429,12 +427,11 @@ def _compiled_for_payload(key: tuple, payload: GroupPayload, n_qubits: int):
     """Compile (or fetch) the batched observable for one group payload."""
     from repro.simulators.pauli_kernels import CompiledObservable
 
-    hit = _WORKER_COMPILED.get(key)
-    if hit is None:
+    store = _cache.current()
+    hit, found = store.lookup(_PAYLOAD_NAMESPACE, key)
+    if not found:
         hit = CompiledObservable(_operator_from_payload(payload), n_qubits)
-        if len(_WORKER_COMPILED) >= _WORKER_CACHE_MAX:
-            _WORKER_COMPILED.pop(next(iter(_WORKER_COMPILED)))
-        _WORKER_COMPILED[key] = hit
+        store.insert(_PAYLOAD_NAMESPACE, key, hit)
     return hit
 
 
@@ -468,8 +465,8 @@ def _group_expectation_task(task: tuple):
 
 
 #: worker-side measurement engine, one per process: its per-state caches
-#: rebind on every freshly attached state, while the module-level plan /
-#: MPO caches underneath it stay warm across tasks and dispatches
+#: rebind on every freshly attached state, while the sweep plans and MPOs
+#: in the process's store stay warm across tasks and dispatches
 _WORKER_MPS_ENGINE: dict[str, Any] = {"engine": None}
 
 

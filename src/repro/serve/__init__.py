@@ -7,10 +7,10 @@ The layer a long-running deployment needs on top of the numerical stack:
   compatible requests (same molecule/backend/measurement) back-to-back;
 * :mod:`repro.serve.jobs` - :class:`JobSpec` / :class:`JobRecord`, the
   request vocabulary and its content-address projections;
-* :mod:`repro.serve.cache` - :class:`ServeCache`, the content-addressed
-  size-bounded LRU tier the module-level artifact caches (compiled
-  observables, sweep plans, MPOs, routing plans) promote into for the
-  lifetime of the service;
+* :mod:`repro.common.cache` - :class:`ServeCache`, the content-addressed
+  size-bounded LRU store every memoised artifact (compiled observables,
+  sweep plans, MPOs, results, prepared systems) lives in; the service
+  installs its own for its lifetime;
 * :mod:`repro.serve.checkpoint` - bitwise-reproducible optimizer
   checkpoints (schema ``repro.ckpt/1``) behind the VQE
   ``checkpoint_path`` / ``resume`` knobs.
@@ -23,13 +23,7 @@ change where artifacts live and when jobs run, never what is computed.
 
 from __future__ import annotations
 
-from repro.serve.cache import (
-    DEFAULT_MAX_BYTES,
-    ServeCache,
-    demote_module_caches,
-    promote_module_caches,
-    sizeof,
-)
+from repro.common.cache import DEFAULT_MAX_BYTES, ServeCache, sizeof
 from repro.serve.checkpoint import (
     CKPT_SCHEMA,
     CheckpointWriter,
@@ -47,9 +41,7 @@ __all__ = [
     "JobService",
     "JobSpec",
     "ServeCache",
-    "demote_module_caches",
     "load_checkpoint",
-    "promote_module_caches",
     "save_checkpoint",
     "sizeof",
 ]

@@ -47,12 +47,7 @@ from repro.obs import export as _export
 from repro.obs import flight as _flight
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
-from repro.serve.cache import (
-    DEFAULT_MAX_BYTES,
-    ServeCache,
-    demote_module_caches,
-    promote_module_caches,
-)
+from repro.common.cache import DEFAULT_MAX_BYTES, ServeCache, install
 from repro.serve.jobs import JobRecord, JobSpec
 
 # observability instruments (no-ops unless `repro.obs` is enabled; under
@@ -73,9 +68,9 @@ class JobService:
     Parameters
     ----------
     max_cache_bytes:
-        Byte budget of the shared :class:`ServeCache`; the module-level
-        artifact caches are promoted into it while the service is open
-        and restored on :meth:`close`.
+        Byte budget of the service's :class:`ServeCache`, installed as
+        the process's current store while the service is open;
+        :meth:`close` puts the previous store back.
     observe:
         Collect a per-request ``repro.obs/2`` metrics document for every
         job (attached as ``record.metrics``).  The collection scope
@@ -123,7 +118,7 @@ class JobService:
         self._ts_lock = threading.Lock()
         self._telemetry_stop = threading.Event()
         self._telemetry_thread: threading.Thread | None = None
-        promote_module_caches(self.cache)
+        self._previous_store = install(self.cache)
         _flight.FLIGHT.note("serve", "service_start",
                             max_cache_bytes=int(max_cache_bytes))
         self._thread = threading.Thread(
@@ -272,7 +267,7 @@ class JobService:
             self._emit_sample()
 
     def close(self) -> None:
-        """Drain remaining work, stop the scheduler, demote the caches."""
+        """Drain remaining work, stop the scheduler, restore the store."""
         with self._cv:
             if self._closed:
                 return
@@ -284,7 +279,7 @@ class JobService:
             self._telemetry_thread.join()
             self._emit_sample()     # final sample reports state="closed"
         _flight.FLIGHT.note("serve", "service_close")
-        demote_module_caches()
+        install(self._previous_store)
 
     def __enter__(self) -> "JobService":
         return self

@@ -65,7 +65,7 @@ class _Plan:
 class KernelBackend:
     """Kernel dispatch table plus cache statistics.
 
-    ``plan_cache`` is a bounded LRU (the ``routing_plan`` pattern): hits
+    ``plan_cache`` is a bounded per-backend LRU: hits
     refresh recency, overflow evicts the least-recently-used signature,
     and the hit/miss/eviction traffic is mirrored into the labelled
     ``kernels.plan_cache`` obs counter so it merges across processes and

@@ -27,7 +27,6 @@ Bond convention: ``lambdas[b]`` lives on the bond *left of* site ``b``
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,15 +66,8 @@ _M_TRUNC_EVENTS = _obs.counter(
 _M_MAX_BOND = _obs.gauge(
     "mps.max_bond_dimension", "largest bond dimension reached")
 _M_ROUTE_REQUESTS = _obs.counter(
-    "mps.routing_plan.requests", "routing-plan lookups (non-trivial pairs)")
-_M_ROUTE_MISSES = _obs.counter(
-    "mps.routing_plan.misses",
-    "routing plans actually derived (cache misses)")
-_M_ROUTE_HITS = _obs.counter(
-    "mps.routing_plan.hits", "routing plans answered from the cache")
-_M_ROUTE_EVICTIONS = _obs.counter(
-    "mps.routing_plan.evictions",
-    "least-recently-used routing plans dropped at the size bound")
+    "mps.routing_plan.requests",
+    "two-qubit gates routed onto the chain (one routing plan each)")
 
 _SWAP = np.array([[1, 0, 0, 0],
                   [0, 0, 1, 0],
@@ -349,10 +341,7 @@ class MPS:
         The matrix is in the |q1 q2> basis (first qubit = MSB).  Non-adjacent
         pairs are handled by swapping q1 next to q2 and back, as the paper's
         simulator does for the Hadamard-test ancilla couplings.  The swap
-        schedule is a precomputed :func:`routing_plan`, memoized per
-        (q1, q2) pair so repeated long-range gates - e.g. every
-        Hadamard-test ancilla coupling of an optimizer iteration - reuse
-        the same flat plan instead of re-deriving the chain recursively.
+        schedule is the flat :func:`routing_plan` of the pair.
         """
         if q1 == q2:
             raise ValidationError("two-qubit gate needs distinct qubits")
@@ -677,9 +666,7 @@ class RoutingPlan:
 
     ``swaps_in`` moves q1's content next to q2, the (possibly permuted)
     gate is applied on the adjacent pair at ``gate_site``, and
-    ``swaps_out`` restores the original qubit order.  Plans depend only on
-    the pair, never on the state, so they are memoized process-wide and
-    shared across gates, circuits and optimizer iterations.
+    ``swaps_out`` restores the original qubit order.
     """
 
     swaps_in: tuple[int, ...]
@@ -693,26 +680,16 @@ class RoutingPlan:
         return len(self.swaps_in) + len(self.swaps_out)
 
 
-#: bounded LRU of derived routing plans; every circuit ansatz reuses a
-#: handful of pairs, so the bound only matters for adversarial gate streams
-_ROUTING_CACHE: "OrderedDict[tuple[int, int], RoutingPlan]" = OrderedDict()
-_ROUTING_CACHE_MAX = 1024
+def routing_plan(q1: int, q2: int) -> RoutingPlan:
+    """The swap schedule routing a (q1, q2) gate onto the chain.
 
-#: promoted cross-request store (see repro.serve.cache); routing plans
-#: live there under this namespace when a job service has promoted the
-#: module caches into its shared tier
-_ROUTING_NAMESPACE = "mps.routing"
-_SHARED_CACHE = None
-
-
-def set_shared_cache(store) -> None:
-    """Install (or with ``None`` remove) a promoted cross-request store."""
-    global _SHARED_CACHE
-    _SHARED_CACHE = store
-
-
-def _derive_routing_plan(q1: int, q2: int) -> RoutingPlan:
-    """Derive the swap schedule for one (q1, q2) pair (uncached)."""
+    Matches the recursive route the simulator historically produced: q1's
+    content walks site by site until adjacent to q2, the gate acts there
+    (permuted when the pair arrives in (high, low) order), and the walk is
+    retraced.
+    """
+    if q1 == q2:
+        raise ValidationError("two-qubit gate needs distinct qubits")
     if q1 < q2:
         swaps_in = tuple(range(q1, q2 - 1))
         return RoutingPlan(swaps_in=swaps_in, gate_site=q2 - 1,
@@ -720,52 +697,3 @@ def _derive_routing_plan(q1: int, q2: int) -> RoutingPlan:
     swaps_in = tuple(range(q1 - 1, q2, -1))
     return RoutingPlan(swaps_in=swaps_in, gate_site=q2,
                        permute=True, swaps_out=swaps_in[::-1])
-
-
-def routing_plan(q1: int, q2: int) -> RoutingPlan:
-    """The memoized swap schedule routing a (q1, q2) gate onto the chain.
-
-    Matches the recursive route the simulator historically produced: q1's
-    content walks site by site until adjacent to q2, the gate acts there
-    (permuted when the pair arrives in (high, low) order), and the walk is
-    retraced.  Plans are pure functions of the pair and live in a bounded
-    LRU (:data:`_ROUTING_CACHE_MAX` entries) whose hits, misses and
-    evictions are exported as ``mps.routing_plan.*`` counters.
-    """
-    key = (q1, q2)
-    shared = _SHARED_CACHE
-    if shared is not None:
-        hit, found = shared.lookup(_ROUTING_NAMESPACE, key)
-        if found:
-            _M_ROUTE_HITS.inc()
-            return hit
-        if q1 == q2:
-            raise ValidationError("two-qubit gate needs distinct qubits")
-        _M_ROUTE_MISSES.inc()
-        plan = _derive_routing_plan(q1, q2)
-        shared.insert(_ROUTING_NAMESPACE, key, plan)
-        return plan
-    hit = _ROUTING_CACHE.get(key)
-    if hit is not None:
-        _ROUTING_CACHE.move_to_end(key)
-        _M_ROUTE_HITS.inc()
-        return hit
-    if q1 == q2:
-        raise ValidationError("two-qubit gate needs distinct qubits")
-    _M_ROUTE_MISSES.inc()
-    plan = _derive_routing_plan(q1, q2)
-    if len(_ROUTING_CACHE) >= _ROUTING_CACHE_MAX:
-        _ROUTING_CACHE.popitem(last=False)
-        _M_ROUTE_EVICTIONS.inc()
-    _ROUTING_CACHE[key] = plan
-    return plan
-
-
-def _routing_cache_info() -> dict:
-    """Size/bound snapshot of the routing-plan LRU (tests, debugging)."""
-    return {"size": len(_ROUTING_CACHE), "maxsize": _ROUTING_CACHE_MAX}
-
-
-# lru_cache-compatible management surface (tests and callers use these)
-routing_plan.cache_clear = _ROUTING_CACHE.clear
-routing_plan.cache_info = _routing_cache_info

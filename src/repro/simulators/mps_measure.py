@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.common import cache as _cache
 from repro.common.errors import ValidationError
 from repro.obs import metrics as _obs
 from repro.operators.pauli import QubitOperator
@@ -315,32 +316,16 @@ def build_sweep_plan(op: QubitOperator, n_qubits: int) -> SweepPlan:
     )
 
 
-# -- module-level compilation caches ------------------------------------------
+# -- compilation caches -------------------------------------------------------
 #
 # The VQE/DMET evaluator layer builds a *fresh* simulator per energy call, so
 # anything amortized across optimizer iterations must outlive the engine
 # instance.  Plans and MPOs depend only on operator content, never on the
-# state, so they are cached here keyed by the same content hash the dense
-# Pauli kernels use.
+# state, so they live in the process's current store (repro.common.cache)
+# keyed by the same content hash the dense Pauli kernels use.
 
-_PLAN_CACHE: dict[tuple, SweepPlan] = {}
-_PLAN_CACHE_MAX = 64
-
-_MPO_CACHE: dict[tuple, object] = {}
-_MPO_CACHE_MAX = 16
-
-#: promoted cross-request store (see repro.serve.cache); when installed,
-#: plans and MPOs live there under these namespaces instead of the
-#: bounded module dicts above
 _PLAN_NAMESPACE = "mps.sweep_plan"
 _MPO_NAMESPACE = "mps.mpo"
-_SHARED_CACHE = None
-
-
-def set_shared_cache(store) -> None:
-    """Install (or with ``None`` remove) a promoted cross-request store."""
-    global _SHARED_CACHE
-    _SHARED_CACHE = store
 
 
 def sweep_plan(op: QubitOperator, n_qubits: int,
@@ -353,25 +338,14 @@ def sweep_plan(op: QubitOperator, n_qubits: int,
     per-call cost on sub-millisecond evaluations.
     """
     key = observable_cache_key(op, n_qubits) if _key is None else _key
-    shared = _SHARED_CACHE
-    if shared is not None:
-        hit, found = shared.lookup(_PLAN_NAMESPACE, key)
-        if found:
-            _M_PLAN_CACHE.inc(outcome="hit")
-            return hit
-        _M_PLAN_CACHE.inc(outcome="miss")
-        hit = build_sweep_plan(op, n_qubits)
-        shared.insert(_PLAN_NAMESPACE, key, hit)
-        return hit
-    hit = _PLAN_CACHE.get(key)
-    if hit is None:
-        _M_PLAN_CACHE.inc(outcome="miss")
-        hit = build_sweep_plan(op, n_qubits)
-        if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-            _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-        _PLAN_CACHE[key] = hit
-    else:
+    store = _cache.current()
+    hit, found = store.lookup(_PLAN_NAMESPACE, key)
+    if found:
         _M_PLAN_CACHE.inc(outcome="hit")
+        return hit
+    _M_PLAN_CACHE.inc(outcome="miss")
+    hit = build_sweep_plan(op, n_qubits)
+    store.insert(_PLAN_NAMESPACE, key, hit)
     return hit
 
 
@@ -384,32 +358,15 @@ def compiled_mpo(op: QubitOperator, n_qubits: int,
     from repro.simulators.mpo import MPO
 
     key = observable_cache_key(op, n_qubits) if _key is None else _key
-    shared = _SHARED_CACHE
-    if shared is not None:
-        hit, found = shared.lookup(_MPO_NAMESPACE, key)
-        if found:
-            _M_MPO_CACHE.inc(outcome="hit")
-            return hit
-        _M_MPO_CACHE.inc(outcome="miss")
-        hit = MPO.from_qubit_operator(op, n_qubits)
-        shared.insert(_MPO_NAMESPACE, key, hit)
-        return hit
-    hit = _MPO_CACHE.get(key)
-    if hit is None:
-        _M_MPO_CACHE.inc(outcome="miss")
-        hit = MPO.from_qubit_operator(op, n_qubits)
-        if len(_MPO_CACHE) >= _MPO_CACHE_MAX:
-            _MPO_CACHE.pop(next(iter(_MPO_CACHE)))
-        _MPO_CACHE[key] = hit
-    else:
+    store = _cache.current()
+    hit, found = store.lookup(_MPO_NAMESPACE, key)
+    if found:
         _M_MPO_CACHE.inc(outcome="hit")
+        return hit
+    _M_MPO_CACHE.inc(outcome="miss")
+    hit = MPO.from_qubit_operator(op, n_qubits)
+    store.insert(_MPO_NAMESPACE, key, hit)
     return hit
-
-
-def clear_measurement_caches() -> None:
-    """Drop every cached sweep plan and compiled MPO (tests / memory)."""
-    _PLAN_CACHE.clear()
-    _MPO_CACHE.clear()
 
 
 # -- level 3: bond-sliced batched GEMMs ---------------------------------------
@@ -559,9 +516,9 @@ class MPSMeasurementEngine:
     all keyed on ``(state identity, state.revision)``: any gate
     application, canonicalization or state replacement bumps/replaces the
     key and the caches rebuild lazily.  The state-independent schedule
-    (:class:`SweepPlan`) and compiled MPOs live in module-level caches so
-    they survive the fresh-simulator-per-energy-call pattern of the VQE
-    layer.
+    (:class:`SweepPlan`) and compiled MPOs live in the process's current
+    store (:mod:`repro.common.cache`) so they survive the
+    fresh-simulator-per-energy-call pattern of the VQE layer.
     """
 
     def __init__(self):
@@ -785,9 +742,7 @@ class MPSMeasurementEngine:
         if not plan.term_keys:
             return float(plan.constant.real)
         d = mps.max_bond()
-        shared = _SHARED_CACHE
-        mpo = (shared.peek(_MPO_NAMESPACE, key) if shared is not None
-               else _MPO_CACHE.get(key))
+        mpo = _cache.current().peek(_MPO_NAMESPACE, key)
         if (mpo is None and n >= 2
                 and _MPO_MIN_TERMS <= plan.n_terms <= _MPO_MAX_TERMS):
             mpo = compiled_mpo(op, n, _key=key)
@@ -804,10 +759,8 @@ __all__ = [
     "MPSMeasurementEngine",
     "SweepPlan",
     "build_sweep_plan",
-    "clear_measurement_caches",
     "compiled_mpo",
     "configure_level3",
     "level3_config",
-    "set_shared_cache",
     "sweep_plan",
 ]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.common import cache as _cache
 from repro.common.bits import popcount
 from repro.common.errors import ValidationError
 from repro.obs import metrics as _obs
@@ -196,24 +197,12 @@ class CompiledObservable:
 # -- compilation cache --------------------------------------------------------
 #
 # The RDM measurement path evaluates the same few hundred excitation
-# operators on every DMET mu-iteration; caching compiled observables keyed by
-# the operator's (symplectic masks, coefficients) content makes each repeat
-# evaluation one gather per mask group with zero re-compilation.
+# operators on every DMET mu-iteration; compiled observables live in the
+# process's current store (repro.common.cache) keyed by the operator's
+# (symplectic masks, coefficients) content, so each repeat evaluation is
+# one gather per mask group with zero re-compilation.
 
-_CACHE: dict[tuple, CompiledObservable] = {}
-_CACHE_MAX = 64
-
-#: when a cross-request store is promoted over this module cache (see
-#: :func:`repro.serve.cache.promote_module_caches`), compiled observables
-#: live there under this namespace instead of the bounded dict above
-_SHARED_NAMESPACE = "pauli.observable"
-_SHARED_CACHE = None
-
-
-def set_shared_cache(store) -> None:
-    """Install (or with ``None`` remove) a promoted cross-request store."""
-    global _SHARED_CACHE
-    _SHARED_CACHE = store
+_NAMESPACE = "pauli.observable"
 
 
 def observable_cache_key(op: QubitOperator, n_qubits: int) -> tuple:
@@ -229,31 +218,15 @@ def compile_observable(op: QubitOperator,
     """Compile (or fetch a cached) :class:`CompiledObservable`."""
     n = max(op.n_qubits(), 1) if n_qubits is None else int(n_qubits)
     key = observable_cache_key(op, n)
-    shared = _SHARED_CACHE
-    if shared is not None:
-        hit, found = shared.lookup(_SHARED_NAMESPACE, key)
-        if found:
-            _M_COMPILE_CACHE.inc(outcome="hit")
-            return hit
-        _M_COMPILE_CACHE.inc(outcome="miss")
-        hit = CompiledObservable(op, n)
-        shared.insert(_SHARED_NAMESPACE, key, hit)
-        return hit
-    hit = _CACHE.get(key)
-    if hit is None:
-        _M_COMPILE_CACHE.inc(outcome="miss")
-        hit = CompiledObservable(op, n)
-        if len(_CACHE) >= _CACHE_MAX:
-            _CACHE.pop(next(iter(_CACHE)))
-        _CACHE[key] = hit
-    else:
+    store = _cache.current()
+    hit, found = store.lookup(_NAMESPACE, key)
+    if found:
         _M_COMPILE_CACHE.inc(outcome="hit")
+        return hit
+    _M_COMPILE_CACHE.inc(outcome="miss")
+    hit = CompiledObservable(op, n)
+    store.insert(_NAMESPACE, key, hit)
     return hit
-
-
-def clear_observable_cache() -> None:
-    """Drop every cached compiled observable (tests / memory pressure)."""
-    _CACHE.clear()
 
 
 __all__ = [
@@ -261,9 +234,7 @@ __all__ = [
     "PauliAction",
     "CompiledObservable",
     "compile_observable",
-    "clear_observable_cache",
     "observable_cache_key",
-    "set_shared_cache",
     "phase_vector",
     "term_masks",
 ]

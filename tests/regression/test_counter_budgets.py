@@ -23,11 +23,9 @@ import pytest
 
 from repro import obs
 from repro.circuits.uccsd import UCCSDAnsatz
+from repro.common import cache
 from repro.operators.molecular import molecular_qubit_hamiltonian
 from repro.parallel.executor import clear_worker_compiled_cache
-from repro.simulators.mps import routing_plan
-from repro.simulators.mps_measure import clear_measurement_caches
-from repro.simulators.pauli_kernels import clear_observable_cache
 from repro.vqe.energy import EnergyEvaluator
 
 #: one MPS energy evaluation at theta = 0 (a single direct measurement
@@ -67,7 +65,7 @@ MPS_BUDGETS = {
 #: the same evaluation on the ``decomposed()`` gate stream - the CNOT
 #: staircases through the fused two-site path, i.e. what every UCCSD
 #: evaluation cost before ``PR``: these pin the two-site kernel and the
-#: routing-plan cache, which UCCSD circuits no longer reach
+#: routed-gate count, which UCCSD circuits no longer reach
 STAIRCASE_BUDGETS = {
     "h2": {
         "mps.pauli_rotation": 0,
@@ -75,9 +73,6 @@ STAIRCASE_BUDGETS = {
         "mps.svd": 43,
         "mps.swap": 0,
         "mps.routing_plan.requests": 43,
-        "mps.routing_plan.misses": 3,
-        "mps.routing_plan.hits": 40,
-        "mps.routing_plan.evictions": 0,
         "kernels.gemm_calls": 129,
         "kernels.svd_calls": 43,
     },
@@ -87,9 +82,6 @@ STAIRCASE_BUDGETS = {
         "mps.svd": 14449,
         "mps.swap": 7680,
         "mps.routing_plan.requests": 6769,
-        "mps.routing_plan.misses": 31,
-        "mps.routing_plan.hits": 6738,
-        "mps.routing_plan.evictions": 0,
     },
 }
 
@@ -101,10 +93,7 @@ def _hamiltonian_and_ansatz(solved):
 
 def _clear_all_caches() -> None:
     """Pinning cache hit/miss counts needs cold caches every time."""
-    clear_measurement_caches()
-    clear_observable_cache()
-    clear_worker_compiled_cache()
-    routing_plan.cache_clear()
+    cache.current().clear()
 
 
 def _measured_energy(ham, ansatz, **evaluator_kwargs):
@@ -160,6 +149,46 @@ class TestMPSBudgets:
                                       measurement=mode)
             seen.append({name: reg.value(name) for name in prep})
         assert seen[0] == seen[1] == seen[2]
+
+
+class TestRepeatedRDMMeasurement:
+    """Measurement parts are built in the first pass and "kept constant
+    afterwards" (paper Sec. III-D): the 146 operators of one 4-orbital
+    RDM measurement are compiled once and every later pass on the same
+    register hits, whatever the working set's size."""
+
+    N_OPERATORS = 146   # 10 E_pq (p <= q) + 136 E_pq E_rs pairs
+
+    @staticmethod
+    def _outcomes(reg, name):
+        slots = reg.snapshot().get(name, {}).get("values", ())
+        return {slot["labels"]["outcome"]: slot["value"] for slot in slots}
+
+    @pytest.mark.parametrize("backend,counter", [
+        ("statevector", "pauli.compile_cache"),
+        ("mps", "mps_measure.plan_cache"),
+    ])
+    def test_second_pass_only_hits(self, backend, counter):
+        from repro.backends import resolve_backend
+        from repro.circuits.hea import random_brick_circuit
+        from repro.vqe.rdm import excitation_qubit_operators, measure_rdms
+
+        e_ops = excitation_qubit_operators(4)
+        sim = resolve_backend(backend, 8)
+        sim.run(random_brick_circuit(8, 3, seed=7))
+        _clear_all_caches()
+        with obs.collect() as reg:
+            first = measure_rdms(sim, 4, e_ops)
+            cold = self._outcomes(reg, counter)
+        with obs.collect() as reg:
+            second = measure_rdms(sim, 4, e_ops)
+            warm = self._outcomes(reg, counter)
+            mpo = self._outcomes(reg, "mps_measure.mpo_cache")
+        assert cold == {"miss": self.N_OPERATORS}
+        assert warm == {"hit": self.N_OPERATORS}
+        assert mpo.get("miss", 0) == 0
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
 
 
 #: fused-kernel call totals for one cold-cache H2 theta = 0 evaluation;
@@ -345,7 +374,7 @@ class TestMPSProcessParity:
     #: independent of executor kind and worker count
     MPS_EVAL_COUNTERS = (
         "mps.pauli_rotation", "mps.gate_2q", "mps.svd", "mps.swap",
-        "mps.routing_plan.requests", "mps.routing_plan.misses",
+        "mps.routing_plan.requests",
         "mps_measure.evaluations", "mps_measure.env_steps",
         "mps_measure.gemm_calls", "mps_measure.plan_cache",
         "mps_measure.mpo_cache",

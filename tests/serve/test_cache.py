@@ -1,26 +1,23 @@
-"""Property tests for the cross-request cache tier.
+"""Property tests for the content-addressed store.
 
 Seeded either through hypothesis or the fixed-seed fallback (same
 machinery as ``tests/properties``): key identity/perturbation, the byte
-bound under random insert streams, LRU eviction order, and the promotion
-hooks' bitwise-neutrality on the producer modules.
+bound under random insert streams, LRU eviction order, and the producers
+(compiled observables, sweep plans) driven through an installed store.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from repro.common import cache as cache_mod
+from repro.common.cache import ENTRY_OVERHEAD, ServeCache, sizeof
 from repro.common.errors import ValidationError
-from repro.serve.cache import (
-    ENTRY_OVERHEAD,
-    ServeCache,
-    demote_module_caches,
-    promote_module_caches,
-    sizeof,
-)
 
-from ..properties.support import given_seed, rng_for
+from ..properties.support import given_seed, random_statevector, rng_for
 
 
 class TestKeyIdentity:
@@ -166,59 +163,106 @@ class TestSizeof:
         assert sizeof(Thing()) > 800
 
 
-class TestPromotion:
-    def test_promotion_is_bitwise_neutral_for_compiled_observables(self):
-        from repro.operators.pauli import PauliTerm, QubitOperator
+def _random_operator(n_qubits, n_terms, seed):
+    from repro.operators.pauli import PauliTerm, QubitOperator
+
+    rng = np.random.default_rng(seed)
+    top = 1 << n_qubits
+    return QubitOperator({
+        PauliTerm(int(rng.integers(0, top)), int(rng.integers(0, top))):
+            complex(rng.standard_normal())
+        for _ in range(n_terms)
+    })
+
+
+@contextmanager
+def _installed(store):
+    previous = cache_mod.install(store)
+    try:
+        yield store
+    finally:
+        cache_mod.install(previous)
+
+
+class TestInstalledStore:
+    """The producers against a store made current with ``install``."""
+
+    def test_compiled_observable_is_bitwise_equal_and_counted(self):
         from repro.simulators.pauli_kernels import (
-            clear_observable_cache,
+            CompiledObservable,
             compile_observable,
         )
 
-        op = QubitOperator.from_term(PauliTerm.from_label("ZZ"), 0.5) \
-            + QubitOperator.from_term(PauliTerm.from_label("XI"), 0.25)
-        rng = np.random.default_rng(5)
-        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psi /= np.linalg.norm(psi)
-        clear_observable_cache()
-        baseline = compile_observable(op, 2).expectation(psi)
+        op = _random_operator(2, 3, seed=4)
+        psi = random_statevector(rng_for(5), 2)
+        baseline = CompiledObservable(op, 2).expectation(psi)
 
-        cache = ServeCache(max_bytes=1 << 20)
-        promote_module_caches(cache)
-        try:
-            clear_observable_cache()
-            first = compile_observable(op, 2).expectation(psi)
-            second = compile_observable(op, 2).expectation(psi)
-        finally:
-            demote_module_caches()
-        assert first == baseline
-        assert second == baseline
-        tally = cache.stats()["namespaces"]["pauli.observable"]
+        with _installed(ServeCache(max_bytes=1 << 20)) as store:
+            first = compile_observable(op, 2)
+            second = compile_observable(op, 2)
+        assert second is first
+        assert first.expectation(psi) == baseline
+        tally = store.stats()["namespaces"]["pauli.observable"]
         assert tally == {"hits": 1, "misses": 1, "evictions": 0}
 
-    def test_demotion_restores_module_caches(self):
-        import repro.simulators.mps as mps_mod
-        import repro.simulators.mps_measure as measure_mod
-        import repro.simulators.pauli_kernels as kernels_mod
+    def test_install_round_trip_restores_previous_store(self):
+        before = cache_mod.current()
+        store = ServeCache(max_bytes=1 << 20)
+        assert cache_mod.install(store) is before
+        assert cache_mod.current() is store
+        assert cache_mod.install(before) is store
+        assert cache_mod.current() is before
 
-        cache = ServeCache(max_bytes=1 << 20)
-        promote_module_caches(cache)
-        demote_module_caches()
-        for mod in (mps_mod, measure_mod, kernels_mod):
-            assert mod._SHARED_CACHE is None
+    def test_entry_over_budget_is_built_returned_not_stored(self):
+        from repro.simulators.mps_measure import sweep_plan
 
-    def test_promoted_routing_plan_reproduces_module_path(self):
-        from repro.simulators.mps import routing_plan
+        op = _random_operator(6, 12, seed=6)
+        with _installed(ServeCache(max_bytes=512)) as store:
+            first = sweep_plan(op, 6)
+            second = sweep_plan(op, 6)
+        assert first.term_keys == second.term_keys and first.term_keys
+        assert second is not first
+        assert len(store) == 0
+        tally = store.stats()["namespaces"]["mps.sweep_plan"]
+        assert tally == {"hits": 0, "misses": 2, "evictions": 0}
 
-        routing_plan.cache_clear()
-        baseline = routing_plan(1, 6)
-        cache = ServeCache(max_bytes=1 << 20)
-        promote_module_caches(cache)
+    def test_threaded_producers_match_serial_under_eviction(self):
+        """8 threads, more distinct operators than a 64 KiB store holds:
+        concurrent lookup/insert/evict must neither raise nor hand back
+        an artifact of another operator."""
+        import sys
+
+        from repro.parallel.executor import ThreadExecutor
+        from repro.simulators.mps_measure import build_sweep_plan, sweep_plan
+        from repro.simulators.pauli_kernels import (
+            CompiledObservable,
+            compile_observable,
+        )
+
+        n = 5
+        ops = [_random_operator(n, 10, seed=100 + i) for i in range(40)]
+        psi = random_statevector(rng_for(7), n)
+        serial = [(CompiledObservable(op, n).expectation(psi),
+                   build_sweep_plan(op, n)) for op in ops]
+
+        def produce(i):
+            plan = sweep_plan(ops[i], n)
+            return (compile_observable(ops[i], n).expectation(psi),
+                    plan.term_keys, plan.coeffs, plan.n_env_steps)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            promoted = routing_plan(1, 6)
-            again = routing_plan(1, 6)
+            with _installed(ServeCache(max_bytes=64 << 10)) as store, \
+                    ThreadExecutor(8) as pool:
+                got = pool.map(produce, list(range(len(ops))) * 3)
         finally:
-            demote_module_caches()
-        assert promoted == baseline
-        assert again == baseline
-        tally = cache.stats()["namespaces"]["mps.routing"]
-        assert tally["hits"] == 1
+            sys.setswitchinterval(interval)
+        assert store.stats()["totals"]["evictions"] > 0
+        assert store.nbytes <= store.max_bytes
+        for slot, (value, term_keys, coeffs, steps) in enumerate(got):
+            ref_value, ref_plan = serial[slot % len(ops)]
+            assert value == ref_value
+            assert term_keys == ref_plan.term_keys
+            assert np.array_equal(coeffs, ref_plan.coeffs)
+            assert steps == ref_plan.n_env_steps

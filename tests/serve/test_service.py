@@ -173,13 +173,26 @@ class TestSchedulerSemantics:
         assert stats["cache"]["bytes"] <= tiny
         assert all(r is not None for r in results)
 
-    def test_module_caches_demoted_after_close(self):
-        import repro.simulators.pauli_kernels as kernels_mod
+    def test_close_restores_previous_store(self):
+        """Nested services: closing the inner one hands the process back
+        to the outer one's store, closing the outer one to the default."""
+        from repro.common import cache
+        from repro.operators.pauli import PauliTerm, QubitOperator
+        from repro.simulators.pauli_kernels import compile_observable
 
-        service = JobService(observe=False)
-        assert kernels_mod._SHARED_CACHE is service.cache
-        service.close()
-        assert kernels_mod._SHARED_CACHE is None
+        op = QubitOperator.from_term(PauliTerm.from_label("ZX"), 0.5)
+        default = cache.current()
+        with JobService(observe=False) as outer:
+            with JobService(observe=False) as inner:
+                assert cache.current() is inner.cache
+            assert cache.current() is outer.cache
+            compile_observable(op, 2)
+            compile_observable(op, 2)
+            tally = outer.stats()["cache"]["namespaces"]["pauli.observable"]
+            assert tally == {"hits": 1, "misses": 1, "evictions": 0}
+            assert "pauli.observable" not in \
+                inner.stats()["cache"]["namespaces"]
+        assert cache.current() is default
 
 
 class TestTelemetry:

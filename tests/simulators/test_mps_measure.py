@@ -14,7 +14,7 @@ import pytest
 from repro.common.errors import ValidationError
 from repro.operators.molecular import molecular_qubit_hamiltonian
 from repro.operators.pauli import PauliTerm, QubitOperator
-from repro.simulators.mps import MPS, routing_plan
+from repro.simulators.mps import MPS, RoutingPlan, routing_plan
 from repro.simulators.mps_circuit import MPSSimulator
 from repro.simulators.mps_measure import (
     MEASUREMENT_MODES,
@@ -403,17 +403,17 @@ class TestLevel3Slicing:
 
 
 class TestRoutingPlans:
-    def test_plan_schedules_are_cached_and_symmetric(self):
+    def test_plan_schedules_are_derived_and_symmetric(self):
         plan = routing_plan(0, 3)
         assert plan.swaps_in == (0, 1)
         assert plan.gate_site == 2
         assert not plan.permute
         assert plan.swaps_out == (1, 0)
         assert plan.n_swaps == 4
-        assert routing_plan(0, 3) is plan  # lru_cache hit
+        assert routing_plan(0, 3) == plan
         rev = routing_plan(3, 0)
-        assert rev.permute
-        assert rev.gate_site == 0
+        assert rev == RoutingPlan(swaps_in=(2, 1), gate_site=0,
+                                  permute=True, swaps_out=(1, 2))
 
     def test_same_qubit_rejected(self):
         with pytest.raises(ValidationError):
