@@ -30,6 +30,13 @@ from repro.simulators.mps import MPS
 from repro.simulators.mps_measure import MEASUREMENT_MODES, MPSMeasurementEngine
 
 
+#: most bytes of replaced site tensors one :class:`ForwardTrail` retains.
+#: Frozen-core LiH at D = 8 replaces 1.1 MB over its 144 rotations, full LiH
+#: at unbounded D 78 MB; past the bound the oldest entries are dropped and
+#: the backward sweep un-evolves the ket over those gates instead
+TRAIL_MAX_BYTES = 64 * 2**20
+
+
 def apply_gate(state: MPS, gate) -> tuple[int, int]:
     """Apply one bound gate to an MPS; returns the site span it touched."""
     if gate.name == "PR":
@@ -39,6 +46,56 @@ def apply_gate(state: MPS, gate) -> tuple[int, int]:
     else:
         state.apply_two_qubit(gate.matrix(), *gate.qubits)
     return min(gate.qubits), max(gate.qubits)
+
+
+class ForwardTrail:
+    """What a forward pass leaves behind for the adjoint backward sweep.
+
+    ``gates`` is the applied stream.  ``saved[k]`` is what gate ``k``
+    replaced - ``(lo, tensors[lo..hi], lambdas[lo+1..hi])`` over its span -
+    so :meth:`rewind` turns the state after gate ``k`` back into the state
+    before it without un-evolving anything.  Every MPS kernel rebinds
+    ``tensors[q]`` / ``lambdas[b]`` to new arrays and never writes into the
+    old ones, so an entry holds references, not copies, and each replaced
+    array sits in exactly one entry: ``nbytes`` is the memory the trail
+    keeps alive.  Entries are dropped oldest first (``saved[k] = None``)
+    once that exceeds :data:`TRAIL_MAX_BYTES`.
+    """
+
+    def __init__(self) -> None:
+        self.gates: list = []
+        self.saved: list = []
+        self.nbytes = 0
+        self._oldest = 0   # saved[:_oldest] have been dropped
+
+    def record(self, state: MPS, gate) -> None:
+        """Note ``gate`` and keep what it is about to replace."""
+        lo, hi = min(gate.qubits), max(gate.qubits)
+        replaced = state.tensors[lo:hi + 1]
+        self.gates.append(gate)
+        self.saved.append((lo, replaced, state.lambdas[lo + 1:hi + 1]))
+        self.nbytes += sum(t.nbytes for t in replaced)
+        while self.nbytes > TRAIL_MAX_BYTES:
+            _, dropped, _ = self.saved[self._oldest]
+            self.saved[self._oldest] = None
+            self._oldest += 1
+            self.nbytes -= sum(t.nbytes for t in dropped)
+
+    @staticmethod
+    def rewind(state: MPS, entry) -> None:
+        """Put back what the entry's gate replaced."""
+        lo, tensors, lambdas = entry
+        state.tensors[lo:lo + len(tensors)] = tensors
+        state.lambdas[lo + 1:lo + 1 + len(lambdas)] = lambdas
+
+
+def evolve(state: MPS, gates, trail: ForwardTrail | None = None) -> None:
+    """Apply bound gates in order (the one forward loop); ``trail``
+    records each gate before it runs."""
+    for gate in gates:
+        if trail is not None:
+            trail.record(state, gate)
+        apply_gate(state, gate)
 
 
 class MPSSimulator:
@@ -117,8 +174,13 @@ class MPSSimulator:
 
     # -- execution ----------------------------------------------------------------
 
-    def run(self, circuit: Circuit) -> "MPSSimulator":
-        """Apply a bound circuit to the current state (returns self)."""
+    def run(self, circuit: Circuit,
+            trail: ForwardTrail | None = None) -> "MPSSimulator":
+        """Apply a bound circuit to the current state (returns self).
+
+        ``trail`` receives the gate stream actually applied (fused or
+        decomposed) and what each gate replaced.
+        """
         if circuit.n_qubits != self.n_qubits:
             raise ValidationError(
                 f"circuit width {circuit.n_qubits} != register {self.n_qubits}"
@@ -127,8 +189,7 @@ class MPSSimulator:
             circuit = fuse_single_qubit_gates(circuit)
         else:
             circuit = circuit.decomposed()
-        for gate in circuit.gates:
-            apply_gate(self.state, gate)
+        evolve(self.state, circuit.gates, trail)
         return self
 
     # -- measurement ------------------------------------------------------------------

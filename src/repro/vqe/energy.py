@@ -17,6 +17,8 @@ The test-suite asserts both paths agree to machine precision.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.backends import backend_spec, resolve_backend
@@ -61,6 +63,23 @@ def hadamard_test_circuit(term: PauliTerm, n_qubits: int,
         c.append(controlled_pauli_gate(anc, q, ch))
     c.append(Gate("H", (anc,)))
     return c
+
+
+@dataclass(frozen=True)
+class PreparedState:
+    """|psi(theta)> on the MPS backend, as one forward pass left it.
+
+    ``sim`` holds the final state and is only ever measured.
+    ``trail`` is the pass's :class:`repro.simulators.mps_circuit.ForwardTrail`
+    and ``refs[k]`` the ``(index, multiplier)`` of ``trail.gates[k]``
+    (None for a gate no parameter drives) - what the adjoint backward
+    sweep unwinds.
+    """
+
+    key: bytes
+    sim: object
+    trail: object
+    refs: list
 
 
 class EnergyEvaluator:
@@ -156,6 +175,15 @@ class EnergyEvaluator:
         #: elementary gates, so the staircases are laid out once here, not
         #: on each evaluation (binding re-creates only parametric gates)
         self.program = ansatz if spec.name == "mps" else ansatz.decomposed()
+        #: the MPS backend runs the fused stream, and fusion passes a
+        #: ``PR`` rotation through whole but absorbs other parametric
+        #: gates into opaque U2 blocks: when every parametric gate is a
+        #: ``PR``, the state energy() measures is one the adjoint sweep
+        #: can unwind, and energy / gradient / final_state share it
+        self.shares_prepared_state = spec.name == "mps" and all(
+            g.name == "PR" for g in self.program.gates
+            if g.param is not None)
+        self._prepared: PreparedState | None = None
         self.simulator = simulator
         self.method = method
         self.max_bond_dimension = max_bond_dimension
@@ -210,6 +238,31 @@ class EnergyEvaluator:
         sim = self._fresh_sim(width)
         _M_ANSATZ_RUNS.inc()
         return sim.run(bound)
+
+    def prepare(self, theta: np.ndarray) -> tuple[PreparedState, bool]:
+        """The forward pass at ``theta``, run at most once per theta.
+
+        One slot holds the last prepared state, keyed on the bytes of
+        ``theta``; returns it and whether this call had to run the pass.
+        MPS backend only (``shares_prepared_state``).
+        """
+        theta = np.asarray(theta, dtype=float)
+        key = theta.tobytes()
+        held = self._prepared
+        if held is not None and held.key == key:
+            return held, False
+        from repro.simulators.mps_circuit import ForwardTrail
+
+        sim = self._fresh_sim(self.n_qubits)
+        trail = ForwardTrail()
+        _M_ANSATZ_RUNS.inc()
+        sim.run(self.program.bind(theta), trail=trail)
+        # fusion keeps the PR gates whole and in order
+        refs = (g.param for g in self.program.gates if g.name == "PR")
+        held = self._prepared = PreparedState(
+            key, sim, trail,
+            [next(refs) if g.name == "PR" else None for g in trail.gates])
+        return held, True
 
     # -- public API ----------------------------------------------------------------
 
@@ -296,8 +349,9 @@ class EnergyEvaluator:
         return make_gradient(self, source, fd_step=fd_step)
 
     def _energy_direct(self, theta: np.ndarray) -> float:
-        sim = self._run_ansatz(theta, self.n_qubits)
-        return self._measure_state(sim)
+        if self.shares_prepared_state:
+            return self._measure_state(self.prepare(theta)[0].sim)
+        return self._measure_state(self._run_ansatz(theta, self.n_qubits))
 
     def _measure_state(self, sim) -> float:
         """Measure <H> on a prepared backend (the direct-path dispatch)."""
@@ -358,5 +412,11 @@ class EnergyEvaluator:
         return sim.copy()
 
     def final_state(self, theta: np.ndarray):
-        """Simulator holding |psi(theta)> (for RDM measurement)."""
+        """Simulator holding |psi(theta)> (for RDM measurement).
+
+        A copy of the prepared state where one is shared: the caller may
+        evolve what it gets.
+        """
+        if self.shares_prepared_state:
+            return self.prepare(theta)[0].sim.copy()
         return self._run_ansatz(theta, self.n_qubits)

@@ -14,14 +14,21 @@ one above it, and the property suite pins their pairwise agreement):
   where ``ket_k = U_k ... U_1 |0>`` and ``phi_k = U_{k+1}' ... U_N' H U|0>``.
   The forward pass prepares ``|psi> = U|0>`` once; ``H|psi>`` is built once
   (densely on statevector, as a zip-up MPO application on MPS); the backward
-  sweep then *undoes* each gate on both states and accumulates one overlap
-  per parametric gate - O(1) state memory, all P partials from a single
-  backward sweep instead of 2P (finite differences) or 2G (parameter shift,
-  G = parametric gate count) energy evaluations.  On MPS the overlaps reuse
+  sweep then steps both states back one gate at a time and accumulates one
+  overlap per parametric gate - all P partials from a single backward
+  sweep instead of 2P (finite differences) or 2G (parameter shift,
+  G = parametric gate count) energy evaluations.  The dense oracle *undoes*
+  each gate on both states.  On MPS only the bra is un-evolved: the ket
+  is read back from the forward pass's trail
+  (:class:`repro.simulators.mps_circuit.ForwardTrail` - the site tensors
+  each gate replaced, by reference), so every overlap sees exactly the
+  state the forward pass went through, and for ``PR``-parametrised
+  ansaetze that pass is the one ``energy(theta)`` already ran
+  (:meth:`repro.vqe.energy.EnergyEvaluator.prepare`).  The overlaps reuse
   the measurement engine's environment-advance kernels
   (:func:`repro.simulators.mps_measure._advance_left` /
   ``_advance_right``) with prefix/suffix environment caches that are
-  invalidated only over the support of each undone gate.  Exact at
+  invalidated only over the support of each rewound gate.  Exact at
   unbounded bond dimension; at truncated D the error is bounded by the
   discarded Schmidt weight (the same budget the energy obeys).
 * ``param_shift`` - the gate-wise analytic oracle: every parametric gate's
@@ -53,6 +60,13 @@ from repro.common.errors import ValidationError
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 from repro.operators.pauli import QubitOperator
+from repro.simulators.mps import MPS, _pauli_times
+from repro.simulators.mps_circuit import ForwardTrail, apply_gate, evolve
+from repro.simulators.mps_measure import (
+    _advance_left,
+    _advance_right,
+    compiled_mpo,
+)
 
 #: valid values for the ``grad`` knob exposed by the VQE layer / CLI
 GRADIENT_SOURCES = ("adjoint", "param_shift", "finite_diff")
@@ -64,13 +78,15 @@ _G_EVALS = _obs.counter(
     "grad.evaluations", "full gradient evaluations, labelled by source")
 _G_FWD = _obs.counter(
     "grad.forward_sweeps",
-    "adjoint forward passes (one ansatz state preparation per gradient)")
+    "forward passes the adjoint gradient ran itself (none when energy() "
+    "had already prepared the state at this theta)")
 _G_BWD = _obs.counter(
     "grad.backward_sweeps",
     "adjoint backward passes (one per gradient, all P partials)")
 _G_UNDO = _obs.counter(
     "grad.gate_undos",
-    "inverse gate applications during backward sweeps (ket + bra)")
+    "inverse gate applications during backward sweeps (dense: ket + bra; "
+    "MPS: bra, plus the ket over gates older than the forward trail)")
 _G_CACHED = _obs.counter(
     "grad.cached_tensors",
     "overlap environments in the backward-pass cache, labelled "
@@ -84,15 +100,12 @@ _G_FLOPS = _obs.counter(
 _G_EQUIV = _obs.counter(
     "grad.eval_equivalents",
     "energy-evaluation equivalents consumed per gradient, labelled by "
-    "source (adjoint: forward + bra build + two backward evolutions)")
+    "source (adjoint: the forward pass if the gradient ran it + bra build "
+    "+ one backward evolution per un-evolved state)")
 
-#: energy-evaluation equivalents one adjoint gradient costs: the forward
-#: ansatz run, the H|psi> bra construction, and the backward undo sweep on
-#: the two states - independent of the parameter count
-ADJOINT_EVAL_EQUIVALENTS = 4
 
-def _generator_ops(gate: Gate) -> dict[int, np.ndarray]:
-    """Single-site factors of the generator G of exp(-i angle/2 G).
+def _generator_ops(gate: Gate) -> dict[int, str]:
+    """Single-site Pauli factors of the generator G of exp(-i angle/2 G).
 
     RX/RY/RZ: the one Pauli; RZZ: Z on each site; PR: the string's factors.
     """
@@ -102,7 +115,7 @@ def _generator_ops(gate: Gate) -> dict[int, np.ndarray]:
             f"differentiate it analytically"
         )
     pauli = gate.pauli if gate.name == "PR" else gate.name[1:]
-    return {q: GATE_MATRICES[ch] for q, ch in zip(gate.qubits, pauli)}
+    return dict(zip(gate.qubits, pauli))
 
 
 def _strip_identity(op: QubitOperator) -> QubitOperator:
@@ -165,8 +178,8 @@ def _adjoint_dense(hamiltonian: QubitOperator, circuit: Circuit,
         if raw.param is not None:
             idx, mult = raw.param
             gp = psi
-            for q, p in _generator_ops(raw).items():
-                gp = _apply_dense(gp, p, (q,))
+            for q, ch in _generator_ops(raw).items():
+                gp = _apply_dense(gp, GATE_MATRICES[ch], (q,))
             grad[idx] += mult * float(np.imag(np.vdot(phi, gp)))
         inv = g.matrix().conj().T
         psi = _apply_dense(psi, inv, g.qubits)
@@ -194,13 +207,6 @@ class _OverlapEnvironments:
     """
 
     def __init__(self, ket, bra):
-        from repro.simulators.mps_measure import (
-            _advance_left,
-            _advance_right,
-        )
-
-        self._adv_l = _advance_left
-        self._adv_r = _advance_right
         self.ket = ket
         self.bra = bra
         n = ket.n_qubits
@@ -229,44 +235,47 @@ class _OverlapEnvironments:
     def left(self, b: int) -> np.ndarray:
         """Environment of sites ``0..b-1`` as a (1, ket_b, bra_b) array."""
         if self._lvalid >= b:
-            _G_CACHED.inc(outcome="reused")
+            if _obs.REGISTRY.enabled:
+                _G_CACHED.inc(outcome="reused")
             return self._L[b]
         while self._lvalid < b:
             q = self._lvalid
-            self._L[q + 1] = self._advance(self._adv_l, self._L[q], q)
+            self._L[q + 1] = self._advance(_advance_left, self._L[q], q)
             self._lvalid = q + 1
-            _G_CACHED.inc(outcome="built")
+            if _obs.REGISTRY.enabled:
+                _G_CACHED.inc(outcome="built")
         return self._L[b]
 
     def right(self, b: int) -> np.ndarray:
         """Environment of sites ``b..n-1`` as a (1, ket_b, bra_b) array."""
         if self._rvalid <= b:
-            _G_CACHED.inc(outcome="reused")
+            if _obs.REGISTRY.enabled:
+                _G_CACHED.inc(outcome="reused")
             return self._R[b]
         while self._rvalid > b:
             q = self._rvalid - 1
-            self._R[q] = self._advance(self._adv_r, self._R[q + 1], q)
+            self._R[q] = self._advance(_advance_right, self._R[q + 1], q)
             self._rvalid = q
-            _G_CACHED.inc(outcome="built")
+            if _obs.REGISTRY.enabled:
+                _G_CACHED.inc(outcome="built")
         return self._R[b]
 
-    def overlap(self, ops: dict[int, np.ndarray]) -> complex:
-        """<bra| prod_q O_q |ket> via cached environments + local advances."""
-        sites = sorted(ops)
-        s, e = sites[0], sites[-1]
+    def overlap(self, ops: dict[int, str]) -> complex:
+        """<bra| prod_q P_q |ket> via cached environments + local advances."""
+        s, e = min(ops), max(ops)
         env = self.left(s)
         for q in range(s, e + 1):
             bk = self.ket.tensors[q]
-            p = ops.get(q)
-            if p is not None:
-                bk = np.tensordot(p, bk, axes=((1,), (1,))).transpose(1, 0, 2)
+            ch = ops.get(q)
+            if ch is not None:
+                bk = _pauli_times(ch, bk)
             bc = np.conj(self.bra.tensors[q])
             if _obs.REGISTRY.enabled:
                 _G_GEMM.inc(2)
                 kl, _, kr = bk.shape
                 bl, _, br = bc.shape
                 _G_FLOPS.inc(16.0 * (kl * kr * bl + kr * bl * br))
-            env = self._adv_l(env, bk, bc)
+            env = _advance_left(env, bk, bc)
         r = self.right(e + 1)
         return complex(np.einsum("ij,ij->", env[0], r[0]))
 
@@ -279,52 +288,69 @@ def _inverse(gate: Gate) -> Gate:
                 unitary=gate.matrix().conj().T)
 
 
-def _adjoint_mps(hamiltonian: QubitOperator, circuit: Circuit,
-                 theta: np.ndarray, *, max_bond_dimension: int | None,
-                 cutoff: float) -> np.ndarray:
-    """Two-state adjoint gradient on matrix product states.
+def _own_forward_mps(evaluator, theta: np.ndarray):
+    """The gradient's own forward pass: the *unfused* bound stream.
 
-    Forward: run the *unfused* bound gate stream on a fresh MPS (fusion
-    would absorb parametric one-qubit rotations into opaque U2 blocks; a
-    ``PR`` Pauli rotation is one unit either way, so for UCCSD this is the
-    same stream the energy evaluation runs).  The bra
-    ``H|psi>`` is materialized once as an MPS through the compiled-MPO
-    zip-up (:meth:`repro.simulators.mpo.MPO.apply`) - its exact Schmidt
-    rank is capped at ``min(2^b, 2^(n-b))``, so it stays small - and
-    normalized, carrying ``||H|psi>||`` as a scalar.  Backward: undo each
-    gate on both states, accumulating ``mult * scale * Im <phi|G|ket>``
-    per parametric gate through the cached overlap environments.
+    For circuits whose parametric gates fusion would absorb into opaque
+    U2 blocks, so the fused state ``energy()`` prepares cannot be unwound
+    gate by gate.  Returns ``(final MPS, trail, refs)`` like
+    :meth:`repro.vqe.energy.EnergyEvaluator.prepare`.
     """
-    from repro.simulators.mps import MPS
-    from repro.simulators.mps_circuit import apply_gate
-    from repro.simulators.mps_measure import compiled_mpo
+    circuit = evaluator.program
+    state = MPS(circuit.n_qubits,
+                max_bond_dimension=evaluator.max_bond_dimension,
+                cutoff=evaluator.cutoff)
+    trail = ForwardTrail()
+    evolve(state, [g.bound(theta) for g in circuit.gates], trail)
+    return state, trail, [g.param for g in circuit.gates]
 
-    n = circuit.n_qubits
-    gates = list(circuit.gates)
-    bound = [g.bound(theta) for g in gates]
-    ket = MPS(n, max_bond_dimension=max_bond_dimension, cutoff=cutoff)
-    for g in bound:
-        apply_gate(ket, g)
-    _G_FWD.inc()
-    grad = np.zeros(circuit.n_parameters)
+
+def _adjoint_mps(hamiltonian: QubitOperator, state, trail: ForwardTrail,
+                 refs, n_parameters: int) -> np.ndarray:
+    """The backward sweep of the two-state adjoint gradient on MPS.
+
+    ``state`` is the final MPS of the forward pass that wrote ``trail``;
+    it is read, never changed.  The bra ``H|psi>`` is materialized once as
+    an MPS through the compiled-MPO zip-up
+    (:meth:`repro.simulators.mpo.MPO.apply`) - its exact Schmidt rank is
+    capped at ``min(2^b, 2^(n-b))``, so it stays small - and normalized,
+    carrying ``||H|psi>||`` as a scalar.  Then, last gate first:
+    accumulate ``mult * scale * Im <phi|G|ket>`` for a parametric gate
+    through the cached overlap environments, undo the gate on the bra,
+    and step the ket back by putting the tensors the gate replaced into
+    its site list - the same array objects outside the gate's span, so
+    the environments are invalidated over the span only.  Gates older
+    than the trail retains are undone on the ket as well.
+    """
+    n = state.n_qubits
+    grad = np.zeros(n_parameters)
     op = _strip_identity(hamiltonian)
     if not op.terms:
         _G_BWD.inc()
         return grad
     # bra cutoff: tight enough that the zip-up keeps the exact rank; the
     # bra is never bond-capped (its rank is bounded by the register anyway)
-    bra, scale = compiled_mpo(op, n).apply(ket, cutoff=min(cutoff, 1e-13))
+    bra, scale = compiled_mpo(op, n).apply(
+        state, cutoff=min(state.cutoff, 1e-13))
+    # a working view of the ket: own site lists, shared arrays
+    ket = MPS.from_attached(n, state.tensors, state.lambdas,
+                            max_bond_dimension=state.max_bond_dimension,
+                            cutoff=state.cutoff, backend=state.backend)
     envs = _OverlapEnvironments(ket, bra)
-    for g, raw in zip(reversed(bound), reversed(gates)):
-        if raw.param is not None:
-            idx, mult = raw.param
-            ov = envs.overlap(_generator_ops(raw))
+    for gate, ref, saved in zip(reversed(trail.gates), reversed(refs),
+                                reversed(trail.saved)):
+        if ref is not None:
+            idx, mult = ref
+            ov = envs.overlap(_generator_ops(gate))
             grad[idx] += mult * scale * ov.imag
-        inv = _inverse(g)
-        lo, hi = apply_gate(ket, inv)
-        apply_gate(bra, inv)
+        inv = _inverse(gate)
+        lo, hi = apply_gate(bra, inv)
+        if saved is None:
+            apply_gate(ket, inv)
+        else:
+            trail.rewind(ket, saved)
         if _obs.REGISTRY.enabled:
-            _G_UNDO.inc(2)
+            _G_UNDO.inc(1 + (saved is None))
         envs.invalidate(lo, hi)
     _G_BWD.inc()
     return grad
@@ -430,7 +456,8 @@ def adjoint_gradient(evaluator, theta: np.ndarray) -> np.ndarray:
     """All P partials from one forward + one backward pass.
 
     Dispatches on the evaluator's backend: the MPS backend runs the
-    two-state tensor-network sweep at the evaluator's truncation settings;
+    two-state tensor-network sweep at the evaluator's truncation settings,
+    on the state ``evaluator.energy(theta)`` prepared when there is one;
     dense backends run the exact statevector oracle.
     """
     circuit = evaluator.program
@@ -445,13 +472,23 @@ def adjoint_gradient(evaluator, theta: np.ndarray) -> np.ndarray:
     with _trace.span("grad.adjoint", simulator=evaluator.simulator,
                      n_parameters=int(circuit.n_parameters)):
         if spec.name == "mps":
-            grad = _adjoint_mps(
-                evaluator.hamiltonian, circuit, theta,
-                max_bond_dimension=evaluator.max_bond_dimension,
-                cutoff=evaluator.cutoff)
+            if evaluator.shares_prepared_state:
+                prepared, ran_forward = evaluator.prepare(theta)
+                forward = prepared.sim.state, prepared.trail, prepared.refs
+            else:
+                forward, ran_forward = _own_forward_mps(evaluator, theta), True
+            if ran_forward:
+                _G_FWD.inc()
+            grad = _adjoint_mps(evaluator.hamiltonian, *forward,
+                                circuit.n_parameters)
+            # bra build + the bra's backward evolution (the ket is read
+            # back from the trail), + the forward pass if it ran here
+            equivalents = 2 + ran_forward
         else:
             grad = _adjoint_dense(evaluator.hamiltonian, circuit, theta)
-    _G_EQUIV.inc(ADJOINT_EVAL_EQUIVALENTS, source="adjoint")
+            # forward + bra build + ket and bra backward evolutions
+            equivalents = 4
+    _G_EQUIV.inc(equivalents, source="adjoint")
     _G_EVALS.inc(source="adjoint")
     return grad
 
@@ -499,7 +536,6 @@ def make_gradient(evaluator, source: str = "adjoint", *,
 
 
 __all__ = [
-    "ADJOINT_EVAL_EQUIVALENTS",
     "GRADIENT_SOURCES",
     "GradientSource",
     "adjoint_gradient",

@@ -21,10 +21,12 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
 from repro.circuits.hea import brick_ansatz
 from repro.operators.pauli import PauliTerm, QubitOperator
+from repro.simulators import mps_circuit
 from repro.simulators.mps import MPS
 from repro.vqe.energy import EnergyEvaluator
 from repro.vqe.gradients import (
     GradientSource,
+    _own_forward_mps,
     adjoint_gradient,
     finite_diff_gradient,
     make_gradient,
@@ -135,7 +137,7 @@ def test_random_circuit_adjoint_mps_matches_oracle(seed: int) -> None:
 @given_seed(max_examples=8)
 def test_pauli_rotation_circuit_three_way_parity_mps(seed: int) -> None:
     """adjoint == parameter shift == central FD through the MPS rotation
-    kernel (forward, PR(-angle) undo on ket and bra, gapped-string overlap),
+    kernel (forward, PR(-angle) undo on the bra, gapped-string overlap),
     and the gradient equals the dense oracle's on the decomposed stream."""
     rng = rng_for(seed)
     n = 5
@@ -241,6 +243,101 @@ def test_truncated_bond_dimension_error_bounded_by_discarded_weight():
         saw_truncation = saw_truncation or dw > 1e-6
         if dw == 0.0:  # window-4 bricks have exact rank 8
             assert err <= ATOL_ANALYTIC
+    assert saw_truncation, "test never exercised a truncated evolution"
+
+
+def pauli_rotation_ansatz(rng: np.random.Generator, n: int, n_params: int,
+                          n_gates: int = 18) -> Circuit:
+    """Random circuit whose every parametric gate is a ``PR`` (the UCCSD
+    shape): the state ``energy()`` prepares is the one the adjoint sweep
+    unwinds.  Fixed-angle rotations and CX entanglers in between."""
+    c = Circuit(n_qubits=n, name="pauli_rotations")
+    c.n_parameters = n_params
+    for q in range(0, n, 2):
+        c.append(Gate("X", (q,)))
+    for _ in range(n_gates):
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            q = int(rng.integers(0, n - 1))
+            c.append(Gate("CX", (q, q + 1)))
+        elif kind == 1:
+            c.append(Gate("RY", (int(rng.integers(0, n)),),
+                          angle=float(rng.uniform(-np.pi, np.pi))))
+        else:
+            weight = int(rng.integers(2, n + 1))
+            qubits = tuple(sorted(
+                int(q) for q in rng.choice(n, size=weight, replace=False)))
+            pauli = "".join("XYZ"[int(rng.integers(3))] for _ in qubits)
+            c.append(Gate("PR", qubits, pauli=pauli,
+                          param=(int(rng.integers(0, n_params)),
+                                 float(rng.choice([-1.0, 0.5, 1.0])))))
+    return c
+
+
+def _forward_pass(evaluator, theta):
+    """(final MPS, trail) of the pass the adjoint gradient unwinds."""
+    if evaluator.shares_prepared_state:
+        prepared, _ = evaluator.prepare(theta)
+        return prepared.sim.state, prepared.trail
+    state, trail, _ = _own_forward_mps(evaluator, theta)
+    return state, trail
+
+
+@pytest.mark.parametrize("ansatz", ["pauli_rotations", "bricks"])
+def test_trail_bound_spills_to_undo_without_moving_the_gradient(
+        monkeypatch, ansatz):
+    """The forward trail is a bounded suffix; older gates are un-evolved.
+
+    With no trail at all (every gate undone on the ket - what the sweep
+    did before the trail existed), with the whole trail and with a bound
+    that drops the first part of the stream, the gradient is the same to
+    1e-10 where nothing truncates, and inside the discarded-weight budget
+    of the test above at D = 4/6/8.  What the trail keeps alive never
+    exceeds the bound, each replaced tensor counted once.
+    """
+    rng = rng_for(7)
+    n = 6
+    if ansatz == "bricks":
+        circuit = brick_ansatz(n, window=4, sweeps=2)
+    else:
+        circuit = pauli_rotation_ansatz(rng, n, n_params=4)
+    theta = rng.uniform(-1.5, 1.5, circuit.n_parameters)
+    op = random_observable(rng, n, n_terms=10)
+    norm1 = sum(abs(c) for _, c in op)
+    g_exact = adjoint_gradient(
+        EnergyEvaluator(op, circuit, simulator="statevector"), theta)
+    unbounded = mps_circuit.TRAIL_MAX_BYTES
+    saw_truncation = False
+    for max_bond in (None, 4, 6, 8):
+        def evaluator():
+            return EnergyEvaluator(op, circuit, simulator="mps",
+                                   max_bond_dimension=max_bond)
+
+        state, trail = _forward_pass(evaluator(), theta)
+        assert all(entry is not None for entry in trail.saved)
+        dw = state.stats.total_discarded_weight
+        saw_truncation = saw_truncation or dw > 1e-6
+        grads = []
+        for bound in (unbounded, 0, trail.nbytes // 2, trail.nbytes // 5):
+            monkeypatch.setattr(mps_circuit, "TRAIL_MAX_BYTES", bound)
+            _, kept = _forward_pass(evaluator(), theta)
+            dropped = sum(entry is None for entry in kept.saved)
+            if bound == unbounded:
+                assert dropped == 0
+            elif bound == 0:
+                assert dropped == len(kept.gates)
+            else:
+                assert 0 < dropped < len(kept.gates)   # splits mid-circuit
+            held = {id(t): t.nbytes for entry in kept.saved
+                    if entry is not None for t in entry[1]}
+            assert sum(held.values()) == kept.nbytes <= bound
+            grads.append(adjoint_gradient(evaluator(), theta))
+        monkeypatch.setattr(mps_circuit, "TRAIL_MAX_BYTES", unbounded)
+        for g in grads:
+            err = np.abs(g - g_exact).max()
+            assert err <= 20.0 * norm1 * np.sqrt(dw) + 1e-8, (max_bond, err)
+            if max_bond is None or dw == 0.0:
+                assert np.abs(g - grads[0]).max() <= 1e-10
     assert saw_truncation, "test never exercised a truncated evolution"
 
 

@@ -492,13 +492,27 @@ class TestWorkerObsLifecycle:
             REGISTRY.reset()
 
 
-#: one adjoint gradient at theta = 0 (forward sweep + H|psi> + backward
-#: sweep, see repro.vqe.gradients); keyed by (molecule, simulator).
-#: All values are structural: gate_undos = 2x the gate count, gemm/cache
-#: counts follow the environment invalidation pattern, never the
-#: parameter values.
+#: one adjoint gradient at theta = 0 on a fresh evaluator (forward sweep +
+#: H|psi> + backward sweep, see repro.vqe.gradients); keyed by (molecule,
+#: simulator).  All values are structural: gate_undos counts the states
+#: un-evolved per gate (MPS: the bra, the ket comes back from the forward
+#: trail; dense: ket + bra), gemm/cache counts follow the environment
+#: invalidation pattern, never the parameter values.
 GRADIENT_BUDGETS = {
     ("h2", "mps"): {
+        "grad.forward_sweeps": 1,
+        "grad.backward_sweeps": 1,
+        "grad.gate_undos": 14,        # 14 gates, bra only
+        "grad.gemm_calls": 92,
+        # forward + bra undo: 2 x 12 rotations, 2 x 32 bonds
+        "mps.pauli_rotation": 24,
+        "mps.gate_2q": 0,
+        "mps.swap": 0,
+    },
+    # the same gradient with no trail retained (TRAIL_MAX_BYTES = 0): the
+    # ket is un-evolved over every gate, which is what ran before the
+    # trail existed - these are that version's numbers
+    ("h2", "mps", "no_trail"): {
         "grad.forward_sweeps": 1,
         "grad.backward_sweeps": 1,
         "grad.gate_undos": 28,        # 2 x 14 gates (ket + bra)
@@ -548,7 +562,36 @@ class TestGradientBudgets:
         got = {name: reg.value(name) for name in budget}
         assert got == budget
         assert reg.value("grad.evaluations", source="adjoint") == 1
-        assert reg.value("grad.eval_equivalents", source="adjoint") == 4
+        # forward + bra build + one backward evolution per un-evolved
+        # state (dense: ket and bra; MPS: the bra)
+        assert reg.value("grad.eval_equivalents", source="adjoint") \
+            == {"mps": 3, "statevector": 4}[simulator]
+
+    def test_h2_mps_without_trail(self, h2, monkeypatch):
+        from repro.simulators import mps_circuit
+
+        g_trail, _ = self._gradient(h2, simulator="mps")
+        monkeypatch.setattr(mps_circuit, "TRAIL_MAX_BYTES", 0)
+        grad, reg = self._gradient(h2, simulator="mps")
+        budget = GRADIENT_BUDGETS[("h2", "mps", "no_trail")]
+        assert {name: reg.value(name) for name in budget} == budget
+        assert np.abs(grad - g_trail).max() <= 1e-12
+
+    def test_h2_mps_gradient_after_energy_runs_no_forward_pass(self, h2):
+        from repro.vqe.gradients import adjoint_gradient
+
+        ham, ansatz = _hamiltonian_and_ansatz(h2)
+        theta = np.zeros(ansatz.n_parameters)
+        _clear_all_caches()
+        with obs.collect() as reg:
+            evaluator = EnergyEvaluator(ham, ansatz, simulator="mps")
+            evaluator.energy(theta)
+            adjoint_gradient(evaluator, theta)
+        assert reg.value("vqe.ansatz_runs") == 1
+        assert reg.value("grad.forward_sweeps") == 0
+        assert reg.value("grad.eval_equivalents", source="adjoint") == 2
+        # the energy's 12 rotations + the bra's 12
+        assert reg.value("mps.pauli_rotation") == 24
 
     def test_h2_mps_environment_cache(self, h2):
         _, reg = self._gradient(h2, simulator="mps")

@@ -9,9 +9,11 @@ At theta_ref (the committed fast-backend optimum of
   sweep and the two-site staircase path - to 1e-10 Ha;
 * the truncated regime: at D = 8 the rotation kernel keeps the energy
   within 1e-8 Ha and the adjoint gradient within 1e-5 (max-norm) of exact.
-  Measured 8.1e-13 Ha / 2.4e-7 here, 2.0e-10 Ha / 2.2e-7 at the jittered
-  theta0 of the benchmark's seed 11; the staircase path was 7.0e-5 Ha /
-  1.4e-2 off at the same D, because it truncates mid-ladder states.
+  Measured 8.1e-13 Ha / 4.3e-7 here; the staircase path was 7.0e-5 Ha /
+  1.4e-2 off at the same D, because it truncates mid-ladder states;
+* D = 6, where truncation is felt (5.8e-7 Ha) and where reading the ket
+  from the forward trail and un-evolving it part ways: the gradient is
+  9.0e-5 off with the trail, 2.1e-4 with every gate undone on the ket.
 """
 
 from __future__ import annotations
@@ -71,3 +73,12 @@ def test_d8_energy_and_adjoint_gradient_against_the_statevector(
                                 ref["circuit"].decomposed(),
                                 simulator="mps", max_bond_dimension=8)
     assert abs(staircase.energy(ref["theta"]) - ref["energy"]) >= 1e-5
+
+
+def test_d6_adjoint_gradient_against_the_statevector(lih_frozen_core):
+    ref = lih_frozen_core
+    evaluator = EnergyEvaluator(ref["hamiltonian"], ref["circuit"],
+                                simulator="mps", max_bond_dimension=6)
+    assert abs(evaluator.energy(ref["theta"]) - ref["energy"]) <= 1e-6
+    gradient = evaluator.gradient_source("adjoint")(ref["theta"])
+    assert np.abs(gradient - ref["gradient"]).max() <= 2e-4

@@ -168,3 +168,98 @@ class TestParallelPath:
         ev.energy(self.theta)
         ev.close()
         ev.close()
+
+
+class TestPreparedStateSlot:
+    """One forward pass per theta on the MPS backend: ``energy``,
+    ``final_state`` and the adjoint gradient share one prepared state,
+    and nothing a caller does with what it gets can change it."""
+
+    @pytest.fixture(autouse=True)
+    def _setup(self, h2):
+        self.ham = molecular_qubit_hamiltonian(h2.mo)
+        self.circuit = UCCSDAnsatz(2, 2).circuit()
+        self.theta1 = np.array([0.17, -0.36])
+        self.theta2 = np.array([-0.08, 0.41])
+
+    def _evaluator(self, max_bond=None, **kw):
+        return EnergyEvaluator(self.ham, self.circuit, simulator="mps",
+                               max_bond_dimension=max_bond, **kw)
+
+    @pytest.mark.parametrize("max_bond", [None, 2])
+    def test_gradient_at_another_theta_ignores_the_held_state(self, max_bond):
+        from repro.vqe.gradients import adjoint_gradient
+
+        ev = self._evaluator(max_bond)
+        ev.energy(self.theta1)
+        fresh = adjoint_gradient(self._evaluator(max_bond), self.theta2)
+        assert np.array_equal(adjoint_gradient(ev, self.theta2), fresh)
+
+    @pytest.mark.parametrize("max_bond", [None, 2])
+    def test_energy_after_gradient_reuses_its_forward_pass(self, max_bond):
+        from repro import obs
+        from repro.vqe.gradients import adjoint_gradient
+
+        fresh = self._evaluator(max_bond).energy(self.theta1)
+        with obs.collect() as reg:
+            ev = self._evaluator(max_bond)
+            adjoint_gradient(ev, self.theta1)
+            assert ev.energy(self.theta1) == fresh
+        assert reg.value("vqe.ansatz_runs") == 1
+        assert reg.value("grad.forward_sweeps") == 1
+
+    @pytest.mark.parametrize("max_bond", [None, 2])
+    def test_backward_sweep_leaves_the_prepared_state_alone(self, max_bond):
+        from repro.vqe.gradients import adjoint_gradient
+
+        ev = self._evaluator(max_bond)
+        first = adjoint_gradient(ev, self.theta1)
+        prepared, ran = ev.prepare(self.theta1)
+        assert not ran
+        state = prepared.sim.state
+        tensors = [t.copy() for t in state.tensors]
+        lambdas = [lam.copy() for lam in state.lambdas]
+        revision = state.revision
+        assert np.array_equal(adjoint_gradient(ev, self.theta1), first)
+        assert ev.prepare(self.theta1)[0] is prepared
+        assert state.revision == revision
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(state.tensors, tensors))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(state.lambdas, lambdas))
+
+    def test_evolving_the_final_state_does_not_reach_the_slot(self):
+        from repro.circuits.circuit import Circuit
+        from repro.circuits.gates import Gate
+
+        ev = self._evaluator()
+        before = ev.energy(self.theta1)
+        sim = ev.final_state(self.theta1)
+        sim.run(Circuit(4, gates=[Gate("H", (0,)), Gate("CX", (0, 3))]))
+        assert sim.expectation(self.ham) != before
+        assert ev.energy(self.theta1) == before
+
+    def test_hadamard_evaluator_never_reads_the_slot(self):
+        ev = self._evaluator(method="hadamard")
+        ev.energy(self.theta1)
+        ev.energy(self.theta1)
+        assert ev._prepared is None
+
+    def test_fused_parametric_gates_keep_separate_passes(self):
+        """An HEA circuit's RY/RZ gates vanish into U2 blocks under
+        fusion: energy runs the fused stream, the gradient its own
+        unfused one, and no state is held."""
+        from repro import obs
+        from repro.circuits.hea import brick_ansatz
+        from repro.vqe.gradients import adjoint_gradient
+
+        circuit = brick_ansatz(4, window=3)
+        theta = np.linspace(-1.0, 1.0, circuit.n_parameters)
+        ev = EnergyEvaluator(self.ham, circuit, simulator="mps")
+        assert not ev.shares_prepared_state
+        with obs.collect() as reg:
+            ev.energy(theta)
+            adjoint_gradient(ev, theta)
+        assert ev._prepared is None
+        assert reg.value("grad.forward_sweeps") == 1
+        assert reg.value("grad.eval_equivalents", source="adjoint") == 3
