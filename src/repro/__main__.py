@@ -5,7 +5,6 @@ Commands
 energy      RHF / CCSD / FCI / VQE / DMET energies of a molecule
 scaling     replay the paper's strong/weak scaling (Figs. 12-13)
 info        system inventory: basis functions, qubits, Pauli strings
-bench       run the pinned performance suite; gate vs the baseline ledger
 serve       run the in-process job service over a JSON request file
 status      render the live snapshot a serve --status-file maintains
 
@@ -16,7 +15,9 @@ Examples
     python -m repro energy --xyz geom.xyz --method fci
     python -m repro scaling --mode strong
     python -m repro info --molecule h2o
-    python -m repro bench --quick
+
+Performance is measured by ``python3 benchmarks/e2e/run.py``
+(``--compare A B`` is the regression gate).
 """
 
 from __future__ import annotations
@@ -235,13 +236,6 @@ def cmd_status(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Run the performance-ledger suite (see :mod:`repro.obs.bench`)."""
-    from repro.obs import bench
-
-    return bench.run_cli(args)
-
-
 def cmd_scaling(args) -> int:
     """Replay the paper's strong/weak scaling curves."""
     from repro.parallel.perfmodel import CircuitCostModel, ScalingExperiment
@@ -431,16 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     pi = sub.add_parser("info", help="print the system inventory")
     add_molecule_args(pi)
     pi.set_defaults(func=cmd_info)
-
-    pb = sub.add_parser(
-        "bench",
-        help="run the pinned performance suite and write the "
-             "BENCH_<date>.json ledger (schema 'repro.bench/1'), gating "
-             "against the committed BENCH_baseline.json")
-    from repro.obs import bench as _bench
-
-    _bench.add_arguments(pb)
-    pb.set_defaults(func=cmd_bench)
     return parser
 
 

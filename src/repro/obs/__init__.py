@@ -12,10 +12,10 @@ throws away.  This package records them behind a **no-op default**:
   with nesting, wall (``perf_counter``) and CPU (``process_time``) time.
 * :mod:`repro.obs.export` - the documented ``repro.obs/2`` JSON / JSONL
   schema behind ``--metrics-out`` and ``VQEResult.metrics``.
-* :mod:`repro.obs.cost` - roofline-style cost model converting the event
-  counters into modeled flops / bytes per phase.
-* :mod:`repro.obs.bench` - the pinned performance-ledger suite behind
-  ``python -m repro bench`` (schema ``repro.bench/1``).
+
+Performance is measured outside this package, by
+``python3 benchmarks/e2e/run.py`` (``--compare A B`` is the regression
+gate).
 
 Worker processes snapshot their local registry/tracer at task completion
 and ship the delta back through the executor reduction path; the parent

@@ -37,8 +37,7 @@ deltas (counters add, gauges last-write-by-worker-id, histograms combine
 aggregate fields), per-worker provenance appears in the built-in
 ``obs.merges{worker}`` / ``obs.merged_events{worker}`` counters, and
 merged spans carry ``attrs.worker``.  :func:`validate_document` also
-dispatches ``repro.bench/1`` performance ledgers, flight dumps and
-telemetry samples to their own validators.
+dispatches flight dumps and telemetry samples to their own validators.
 """
 
 from __future__ import annotations
@@ -145,11 +144,6 @@ def write_jsonl(path_or_file: str | IO, *,
         return _emit(fh)
 
 
-def _validate_bench(doc: dict) -> None:
-    from repro.obs.bench import validate_ledger
-    validate_ledger(doc)
-
-
 def _validate_flight(doc: dict) -> None:
     from repro.obs.flight import validate_flight
     validate_flight(doc)
@@ -188,7 +182,6 @@ def _validate_metrics(doc: dict) -> None:
 #: schema -> validator; the one place a document kind is made acceptable
 _VALIDATORS = {
     **{version: _validate_metrics for version in _ACCEPTED_VERSIONS},
-    "repro.bench/1": _validate_bench,
     "repro.obs.flight/1": _validate_flight,
     TS_SCHEMA: validate_ts_sample,
 }

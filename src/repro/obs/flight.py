@@ -8,7 +8,8 @@ fixed-capacity ring buffer (``collections.deque(maxlen=N)``) that is
 whose contents are attached to structured errors and failed ``serve``
 jobs as a ``repro.obs.flight/1`` dump.
 
-Design constraints (mirrored by the ledger's overhead assertion):
+Design constraints (mirrored by the overhead assertion in
+``benchmarks/bench_expectation_batching.py``):
 
 * **O(1) append** - one lock, one tuple, one ``deque.append``; eviction
   is the deque's own ``maxlen`` behaviour, never a scan.

@@ -57,9 +57,6 @@ _M_ENV_STEPS = _obs.counter(
 _M_GEMM = _obs.counter(
     "mps_measure.gemm_calls",
     "batched GEMM invocations issued by sweep evaluations")
-_M_FLOPS = _obs.counter(
-    "mps_measure.modeled_flops",
-    "cost-model flops of each evaluation, labelled by path", unit="flop")
 _M_PLAN_CACHE = _obs.counter(
     "mps_measure.plan_cache",
     "sweep-plan compilation cache lookups, labelled hit/miss")
@@ -613,8 +610,6 @@ class MPSMeasurementEngine:
                 _M_EVALS.inc(path="sweep")
                 _M_ENV_STEPS.inc(plan.n_env_steps)
                 _M_GEMM.inc(plan.n_gemm_calls)
-                _M_FLOPS.inc(_sweep_flops(plan, mps.max_bond()),
-                             path="sweep")
             vals = self._sweep_values(mps, plan)
             for key, v in zip(plan.term_keys, vals):
                 values[key] = v
@@ -691,9 +686,7 @@ class MPSMeasurementEngine:
         if not op.simplify(0.0).terms:
             return 0.0
         mpo = compiled_mpo(op, n)
-        if _obs.REGISTRY.enabled:
-            _M_EVALS.inc(path="mpo")
-            _M_FLOPS.inc(_mpo_flops(mpo, mps.max_bond()), path="mpo")
+        _M_EVALS.inc(path="mpo")
         return float(mpo.expectation(mps))
 
     def expectation_per_term(self, mps: MPS, op: QubitOperator) -> float:
@@ -747,9 +740,7 @@ class MPSMeasurementEngine:
                 and _MPO_MIN_TERMS <= plan.n_terms <= _MPO_MAX_TERMS):
             mpo = compiled_mpo(op, n, _key=key)
         if mpo is not None and _mpo_flops(mpo, d) < _sweep_flops(plan, d):
-            if _obs.REGISTRY.enabled:
-                _M_EVALS.inc(path="mpo")
-                _M_FLOPS.inc(_mpo_flops(mpo, d), path="mpo")
+            _M_EVALS.inc(path="mpo")
             return float(mpo.expectation(mps))
         return self._evaluate_plan(mps, plan)
 

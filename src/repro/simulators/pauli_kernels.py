@@ -43,15 +43,6 @@ _M_EXPECT = _obs.counter(
 _M_COMPILE_CACHE = _obs.counter(
     "pauli.compile_cache",
     "compiled-observable cache lookups, labelled hit/miss")
-_M_MODEL_FLOPS = _obs.counter(
-    "pauli.modeled_flops",
-    "modeled flops per batched expectation (one complex "
-    "multiply-accumulate = 8 flops, 2G+1 vector passes over 2^n "
-    "amplitudes)", unit="flop")
-_M_MODEL_BYTES = _obs.counter(
-    "pauli.modeled_bytes",
-    "modeled bytes moved per batched expectation (3G+2 complex-vector "
-    "streams of 16 bytes per amplitude)", unit="byte")
 
 #: refuse to compile diagonals beyond this register width (dense memory wall)
 MAX_COMPILED_QUBITS = 26
@@ -179,13 +170,6 @@ class CompiledObservable:
     def expectation(self, psi: np.ndarray) -> float:
         """Re <psi| H |psi> in one pass over the mask groups."""
         _M_EXPECT.inc()
-        if _obs.REGISTRY.enabled:
-            # roofline bookkeeping: the vdot costs one pass, each group a
-            # diag multiply + vdot (plus a gather stream when permuted)
-            dim = 1 << self.n_qubits
-            g = len(self._groups)
-            _M_MODEL_FLOPS.inc(8 * dim * (2 * g + 1))
-            _M_MODEL_BYTES.inc(16 * dim * (3 * g + 2))
         psi = np.asarray(psi).reshape(-1)
         total = self.constant * np.vdot(psi, psi)
         for perm, diag in self._groups:

@@ -94,9 +94,6 @@ _G_CACHED = _obs.counter(
 _G_GEMM = _obs.counter(
     "grad.gemm_calls",
     "GEMM invocations issued by overlap-environment advances")
-_G_FLOPS = _obs.counter(
-    "grad.modeled_flops",
-    "cost-model flops of the adjoint overlap contractions", unit="flop")
 _G_EQUIV = _obs.counter(
     "grad.eval_equivalents",
     "energy-evaluation equivalents consumed per gradient, labelled by "
@@ -227,9 +224,6 @@ class _OverlapEnvironments:
         bc = np.conj(self.bra.tensors[q])
         if _obs.REGISTRY.enabled:
             _G_GEMM.inc(2)
-            kl, _, kr = bk.shape
-            bl, _, br = bc.shape
-            _G_FLOPS.inc(16.0 * (kl * kr * bl + kr * bl * br))
         return kernel(env, bk, bc)
 
     def left(self, b: int) -> np.ndarray:
@@ -272,9 +266,6 @@ class _OverlapEnvironments:
             bc = np.conj(self.bra.tensors[q])
             if _obs.REGISTRY.enabled:
                 _G_GEMM.inc(2)
-                kl, _, kr = bk.shape
-                bl, _, br = bc.shape
-                _G_FLOPS.inc(16.0 * (kl * kr * bl + kr * bl * br))
             env = _advance_left(env, bk, bc)
         r = self.right(e + 1)
         return complex(np.einsum("ij,ij->", env[0], r[0]))

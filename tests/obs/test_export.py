@@ -119,10 +119,13 @@ class TestSchemaV2:
     def test_v1_documents_rejected(self, populated):
         reg, trc = populated
         doc = snapshot(reg, trc)
-        doc["schema"] = "repro.obs/1"
-        with pytest.raises(ValueError, match="unknown schema 'repro.obs/1'"
-                                             ".*'repro.obs/2'"):
-            validate_document(doc)
+        for retired in ("repro.obs/1", "repro.bench/1", "repro.cost/1"):
+            doc["schema"] = retired
+            with pytest.raises(ValueError) as err:
+                validate_document(doc)
+            assert str(err.value) == (
+                f"unknown schema {retired!r}; expected one of 'repro.obs/2', "
+                f"'repro.obs.flight/1', 'repro.obs.ts/1'")
 
     def test_merged_multiworker_document_roundtrips(self, populated):
         """The shape the parent produces after folding worker deltas -
@@ -150,23 +153,6 @@ class TestSchemaV2:
         tagged = [s for s in doc["spans"]
                   if s.get("attrs", {}).get("worker") is not None]
         assert {s["attrs"]["worker"] for s in tagged} == {0, 1}
-
-    def test_ledger_documents_dispatch_to_bench_validator(self):
-        ledger = {
-            "schema": "repro.bench/1",
-            "cases": {
-                "h2_sv_direct": {
-                    "energy": -1.0, "wall_s": 0.01,
-                    "counters": {"pauli.expectations": 8},
-                    "cost": {"schema": "repro.cost/1", "phases": {},
-                             "totals": {"flops": 0.0, "bytes": 0.0}},
-                },
-            },
-        }
-        validate_document(json.loads(json.dumps(ledger)))
-        ledger["cases"]["h2_sv_direct"].pop("counters")
-        with pytest.raises(ValueError, match="counters"):
-            validate_document(ledger)
 
 
 class TestFlightAndTelemetrySchemas:

@@ -27,6 +27,7 @@ from repro.common import cache
 from repro.operators.molecular import molecular_qubit_hamiltonian
 from repro.parallel.executor import clear_worker_compiled_cache
 from repro.vqe.energy import EnergyEvaluator
+from repro.vqe.gradients import n_parametric_gates
 
 #: one MPS energy evaluation at theta = 0 (a single direct measurement
 #: of the UCCSD reference state); keyed by (molecule, measurement mode).
@@ -57,9 +58,13 @@ MPS_BUDGETS = {
     ("h2", "per_term"): {**_H2_PREP, "mps_measure.env_steps": 0,
                          "mps_measure.gemm_calls": 0},
     ("lih", "sweep"): {**_LIH_PREP, "mps_measure.env_steps": 1767,
-                       "mps_measure.gemm_calls": 86},
+                       "mps_measure.gemm_calls": 86,
+                       "kernels.gemm_calls": 18052,
+                       "kernels.svd_calls": 6016},
     ("lih", "mpo"): {**_LIH_PREP, "mps_measure.env_steps": 0,
-                     "mps_measure.gemm_calls": 0},
+                     "mps_measure.gemm_calls": 0,
+                     "kernels.gemm_calls": 18110,
+                     "kernels.svd_calls": 6049},
 }
 
 #: the same evaluation on the ``decomposed()`` gate stream - the CNOT
@@ -112,22 +117,25 @@ class TestMPSBudgets:
     @pytest.mark.parametrize("mode", ["sweep", "mpo", "per_term"])
     def test_h2(self, h2, mode):
         ham, ansatz = _hamiltonian_and_ansatz(h2)
-        _, reg = _measured_energy(ham, ansatz, simulator="mps",
-                                  measurement=mode)
+        energy, reg = _measured_energy(ham, ansatz, simulator="mps",
+                                       measurement=mode)
         budget = MPS_BUDGETS[("h2", mode)]
         got = {name: reg.value(name) for name in budget}
         assert got == budget
         assert reg.value("mps_measure.evaluations", path=mode) == 1
+        # theta = 0 prepares the reference determinant
+        assert abs(energy - h2.scf.energy) <= 1e-10
 
     @pytest.mark.parametrize("mode", ["sweep", "mpo"])
     def test_lih(self, lih, mode):
         ham, ansatz = _hamiltonian_and_ansatz(lih)
-        _, reg = _measured_energy(ham, ansatz, simulator="mps",
-                                  measurement=mode)
+        energy, reg = _measured_energy(ham, ansatz, simulator="mps",
+                                       measurement=mode)
         budget = MPS_BUDGETS[("lih", mode)]
         got = {name: reg.value(name) for name in budget}
         assert got == budget
         assert reg.value("mps_measure.evaluations", path=mode) == 1
+        assert abs(energy - lih.scf.energy) <= 1e-10
 
     @pytest.mark.parametrize("molecule", ["h2", "lih"])
     def test_decomposed_stream_keeps_the_staircase_budget(self, request,
@@ -258,6 +266,14 @@ class TestParallelBudgets:
         assert reg.value("pauli.expectations") == self.H2_GROUPS
         assert reg.value("pauli.compiles") == self.H2_GROUPS
 
+    def test_unparallelised_evaluation_is_one_compiled_expectation(self, h2):
+        ham, ansatz = _hamiltonian_and_ansatz(h2)
+        energy, reg = _measured_energy(ham, ansatz, simulator="statevector")
+        assert reg.value("pauli.compiles") == 1
+        assert reg.value("pauli.expectations") == 1
+        assert reg.value("vqe.ansatz_runs") == 1
+        assert abs(energy - h2.scf.energy) <= 1e-10
+
     def test_counts_and_energy_identical_across_worker_counts(self, h2):
         runs = {w: self._run(h2, "thread", w) for w in (1, 2)}
         (e1, r1), (e2, r2) = runs[1], runs[2]
@@ -327,6 +343,11 @@ class TestProcessParity:
                 == TestParallelBudgets.H2_GROUPS // 2
         events = self._totals(reg, ("obs.merged_events",))
         assert events["obs.merged_events"] > 0
+        # the dense state crosses once and every worker attaches to it
+        transport = self._totals(
+            reg, ("transport.exports", "transport.attaches"))
+        assert transport == {"transport.exports": 1,
+                             "transport.attaches": 2}
 
     def test_full_vqe_run_counters_match_serial(self, h2):
         """A multi-iteration optimize loop keeps parity on the counters
@@ -532,6 +553,17 @@ GRADIENT_BUDGETS = {
         "grad.backward_sweeps": 1,
         "grad.gate_undos": 29384,     # 2 x 14692 gates
     },
+    # D = 16: 736 rotations + 4 reference X gates, bra only
+    ("lih", "mps"): {
+        "grad.forward_sweeps": 1,
+        "grad.backward_sweeps": 1,
+        "grad.gate_undos": 740,
+        "grad.gemm_calls": 13694,
+        "mps.pauli_rotation": 1472,
+        "mps.svd": 12043,
+        "mps.gate_2q": 0,
+        "mps.swap": 0,
+    },
 }
 
 
@@ -564,8 +596,11 @@ class TestGradientBudgets:
         assert reg.value("grad.evaluations", source="adjoint") == 1
         # forward + bra build + one backward evolution per un-evolved
         # state (dense: ket and bra; MPS: the bra)
-        assert reg.value("grad.eval_equivalents", source="adjoint") \
-            == {"mps": 3, "statevector": 4}[simulator]
+        equivalents = reg.value("grad.eval_equivalents", source="adjoint")
+        assert equivalents == {"mps": 3, "statevector": 4}[simulator]
+        # the adjoint acceptance: >= 5x fewer eval-equivalents than
+        # gate-wise parameter shift (2 per parametric gate)
+        assert 2 * n_parametric_gates(h2.uccsd_circuit) >= 5 * equivalents
 
     def test_h2_mps_without_trail(self, h2, monkeypatch):
         from repro.simulators import mps_circuit
@@ -607,6 +642,17 @@ class TestGradientBudgets:
         got = {name: reg.value(name) for name in budget}
         assert got == budget
         assert reg.value("grad.eval_equivalents", source="adjoint") == 4
+
+    def test_lih_mps(self, lih):
+        grad, reg = self._gradient(lih, simulator="mps",
+                                   max_bond_dimension=16)
+        budget = GRADIENT_BUDGETS[("lih", "mps")]
+        assert {name: reg.value(name) for name in budget} == budget
+        # irrespective of the 736 gates: 490x under parameter shift
+        assert reg.value("grad.eval_equivalents", source="adjoint") == 3
+        # the 2-norm the dense adjoint returns at theta = 0 as well
+        assert np.linalg.norm(grad) == pytest.approx(0.5464984104722,
+                                                     rel=1e-9)
 
     def test_bitwise_identical_across_executors_and_workers(self, h2):
         """The adjoint sweep never touches the executor layer, so its

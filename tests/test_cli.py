@@ -16,8 +16,9 @@ class TestParser:
         assert args.method == "vqe"
 
     @pytest.mark.parametrize("argv", [["calibrate"],
-                                      ["energy", "--tune", "auto"]])
-    def test_retired_autotuner_surface_is_an_argparse_error(self, argv):
+                                      ["energy", "--tune", "auto"],
+                                      ["bench"]])
+    def test_retired_surface_is_an_argparse_error(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -124,40 +125,6 @@ class TestMetricsOut:
         assert main(["energy", "--method", "dft",
                      "--metrics-out", str(path)]) == 1
         assert path.exists()
-
-
-class TestBenchCommand:
-    def test_single_case_ledger_and_gate(self, tmp_path, monkeypatch,
-                                         capsys):
-        import json
-
-        monkeypatch.chdir(tmp_path)  # no BENCH_baseline.json here
-        out = tmp_path / "BENCH_test.json"
-        assert main(["bench", "--case", "h2_sv_direct",
-                     "--out", str(out)]) == 0
-        assert "skipping the regression gate" in capsys.readouterr().out
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro.bench/1"
-        assert set(doc["cases"]) == {"h2_sv_direct"}
-
-        # gating a run against its own ledger is clean ...
-        assert main(["bench", "--case", "h2_sv_direct", "--out", str(out),
-                     "--baseline", str(out), "--no-wall-check"]) == 0
-        assert "no regressions" in capsys.readouterr().out
-
-        # ... and an injected counter drift trips the gate (exit 2)
-        doc["cases"]["h2_sv_direct"]["counters"]["pauli.expectations"] += 1
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text(json.dumps(doc))
-        assert main(["bench", "--case", "h2_sv_direct", "--out", str(out),
-                     "--baseline", str(bad), "--no-wall-check"]) == 2
-        assert "PERF REGRESSION" in capsys.readouterr().out
-
-    def test_missing_named_baseline(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--case", "h2_sv_direct",
-                     "--baseline", str(tmp_path / "nope.json")]) == 1
-        assert "not found" in capsys.readouterr().out
 
 
 class TestInfoCommand:

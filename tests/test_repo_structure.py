@@ -5,9 +5,11 @@ paper experiment mapped to a benchmark file, every example runnable -
 so documentation drift fails CI rather than accumulating silently.
 """
 
+import argparse
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -93,6 +95,27 @@ class TestExamples:
             assert '__name__ == "__main__"' in text, py.name
             tree = ast.parse(text)
             assert ast.get_docstring(tree), f"{py.name} lacks a docstring"
+
+
+class TestDocumentedCommands:
+    def test_documented_subcommands_are_registered(self):
+        from repro.__main__ import build_parser
+
+        registered = next(
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+        sources = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md")),
+                   REPO / ".github" / "workflows" / "ci.yml"]
+        stale = sorted(
+            (path.name, sub) for path in sources
+            for sub in re.findall(r"python3? -m repro ([a-z][\w-]*)",
+                                  path.read_text())
+            if sub not in registered)
+        assert not stale, f"docs name unregistered subcommands: {stale}"
+
+    def test_no_ledger_files_at_repo_root(self):
+        """Benchmark results live under benchmarks/e2e/results only."""
+        assert not sorted(p.name for p in REPO.glob("BENCH_*.json"))
 
 
 class TestPackaging:
