@@ -99,7 +99,7 @@ def test_ablation_gate_fusion(benchmark):
 
     ansatz = UCCSDAnsatz(5, 4)
     rng = default_rng(9)
-    # the elementary-gate stream: fusion has nothing to absorb into a PR
+    # the elementary-gate stream: fusion has nothing to absorb into an EX
     circ = ansatz.circuit().bind(0.1 * rng.standard_normal(
         ansatz.n_parameters)).decomposed()
     n = circ.n_qubits
@@ -169,7 +169,7 @@ def test_ablation_jw_vs_bk_on_mps(benchmark):
     Bravyi-Kitaev strings are lower weight but scattered, and SWAP routing
     for the linear MPS topology inflates the two-qubit gate count.  (The
     same locality is what keeps the span - the SVD count - of a directly
-    applied ``PR`` rotation short.)
+    applied ``EX`` excitation short.)
     """
     from repro.circuits.routing import route_to_nearest_neighbour
     from repro.circuits.uccsd import UCCSDAnsatz

@@ -9,7 +9,7 @@ faithful re-implementations of their algorithmic choices -
 * "MPS naive" - MPS on the decomposed CNOT-staircase stream without gate
                 fusion: one SVD per two-qubit gate and routing swap, every
                 single-qubit rotation applied individually (quimb stand-in);
-* "MPS opt"   - the paper's pipeline: each Pauli rotation applied whole
+* "MPS opt"   - the paper's pipeline: each excitation gate applied whole
                 (one SVD per bond of its span, no swaps) + fusion +
                 Hastings update + fused permute/GEMM kernels (the current
                 work).  The two MPS columns differ by the kernel, not only

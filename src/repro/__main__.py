@@ -273,6 +273,9 @@ def cmd_info(args) -> int:
     ansatz = UCCSDAnsatz(mo.n_orbitals, mo.n_electrons)
     circ = ansatz.circuit()
     gates = circ.decomposed()
+    # one level down: every excitation gate as its Pauli rotations
+    n_rotations = sum(len(g.decompose()) if g.name == "EX"
+                      else g.name == "PR" for g in circ)
     print(f"molecule        : {molecule.name or '(unnamed)'}")
     print(f"atoms/electrons : {molecule.n_atoms} / {molecule.n_electrons}")
     print(f"basis           : {args.basis} ({job.scf.n_ao} AOs)")
@@ -281,7 +284,8 @@ def cmd_info(args) -> int:
     print(f"qubits          : {mo.n_qubits}")
     print(f"Pauli strings   : {len(ham)}  (O(N^4) law, cf. paper Fig. 5)")
     print(f"UCCSD           : {ansatz.n_parameters} parameters, "
-          f"{circ.count_gates().get('PR', 0)} Pauli rotations = "
+          f"{circ.count_gates().get('EX', 0)} excitation gates = "
+          f"{n_rotations} Pauli rotations = "
           f"{len(gates)} gates ({gates.n_two_qubit_gates()} two-qubit)")
     from repro.backends import available_backends, backend_spec
 

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.circuits.gates import PARAMETRIC, Gate
+from repro.circuits.gates import COMPOSITE, PARAMETRIC, Gate
 
 #: Reference to an optimizer parameter: (index, multiplier).
 ParamRef = tuple[int, float]
@@ -100,21 +100,21 @@ class Circuit:
     def decomposed(self) -> "Circuit":
         """Equivalent circuit of one- and two-qubit gates only.
 
-        Every ``PR`` Pauli rotation is replaced by its CNOT staircase
-        (:meth:`repro.circuits.gates.Gate.decompose`), bound or not -
-        parameter references move to the central RZ, so binding and
-        decomposing commute.  This is the form the dense simulators, the
-        routing pass and gate-count reports consume; a circuit without
-        ``PR`` gates is returned as is.
+        :meth:`repro.circuits.gates.Gate.decompose` is applied until no
+        composite gate is left (``EX`` -> its ``PR`` rotations -> their CNOT
+        staircases), bound or not - parameter references move to the
+        central RZ of each staircase, so binding and decomposing commute.
+        This is the form the dense simulators, the routing pass and
+        gate-count reports consume; a circuit without composite gates is
+        returned as is.
         """
-        if all(g.name != "PR" for g in self.gates):
+        gates = self.gates
+        while any(g.name in COMPOSITE for g in gates):
+            gates = [e for g in gates for e in g.decompose()]
+        if gates is self.gates:
             return self
-        return Circuit(
-            n_qubits=self.n_qubits,
-            gates=[e for g in self.gates for e in g.decompose()],
-            n_parameters=self.n_parameters,
-            name=self.name,
-        )
+        return Circuit(n_qubits=self.n_qubits, gates=gates,
+                       n_parameters=self.n_parameters, name=self.name)
 
     # -- queries ---------------------------------------------------------------
 

@@ -12,10 +12,10 @@ Optionally, consecutive two-qubit gates acting on the same pair are merged.
 The output circuit contains only U2 (and possibly U1) gates, which is the
 densest form for the simulators.
 
-A ``PR`` Pauli rotation is already one unit for the MPS simulator and
-passes through unchanged.  It is a barrier on its qubits: single-qubit
-gates pending there are emitted as U1 gates in front of it, and nothing
-after it is folded backwards across it.
+A composite gate (``EX`` excitation, ``PR`` Pauli rotation) is already one
+unit for the MPS simulator and passes through unchanged.  It is a barrier
+on its qubits: single-qubit gates pending there are emitted as U1 gates in
+front of it, and nothing after it is folded backwards across it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.circuits.gates import Gate
+from repro.circuits.gates import COMPOSITE, Gate
 from repro.circuits.circuit import Circuit
 
 _ID2 = np.eye(2, dtype=complex)
@@ -36,7 +36,8 @@ def _expand_single(u: np.ndarray, position: int) -> np.ndarray:
 
 def fuse_single_qubit_gates(circuit: Circuit, *,
                             merge_two_qubit_runs: bool = True) -> Circuit:
-    """Return an equivalent circuit of fused U2 (+ residual U1, + PR) gates."""
+    """Return an equivalent circuit of fused U2 (+ residual U1, + composite)
+    gates."""
     if not circuit.is_bound():
         raise ValidationError("fusion requires a bound circuit")
 
@@ -46,7 +47,7 @@ def fuse_single_qubit_gates(circuit: Circuit, *,
     last_touch: dict[int, int] = {}
 
     for gate in circuit.gates:
-        if gate.name == "PR":
+        if gate.name in COMPOSITE:
             for q in gate.qubits:
                 if q in pending:
                     fused.append(Gate("U1", (q,), unitary=pending.pop(q)))

@@ -5,18 +5,28 @@ matrices use the convention that the *first* listed qubit is the most
 significant factor of the 4x4 kron ordering, i.e. basis order
 |q_a q_b> = |00>, |01>, |10>, |11> with q_a = gate.qubits[0].
 
-One gate is not elementary: ``PR``, the Pauli rotation
-exp(-i angle/2 P) over any number of qubits, which is what every UCCSD
-factor is.  The MPS simulator applies it whole
-(:meth:`repro.simulators.mps.MPS.apply_pauli_rotation`); every consumer
-that wants one- and two-qubit gates gets its CNOT staircase from
-:meth:`Gate.decompose` / :meth:`repro.circuits.circuit.Circuit.decomposed`.
+Two gates are not elementary (:data:`COMPOSITE`); both span any number of
+qubits and the MPS simulator applies both whole, in one sweep
+(:meth:`repro.simulators.mps.MPS.apply_excitation`,
+:meth:`repro.simulators.mps.MPS.apply_pauli_rotation`):
+
+* ``EX``, exp(angle (T - T+)) for a ladder product T of |1><0|, |0><1|
+  and Z factors - under Jordan-Wigner, one spin-orbital excitation, which
+  is what every UCCSD factor is;
+* ``PR``, the Pauli rotation exp(-i angle/2 P).
+
+Every consumer that wants one- and two-qubit gates reads them through
+:meth:`Gate.decompose`, which goes one level down (``EX`` -> its ``PR``
+rotations, ``PR`` -> its CNOT staircase), or
+:meth:`repro.circuits.circuit.Circuit.decomposed`, which goes all the way.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -49,7 +59,17 @@ GATE_MATRICES: dict[str, np.ndarray] = {
 }
 
 #: gates whose unitary depends on ``angle`` (and so may carry a ``param``)
-PARAMETRIC = frozenset({"RX", "RY", "RZ", "RZZ", "PR"})
+PARAMETRIC = frozenset({"RX", "RY", "RZ", "RZZ", "PR", "EX"})
+#: the n-qubit gates, with the alphabet of their ``pauli`` string; every
+#: other gate is elementary (one or two qubits)
+COMPOSITE = {"PR": "XYZ", "EX": "+-Z"}
+#: the ladder factors of an ``EX`` string: "+" = |1><0| raises an
+#: occupation (a Jordan-Wigner creation operator), "-" = |0><1| lowers it
+LADDER_MATRICES = {
+    "+": np.array([[0, 0], [1, 0]], dtype=complex),
+    "-": np.array([[0, 1], [0, 0]], dtype=complex),
+    "Z": GATE_MATRICES["Z"],
+}
 _CUSTOM = {"U1", "U2"}
 _HALF_PI = 0.5 * math.pi
 
@@ -84,13 +104,16 @@ class Gate:
     param:
         Optional ``(parameter_index, multiplier)``: the bound angle is
         ``multiplier * theta[parameter_index]``.  The multiplier carries the
-        Pauli coefficient of the UCC term the rotation came from.
+        coefficient of the UCC term the gate came from.
     unitary:
         Explicit matrix for custom gates ("U1": 2x2, "U2": 4x4).
     pauli:
-        For "PR" only: the Pauli string, one of X/Y/Z per entry of
-        ``qubits`` (ascending), e.g. ``Gate("PR", (0, 2, 3), pauli="XZY")``
-        is exp(-i angle/2 X0 Z2 Y3).
+        The string of a :data:`COMPOSITE` gate, one character per entry of
+        ``qubits`` (ascending).  "PR": X/Y/Z, e.g.
+        ``Gate("PR", (0, 2, 3), pauli="XZY")`` is exp(-i angle/2 X0 Z2 Y3).
+        "EX": +/-/Z with at least one ladder factor, e.g.
+        ``Gate("EX", (0, 1, 2), pauli="-Z+")`` is exp(angle (T - T+)) with
+        T = |0><1|_0 Z_1 |1><0|_2, the Jordan-Wigner image of a+_2 a_0.
     """
 
     name: str
@@ -106,8 +129,8 @@ class Gate:
             object.__setattr__(self, "name", nm)
         if nm in GATE_MATRICES:
             need = 1 if GATE_MATRICES[nm].shape[0] == 2 else 2
-        elif nm == "PR":
-            need = self._check_pauli()
+        elif nm in COMPOSITE:
+            need = self._check_string()
         elif nm in PARAMETRIC:
             need = 2 if nm == "RZZ" else 1
         elif nm == "U1":
@@ -125,16 +148,23 @@ class Gate:
         if nm in _CUSTOM and self.unitary is None:
             raise ValidationError(f"{nm} requires an explicit unitary")
 
-    def _check_pauli(self) -> int:
-        """Validate a PR gate's string; returns its qubit count."""
+    def _check_string(self) -> int:
+        """Validate a PR/EX gate's string; returns its qubit count."""
+        nm, alphabet = self.name, COMPOSITE[self.name]
         pauli = (self.pauli or "").upper()
-        if not pauli or any(ch not in "XYZ" for ch in pauli):
+        if not pauli or any(ch not in alphabet for ch in pauli):
             raise ValidationError(
-                f"PR needs a non-empty string over X/Y/Z, got {self.pauli!r}"
+                f"{nm} needs a non-empty string over {'/'.join(alphabet)}, "
+                f"got {self.pauli!r}"
+            )
+        if nm == "EX" and "+" not in pauli and "-" not in pauli:
+            raise ValidationError(
+                f"EX needs a ladder factor (+ or -): T = {pauli!r} is "
+                f"hermitian, so T - T+ vanishes"
             )
         if list(self.qubits) != sorted(self.qubits):
             raise ValidationError(
-                f"PR qubits must be ascending, got {self.qubits}"
+                f"{nm} qubits must be ascending, got {self.qubits}"
             )
         object.__setattr__(self, "pauli", pauli)
         return len(pauli)
@@ -166,29 +196,58 @@ class Gate:
                 )
             if self.name == "PR":
                 return self._pauli_rotation_matrix()
+            if self.name == "EX":
+                return self._excitation_matrix()
             return _rotation_matrix(self.name, self.angle)
         raise ValidationError(f"no matrix for gate {self.name!r}")
 
     def _pauli_rotation_matrix(self) -> np.ndarray:
         """cos(a/2) 1 - i sin(a/2) P over the gate's own qubits (MSB first)."""
-        p = np.ones((1, 1), dtype=complex)
-        for ch in self.pauli:
-            p = np.kron(p, GATE_MATRICES[ch])
+        p = reduce(np.kron, (GATE_MATRICES[ch] for ch in self.pauli))
         c, s = math.cos(self.angle / 2.0), math.sin(self.angle / 2.0)
         return c * np.eye(p.shape[0], dtype=complex) - 1j * s * p
 
-    def decompose(self) -> list["Gate"]:
-        """Elementary (one- and two-qubit) gates equal to this gate.
+    def _excitation_matrix(self) -> np.ndarray:
+        """exp(a kappa) for kappa = T - T+ over the gate's own qubits.
 
-        Every gate but ``PR`` is elementary already.  exp(-i angle/2 P)
-        compiles to the textbook CNOT staircase: single-qubit basis changes
-        bringing every factor to Z (H for X; RX(pi/2) maps Y -> Z), a CNOT
-        ladder accumulating the joint parity on the last support qubit,
-        RZ(angle) there, and the mirror image back.  The ladder couples
-        consecutive *support* qubits, so a string with identity gaps (every
-        Jordan-Wigner double excitation) emits non-adjacent CNOTs that a
-        linear-topology simulator must route with swaps.
+        T^2 = 0 and T T+ T = T make kappa^3 = -kappa, so the series closes:
+        exp(a kappa) = 1 + sin(a) kappa + (1 - cos(a)) kappa^2 with
+        kappa^2 = -(T T+ + T+ T).
         """
+        t = reduce(np.kron, (LADDER_MATRICES[ch] for ch in self.pauli))
+        td = t.conj().T
+        return (np.eye(t.shape[0], dtype=complex)
+                + math.sin(self.angle) * (t - td)
+                + (math.cos(self.angle) - 1.0) * (t @ td + td @ t))
+
+    def decompose(self) -> list["Gate"]:
+        """This gate one level down: ``EX`` -> ``PR`` -> elementary gates.
+
+        An elementary gate is its own decomposition.
+
+        ``EX`` becomes the ``PR`` rotations of :func:`ladder_pauli_terms`,
+        exp(a kappa) = prod_k exp(i a c_k P_k): two for a single excitation,
+        eight for a double; they commute.  The strings are derived from
+        the ladder string, not stored beside it.
+
+        ``PR``, exp(-i angle/2 P), compiles to the textbook CNOT staircase:
+        single-qubit basis changes bringing every factor to Z (H for X;
+        RX(pi/2) maps Y -> Z), a CNOT ladder accumulating the joint parity
+        on the last support qubit, RZ(angle) there, and the mirror image
+        back.  The ladder couples consecutive *support* qubits, so a string
+        with identity gaps (every Jordan-Wigner double excitation) emits
+        non-adjacent CNOTs that a linear-topology simulator must route with
+        swaps.
+        """
+        if self.name == "EX":
+            # PR(b) = exp(-i b/2 P), so exp(i a c P) is PR(-2 c a)
+            return [
+                Gate("PR", self.qubits, pauli=pauli,
+                     angle=None if self.angle is None
+                     else -2.0 * c * self.angle,
+                     param=None if self.param is None
+                     else (self.param[0], -2.0 * c * self.param[1]))
+                for pauli, c in ladder_pauli_terms(self.pauli)]
         if self.name != "PR":
             return [self]
         pre: list[Gate] = []
@@ -205,6 +264,43 @@ class Gate:
         rz = Gate("RZ", (self.qubits[-1],), angle=self.angle,
                   param=self.param)
         return pre + ladder + [rz] + ladder[::-1] + post[::-1]
+
+
+def ladder_pauli_terms(ladder: str) -> list[tuple[str, float]]:
+    """The Pauli form of kappa = T - T+ for a ladder product T.
+
+    ``ladder`` is an ``EX`` string; returns ``(pauli string, c)`` pairs
+    with kappa = sum_k i c_k P_k.  Expanding |1><0| = (X - iY)/2 and
+    |0><1| = (X + iY)/2 over the k ladder sites gives every X/Y pattern
+    there (Z factors stay Z); T - T+ keeps the anti-hermitian half - the
+    2^(k-1) patterns with an odd number of Y - with
+    c = 2^(1-k) (-1)^((#Y - 1)/2) prod_{Y sites} (+1 for "-", -1 for "+").
+    The strings share one flip mask and so commute pairwise.
+
+    They come in the order the Jordan-Wigner product of the k ladder
+    operators expands in, highest qubit first: X before Y on each site,
+    except that the parity string of every operator above turns a site's X
+    into Y, so sites with an odd number of ladder sites above them read Y
+    first.  Any order is the same gate; this one makes the decomposed
+    form of a closed-shell Jordan-Wigner UCCSD circuit, gate for gate, the
+    circuit that emits one rotation per string of
+    ``Excitation.pauli_terms``.
+    """
+    sites = [j for j, ch in enumerate(ladder) if ch != "Z"]
+    k = len(sites)
+    orders = ["XY" if above % 2 == 0 else "YX" for above in range(k)]
+    terms = []
+    for pattern in itertools.product(*orders):
+        # pattern[0] sits on the highest ladder site
+        ys = [j for j, ch in zip(reversed(sites), pattern) if ch == "Y"]
+        if len(ys) % 2 == 0:
+            continue
+        chars = ["Z" if ch == "Z" else "X" for ch in ladder]
+        for j in ys:
+            chars[j] = "Y"
+        minus = (len(ys) - 1) // 2 + sum(ladder[j] == "+" for j in ys)
+        terms.append(("".join(chars), (-1.0) ** minus * 2.0 ** (1 - k)))
+    return terms
 
 
 def controlled_pauli_gate(control: int, target: int, pauli: str) -> Gate:

@@ -14,12 +14,19 @@ two-qubit-gate circuits for the kernel and simulator micro-benchmarks
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from repro.common.errors import ValidationError
 from repro.common.rng import default_rng
 from repro.circuits.gates import Gate
 from repro.circuits.circuit import Circuit
+
+
+def _haar_unitary(dim: int, rng) -> np.ndarray:
+    """One Haar-random unitary.  ``scipy.stats`` is imported here, by the
+    two generators that draw, because it is a third of ``import repro``."""
+    from scipy.stats import unitary_group
+
+    return np.asarray(unitary_group.rvs(dim, random_state=rng), complex)
 
 
 def brick_ansatz(n_qubits: int, window: int = 4, sweeps: int = 1) -> Circuit:
@@ -63,8 +70,7 @@ def random_brick_circuit(n_qubits: int, n_layers: int,
     for layer in range(n_layers):
         first = layer % 2
         for q in range(first, n_qubits - 1, 2):
-            u = unitary_group.rvs(4, random_state=rng)
-            c.append(Gate("U2", (q, q + 1), unitary=np.asarray(u, complex)))
+            c.append(Gate("U2", (q, q + 1), unitary=_haar_unitary(4, rng)))
     return c
 
 
@@ -73,6 +79,5 @@ def random_product_layer(n_qubits: int, seed: int | None = None) -> Circuit:
     rng = default_rng(seed)
     c = Circuit(n_qubits=n_qubits, name="random_1q_layer")
     for q in range(n_qubits):
-        u = unitary_group.rvs(2, random_state=rng)
-        c.append(Gate("U1", (q,), unitary=np.asarray(u, complex)))
+        c.append(Gate("U1", (q,), unitary=_haar_unitary(2, rng)))
     return c

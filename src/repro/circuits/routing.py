@@ -4,8 +4,8 @@ The staircases of Jordan-Wigner double excitations have identity gaps (see
 :mod:`repro.circuits.trotter`) and the Hadamard-test measurement circuits
 couple an ancilla to arbitrary qubits.  This pass rewrites any circuit so
 every two-qubit gate acts on adjacent qubits, by swapping the first operand
-next to the second and back; ``PR`` Pauli rotations are decomposed into
-their staircases first.  All simulators accept the routed circuit
+next to the second and back; composite gates (``EX``, ``PR``) are
+decomposed into their staircases first.  All simulators accept the routed circuit
 unchanged, which keeps cross-simulator comparisons (Fig. 8)
 apples-to-apples.
 """

@@ -5,11 +5,21 @@ a Hartree-Fock reference prepared by X gates followed by the first-order
 Suzuki-Trotter decomposition of exp(T - T+), with one variational parameter
 per spatial-orbital excitation (spin components share their amplitude).
 
-Under Jordan-Wigner each excitation generator maps to a set of mutually
-commuting Pauli strings with purely imaginary coefficients i*c_k, so each
-factor exp(theta_m (tau_m - tau_m+)) is exactly a product of Pauli
-rotations exp(i c_k theta_m P_k), emitted as one ``PR`` gate each
-(``Circuit.decomposed()`` turns them into CNOT staircases).
+Each excitation generator maps to Pauli strings with purely imaginary
+coefficients i*c_k.  They do *not* all commute (96 of the 462 pairs inside
+one generator anticommute for H2/6-31G), so the order of the first-order
+Trotter product is part of the ansatz.  What holds: strings sharing a flip
+mask (the same X/Y sites) commute, and ``Excitation.pauli_terms`` lists
+every flip-mask group contiguously, so the product of exp(i c_k theta_m P_k)
+over the strings in that order is the product over the groups
+(:attr:`Excitation.mask_groups`, same order) of
+exp(theta_m sum_{k in group} i c_k P_k).  The groups themselves need not
+commute (the two spin components of a mixed double share their occupied
+pair), so that order is kept.  Under Jordan-Wigner every group is one
+spin-orbital excitation t (T - T+) and is emitted as one ``EX`` gate; a
+group that is not (Bravyi-Kitaev, generalized excitations) is emitted as
+one ``PR`` rotation per string.  ``Circuit.decomposed()`` turns either into
+CNOT staircases.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from repro.operators.jordan_wigner import jordan_wigner
 from repro.operators.pauli import PauliTerm
 from repro.circuits.gates import Gate
 from repro.circuits.circuit import Circuit
-from repro.circuits.trotter import pauli_rotation_gate
+from repro.circuits.trotter import excitation_gate, pauli_rotation_gate
 
 
 @dataclass
@@ -35,6 +45,18 @@ class Excitation:
     param_index: int
     #: (PauliTerm, real coefficient c) pairs: generator = sum_k i c_k P_k
     pauli_terms: list[tuple[PauliTerm, float]] = field(default_factory=list)
+    #: ``pauli_terms`` split by flip mask (``PauliTerm.x``), groups in
+    #: order of first appearance.  The strings of a group commute with each
+    #: other and sit next to each other in ``pauli_terms``, so the
+    #: excitation is the product of exp(theta sum_{k in group} i c_k P_k)
+    #: over the groups in this order (the groups need not commute)
+    mask_groups: list[list[tuple[PauliTerm, float]]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        groups: dict[int, list[tuple[PauliTerm, float]]] = {}
+        for pt, c in self.pauli_terms:
+            groups.setdefault(pt.x, []).append((pt, c))
+        self.mask_groups = list(groups.values())
 
 
 class UCCSDAnsatz:
@@ -173,11 +195,16 @@ class UCCSDAnsatz:
         for q in self._reference_qubits():
             c.append(Gate("X", (q,)))
         for exc in self.excitations:
-            for pt, coeff in exc.pauli_terms:
-                # exp(i (coeff * theta_m) P); excitation terms are never
-                # the identity string, so a gate always comes back
-                c.append(pauli_rotation_gate(
-                    pt, n, param=(exc.param_index, coeff)))
+            for group in exc.mask_groups:
+                gate = excitation_gate(group, exc.param_index)
+                if gate is not None:
+                    c.append(gate)
+                    continue
+                for pt, coeff in group:
+                    # exp(i (coeff * theta_m) P); excitation terms are
+                    # never the identity string, so a gate always comes back
+                    c.append(pauli_rotation_gate(
+                        pt, n, param=(exc.param_index, coeff)))
         return c
 
     def initial_parameters(self, kind: str = "zeros",

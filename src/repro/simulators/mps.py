@@ -11,12 +11,16 @@ Implements the paper's Sec. III-A verbatim:
 * the left tensor is restored with the Hastings trick B = M V+ (Eq. 10),
   which avoids dividing by small Schmidt values and keeps both tensors
   right-canonical;
-* a Pauli rotation exp(-i a/2 P) over any span is applied whole, as its
-  bond-dimension-2 MPO cos(a/2) 1 - i sin(a/2) P followed by one
-  compression sweep that runs Eqs. 8-10 once per bond of the span
-  (:meth:`MPS.apply_pauli_rotation`) - no CNOT staircase, no routing swaps;
-* local expectation values close with lambda^2 on the left and the
-  right-canonical identity on the right (Eq. 11);
+* a gate that is a short sum of product operators over any span is applied
+  whole, as that sum's MPO followed by one compression sweep that runs
+  Eqs. 8-10 once per bond of the span - no CNOT staircase, no routing
+  swaps: a fermionic excitation exp(a (T - T+)) is five product operators
+  (:meth:`MPS.apply_excitation`), a Pauli rotation exp(-i a/2 P) two
+  (:meth:`MPS.apply_pauli_rotation`);
+* local expectation values close with the environments of the support's
+  two end bonds - lambda^2 on the left and the right-canonical identity on
+  the right (Eq. 11) while nothing has been truncated, the exact
+  contractions always (:meth:`MPS.environments`);
 * the cumulative discarded Schmidt weight is tracked as the truncation-error
   monitor the paper describes, with an optional hard ceiling that raises
   :class:`repro.common.errors.TruncationOverflowError`.
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.circuits.gates import GATE_MATRICES
+from repro.circuits.gates import GATE_MATRICES, LADDER_MATRICES
 from repro.common.errors import TruncationOverflowError, ValidationError
 from repro.common.rng import default_rng
 from repro.obs import metrics as _obs
@@ -51,6 +55,11 @@ _M_GATE_2Q = _obs.counter(
     "mps.gate_2q", "two-qubit gate applications (before routing)")
 _M_SWAP = _obs.counter(
     "mps.swap", "adjacent SWAPs inserted by routing plans")
+_M_EXCITATION = _obs.counter(
+    "mps.excitation",
+    "fermionic excitations exp(a (T - T+)) applied as one bond-5 MPO update "
+    "+ compression sweep (spans of two or more sites; one SVD per bond of "
+    "the span)")
 _M_ROTATION = _obs.counter(
     "mps.pauli_rotation",
     "Pauli rotations applied as one bond-2 MPO update + compression sweep "
@@ -74,21 +83,63 @@ _SWAP = np.array([[1, 0, 0, 0],
                   [0, 1, 0, 0],
                   [0, 0, 0, 1]], dtype=complex)
 
-#: P.B on a (left, physical, right) site tensor without a GEMM, as (flip
-#: the physical index?, scale of its two entries after the flip)
-_PAULI_ACTION = {
-    "X": (True, None),
-    "Y": (True, np.array([-1j, 1j]).reshape(1, 2, 1)),
-    "Z": (False, np.array([1.0, -1.0]).reshape(1, 2, 1)),
-}
+#: O.B on the physical (middle) index of a site tensor without a GEMM:
+#: every one-site operator the sweeps and overlaps use has one nonzero per
+#: row, so (O B)[:, i, :] = v_i B[:, j_i, :] - an index selection and a
+#: scale, stored as ((j_0, j_1), (v_0, v_1)).  "+" = |1><0| and
+#: "-" = |0><1| are the ladder factors of an excitation, "0" / "1" the
+#: projectors |0><0| / |1><1| their products leave behind
+_SITE_ACTION = {
+    ch: (np.array(source), np.array(scale).reshape(1, 2, 1))
+    for ch, source, scale in (
+        ("I", (0, 1), (1.0, 1.0)),
+        ("X", (1, 0), (1.0, 1.0)),
+        ("Y", (1, 0), (-1j, 1j)),
+        ("Z", (0, 1), (1.0, -1.0)),
+        ("+", (0, 0), (0.0, 1.0)),
+        ("-", (1, 1), (1.0, 0.0)),
+        ("0", (0, 1), (1.0, 0.0)),
+        ("1", (0, 1), (0.0, 1.0)),
+    )}
 
 
-def _pauli_times(ch: str, b: np.ndarray) -> np.ndarray:
-    """P.B for P in X/Y/Z acting on the physical (middle) index of ``b``."""
-    flip, phase = _PAULI_ACTION[ch]
-    if flip:
-        b = b[:, ::-1, :]
-    return b if phase is None else b * phase
+def site_operator_times(ch: str, b: np.ndarray) -> np.ndarray:
+    """O.B for a one-site operator O named in ``_SITE_ACTION``."""
+    source, scale = _SITE_ACTION[ch]
+    return b.take(source, axis=1) * scale
+
+
+def _stacking_tables(channels: dict) -> dict:
+    """Site actions of a sum of w product operators, ready to stack.
+
+    ``channels`` names, for each character of a gate's string (None: a
+    site the string skips), the one-site operator of every product
+    operator in the sum.  The sweep holds the w blocks of a site as one
+    (left, w x physical, right) array; per character this returns what
+    builds it: the source index of every (block, physical) row in the bare
+    site tensor (the first site, where every block starts from the same
+    tensor), the same in a (physical, block)-ordered product with the
+    carry (every later site), and the row scales (None when all are 1).
+    """
+    tables = {}
+    for ch, ops in channels.items():
+        w = len(ops)
+        source = np.array([_SITE_ACTION[op][0] for op in ops])
+        scale = np.array([_SITE_ACTION[op][1].ravel() for op in ops])
+        tables[ch] = (
+            source.ravel(),
+            (source * w + np.arange(w)[:, None]).ravel(),
+            None if np.all(scale == 1.0) else scale.reshape(1, 2 * w, 1))
+    return tables
+
+
+#: cos(a/2) 1 - i sin(a/2) P: the blocks 1, P
+_ROTATION_TABLES = _stacking_tables(
+    {"X": "IX", "Y": "IY", "Z": "IZ", None: "II"})
+#: 1 + sin(a) (T - T+) + (cos(a) - 1) (T T+ + T+ T): the blocks 1, T, T+,
+#: T T+, T+ T
+_EXCITATION_TABLES = _stacking_tables(
+    {"+": "I+-10", "-": "I-+01", "Z": "IZZII", None: "IIIII"})
 
 
 @dataclass
@@ -171,6 +222,8 @@ class MPS:
         #: operation; measurement-side environment caches key on it so a
         #: stale environment can never be read against an evolved state
         self.revision = 0
+        #: (revision, left, right) of the last :meth:`environments` call
+        self._environments: tuple | None = None
         # |0...0> product state
         self.tensors: list[np.ndarray] = []
         for _ in range(n_qubits):
@@ -306,11 +359,44 @@ class MPS:
         lam2 = lam2[lam2 > 1e-16]
         return float(-np.sum(lam2 * np.log(lam2)))
 
+    def environments(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Exact ``(left, right)`` environments of every bond, as
+        ``[ket, bra]`` matrices: ``left[b]`` contracts sites < b of
+        <psi|psi>, ``right[b]`` sites >= b.
+
+        On an exactly canonical state they are diag(lambda_b^2) and the
+        identity (Eq. 11).  A truncating Hastings update keeps that only
+        up to the weight it discards - B_q = M V+ stops being an isometry
+        once V+ drops columns, and the Schmidt bases of every other bond
+        move with the truncated state - so <H> closed with lambda^2 and 1
+        is an estimate inside the truncation bound, not a Rayleigh
+        quotient (an optimizer finds parameters where it reads below the
+        ground state).  Measurements close with these instead: two chain
+        sweeps of two small GEMMs per site, kept until the state changes.
+        """
+        if self._environments is None \
+                or self._environments[0] != self.revision:
+            n = self.n_qubits
+            left = [np.ones((1, 1), dtype=complex)]
+            for b in self.tensors:
+                dl, _, dr = b.shape
+                a = left[-1].T @ b.reshape(dl, 2 * dr)
+                left.append(a.reshape(dl * 2, dr).T
+                            @ b.conj().reshape(dl * 2, dr))
+            right = [np.ones((1, 1), dtype=complex)] * (n + 1)
+            for q in range(n - 1, -1, -1):
+                b = self.tensors[q]
+                dl, _, dr = b.shape
+                t = b.reshape(dl * 2, dr) @ right[q + 1]
+                right[q] = t.reshape(dl, 2 * dr) \
+                    @ b.conj().reshape(dl, 2 * dr).T
+            self._environments = (self.revision, left, right)
+        return self._environments[1], self._environments[2]
+
     def norm(self) -> float:
         """State norm (1 up to accumulated truncation loss)."""
-        # right-canonical: norm^2 = sum_i |tensor_0|^2 contracted... the
-        # full contraction reduces to Frobenius norm of the first tensor
-        return float(np.linalg.norm(self.tensors[0]))
+        left, _ = self.environments()
+        return float(np.sqrt(left[-1][0, 0].real))
 
     def check_right_canonical(self, tolerance: float = 1e-9) -> bool:
         """Verify the right-canonical invariant on every site."""
@@ -431,77 +517,135 @@ class MPS:
 
         ``ops`` is the sparse ``(qubit, 'X'|'Y'|'Z')`` list of the string
         (:meth:`repro.operators.pauli.PauliTerm.ops`); the angle convention
-        is the ``PR``/``RZ`` gate's.  The rotation is the bond-dimension-2
-        MPO cos(a/2) 1 - i sin(a/2) P over the span [lo, hi] of the string:
+        is the ``PR``/``RZ`` gate's.  The rotation is the sum of two product
+        operators cos(a/2) 1 - i sin(a/2) P, a bond-dimension-2 MPO over the
+        span of the string (:meth:`_apply_product_sum`): hi - lo SVDs and no
+        swaps, against 2(k - 1) two-site updates plus the routing swaps of
+        every identity gap for the CNOT staircase of a weight-k string, and
+        it truncates less: the staircase's mid-ladder states carry more
+        entanglement than the states before and after the rotation, the
+        sweep only ever truncates the rotated state itself.  A one-site
+        span is a plain single-qubit gate.
+        """
+        factors = self._string_factors(ops, _ROTATION_TABLES)
+        c, sn = np.cos(0.5 * angle), np.sin(0.5 * angle)
+        if len(factors) == 1:
+            (q, ch), = factors.items()
+            self.apply_one_qubit(
+                c * GATE_MATRICES["I"] - 1j * sn * GATE_MATRICES[ch], q)
+            return
+        if _obs.REGISTRY.enabled:
+            _M_ROTATION.inc()
+        self._apply_product_sum(factors, _ROTATION_TABLES,
+                                np.array([c, -1j * sn]))
 
-        1. *stack*: every site tensor of the span becomes the pair
-           (B_q, P_q B_q) - identity on gap sites, cos and -i sin folded
-           into site lo - which doubles the bonds lo+1..hi.  P_q B_q is an
-           index flip and/or sign, no GEMM;
+    def apply_excitation(self, ops, angle: float) -> None:
+        """Apply exp(angle (T - T+)) for a ladder product T in one sweep.
+
+        ``ops`` is the sparse ``(qubit, '+'|'-'|'Z')`` list of T, the
+        ``EX`` gate's string: "+" = |1><0|, "-" = |0><1|, at least one of
+        them.  kappa = T - T+ obeys kappa^3 = -kappa, so the exponential is
+        exactly 1 + sin(a) (T - T+) + (cos(a) - 1) (T T+ + T+ T): five
+        product operators, a bond-dimension-5 MPO over the span of T
+        (:meth:`_apply_product_sum`), whose site actions are index
+        selections and signs.  That is one sweep - hi - lo SVDs - for what
+        is 2 (a single) or 8 (a double) Pauli rotations over the same span.
+        When T conserves particle number (as many "+" as "-": every UCC
+        excitation) so does the gate, and the sweep never leaves the
+        sector: a single Pauli rotation of the 2 or 8 does, so the states
+        between them carry entanglement the state before and after the
+        excitation does not, which a capped bond then truncates.
+        """
+        factors = self._string_factors(ops, _EXCITATION_TABLES)
+        if "+" not in factors.values() and "-" not in factors.values():
+            raise ValidationError(
+                f"excitation {list(factors.items())} has no ladder factor")
+        sn, c = np.sin(angle), np.cos(angle)
+        if len(factors) == 1:
+            (q, ch), = factors.items()
+            t = LADDER_MATRICES[ch]
+            self.apply_one_qubit(
+                c * GATE_MATRICES["I"] + sn * (t - t.conj().T), q)
+            return
+        if _obs.REGISTRY.enabled:
+            _M_EXCITATION.inc()
+        self._apply_product_sum(factors, _EXCITATION_TABLES,
+                                np.array([1.0, sn, -sn, c - 1.0, c - 1.0]))
+
+    def _string_factors(self, ops, tables: dict) -> dict[int, str]:
+        """Validated ``{qubit: character}`` of an n-qubit gate's string."""
+        ops = list(ops)
+        factors = dict(ops)
+        if not factors or len(factors) != len(ops):
+            raise ValidationError(
+                f"a gate string needs distinct qubits, got {ops}")
+        if min(factors) < 0 or max(factors) >= self.n_qubits:
+            raise ValidationError(f"gate string {ops} out of range")
+        if any(ch is None or ch not in tables for ch in factors.values()):
+            raise ValidationError(f"bad gate string {ops}")
+        if self.update_scheme != "hastings":
+            raise ValidationError(
+                "whole-gate application implements the Hastings update "
+                f"only; run the decomposed() gate stream on a "
+                f"{self.update_scheme!r} state")
+        return factors
+
+    def _apply_product_sum(self, factors: dict[int, str], tables: dict,
+                           coeffs: np.ndarray) -> None:
+        """Apply sum_c coeffs[c] (x)_q O_q^c over the span of ``factors``.
+
+        ``tables`` (:func:`_stacking_tables`) holds the one-site operators
+        O^c of the w product operators for every character of ``factors``;
+        sites of the span [lo, hi] that ``factors`` skips carry the
+        identity.  The sum is a bond-dimension-w MPO:
+
+        1. *stack*: every site tensor of the span becomes its w blocks
+           O_q^c B_q, which multiplies the bonds lo+1..hi by w.  O_q^c B_q
+           is an index selection and a scale, no GEMM; the coefficients
+           are folded into site lo, where the blocks are summed;
         2. *QR sweep*, right to left over hi..lo+1: restores right-canonical
            form on those sites and pushes the non-orthogonal remainder
            into site lo;
         3. *compression sweep*, left to right: Eqs. 8-10 once per bond -
            scale by the left Schmidt values, truncated SVD at the state's D
            and cutoff, Hastings B_q = M V+, renormalize after a truncation.
-
-        That is hi - lo SVDs and no swaps, against 2(k - 1) two-site
-        updates plus the routing swaps of every identity gap for the CNOT
-        staircase of a weight-k string, and it truncates less: the
-        staircase's mid-ladder states carry more entanglement than the
-        states before and after the rotation, this sweep only ever
-        truncates the rotated state itself.  A one-site span is a plain
-        single-qubit gate.
         """
-        ops = list(ops)
-        factors = dict(ops)
-        if not factors or len(factors) != len(ops):
-            raise ValidationError(
-                f"Pauli rotation needs distinct qubits, got {ops}")
         lo, hi = min(factors), max(factors)
-        if lo < 0 or hi >= self.n_qubits:
-            raise ValidationError(f"Pauli support {ops} out of range")
-        if any(ch not in _PAULI_ACTION for ch in factors.values()):
-            raise ValidationError(f"bad Pauli string {ops}")
-        if self.update_scheme != "hastings":
-            raise ValidationError(
-                "apply_pauli_rotation implements the Hastings update only; "
-                f"run the decomposed() gate stream on a "
-                f"{self.update_scheme!r} state")
-        c, sn = np.cos(0.5 * angle), np.sin(0.5 * angle)
-        if lo == hi:
-            self.apply_one_qubit(
-                c * GATE_MATRICES["I"] - 1j * sn * GATE_MATRICES[factors[lo]],
-                lo)
-            return
-        if _obs.REGISTRY.enabled:
-            _M_ROTATION.inc()
         be = self.backend
+        w = coeffs.size
 
-        def stacked_pair(q, carry):
-            """(B_q . carry[0], P_q B_q . carry[1]): the two MPO blocks."""
-            top = bot = self.tensors[q]
-            if carry is not None:
-                # one GEMM for both blocks: (l, i, block, new right bond)
-                prod = tensordot_fused(top, carry, axes=((2,), (1,)),
-                                       backend=be)
-                top, bot = prod[:, :, 0, :], prod[:, :, 1, :]
-            ch = factors.get(q)
-            return top, bot if ch is None else _pauli_times(ch, bot)
+        def stacked(q, carry, weights=None):
+            """The w blocks of site q as (left, block x physical, right),
+            each row times ``weights`` if given."""
+            first, later, scale = tables[factors.get(q)]
+            b = self.tensors[q]
+            if carry is None:
+                blocks = b.take(first, axis=1)
+            else:
+                # one GEMM for all blocks: (left, physical, block x new right)
+                blocks = tensordot_fused(
+                    b, carry, axes=((2,), (0,)), backend=be
+                ).reshape(b.shape[0], 2 * w, -1).take(later, axis=1)
+            if weights is not None:
+                scale = weights if scale is None else scale * weights
+            if scale is not None:
+                blocks *= scale
+            return blocks
 
-        # steps 1 + 2, from hi down to lo + 1; ``carry`` is the (block,
-        # old right bond, new right bond) remainder each QR hands left
+        # steps 1 + 2, from hi down to lo + 1; ``carry`` is the (old left
+        # bond, block x new left bond) remainder each QR hands left
         carry = None
         canon: dict[int, np.ndarray] = {}
         for q in range(hi, lo, -1):
-            top, bot = stacked_pair(q, carry)
-            dl, _, k = top.shape
-            rows = np.concatenate((top, bot), axis=0).reshape(2 * dl, 2 * k)
-            qm, rm = np.linalg.qr(rows.conj().T)
-            canon[q] = qm.conj().T.reshape(-1, 2, k)
-            carry = rm.conj().T.reshape(2, dl, -1)
-        top, bot = stacked_pair(lo, carry)
-        cur = c * top - 1j * sn * bot
+            blocks = stacked(q, carry)
+            dl, _, k = blocks.shape
+            # rows = R^T Q^T with Q^T Q^* = 1: an LQ without conjugations
+            qm, rm = np.linalg.qr(blocks.reshape(dl * w, 2 * k).T)
+            canon[q] = qm.T.reshape(-1, 2, k)
+            carry = rm.T.reshape(dl, -1)
+        blocks = stacked(lo, carry, np.repeat(coeffs, 2).reshape(1, 2 * w, 1))
+        dl, _, k = blocks.shape
+        cur = blocks.reshape(dl, w, 2, k).sum(axis=1)
         # step 3: Eqs. 8-10 once per bond, left to right
         for q in range(lo, hi):
             lam_left = self.lambdas[q]
@@ -524,8 +668,9 @@ class MPS:
         """<psi| prod_q O_q |psi> for single-site operators O_q (Eq. 11).
 
         The transfer contraction runs over the contiguous range spanning the
-        support; identity is used on gap sites; the right-canonical identity
-        closes the contraction past the last site.
+        support, between the exact environments of its end bonds
+        (:meth:`environments`), and is divided by <psi|psi>; identity is
+        used on gap sites.
         """
         if not ops:
             return 1.0 + 0.0j
@@ -533,8 +678,8 @@ class MPS:
         if sites[0] < 0 or sites[-1] >= self.n_qubits:
             raise ValidationError("operator support out of range")
         s0 = sites[0]
-        lam = self.lambdas[s0]
-        env = np.diag((lam * lam).astype(complex))  # [ket, bra]
+        left, right = self.environments()
+        env = left[s0]  # [ket, bra]
         for q in range(s0, sites[-1] + 1):
             b = self.tensors[q]
             op = ops.get(q)
@@ -549,7 +694,8 @@ class MPS:
                                   backend=self.backend)      # m i r
             env = tensordot_fused(tmp, b.conj(), axes=((0, 1), (0, 1)),
                                   backend=self.backend)      # r s
-        return complex(np.trace(env))
+        return complex(np.sum(env * right[sites[-1] + 1])
+                       / left[-1][0, 0].real)
 
     def expectation_pauli(self, term) -> float:
         """<psi| P |psi> for a Pauli string (uses the local-op contraction)."""
@@ -585,7 +731,9 @@ class MPS:
         Exploits the right-canonical form: sweeping left to right, the
         conditional distribution of qubit k given the already-sampled
         prefix comes from one small contraction per site, never
-        materializing the 2^n distribution.  All samples advance together:
+        materializing the 2^n distribution (on a truncated state the form,
+        and so the distribution, holds up to the discarded weight - see
+        :meth:`environments`).  All samples advance together:
         their left-bond environment vectors are stacked into one
         (n_samples, D) matrix, so each site costs two GEMMs for the whole
         batch instead of a Python-level loop per sample.  (This is the

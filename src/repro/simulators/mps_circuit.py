@@ -2,12 +2,13 @@
 
 Two operating modes reproduce the Fig. 8 software comparison:
 
-* ``optimized`` - the paper's pipeline: every ``PR`` Pauli rotation is
-  applied whole (:meth:`repro.simulators.mps.MPS.apply_pauli_rotation`: one
-  SVD per bond of its span, no swaps), single-qubit gates are absorbed into
-  two-qubit gates by the fusion pass, contractions run through the fused
-  permute+GEMM kernels, and the Hastings update avoids dividing by Schmidt
-  values;
+* ``optimized`` - the paper's pipeline: every ``EX`` excitation and ``PR``
+  Pauli rotation is applied whole
+  (:meth:`repro.simulators.mps.MPS.apply_excitation` /
+  ``apply_pauli_rotation``: one SVD per bond of its span, no swaps),
+  single-qubit gates are absorbed into two-qubit gates by the fusion pass,
+  contractions run through the fused permute+GEMM kernels, and the
+  Hastings update avoids dividing by Schmidt values;
 * ``naive`` - the quimb-like reference: the circuit is decomposed into
   elementary gates and every one of them (each CNOT of a rotation's
   staircase, each single-qubit rotation) is applied individually,
@@ -31,15 +32,17 @@ from repro.simulators.mps_measure import MEASUREMENT_MODES, MPSMeasurementEngine
 
 
 #: most bytes of replaced site tensors one :class:`ForwardTrail` retains.
-#: Frozen-core LiH at D = 8 replaces 1.1 MB over its 144 rotations, full LiH
-#: at unbounded D 78 MB; past the bound the oldest entries are dropped and
+#: Frozen-core LiH at D = 8 replaced 1.1 MB over 144 Pauli rotations, full
+#: LiH at unbounded D 78 MB (its excitation gates replace less); past the bound the oldest entries are dropped and
 #: the backward sweep un-evolves the ket over those gates instead
 TRAIL_MAX_BYTES = 64 * 2**20
 
 
 def apply_gate(state: MPS, gate) -> tuple[int, int]:
     """Apply one bound gate to an MPS; returns the site span it touched."""
-    if gate.name == "PR":
+    if gate.name == "EX":
+        state.apply_excitation(zip(gate.qubits, gate.pauli), gate.angle)
+    elif gate.name == "PR":
         state.apply_pauli_rotation(zip(gate.qubits, gate.pauli), gate.angle)
     elif gate.n_qubits == 1:
         state.apply_one_qubit(gate.matrix(), gate.qubits[0])
@@ -87,6 +90,7 @@ class ForwardTrail:
         lo, tensors, lambdas = entry
         state.tensors[lo:lo + len(tensors)] = tensors
         state.lambdas[lo + 1:lo + 1 + len(lambdas)] = lambdas
+        state.revision += 1
 
 
 def evolve(state: MPS, gates, trail: ForwardTrail | None = None) -> None:

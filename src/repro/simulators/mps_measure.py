@@ -12,9 +12,13 @@ operator-batching strategy of arXiv:2211.07983 and arXiv:2303.03681):
   environments of all term prefixes (terms sharing a prefix share the
   environment) and a single right-to-left sweep builds the *right*
   environments of all term suffixes (seeded by per-(site, character)
-  closing matrices, since right-canonical tensors close past the last
-  support site with an identity).  Each term then reduces to one O(D^2)
-  Frobenius product of its two environments at the split bond.  The
+  closing matrices).  Both start from the state's exact bond environments
+  (:meth:`repro.simulators.mps.MPS.environments` - diag(lambda^2) and the
+  identity while nothing has been truncated) and the values are divided by
+  <psi|psi>, so <H> is a Rayleigh quotient of the state the tensors hold
+  however far truncation has pushed them from canonical form.  Each term
+  then reduces to one O(D^2) Frobenius product of its two environments at
+  the split bond.  The
   schedule is a state-independent :class:`SweepPlan` compiled into
   site-major row indices, so all environments crossing one (site,
   character) pair advance in a single batched GEMM; the environments
@@ -94,12 +98,13 @@ class SweepPlan:
 
     Each non-identity term with support span ``[s, e]`` is split at a
     bond ``b``: its value is the Frobenius product of a *left* environment
-    covering ``[s, b-1]`` (grown from ``diag(lambda_s^2)``) and a *right*
-    environment covering ``[b, e]`` (grown leftward from the
-    right-canonical identity closure).  Environments are deduplicated
-    through two prefix tries - ``(start, prefix)`` for the left side and
-    ``(end, reversed suffix)`` for the right side - and the split bond is
-    chosen greedily per term to minimize the *bond-dimension-weighted*
+    covering ``[s, b-1]`` (grown from the state's left environment of bond
+    ``s``) and a *right* environment covering ``[b, e]`` (grown leftward
+    from its right environment of bond ``e + 1``).  Environments are
+    deduplicated through two prefix tries - ``(start, prefix)`` for the
+    left side and ``(end, reversed suffix)`` for the right side - and the
+    split bond is chosen greedily per term to minimize the
+    *bond-dimension-weighted*
     cost of the trie nodes it adds (nodes already scheduled by earlier
     terms are free, and transfer steps near the chain ends are orders of
     magnitude cheaper than mid-chain ones).  The tries are flattened into
@@ -109,8 +114,8 @@ class SweepPlan:
 
     * ``frontier_l[b]`` / ``frontier_r[b]`` - live environment counts on
       bond ``b`` during the left / right sweep;
-    * ``roots[b]`` - left-frontier rows initialized to
-      ``diag(lambda_b^2)``;
+    * ``roots[b]`` - left-frontier rows initialized to the left
+      environment of bond ``b``;
     * ``adv_l[q]`` / ``adv_r[q]`` - per character: (source rows,
       destination rows) for the batched transfer through site ``q``;
     * ``seeds_r[b]`` - right-frontier rows seeded from the cached closing
@@ -566,20 +571,22 @@ class MPSMeasurementEngine:
         return hit
 
     def _closing_matrix(self, q: int, ch: str) -> np.ndarray:
-        """C[l, m] = sum_{i,r} (O B_q)[l,i,r] conj(B_q)[m,i,r].
+        """C[l, m] = sum_{i,r,s} (O B_q)[l,i,r] R[r,s] conj(B_q)[m,i,s]
+        with R the state's right environment of bond q + 1.
 
-        Right-canonical tensors close the contraction past the last
-        support site with an identity, so this matrix *is* the right
-        environment of a single-site suffix - the seed of the right-to-
-        left sweep and the O(D^2) closure of a term ending at ``q``.
+        This is the right environment of a single-site suffix - the seed
+        of the right-to-left sweep and the O(D^2) closure of a term ending
+        at ``q``.
         """
         key = (q, ch)
         hit = self._closing.get(key)
         if hit is None:
             bk = self._site_op(q, ch)
             bc = self._site_conj(q)
-            dl = bk.shape[0]
-            hit = bk.reshape(dl, -1) @ bc.reshape(dl, -1).T
+            dl, _, dr = bk.shape
+            _, right = self._state.environments()
+            hit = (bk.reshape(dl * 2, dr) @ right[q + 1]).reshape(dl, -1) \
+                @ bc.reshape(dl, -1).T
             self._closing[key] = hit
         return hit
 
@@ -620,6 +627,7 @@ class MPSMeasurementEngine:
     def _sweep_values(self, mps: MPS, plan: SweepPlan) -> np.ndarray:
         """Per-term <P> values from one left and one right frontier sweep."""
         n = plan.n_qubits
+        left, _ = mps.environments()
         # left sweep: grow prefix environments bond by bond, holding the
         # rows each split bond will consume during the right sweep
         held: list[np.ndarray | None] = [None] * (n + 1)
@@ -627,13 +635,11 @@ class MPSMeasurementEngine:
         for q in range(n + 1):
             rows = plan.roots[q]
             if rows:
-                dq = mps.lambdas[q].size
+                dq = left[q].shape[0]
                 if frontier is None:
                     frontier = np.empty((plan.frontier_l[q], dq, dq),
                                         dtype=complex)
-                lam = mps.lambdas[q]
-                frontier[np.asarray(rows, dtype=np.intp)] = \
-                    np.diag((lam * lam).astype(complex))
+                frontier[np.asarray(rows, dtype=np.intp)] = left[q]
             if frontier is None:
                 continue
             if plan.out_l[q].size:
@@ -658,7 +664,7 @@ class MPSMeasurementEngine:
         for b in range(n - 1, -1, -1):
             nxt = None
             if plan.frontier_r[b]:
-                db = mps.lambdas[b].size
+                db = left[b].shape[0]
                 nxt = np.empty((plan.frontier_r[b], db, db), dtype=complex)
                 for ch, row in plan.seeds_r[b]:
                     nxt[row] = self._closing_matrix(b, ch)
@@ -673,7 +679,7 @@ class MPSMeasurementEngine:
                 vals[tidx] = np.einsum("kij,kij->k", held[b],
                                        frontier[rrows])
                 held[b] = None
-        return vals
+        return vals / left[n][0, 0].real
 
     def expectation_mpo(self, mps: MPS, op: QubitOperator,
                         n_qubits: int | None = None) -> float:
@@ -687,7 +693,7 @@ class MPSMeasurementEngine:
             return 0.0
         mpo = compiled_mpo(op, n)
         _M_EVALS.inc(path="mpo")
-        return float(mpo.expectation(mps))
+        return float(mpo.expectation(mps)) / mps.norm() ** 2
 
     def expectation_per_term(self, mps: MPS, op: QubitOperator) -> float:
         """The classic independent-contraction path (correctness oracle)."""
@@ -741,7 +747,7 @@ class MPSMeasurementEngine:
             mpo = compiled_mpo(op, n, _key=key)
         if mpo is not None and _mpo_flops(mpo, d) < _sweep_flops(plan, d):
             _M_EVALS.inc(path="mpo")
-            return float(mpo.expectation(mps))
+            return float(mpo.expectation(mps)) / mps.norm() ** 2
         return self._evaluate_plan(mps, plan)
 
 

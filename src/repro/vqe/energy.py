@@ -24,7 +24,7 @@ import numpy as np
 from repro.backends import backend_spec, resolve_backend
 from repro.common.errors import TransportError, ValidationError
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import Gate, controlled_pauli_gate
+from repro.circuits.gates import COMPOSITE, Gate, controlled_pauli_gate
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 from repro.operators.pauli import PauliTerm, QubitOperator
@@ -171,17 +171,18 @@ class EnergyEvaluator:
         self.hamiltonian = hamiltonian
         self.ansatz = ansatz
         #: the circuit every evaluation binds and runs.  The MPS backend
-        #: applies ``PR`` Pauli rotations whole; every other backend runs
-        #: elementary gates, so the staircases are laid out once here, not
-        #: on each evaluation (binding re-creates only parametric gates)
+        #: applies composite gates (``EX``, ``PR``) whole; every other
+        #: backend runs elementary gates, so the staircases are laid out
+        #: once here, not on each evaluation (binding re-creates only
+        #: parametric gates)
         self.program = ansatz if spec.name == "mps" else ansatz.decomposed()
         #: the MPS backend runs the fused stream, and fusion passes a
-        #: ``PR`` rotation through whole but absorbs other parametric
-        #: gates into opaque U2 blocks: when every parametric gate is a
-        #: ``PR``, the state energy() measures is one the adjoint sweep
+        #: composite gate through whole but absorbs other parametric
+        #: gates into opaque U2 blocks: when every parametric gate is
+        #: composite, the state energy() measures is one the adjoint sweep
         #: can unwind, and energy / gradient / final_state share it
         self.shares_prepared_state = spec.name == "mps" and all(
-            g.name == "PR" for g in self.program.gates
+            g.name in COMPOSITE for g in self.program.gates
             if g.param is not None)
         self._prepared: PreparedState | None = None
         self.simulator = simulator
@@ -257,11 +258,12 @@ class EnergyEvaluator:
         trail = ForwardTrail()
         _M_ANSATZ_RUNS.inc()
         sim.run(self.program.bind(theta), trail=trail)
-        # fusion keeps the PR gates whole and in order
-        refs = (g.param for g in self.program.gates if g.name == "PR")
+        # fusion keeps the composite gates whole and in order
+        refs = (g.param for g in self.program.gates if g.name in COMPOSITE)
         held = self._prepared = PreparedState(
             key, sim, trail,
-            [next(refs) if g.name == "PR" else None for g in trail.gates])
+            [next(refs) if g.name in COMPOSITE else None
+             for g in trail.gates])
         return held, True
 
     # -- public API ----------------------------------------------------------------

@@ -11,9 +11,12 @@ gather + two axpys on the dense amplitude vector - no per-gate tensor
 reshapes, no SVDs.  For the small embedded problems DMET produces
 (4-6 orbitals, 8-12 qubits) this evaluates a VQE energy in well under a
 millisecond, ~100x faster than the gate-by-gate simulators, while remaining
-*numerically identical* to them (the Pauli factors within one excitation
-commute, so operator order is immaterial); the test-suite asserts agreement
-with both circuit simulators.
+*numerically identical* to them: the Pauli factors within one excitation
+do not all commute, but those sharing a flip mask do and the circuit lists
+them next to each other, so evolving group by group
+(:attr:`repro.circuits.uccsd.Excitation.mask_groups`, the grouping and the
+order the circuit is emitted in) is the same unitary; the test-suite
+asserts agreement with both circuit simulators.
 
 This is the ansatz-evaluation half of the shared Pauli-kernel layer; the
 permutation+phase primitives themselves (:class:`PauliAction`,
@@ -71,19 +74,16 @@ class FastUCCEvaluator:
             ref_index |= 1 << (n - 1 - q)
         self._reference = np.zeros(dim, dtype=complex)
         self._reference[ref_index] = 1.0
-        # Excitation generators in closed form.  Within one excitation the
-        # Pauli terms commute; terms sharing a flip mask combine into
+        # Excitation generators in closed form.  The Pauli terms of one
+        # flip-mask group commute and combine into
         # A = i D X_m (D diagonal, X_m a basis permutation) whose square is
         # the real non-positive diagonal -W^2, so
         #     exp(theta A) = cos(theta W) + sin(theta W)/W * A
         # - one gather per mask group instead of one per Pauli string.
         self._factors: list[tuple[int, list]] = []
         for exc in ansatz.excitations:
-            groups: dict[int, list] = {}
-            for pt, c in exc.pauli_terms:
-                groups.setdefault(pt.x, []).append((pt, c))
             compiled = []
-            for xmask, members in groups.items():
+            for members in exc.mask_groups:
                 perm = PauliAction(members[0][0], n).perm
                 diag = np.zeros(dim, dtype=complex)
                 for pt, c in members:

@@ -6,12 +6,16 @@ one above it, and the property suite pins their pairwise agreement):
 
 * ``adjoint`` - reverse-mode analytic gradients from **one forward + one
   backward pass** (the differentiable-MPS strategy of arXiv:2211.07983).
-  For a parametric gate ``U_k = exp(-i a/2 G_k)`` with bound angle
-  ``a = mult * theta[idx]``,
+  For a parametric gate ``U_k(a)`` with bound angle ``a = mult * theta[idx]``
+  and ``dU_k/da = D_k U_k``,
 
-      dE/da = Im <phi_k | G_k | ket_k>,
+      dE/da = 2 Re <phi_k | D_k | ket_k>,
 
   where ``ket_k = U_k ... U_1 |0>`` and ``phi_k = U_{k+1}' ... U_N' H U|0>``.
+  A rotation ``exp(-i a/2 G_k)`` has ``D_k = -i/2 G_k``, one overlap
+  ``Im <phi_k|G_k|ket_k>``; an ``EX`` excitation ``exp(a (T - T+))`` has
+  ``D_k = T - T+``, two overlaps (where its eight Pauli rotations took
+  eight).
   The forward pass prepares ``|psi> = U|0>`` once; ``H|psi>`` is built once
   (densely on statevector, as a zip-up MPO application on MPS); the backward
   sweep then steps both states back one gate at a time and accumulates one
@@ -22,8 +26,9 @@ one above it, and the property suite pins their pairwise agreement):
   is read back from the forward pass's trail
   (:class:`repro.simulators.mps_circuit.ForwardTrail` - the site tensors
   each gate replaced, by reference), so every overlap sees exactly the
-  state the forward pass went through, and for ``PR``-parametrised
-  ansaetze that pass is the one ``energy(theta)`` already ran
+  state the forward pass went through, and for ansaetze parametrised by
+  composite gates (``EX``, ``PR``) that pass is the one ``energy(theta)``
+  already ran
   (:meth:`repro.vqe.energy.EnergyEvaluator.prepare`).  The overlaps reuse
   the measurement engine's environment-advance kernels
   (:func:`repro.simulators.mps_measure._advance_left` /
@@ -36,7 +41,9 @@ one above it, and the property suite pins their pairwise agreement):
   exact for involutory generators) and chain-ruled through the multiplier.
   Gate-wise shifting matters because UCCSD shares one theta across many
   rotations with different multipliers - the naive per-parameter 2-point
-  shift is *not* exact there.  Costs 2G energy evaluations.
+  shift is *not* exact there.  An ``EX`` gate is expanded into its ``PR``
+  rotations first: its generator T - T+ has spectrum {0, +-i}, not +-1.
+  Costs 2G energy evaluations (G counted after the expansion).
 * ``finite_diff`` - central differences per parameter (2P evaluations);
   works with any energy callable, including the circuit-free "fast"
   ansatz backend.
@@ -55,12 +62,12 @@ import numpy as np
 
 from repro.backends import backend_spec
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import GATE_MATRICES, PARAMETRIC, Gate
+from repro.circuits.gates import COMPOSITE, GATE_MATRICES, PARAMETRIC, Gate
 from repro.common.errors import ValidationError
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 from repro.operators.pauli import QubitOperator
-from repro.simulators.mps import MPS, _pauli_times
+from repro.simulators.mps import MPS, site_operator_times
 from repro.simulators.mps_circuit import ForwardTrail, apply_gate, evolve
 from repro.simulators.mps_measure import (
     _advance_left,
@@ -101,18 +108,29 @@ _G_EQUIV = _obs.counter(
     "+ one backward evolution per un-evolved state)")
 
 
-def _generator_ops(gate: Gate) -> dict[int, str]:
-    """Single-site Pauli factors of the generator G of exp(-i angle/2 G).
+#: the ladder string of T+ from the one of T
+_DAGGER = str.maketrans("+-", "-+")
 
-    RX/RY/RZ: the one Pauli; RZZ: Z on each site; PR: the string's factors.
+
+def _angle_derivative(gate: Gate) -> list[tuple[complex, dict[int, str]]]:
+    """D with dU/d(angle) = D U, as ``(coefficient, {site: operator})``
+    product operators over the characters ``site_operator_times`` knows.
+
+    A rotation exp(-i angle/2 G) has D = -i/2 G - RX/RY/RZ: the one Pauli;
+    RZZ: Z on each site; PR: the string's factors.  EX, exp(angle (T - T+)),
+    has D = T - T+.
     """
     if gate.name not in PARAMETRIC:
         raise ValidationError(
             f"gate {gate.name!r} has no known generator; cannot "
             f"differentiate it analytically"
         )
+    if gate.name == "EX":
+        return [(1.0, dict(zip(gate.qubits, gate.pauli))),
+                (-1.0, dict(zip(gate.qubits,
+                                gate.pauli.translate(_DAGGER))))]
     pauli = gate.pauli if gate.name == "PR" else gate.name[1:]
-    return dict(zip(gate.qubits, pauli))
+    return [(-0.5j, dict(zip(gate.qubits, pauli)))]
 
 
 def _strip_identity(op: QubitOperator) -> QubitOperator:
@@ -153,9 +171,9 @@ def _adjoint_dense(hamiltonian: QubitOperator, circuit: Circuit,
                    theta: np.ndarray) -> np.ndarray:
     """Exact adjoint gradient on the dense statevector (the oracle).
 
-    Runs the elementary-gate stream: a ``PR`` rotation's parameter moves
-    to the central RZ of its staircase, whose generator Z differentiates
-    the same angle.
+    Runs the elementary-gate stream: the parameter of an ``EX`` or ``PR``
+    gate moves to the central RZ of each of its staircases, whose generator
+    Z differentiates the same angle.
     """
     n = circuit.n_qubits
     gates = list(circuit.decomposed().gates)
@@ -174,10 +192,11 @@ def _adjoint_dense(hamiltonian: QubitOperator, circuit: Circuit,
     for g, raw in zip(reversed(bound), reversed(gates)):
         if raw.param is not None:
             idx, mult = raw.param
+            (coeff, ops), = _angle_derivative(raw)
             gp = psi
-            for q, ch in _generator_ops(raw).items():
+            for q, ch in ops.items():
                 gp = _apply_dense(gp, GATE_MATRICES[ch], (q,))
-            grad[idx] += mult * float(np.imag(np.vdot(phi, gp)))
+            grad[idx] += mult * 2.0 * float(np.real(coeff * np.vdot(phi, gp)))
         inv = g.matrix().conj().T
         psi = _apply_dense(psi, inv, g.qubits)
         phi = _apply_dense(phi, inv, g.qubits)
@@ -255,14 +274,14 @@ class _OverlapEnvironments:
         return self._R[b]
 
     def overlap(self, ops: dict[int, str]) -> complex:
-        """<bra| prod_q P_q |ket> via cached environments + local advances."""
+        """<bra| prod_q O_q |ket> via cached environments + local advances."""
         s, e = min(ops), max(ops)
         env = self.left(s)
         for q in range(s, e + 1):
             bk = self.ket.tensors[q]
             ch = ops.get(q)
             if ch is not None:
-                bk = _pauli_times(ch, bk)
+                bk = site_operator_times(ch, bk)
             bc = np.conj(self.bra.tensors[q])
             if _obs.REGISTRY.enabled:
                 _G_GEMM.inc(2)
@@ -272,8 +291,9 @@ class _OverlapEnvironments:
 
 
 def _inverse(gate: Gate) -> Gate:
-    """The bound gate undoing ``gate``: PR(-angle), else the adjoint matrix."""
-    if gate.name == "PR":
+    """The bound gate undoing ``gate``: EX/PR(-angle), else the adjoint
+    matrix."""
+    if gate.name in COMPOSITE:
         return replace(gate, angle=-gate.angle)
     return Gate("U1" if gate.n_qubits == 1 else "U2", gate.qubits,
                 unitary=gate.matrix().conj().T)
@@ -332,8 +352,9 @@ def _adjoint_mps(hamiltonian: QubitOperator, state, trail: ForwardTrail,
                                 reversed(trail.saved)):
         if ref is not None:
             idx, mult = ref
-            ov = envs.overlap(_generator_ops(gate))
-            grad[idx] += mult * scale * ov.imag
+            ov = sum(coeff * envs.overlap(ops)
+                     for coeff, ops in _angle_derivative(gate))
+            grad[idx] += mult * scale * 2.0 * ov.real
         inv = _inverse(gate)
         lo, hi = apply_gate(bra, inv)
         if saved is None:
@@ -361,27 +382,33 @@ def param_shift_gradient(evaluator, theta: np.ndarray, *,
     """
     circuit = evaluator.program
     theta = np.asarray(theta, dtype=float)
-    gates = list(circuit.gates)
-    bound = [g.bound(theta) for g in gates]
+    bound = [g.bound(theta) for g in circuit.gates]
     sel = None if parameters is None else {int(p) for p in parameters}
     grad = np.zeros(circuit.n_parameters)
     n_evals = 0
-    for j, raw in enumerate(gates):
+    for j, raw in enumerate(circuit.gates):
         if raw.param is None:
             continue
-        idx, mult = raw.param
-        if sel is not None and idx not in sel:
+        if sel is not None and raw.param[0] not in sel:
             continue
-        a = bound[j].angle
-        shifted_vals = []
-        for shift in (0.5 * np.pi, -0.5 * np.pi):
-            g = replace(bound[j], angle=a + shift)
-            c = Circuit(n_qubits=circuit.n_qubits,
-                        gates=bound[:j] + [g] + bound[j + 1:],
-                        n_parameters=0, name=circuit.name)
-            shifted_vals.append(evaluator.energy_of_circuit(c))
-            n_evals += 1
-        grad[idx] += mult * (shifted_vals[0] - shifted_vals[1]) / 2.0
+        # the two-term rule is exact for involutory generators only, so
+        # an excitation is shifted one of its rotations at a time; every
+        # other gate stays what energy() runs
+        whole = raw.name != "EX"
+        raws = [raw] if whole else raw.decompose()
+        parts = [bound[j]] if whole else bound[j].decompose()
+        for r, part in enumerate(parts):
+            idx, mult = raws[r].param
+            shifted_vals = []
+            for shift in (0.5 * np.pi, -0.5 * np.pi):
+                g = replace(part, angle=part.angle + shift)
+                c = Circuit(n_qubits=circuit.n_qubits,
+                            gates=(bound[:j] + parts[:r] + [g]
+                                   + parts[r + 1:] + bound[j + 1:]),
+                            n_parameters=0, name=circuit.name)
+                shifted_vals.append(evaluator.energy_of_circuit(c))
+                n_evals += 1
+            grad[idx] += mult * (shifted_vals[0] - shifted_vals[1]) / 2.0
     _G_EQUIV.inc(n_evals, source="param_shift")
     _G_EVALS.inc(source="param_shift")
     return grad

@@ -112,7 +112,9 @@ class TestControlledPauli:
 
 
 class TestPauliRotationGate:
-    """``PR``: exp(-i angle/2 P), the one gate that is not elementary."""
+    """``PR``: exp(-i angle/2 P), one of the two composite gates (the
+    numerics of the other, ``EX``, live in
+    tests/properties/test_excitation_gate.py)."""
 
     def test_matrix_is_the_pauli_exponential(self):
         from scipy.linalg import expm
@@ -172,4 +174,29 @@ class TestPauliRotationGate:
     def test_parametric_set_is_exported(self):
         from repro.circuits.gates import PARAMETRIC
 
-        assert PARAMETRIC == {"RX", "RY", "RZ", "RZZ", "PR"}
+        assert PARAMETRIC == {"RX", "RY", "RZ", "RZZ", "PR", "EX"}
+
+    @pytest.mark.parametrize("qubits,ladder", [
+        ((0, 1), None), ((0, 1), ""), ((0, 1), "+X"), ((0, 1), "+-Z"),
+        ((1, 0), "+-"), ((0, 0), "+-"),
+        ((0, 1), "ZZ"),       # no ladder factor: T = T+, the gate is 1
+    ])
+    def test_excitation_gate_validation(self, qubits, ladder):
+        with pytest.raises(ValidationError):
+            Gate("EX", qubits, angle=0.1, pauli=ladder)
+
+    def test_excitation_gate_decomposes_one_level_at_a_time(self):
+        g = Gate("EX", (0, 2, 3), param=(1, 2.0), pauli="-z+")
+        assert g.pauli == "-Z+"
+        rotations = g.decompose()
+        # kappa = i/2 (Y Z X - X Z Y); PR(b) = exp(-i b/2 P)
+        assert rotations == [
+            Gate("PR", (0, 2, 3), param=(1, -2.0), pauli="YZX"),
+            Gate("PR", (0, 2, 3), param=(1, 2.0), pauli="XZY")]
+        assert Gate("CX", (0, 2)) in rotations[0].decompose()
+        bound = g.bound(np.array([0.0, 0.3]))
+        assert bound.angle == 0.6
+        assert bound.decompose() == [r.bound(np.array([0.0, 0.3]))
+                                     for r in rotations]
+        with pytest.raises(ValidationError):
+            g.matrix()

@@ -113,3 +113,61 @@ def test_ladder_crosses_identity_gaps():
     cx = [g.qubits for g in pauli_rotation_circuit(term, 6, angle=0.1)
           if g.name == "CX"]
     assert (1, 4) in cx
+
+
+class TestExcitationGate:
+    """``excitation_gate``: a commuting run of exponentials that is one
+    ladder product becomes one ``EX`` gate, anything else does not."""
+
+    @staticmethod
+    def _terms(*pairs):
+        return [(pauli_string(label), c) for label, c in pairs]
+
+    def test_single_with_its_parity_string(self):
+        from repro.circuits.gates import Gate
+        from repro.circuits.trotter import excitation_gate
+
+        # JW(a+_2 a_0 - h.c.) = i/2 (Y Z X - X Z Y)
+        gate = excitation_gate(
+            self._terms(("YZX", 0.5), ("XZY", -0.5)), index=3)
+        assert gate == Gate("EX", (0, 1, 2), pauli="-Z+", param=(3, 1.0))
+
+    def test_any_ladder_product_qualifies_not_only_number_conserving(self):
+        from repro.circuits.trotter import excitation_gate
+
+        # i/2 (Y Z X + X Z Y) = T - T+ for the pair annihilator T = "-Z-"
+        gate = excitation_gate(
+            self._terms(("YZX", 0.5), ("XZY", 0.5)), index=0)
+        assert (gate.pauli, gate.param) == ("-Z-", (0, 1.0))
+
+    def test_sign_and_weight_go_into_t_positive(self):
+        from repro.circuits.trotter import excitation_gate
+
+        # -3 (T - T+) for T = "-Z+" is +3 (T' - T'+) for T' = T+ = "+Z-"
+        gate = excitation_gate(
+            self._terms(("YZX", -1.5), ("XZY", 1.5)), index=0)
+        assert (gate.pauli, gate.param) == ("+Z-", (0, 3.0))
+
+    def test_double_is_recovered_from_its_own_decomposition(self):
+        from repro.circuits.gates import Gate, ladder_pauli_terms
+        from repro.circuits.trotter import excitation_gate
+
+        ladder, qubits = "--Z++", (0, 1, 3, 4, 6)
+        terms = [(pauli_string(list(zip(qubits, label))), 2.0 * c)
+                 for label, c in ladder_pauli_terms(ladder)]
+        assert len(terms) == 8
+        assert excitation_gate(terms[::-1], index=1) == Gate(
+            "EX", qubits, pauli=ladder, param=(1, 2.0))
+
+    @pytest.mark.parametrize("pairs", [
+        [("YZX", 0.5)],                              # half a ladder
+        [("YZX", 0.5), ("XZY", -0.25)],              # unequal weights
+        [("YZX", 0.5), ("XIY", -0.5)],               # Z patterns differ
+        [("YZX", 0.5), ("XZY", -0.5), ("ZZI", 0.1)],  # a second mask
+        [("ZZI", 0.5)],                              # no flip at all
+        [("XYX", 0.5), ("YYY", 0.5)],                # Bravyi-Kitaev single
+    ])
+    def test_everything_else_is_not_a_ladder(self, pairs):
+        from repro.circuits.trotter import excitation_gate
+
+        assert excitation_gate(self._terms(*pairs), index=0) is None

@@ -34,6 +34,47 @@ class TestStructure:
             for _, coeff in exc.pauli_terms:
                 assert isinstance(coeff, float)
 
+    @pytest.mark.parametrize("n_spatial,n_electrons,strings,groups", [
+        (4, 2, (96, 462), (3, 6)), (5, 2, (192, 856), (6, 10)),
+        (4, 4, (384, 1608), (12, 20)), (6, 4, (2048, 8144), (64, 96))])
+    def test_what_commutes_inside_one_excitation(self, n_spatial,
+                                                 n_electrons, strings,
+                                                 groups):
+        """Not the strings of one generator, pairwise, and not its
+        flip-mask groups as operators either (the two spin components of a
+        mixed double share their occupied pair) - so the order of the
+        product is part of the ansatz.  What holds: the strings of one
+        group commute, and ``pauli_terms`` lists every group contiguously,
+        which together make the product over strings in ``pauli_terms``
+        order the product over groups in ``mask_groups`` order."""
+        from repro.operators.pauli import QubitOperator
+
+        ansatz = UCCSDAnsatz(n_spatial, n_electrons)
+        string_pairs = string_anti = group_pairs = group_open = 0
+        for exc in ansatz.excitations:
+            terms = [pt for pt, _ in exc.pauli_terms]
+            assert [pt for g in exc.mask_groups for pt, _ in g] == terms
+            for i, a in enumerate(terms):
+                for b in terms[i + 1:]:
+                    string_pairs += 1
+                    string_anti += not a.commutes_with(b)
+            generators = []
+            for group in exc.mask_groups:
+                assert len({pt.x for pt, _ in group}) == 1
+                assert all(a.commutes_with(b) for a, _ in group
+                           for b, _ in group)
+                generators.append(
+                    QubitOperator({pt: 1j * c for pt, c in group}))
+            for i, a in enumerate(generators):
+                for b in generators[i + 1:]:
+                    commutator = (a * b - b * a).terms.values()
+                    group_pairs += 1
+                    group_open += max(map(abs, commutator)) > 1e-12
+                    # the alpha and beta halves of a single do commute
+                    assert exc.label.startswith("d_") or not group_open
+        assert (string_anti, string_pairs) == strings
+        assert (group_open, group_pairs) == groups
+
     def test_odd_electrons_rejected(self):
         with pytest.raises(ValidationError):
             UCCSDAnsatz(3, 3)
@@ -104,8 +145,10 @@ class TestCircuits:
         """The paper's Fig. 5 quotes ~120 ansatz gates for H2 + 2 X gates."""
         ansatz = UCCSDAnsatz(2, 2)
         circ = ansatz.circuit()
-        # one PR gate per Pauli term of the excitation generators
-        assert circ.count_gates() == {"X": 2, "PR": 12}
+        # one EX gate per spin-orbital excitation: two singles (alpha,
+        # beta) and the one double, 2 + 2 + 8 Pauli rotations between them
+        assert circ.count_gates() == {"X": 2, "EX": 3}
+        assert sum(len(g.decompose()) for g in circ if g.name == "EX") == 12
         gates = circ.decomposed()
         assert 80 <= len(gates) <= 200
         assert gates.count_gates()["X"] == 2

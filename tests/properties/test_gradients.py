@@ -60,28 +60,32 @@ def random_parametric_circuit(rng: np.random.Generator, n: int,
                               n_gates: int = 14) -> Circuit:
     """Random parametric circuit exercising the full generator set.
 
-    Mixes parametric RX/RY/RZ/RZZ and ``PR`` Pauli rotations over random
-    strings - identity gaps and Y factors included - (with *shared*
+    Mixes parametric RX/RY/RZ/RZZ, ``PR`` Pauli rotations over random
+    strings - identity gaps and Y factors included - and ``EX`` excitations
+    over random ladder strings (with *shared*
     parameter indices and non-unit multipliers - the UCCSD binding pattern
     that makes naive per-parameter shift rules inexact), frozen-angle
     rotations and CX entanglers.
     """
     c = Circuit(n_qubits=n, name="random_parametric")
     c.n_parameters = n_params
-    rotations = ("RX", "RY", "RZ", "RZZ", "PR")
+    rotations = ("RX", "RY", "RZ", "RZZ", "PR", "EX")
     for _ in range(n_gates):
-        kind = int(rng.integers(0, 6))
-        if kind == 5:
+        kind = int(rng.integers(0, 7))
+        if kind == 6:
             q = int(rng.integers(0, n - 1))
             c.append(Gate("CX", (q, q + 1)))
             continue
         name = rotations[kind]
         pauli = None
-        if name == "PR":
+        if name in ("PR", "EX"):
             weight = int(rng.integers(1, n + 1))
             qubits = tuple(sorted(
                 int(q) for q in rng.choice(n, size=weight, replace=False)))
-            pauli = "".join("XYZ"[int(rng.integers(3))] for _ in qubits)
+            alphabet = "XYZ" if name == "PR" else "+-Z"
+            pauli = "".join(alphabet[int(rng.integers(3))] for _ in qubits)
+            if name == "EX" and set(pauli) == {"Z"}:
+                pauli = "+" + pauli[1:]
         elif name == "RZZ":
             q = int(rng.integers(0, n - 1))
             qubits = (q, q + 1)
@@ -191,12 +195,14 @@ def test_lih_uccsd_adjoint_oracle(lih) -> None:
         EnergyEvaluator(ham, circuit, simulator="mps"), theta)
     assert np.abs(g_sv - g_mps).max() <= ATOL_ANALYTIC
     assert np.abs(g_sv).max() > 1e-3  # the HF point has real gradients
-    # spot parity on the parameter with the fewest bound gates (the
-    # cheapest exact shift) plus component 0
+    # spot parity on the parameter with the fewest bound rotations (the
+    # cheapest exact shift: an excitation is shifted rotation by
+    # rotation) plus component 0
     counts: dict[int, int] = {}
     for g in circuit.gates:
         if g.param is not None:
-            counts[g.param[0]] = counts.get(g.param[0], 0) + 1
+            counts[g.param[0]] = counts.get(g.param[0], 0) \
+                + (len(g.decompose()) if g.name == "EX" else 1)
     cheap = min(counts, key=lambda k: (counts[k], k))
     g_ps = param_shift_gradient(ev_sv, theta, parameters=[cheap])
     assert abs(g_ps[cheap] - g_sv[cheap]) <= ATOL_ANALYTIC

@@ -183,15 +183,22 @@ def reference_staircase(term: PauliTerm, param) -> list[Gate]:
     dict(n_spatial=3, n_electrons=2, mapping="bk"),
 ], ids=["h2", "4o4e", "bk"])
 def test_uccsd_decomposed_is_the_staircase_circuit(kwargs) -> None:
+    """Gate for gate one staircase per string, in ``Excitation.pauli_terms``
+    order - also where a flip-mask group of them travels as one ``EX``
+    gate (Jordan-Wigner), whose ``decompose()`` derives its strings from
+    the ladder string alone."""
     ansatz = UCCSDAnsatz(**kwargs)
     expected = [Gate("X", (q,)) for q in ansatz._reference_qubits()]
     for exc in ansatz.excitations:
         for term, coeff in exc.pauli_terms:
             expected += reference_staircase(term, (exc.param_index, coeff))
     circuit = ansatz.circuit()
+    composite = (
+        {"PR": sum(len(e.pauli_terms) for e in ansatz.excitations)}
+        if "mapping" in kwargs else
+        {"EX": sum(len(e.mask_groups) for e in ansatz.excitations)})
     assert circuit.count_gates() == {
-        "X": len(ansatz._reference_qubits()),
-        "PR": sum(len(e.pauli_terms) for e in ansatz.excitations)}
+        "X": len(ansatz._reference_qubits()), **composite}
     assert circuit.decomposed().gates == expected
     # binding and decomposing commute, angle for angle
     theta = rng_for(5).standard_normal(ansatz.n_parameters)

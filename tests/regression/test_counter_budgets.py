@@ -13,7 +13,12 @@ Budgets were recorded from the current implementation; if an
 say why in the commit message.  (ISSUE 13 re-derived the MPS tables: UCCSD
 factors reach the MPS as ``PR`` rotations - one SVD per bond of the
 string's span, no routing - and the old staircase counts moved, unchanged,
-to ``STAIRCASE_BUDGETS`` on the ``decomposed()`` stream.)
+to ``STAIRCASE_BUDGETS`` on the ``decomposed()`` stream.  ISSUE 17
+re-derived them again: a Jordan-Wigner UCCSD circuit is one ``EX`` gate
+per spin-orbital excitation, one sweep where its 2 or 8 rotations took
+one each, so ``mps.pauli_rotation`` reads 0 and ``mps.excitation`` the
+excitation count; the ``PR`` sweep keeps its pins in
+``ROTATION_BUDGETS`` on the one-level-expanded stream.)
 """
 
 from __future__ import annotations
@@ -31,22 +36,29 @@ from repro.vqe.gradients import n_parametric_gates
 
 #: one MPS energy evaluation at theta = 0 (a single direct measurement
 #: of the UCCSD reference state); keyed by (molecule, measurement mode).
-#: Every UCCSD factor is one ``PR`` gate applied by
-#: ``MPS.apply_pauli_rotation``: mps.svd is the summed span (hi - lo) of
-#: the strings - 4 x 2 + 8 x 3 bonds for H2 - and nothing is routed.
+#: Every UCCSD factor is one ``EX`` gate applied by
+#: ``MPS.apply_excitation``: mps.svd is the summed span (hi - lo) of the
+#: excitations - 2 + 2 + 3 bonds for H2's two singles and one double, 824
+#: for LiH's 104 where their 736 Pauli rotations swept 6016 - and nothing
+#: is routed.  A sweep issues three fused GEMMs per bond (stack, Hastings
+#: restore, hand-over to the next site): kernels.gemm_calls is
+#: 3 x mps.svd + mps.gate_1q on the sweep path (2476 for LiH, where the
+#: rotations took 18052).
 _H2_PREP = {
-    "mps.pauli_rotation": 12,
+    "mps.excitation": 3,
+    "mps.pauli_rotation": 0,
     "mps.gate_1q": 2,
     "mps.gate_2q": 0,
-    "mps.svd": 32,
+    "mps.svd": 7,
     "mps.swap": 0,
     "mps.routing_plan.requests": 0,
 }
 _LIH_PREP = {
-    "mps.pauli_rotation": 736,
+    "mps.excitation": 104,
+    "mps.pauli_rotation": 0,
     "mps.gate_1q": 4,
     "mps.gate_2q": 0,
-    "mps.svd": 6016,
+    "mps.svd": 824,
     "mps.swap": 0,
     "mps.routing_plan.requests": 0,
 }
@@ -59,12 +71,36 @@ MPS_BUDGETS = {
                          "mps_measure.gemm_calls": 0},
     ("lih", "sweep"): {**_LIH_PREP, "mps_measure.env_steps": 1767,
                        "mps_measure.gemm_calls": 86,
-                       "kernels.gemm_calls": 18052,
-                       "kernels.svd_calls": 6016},
+                       "kernels.gemm_calls": 2476,
+                       "kernels.svd_calls": 824},
     ("lih", "mpo"): {**_LIH_PREP, "mps_measure.env_steps": 0,
                      "mps_measure.gemm_calls": 0,
-                     "kernels.gemm_calls": 18110,
-                     "kernels.svd_calls": 6049},
+                     "kernels.gemm_calls": 2534,
+                     "kernels.svd_calls": 857},
+}
+
+#: the same evaluation with every ``EX`` gate expanded one level, into its
+#: ``PR`` rotations: what a UCCSD evaluation was before ``EX``, and what a
+#: Bravyi-Kitaev or generalized ansatz still runs.  mps.svd is the summed
+#: span of the strings - 4 x 2 + 8 x 3 bonds for H2.  The sweep is the one
+#: ``EX`` runs, with two product operators where ``EX`` has five
+ROTATION_BUDGETS = {
+    "h2": {
+        "mps.excitation": 0,
+        "mps.pauli_rotation": 12,
+        "mps.gate_2q": 0,
+        "mps.svd": 32,
+        "mps.swap": 0,
+        "kernels.svd_calls": 32,
+    },
+    "lih": {
+        "mps.excitation": 0,
+        "mps.pauli_rotation": 736,
+        "mps.gate_2q": 0,
+        "mps.svd": 6016,
+        "mps.swap": 0,
+        "kernels.svd_calls": 6016,
+    },
 }
 
 #: the same evaluation on the ``decomposed()`` gate stream - the CNOT
@@ -73,6 +109,7 @@ MPS_BUDGETS = {
 #: routed-gate count, which UCCSD circuits no longer reach
 STAIRCASE_BUDGETS = {
     "h2": {
+        "mps.excitation": 0,
         "mps.pauli_rotation": 0,
         "mps.gate_2q": 43,
         "mps.svd": 43,
@@ -82,6 +119,7 @@ STAIRCASE_BUDGETS = {
         "kernels.svd_calls": 43,
     },
     "lih": {
+        "mps.excitation": 0,
         "mps.pauli_rotation": 0,
         "mps.gate_2q": 6769,
         "mps.svd": 14449,
@@ -147,10 +185,27 @@ class TestMPSBudgets:
         budget = STAIRCASE_BUDGETS[molecule]
         assert {name: reg.value(name) for name in budget} == budget
 
+    @pytest.mark.parametrize("molecule", ["h2", "lih"])
+    def test_rotation_stream_keeps_the_rotation_budget(self, request,
+                                                       molecule):
+        from repro.circuits.circuit import Circuit
+
+        ham, ansatz = _hamiltonian_and_ansatz(
+            request.getfixturevalue(molecule))
+        rotations = Circuit(ansatz.n_qubits,
+                            [p for g in ansatz for p in g.decompose()],
+                            n_parameters=ansatz.n_parameters)
+        assert set(rotations.count_gates()) == {"X", "PR"}
+        _, reg = _measured_energy(ham, rotations, simulator="mps",
+                                  measurement="sweep")
+        budget = ROTATION_BUDGETS[molecule]
+        assert {name: reg.value(name) for name in budget} == budget
+
     def test_budgets_identical_across_measurement_modes(self, h2):
         """State-preparation work must not depend on how we measure."""
         ham, ansatz = _hamiltonian_and_ansatz(h2)
-        prep = ("mps.pauli_rotation", "mps.gate_2q", "mps.svd", "mps.swap")
+        prep = ("mps.excitation", "mps.pauli_rotation", "mps.gate_2q",
+                "mps.svd", "mps.swap")
         seen = []
         for mode in ("sweep", "mpo", "per_term"):
             _, reg = _measured_energy(ham, ansatz, simulator="mps",
@@ -204,9 +259,9 @@ class TestRepeatedRDMMeasurement:
 #: are independent of the module-global plan-LRU warmth (unlike the
 #: hit/miss split, which depends on what earlier tests left cached).
 KERNEL_BUDGETS = {
-    "sweep": {"kernels.gemm_calls": 98, "kernels.svd_calls": 32},
-    "mpo": {"kernels.gemm_calls": 116, "kernels.svd_calls": 41},
-    "per_term": {"kernels.gemm_calls": 202, "kernels.svd_calls": 32},
+    "sweep": {"kernels.gemm_calls": 23, "kernels.svd_calls": 7},
+    "mpo": {"kernels.gemm_calls": 41, "kernels.svd_calls": 16},
+    "per_term": {"kernels.gemm_calls": 127, "kernels.svd_calls": 7},
 }
 
 
@@ -394,7 +449,8 @@ class TestMPSProcessParity:
     #: totals that are pure functions of one cold-cache MPS evaluation,
     #: independent of executor kind and worker count
     MPS_EVAL_COUNTERS = (
-        "mps.pauli_rotation", "mps.gate_2q", "mps.svd", "mps.swap",
+        "mps.excitation", "mps.pauli_rotation", "mps.gate_2q", "mps.svd",
+        "mps.swap",
         "mps.routing_plan.requests",
         "mps_measure.evaluations", "mps_measure.env_steps",
         "mps_measure.gemm_calls", "mps_measure.plan_cache",
@@ -523,10 +579,11 @@ GRADIENT_BUDGETS = {
     ("h2", "mps"): {
         "grad.forward_sweeps": 1,
         "grad.backward_sweeps": 1,
-        "grad.gate_undos": 14,        # 14 gates, bra only
-        "grad.gemm_calls": 92,
-        # forward + bra undo: 2 x 12 rotations, 2 x 32 bonds
-        "mps.pauli_rotation": 24,
+        "grad.gate_undos": 5,         # 3 excitations + 2 X, bra only
+        "grad.gemm_calls": 44,        # two overlaps (T, T+) per excitation
+        # forward + bra undo: 2 x 3 excitations, 2 x 7 bonds
+        "mps.excitation": 6,
+        "mps.pauli_rotation": 0,
         "mps.gate_2q": 0,
         "mps.swap": 0,
     },
@@ -536,10 +593,11 @@ GRADIENT_BUDGETS = {
     ("h2", "mps", "no_trail"): {
         "grad.forward_sweeps": 1,
         "grad.backward_sweeps": 1,
-        "grad.gate_undos": 28,        # 2 x 14 gates (ket + bra)
-        "grad.gemm_calls": 92,
-        # forward + ket undo + bra undo: 3 x 12 rotations, 3 x 32 bonds
-        "mps.pauli_rotation": 36,
+        "grad.gate_undos": 10,        # 2 x 5 gates (ket + bra)
+        "grad.gemm_calls": 44,
+        # forward + ket undo + bra undo: 3 x 3 excitations, 3 x 7 bonds
+        "mps.excitation": 9,
+        "mps.pauli_rotation": 0,
         "mps.gate_2q": 0,
         "mps.swap": 0,
     },
@@ -553,14 +611,15 @@ GRADIENT_BUDGETS = {
         "grad.backward_sweeps": 1,
         "grad.gate_undos": 29384,     # 2 x 14692 gates
     },
-    # D = 16: 736 rotations + 4 reference X gates, bra only
+    # D = 16: 104 excitations + 4 reference X gates, bra only
     ("lih", "mps"): {
         "grad.forward_sweeps": 1,
         "grad.backward_sweeps": 1,
-        "grad.gate_undos": 740,
-        "grad.gemm_calls": 13694,
-        "mps.pauli_rotation": 1472,
-        "mps.svd": 12043,
+        "grad.gate_undos": 108,
+        "grad.gemm_calls": 3902,
+        "mps.excitation": 208,
+        "mps.pauli_rotation": 0,
+        "mps.svd": 1659,              # 2 x 824 bonds + the bra build
         "mps.gate_2q": 0,
         "mps.swap": 0,
     },
@@ -599,8 +658,10 @@ class TestGradientBudgets:
         equivalents = reg.value("grad.eval_equivalents", source="adjoint")
         assert equivalents == {"mps": 3, "statevector": 4}[simulator]
         # the adjoint acceptance: >= 5x fewer eval-equivalents than
-        # gate-wise parameter shift (2 per parametric gate)
-        assert 2 * n_parametric_gates(h2.uccsd_circuit) >= 5 * equivalents
+        # gate-wise parameter shift (2 per Pauli rotation: it expands the
+        # excitation gates, and decomposed() has one RZ per rotation)
+        assert (2 * n_parametric_gates(h2.uccsd_circuit.decomposed())
+                >= 5 * equivalents)
 
     def test_h2_mps_without_trail(self, h2, monkeypatch):
         from repro.simulators import mps_circuit
@@ -625,16 +686,17 @@ class TestGradientBudgets:
         assert reg.value("vqe.ansatz_runs") == 1
         assert reg.value("grad.forward_sweeps") == 0
         assert reg.value("grad.eval_equivalents", source="adjoint") == 2
-        # the energy's 12 rotations + the bra's 12
-        assert reg.value("mps.pauli_rotation") == 24
+        # the energy's 3 excitations + the bra's 3
+        assert reg.value("mps.excitation") == 6
+        assert reg.value("mps.pauli_rotation") == 0
 
     def test_h2_mps_environment_cache(self, h2):
         _, reg = self._gradient(h2, simulator="mps")
-        # one overlap per rotation, two environment requests each: the
-        # eight full-span doubles find both edges cached, each pair of
-        # singles builds one environment and reuses it
+        # two overlaps (T, T+) per excitation, two environment requests
+        # each: the full-span double finds both edges cached, each single
+        # builds one environment and reuses it for its second overlap
         assert reg.value("grad.cached_tensors", outcome="built") == 2
-        assert reg.value("grad.cached_tensors", outcome="reused") == 22
+        assert reg.value("grad.cached_tensors", outcome="reused") == 10
 
     def test_lih_statevector(self, lih):
         _, reg = self._gradient(lih, simulator="statevector")

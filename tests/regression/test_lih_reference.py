@@ -1,19 +1,30 @@
 """Independent-reference pins on frozen-core LiH (the ``lih_step`` system).
 
-The statevector backend shares no evolution code with the MPS rotation
+The statevector backend shares no evolution code with the MPS sweep
 kernel: it runs the ``decomposed()`` CNOT staircases on dense amplitudes.
 At theta_ref (the committed fast-backend optimum of
 ``benchmarks/e2e/reference.json``) it is the oracle for
 
-* both MPS modes at unbounded D - two different kernels, the rotation
+* both MPS modes at unbounded D - two different kernels, the excitation
   sweep and the two-site staircase path - to 1e-10 Ha;
-* the truncated regime: at D = 8 the rotation kernel keeps the energy
-  within 1e-8 Ha and the adjoint gradient within 1e-5 (max-norm) of exact.
-  Measured 8.1e-13 Ha / 4.3e-7 here; the staircase path was 7.0e-5 Ha /
-  1.4e-2 off at the same D, because it truncates mid-ladder states;
-* D = 6, where truncation is felt (5.8e-7 Ha) and where reading the ket
-  from the forward trail and un-evolving it part ways: the gradient is
-  9.0e-5 off with the trail, 2.1e-4 with every gate undone on the ket.
+* D = 8 and D = 6, which the excitation stream no longer feels: exp(a kappa)
+  never leaves the particle-number sector, the state's bonds peak at 7
+  (12 for the same circuit as Pauli rotations, whose mid-excitation states
+  do leave it), so D = 8 is exact - energy 8.1e-13 Ha, adjoint gradient
+  4.3e-15 (max-norm) from the statevector's - and D = 6 discards 2.8e-17:
+  8.1e-13 Ha / 2.0e-8, and 2.6e-9 with every gate undone on the ket
+  instead of read from the forward trail;
+* the same circuit one level down, as ``PR`` rotations through the same
+  sweep, which is what these rows pinned before ``EX``: D = 8 6.4e-13 Ha /
+  4.3e-7, D = 6 5.8e-7 Ha / 9.0e-5 (2.1e-4 without the trail); the
+  staircase path is 7.9e-5 Ha off at D = 8, because it truncates
+  mid-ladder states;
+* D = 4, where the excitation stream truncates for real (discarded weight
+  1.5e-3): 1.1e-3 Ha against the rotations' 1.5e-2 Ha at the same D.
+
+Energies are Rayleigh quotients of the truncated state
+(``MPS.environments``), so every truncated row errs *above* the exact
+energy.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ import pytest
 
 from repro import Q2Chemistry
 from repro.chem.geometry import lih
+from repro.circuits.circuit import Circuit
 from repro.circuits.uccsd import UCCSDAnsatz
 from repro.simulators.mps_circuit import MPSSimulator
 from repro.simulators.statevector import StatevectorSimulator
@@ -43,7 +55,11 @@ def lih_frozen_core():
     theta = np.asarray(json.loads(REFERENCE.read_text())["lih_theta_ref"])
     exact = EnergyEvaluator(job.qubit_hamiltonian(), circuit,
                             simulator="statevector")
+    rotations = Circuit(circuit.n_qubits,
+                        [p for g in circuit for p in g.decompose()],
+                        n_parameters=circuit.n_parameters)
     return {"hamiltonian": job.qubit_hamiltonian(), "circuit": circuit,
+            "rotations": rotations,
             "theta": theta, "energy": exact.energy(theta),
             "gradient": exact.gradient_source("adjoint")(theta)}
 
@@ -59,16 +75,28 @@ def test_both_mps_kernels_match_the_statevector_at_unbounded_d(
     assert abs(np.vdot(exact, sim.statevector())) >= 1.0 - 1e-10
 
 
+def _errors(ref, circuit, max_bond):
+    """(energy error in Ha, max-norm adjoint-gradient error) at one D."""
+    evaluator = EnergyEvaluator(ref["hamiltonian"], circuit,
+                                simulator="mps", max_bond_dimension=max_bond)
+    energy = evaluator.energy(ref["theta"])
+    gradient = evaluator.gradient_source("adjoint")(ref["theta"])
+    return (abs(energy - ref["energy"]),
+            np.abs(gradient - ref["gradient"]).max())
+
+
 def test_d8_energy_and_adjoint_gradient_against_the_statevector(
         lih_frozen_core):
     ref = lih_frozen_core
-    evaluator = EnergyEvaluator(ref["hamiltonian"], ref["circuit"],
-                                simulator="mps", max_bond_dimension=8)
-    assert abs(evaluator.energy(ref["theta"]) - ref["energy"]) <= 1e-8
-    gradient = evaluator.gradient_source("adjoint")(ref["theta"])
-    assert np.abs(gradient - ref["gradient"]).max() <= 1e-5
-    # the cap is one the staircase stream feels: same D, same theta, the
-    # decomposed() circuit through the two-site path is 7.0e-5 Ha off
+    e_err, g_err = _errors(ref, ref["circuit"], 8)
+    assert e_err <= 1e-10
+    assert g_err <= 1e-10
+    # the same circuit as Pauli rotations feels the cap in its gradient
+    e_err, g_err = _errors(ref, ref["rotations"], 8)
+    assert e_err <= 1e-8
+    assert 1e-8 <= g_err <= 1e-5
+    # and the staircase stream in its energy: same D, same theta, the
+    # decomposed() circuit through the two-site path is 7.9e-5 Ha off
     staircase = EnergyEvaluator(ref["hamiltonian"],
                                 ref["circuit"].decomposed(),
                                 simulator="mps", max_bond_dimension=8)
@@ -77,8 +105,18 @@ def test_d8_energy_and_adjoint_gradient_against_the_statevector(
 
 def test_d6_adjoint_gradient_against_the_statevector(lih_frozen_core):
     ref = lih_frozen_core
-    evaluator = EnergyEvaluator(ref["hamiltonian"], ref["circuit"],
-                                simulator="mps", max_bond_dimension=6)
-    assert abs(evaluator.energy(ref["theta"]) - ref["energy"]) <= 1e-6
-    gradient = evaluator.gradient_source("adjoint")(ref["theta"])
-    assert np.abs(gradient - ref["gradient"]).max() <= 2e-4
+    e_err, g_err = _errors(ref, ref["circuit"], 6)
+    assert e_err <= 1e-10
+    assert g_err <= 1e-7
+    e_err, g_err = _errors(ref, ref["rotations"], 6)
+    assert 1e-8 <= e_err <= 1e-6
+    assert g_err <= 2e-4
+
+
+def test_d4_truncates_the_excitation_stream_less_than_its_rotations(
+        lih_frozen_core):
+    ref = lih_frozen_core
+    e_err, _ = _errors(ref, ref["circuit"], 4)
+    e_rot, _ = _errors(ref, ref["rotations"], 4)
+    assert 1e-4 <= e_err <= 2e-3      # the cap bites ...
+    assert e_err <= 0.1 * e_rot       # ... the rotations 14x harder

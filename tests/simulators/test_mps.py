@@ -251,3 +251,47 @@ class TestPauliRotation:
         with pytest.raises(TruncationOverflowError):
             mps.apply_pauli_rotation(
                 [(0, "X"), (2, "Y"), (3, "Z"), (5, "X")], 1.1)
+
+
+class TestExcitation:
+    """Entry checks of ``apply_excitation`` (its numerics live in
+    tests/properties/test_excitation_gate.py); the sweep behind it is the
+    one ``apply_pauli_rotation`` runs."""
+
+    @pytest.mark.parametrize("ops", [
+        [], [(0, "+"), (0, "-")], [(-1, "+"), (1, "-")], [(1, "+"), (4, "-")],
+        [(0, "X"), (1, "-")], [(0, None), (1, "-")],
+        [(0, "Z"), (1, "Z")],          # no ladder factor: T - T+ = 0
+    ])
+    def test_bad_strings_rejected(self, ops):
+        with pytest.raises(ValidationError):
+            MPS(4).apply_excitation(ops, 0.3)
+
+    def test_vidal_state_rejected(self):
+        mps = MPS(4, update_scheme="vidal")
+        with pytest.raises(ValidationError, match="decomposed"):
+            mps.apply_excitation([(0, "-"), (2, "+")], 0.3)
+
+    def test_one_svd_per_bond_of_the_span_and_no_swaps(self):
+        from repro import obs
+
+        with obs.collect() as reg:
+            mps = MPS.from_bitstring("011000")
+            # a double excitation 1, 2 -> 4, 5 with an identity gap at 3
+            mps.apply_excitation([(1, "-"), (2, "-"), (4, "+"), (5, "+")],
+                                 0.8)
+        assert reg.value("mps.excitation") == 1
+        assert reg.value("mps.pauli_rotation") == 0
+        assert reg.value("mps.svd") == 4              # bonds 2..5
+        assert reg.value("mps.gate_2q") == reg.value("mps.swap") == 0
+        assert mps.bond_dimensions() == [1, 2, 2, 2, 2]
+        # cos(a)|011000> + sin(a)|000011>, up to the sign of the ordering
+        assert abs(mps.amplitude("011000")) == pytest.approx(np.cos(0.8))
+        assert abs(mps.amplitude("000011")) == pytest.approx(np.sin(0.8))
+
+    def test_truncation_ceiling_enforced_inside_the_sweep(self):
+        mps = MPS.random_state(6, 4, seed=2, max_bond_dimension=2,
+                               max_truncation_error=1e-9)
+        with pytest.raises(TruncationOverflowError):
+            mps.apply_excitation(
+                [(0, "-"), (2, "-"), (3, "+"), (5, "+")], 1.1)

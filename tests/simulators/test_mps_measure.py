@@ -2,10 +2,11 @@
 
 Every evaluation path (shared-environment sweep, compressed-MPO contraction,
 cost-model auto) must agree with the per-term transfer-matrix oracle to
-1e-10 on molecular Hamiltonians (H2, LiH) and random canonical states; the
-revision-keyed environment caches must never survive ``run()`` /
-``apply_*`` / ``reset()``; and the level-2 grouped dispatch must reduce
-deterministically for any in-process worker count.
+1e-10 on molecular Hamiltonians (H2, LiH) and random canonical states, and
+with the dense Rayleigh quotient to 1e-12 on states truncation has pushed
+out of canonical form; the revision-keyed environment caches must never
+survive ``run()`` / ``apply_*`` / ``reset()``; and the level-2 grouped
+dispatch must reduce deterministically for any in-process worker count.
 """
 
 import numpy as np
@@ -257,6 +258,84 @@ class TestCacheInvalidation:
         # same state revision: the cached per-term values are reused and
         # the result is bitwise identical
         assert engine.expectation_sweep(mps, op) == first
+
+
+class TestTruncatedStates:
+    """<H> is the Rayleigh quotient of the state the tensors hold.
+
+    A truncating Hastings update leaves B_q = M V+ an isometry, and the
+    other bonds' lambdas Schmidt values, only up to the weight it
+    discards; closing Eq. 11 with lambda^2 and the identity on such
+    tensors read H2 at D = 2 as 3.7e-6 Ha *below* FCI.  Every path closes
+    with the state's exact environments instead."""
+
+    @staticmethod
+    def rayleigh(mps, op):
+        psi = mps.to_statevector()
+        return float(np.real(np.vdot(psi, op.matrix(mps.n_qubits) @ psi)
+                             / np.vdot(psi, psi)))
+
+    @staticmethod
+    def local_operator(n_qubits, seed):
+        """Random one- and two-site strings: the terms whose support ends
+        short of the chain ends, where the closing environments matter."""
+        rng = np.random.default_rng(seed)
+        terms = {}
+        for q in range(n_qubits):
+            for ch in "XYZ":
+                terms[PauliTerm.from_ops([(q, ch)])] = rng.standard_normal()
+                if q + 2 < n_qubits:
+                    terms[PauliTerm.from_ops([(q, ch), (q + 2, "Z")])] = \
+                        rng.standard_normal()
+        return QubitOperator(terms)
+
+    @staticmethod
+    def truncated(circuit, bond):
+        sim = MPSSimulator(circuit.n_qubits, max_bond_dimension=bond)
+        sim.run(circuit)
+        assert sim.state.stats.total_discarded_weight > 1e-4
+        assert not sim.state.check_right_canonical(1e-6)
+        return sim.state
+
+    @pytest.mark.parametrize("kind", ["excitations", "rotations", "bricks"])
+    def test_every_path_is_the_rayleigh_quotient(self, kind):
+        from repro.circuits.hea import random_brick_circuit
+        from repro.circuits.uccsd import UCCSDAnsatz
+
+        if kind == "bricks":      # two-site updates
+            circuit, bond = random_brick_circuit(8, 6, seed=3), 4
+        else:
+            ansatz = UCCSDAnsatz(4, 4)
+            theta = 0.3 * np.random.default_rng(5).standard_normal(
+                ansatz.n_parameters)
+            circuit, bond = ansatz.circuit().bind(theta), 8
+            if kind == "rotations":
+                circuit.gates[:] = [r for g in circuit.gates
+                                    for r in g.decompose()]
+        mps = self.truncated(circuit, bond)
+        op = self.local_operator(8, 11)
+        ref = self.rayleigh(mps, op)
+        engine = MPSMeasurementEngine()
+        for mode in MEASUREMENT_MODES:
+            assert engine.expectation(mps, op, mode=mode) == \
+                pytest.approx(ref, abs=1e-12), mode
+        psi = mps.to_statevector()
+        assert mps.norm() == pytest.approx(np.linalg.norm(psi), abs=1e-12)
+
+    def test_h2_at_d2_never_reads_below_fci(self, h2_hamiltonian):
+        from repro.circuits.uccsd import UCCSDAnsatz
+
+        ham, n = h2_hamiltonian
+        e_fci = np.linalg.eigvalsh(ham.matrix(n))[0]
+        circuit = UCCSDAnsatz(2, 2).circuit()
+        for singles in (-0.0292, -0.00925, 0.03):
+            sim = MPSSimulator(n, max_bond_dimension=2)
+            sim.run(circuit.bind(np.array([singles, -0.05654])))
+            assert sim.state.stats.total_discarded_weight > 1e-4
+            energy = sim.expectation(ham)
+            assert energy == pytest.approx(self.rayleigh(sim.state, ham),
+                                           abs=1e-12)
+            assert energy >= e_fci - 1e-12
 
 
 class TestGroupedMPSDispatch:

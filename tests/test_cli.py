@@ -133,6 +133,8 @@ class TestInfoCommand:
         out = capsys.readouterr().out
         assert "qubits          : 4" in out
         assert "Pauli strings   : 15" in out
+        assert ("3 excitation gates = 12 Pauli rotations = 158 gates "
+                "(64 two-qubit)") in out
 
     def test_frozen_core(self, capsys):
         assert main(["info", "--molecule", "lih", "--frozen-core", "1"]) == 0

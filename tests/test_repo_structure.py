@@ -48,6 +48,27 @@ class TestDocstrings:
         assert not undocumented, undocumented
 
 
+class TestImportWeight:
+    def test_import_repro_leaves_scipy_stats_out(self):
+        """``scipy.stats`` was 0.6 s of a 1.4 s ``import repro`` that every
+        CLI call and benchmark workload paid, for two ``unitary_group``
+        draws in ``circuits/hea.py``; it is imported by the function that
+        draws."""
+        import os
+        import subprocess
+        import sys
+
+        code = ("import sys, repro, repro.circuits.hea; "
+                "print('scipy.stats' in sys.modules); "
+                "repro.circuits.hea.random_brick_circuit(2, 1, seed=0); "
+                "print('scipy.stats' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT.parent)})
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["False", "True"]
+
+
 class TestExperimentIndex:
     BENCH_FILES = [
         "bench_fig02c_simulators.py",
