@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.common.errors import ReproError
+from repro.common.errors import ReproError, ValidationError
 
 
 def _build_molecule(args):
@@ -64,10 +64,15 @@ def cmd_energy(args) -> int:
 def _run_energy(args) -> int:
     from repro.q2chem import Q2Chemistry
 
+    method = args.method.lower()
+    if args.workers != 1 and not method.startswith("dmet"):
+        raise ValidationError(
+            f"--workers/--executor apply to the DMET methods (fragments are "
+            f"what runs on workers); --method {args.method} runs in one "
+            f"process")
     molecule = _build_molecule(args)
     job = Q2Chemistry.from_molecule(molecule, basis=args.basis,
                                     frozen_core=args.frozen_core)
-    method = args.method.lower()
     print(f"{molecule.name or 'molecule'} / {args.basis}: "
           f"{molecule.n_electrons} electrons, "
           f"{job.mo_integrals.n_qubits} qubits")
@@ -78,14 +83,6 @@ def _run_energy(args) -> int:
     elif method == "fci":
         print(f"E(FCI)  = {job.fci_energy():+.8f} Ha")
     elif method == "vqe":
-        # --workers N routes measurements through the level-2 parallel
-        # engine (needs a backend with a registered state transport,
-        # e.g. statevector or mps)
-        parallel = args.executor if args.workers > 1 else None
-        if args.level3_workers > 1:
-            from repro.simulators.mps_measure import configure_level3
-
-            configure_level3(workers=args.level3_workers)
         # --grad switches the optimizer from energy-only (cobyla) to a
         # gradient consumer (adam unless --optimizer says otherwise)
         optimizer = args.optimizer or ("adam" if args.grad else "cobyla")
@@ -93,8 +90,7 @@ def _run_energy(args) -> int:
                              max_bond_dimension=args.bond_dimension,
                              measurement=args.measurement,
                              optimizer=optimizer, grad=args.grad,
-                             max_iterations=args.max_iterations,
-                             parallel=parallel, n_workers=args.workers)
+                             max_iterations=args.max_iterations)
         print(f"E(VQE)  = {res.energy:+.8f} Ha "
               f"({res.n_evaluations} evaluations, {res.optimizer})")
     elif method.startswith("dmet"):
@@ -345,17 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--max-iterations", type=int, default=4000,
                     help="VQE optimizer iteration budget")
     pe.add_argument("--workers", type=int, default=1,
-                    help="worker count for the parallel execution engine: "
-                         "DMET fragments (level 1) and VQE Pauli-group "
-                         "measurement batches (level 2); results are "
-                         "bitwise independent of the count")
+                    help="worker count for the DMET fragment solves "
+                         "(dmet-* methods only); results are bitwise "
+                         "independent of the count")
     pe.add_argument("--executor", default="thread",
                     help="registered executor backend: serial | thread | "
                          "process (used when --workers > 1)")
-    pe.add_argument("--level3-workers", type=int, default=1,
-                    help="thread count for the level-3 bond-sliced MPS "
-                         "measurement GEMMs (bitwise identical to the "
-                         "unsliced path; shipped to process workers)")
     pe.add_argument("--fragment-atoms", type=int, default=2)
     pe.add_argument("--equivalent", action="store_true",
                     help="treat all fragments as symmetry equivalent")

@@ -84,16 +84,8 @@ class BackendSpec:
     `cutoff` are always forwarded by the evaluator layer so that one call
     signature drives every backend.
 
-    ``picklable``, ``shareable_state`` and ``transport`` advertise what the
-    real parallel engine (:mod:`repro.parallel.executor`) may do with the
-    backend: whether instances can be shipped to process-pool workers, and
-    which registered state transport
-    (:mod:`repro.parallel.transport`) exports the backend's states into
-    shared memory for worker-side batched measurement — ``"dense_shm"``
-    for flat amplitude vectors, ``"mps_shm"`` for tensor-train site
-    blocks, ``None`` when states cannot cross process boundaries at all.
-    ``shareable_state`` is the legacy boolean form of the same capability
-    (kept in sync for existing callers).
+    ``picklable`` advertises whether instances can be shipped to the
+    process-pool fragment workers of :mod:`repro.parallel.executor`.
 
     ``measurement_modes`` / ``default_measurement`` advertise the
     observable-evaluation strategies the backend accepts through a
@@ -117,13 +109,6 @@ class BackendSpec:
     options: tuple[str, ...] = field(default=())
     #: instances survive pickling to process-pool workers
     picklable: bool = True
-    #: exposes a dense statevector shareable via shared memory (legacy
-    #: boolean capability; ``transport`` is the canonical declaration)
-    shareable_state: bool = False
-    #: name of the registered state transport able to export this
-    #: backend's states across process boundaries (None: process-parallel
-    #: measurement unsupported)
-    transport: str | None = None
     #: observable-evaluation strategies selectable via measurement=...
     measurement_modes: tuple[str, ...] = field(default=())
     #: the mode used when the caller does not pick one (None: no knob)
@@ -150,8 +135,7 @@ def register_backend(name: str, factory: Callable[..., Any] | None = None, *,
                      kind: str = "circuit",
                      make_evaluator: Callable[..., Any] | None = None,
                      description: str = "", options: tuple[str, ...] = (),
-                     picklable: bool = True, shareable_state: bool = False,
-                     transport: str | None = None,
+                     picklable: bool = True,
                      measurement_modes: tuple[str, ...] = (),
                      default_measurement: str | None = None,
                      gradients: tuple[str, ...] = (),
@@ -170,11 +154,8 @@ def register_backend(name: str, factory: Callable[..., Any] | None = None, *,
         ``(hamiltonian, ansatz, **opts) -> evaluator`` for ansatz backends.
     description, options:
         Documentation surfaced by the CLI (`--simulator` help) and docs.
-    picklable, shareable_state, transport:
-        Parallel-engine capabilities (see :class:`BackendSpec`).  Passing
-        ``shareable_state=True`` without a transport implies the dense
-        ``"dense_shm"`` transport; declaring a transport implies
-        ``shareable_state`` for legacy callers.
+    picklable:
+        Instances survive pickling to process-pool workers.
     measurement_modes, default_measurement:
         Observable-evaluation strategies selectable via a ``measurement=``
         factory option (see :class:`BackendSpec`).
@@ -199,17 +180,10 @@ def register_backend(name: str, factory: Callable[..., Any] | None = None, *,
             f"default measurement {default_measurement!r} is not among the "
             f"declared modes {modes}"
         )
-    # the two capability declarations imply each other for compatibility:
-    # legacy shareable_state=True means the dense transport, and any
-    # declared transport makes the state shareable
-    if transport is None and shareable_state:
-        transport = "dense_shm"
     spec = BackendSpec(name=key, kind=kind, factory=factory,
                        make_evaluator=make_evaluator,
                        description=description, options=tuple(options),
                        picklable=picklable,
-                       shareable_state=transport is not None,
-                       transport=transport,
                        measurement_modes=modes,
                        default_measurement=default_measurement,
                        gradients=tuple(gradients))
@@ -305,7 +279,6 @@ register_backend(
     description="dense 2^n amplitude vector; gate-by-gate tensordot, "
                 "batched compiled-observable measurement",
     options=("max_qubits",),
-    shareable_state=True,
     gradients=("adjoint",),
 )
 register_backend(
@@ -315,7 +288,6 @@ register_backend(
                 "measurement",
     options=("max_bond_dimension", "cutoff", "mode", "measurement",
              "max_truncation_error"),
-    transport="mps_shm",
     # kept in sync with repro.simulators.mps_measure.MEASUREMENT_MODES
     # (listed literally so importing the registry stays lightweight);
     # the backend parity tests assert the two tuples match
@@ -333,7 +305,6 @@ register_backend(
     description="closed-form permutation+phase UCC evaluator; ~100x faster "
                 "than gate-by-gate simulation at DMET fragment sizes",
     options=("max_qubits",),
-    shareable_state=True,
 )
 
 

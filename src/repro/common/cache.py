@@ -1,11 +1,11 @@
 """The one content-addressed, byte-bounded store of memoised artifacts.
 
 Compiled observables (:mod:`repro.simulators.pauli_kernels`), sweep plans
-and compressed MPOs (:mod:`repro.simulators.mps_measure`), worker group
-payloads (:mod:`repro.parallel.executor`) and the job service's results
-and prepared systems (:mod:`repro.serve.service`) are pure functions of
-their content key, built once and "kept constant afterwards" (paper
-Sec. III-D).  They all live in the process's current :class:`ServeCache`
+and compressed MPOs (:mod:`repro.simulators.mps_measure`) and the job
+service's results and prepared systems (:mod:`repro.serve.service`) are
+pure functions of their content key, built once and "kept constant
+afterwards" (paper Sec. III-D).  They all live in the process's current
+:class:`ServeCache`
 (:func:`current`), so only this module knows the eviction policy and the
 byte budget:
 

@@ -60,36 +60,25 @@ class TruncationOverflowError(ReproError, RuntimeError):
         self.accumulated_error = accumulated_error
 
 
-class TransportError(ValidationError):
-    """A state cannot be shipped across process boundaries as requested.
+class WorkerError(ReproError, RuntimeError):
+    """A pool worker died before returning its task's result.
 
-    Raised by the parallel engine when a backend/state has no registered
-    :class:`repro.parallel.transport.StateTransport` (or an executor needs
-    one the backend does not declare).  Structured so callers can react to
-    the *capability gap* instead of string-matching a message.
+    Raised by :meth:`repro.parallel.executor.ProcessExecutor.map`, which
+    discards the broken pool first: the next ``map`` on the same executor
+    starts a fresh one.
 
     Attributes
     ----------
-    state_kind:
-        Human-readable kind of the state that failed to ship ("mps",
-        "dense", a class name...), if known.
-    backend:
-        Registered backend name whose :class:`repro.backends.BackendSpec`
-        lacks the capability, if the failure was a spec-level check.
     executor:
-        Executor name that required the transport, if known.
-    available:
-        Registered transport names at the time of the failure.
+        Name of the executor whose worker died.
+    workers:
+        Its configured worker count.
     """
 
-    def __init__(self, message: str, *, state_kind: str | None = None,
-                 backend: str | None = None, executor: str | None = None,
-                 available: tuple[str, ...] = ()):
+    def __init__(self, message: str, *, executor: str, workers: int):
         super().__init__(message)
-        self.state_kind = state_kind
-        self.backend = backend
         self.executor = executor
-        self.available = tuple(available)
+        self.workers = workers
 
 
 class CheckpointError(ReproError, RuntimeError):

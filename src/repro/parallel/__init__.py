@@ -7,11 +7,22 @@ The paper's parallelization (Sec. III-C) has three levels:
    sub-group, with dynamic load balancing;
 3. **tensor kernels** - threaded on the 64 CPEs of a core group.
 
-We cannot run on 20M Sunway cores, so this package separates *policy* from
-*clock*: the decomposition, communicator traffic and scheduling run for real
-(and can execute on a local thread pool), while timing can come either from
-the wall clock or from a calibrated event-driven model of the SW26010Pro
-machine - which is how the strong/weak scaling figures are regenerated.
+We cannot run on 20M Sunway cores, so each level is reproduced where a
+measurement says it can be:
+
+* level 1 runs for real: :class:`ThreeLevelEngine` /
+  ``DMET(n_workers=, executor=)`` map fragments over serial, thread or
+  process workers (:mod:`repro.parallel.executor`; 1.90x on 2 processes on
+  the ``chain8_dmet_w2`` benchmark workload);
+* levels 2 and 3 are replayed: the decomposition, communicator traffic
+  and LPT scheduling run for real on :class:`SimCluster` clocks charged
+  from a calibrated model of the SW26010Pro machine
+  (:meth:`ThreeLevelDriver.simulate`, :mod:`repro.parallel.perfmodel`) -
+  which is how the strong/weak scaling figures (Figs. 12-13) are
+  regenerated.  At the sizes this repo reaches, measuring one prepared
+  state is under 2% of an energy evaluation and every way of splitting it
+  over workers was slower than not splitting it (EXPERIMENTS.md,
+  Ablation 6), so no real level-2/3 path exists.
 """
 
 from repro.parallel.topology import SW26010Pro, SunwayMachine
@@ -25,7 +36,6 @@ from repro.parallel.scheduler import (
 )
 from repro.parallel.executor import (
     ExecutorCounters,
-    GroupedObservable,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
@@ -56,7 +66,6 @@ __all__ = [
     "makespan",
     "Task",
     "ExecutorCounters",
-    "GroupedObservable",
     "ProcessExecutor",
     "SerialExecutor",
     "ThreadExecutor",

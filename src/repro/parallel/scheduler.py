@@ -57,11 +57,10 @@ def schedule_lpt(tasks: list[Task], n_workers: int) -> list[list[Task]]:
 def chunk_round_robin(n_items: int, n_chunks: int) -> list[list[int]]:
     """Deterministic round-robin index chunks (never returns empty chunks).
 
-    Used by the real executor to hand each worker a chunk of Pauli-group
-    indices: item ``i`` goes to chunk ``i mod n_chunks``, chunk count is
-    clamped to the item count, and the layout depends only on the two
-    arguments - never on scheduling - so parallel reductions that re-order
-    by item index stay bitwise reproducible.
+    The worker-slot layout of the real executor's fragment tasks: item
+    ``i`` goes to chunk ``i mod n_chunks``, chunk count is clamped to the
+    item count, and the layout depends only on the two arguments - never
+    on scheduling - so per-worker telemetry labels are reproducible.
     """
     if n_chunks < 1:
         raise ValidationError("need at least one chunk")

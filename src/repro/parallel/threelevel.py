@@ -4,17 +4,15 @@ Level 1 - DMET fragments over MPI sub-groups (embarrassingly parallel);
 Level 2 - Pauli-string circuits over the processes of one sub-group;
 Level 3 - tensor kernels (delegated to the BLAS thread pool / kernels module).
 
-Two execution modes share the same orchestration code:
+Two execution modes:
 
 * ``simulate`` - ranks are :class:`SimCluster` clocks; compute is charged
   from a :class:`CircuitCostModel` and communication from the machine model.
-  This replays arbitrarily large runs (it is how Figs. 12-13 are made).
-* ``local`` - fragments and Pauli-group batches are executed for real
-  through the executor layer (:mod:`repro.parallel.executor`): serial,
-  thread-pool or process-pool workers with a shared-memory statevector and
-  deterministic reduction.  :class:`ThreeLevelEngine` is the entry point;
-  it gives actual multi-core speedups at laptop scale (used by the
-  examples, benchmarks and tests).
+  This replays arbitrarily large runs (it is how Figs. 12-13 are made), and
+  it is where levels 2 and 3 are reproduced.
+* ``local`` - level 1 executed for real: :class:`ThreeLevelEngine` maps the
+  DMET fragments over the executor layer (:mod:`repro.parallel.executor`):
+  serial, thread-pool or process-pool workers.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from repro.obs import trace as _trace
 from repro.parallel.comm import SimCluster, CommStats
 from repro.parallel.executor import (
     ExecutorCounters,
-    GroupedObservable,
     _merge_worker_payload,
     _obs_directive,
     _record_worker_chunks,
@@ -43,8 +40,7 @@ from repro.parallel.scheduler import chunk_round_robin
 
 # observability instruments (no-ops unless `repro.obs` is enabled)
 _M_FRAG_TASKS = _obs.counter(
-    "parallel.tasks", "tasks dispatched, labelled by level "
-    "(fragments | pauli_groups)")
+    "parallel.tasks", "tasks dispatched, labelled by level (fragments)")
 _M_FRAG_DISPATCHES = _obs.counter(
     "parallel.dispatches", "dispatched batches, labelled by level")
 from repro.parallel.perfmodel import (
@@ -183,18 +179,14 @@ def _solve_fragment(task: tuple) -> object:
 
 
 class ThreeLevelEngine:
-    """Real concurrent execution of the first two parallel levels.
+    """Real concurrent execution of the fragment level.
 
     Where :class:`ThreeLevelDriver.simulate` replays the paper's run
     geometry on virtual clocks, this engine actually dispatches the work:
+    :meth:`run_fragments` - level 1, one task per DMET embedded problem.
 
-    * :meth:`run_fragments` - level 1, one task per DMET embedded problem;
-    * :meth:`expectation` - level 2, the Hamiltonian's Pauli-group batches
-      evaluated against a (shared-memory) statevector with deterministic
-      reduction (see :class:`repro.parallel.executor.GroupedObservable`).
-
-    Per-level wall-time counters accumulate in :attr:`counters`;
-    :meth:`report` snapshots them for the benchmark JSON dumps.
+    Wall-time counters accumulate in :attr:`counters`; :meth:`report`
+    snapshots them.
 
     Parameters
     ----------
@@ -203,17 +195,12 @@ class ThreeLevelEngine:
         executor instance.
     max_workers:
         Pool width (defaults to the CPU affinity count).
-    n_groups:
-        Pauli-group batch count per Hamiltonian (fixed, worker-independent).
     """
 
     def __init__(self, *, executor: str = "serial",
-                 max_workers: int | None = None,
-                 n_groups: int | None = None):
+                 max_workers: int | None = None):
         self.executor = resolve_executor(executor, max_workers)
-        self.n_groups = n_groups
         self.counters = ExecutorCounters()
-        self._grouped: dict[tuple, GroupedObservable] = {}
 
     # -- level 1: fragments ---------------------------------------------------
 
@@ -264,47 +251,6 @@ class ThreeLevelEngine:
             _M_FRAG_TASKS.inc(len(tasks), level="fragments")
             _M_FRAG_DISPATCHES.inc(level="fragments")
         return out
-
-    # -- level 2: Pauli-group batches -----------------------------------------
-
-    def grouped(self, hamiltonian, n_qubits: int | None = None
-                ) -> GroupedObservable:
-        """Partition (or fetch the cached partition of) a Hamiltonian."""
-        from repro.simulators.pauli_kernels import observable_cache_key
-
-        n = max(hamiltonian.n_qubits(), 1) if n_qubits is None else int(n_qubits)
-        key = observable_cache_key(hamiltonian, n)
-        hit = self._grouped.get(key)
-        if hit is None:
-            hit = GroupedObservable(hamiltonian, n, n_groups=self.n_groups)
-            self._grouped[key] = hit
-        return hit
-
-    def expectation(self, hamiltonian, psi, n_qubits: int | None = None
-                    ) -> float:
-        """Re <psi| H |psi> via parallel group batches (bitwise stable).
-
-        ``psi`` may be a dense amplitude vector, an MPS state, or an MPS
-        simulator; tensor-train states route through
-        :meth:`GroupedObservable.expectation_mps` - shared-environment
-        sweep batches, or per-group compressed-MPO contractions when the
-        simulator's ``measurement`` knob says ``"mpo"`` (the dense path
-        batches by compiled flip masks instead).  Any executor works for
-        any state kind: out-of-process executors ship states through
-        their backend's registered transport
-        (:mod:`repro.parallel.transport`) and raise a structured
-        :class:`repro.common.errors.TransportError` when none exists.
-        """
-        from repro.simulators.mps import MPS
-
-        grouped = self.grouped(hamiltonian, n_qubits)
-        state = getattr(psi, "state", psi)  # unwrap an MPSSimulator
-        if isinstance(state, MPS):
-            mode = "mpo" if getattr(psi, "measurement", None) == "mpo" \
-                else "sweep"
-            return grouped.expectation_mps(state, self.executor,
-                                           self.counters, mode=mode)
-        return grouped.expectation(psi, self.executor, self.counters)
 
     # -- reporting / lifecycle ------------------------------------------------
 

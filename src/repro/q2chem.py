@@ -99,8 +99,6 @@ class Q2Chemistry:
                    optimizer: str = "cobyla", tolerance: float = 1e-8,
                    max_iterations: int = 4000, grad: str | None = None,
                    initial_parameters: np.ndarray | None = None,
-                   parallel: str | None = None,
-                   n_workers: int | None = None,
                    checkpoint_path: str | None = None,
                    checkpoint_every: int = 1, resume: bool = False,
                    seed: int | None = None,
@@ -111,10 +109,7 @@ class Q2Chemistry:
         optimizers ("adjoint" | "param_shift" | "finite_diff", see
         :mod:`repro.vqe.gradients`); ``measurement`` picks the MPS
         observable-evaluation path ("auto" | "sweep" | "mpo" |
-        "per_term"); ``parallel``/``n_workers`` route
-        energy evaluations through the level-2 parallel measurement engine
-        (executor name + pool width); results are bitwise identical across
-        executors and worker counts.
+        "per_term").
         ``checkpoint_path``/``checkpoint_every``/``resume`` snapshot the
         optimizer state each iteration and restart interrupted runs to a
         bitwise-identical trajectory (adam/spsa only, see
@@ -126,19 +121,18 @@ class Q2Chemistry:
         mo = self._mo()
         hamiltonian = molecular_qubit_hamiltonian(mo)
         ansatz = UCCSDAnsatz(mo.n_orbitals, mo.n_electrons)
-        with VQE(hamiltonian, ansatz, simulator=simulator,
-                 max_bond_dimension=max_bond_dimension,
-                 measurement=measurement, optimizer=optimizer,
-                 tolerance=tolerance, max_iterations=max_iterations,
-                 grad=grad, parallel=parallel, n_workers=n_workers,
-                 checkpoint_path=checkpoint_path,
-                 checkpoint_every=checkpoint_every, resume=resume) as vqe:
-            if observe:
-                from repro import obs
+        vqe = VQE(hamiltonian, ansatz, simulator=simulator,
+                  max_bond_dimension=max_bond_dimension,
+                  measurement=measurement, optimizer=optimizer,
+                  tolerance=tolerance, max_iterations=max_iterations,
+                  grad=grad, checkpoint_path=checkpoint_path,
+                  checkpoint_every=checkpoint_every, resume=resume)
+        if observe:
+            from repro import obs
 
-                with obs.collect():
-                    return vqe.run(initial_parameters, seed)
-            return vqe.run(initial_parameters, seed)
+            with obs.collect():
+                return vqe.run(initial_parameters, seed)
+        return vqe.run(initial_parameters, seed)
 
     # -- DMET ------------------------------------------------------------------------
 

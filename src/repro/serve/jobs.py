@@ -59,11 +59,6 @@ class JobSpec:
     tolerance: float = 1e-8
     grad: str | None = None
     seed: int | None = None
-    #: level-2 parallel measurement engine (executor name + pool width);
-    #: results are bitwise independent of both, but they stay in the
-    #: spec key so records name exactly what ran
-    parallel: str | None = None
-    n_workers: int | None = None
     #: kind="dmet": fragment solver + partitioning
     solver: str = "fci"
     atoms_per_group: int = 2

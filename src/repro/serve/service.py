@@ -10,10 +10,9 @@ are reused across tenants.
 
 Execution is **sequential in one scheduler thread** - the numerical
 stack's observability registry is process-global, and the point of the
-service is cross-request artifact reuse, not intra-process parallelism
-(the executor layer underneath a single job already parallelizes its
-measurements).  Client-side concurrency is free: any number of threads
-may submit and await results.
+service is cross-request artifact reuse, not intra-process parallelism.
+Client-side concurrency is free: any number of threads may submit and
+await results.
 
 Determinism contract: every serveable computation is deterministic (the
 default RNG is seeded), so
@@ -421,7 +420,6 @@ class JobService:
             max_bond_dimension=spec.max_bond_dimension,
             max_iterations=spec.max_iterations, tolerance=spec.tolerance,
             grad=spec.grad, seed=spec.seed,
-            parallel=spec.parallel, n_workers=spec.n_workers,
             checkpoint_path=spec.checkpoint_path,
             checkpoint_every=spec.checkpoint_every, resume=spec.resume)
         return {"kind": "vqe", "molecule": spec.molecule,

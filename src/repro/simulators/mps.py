@@ -278,13 +278,12 @@ class MPS:
                       revision: int = 0, **kwargs) -> "MPS":
         """Wrap externally owned tensor buffers as an MPS (no copies).
 
-        The worker-side entry point of the ``mps_shm`` state transport
-        (:mod:`repro.parallel.transport`): ``tensors`` and ``lambdas`` are
-        typically read-only views into a shared-memory segment the parent
-        process owns, and ``revision`` restores the exporter's revision
-        counter so measurement-side caches key consistently.  The wrapped
-        state is only safe to *measure*; applying gates to read-only
-        buffers raises.
+        The adjoint gradient's working view of the ket
+        (:func:`repro.vqe.gradients._adjoint_mps`): the new state gets its
+        own site lists over the caller's arrays, so un-evolving it replaces
+        list entries without touching the state the arrays came from.
+        ``revision`` carries over the owner's revision counter so
+        measurement-side caches key consistently.
         """
         if len(tensors) != n_qubits or len(lambdas) != n_qubits + 1:
             raise ValidationError(

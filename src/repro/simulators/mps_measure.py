@@ -35,8 +35,6 @@ operator-batching strategy of arXiv:2211.07983 and arXiv:2303.03681):
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +48,7 @@ from repro.simulators.pauli_kernels import observable_cache_key
 
 # observability instruments (free unless `repro.obs` is enabled); every
 # counter is a deterministic function of (operator, state shape), so the
-# regression suite pins exact values across worker counts
+# regression suite pins exact values
 _M_EVALS = _obs.counter(
     "mps_measure.evaluations",
     "batched <H> evaluations, labelled by path "
@@ -70,9 +68,6 @@ _M_MPO_CACHE = _obs.counter(
 _M_TERM_CACHE = _obs.counter(
     "mps_measure.term_value_cache_hits",
     "evaluations answered entirely from the per-revision term-value cache")
-_M_L3_SLICES = _obs.counter(
-    "mps_measure.level3_slices",
-    "fixed-size row slices dispatched by the level-3 bond-sliced GEMMs")
 
 _PAULI_MATS = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -371,57 +366,7 @@ def compiled_mpo(op: QubitOperator, n_qubits: int,
     return hit
 
 
-# -- level 3: bond-sliced batched GEMMs ---------------------------------------
-#
-# The paper's third parallel level splits the *tensor contractions
-# themselves* across compute elements.  Here that is realized by slicing
-# the site-major (rows, D, D) environment frontiers into fixed-size row
-# slices and running each slice's pair of GEMMs on a thread (BLAS releases
-# the GIL).  Each batch element of a 3D ``np.matmul`` is an independent
-# GEMM, so slicing along the row axis is *bitwise identical* to the
-# unsliced call - the invariant the level-3 determinism test pins.  The
-# slice partition is a pure function of (rows, slice_rows), never of the
-# worker count, so `mps_measure.level3_slices` totals are reproducible.
-
-_LEVEL3 = {"workers": 1, "slice_rows": 32, "pool": None, "pid": None}
-
-
-def configure_level3(workers: int | None = None,
-                     slice_rows: int | None = None) -> tuple[int, int]:
-    """Set the level-3 engine knobs; returns the active (workers, rows).
-
-    ``workers=1`` (the default) keeps the unsliced single-call path;
-    ``workers>1`` dispatches ``slice_rows``-row frontier slices onto a
-    process-local thread pool.  The executor layer ships this config to
-    pool workers so level 3 behaves identically in every process.
-    """
-    if workers is not None:
-        workers = int(workers)
-        if workers < 1:
-            raise ValidationError("level-3 worker count must be >= 1")
-        if workers != _LEVEL3["workers"] and _LEVEL3["pool"] is not None:
-            _LEVEL3["pool"].shutdown(wait=False)
-            _LEVEL3["pool"] = None
-        _LEVEL3["workers"] = workers
-    if slice_rows is not None:
-        slice_rows = int(slice_rows)
-        if slice_rows < 1:
-            raise ValidationError("level-3 slice_rows must be >= 1")
-        _LEVEL3["slice_rows"] = slice_rows
-    return level3_config()
-
-
-def level3_config() -> tuple[int, int]:
-    """The active level-3 configuration as a picklable (workers, rows)."""
-    return (_LEVEL3["workers"], _LEVEL3["slice_rows"])
-
-
-def _level3_pool() -> ThreadPoolExecutor:
-    """Process-local slice pool, rebuilt after a fork (dead threads)."""
-    if _LEVEL3["pool"] is None or _LEVEL3["pid"] != os.getpid():
-        _LEVEL3["pool"] = ThreadPoolExecutor(max_workers=_LEVEL3["workers"])
-        _LEVEL3["pid"] = os.getpid()
-    return _LEVEL3["pool"]
+# -- environment advance kernels ----------------------------------------------
 
 
 def _advance_left(env: np.ndarray, bk: np.ndarray,
@@ -458,34 +403,6 @@ def _advance_right(env: np.ndarray, bk: np.ndarray,
     # env'_k[l, m] = sum_{i,s} t[k, l, (i,s)] conj(b)[m, (i,s)]
     return np.matmul(t.reshape(env.shape[0], kl, 2 * br),
                      bc.reshape(bl, 2 * br).T)
-
-
-def _dispatch_advance(advance, env: np.ndarray, bk: np.ndarray,
-                      bc: np.ndarray, out: np.ndarray,
-                      dst: np.ndarray) -> None:
-    """Run one advance group, bond-slicing it when level 3 is active.
-
-    Writes ``out[dst[a:b]] = advance(env[a:b], ...)`` per fixed-size row
-    slice; destination rows within one group are disjoint, so slice
-    threads never race on ``out``.
-    """
-    rows = env.shape[0]
-    workers = _LEVEL3["workers"]
-    if workers <= 1:
-        out[dst] = advance(env, bk, bc)
-        return
-    step = _LEVEL3["slice_rows"]
-    if rows <= step:
-        out[dst] = advance(env, bk, bc)
-        return
-    starts = range(0, rows, step)
-    if _obs.REGISTRY.enabled:
-        _M_L3_SLICES.inc(len(starts))
-    pool = _level3_pool()
-    futures = [pool.submit(advance, env[a:a + step], bk, bc)
-               for a in starts]
-    for a, fut in zip(starts, futures):
-        out[dst[a:a + step]] = fut.result()
 
 
 # -- cost model ---------------------------------------------------------------
@@ -654,8 +571,7 @@ class MPSMeasurementEngine:
                 if nxt is None:
                     nxt = np.empty((plan.frontier_l[q + 1], dr, dr),
                                    dtype=complex)
-                _dispatch_advance(_advance_left, frontier[src], bk, bc,
-                                  nxt, dst)
+                nxt[dst] = _advance_left(frontier[src], bk, bc)
             frontier = nxt
         # right sweep: grow suffix environments from the closing-matrix
         # seeds, combining each split bond's held left rows on the way
@@ -671,8 +587,7 @@ class MPSMeasurementEngine:
             for ch, src, dst in plan.adv_r[b]:
                 bk = self._site_op(b, ch)
                 bc = self._site_conj(b)
-                _dispatch_advance(_advance_right, frontier[src], bk, bc,
-                                  nxt, dst)
+                nxt[dst] = _advance_right(frontier[src], bk, bc)
             frontier = nxt
             rrows, tidx = plan.combos[b]
             if tidx.size:
@@ -757,7 +672,5 @@ __all__ = [
     "SweepPlan",
     "build_sweep_plan",
     "compiled_mpo",
-    "configure_level3",
-    "level3_config",
     "sweep_plan",
 ]

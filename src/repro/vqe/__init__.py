@@ -3,10 +3,9 @@
 Implements the paper's VQE pipeline: the qubit Hamiltonian is split into
 Pauli strings, each measured by its own circuit (optionally via the
 paper-faithful ancilla Hadamard test), with the memory-efficient shared
-ansatz storage of Sec. III-D and the process-level partitioning of Fig. 4.
+ansatz storage of Sec. III-D.
 """
 
-from repro.vqe.grouping import partition_pauli_terms, estimate_term_cost
 from repro.vqe.energy import EnergyEvaluator, hadamard_test_circuit
 from repro.vqe.circuit_store import (
     ReplicatedCircuitStore,
@@ -30,8 +29,6 @@ from repro.vqe.vqe import VQE, VQEResult
 from repro.vqe.rdm import measure_rdms
 
 __all__ = [
-    "partition_pauli_terms",
-    "estimate_term_cost",
     "EnergyEvaluator",
     "hadamard_test_circuit",
     "ReplicatedCircuitStore",

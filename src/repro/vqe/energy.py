@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backends import backend_spec, resolve_backend
-from repro.common.errors import TransportError, ValidationError
+from repro.common.errors import ValidationError
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import COMPOSITE, Gate, controlled_pauli_gate
 from repro.obs import metrics as _obs
@@ -39,10 +39,6 @@ _M_ENERGY_EVALS = _obs.counter(
     "energy evaluations, labelled by measurement method")
 _M_ANSATZ_RUNS = _obs.counter(
     "vqe.ansatz_runs", "ansatz state preparations")
-_M_PARALLEL_EVALS = _obs.counter(
-    "vqe.parallel_evaluations",
-    "direct evaluations routed through the level-2 executor, labelled "
-    "by executor backend")
 
 
 def hadamard_test_circuit(term: PauliTerm, n_qubits: int,
@@ -105,20 +101,6 @@ class EnergyEvaluator:
         ``measurement_modes`` (the MPS backend: "auto" | "sweep" | "mpo" |
         "per_term").  None keeps the backend's registered default; naming
         a mode on a backend without the knob is a validation error.
-    parallel, n_workers, n_groups:
-        The level-2 parallel measurement path: ``parallel`` names a
-        registered executor ("serial" | "thread" | "process"), the
-        Hamiltonian is partitioned once into worker-count-independent
-        Pauli-group batches, and each direct evaluation dispatches the
-        prepared state - dense amplitudes or MPS tensor blocks, shipped
-        through the backend's registered state transport on the process
-        executor (:mod:`repro.parallel.transport`) - to the pool with
-        deterministic reduction: energies are bitwise identical across
-        executors and worker counts.  Requires a backend declaring a
-        ``transport`` on its :class:`repro.backends.BackendSpec` and the
-        direct method; a backend without one (e.g. 'density_matrix')
-        raises a structured :class:`repro.common.errors.TransportError`.
-        Call :meth:`close` when done to release the worker pool.
     """
 
     def __init__(self, hamiltonian: QubitOperator, ansatz: Circuit, *,
@@ -126,8 +108,7 @@ class EnergyEvaluator:
                  max_bond_dimension: int | None = None,
                  cutoff: float = 1e-12, measurement: str | None = None,
                  shots: int | None = None,
-                 seed: int | None = None, parallel: str | None = None,
-                 n_workers: int | None = None, n_groups: int | None = None):
+                 seed: int | None = None):
         if not hamiltonian.is_hermitian():
             raise ValidationError("Hamiltonian must be hermitian")
         if method not in ("direct", "hadamard"):
@@ -154,20 +135,6 @@ class EnergyEvaluator:
                     f"unknown measurement mode {measurement!r} for backend "
                     f"{simulator!r}; expected one of {spec.measurement_modes}"
                 )
-        if parallel is not None:
-            if method != "direct":
-                raise ValidationError(
-                    "the parallel measurement path requires method='direct'"
-                )
-            if spec.transport is None:
-                from repro.parallel.transport import available_transports
-
-                raise TransportError(
-                    f"backend {simulator!r} declares no state transport; "
-                    f"the parallel path needs a shareable state (e.g. "
-                    f"'statevector' or 'mps')",
-                    backend=simulator, executor=parallel,
-                    available=tuple(available_transports()))
         self.hamiltonian = hamiltonian
         self.ansatz = ansatz
         #: the circuit every evaluation binds and runs.  The MPS backend
@@ -201,19 +168,11 @@ class EnergyEvaluator:
             self._rng = default_rng(seed)
         self.n_qubits = ansatz.n_qubits
         self.evaluations = 0
-        self.parallel = parallel
-        self.n_workers = n_workers
-        self.n_groups = n_groups
         self._terms = [(t, c) for t, c in hamiltonian]
         #: the Hamiltonian compiled for batched dense measurement — built
         #: lazily on the first direct evaluation against a dense backend,
         #: then reused across every optimizer iteration
         self._compiled: CompiledObservable | None = None
-        #: parallel-path state, built lazily on first use so that serial
-        #: evaluators never pay pool start-up costs
-        self._grouped = None
-        self._executor = None
-        self._counters = None
         if method == "hadamard":
             # ancilla lives one past the logical register
             self._gadgets = {
@@ -280,54 +239,14 @@ class EnergyEvaluator:
 
     __call__ = energy
 
-    def _parallel_engine(self):
-        """Lazily build the (grouped observable, executor, counters) trio.
-
-        Imported lazily: :mod:`repro.parallel.executor` pulls in the
-        grouping layer, which imports this package.
-        """
-        if self._grouped is None:
-            from repro.parallel.executor import (
-                ExecutorCounters,
-                GroupedObservable,
-                resolve_executor,
-            )
-
-            self._grouped = GroupedObservable(self.hamiltonian,
-                                              self.n_qubits,
-                                              n_groups=self.n_groups)
-            self._executor = resolve_executor(self.parallel,
-                                              max_workers=self.n_workers)
-            self._counters = ExecutorCounters()
-        return self._grouped, self._executor, self._counters
-
-    def parallel_report(self) -> dict | None:
-        """Per-level timing counters of the parallel path (None if unused)."""
-        if self._counters is None:
-            return None
-        return self._counters.to_dict()
-
-    def close(self) -> None:
-        """Release the parallel worker pool (no-op on the serial path)."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-            self._grouped = None
-
-    def __enter__(self) -> "EnergyEvaluator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def energy_of_circuit(self, circuit: Circuit) -> float:
         """<H> after running an arbitrary *bound* circuit on a fresh backend.
 
         Routes through exactly the same measurement machinery as
-        :meth:`energy` (parallel grouped observables, compiled dense
-        kernels, the MPS measurement engine), so shifted-gate evaluations
-        of the parameter-shift gradient source are numerically identical
-        to ordinary energy evaluations of the same state.
+        :meth:`energy` (compiled dense kernels, the MPS measurement
+        engine), so shifted-gate evaluations of the parameter-shift
+        gradient source are numerically identical to ordinary energy
+        evaluations of the same state.
         """
         if circuit.n_qubits != self.n_qubits:
             raise ValidationError(
@@ -357,23 +276,6 @@ class EnergyEvaluator:
 
     def _measure_state(self, sim) -> float:
         """Measure <H> on a prepared backend (the direct-path dispatch)."""
-        if (self.parallel is not None
-                and getattr(sim, "natively_dense", False)):
-            grouped, executor, counters = self._parallel_engine()
-            _M_PARALLEL_EVALS.inc(executor=executor.name)
-            return grouped.expectation(sim.statevector(),
-                                       executor=executor,
-                                       counters=counters)
-        if self.parallel is not None:
-            from repro.simulators.mps import MPS
-
-            state = getattr(sim, "state", None)
-            if isinstance(state, MPS):
-                grouped, executor, counters = self._parallel_engine()
-                _M_PARALLEL_EVALS.inc(executor=executor.name)
-                mode = "mpo" if self.measurement == "mpo" else "sweep"
-                return grouped.expectation_mps(state, executor=executor,
-                                               counters=counters, mode=mode)
         if (getattr(sim, "natively_dense", False)
                 and self.n_qubits <= MAX_COMPILED_QUBITS):
             # compiled once per Hamiltonian: O(#distinct masks) gathers per

@@ -1,10 +1,12 @@
 """The VQE driver: ansatz + Hamiltonian + optimizer + simulator.
 
-Mirrors the paper's Fig. 4 workflow for a single process group: broadcast
-parameters, evaluate all Pauli-string expectations, reduce to the energy,
-hand it to the optimizer, repeat.  The distributed version of the same loop
-lives in :mod:`repro.parallel.threelevel`; this class is the sequential
-kernel it distributes.
+Mirrors the paper's Fig. 4 workflow for a single process: bind the
+parameters, evaluate all Pauli-string expectations on the prepared state,
+reduce to the energy, hand it to the optimizer, repeat.  The loop is
+sequential; what runs concurrently is one level up, where
+:mod:`repro.parallel.threelevel` maps whole DMET fragment solves (each
+one of these loops) over workers, and the paper's per-string distribution
+is replayed on simulated clocks by ``ThreeLevelDriver.simulate``.
 """
 
 from __future__ import annotations
@@ -81,10 +83,6 @@ class VQE:
         ("statevector", "mps"); naming a source with a gradient-free
         optimizer (cobyla, nelder-mead, powell, spsa) is a validation
         error.
-    parallel / n_workers:
-        Forwarded to :class:`EnergyEvaluator`: executor name for the
-        level-2 parallel measurement path and its worker count.  Call
-        :meth:`close` after the run to release the worker pool.
     checkpoint_path / checkpoint_every / resume:
         Per-iteration optimizer snapshots (:mod:`repro.serve.checkpoint`,
         schema ``repro.ckpt/1``).  Only the iteration-structured
@@ -110,8 +108,6 @@ class VQE:
                  measurement: str | None = None,
                  optimizer: str = "cobyla", tolerance: float = 1e-8,
                  max_iterations: int = 2000, grad: str | None = None,
-                 parallel: str | None = None,
-                 n_workers: int | None = None,
                  checkpoint_path: str | None = None,
                  checkpoint_every: int = 1, resume: bool = False):
         self.uccsd = ansatz if isinstance(ansatz, UCCSDAnsatz) else None
@@ -122,11 +118,6 @@ class VQE:
             if self.uccsd is None:
                 raise ValidationError(
                     f"backend {simulator!r} requires a UCCSDAnsatz"
-                )
-            if parallel is not None:
-                raise ValidationError(
-                    f"backend {simulator!r} evaluates in closed form; the "
-                    f"parallel measurement path needs a circuit backend"
                 )
             if measurement is not None:
                 raise ValidationError(
@@ -144,8 +135,7 @@ class VQE:
             self.evaluator = EnergyEvaluator(
                 hamiltonian, circuit, simulator=simulator, method=method,
                 max_bond_dimension=max_bond_dimension,
-                measurement=measurement, parallel=parallel,
-                n_workers=n_workers)
+                measurement=measurement)
             self.n_parameters = circuit.n_parameters
         self.optimizer = optimizer.lower()
         self.tolerance = tolerance
@@ -267,18 +257,6 @@ class VQE:
                                   optimizer=self.optimizer,
                                   every=self.checkpoint_every)
         return writer, resume_state
-
-    def close(self) -> None:
-        """Release evaluator resources (the parallel worker pool)."""
-        close = getattr(self.evaluator, "close", None)
-        if close is not None:
-            close()
-
-    def __enter__(self) -> "VQE":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- post-processing --------------------------------------------------------
 

@@ -10,11 +10,9 @@ deterministic in worker tagging and event order.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import obs
-from repro.chem.lattice import hubbard_ring
 from repro.obs.export import validate_document
 from repro.obs.flight import (
     DEFAULT_CAPACITY,
@@ -25,7 +23,6 @@ from repro.obs.flight import (
     validate_flight,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.operators.molecular import molecular_qubit_hamiltonian
 
 from tests.properties.support import given_seed, rng_for
 
@@ -250,6 +247,15 @@ class TestValidateRejects:
             validate_flight(doc)
 
 
+class _SquareSolver:
+    """Picklable stand-in for a fragment solver (module level on purpose)."""
+
+    name = "square"
+
+    def solve(self, problem, mu=0.0):
+        return problem * problem
+
+
 class TestCrossProcessMerge:
     """Worker rings ship back on the obs-directive path; the merged
     parent ring must be deterministic in worker tags and event counts
@@ -261,20 +267,15 @@ class TestCrossProcessMerge:
     def _run(workers: int):
         from repro.parallel.threelevel import ThreeLevelEngine
 
-        ham = molecular_qubit_hamiltonian(
-            hubbard_ring(4).to_mo_integrals())
-        rng = np.random.default_rng(11)
-        psi = (rng.standard_normal(2**8)
-               + 1j * rng.standard_normal(2**8))
-        psi = psi / np.linalg.norm(psi)
         FLIGHT.reset()
         with obs.collect():
             with ThreeLevelEngine(executor="process",
                                   max_workers=workers) as engine:
-                energy = engine.expectation(ham, psi, 8)
+                squares = engine.run_fragments(list(range(6)),
+                                               _SquareSolver())
         dump = FLIGHT.snapshot()
         validate_flight(dump)
-        return energy, dump
+        return squares, dump
 
     @staticmethod
     def _task_events(dump: dict):

@@ -1,22 +1,19 @@
-"""Tests for the real execution engine: executors, shared memory, bitwise
-determinism of the parallel Pauli-group expectation, and the engine facade.
+"""Tests for the real execution engine: executors (including a worker
+that dies mid-task), deterministic reductions, and the fragment engine.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from repro.chem.lattice import hubbard_ring
-from repro.common.errors import ValidationError
+from repro.common.errors import ReproError, ValidationError, WorkerError
 from repro.common.reductions import kahan_sum, pairwise_sum
-from repro.operators.molecular import molecular_qubit_hamiltonian
-from repro.operators.pauli import QubitOperator, pauli_string
+from repro.obs.flight import validate_flight
 from repro.parallel.executor import (
-    DEFAULT_PAULI_GROUPS,
-    GroupedObservable,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
@@ -28,13 +25,6 @@ from repro.parallel.executor import (
     unregister_executor,
 )
 from repro.parallel.threelevel import ThreeLevelEngine
-
-
-def _random_state(n_qubits: int, seed: int = 7) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    psi = (rng.standard_normal(2**n_qubits)
-           + 1j * rng.standard_normal(2**n_qubits))
-    return psi / np.linalg.norm(psi)
 
 
 class TestReductions:
@@ -106,93 +96,32 @@ class TestExecutors:
         assert ex.map(_square, [3]) == [9]
         ex.close()
 
+    def test_killed_worker_is_structured_and_pool_recovers(self):
+        with ProcessExecutor(max_workers=2) as ex:
+            with pytest.raises(WorkerError) as exc:
+                ex.map(_square_or_die, [1, 2, -1, 3])
+            err = exc.value
+            assert isinstance(err, ReproError)
+            assert isinstance(err, RuntimeError)
+            assert (err.executor, err.workers) == ("process", 2)
+            validate_flight(err.flight)
+            assert ("dispatch", "worker_died") in {
+                (ev["kind"], ev["name"]) for ev in err.flight["events"]}
+            # the broken pool is gone: the same executor maps again
+            assert ex.map(_square, list(range(6))) == [i * i
+                                                       for i in range(6)]
+
 
 def _square(x: int) -> int:
     """Top-level (picklable) helper for pool map tests."""
     return x * x
 
 
-class TestGroupedObservableEdgeCases:
-    def test_empty_hamiltonian(self):
-        grouped = GroupedObservable(QubitOperator.zero(), 3)
-        psi = _random_state(3)
-        assert grouped.n_terms == 0
-        assert grouped.expectation(psi) == 0.0
-
-    def test_constant_only_hamiltonian(self):
-        grouped = GroupedObservable(QubitOperator.identity(2.5), 3)
-        psi = _random_state(3)
-        assert grouped.expectation(psi) == pytest.approx(2.5)
-
-    def test_single_group(self):
-        op = QubitOperator.from_term(pauli_string("ZII"), 1.0)
-        grouped = GroupedObservable(op, 3, n_groups=1)
-        assert grouped.n_groups == 1
-
-    def test_groups_clamped_to_term_count(self):
-        # more groups requested than terms exist: no empty groups appear
-        op = (QubitOperator.from_term(pauli_string("ZII"), 1.0)
-              + QubitOperator.from_term(pauli_string("IXI"), 0.5))
-        grouped = GroupedObservable(op, 3, n_groups=16)
-        assert grouped.n_groups == 2
-
-    def test_more_workers_than_groups(self):
-        op = (QubitOperator.from_term(pauli_string("ZII"), 1.0)
-              + QubitOperator.from_term(pauli_string("IXI"), 0.5))
-        grouped = GroupedObservable(op, 3, n_groups=2)
-        psi = _random_state(3)
-        with ThreadExecutor(max_workers=6) as ex:
-            parallel = grouped.expectation(psi, ex)
-        assert parallel == grouped.expectation(psi)
-
-    def test_invalid_group_count(self):
-        with pytest.raises(ValidationError):
-            GroupedObservable(QubitOperator.zero(), 2, n_groups=0)
-
-    def test_state_size_validated(self):
-        grouped = GroupedObservable(QubitOperator.identity(1.0), 3)
-        with pytest.raises(ValidationError):
-            grouped.expectation(np.ones(4, dtype=complex))
-
-    def test_default_group_count(self):
-        ham = molecular_qubit_hamiltonian(hubbard_ring(4).to_mo_integrals())
-        grouped = GroupedObservable(ham)
-        assert grouped.n_groups == DEFAULT_PAULI_GROUPS
-
-
-class TestBitwiseDeterminism:
-    """ISSUE acceptance: energies bitwise identical for workers in {1,2,4}."""
-
-    def _check(self, hamiltonian, n_qubits):
-        psi = _random_state(n_qubits)
-        grouped = GroupedObservable(hamiltonian, n_qubits)
-        reference = grouped.expectation(psi)  # serial in-line
-        for workers in (1, 2, 4):
-            with ThreadExecutor(max_workers=workers) as ex:
-                assert grouped.expectation(psi, ex) == reference
-            with ProcessExecutor(max_workers=workers) as ex:
-                assert grouped.expectation(psi, ex) == reference
-        return reference
-
-    def test_h2_sto3g(self, h2):
-        ham = molecular_qubit_hamiltonian(h2.mo)
-        e = self._check(ham, 4)
-        assert np.isfinite(e)
-
-    def test_hubbard_ring_6_site(self):
-        # 6-site lattice fragment: 12 qubits, the >=12-qubit regime of the
-        # benchmark acceptance criterion
-        ham = molecular_qubit_hamiltonian(hubbard_ring(6).to_mo_integrals())
-        assert ham.n_qubits() == 12
-        e = self._check(ham, 12)
-        assert np.isfinite(e)
-
-    def test_matches_dense_reference(self, h2):
-        ham = molecular_qubit_hamiltonian(h2.mo)
-        psi = _random_state(4)
-        grouped = GroupedObservable(ham, 4)
-        dense = float(np.real(np.vdot(psi, ham.matrix(4) @ psi)))
-        assert grouped.expectation(psi) == pytest.approx(dense, abs=1e-10)
+def _square_or_die(x: int) -> int:
+    """Kills its worker process outright on a negative input."""
+    if x < 0:
+        os._exit(1)
+    return x * x
 
 
 class TestThreeLevelEngine:
@@ -232,13 +161,3 @@ class TestThreeLevelEngine:
         with ThreeLevelEngine(executor="process", max_workers=2) as engine:
             with pytest.raises(ValidationError, match="picklable"):
                 engine.run_fragments([object()], LocalSolver())
-
-    def test_expectation_counters(self, h2):
-        ham = molecular_qubit_hamiltonian(h2.mo)
-        psi = _random_state(4)
-        with ThreeLevelEngine(executor="serial") as engine:
-            e1 = engine.expectation(ham, psi, 4)
-            e2 = engine.expectation(ham, psi, 4)
-            report = engine.report()
-        assert e1 == e2
-        assert report["levels"]["pauli_groups"]["calls"] == 2

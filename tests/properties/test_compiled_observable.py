@@ -1,8 +1,7 @@
 """Property: batched measurement equals the naive per-term contraction.
 
 :class:`CompiledObservable` (the flip-mask batched kernel every dense
-backend routes through) and :class:`GroupedObservable` (its partitioned
-parallel wrapper) must agree with the definitionally-correct
+backend routes through) must agree with the definitionally-correct
 ``sum_i c_i <psi|P_i|psi>`` for any operator and any state.
 """
 
@@ -11,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.operators.pauli import PauliTerm, QubitOperator
-from repro.parallel.executor import GroupedObservable
 from repro.simulators.pauli_kernels import CompiledObservable
 
 from .support import given_seed, random_statevector, rng_for
@@ -48,18 +46,6 @@ def test_compiled_matches_naive(seed: int) -> None:
     compiled = CompiledObservable(op, N_QUBITS)
     assert np.isclose(compiled.expectation(psi),
                       naive_expectation(op, psi), atol=1e-10)
-
-
-@given_seed(max_examples=15)
-def test_grouped_matches_naive_any_group_count(seed: int) -> None:
-    """The partitioned parallel observable agrees for every group count."""
-    rng = rng_for(seed)
-    op = random_observable(rng)
-    psi = random_statevector(rng, N_QUBITS)
-    reference = naive_expectation(op, psi)
-    for n_groups in (1, 3, 8):
-        grouped = GroupedObservable(op, N_QUBITS, n_groups=n_groups)
-        assert np.isclose(grouped.expectation(psi), reference, atol=1e-10)
 
 
 @given_seed(max_examples=15)

@@ -27,9 +27,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.circuits.uccsd import UCCSDAnsatz
 from repro.common import cache
-from repro.operators.molecular import molecular_qubit_hamiltonian
 from repro.parallel.executor import clear_worker_compiled_cache
 from repro.vqe.energy import EnergyEvaluator
 from repro.vqe.gradients import n_parametric_gates
@@ -144,10 +142,7 @@ def _measured_energy(ham, ansatz, **evaluator_kwargs):
     _clear_all_caches()
     with obs.collect() as reg:
         evaluator = EnergyEvaluator(ham, ansatz, **evaluator_kwargs)
-        try:
-            energy = evaluator.energy(np.zeros(ansatz.n_parameters))
-        finally:
-            evaluator.close()
+        energy = evaluator.energy(np.zeros(ansatz.n_parameters))
         return energy, reg
 
 
@@ -284,219 +279,15 @@ class TestKernelCounterBudgets:
             if slot["labels"]["outcome"] in ("hit", "miss"))
         assert lookups == budget["kernels.gemm_calls"]
 
-    def test_kernel_counters_merge_across_processes(self, h2):
-        """Worker-side kernel counters ship home through the obs merge:
-        process totals equal the serial-executor totals exactly."""
-        ham, ansatz = _hamiltonian_and_ansatz(h2)
-        names = ("kernels.gemm_calls", "kernels.svd_calls")
-        _, reg = _measured_energy(ham, ansatz, simulator="mps",
-                                  measurement="sweep",
-                                  parallel="serial", n_workers=1)
-        base = {name: reg.value(name) for name in names}
-        assert base["kernels.gemm_calls"] > 0
-        _, reg_p = _measured_energy(ham, ansatz, simulator="mps",
-                                    measurement="sweep",
-                                    parallel="process", n_workers=2)
-        assert {name: reg_p.value(name) for name in names} == base
 
-
-class TestParallelBudgets:
-    """Level-2 task counts are worker-count independent by construction."""
-
-    #: H2's Hamiltonian partitions into 8 Pauli groups (DEFAULT_PAULI_GROUPS)
-    H2_GROUPS = 8
-
-    def _run(self, h2, executor, workers):
-        ham, ansatz = _hamiltonian_and_ansatz(h2)
-        return _measured_energy(ham, ansatz, simulator="statevector",
-                                parallel=executor, n_workers=workers)
-
-    @pytest.mark.parametrize("executor,workers",
-                             [("serial", 1), ("thread", 1), ("thread", 2)])
-    def test_task_counts_pinned(self, h2, executor, workers):
-        _, reg = self._run(h2, executor, workers)
-        assert reg.value("parallel.tasks",
-                         level="pauli_groups") == self.H2_GROUPS
-        assert reg.value("parallel.dispatches", level="pauli_groups") == 1
-        assert reg.value("pauli.expectations") == self.H2_GROUPS
-        assert reg.value("pauli.compiles") == self.H2_GROUPS
-
-    def test_unparallelised_evaluation_is_one_compiled_expectation(self, h2):
+class TestDenseMeasurementBudget:
+    def test_one_compiled_expectation(self, h2):
         ham, ansatz = _hamiltonian_and_ansatz(h2)
         energy, reg = _measured_energy(ham, ansatz, simulator="statevector")
         assert reg.value("pauli.compiles") == 1
         assert reg.value("pauli.expectations") == 1
         assert reg.value("vqe.ansatz_runs") == 1
         assert abs(energy - h2.scf.energy) <= 1e-10
-
-    def test_counts_and_energy_identical_across_worker_counts(self, h2):
-        runs = {w: self._run(h2, "thread", w) for w in (1, 2)}
-        (e1, r1), (e2, r2) = runs[1], runs[2]
-        # bitwise: the partition and reduction are worker-independent
-        assert e1 == e2
-        for name in ("parallel.tasks", "pauli.expectations",
-                     "pauli.compiles"):
-            lbl = ({"level": "pauli_groups"}
-                   if name == "parallel.tasks" else {})
-            assert r1.value(name, **lbl) == r2.value(name, **lbl)
-
-    def test_worker_task_split_covers_all_groups(self, h2):
-        _, r1 = self._run(h2, "thread", 1)
-        assert r1.value("parallel.worker_tasks", level="pauli_groups",
-                        worker=0) == self.H2_GROUPS
-        _, r2 = self._run(h2, "thread", 2)
-        w0 = r2.value("parallel.worker_tasks",
-                      level="pauli_groups", worker=0)
-        w1 = r2.value("parallel.worker_tasks",
-                      level="pauli_groups", worker=1)
-        assert w0 == w1 == self.H2_GROUPS // 2
-
-
-class TestProcessParity:
-    """Cross-process aggregation: process counters == serial, exactly.
-
-    Workers snapshot their local registry per task and the parent merges
-    the deltas, so ``result.metrics`` totals are identical for serial /
-    thread / process executors at any worker count - the telemetry
-    extension of the PR 2 bitwise-determinism guarantee.
-    """
-
-    #: counters whose totals are pure functions of a single cold-cache
-    #: evaluation (each Pauli group is compiled exactly once, in exactly
-    #: one worker's chunk)
-    SINGLE_EVAL_COUNTERS = ("pauli.expectations", "pauli.compiles",
-                            "parallel.tasks", "parallel.dispatches",
-                            "vqe.ansatz_runs", "vqe.energy_evaluations")
-
-    @staticmethod
-    def _totals(reg, names):
-        snap = reg.snapshot()
-        return {
-            name: sum(slot["value"]
-                      for slot in snap.get(name, {}).get("values", ()))
-            for name in names
-        }
-
-    def test_single_eval_counters_match_serial_at_1_2_4_workers(self, h2):
-        e_serial, reg = self._run(h2, "serial", 1)
-        base = self._totals(reg, self.SINGLE_EVAL_COUNTERS)
-        assert base["pauli.expectations"] == TestParallelBudgets.H2_GROUPS
-        for workers in (1, 2, 4):
-            energy, reg = self._run(h2, "process", workers)
-            assert energy == e_serial
-            assert self._totals(reg, self.SINGLE_EVAL_COUNTERS) == base
-
-    def test_per_worker_labels_present_after_merge(self, h2):
-        _, reg = self._run(h2, "process", 2)
-        snap = reg.snapshot()
-        merges = {tuple(sorted(s["labels"].items())): s["value"]
-                  for s in snap["obs.merges"]["values"]}
-        assert merges == {(("worker", 0),): 1, (("worker", 1),): 1}
-        for worker in (0, 1):
-            assert reg.value("parallel.worker_tasks", level="pauli_groups",
-                             worker=worker) \
-                == TestParallelBudgets.H2_GROUPS // 2
-        events = self._totals(reg, ("obs.merged_events",))
-        assert events["obs.merged_events"] > 0
-        # the dense state crosses once and every worker attaches to it
-        transport = self._totals(
-            reg, ("transport.exports", "transport.attaches"))
-        assert transport == {"transport.exports": 1,
-                             "transport.attaches": 2}
-
-    def test_full_vqe_run_counters_match_serial(self, h2):
-        """A multi-iteration optimize loop keeps parity on the counters
-        that are deterministic across pool-task scheduling (compile
-        counts can shift between live workers of a reused pool; the
-        *work* counters cannot)."""
-        from repro.vqe.vqe import VQE
-
-        ham = molecular_qubit_hamiltonian(h2.mo)
-        ansatz = UCCSDAnsatz(h2.mo.n_orbitals, h2.mo.n_electrons)
-        names = ("pauli.expectations", "parallel.tasks",
-                 "vqe.ansatz_runs", "vqe.energy_evaluations",
-                 "vqe.iterations")
-        runs = {}
-        for parallel, workers in (("serial", 1), ("process", 2)):
-            _clear_all_caches()
-            with obs.collect() as reg:
-                with VQE(ham, ansatz, simulator="statevector",
-                         parallel=parallel, n_workers=workers,
-                         max_iterations=5) as vqe:
-                    res = vqe.run()
-                runs[parallel] = (res.energy, self._totals(reg, names))
-        (e_serial, c_serial), (e_proc, c_proc) = \
-            runs["serial"], runs["process"]
-        assert e_proc == e_serial
-        assert c_proc == c_serial
-
-    def _run(self, h2, executor, workers):
-        ham, ansatz = _hamiltonian_and_ansatz(h2)
-        return _measured_energy(ham, ansatz, simulator="statevector",
-                                parallel=executor, n_workers=workers)
-
-
-class TestMPSProcessParity:
-    """MPS measurement through the state-transport layer: the sharded
-    sweep/MPO path must reproduce the serial executor bitwise, with
-    exact counter parity, at any process worker count.
-
-    Counter-parity reasoning: caches are cleared before each run and the
-    process pool forks afterwards, so every group's sweep plan (or
-    compressed MPO) is built exactly once, in exactly one worker.
-    """
-
-    #: totals that are pure functions of one cold-cache MPS evaluation,
-    #: independent of executor kind and worker count
-    MPS_EVAL_COUNTERS = (
-        "mps.excitation", "mps.pauli_rotation", "mps.gate_2q", "mps.svd",
-        "mps.swap",
-        "mps.routing_plan.requests",
-        "mps_measure.evaluations", "mps_measure.env_steps",
-        "mps_measure.gemm_calls", "mps_measure.plan_cache",
-        "mps_measure.mpo_cache",
-        "parallel.tasks", "parallel.dispatches",
-        "vqe.ansatz_runs", "vqe.energy_evaluations",
-    )
-
-    def _run(self, solved, mode, executor, workers):
-        ham, ansatz = _hamiltonian_and_ansatz(solved)
-        return _measured_energy(ham, ansatz, simulator="mps",
-                                measurement=mode,
-                                parallel=executor, n_workers=workers)
-
-    @pytest.mark.parametrize("mode", ["sweep", "mpo"])
-    def test_h2_energy_and_counters_match_serial(self, h2, mode):
-        e_serial, reg = self._run(h2, mode, "serial", 1)
-        base = TestProcessParity._totals(reg, self.MPS_EVAL_COUNTERS)
-        e_thread, reg_t = self._run(h2, mode, "thread", 2)
-        assert e_thread == e_serial
-        assert TestProcessParity._totals(reg_t,
-                                         self.MPS_EVAL_COUNTERS) == base
-        for workers in (1, 2, 4):
-            energy, reg_p = self._run(h2, mode, "process", workers)
-            assert energy == e_serial
-            assert TestProcessParity._totals(
-                reg_p, self.MPS_EVAL_COUNTERS) == base
-
-    def test_lih_sweep_acceptance(self, lih):
-        """The ISSUE 6 acceptance pin: LiH MPS energy via the process
-        executor is bitwise identical to serial at 1/2/4 workers, with
-        exact obs counter parity."""
-        e_serial, reg = self._run(lih, "sweep", "serial", 1)
-        base = TestProcessParity._totals(reg, self.MPS_EVAL_COUNTERS)
-        for workers in (1, 2, 4):
-            energy, reg_p = self._run(lih, "sweep", "process", workers)
-            assert energy == e_serial
-            assert TestProcessParity._totals(
-                reg_p, self.MPS_EVAL_COUNTERS) == base
-
-    def test_transport_counters_present_on_process_path(self, h2):
-        _, reg = self._run(h2, "sweep", "process", 2)
-        totals = TestProcessParity._totals(
-            reg, ("transport.exports", "transport.attaches"))
-        assert totals["transport.exports"] == 1
-        assert totals["transport.attaches"] == 2  # one per worker task
 
 
 class TestWorkerObsLifecycle:
@@ -639,11 +430,8 @@ class TestGradientBudgets:
         _clear_all_caches()
         with obs.collect() as reg:
             evaluator = EnergyEvaluator(ham, ansatz, **evaluator_kwargs)
-            try:
-                grad = adjoint_gradient(
-                    evaluator, np.zeros(ansatz.n_parameters))
-            finally:
-                evaluator.close()
+            grad = adjoint_gradient(
+                evaluator, np.zeros(ansatz.n_parameters))
         return grad, reg
 
     @pytest.mark.parametrize("simulator", ["mps", "statevector"])
@@ -716,24 +504,6 @@ class TestGradientBudgets:
         assert np.linalg.norm(grad) == pytest.approx(0.5464984104722,
                                                      rel=1e-9)
 
-    def test_bitwise_identical_across_executors_and_workers(self, h2):
-        """The adjoint sweep never touches the executor layer, so its
-        gradient (and counters) cannot depend on the parallel
-        measurement configuration of the surrounding evaluator."""
-        names = ("grad.forward_sweeps", "grad.backward_sweeps",
-                 "grad.gate_undos", "grad.gemm_calls")
-        g_ref, reg = self._gradient(h2, simulator="mps")
-        base = {name: reg.value(name) for name in names}
-        configs = [("serial", 1), ("thread", 1), ("thread", 2),
-                   ("thread", 4)]
-        for executor, workers in configs:
-            grad, reg = self._gradient(h2, simulator="mps",
-                                       parallel=executor,
-                                       n_workers=workers)
-            assert np.array_equal(grad, g_ref), (executor, workers)
-            got = {name: reg.value(name) for name in names}
-            assert got == base, (executor, workers)
-
 
 class TestDMETBudgets:
     def test_fragment_solves_independent_of_worker_count(self, h4_ring):
@@ -790,3 +560,45 @@ class TestDMETBudgets:
         merges = {s["labels"]["worker"]
                   for s in snap["obs.merges"]["values"]}
         assert merges == {0, 1}
+
+        # a circuit solver, one shot at mu = 0: the *work* the workers
+        # did ships home exactly, wherever each fragment ran.  Cold starts
+        # and the sweep arm keep a solve independent of what its process
+        # solved before (no warm-start amplitudes, no shared MPO compiles)
+        from repro.dmet.solvers import VQEFragmentSolver
+        from repro.parallel.threelevel import ThreeLevelDriver
+
+        solver = VQEFragmentSolver(simulator="mps", measurement="sweep",
+                                   max_iterations=6, warm_start=False)
+        # one-atom fragments: four 4-qubit problems, two per worker at w2
+        problems = DMET(system, atoms_per_fragment(system, 1),
+                        solver).problems
+        work = ("vqe.runs", "vqe.energy_evaluations", "kernels.gemm_calls",
+                "mps.svd")
+        runs = {}
+        for executor, workers in (("serial", 1), ("process", 1),
+                                  ("process", 2)):
+            _clear_all_caches()
+            with obs.collect() as reg:
+                solutions = ThreeLevelDriver.run_fragments_local(
+                    problems, solver, 0.0, max_workers=workers,
+                    executor=executor)
+                snap = reg.snapshot()
+            totals = {name: sum(slot["value"]
+                                for slot in snap[name]["values"])
+                      for name in work}
+            merged = {s["labels"]["worker"] for s in
+                      snap.get("obs.merges", {}).get("values", ())}
+            runs[executor, workers] = (
+                [sol.energy for sol in solutions], totals, merged)
+        energies, totals, merged = runs["serial", 1]
+        assert totals["vqe.runs"] == len(problems) == 4
+        assert min(totals.values()) > 0 and merged == set()
+        for workers, slots in ((1, {0}), (2, {0, 1})):
+            shipped, totals_p, merged = runs["process", workers]
+            # a problem reaches its worker through pickle, which lays the
+            # non-contiguous integral views out afresh: the contractions
+            # may round in the last bit, the event counts cannot move
+            assert shipped == pytest.approx(energies, abs=1e-12)
+            assert totals_p == totals
+            assert merged == slots

@@ -28,15 +28,13 @@ from repro import q2chem
 from repro.chem.geometry import molecule_from_spec
 from repro.serve import JobService, JobSpec
 
-#: the backend/measurement/optimizer/executor matrix served VQE results
-#: must reproduce bitwise (kept h2-sized so the whole matrix runs in
-#: seconds); fields: simulator, measurement, optimizer, grad, parallel
+#: the backend/measurement/optimizer matrix served VQE results must
+#: reproduce bitwise (kept h2-sized so the whole matrix runs in
+#: seconds); fields: simulator, measurement, optimizer, grad
 VQE_COMBOS: tuple[dict, ...] = (
     {"simulator": "fast", "optimizer": "cobyla"},
     {"simulator": "statevector", "optimizer": "cobyla"},
     {"simulator": "statevector", "optimizer": "adam", "grad": "adjoint"},
-    {"simulator": "statevector", "optimizer": "cobyla",
-     "parallel": "thread", "n_workers": 2},
     {"simulator": "mps", "measurement": "sweep", "optimizer": "cobyla"},
     {"simulator": "mps", "measurement": "mpo", "optimizer": "cobyla"},
     {"simulator": "mps", "measurement": "auto", "optimizer": "adam",
@@ -84,8 +82,7 @@ def direct_result(spec: JobSpec) -> dict:
             measurement=spec.measurement,
             max_bond_dimension=spec.max_bond_dimension,
             max_iterations=spec.max_iterations, tolerance=spec.tolerance,
-            grad=spec.grad, seed=spec.seed,
-            parallel=spec.parallel, n_workers=spec.n_workers)
+            grad=spec.grad, seed=spec.seed)
         return {"kind": "vqe", "molecule": spec.molecule,
                 "basis": spec.basis, "simulator": spec.simulator,
                 "optimizer": spec.optimizer, "energy": float(res.energy),

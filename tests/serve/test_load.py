@@ -55,7 +55,7 @@ class TestBitwiseParity:
         for spec, record in zip(specs, records):
             expected = direct_result(spec)
             label = (spec.kind, spec.simulator, spec.measurement,
-                     spec.optimizer, spec.parallel)
+                     spec.optimizer)
             assert record.result == expected, label
 
     def test_per_request_metrics_are_valid_obs2(self, combo_run):

@@ -19,8 +19,15 @@ class TestJobSpec:
             JobSpec(kind="energy", method="vqe")
 
     def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValidationError, match="unknown job spec"):
-            JobSpec.from_dict({"kind": "energy", "molcule": "h2"})
+        for entry, field in (
+                ({"kind": "energy", "molcule": "h2"}, "molcule"),
+                # retired with the level-2 dispatch: workers are not physics
+                ({"kind": "vqe", "parallel": "thread"}, "parallel"),
+                ({"kind": "vqe", "n_workers": 2}, "n_workers")):
+            with pytest.raises(
+                    ValidationError,
+                    match=rf"unknown job spec field\(s\) \['{field}'\]"):
+                JobSpec.from_dict(entry)
 
     def test_dict_round_trip(self):
         spec = JobSpec(kind="vqe", molecule="lih", simulator="mps",

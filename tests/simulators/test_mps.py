@@ -51,6 +51,11 @@ class TestConstruction:
         mps.apply_one_qubit(GATE_MATRICES["H"], 0)
         assert abs(mps.amplitude("0")) == pytest.approx(2 ** -0.5)
 
+    def test_from_attached_validates_buffer_count(self):
+        mps = MPS.random_state(3, bond_dimension=2, seed=5)
+        with pytest.raises(ValidationError):
+            MPS.from_attached(4, mps.tensors, mps.lambdas)
+
 
 class TestGateApplication:
     def test_one_qubit_gate(self):

@@ -4,9 +4,8 @@ Every evaluation path (shared-environment sweep, compressed-MPO contraction,
 cost-model auto) must agree with the per-term transfer-matrix oracle to
 1e-10 on molecular Hamiltonians (H2, LiH) and random canonical states, and
 with the dense Rayleigh quotient to 1e-12 on states truncation has pushed
-out of canonical form; the revision-keyed environment caches must never
-survive ``run()`` / ``apply_*`` / ``reset()``; and the level-2 grouped
-dispatch must reduce deterministically for any in-process worker count.
+out of canonical form; and the revision-keyed environment caches must
+never survive ``run()`` / ``apply_*`` / ``reset()``.
 """
 
 import numpy as np
@@ -336,149 +335,6 @@ class TestTruncatedStates:
             assert energy == pytest.approx(self.rayleigh(sim.state, ham),
                                            abs=1e-12)
             assert energy >= e_fci - 1e-12
-
-
-class TestGroupedMPSDispatch:
-    def test_grouped_matches_oracle_and_is_deterministic(self,
-                                                         h2_hamiltonian):
-        from repro.parallel.executor import ExecutorCounters, GroupedObservable
-
-        ham, n = h2_hamiltonian
-        mps = MPS.random_state(n, bond_dimension=8, seed=10)
-        grouped = GroupedObservable(ham, n)
-        counters = ExecutorCounters()
-        serial = grouped.expectation_mps(mps, counters=counters)
-        threaded = grouped.expectation_mps(mps, "thread")
-        ref = MPSMeasurementEngine().expectation_per_term(mps, ham)
-        assert serial == threaded  # bitwise: fixed group order + Kahan
-        assert serial == pytest.approx(ref, abs=ATOL)
-        assert counters.to_dict()["pauli_groups"]["calls"] == 1
-
-    def test_process_executor_matches_serial(self, h2_hamiltonian):
-        from repro.parallel.executor import GroupedObservable
-
-        ham, n = h2_hamiltonian
-        mps = MPS.random_state(n, bond_dimension=4, seed=11)
-        grouped = GroupedObservable(ham, n)
-        serial = grouped.expectation_mps(mps)
-        # the mps_shm transport ships the tensor blocks to pool workers;
-        # fixed group order + Kahan keeps the reduction bitwise stable
-        assert grouped.expectation_mps(mps, "process") == serial
-        assert grouped.expectation_mps(mps, "process", mode="mpo") == \
-            grouped.expectation_mps(mps, mode="mpo")
-
-    def test_unknown_group_mode_rejected(self, h2_hamiltonian):
-        from repro.parallel.executor import GroupedObservable
-
-        ham, n = h2_hamiltonian
-        mps = MPS.random_state(n, bond_dimension=4, seed=11)
-        with pytest.raises(ValidationError, match="mode"):
-            GroupedObservable(ham, n).expectation_mps(mps, mode="per_term")
-
-    def test_threelevel_engine_unwraps_simulators(self, h2_hamiltonian):
-        from repro.parallel.threelevel import ThreeLevelEngine
-
-        ham, n = h2_hamiltonian
-        sim = MPSSimulator(n)
-        sim.state = MPS.random_state(n, bond_dimension=8, seed=12)
-        with ThreeLevelEngine(executor="serial") as engine:
-            via_sim = engine.expectation(ham, sim)
-            via_state = engine.expectation(ham, sim.state)
-        ref = MPSMeasurementEngine().expectation_per_term(sim.state, ham)
-        assert via_sim == via_state
-        assert via_sim == pytest.approx(ref, abs=ATOL)
-
-
-class TestLevel3Slicing:
-    """Level 3: bond-sliced batched GEMMs inside the sweep engine.
-
-    Each batch element of the site-major ``np.matmul`` is an independent
-    GEMM, so slicing along the batch (row) axis must be bitwise exact -
-    and the slice partition is a pure function of (rows, slice_rows),
-    never of the worker count.
-    """
-
-    def _restore(self):
-        from repro.simulators.mps_measure import configure_level3
-
-        configure_level3(workers=1, slice_rows=32)
-
-    def test_sliced_sweep_is_bitwise_identical(self, lih_hamiltonian):
-        from repro.simulators.mps_measure import configure_level3
-
-        ham, n = lih_hamiltonian
-        cases = (
-            (16, 21, ((2, 4), (4, 2), (4, 7))),
-            # any slice size is neutral, however it is picked: the default
-            # 32 against sizes well below and above it on a D=32 state
-            (32, 7, ((2, 8), (2, 32), (2, 256))),
-        )
-        try:
-            for bond_dimension, seed, configs in cases:
-                mps = MPS.random_state(n, bond_dimension=bond_dimension,
-                                       seed=seed)
-                configure_level3(workers=1)
-                baseline = MPSMeasurementEngine().expectation_sweep(mps, ham)
-                for workers, slice_rows in configs:
-                    configure_level3(workers=workers, slice_rows=slice_rows)
-                    engine = MPSMeasurementEngine()
-                    assert engine.expectation_sweep(mps, ham) == baseline
-        finally:
-            self._restore()
-
-    def test_slice_counter_is_worker_count_independent(self):
-        from repro import obs
-        from repro.simulators.mps_measure import configure_level3
-
-        op = random_operator(6, 20, 33)
-        mps = MPS.random_state(6, bond_dimension=16, seed=22)
-        counts = []
-        try:
-            for workers in (2, 4):
-                configure_level3(workers=workers, slice_rows=2)
-                with obs.collect() as reg:
-                    MPSMeasurementEngine().expectation_sweep(mps, op)
-                counts.append(reg.value("mps_measure.level3_slices"))
-        finally:
-            self._restore()
-        assert counts[0] > 0
-        assert counts[0] == counts[1]
-
-    def test_unsliced_path_when_disabled(self):
-        from repro import obs
-
-        op = random_operator(5, 12, 34)
-        mps = MPS.random_state(5, bond_dimension=8, seed=23)
-        with obs.collect() as reg:
-            MPSMeasurementEngine().expectation_sweep(mps, op)
-        assert reg.value("mps_measure.level3_slices") == 0
-
-    def test_config_validation(self):
-        from repro.simulators.mps_measure import (
-            configure_level3,
-            level3_config,
-        )
-
-        with pytest.raises(ValidationError):
-            configure_level3(workers=0)
-        with pytest.raises(ValidationError):
-            configure_level3(slice_rows=0)
-        assert level3_config() == (1, 32)
-
-    def test_process_workers_inherit_level3_config(self, h2_hamiltonian):
-        from repro.parallel.executor import GroupedObservable
-        from repro.simulators.mps_measure import configure_level3
-
-        ham, n = h2_hamiltonian
-        mps = MPS.random_state(n, bond_dimension=8, seed=24)
-        grouped = GroupedObservable(ham, n)
-        serial = grouped.expectation_mps(mps)
-        try:
-            configure_level3(workers=2, slice_rows=2)
-            # the shared path ships (workers, slice_rows) inside each task
-            assert grouped.expectation_mps(mps, "process") == serial
-        finally:
-            self._restore()
 
 
 class TestRoutingPlans:

@@ -17,7 +17,8 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [["calibrate"],
                                       ["energy", "--tune", "auto"],
-                                      ["bench"]])
+                                      ["bench"],
+                                      ["energy", "--level3-workers", "2"]])
     def test_retired_surface_is_an_argparse_error(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -54,6 +55,12 @@ class TestEnergyCommand:
                      "--simulator", "mps", "--grad", "adjoint",
                      "--optimizer", "cobyla"]) == 1
         assert "gradient-free" in capsys.readouterr().err
+
+    def test_workers_without_a_dmet_method_is_an_error(self, capsys):
+        """Never a silent serial run: fragments are what workers solve."""
+        assert main(["energy", "--molecule", "h2", "--method", "vqe",
+                     "--workers", "2"]) == 1
+        assert "apply to the DMET methods" in capsys.readouterr().err
 
     def test_dmet_on_ring(self, capsys):
         assert main(["energy", "--molecule", "ring:6", "--method",

@@ -119,20 +119,44 @@ class TestExamples:
 
 
 class TestDocumentedCommands:
-    def test_documented_subcommands_are_registered(self):
+    #: one documented invocation: the subcommand, then its arguments - to
+    #: the end of the line, and on through every following line that
+    #: opens with a flag (backslash continuations, YAML folded scalars,
+    #: wrapped prose); a backtick, comment or shell operator ends it
+    COMMAND = re.compile(
+        r"python3? -m repro ([a-z][\w-]*)((?:[^\n`#&|]|\n\s*(?=--))*)")
+
+    @staticmethod
+    def _subparsers() -> dict:
         from repro.__main__ import build_parser
 
-        registered = next(
+        return next(
             action.choices for action in build_parser()._actions
             if isinstance(action, argparse._SubParsersAction))
+
+    @classmethod
+    def _documented(cls):
+        """(file name, subcommand, argument text) per documented command."""
         sources = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md")),
                    REPO / ".github" / "workflows" / "ci.yml"]
-        stale = sorted(
-            (path.name, sub) for path in sources
-            for sub in re.findall(r"python3? -m repro ([a-z][\w-]*)",
-                                  path.read_text())
-            if sub not in registered)
+        for path in sources:
+            for sub, tail in cls.COMMAND.findall(path.read_text()):
+                yield path.name, sub, tail
+
+    def test_documented_subcommands_are_registered(self):
+        registered = self._subparsers()
+        stale = sorted((name, sub) for name, sub, _ in self._documented()
+                       if sub not in registered)
         assert not stale, f"docs name unregistered subcommands: {stale}"
+
+    def test_documented_flags_are_registered(self):
+        registered = self._subparsers()
+        stale = sorted(
+            (name, sub, flag) for name, sub, tail in self._documented()
+            if sub in registered
+            for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", tail)
+            if flag not in registered[sub]._option_string_actions)
+        assert not stale, f"docs name unregistered flags: {stale}"
 
     def test_no_ledger_files_at_repo_root(self):
         """Benchmark results live under benchmarks/e2e/results only."""

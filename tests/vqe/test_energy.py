@@ -90,84 +90,14 @@ class TestEvaluatorPaths:
         with pytest.raises(ValidationError):
             EnergyEvaluator(self.ham, self.ansatz.circuit(),
                             simulator="quantum")
+        # the level-2 dispatch is retired: its arguments are unknown
+        from repro.vqe.vqe import VQE
 
-
-class TestParallelPath:
-    """The level-2 parallel measurement path of the direct evaluator."""
-
-    @pytest.fixture(autouse=True)
-    def _setup(self, h2):
-        self.ham = molecular_qubit_hamiltonian(h2.mo)
-        self.ansatz = UCCSDAnsatz(2, 2)
-        self.theta = np.array([0.17, -0.36])
-
-    def _evaluator(self, **kw):
-        return EnergyEvaluator(self.ham, self.ansatz.circuit(),
-                               simulator="statevector", **kw)
-
-    def test_bitwise_identical_across_workers(self):
-        energies = set()
-        for executor, workers in [("serial", 1), ("thread", 2),
-                                  ("process", 2), ("process", 4)]:
-            with self._evaluator(parallel=executor, n_workers=workers) as ev:
-                energies.add(ev.energy(self.theta))
-        assert len(energies) == 1
-
-    def test_agrees_with_serial_compiled_path(self):
-        serial = self._evaluator()
-        with self._evaluator(parallel="thread", n_workers=2) as parallel:
-            assert parallel.energy(self.theta) == pytest.approx(
-                serial.energy(self.theta), abs=1e-10)
-
-    def test_parallel_report(self):
-        with self._evaluator(parallel="serial") as ev:
-            assert ev.parallel_report() is None  # engine not built yet
-            ev.energy(self.theta)
-            report = ev.parallel_report()
-        assert report["pauli_groups"]["calls"] == 1
-
-    def test_requires_direct_method(self):
-        with pytest.raises(ValidationError, match="direct"):
-            self._evaluator(method="hadamard", parallel="thread")
-
-    def test_requires_transport_capable_backend(self):
-        from repro.common.errors import TransportError
-
-        # density_matrix declares no state transport on its BackendSpec,
-        # so the capability check fails with a structured error
-        with pytest.raises(TransportError) as exc:
-            EnergyEvaluator(self.ham, self.ansatz.circuit(),
-                            simulator="density_matrix", parallel="thread")
-        assert exc.value.backend == "density_matrix"
-        assert exc.value.executor == "thread"
-        assert "dense_shm" in exc.value.available
-        assert "mps_shm" in exc.value.available
-        # a TransportError is still a ValidationError for legacy catchers
-        assert isinstance(exc.value, ValidationError)
-
-    def test_mps_backend_allowed_on_parallel_path(self):
-        # the mps backend now declares the mps_shm transport: construction
-        # succeeds, the process energy matches the serial executor bitwise
-        # (same grouped Kahan reduction) and the non-parallel evaluator
-        # (one whole-Hamiltonian sweep, different summation order) to tol
-        direct = EnergyEvaluator(self.ham, self.ansatz.circuit(),
-                                 simulator="mps", max_bond_dimension=16)
-        with EnergyEvaluator(self.ham, self.ansatz.circuit(),
-                             simulator="mps", max_bond_dimension=16,
-                             parallel="serial") as base, \
-             EnergyEvaluator(self.ham, self.ansatz.circuit(),
-                             simulator="mps", max_bond_dimension=16,
-                             parallel="process", n_workers=2) as ev:
-            energy = ev.energy(self.theta)
-            assert energy == base.energy(self.theta)
-            assert energy == pytest.approx(direct.energy(self.theta),
-                                           abs=1e-10)
-
-    def test_close_idempotent(self):
-        ev = self._evaluator(parallel="thread", n_workers=2)
-        ev.energy(self.theta)
-        ev.close()
-        ev.close()
+        for retired in ({"parallel": "thread"}, {"n_workers": 2}):
+            with pytest.raises(TypeError):
+                EnergyEvaluator(self.ham, self.ansatz.circuit(), **retired)
+            with pytest.raises(TypeError):
+                VQE(self.ham, self.ansatz, **retired)
 
 
 class TestPreparedStateSlot:
