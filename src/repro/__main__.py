@@ -92,16 +92,27 @@ def _run_energy(args) -> int:
                              optimizer=optimizer, grad=args.grad,
                              max_iterations=args.max_iterations)
         print(f"E(VQE)  = {res.energy:+.8f} Ha "
-              f"({res.n_evaluations} evaluations, {res.optimizer})")
+              f"({res.n_evaluations} evaluations, "
+              f"{res.n_gradient_evaluations} gradients, {res.optimizer})")
     elif method.startswith("dmet"):
         # dmet-vqe solves fragments on the backend chosen via --simulator
         solver = {"dmet": "fci", "dmet-fci": "fci",
                   "dmet-vqe": f"vqe-{args.simulator}"}.get(method)
         if solver is None:
             raise ReproError(f"unknown method {args.method!r}")
+        for flag, value in (("--grad", args.grad),
+                            ("--measurement", args.measurement)):
+            if value is not None:
+                raise ValidationError(
+                    f"{flag} applies to --method vqe; the DMET fragment "
+                    f"solver picks its own (adjoint gradients where "
+                    f"--optimizer and --simulator allow them, the "
+                    f"backend's default measurement)")
         res = job.dmet_energy(atoms_per_group=args.fragment_atoms,
                               solver=solver,
                               all_fragments_equivalent=args.equivalent,
+                              max_bond_dimension=args.bond_dimension,
+                              vqe_optimizer=args.optimizer or "cobyla",
                               n_workers=args.workers,
                               executor=args.executor)
         print(f"E(DMET) = {res.energy:+.8f} Ha "
@@ -320,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--simulator", default="fast",
                     choices=available_backends(), metavar="BACKEND",
                     help=f"registered backend: {backend_names} (vqe only)")
-    pe.add_argument("--bond-dimension", type=int, default=None)
+    pe.add_argument("--bond-dimension", type=int, default=None,
+                    help="MPS bond-dimension cap (vqe and dmet-vqe)")
     pe.add_argument("--measurement", default=None,
                     choices=["auto", "sweep", "mpo", "per_term"],
                     help="MPS observable-evaluation path: shared-"
@@ -337,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--optimizer", default=None,
                     help="VQE optimizer: cobyla | l-bfgs-b | bfgs | slsqp "
                          "| nelder-mead | powell | spsa | adam (default: "
-                         "adam with --grad, cobyla without)")
+                         "adam with --grad, cobyla without); with dmet-vqe "
+                         "the fragment solver's optimizer")
     pe.add_argument("--max-iterations", type=int, default=4000,
                     help="VQE optimizer iteration budget")
     pe.add_argument("--workers", type=int, default=1,

@@ -45,6 +45,14 @@ class Backend(Protocol):
         True when the backend exposes a flat amplitude vector cheaply, in
         which case callers may route measurements through the compiled
         Pauli kernels (:mod:`repro.simulators.pauli_kernels`).
+
+    One optional method completes the contract (every built-in state
+    holder has it, so it is left out of the structural check):
+    ``term_expectations(terms) -> ndarray``, the real ``<P>`` of each
+    distinct non-identity Pauli string in the order given, from one pass
+    over the state.  RDM measurement (:func:`repro.vqe.rdm.measure_rdms`)
+    asks for it and falls back to one ``expectation`` call per string on
+    a backend without it.
     """
 
     n_qubits: int

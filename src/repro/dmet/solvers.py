@@ -94,8 +94,9 @@ class VQEFragmentSolver:
     The embedded Hamiltonian is first brought to its own canonical RHF
     orbitals (so the HF determinant is a good reference), then solved with
     UCCSD-VQE on the chosen simulator; RDMs are measured on the final state
-    and rotated back to the embedding orbital basis for the DMET energy
-    assembly.
+    (every element from one pass over the state,
+    :func:`repro.vqe.rdm.measure_rdms`) and rotated back to the embedding
+    orbital basis for the DMET energy assembly.
 
     ``simulator`` is any backend registered in :mod:`repro.backends`:
     "fast" (permutation+phase dense evaluator - numerically identical to
@@ -103,6 +104,15 @@ class VQEFragmentSolver:
     default), "mps" (the paper-faithful MPS pipeline), "statevector"
     (gate-by-gate dense), "density_matrix", or anything registered by a
     third party.
+
+    The gradient source is not an option: it is worked out here, once.
+    When the optimizer consumes gradients (``VQE.GRADIENT_OPTIMIZERS``)
+    and the backend declares the adjoint engine ("mps", "statevector"),
+    ``VQE`` gets ``grad="adjoint"`` - energy, gradient and the final RDM
+    state then share one prepared state per theta.  Otherwise it gets no
+    source, so gradient-free optimizers (the "cobyla" default) and the
+    "fast" backend run as they always did.  ``self.grad`` and
+    ``details["grad"]`` record which.
     """
 
     #: holds only plain config + a numpy array, so process-pool fragment
@@ -117,7 +127,12 @@ class VQEFragmentSolver:
                  max_iterations: int = 4000,
                  initial_parameters: str = "zeros",
                  warm_start: bool = True):
-        backend_spec(simulator)  # fail fast on unknown backend names
+        from repro.vqe.vqe import VQE
+
+        spec = backend_spec(simulator)  # fail fast on unknown backend names
+        adjoint = (optimizer.lower() in VQE.GRADIENT_OPTIMIZERS
+                   and "adjoint" in spec.gradients)
+        self.grad = "adjoint" if adjoint else None
         self.simulator = simulator
         self.max_bond_dimension = max_bond_dimension
         self.measurement = measurement
@@ -155,7 +170,7 @@ class VQEFragmentSolver:
                   max_bond_dimension=self.max_bond_dimension,
                   measurement=self.measurement,
                   optimizer=self.optimizer, tolerance=self.tolerance,
-                  max_iterations=self.max_iterations)
+                  max_iterations=self.max_iterations, grad=self.grad)
         if (self.warm_start and self._last_parameters is not None
                 and self._last_parameters.size == ansatz.n_parameters):
             x0 = self._last_parameters
@@ -181,6 +196,8 @@ class VQEFragmentSolver:
             solver=self.name,
             details={
                 "vqe_evaluations": result.n_evaluations,
+                "vqe_gradient_evaluations": result.n_gradient_evaluations,
+                "grad": self.grad,
                 "vqe_iterations": result.n_iterations,
                 "n_parameters": ansatz.n_parameters,
             },

@@ -12,6 +12,7 @@ import numpy as np
 from repro.common.errors import ValidationError
 from repro.circuits.circuit import Circuit
 from repro.operators.pauli import PauliTerm, QubitOperator
+from repro.simulators.pauli_kernels import dense_term_expectations
 
 
 class DensityMatrixSimulator:
@@ -96,6 +97,12 @@ class DensityMatrixSimulator:
             else:
                 total += coeff * self.expectation_pauli(term)
         return float(np.real(total))
+
+    def term_expectations(self, terms) -> np.ndarray:
+        """tr(rho P) of every Pauli string, one gather per flip mask."""
+        dim = 2 ** self.n_qubits
+        return dense_term_expectations(terms, self.n_qubits,
+                                       self.rho.reshape(dim, dim))
 
     def sample(self, n_samples: int, seed: int | None = None) -> list[str]:
         """Computational-basis samples from the diagonal of rho."""

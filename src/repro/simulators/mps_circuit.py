@@ -213,6 +213,16 @@ class MPSSimulator:
         return self._engine.expectation(self.state, op, self.n_qubits,
                                         mode=self.measurement)
 
+    def term_expectations(self, terms) -> np.ndarray:
+        """<P> of every Pauli string from one shared-environment sweep.
+
+        Always the sweep, whatever the ``measurement`` mode: the strings
+        come without coefficients, so there is no operator to compress
+        into an MPO, and the values are memoised per state revision like
+        every sweep's.
+        """
+        return self._engine.term_expectations(self.state, terms)
+
     def statevector(self) -> np.ndarray:
         """Dense expansion (small registers; for cross-simulator tests)."""
         return self.state.to_statevector()

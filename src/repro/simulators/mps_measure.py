@@ -51,8 +51,8 @@ from repro.simulators.pauli_kernels import observable_cache_key
 # regression suite pins exact values
 _M_EVALS = _obs.counter(
     "mps_measure.evaluations",
-    "batched <H> evaluations, labelled by path "
-    "(sweep | mpo | per_term | cached)")
+    "batched evaluations, labelled by path "
+    "(sweep | mpo | per_term | cached: <H>; terms: per-string values)")
 _M_ENV_STEPS = _obs.counter(
     "mps_measure.env_steps",
     "environment-row advances per sweep evaluation (the D^3 work)")
@@ -519,24 +519,42 @@ class MPSMeasurementEngine:
             )
         return self._evaluate_plan(mps, sweep_plan(op, n))
 
-    def _evaluate_plan(self, mps: MPS, plan: SweepPlan) -> float:
-        """Two frontier sweeps evaluating every term of the plan at once."""
+    def term_expectations(self, mps: MPS, terms) -> np.ndarray:
+        """<P> of every (non-identity) Pauli string from one pair of
+        shared-environment sweeps, as a real vector in the order given."""
+        plan = sweep_plan(QubitOperator(dict.fromkeys(terms, 1.0)),
+                          mps.n_qubits)
+        if plan.n_terms != len(terms):
+            raise ValidationError(
+                "term_expectations takes distinct non-identity strings")
+        # the plan store's key ignores term order, so a cached plan may
+        # list the strings differently: read the per-state memo instead
+        self._plan_values(mps, plan, path="terms")
+        values = self._term_values
+        return np.array([values[(t.x, t.z)] for t in terms]).real
+
+    def _plan_values(self, mps: MPS, plan: SweepPlan,
+                     path: str = "sweep") -> np.ndarray:
+        """Per-term <P> of the plan, swept at most once per state revision."""
         self._bind(mps)
         values = self._term_values
         if all(k in values for k in plan.term_keys):
-            # the whole operator was measured against this exact state
-            # revision already (e.g. a repeated RDM element)
+            # every term was measured against this exact state revision
+            # already (e.g. a repeated RDM measurement)
             _M_TERM_CACHE.inc()
             _M_EVALS.inc(path="cached")
-            vals = np.array([values[k] for k in plan.term_keys])
-        else:
-            if _obs.REGISTRY.enabled:
-                _M_EVALS.inc(path="sweep")
-                _M_ENV_STEPS.inc(plan.n_env_steps)
-                _M_GEMM.inc(plan.n_gemm_calls)
-            vals = self._sweep_values(mps, plan)
-            for key, v in zip(plan.term_keys, vals):
-                values[key] = v
+            return np.array([values[k] for k in plan.term_keys])
+        if _obs.REGISTRY.enabled:
+            _M_EVALS.inc(path=path)
+            _M_ENV_STEPS.inc(plan.n_env_steps)
+            _M_GEMM.inc(plan.n_gemm_calls)
+        vals = self._sweep_values(mps, plan)
+        values.update(zip(plan.term_keys, vals))
+        return vals
+
+    def _evaluate_plan(self, mps: MPS, plan: SweepPlan) -> float:
+        """Two frontier sweeps evaluating every term of the plan at once."""
+        vals = self._plan_values(mps, plan)
         total = plan.constant + plan.coeffs @ vals if vals.size \
             else plan.constant
         return float(total.real)

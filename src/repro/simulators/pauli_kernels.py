@@ -178,13 +178,49 @@ class CompiledObservable:
         return float(np.real(total))
 
 
+# -- per-string values --------------------------------------------------------
+
+
+def dense_term_expectations(terms, n_qubits: int,
+                            state: np.ndarray) -> np.ndarray:
+    """``<P>`` of every Pauli string on a dense state, as a real vector.
+
+    ``state`` is a flat amplitude vector ``psi`` or a ``(2^n, 2^n)``
+    density matrix ``rho``.  For one flip mask, with ``perm = k ^ xmask``,
+    let ``w[k] = conj(psi[perm[k]]) * psi[k]`` (``rho[k, perm[k]]``).  The
+    strings sharing that mask differ only in which bits sign the sum, so
+    the group is one sign-matrix product with ``w``: one gather per
+    *distinct* mask, the grouping :class:`CompiledObservable` uses,
+    without summing the group into one diagonal.
+    """
+    if n_qubits > MAX_COMPILED_QUBITS:
+        raise ValidationError(
+            f"refusing dense per-string values on {n_qubits} qubits "
+            f"(cap {MAX_COMPILED_QUBITS})"
+        )
+    masks = [term_masks(term, n_qubits) for term in terms]
+    groups: dict[int, list[int]] = {}
+    for i, (xmask, _, _) in enumerate(masks):
+        groups.setdefault(xmask, []).append(i)
+    basis = np.arange(1 << n_qubits)
+    out = np.empty(len(terms))
+    for xmask, members in groups.items():
+        perm = basis ^ xmask
+        w = (np.conj(state[perm]) * state if state.ndim == 1
+             else state[basis, perm])
+        zbits = np.array([masks[i][1] for i in members])
+        phase = 1j ** np.array([masks[i][2] % 4 for i in members])
+        signs = 1.0 - 2.0 * (np.bitwise_count(basis & zbits[:, None]) & 1)
+        out[members] = (phase * (signs @ w)).real
+    return out
+
+
 # -- compilation cache --------------------------------------------------------
 #
-# The RDM measurement path evaluates the same few hundred excitation
-# operators on every DMET mu-iteration; compiled observables live in the
-# process's current store (repro.common.cache) keyed by the operator's
-# (symplectic masks, coefficients) content, so each repeat evaluation is
-# one gather per mask group with zero re-compilation.
+# Compiled observables live in the process's current store
+# (repro.common.cache) keyed by the operator's (symplectic masks,
+# coefficients) content, so each repeat evaluation of one operator is one
+# gather per mask group with zero re-compilation.
 
 _NAMESPACE = "pauli.observable"
 
@@ -218,6 +254,7 @@ __all__ = [
     "PauliAction",
     "CompiledObservable",
     "compile_observable",
+    "dense_term_expectations",
     "observable_cache_key",
     "phase_vector",
     "term_masks",

@@ -19,6 +19,7 @@ from repro.operators.pauli import PauliTerm, QubitOperator
 from repro.simulators.pauli_kernels import (
     MAX_COMPILED_QUBITS,
     compile_observable,
+    dense_term_expectations,
 )
 
 
@@ -126,6 +127,11 @@ class StatevectorSimulator:
             return self.expectation_per_term(op)
         compiled = compile_observable(op, self.n_qubits)
         return compiled.expectation(self.state.reshape(-1))
+
+    def term_expectations(self, terms) -> np.ndarray:
+        """<psi| P |psi> of every Pauli string, one gather per flip mask."""
+        return dense_term_expectations(terms, self.n_qubits,
+                                       self.state.reshape(-1))
 
     def expectation_per_term(self, op: QubitOperator) -> float:
         """Reference per-term contraction loop (the unbatched baseline)."""

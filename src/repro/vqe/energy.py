@@ -41,6 +41,27 @@ _M_ANSATZ_RUNS = _obs.counter(
     "vqe.ansatz_runs", "ansatz state preparations")
 
 
+def finite_parameters(theta) -> np.ndarray:
+    """``theta`` as a float array, or a ``ValidationError`` naming its first
+    non-finite entry.
+
+    Called where an evaluator binds theta: a NaN or inf would otherwise
+    surface as a bare LAPACK ``ValueError`` (MPS) or as a silent ``nan``
+    energy (dense backends) that a gradient optimizer carries into the
+    result.
+    """
+    theta = np.asarray(theta, dtype=float)
+    finite = np.isfinite(theta)
+    if not finite.all():
+        from repro.obs.flight import attach_flight
+
+        bad = int(np.argmin(finite))
+        raise attach_flight(ValidationError(
+            f"parameter {bad} is {theta.flat[bad]}; ansatz parameters "
+            f"must be finite"))
+    return theta
+
+
 def hadamard_test_circuit(term: PauliTerm, n_qubits: int,
                           ancilla: int | None = None) -> Circuit:
     """Measurement gadget computing Re<P> as <Z_ancilla>.
@@ -190,7 +211,7 @@ class EnergyEvaluator:
         return resolve_backend(self.simulator, width, **opts)
 
     def _run_ansatz(self, theta: np.ndarray, width: int):
-        bound = self.program.bind(theta)
+        bound = self.program.bind(finite_parameters(theta))
         if width != bound.n_qubits:
             wide = Circuit(n_qubits=width, gates=list(bound.gates),
                            n_parameters=0, name=bound.name)
@@ -206,7 +227,7 @@ class EnergyEvaluator:
         ``theta``; returns it and whether this call had to run the pass.
         MPS backend only (``shares_prepared_state``).
         """
-        theta = np.asarray(theta, dtype=float)
+        theta = finite_parameters(theta)
         key = theta.tobytes()
         held = self._prepared
         if held is not None and held.key == key:

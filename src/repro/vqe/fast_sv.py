@@ -38,7 +38,9 @@ from repro.simulators.pauli_kernels import (  # noqa: F401  (PauliAction is
     CompiledObservable,                       # re-exported for back-compat)
     PauliAction,
     compile_observable,
+    dense_term_expectations,
 )
+from repro.vqe.energy import finite_parameters
 
 
 class FastUCCEvaluator:
@@ -120,7 +122,7 @@ class FastUCCEvaluator:
         Hot loop: one gather + three in-place passes per Pauli factor,
         reusing a scratch buffer to avoid per-factor allocations.
         """
-        theta = np.asarray(theta, dtype=float)
+        theta = finite_parameters(theta)
         if theta.size < self.n_parameters:
             raise ValidationError(
                 f"need {self.n_parameters} parameters, got {theta.size}"
@@ -157,25 +159,27 @@ class FastUCCEvaluator:
     __call__ = energy
 
     def final_state(self, theta: np.ndarray) -> "FastStateAdapter":
-        """Adapter exposing ``expectation`` over |psi(theta)> (for RDMs)."""
-        return FastStateAdapter(self, self.state(theta))
-
-    def expectation_state(self, psi: np.ndarray, op: QubitOperator) -> float:
-        """<psi| op |psi> through the shared compile cache (used for RDMs)."""
-        return compile_observable(op, self.n_qubits).expectation(psi)
+        """Adapter measuring |psi(theta)> (for RDMs)."""
+        return FastStateAdapter(self.n_qubits, self.state(theta))
 
 
 class FastStateAdapter:
     """Duck-typed 'simulator' over a fixed dense state.
 
-    Exposes the ``expectation`` method that
-    :func:`repro.vqe.rdm.measure_rdms` needs, backed by the fast Pauli
-    actions of a :class:`FastUCCEvaluator`.
+    Exposes the measurement half of the backend contract
+    (``term_expectations`` - what :func:`repro.vqe.rdm.measure_rdms`
+    asks for - and ``expectation``), backed by the shared dense Pauli
+    kernels.
     """
 
-    def __init__(self, evaluator: FastUCCEvaluator, psi: np.ndarray):
-        self._evaluator = evaluator
+    def __init__(self, n_qubits: int, psi: np.ndarray):
+        self.n_qubits = n_qubits
         self._psi = psi
 
     def expectation(self, op: QubitOperator) -> float:
-        return self._evaluator.expectation_state(self._psi, op)
+        """<psi| op |psi> through the shared compile cache."""
+        return compile_observable(op, self.n_qubits).expectation(self._psi)
+
+    def term_expectations(self, terms) -> np.ndarray:
+        """<psi| P |psi> of every Pauli string, one gather per flip mask."""
+        return dense_term_expectations(terms, self.n_qubits, self._psi)

@@ -74,6 +74,7 @@ from repro.simulators.mps_measure import (
     _advance_right,
     compiled_mpo,
 )
+from repro.vqe.energy import finite_parameters
 
 #: valid values for the ``grad`` knob exposed by the VQE layer / CLI
 GRADIENT_SOURCES = ("adjoint", "param_shift", "finite_diff")
@@ -381,7 +382,7 @@ def param_shift_gradient(evaluator, theta: np.ndarray, *,
     where the full 2G sweep would be wasteful.
     """
     circuit = evaluator.program
-    theta = np.asarray(theta, dtype=float)
+    theta = finite_parameters(theta)
     bound = [g.bound(theta) for g in circuit.gates]
     sel = None if parameters is None else {int(p) for p in parameters}
     grad = np.zeros(circuit.n_parameters)
@@ -479,7 +480,7 @@ def adjoint_gradient(evaluator, theta: np.ndarray) -> np.ndarray:
     dense backends run the exact statevector oracle.
     """
     circuit = evaluator.program
-    theta = np.asarray(theta, dtype=float)
+    theta = finite_parameters(theta)
     spec = backend_spec(evaluator.simulator)
     if "adjoint" not in spec.gradients:
         raise ValidationError(

@@ -42,6 +42,9 @@ class OptimizationResult:
     converged: bool
     history: list[float] = field(default_factory=list)
     message: str = ""
+    #: calls of an injected ``gradient`` callable (energy evaluations an
+    #: optimizer spends on its own finite differences are ``n_evaluations``)
+    n_gradient_evaluations: int = 0
 
 
 #: scipy methods that consume an analytic jacobian when one is supplied
@@ -62,6 +65,7 @@ def minimize_scipy(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
     """
     history: list[float] = []
     calls = [0]
+    jac_calls = [0]
 
     def wrapped(x: np.ndarray) -> float:
         calls[0] += 1
@@ -78,6 +82,7 @@ def minimize_scipy(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
             )
 
         def jac(x: np.ndarray) -> np.ndarray:
+            jac_calls[0] += 1
             return np.asarray(gradient(np.asarray(x, dtype=float)),
                               dtype=float)
 
@@ -92,6 +97,7 @@ def minimize_scipy(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
         converged=bool(res.success),
         history=history,
         message=str(res.message),
+        n_gradient_evaluations=jac_calls[0],
     )
 
 
@@ -172,7 +178,9 @@ def minimize_adam(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
     ``gradient(theta) -> ndarray`` may come from any source
     (:mod:`repro.vqe.gradients`); when omitted the historic built-in
     central finite differences are used (2p energy evaluations per step,
-    counted in ``n_evaluations``).  The update sequence is a pure function
+    counted in ``n_evaluations``; an injected source is called once per
+    iteration, reported as ``n_gradient_evaluations``, iterations before a
+    resume included).  The update sequence is a pure function
     of the gradient values, so value-identical sources yield bitwise
     identical trajectories.
 
@@ -189,7 +197,9 @@ def minimize_adam(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
     history: list[float] = []
     evals = 0
     counted = [0]
-    if gradient is None:
+    # an injected source is called exactly once per iteration
+    injected = gradient is not None
+    if not injected:
         def gradient(xc: np.ndarray) -> np.ndarray:
             g = np.zeros_like(xc)
             for i in range(xc.size):
@@ -225,6 +235,7 @@ def minimize_adam(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
                 x=x, fun=float(cur), n_evaluations=evals,
                 n_iterations=k, converged=True, history=history,
                 message="converged on energy change",
+                n_gradient_evaluations=k if injected else 0,
             )
         prev = cur
         if checkpoint is not None:
@@ -236,4 +247,5 @@ def minimize_adam(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
         x=x, fun=float(history[-1]), n_evaluations=evals,
         n_iterations=max_iterations, converged=False, history=history,
         message="iteration budget exhausted",
+        n_gradient_evaluations=max_iterations if injected else 0,
     )

@@ -45,6 +45,9 @@ class VQEResult:
     parameters: np.ndarray
     history: list[float] = field(default_factory=list)
     n_evaluations: int = 0
+    #: calls of the injected gradient source (0 when the optimizer
+    #: differentiated the energy itself: those count as evaluations)
+    n_gradient_evaluations: int = 0
     n_iterations: int = 0
     converged: bool = True
     optimizer: str = ""
@@ -204,6 +207,7 @@ class VQE:
             parameters=res.x,
             history=res.history,
             n_evaluations=res.n_evaluations,
+            n_gradient_evaluations=res.n_gradient_evaluations,
             n_iterations=res.n_iterations,
             converged=res.converged,
             optimizer=self.optimizer,

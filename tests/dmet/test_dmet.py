@@ -153,3 +153,164 @@ class TestAtomsPerFragment:
         _, system = h6_system
         with pytest.raises(ValidationError):
             atoms_per_fragment(system, 0)
+
+
+@pytest.fixture(scope="module")
+def h4_system(request):
+    h4 = request.getfixturevalue("h4_ring")
+    attach_labels(h4.scf, h4.rhf.basis)
+    return lowdin_orthogonalize(h4.scf, h4.eri_ao)
+
+
+def _one_shot(system, atoms, solver, **dmet_options):
+    """DMET at mu = 0 with equivalent fragments: one solve, no mu fit."""
+    frags = atoms_per_fragment(system, atoms)
+    res = DMET(system, frags, solver, all_fragments_equivalent=True,
+               **dmet_options).run(fit_chemical_potential=False)
+    return res, res.fragment_solutions[0]
+
+
+class TestGradientFirstSolver:
+    """The fragment solver hands gradient optimizers the backend's adjoint
+    jacobian; gradient-free configurations run what they always ran."""
+
+    @pytest.mark.parametrize("optimizer", ["slsqp", "l-bfgs-b"])
+    @pytest.mark.parametrize("backend", ["mps", "statevector"])
+    def test_gradient_optimizers_run_on_the_adjoint(self, h4_system,
+                                                    backend, optimizer):
+        """The adjoint jacobian and the fast backend's forward differences
+        land on the same converged energy."""
+        res, frag = _one_shot(h4_system, 1, VQEFragmentSolver(
+            simulator=backend, optimizer=optimizer, tolerance=1e-10))
+        assert frag.details["grad"] == "adjoint"
+        assert frag.details["vqe_gradient_evaluations"] > 0
+        fast, fast_frag = _one_shot(h4_system, 1, VQEFragmentSolver(
+            simulator="fast", optimizer=optimizer, tolerance=1e-10))
+        assert fast_frag.details["grad"] is None
+        assert fast_frag.details["vqe_gradient_evaluations"] == 0
+        assert res.energy == pytest.approx(fast.energy, abs=1e-6)
+
+    def test_eight_qubit_fragment_reaches_the_fast_optimum(self, h4_system):
+        """The benchmark's configuration (vqe-mps, D=16, SLSQP) run to
+        convergence: 21 energies + 12 adjoint gradients where scipy's
+        forward differences took 190 energies."""
+        fast, _ = _one_shot(h4_system, 2, VQEFragmentSolver(
+            simulator="fast", optimizer="slsqp", tolerance=1e-10))
+        res, frag = _one_shot(h4_system, 2, VQEFragmentSolver(
+            simulator="mps", max_bond_dimension=16, optimizer="slsqp",
+            tolerance=1e-10))
+        assert res.energy == pytest.approx(fast.energy, abs=1e-6)
+        assert frag.details["grad"] == "adjoint"
+        assert frag.details["vqe_gradient_evaluations"] \
+            == frag.details["vqe_iterations"]
+        assert frag.details["vqe_evaluations"] < 40
+
+    #: (simulator, optimizer, budget) -> (DMET energy, fragment energy,
+    #: theta, sum of the energy history), recorded at the parent of ISSUE 19
+    #: (06780fc); the budget is also the number of evaluations
+    PARENT = {
+        ("fast", "cobyla", 120): (
+            -1.9047971005054372, -4.7781016208975995,
+            [0.0017211276012972982, -0.0020751444888621687,
+             0.03416691841077494, 0.005675434183591567,
+             -0.0012092073614106142, 0.00241807810729896,
+             0.001067170567293579, 0.11999607651526613,
+             -0.03250938912164804, 0.05868717555761655,
+             -0.00024476064443918876, 1.1647173674566875,
+             0.008994316704899785, 0.003187297655359077],
+            -553.3506918872306),
+        ("mps", "cobyla", 30): (
+            -1.8945364496343693, -4.7486836110663955,
+            [0.001547059740700065, -0.014776518006345263,
+             0.008855471438479935, -0.011009851856360362,
+             -0.001887017667217085, -0.031162173815027783,
+             0.005330472736596068, 0.11897403933894367,
+             -0.03689766553065795, 0.07039070312836537,
+             -0.0345510225985702, 1.0284477758082202,
+             -0.05238664973459408, -0.004723843050094282],
+            -124.13309268247755),
+    }
+
+    @pytest.mark.parametrize("config", sorted(PARENT))
+    def test_gradient_free_configurations_are_what_they_were(
+            self, h4_system, config, monkeypatch):
+        """No source is resolved for a gradient-free optimizer, so `VQE`
+        is built exactly as before and the trajectory (parameters, energy
+        history) is the parent's; only the RDM summation order behind the
+        DMET energy changed (1e-15)."""
+        from repro.vqe.vqe import VQE
+
+        results = []
+        run = VQE.run
+        monkeypatch.setattr(VQE, "run", lambda self, *args, **kwargs: (
+            results.append(run(self, *args, **kwargs)) or results[-1]))
+        simulator, optimizer, budget = config
+        solver = VQEFragmentSolver(simulator=simulator, optimizer=optimizer,
+                                   max_iterations=budget)
+        assert solver.grad is None
+        res, frag = _one_shot(h4_system, 2, solver)
+        e_dmet, e_frag, theta, history_sum = self.PARENT[config]
+        assert res.energy == pytest.approx(e_dmet, abs=1e-12)
+        assert frag.energy == pytest.approx(e_frag, abs=1e-12)
+        (vqe_result,) = results
+        assert np.allclose(vqe_result.parameters, theta, rtol=0, atol=1e-12)
+        assert len(vqe_result.history) == budget
+        assert sum(vqe_result.history) == pytest.approx(history_sum,
+                                                        abs=1e-10)
+        assert frag.details["vqe_evaluations"] == budget
+        assert frag.details["vqe_gradient_evaluations"] == 0
+
+    def test_fast_backend_keeps_its_forward_differences(self, h4_system):
+        """`fast` declares no adjoint engine, so SLSQP differentiates the
+        energy itself as at the parent.  Its trajectory there depends on
+        the BLAS thread count (174 evaluations on one thread, 190 on two:
+        the 1e-8 difference step amplifies last-bit rounding), so only the
+        converged point is pinned."""
+        solver = VQEFragmentSolver(simulator="fast", optimizer="slsqp")
+        assert solver.grad is None
+        res, frag = _one_shot(h4_system, 2, solver)
+        assert res.energy == pytest.approx(-1.914017267277309, abs=1e-6)
+        assert frag.energy == pytest.approx(-4.779095143240721, abs=1e-6)
+        assert np.abs(solver._last_parameters).sum() == pytest.approx(
+            0.6079950163619384, abs=1e-3)
+        assert frag.details["vqe_evaluations"] > 100
+        assert frag.details["vqe_gradient_evaluations"] == 0
+
+    def test_process_workers_match_serial(self, h4_system):
+        """The solver with its resolved ``grad`` still pickles.  (No warm
+        start: in one process fragment k would start from fragment k-1's
+        amplitudes, on workers from whatever that worker solved last.)"""
+        frags = atoms_per_fragment(h4_system, 1)
+        runs = [DMET(h4_system, frags,
+                     VQEFragmentSolver(simulator="mps", optimizer="slsqp",
+                                       warm_start=False),
+                     n_workers=n_workers, executor="process"
+                     ).run(fit_chemical_potential=False)
+                for n_workers in (1, 2)]
+        # not bitwise: pickling hands the worker C-contiguous integrals, so
+        # its einsum sums in another order (last-bit, as at the parent)
+        assert runs[0].energy == pytest.approx(runs[1].energy, abs=1e-10)
+        for a, b in zip(runs[0].fragment_solutions,
+                        runs[1].fragment_solutions):
+            assert a.details == b.details
+            assert a.details["grad"] == "adjoint"
+            assert np.allclose(a.two_rdm, b.two_rdm, rtol=0, atol=1e-9)
+
+    def test_source_follows_optimizer_and_backend(self):
+        for simulator, optimizer, grad in (
+                ("mps", "slsqp", "adjoint"),
+                ("statevector", "L-BFGS-B", "adjoint"),
+                ("mps", "cobyla", None),
+                ("fast", "slsqp", None),
+                # nothing to resolve to on a backend without the engine
+                ("density_matrix", "slsqp", None)):
+            assert VQEFragmentSolver(simulator=simulator,
+                                     optimizer=optimizer).grad == grad
+
+    def test_nan_start_is_a_structured_error(self, h4_system):
+        """A poisoned warm start must not reach the DMET energy."""
+        solver = VQEFragmentSolver(simulator="mps", optimizer="slsqp")
+        solver._last_parameters = np.array([0.0, np.nan])
+        with pytest.raises(ValidationError, match="parameter 1 is nan") as err:
+            _one_shot(h4_system, 1, solver)
+        assert err.value.flight is not None

@@ -53,3 +53,15 @@ def random_statevector(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
     psi = rng.standard_normal(2**n_qubits) + 1j * rng.standard_normal(
         2**n_qubits)
     return psi / np.linalg.norm(psi)
+
+
+class ExpectationOnly:
+    """What a third-party backend may be: ``expectation(op)`` and nothing
+    batched.  RDM measurement serves it string by string, which makes it
+    the oracle of every one-pass ``term_expectations`` hook."""
+
+    def __init__(self, sim):
+        self._sim = sim
+
+    def expectation(self, op):
+        return self._sim.expectation(op)

@@ -211,11 +211,20 @@ class TestMPSBudgets:
 
 class TestRepeatedRDMMeasurement:
     """Measurement parts are built in the first pass and "kept constant
-    afterwards" (paper Sec. III-D): the 146 operators of one 4-orbital
-    RDM measurement are compiled once and every later pass on the same
-    register hits, whatever the working set's size."""
+    afterwards" (paper Sec. III-D).  ISSUE 19 re-derived this pin: one
+    4-orbital RDM measurement was 146 operators (10 E_pq, p <= q, + 136
+    E_pq E_rs pairs), each with its own compile / plan lookup - 146
+    misses cold, 146 hits warm.  It is now one measurement program (one
+    lookup), whose 508 strings the state is asked for at once: the dense
+    backends compile nothing per operator, the MPS backend plans the
+    strings once, and no MPO is compiled in either pass."""
 
-    N_OPERATORS = 146   # 10 E_pq (p <= q) + 136 E_pq E_rs pairs
+    #: per-operator cache outcomes of (cold, warm) pass; were
+    #: ({"miss": 146}, {"hit": 146}) on both backends
+    PER_OPERATOR = {
+        "statevector": ({}, {}),
+        "mps": ({"miss": 1}, {"hit": 1}),
+    }
 
     @staticmethod
     def _outcomes(reg, name):
@@ -229,22 +238,24 @@ class TestRepeatedRDMMeasurement:
     def test_second_pass_only_hits(self, backend, counter):
         from repro.backends import resolve_backend
         from repro.circuits.hea import random_brick_circuit
-        from repro.vqe.rdm import excitation_qubit_operators, measure_rdms
+        from repro.vqe.rdm import measure_rdms
 
-        e_ops = excitation_qubit_operators(4)
         sim = resolve_backend(backend, 8)
         sim.run(random_brick_circuit(8, 3, seed=7))
         _clear_all_caches()
-        with obs.collect() as reg:
-            first = measure_rdms(sim, 4, e_ops)
-            cold = self._outcomes(reg, counter)
-        with obs.collect() as reg:
-            second = measure_rdms(sim, 4, e_ops)
-            warm = self._outcomes(reg, counter)
-            mpo = self._outcomes(reg, "mps_measure.mpo_cache")
-        assert cold == {"miss": self.N_OPERATORS}
-        assert warm == {"hit": self.N_OPERATORS}
-        assert mpo.get("miss", 0) == 0
+        passes = []
+        for _ in range(2):
+            with obs.collect() as reg:
+                rdms = measure_rdms(sim, 4)
+                passes.append((rdms,
+                               self._outcomes(reg, "rdm.program_cache"),
+                               self._outcomes(reg, counter),
+                               self._outcomes(reg, "mps_measure.mpo_cache")))
+        (first, cold_program, cold, cold_mpo), \
+            (second, warm_program, warm, warm_mpo) = passes
+        assert (cold_program, warm_program) == ({"miss": 1}, {"hit": 1})
+        assert (cold, warm) == self.PER_OPERATOR[backend]
+        assert cold_mpo == warm_mpo == {}
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
@@ -602,3 +613,39 @@ class TestDMETBudgets:
             assert shipped == pytest.approx(energies, abs=1e-12)
             assert totals_p == totals
             assert merged == slots
+
+    def test_one_slsqp_iteration_of_a_vqe_mps_fragment(self, h4_ring):
+        """The unit of work of the ``ring6_dmet_mps`` workload.  With scipy
+        differentiating the energy it was 32 ansatz preparations + 1 for
+        the RDM state and 146 RDM measurements; with the adjoint jacobian
+        the energy, the gradient and the final RDM state share one
+        prepared state per theta."""
+        from repro.dmet.dmet import DMET, atoms_per_fragment
+        from repro.dmet.orthogonalize import (
+            attach_labels,
+            lowdin_orthogonalize,
+        )
+        from repro.dmet.solvers import VQEFragmentSolver
+
+        attach_labels(h4_ring.scf, h4_ring.rhf.basis)
+        system = lowdin_orthogonalize(h4_ring.scf, h4_ring.eri_ao)
+        dmet = DMET(system, atoms_per_fragment(system, 2),
+                    VQEFragmentSolver(simulator="mps", max_bond_dimension=16,
+                                      optimizer="slsqp", max_iterations=1),
+                    all_fragments_equivalent=True)
+        with obs.collect() as reg:
+            res = dmet.run(fit_chemical_potential=False)
+            evaluations = {
+                slot["labels"]["path"]: slot["value"] for slot in
+                reg.snapshot()["mps_measure.evaluations"]["values"]}
+            runs = reg.value("vqe.ansatz_runs")
+            gradients = reg.value("grad.backward_sweeps")
+            own_forwards = reg.value("grad.forward_sweeps")
+        details = res.fragment_solutions[0].details
+        assert details["grad"] == "adjoint"
+        assert details["vqe_gradient_evaluations"] == gradients == 2
+        # every gradient and the RDM state found their theta prepared
+        assert own_forwards == 0
+        assert runs == details["vqe_evaluations"] <= 6
+        assert evaluations["terms"] == 1
+        assert "cached" not in evaluations

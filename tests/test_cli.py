@@ -69,6 +69,60 @@ class TestEnergyCommand:
         assert "E(DMET)" in out
         assert "8 qubits" in out
 
+    @staticmethod
+    def _record_solver(monkeypatch):
+        """Let the real solver factory run, keeping what it was given."""
+        import repro.q2chem as q2chem
+
+        seen = []
+        real = q2chem.make_fragment_solver
+
+        def factory(name, **options):
+            solver = real(name, **options)
+            seen.append((name, solver))
+            return solver
+
+        monkeypatch.setattr(q2chem, "make_fragment_solver", factory)
+        return seen
+
+    def test_dmet_vqe_bond_dimension_reaches_the_solver(self, monkeypatch,
+                                                        capsys):
+        seen = self._record_solver(monkeypatch)
+        assert main(["energy", "--molecule", "h2", "--method", "dmet-vqe",
+                     "--simulator", "mps", "--bond-dimension", "2"]) == 0
+        (name, solver), = seen
+        assert name == "vqe-mps"
+        assert solver.max_bond_dimension == 2
+        assert "E(DMET)" in capsys.readouterr().out
+
+    def test_dmet_vqe_optimizer_reaches_the_solver(self, monkeypatch,
+                                                   capsys):
+        seen = self._record_solver(monkeypatch)
+        assert main(["energy", "--molecule", "h2", "--method", "dmet-vqe",
+                     "--simulator", "mps", "--optimizer", "slsqp"]) == 0
+        (_, solver), = seen
+        assert solver.optimizer == "slsqp"
+        assert solver.grad == "adjoint"
+        assert "-1.1372" in capsys.readouterr().out
+
+    def test_dmet_rejects_grad(self, capsys):
+        """The fragment solver resolves its own source; never ignored."""
+        assert main(["energy", "--molecule", "h2", "--method", "dmet-vqe",
+                     "--simulator", "mps", "--grad", "adjoint"]) == 1
+        assert "--grad applies to --method vqe" in capsys.readouterr().err
+
+    def test_dmet_rejects_measurement(self, capsys):
+        assert main(["energy", "--molecule", "h2", "--method", "dmet-vqe",
+                     "--simulator", "mps", "--measurement", "sweep"]) == 1
+        assert "--measurement applies to --method vqe" \
+            in capsys.readouterr().err
+
+    def test_vqe_line_reports_gradient_evaluations(self, capsys):
+        assert main(["energy", "--molecule", "h2", "--method", "vqe",
+                     "--simulator", "mps", "--grad", "adjoint",
+                     "--optimizer", "slsqp"]) == 0
+        assert "5 evaluations, 4 gradients, slsqp" in capsys.readouterr().out
+
     def test_bond_override(self, capsys):
         main(["energy", "--molecule", "h2", "--method", "hf",
               "--bond", "2.0"])

@@ -193,3 +193,60 @@ class TestPreparedStateSlot:
         assert ev._prepared is None
         assert reg.value("grad.forward_sweeps") == 1
         assert reg.value("grad.eval_equivalents", source="adjoint") == 3
+
+
+class TestNonFiniteParameters:
+    """A NaN/inf theta is a structured error where theta is bound - it was
+    a bare LAPACK ``ValueError`` on MPS and a silent ``nan`` energy on the
+    dense backends (which a gradient optimizer then carried along)."""
+
+    @pytest.fixture(autouse=True)
+    def _setup(self, h2):
+        self.ham = molecular_qubit_hamiltonian(h2.mo)
+        self.ansatz = UCCSDAnsatz(2, 2)
+
+    @staticmethod
+    def _assert_structured(excinfo, index, value):
+        assert f"parameter {index} is {value}" in str(excinfo.value)
+        assert excinfo.value.flight["schema"] == "repro.obs.flight/1"
+
+    @pytest.mark.parametrize("simulator", ["mps", "statevector",
+                                           "density_matrix"])
+    @pytest.mark.parametrize("method", ["direct", "hadamard"])
+    def test_circuit_evaluators(self, simulator, method):
+        ev = EnergyEvaluator(self.ham, self.ansatz.circuit(),
+                             simulator=simulator, method=method)
+        with pytest.raises(ValidationError) as excinfo:
+            ev.energy(np.array([0.1, np.nan]))
+        self._assert_structured(excinfo, 1, "nan")
+        with pytest.raises(ValidationError) as excinfo:
+            ev.final_state(np.array([np.inf, 0.0]))
+        self._assert_structured(excinfo, 0, "inf")
+
+    def test_fast_evaluator(self):
+        from repro.vqe.fast_sv import FastUCCEvaluator
+
+        ev = FastUCCEvaluator(self.ham, self.ansatz)
+        with pytest.raises(ValidationError) as excinfo:
+            ev.energy(np.array([-np.inf, np.nan]))
+        self._assert_structured(excinfo, 0, "-inf")
+
+    @pytest.mark.parametrize("simulator,source", [
+        ("mps", "adjoint"), ("statevector", "adjoint"),
+        ("statevector", "param_shift"), ("statevector", "finite_diff"),
+    ])
+    def test_gradient_sources(self, simulator, source):
+        ev = EnergyEvaluator(self.ham, self.ansatz.circuit(),
+                             simulator=simulator)
+        with pytest.raises(ValidationError) as excinfo:
+            ev.gradient_source(source)(np.array([np.nan, 0.2]))
+        self._assert_structured(excinfo, 0, "nan")
+
+    def test_gradient_optimizer_stops_on_a_nan_start(self):
+        from repro.vqe.vqe import VQE
+
+        for simulator in ("mps", "statevector", "fast"):
+            vqe = VQE(self.ham, self.ansatz, simulator=simulator,
+                      optimizer="slsqp")
+            with pytest.raises(ValidationError, match="parameter 1 is nan"):
+                vqe.run(np.array([0.0, np.nan]))

@@ -143,3 +143,29 @@ class TestScipyGradientBridge:
         with pytest.raises(ValidationError):
             minimize_scipy(quadratic, np.zeros(2), method="COBYLA",
                            gradient=quadratic_gradient)
+
+    def test_jacobian_calls_are_counted_apart_from_energies(self):
+        """Analytic gradients must not vanish from the accounting: the
+        energy count alone falls once scipy stops differentiating."""
+        calls = []
+
+        def gradient(x):
+            calls.append(x.copy())
+            return quadratic_gradient(x)
+
+        res = minimize_scipy(quadratic, np.zeros(3), method="SLSQP",
+                             gradient=gradient)
+        assert res.n_gradient_evaluations == len(calls) > 0
+        assert res.n_evaluations == len(res.history)
+        own = minimize_scipy(quadratic, np.zeros(3), method="SLSQP")
+        assert own.n_gradient_evaluations == 0
+        assert own.n_evaluations > res.n_evaluations
+
+    def test_adam_counts_one_injected_gradient_per_iteration(self):
+        res = minimize_adam(quadratic, np.zeros(3), max_iterations=7,
+                            tolerance=0.0, gradient=quadratic_gradient)
+        assert res.n_gradient_evaluations == res.n_iterations == 7
+        own = minimize_adam(quadratic, np.zeros(3), max_iterations=7,
+                            tolerance=0.0)
+        assert own.n_gradient_evaluations == 0
+        assert own.n_evaluations == 7 * (1 + 2 * 3)
