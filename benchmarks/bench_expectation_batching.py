@@ -118,8 +118,7 @@ def test_obs_disabled_overhead(lih_mo):
     mo, _ = lih_mo
     ham = molecular_qubit_hamiltonian(mo)
     ansatz = UCCSDAnsatz(mo.n_orbitals, mo.n_electrons)
-    evaluator = EnergyEvaluator(ham, ansatz.circuit(), simulator="mps",
-                                measurement="sweep")
+    evaluator = EnergyEvaluator(ham, ansatz.circuit(), simulator="mps")
     theta = np.full(ansatz.n_parameters, 0.02)
 
     evaluator.energy(theta)  # warm the compile/plan caches first
@@ -189,8 +188,7 @@ def test_flight_recorder_overhead(lih_mo):
     mo, _ = lih_mo
     ham = molecular_qubit_hamiltonian(mo)
     ansatz = UCCSDAnsatz(mo.n_orbitals, mo.n_electrons)
-    evaluator = EnergyEvaluator(ham, ansatz.circuit(), simulator="mps",
-                                measurement="sweep")
+    evaluator = EnergyEvaluator(ham, ansatz.circuit(), simulator="mps")
     theta = np.full(ansatz.n_parameters, 0.02)
 
     evaluator.energy(theta)  # warm the compile/plan caches first

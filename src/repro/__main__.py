@@ -88,7 +88,6 @@ def _run_energy(args) -> int:
         optimizer = args.optimizer or ("adam" if args.grad else "cobyla")
         res = job.vqe_energy(simulator=args.simulator,
                              max_bond_dimension=args.bond_dimension,
-                             measurement=args.measurement,
                              optimizer=optimizer, grad=args.grad,
                              max_iterations=args.max_iterations)
         print(f"E(VQE)  = {res.energy:+.8f} Ha "
@@ -100,14 +99,11 @@ def _run_energy(args) -> int:
                   "dmet-vqe": f"vqe-{args.simulator}"}.get(method)
         if solver is None:
             raise ReproError(f"unknown method {args.method!r}")
-        for flag, value in (("--grad", args.grad),
-                            ("--measurement", args.measurement)):
-            if value is not None:
-                raise ValidationError(
-                    f"{flag} applies to --method vqe; the DMET fragment "
-                    f"solver picks its own (adjoint gradients where "
-                    f"--optimizer and --simulator allow them, the "
-                    f"backend's default measurement)")
+        if args.grad is not None:
+            raise ValidationError(
+                "--grad applies to --method vqe; the DMET fragment solver "
+                "picks its own (adjoint gradients where --optimizer and "
+                "--simulator allow them)")
         res = job.dmet_energy(atoms_per_group=args.fragment_atoms,
                               solver=solver,
                               all_fragments_equivalent=args.equivalent,
@@ -333,12 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"registered backend: {backend_names} (vqe only)")
     pe.add_argument("--bond-dimension", type=int, default=None,
                     help="MPS bond-dimension cap (vqe and dmet-vqe)")
-    pe.add_argument("--measurement", default=None,
-                    choices=["auto", "sweep", "mpo", "per_term"],
-                    help="MPS observable-evaluation path: shared-"
-                         "environment sweep, compressed-MPO contraction, "
-                         "per-term oracle, or cost-model auto (backends "
-                         "without the knob reject this flag)")
     pe.add_argument("--grad", default=None,
                     choices=["adjoint", "param_shift", "finite_diff"],
                     help="gradient source for gradient-based VQE "

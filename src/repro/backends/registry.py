@@ -83,6 +83,10 @@ class Backend(Protocol):
         ...
 
 
+#: options the evaluator layer forwards to every circuit backend
+_CROSS_BACKEND_OPTIONS = ("max_bond_dimension", "cutoff")
+
+
 @dataclass(frozen=True)
 class BackendSpec:
     """Registry entry describing one backend.
@@ -95,11 +99,10 @@ class BackendSpec:
     ``picklable`` advertises whether instances can be shipped to the
     process-pool fragment workers of :mod:`repro.parallel.executor`.
 
-    ``measurement_modes`` / ``default_measurement`` advertise the
-    observable-evaluation strategies the backend accepts through a
-    ``measurement=...`` factory option (currently the MPS backend:
-    "auto" | "sweep" | "mpo" | "per_term"); empty means the backend has a
-    single built-in measurement path.
+    ``options`` names every other option the factory accepts;
+    :meth:`create` rejects anything outside ``options`` and the two
+    standard ones, so a misspelt option is an error and never a backend
+    quietly built without it.
 
     ``gradients`` advertises the *analytic* gradient engines the VQE
     gradient layer (:mod:`repro.vqe.gradients`) can run against this
@@ -117,10 +120,6 @@ class BackendSpec:
     options: tuple[str, ...] = field(default=())
     #: instances survive pickling to process-pool workers
     picklable: bool = True
-    #: observable-evaluation strategies selectable via measurement=...
-    measurement_modes: tuple[str, ...] = field(default=())
-    #: the mode used when the caller does not pick one (None: no knob)
-    default_measurement: str | None = None
     #: analytic gradient engines available for this backend (see
     #: :mod:`repro.vqe.gradients`); empty means only the universal
     #: parameter-shift / finite-difference sources apply
@@ -133,6 +132,14 @@ class BackendSpec:
                 f"backend {self.name!r} does not execute circuits; "
                 f"use its evaluator interface"
             )
+        accepted = set(self.options) | set(_CROSS_BACKEND_OPTIONS)
+        unknown = sorted(set(opts) - accepted)
+        if unknown:
+            raise ValidationError(
+                f"backend {self.name!r} takes no option "
+                f"{', '.join(map(repr, unknown))}; "
+                f"its options: {', '.join(sorted(accepted))}"
+            )
         return self.factory(n_qubits, **opts)
 
 
@@ -144,8 +151,6 @@ def register_backend(name: str, factory: Callable[..., Any] | None = None, *,
                      make_evaluator: Callable[..., Any] | None = None,
                      description: str = "", options: tuple[str, ...] = (),
                      picklable: bool = True,
-                     measurement_modes: tuple[str, ...] = (),
-                     default_measurement: str | None = None,
                      gradients: tuple[str, ...] = (),
                      overwrite: bool = False) -> BackendSpec:
     """Register a backend under ``name`` (third parties welcome).
@@ -160,13 +165,14 @@ def register_backend(name: str, factory: Callable[..., Any] | None = None, *,
         ``"circuit"`` or ``"ansatz"``.
     make_evaluator:
         ``(hamiltonian, ansatz, **opts) -> evaluator`` for ansatz backends.
-    description, options:
+    description:
         Documentation surfaced by the CLI (`--simulator` help) and docs.
+    options:
+        Names of the factory's own keyword options; with
+        ``max_bond_dimension`` and ``cutoff`` (always accepted) the only
+        ones :func:`resolve_backend` lets through.
     picklable:
         Instances survive pickling to process-pool workers.
-    measurement_modes, default_measurement:
-        Observable-evaluation strategies selectable via a ``measurement=``
-        factory option (see :class:`BackendSpec`).
     gradients:
         Analytic gradient engines the VQE gradient layer may run against
         the backend (see :class:`BackendSpec`).
@@ -182,18 +188,10 @@ def register_backend(name: str, factory: Callable[..., Any] | None = None, *,
         raise ValidationError("ansatz backends need make_evaluator")
     if key in _REGISTRY and not overwrite:
         raise ValidationError(f"backend {name!r} is already registered")
-    modes = tuple(measurement_modes)
-    if default_measurement is not None and default_measurement not in modes:
-        raise ValidationError(
-            f"default measurement {default_measurement!r} is not among the "
-            f"declared modes {modes}"
-        )
     spec = BackendSpec(name=key, kind=kind, factory=factory,
                        make_evaluator=make_evaluator,
                        description=description, options=tuple(options),
                        picklable=picklable,
-                       measurement_modes=modes,
-                       default_measurement=default_measurement,
                        gradients=tuple(gradients))
     _REGISTRY[key] = spec
     return spec
@@ -223,7 +221,8 @@ def resolve_backend(name: str, n_qubits: int, **opts) -> Backend:
     The single entry point replacing every ad-hoc
     ``if simulator name ... else ...`` construction site; standard options
     (``max_bond_dimension``, ``cutoff``) may always be passed and are
-    ignored by backends that do not use them.
+    ignored by backends that do not use them.  Any other option must be
+    one the backend declares, or it is a ``ValidationError``.
     """
     return backend_spec(name).create(n_qubits, **opts)
 
@@ -250,14 +249,13 @@ def _make_statevector(n_qubits: int, *, max_qubits: int = 26,
 
 def _make_mps(n_qubits: int, *, max_bond_dimension: int | None = None,
               cutoff: float = 1e-12, mode: str = "optimized",
-              measurement: str = "auto",
               max_truncation_error: float | None = None,
               **_cross_backend_opts) -> Backend:
     """MPS backend (the paper's simulator; batched-measurement engine)."""
     from repro.simulators.mps_circuit import MPSSimulator
 
     return MPSSimulator(n_qubits, max_bond_dimension=max_bond_dimension,
-                        cutoff=cutoff, mode=mode, measurement=measurement,
+                        cutoff=cutoff, mode=mode,
                         max_truncation_error=max_truncation_error)
 
 
@@ -292,15 +290,9 @@ register_backend(
 register_backend(
     "mps", _make_mps,
     description="matrix-product-state simulator (the paper's algorithm); "
-                "bounded bond dimension, batched shared-environment / MPO "
+                "bounded bond dimension, batched shared-environment "
                 "measurement",
-    options=("max_bond_dimension", "cutoff", "mode", "measurement",
-             "max_truncation_error"),
-    # kept in sync with repro.simulators.mps_measure.MEASUREMENT_MODES
-    # (listed literally so importing the registry stays lightweight);
-    # the backend parity tests assert the two tuples match
-    measurement_modes=("auto", "sweep", "mpo", "per_term"),
-    default_measurement="auto",
+    options=("max_bond_dimension", "cutoff", "mode", "max_truncation_error"),
     gradients=("adjoint",),
 )
 register_backend(

@@ -155,8 +155,8 @@ class ServeCache:
     def peek(self, namespace: str, key) -> object | None:
         """The cached value or None - no counters, no LRU touch.
 
-        For probe-style callers (the MPS auto dispatcher asking "is the
-        MPO already compiled?") that must not look like demand.
+        For probe-style callers ("is this already compiled?") that must
+        not look like demand.
         """
         with self._lock:
             entry = self._entries.get((namespace, key))

@@ -122,7 +122,6 @@ class VQEFragmentSolver:
 
     def __init__(self, *, simulator: str = "fast",
                  max_bond_dimension: int | None = None,
-                 measurement: str | None = None,
                  optimizer: str = "cobyla", tolerance: float = 1e-8,
                  max_iterations: int = 4000,
                  initial_parameters: str = "zeros",
@@ -135,7 +134,6 @@ class VQEFragmentSolver:
         self.grad = "adjoint" if adjoint else None
         self.simulator = simulator
         self.max_bond_dimension = max_bond_dimension
-        self.measurement = measurement
         self.optimizer = optimizer
         self.tolerance = tolerance
         self.max_iterations = max_iterations
@@ -168,7 +166,6 @@ class VQEFragmentSolver:
         ansatz = UCCSDAnsatz(mo.n_orbitals, n_elec)
         vqe = VQE(hamiltonian, ansatz, simulator=self.simulator,
                   max_bond_dimension=self.max_bond_dimension,
-                  measurement=self.measurement,
                   optimizer=self.optimizer, tolerance=self.tolerance,
                   max_iterations=self.max_iterations, grad=self.grad)
         if (self.warm_start and self._last_parameters is not None

@@ -95,7 +95,6 @@ class Q2Chemistry:
 
     def vqe_energy(self, *, simulator: str = "mps",
                    max_bond_dimension: int | None = None,
-                   measurement: str | None = None,
                    optimizer: str = "cobyla", tolerance: float = 1e-8,
                    max_iterations: int = 4000, grad: str | None = None,
                    initial_parameters: np.ndarray | None = None,
@@ -107,9 +106,7 @@ class Q2Chemistry:
 
         ``grad`` selects the gradient source for gradient-based
         optimizers ("adjoint" | "param_shift" | "finite_diff", see
-        :mod:`repro.vqe.gradients`); ``measurement`` picks the MPS
-        observable-evaluation path ("auto" | "sweep" | "mpo" |
-        "per_term").
+        :mod:`repro.vqe.gradients`).
         ``checkpoint_path``/``checkpoint_every``/``resume`` snapshot the
         optimizer state each iteration and restart interrupted runs to a
         bitwise-identical trajectory (adam/spsa only, see
@@ -123,9 +120,9 @@ class Q2Chemistry:
         ansatz = UCCSDAnsatz(mo.n_orbitals, mo.n_electrons)
         vqe = VQE(hamiltonian, ansatz, simulator=simulator,
                   max_bond_dimension=max_bond_dimension,
-                  measurement=measurement, optimizer=optimizer,
-                  tolerance=tolerance, max_iterations=max_iterations,
-                  grad=grad, checkpoint_path=checkpoint_path,
+                  optimizer=optimizer, tolerance=tolerance,
+                  max_iterations=max_iterations, grad=grad,
+                  checkpoint_path=checkpoint_path,
                   checkpoint_every=checkpoint_every, resume=resume)
         if observe:
             from repro import obs

@@ -4,7 +4,7 @@ The layer a long-running deployment needs on top of the numerical stack:
 
 * :mod:`repro.serve.service` - :class:`JobService`, the async job queue
   (submit / status / result) with a single scheduler thread that batches
-  compatible requests (same molecule/backend/measurement) back-to-back;
+  compatible requests (same molecule/backend) back-to-back;
 * :mod:`repro.serve.jobs` - :class:`JobSpec` / :class:`JobRecord`, the
   request vocabulary and its content-address projections;
 * :mod:`repro.common.cache` - :class:`ServeCache`, the content-addressed

@@ -12,7 +12,7 @@ projections drive the whole service:
   molecular system (integrals + RHF + active space), shared by every
   method on the same molecule/basis.
 * :meth:`JobSpec.batch_key` - the scheduler's compatibility class
-  (molecule/basis/backend/measurement): jobs in one class run
+  (molecule/basis/backend): jobs in one class run
   back-to-back so they reuse the prepared system and hit the same
   compiled-artifact namespaces while they are hottest.
 
@@ -39,6 +39,10 @@ ENERGY_METHODS = ("hf", "fci", "ccsd")
 #: intermediate state is persisted, never the trajectory itself)
 NON_RESULT_FIELDS = ("tag", "checkpoint_path", "checkpoint_every", "resume")
 
+#: what each name in a JobSpec annotation accepts (an int is a float;
+#: a bool is never a number, it is matched by name below)
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -53,7 +57,6 @@ class JobSpec:
     #: kind="vqe": backend + optimizer knobs (mirrors Q2Chemistry.vqe_energy)
     simulator: str = "fast"
     optimizer: str = "cobyla"
-    measurement: str | None = None
     max_bond_dimension: int | None = None
     max_iterations: int = 4000
     tolerance: float = 1e-8
@@ -70,6 +73,22 @@ class JobSpec:
     tag: str = ""
 
     def __post_init__(self):
+        # a mistyped field must fail here, at submit: the scheduler keys
+        # batches on these values outside its per-job error isolation
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            declared = [name.strip() for name in f.type.split("|")]
+            if value is None:
+                ok = "None" in declared
+            elif isinstance(value, bool):
+                ok = "bool" in declared
+            else:
+                ok = any(isinstance(value, _FIELD_TYPES[name])
+                         for name in declared if name != "None")
+            if not ok:
+                raise ValidationError(
+                    f"job spec field {f.name!r} must be {f.type}, "
+                    f"got {value!r}")
         if self.kind not in JOB_KINDS:
             raise ValidationError(
                 f"unknown job kind {self.kind!r}; expected one of {JOB_KINDS}")
@@ -98,13 +117,13 @@ class JobSpec:
         return (self.molecule.lower(), self.basis.lower(), self.bond)
 
     def batch_key(self) -> tuple:
-        """Scheduler compatibility class (molecule/basis/backend/measurement).
+        """Scheduler compatibility class (molecule/basis/backend).
 
         Jobs in one class are executed back-to-back so they share the
         prepared system and the hottest compiled-artifact cache entries.
         """
         return (self.molecule.lower(), self.basis.lower(), self.bond,
-                self.simulator, self.measurement or "")
+                self.simulator)
 
     # -- wire format ---------------------------------------------------------
 

@@ -3,7 +3,7 @@
 :class:`JobService` is the long-running daemon behind ``python -m repro
 serve``: callers :meth:`~JobService.submit` energy / VQE / DMET requests
 and the single scheduler thread drains the queue, groups compatible jobs
-(same molecule/basis/backend/measurement, see
+(same molecule/basis/backend, see
 :meth:`repro.serve.jobs.JobSpec.batch_key`) and executes each batch
 back-to-back so the prepared system and the hottest compiled artifacts
 are reused across tenants.
@@ -19,7 +19,7 @@ default RNG is seeded), so
 
 * a served result is **bitwise identical** to the direct library call
   (the load harness in ``tests/serve`` pins this for every backend /
-  measurement / optimizer combination it generates), and
+  optimizer combination it generates), and
 * results, and the cache hit/miss totals in :meth:`JobService.stats`,
   are independent of queue arrival order: drained jobs are sorted by
   (batch key, spec key) before execution, and hit totals depend only on
@@ -416,7 +416,6 @@ class JobService:
     def _run_vqe(self, spec: JobSpec, system) -> dict:
         res = system.vqe_energy(
             simulator=spec.simulator, optimizer=spec.optimizer,
-            measurement=spec.measurement,
             max_bond_dimension=spec.max_bond_dimension,
             max_iterations=spec.max_iterations, tolerance=spec.tolerance,
             grad=spec.grad, seed=spec.seed,

@@ -28,7 +28,7 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.fusion import fuse_single_qubit_gates
 from repro.operators.pauli import PauliTerm, QubitOperator
 from repro.simulators.mps import MPS
-from repro.simulators.mps_measure import MEASUREMENT_MODES, MPSMeasurementEngine
+from repro.simulators.mps_measure import MPSMeasurementEngine
 
 
 #: most bytes of replaced site tensors one :class:`ForwardTrail` retains.
@@ -114,10 +114,6 @@ class MPSSimulator:
     mode:
         "optimized" (Pauli rotations applied whole, gate fusion on) or
         "naive" (reference pipeline on the decomposed gate stream).
-    measurement:
-        Observable-evaluation strategy: "auto" (cost-model pick between the
-        shared-environment sweep and the compressed-MPO contraction),
-        "sweep", "mpo", or "per_term" (the independent-contraction oracle).
     cutoff, max_truncation_error:
         Forwarded to :class:`repro.simulators.mps.MPS`.
     """
@@ -127,19 +123,12 @@ class MPSSimulator:
     natively_dense = False
 
     def __init__(self, n_qubits: int, *, max_bond_dimension: int | None = None,
-                 mode: str = "optimized", measurement: str = "auto",
-                 cutoff: float = 1e-12,
+                 mode: str = "optimized", cutoff: float = 1e-12,
                  max_truncation_error: float | None = None):
         if mode not in ("optimized", "naive"):
             raise ValidationError(f"unknown MPS simulator mode {mode!r}")
-        if measurement not in MEASUREMENT_MODES:
-            raise ValidationError(
-                f"unknown measurement mode {measurement!r}; "
-                f"expected one of {MEASUREMENT_MODES}"
-            )
         self.n_qubits = n_qubits
         self.mode = mode
-        self.measurement = measurement
         self._engine = MPSMeasurementEngine()
         self._mps_kwargs = dict(
             max_bond_dimension=max_bond_dimension,
@@ -170,8 +159,7 @@ class MPSSimulator:
         keyed on state identity + revision, so sharing one across snapshots
         would only ever miss.
         """
-        clone = MPSSimulator(self.n_qubits, mode=self.mode,
-                             measurement=self.measurement)
+        clone = MPSSimulator(self.n_qubits, mode=self.mode)
         clone._mps_kwargs = dict(self._mps_kwargs)
         clone.state = self.state.copy()
         return clone
@@ -202,25 +190,18 @@ class MPSSimulator:
         return self.state.expectation_pauli(term)
 
     def expectation(self, op: QubitOperator) -> float:
-        """Batched <H> through the measurement engine.
+        """Batched <H>: one shared-environment sweep of the measurement
+        engine.
 
-        The route is picked by the simulator's ``measurement`` mode: shared
-        environment sweep, compressed-MPO contraction, cost-model "auto", or
-        the per-term oracle.  <P> is real for every Pauli string; complex
-        coefficients (e.g. in non-hermitian excitation operators measured
-        for RDMs) are combined before the final real part is taken.
+        <P> is real for every Pauli string; complex coefficients (e.g. in
+        non-hermitian excitation operators measured for RDMs) are combined
+        before the final real part is taken.
         """
-        return self._engine.expectation(self.state, op, self.n_qubits,
-                                        mode=self.measurement)
+        return self._engine.expectation_sweep(self.state, op, self.n_qubits)
 
     def term_expectations(self, terms) -> np.ndarray:
-        """<P> of every Pauli string from one shared-environment sweep.
-
-        Always the sweep, whatever the ``measurement`` mode: the strings
-        come without coefficients, so there is no operator to compress
-        into an MPO, and the values are memoised per state revision like
-        every sweep's.
-        """
+        """<P> of every Pauli string from one shared-environment sweep,
+        memoised per state revision like :meth:`expectation`'s."""
         return self._engine.term_expectations(self.state, terms)
 
     def statevector(self) -> np.ndarray:

@@ -4,33 +4,30 @@ The per-term transfer-matrix path (:meth:`repro.simulators.mps.MPS.
 expectation_pauli`) walks every Pauli string through an independent
 contraction, so a JW-mapped molecular Hamiltonian with O(n^4) mostly
 chain-spanning terms costs O(n_terms * n * D^3) per energy evaluation.
-This module batches that work three ways (the environment-reuse /
-operator-batching strategy of arXiv:2211.07983 and arXiv:2303.03681):
+This module batches that work one way, the **shared-environment sweep**
+(the environment-reuse / operator-batching strategy of arXiv:2211.07983
+and arXiv:2303.03681): every term is split at a greedily chosen
+bond of its support span; a single left-to-right sweep builds the *left*
+environments of all term prefixes (terms sharing a prefix share the
+environment) and a single right-to-left sweep builds the *right*
+environments of all term suffixes (seeded by per-(site, character)
+closing matrices).  Both start from the state's exact bond environments
+(:meth:`repro.simulators.mps.MPS.environments` - diag(lambda^2) and the
+identity while nothing has been truncated) and the values are divided by
+<psi|psi>, so <H> is a Rayleigh quotient of the state the tensors hold
+however far truncation has pushed them from canonical form.  Each term
+then reduces to one O(D^2) Frobenius product of its two environments at
+the split bond.  The schedule is a state-independent :class:`SweepPlan`
+compiled into site-major row indices, so all environments crossing one
+(site, character) pair advance in a single batched GEMM; the environments
+themselves are keyed on the MPS ``revision`` counter so a stale cache
+can never be read against an evolved state.
 
-* **shared-environment sweeps** - every term is split at a greedily chosen
-  bond of its support span; a single left-to-right sweep builds the *left*
-  environments of all term prefixes (terms sharing a prefix share the
-  environment) and a single right-to-left sweep builds the *right*
-  environments of all term suffixes (seeded by per-(site, character)
-  closing matrices).  Both start from the state's exact bond environments
-  (:meth:`repro.simulators.mps.MPS.environments` - diag(lambda^2) and the
-  identity while nothing has been truncated) and the values are divided by
-  <psi|psi>, so <H> is a Rayleigh quotient of the state the tensors hold
-  however far truncation has pushed them from canonical form.  Each term
-  then reduces to one O(D^2) Frobenius product of its two environments at
-  the split bond.  The
-  schedule is a state-independent :class:`SweepPlan` compiled into
-  site-major row indices, so all environments crossing one (site,
-  character) pair advance in a single batched GEMM; the environments
-  themselves are keyed on the MPS ``revision`` counter so a stale cache
-  can never be read against an evolved state.
-* **MPO contraction** - the operator is compiled once into a compressed
-  :class:`repro.simulators.mpo.MPO` and <psi|H|psi> becomes a single
-  MPS-MPO-MPS transfer contraction, which wins when the compressed bond
-  dimension is small relative to the term count.
-* **automatic selection** - a flop-count cost model picks between the two
-  paths per (operator, state) pair; the classic per-term path remains
-  available as the correctness oracle.
+The sweep is the only <H> path: an MPS-MPO-MPS contraction arm and a flop
+model choosing between the two were measured and deleted (EXPERIMENTS.md
+Ablation 8).  :func:`compiled_mpo` stays for the adjoint gradient, which
+applies the compressed MPO to build its ``H|psi>`` bra, and the classic
+per-term path stays as the reference the parity tests compare against.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from repro.simulators.pauli_kernels import observable_cache_key
 _M_EVALS = _obs.counter(
     "mps_measure.evaluations",
     "batched evaluations, labelled by path "
-    "(sweep | mpo | per_term | cached: <H>; terms: per-string values)")
+    "(sweep | per_term | cached: <H>; terms: per-string values)")
 _M_ENV_STEPS = _obs.counter(
     "mps_measure.env_steps",
     "environment-row advances per sweep evaluation (the D^3 work)")
@@ -74,15 +71,6 @@ _PAULI_MATS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-#: valid values for the ``measurement`` knob exposed by the MPS backend
-MEASUREMENT_MODES = ("auto", "sweep", "mpo", "per_term")
-
-#: auto mode only compiles an MPO for operators in this term-count window:
-#: below it the sweep is trivially cheap, above it the compile itself would
-#: dominate the evaluation it is meant to accelerate
-_MPO_MIN_TERMS = 16
-_MPO_MAX_TERMS = 4096
 
 _Groups = tuple[tuple[str, np.ndarray, np.ndarray], ...]
 
@@ -133,8 +121,7 @@ class SweepPlan:
     seeds_r: tuple[tuple[tuple[str, int], ...], ...]
     adv_r: tuple[_Groups, ...]
     combos: tuple[tuple[np.ndarray, np.ndarray], ...]
-    #: environment advances one full evaluation performs (the D^3 work);
-    #: the cost model's sweep-side input
+    #: environment advances one full evaluation performs (the D^3 work)
     n_env_steps: int
 
     @property
@@ -325,16 +312,9 @@ _PLAN_NAMESPACE = "mps.sweep_plan"
 _MPO_NAMESPACE = "mps.mpo"
 
 
-def sweep_plan(op: QubitOperator, n_qubits: int,
-               _key: tuple | None = None) -> SweepPlan:
-    """Fetch (or build and cache) the :class:`SweepPlan` for an operator.
-
-    ``_key`` lets a caller that already computed the content hash (the
-    auto dispatcher, which shares one key across the plan and MPO
-    lookups) skip recomputing it - the hash sorts every term, a real
-    per-call cost on sub-millisecond evaluations.
-    """
-    key = observable_cache_key(op, n_qubits) if _key is None else _key
+def sweep_plan(op: QubitOperator, n_qubits: int) -> SweepPlan:
+    """Fetch (or build and cache) the :class:`SweepPlan` for an operator."""
+    key = observable_cache_key(op, n_qubits)
     store = _cache.current()
     hit, found = store.lookup(_PLAN_NAMESPACE, key)
     if found:
@@ -346,15 +326,11 @@ def sweep_plan(op: QubitOperator, n_qubits: int,
     return hit
 
 
-def compiled_mpo(op: QubitOperator, n_qubits: int,
-                 _key: tuple | None = None):
-    """Fetch (or compile and cache) the compressed MPO for an operator.
-
-    ``_key`` is the precomputed content hash (see :func:`sweep_plan`).
-    """
+def compiled_mpo(op: QubitOperator, n_qubits: int):
+    """Fetch (or compile and cache) the compressed MPO for an operator."""
     from repro.simulators.mpo import MPO
 
-    key = observable_cache_key(op, n_qubits) if _key is None else _key
+    key = observable_cache_key(op, n_qubits)
     store = _cache.current()
     hit, found = store.lookup(_MPO_NAMESPACE, key)
     if found:
@@ -403,28 +379,6 @@ def _advance_right(env: np.ndarray, bk: np.ndarray,
     # env'_k[l, m] = sum_{i,s} t[k, l, (i,s)] conj(b)[m, (i,s)]
     return np.matmul(t.reshape(env.shape[0], kl, 2 * br),
                      bc.reshape(bl, 2 * br).T)
-
-
-# -- cost model ---------------------------------------------------------------
-
-
-def _sweep_flops(plan: SweepPlan, d: int) -> float:
-    """Estimated flops of one sweep evaluation at bond dimension ``d``.
-
-    Each environment advance is two complex (D,D)x(D,2D)-shaped GEMMs;
-    each term combines with one O(D^2) Frobenius product.
-    """
-    return plan.n_env_steps * 16.0 * d ** 3 + plan.n_terms * 8.0 * d * d
-
-
-def _mpo_flops(mpo, d: int) -> float:
-    """Estimated flops of one MPS-MPO-MPS contraction at bond ``d``."""
-    dims = [1] + list(mpo.bond_dimensions()) + [1]
-    total = 0.0
-    for wl, wr in zip(dims[:-1], dims[1:]):
-        total += 8.0 * d ** 3 * wl + 16.0 * d * d * wl * wr \
-            + 8.0 * d ** 3 * wr
-    return total
 
 
 class MPSMeasurementEngine:
@@ -614,22 +568,9 @@ class MPSMeasurementEngine:
                 held[b] = None
         return vals / left[n][0, 0].real
 
-    def expectation_mpo(self, mps: MPS, op: QubitOperator,
-                        n_qubits: int | None = None) -> float:
-        """Re <psi|H|psi> as one MPS-MPO-MPS transfer contraction."""
-        n = mps.n_qubits if n_qubits is None else int(n_qubits)
-        if n != mps.n_qubits:
-            raise ValidationError(
-                f"operator register {n} != state register {mps.n_qubits}"
-            )
-        if not op.simplify(0.0).terms:
-            return 0.0
-        mpo = compiled_mpo(op, n)
-        _M_EVALS.inc(path="mpo")
-        return float(mpo.expectation(mps)) / mps.norm() ** 2
-
     def expectation_per_term(self, mps: MPS, op: QubitOperator) -> float:
-        """The classic independent-contraction path (correctness oracle)."""
+        """The classic independent-contraction path: the reference
+        implementation the parity tests compare the sweep against."""
         _M_EVALS.inc(path="per_term")
         total = 0.0 + 0.0j
         for term, coeff in op:
@@ -639,53 +580,8 @@ class MPSMeasurementEngine:
                 total += coeff * mps.expectation_pauli(term)
         return float(np.real(total))
 
-    def expectation(self, mps: MPS, op: QubitOperator,
-                    n_qubits: int | None = None,
-                    mode: str = "auto") -> float:
-        """Dispatch <psi|H|psi> to the requested (or cheapest) path."""
-        if mode not in MEASUREMENT_MODES:
-            raise ValidationError(
-                f"unknown measurement mode {mode!r}; "
-                f"expected one of {MEASUREMENT_MODES}"
-            )
-        if mode == "per_term":
-            return self.expectation_per_term(mps, op)
-        if mode == "sweep":
-            return self.expectation_sweep(mps, op, n_qubits)
-        if mode == "mpo":
-            return self.expectation_mpo(mps, op, n_qubits)
-        return self._expectation_auto(mps, op, n_qubits)
-
-    def _expectation_auto(self, mps: MPS, op: QubitOperator,
-                          n_qubits: int | None = None) -> float:
-        """Pick the sweep or the MPO path, whichever models fewer flops.
-
-        A pure function of ``(plan.n_env_steps, plan.n_terms,
-        mpo.bond_dimensions(), D)``, so every process holding the same
-        operator and state makes the same choice.
-        """
-        n = mps.n_qubits if n_qubits is None else int(n_qubits)
-        if n != mps.n_qubits:
-            raise ValidationError(
-                f"operator register {n} != state register {mps.n_qubits}"
-            )
-        key = observable_cache_key(op, n)
-        plan = sweep_plan(op, n, _key=key)
-        if not plan.term_keys:
-            return float(plan.constant.real)
-        d = mps.max_bond()
-        mpo = _cache.current().peek(_MPO_NAMESPACE, key)
-        if (mpo is None and n >= 2
-                and _MPO_MIN_TERMS <= plan.n_terms <= _MPO_MAX_TERMS):
-            mpo = compiled_mpo(op, n, _key=key)
-        if mpo is not None and _mpo_flops(mpo, d) < _sweep_flops(plan, d):
-            _M_EVALS.inc(path="mpo")
-            return float(mpo.expectation(mps)) / mps.norm() ** 2
-        return self._evaluate_plan(mps, plan)
-
 
 __all__ = [
-    "MEASUREMENT_MODES",
     "MPSMeasurementEngine",
     "SweepPlan",
     "build_sweep_plan",

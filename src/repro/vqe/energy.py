@@ -6,7 +6,8 @@ Two measurement paths, both returning <psi(theta)|H|psi(theta)>:
   final state in one batched call.  On dense backends the operator is
   compiled once (terms grouped by flip mask, see
   :mod:`repro.simulators.pauli_kernels`) and reused across optimizer
-  iterations; the MPS backend batches through its transfer-matrix path.
+  iterations; the MPS backend evaluates every term in one
+  shared-environment sweep (:mod:`repro.simulators.mps_measure`).
   This is the fast path used inside optimization loops.
 * ``hadamard`` - the paper-faithful path (Fig. 5): one circuit per Pauli
   string, an ancilla qubit, controlled-Pauli gates and <Z_ancilla> = Re<P>.
@@ -117,18 +118,12 @@ class EnergyEvaluator:
     max_bond_dimension, cutoff:
         Cross-backend options forwarded to the backend factory (the MPS
         backend consumes them; dense backends ignore them).
-    measurement:
-        Observable-evaluation strategy for backends that advertise
-        ``measurement_modes`` (the MPS backend: "auto" | "sweep" | "mpo" |
-        "per_term").  None keeps the backend's registered default; naming
-        a mode on a backend without the knob is a validation error.
     """
 
     def __init__(self, hamiltonian: QubitOperator, ansatz: Circuit, *,
                  simulator: str = "mps", method: str = "direct",
                  max_bond_dimension: int | None = None,
-                 cutoff: float = 1e-12, measurement: str | None = None,
-                 shots: int | None = None,
+                 cutoff: float = 1e-12, shots: int | None = None,
                  seed: int | None = None):
         if not hamiltonian.is_hermitian():
             raise ValidationError("Hamiltonian must be hermitian")
@@ -144,18 +139,6 @@ class EnergyEvaluator:
             raise ValidationError(
                 "shots requires method='hadamard' and shots >= 1"
             )
-        if measurement is not None:
-            if not spec.measurement_modes:
-                raise ValidationError(
-                    f"backend {simulator!r} has no measurement modes; "
-                    f"only backends advertising measurement_modes (e.g. "
-                    f"'mps') accept measurement="
-                )
-            if measurement not in spec.measurement_modes:
-                raise ValidationError(
-                    f"unknown measurement mode {measurement!r} for backend "
-                    f"{simulator!r}; expected one of {spec.measurement_modes}"
-                )
         self.hamiltonian = hamiltonian
         self.ansatz = ansatz
         #: the circuit every evaluation binds and runs.  The MPS backend
@@ -177,7 +160,6 @@ class EnergyEvaluator:
         self.method = method
         self.max_bond_dimension = max_bond_dimension
         self.cutoff = cutoff
-        self.measurement = measurement
         #: finite measurement budget per Pauli string: the exact ancilla
         #: <Z> is replaced by a binomial estimate, modelling what a real
         #: quantum computer returns (the noiseless-expectation default is
@@ -204,11 +186,9 @@ class EnergyEvaluator:
     # -- simulators -----------------------------------------------------------
 
     def _fresh_sim(self, width: int):
-        opts = dict(max_bond_dimension=self.max_bond_dimension,
-                    cutoff=self.cutoff)
-        if self.measurement is not None:
-            opts["measurement"] = self.measurement
-        return resolve_backend(self.simulator, width, **opts)
+        return resolve_backend(self.simulator, width,
+                               max_bond_dimension=self.max_bond_dimension,
+                               cutoff=self.cutoff)
 
     def _run_ansatz(self, theta: np.ndarray, width: int):
         bound = self.program.bind(finite_parameters(theta))

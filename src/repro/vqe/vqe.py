@@ -69,11 +69,10 @@ class VQE:
         Qubit Hamiltonian.
     ansatz:
         Parametric circuit, or a :class:`UCCSDAnsatz` (its circuit is built).
-    simulator / method / max_bond_dimension / measurement:
+    simulator / method / max_bond_dimension:
         Backend name resolved through :mod:`repro.backends` (any registered
-        circuit backend, or an ansatz backend such as "fast"); method, bond
-        dimension and measurement mode (MPS backend: "auto" | "sweep" |
-        "mpo" | "per_term") are forwarded to :class:`EnergyEvaluator`.
+        circuit backend, or an ansatz backend such as "fast"); method and
+        bond dimension are forwarded to :class:`EnergyEvaluator`.
     optimizer:
         "cobyla" | "l-bfgs-b" | "nelder-mead" | "spsa" | "adam".
     grad:
@@ -108,7 +107,6 @@ class VQE:
                  ansatz: Circuit | UCCSDAnsatz, *,
                  simulator: str = "mps", method: str = "direct",
                  max_bond_dimension: int | None = None,
-                 measurement: str | None = None,
                  optimizer: str = "cobyla", tolerance: float = 1e-8,
                  max_iterations: int = 2000, grad: str | None = None,
                  checkpoint_path: str | None = None,
@@ -122,12 +120,6 @@ class VQE:
                 raise ValidationError(
                     f"backend {simulator!r} requires a UCCSDAnsatz"
                 )
-            if measurement is not None:
-                raise ValidationError(
-                    f"backend {simulator!r} evaluates in closed form; "
-                    f"measurement= needs a circuit backend with the knob "
-                    f"(e.g. 'mps')"
-                )
             self.evaluator = spec.make_evaluator(hamiltonian, self.uccsd)
             self.n_parameters = self.uccsd.n_parameters
         else:
@@ -137,8 +129,7 @@ class VQE:
                 raise ValidationError("ansatz has no variational parameters")
             self.evaluator = EnergyEvaluator(
                 hamiltonian, circuit, simulator=simulator, method=method,
-                max_bond_dimension=max_bond_dimension,
-                measurement=measurement)
+                max_bond_dimension=max_bond_dimension)
             self.n_parameters = circuit.n_parameters
         self.optimizer = optimizer.lower()
         self.tolerance = tolerance

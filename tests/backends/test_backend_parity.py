@@ -66,24 +66,38 @@ class TestRegistry:
                                   cutoff=1e-12)
             assert sim.n_qubits == 4
 
-    def test_mps_measurement_modes_match_engine(self):
-        # the registry lists the modes literally (to stay import-light);
-        # they must track the engine's canonical tuple
-        from repro.simulators.mps_measure import MEASUREMENT_MODES
+    def test_misspelt_option_is_not_swallowed(self):
+        # was an *uncapped* simulator: every factory took **opts and
+        # dropped what it did not know
+        with pytest.raises(ValidationError, match="max_bond_dimension"):
+            resolve_backend("mps", 4, max_bond_dimention=2)
+        with pytest.raises(ValidationError, match="max_qubits"):
+            backend_spec("statevector").create(4, max_qbits=2)
 
-        spec = backend_spec("mps")
-        assert spec.measurement_modes == MEASUREMENT_MODES
-        assert spec.default_measurement == "auto"
-        assert "measurement" in spec.options
+    def test_retired_measurement_option_is_rejected(self):
+        assert "measurement" not in backend_spec("mps").options
+        for name in _circuit_backends():
+            with pytest.raises(ValidationError, match="measurement"):
+                resolve_backend(name, 4, measurement="sweep")
 
-    def test_backends_without_the_knob_declare_none(self):
-        assert backend_spec("statevector").measurement_modes == ()
-        assert backend_spec("statevector").default_measurement is None
+    def test_third_party_backend_still_gets_the_standard_options(self):
+        from repro.simulators.statevector import StatevectorSimulator
 
-    def test_default_measurement_must_be_declared(self):
-        with pytest.raises(ValidationError):
-            register_backend("parity_bad_meas", lambda n, **o: None,
-                             default_measurement="sweep")
+        seen = {}
+
+        def factory(n, **opts):
+            seen.update(opts)
+            return StatevectorSimulator(n)
+
+        register_backend("parity_test_opts", factory)  # options=()
+        try:
+            resolve_backend("parity_test_opts", 3, max_bond_dimension=8,
+                            cutoff=1e-9)
+            assert seen == {"max_bond_dimension": 8, "cutoff": 1e-9}
+            with pytest.raises(ValidationError, match="parity_test_opts"):
+                resolve_backend("parity_test_opts", 3, mode="naive")
+        finally:
+            unregister_backend("parity_test_opts")
 
     def test_third_party_registration_roundtrip(self):
         from repro.simulators.statevector import StatevectorSimulator
@@ -167,35 +181,6 @@ class TestCircuitBackendParity:
             assert len(set(samples)) == 2, name
 
 
-class TestMPSMeasurementModeParity:
-    """The MPS backend runs the observable battery under every mode."""
-
-    @pytest.mark.parametrize("mode", ["auto", "sweep", "mpo", "per_term"])
-    @pytest.mark.parametrize("seed,n_qubits", [(0, 4), (1, 5), (2, 6)])
-    def test_observable_battery_matches_statevector(self, mode, seed,
-                                                    n_qubits):
-        circ = random_brick_circuit(n_qubits, 2, seed=seed)
-        op = _random_hermitian_operator(n_qubits, 12, seed=seed + 100)
-        ref = resolve_backend("statevector", n_qubits).run(circ) \
-            .expectation(op)
-        sim = resolve_backend("mps", n_qubits, measurement=mode)
-        assert sim.run(circ).expectation(op) == pytest.approx(ref, abs=ATOL)
-
-    @pytest.mark.parametrize("mode", ["sweep", "mpo", "per_term"])
-    def test_modes_survive_copy(self, mode):
-        circ = random_brick_circuit(4, 2, seed=3)
-        op = _random_hermitian_operator(4, 10, seed=30)
-        sim = resolve_backend("mps", 4, measurement=mode).run(circ)
-        clone = sim.copy()
-        assert clone.measurement == mode
-        assert clone.expectation(op) == pytest.approx(sim.expectation(op),
-                                                      abs=ATOL)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValidationError):
-            resolve_backend("mps", 4, measurement="bogus")
-
-
 class TestFastBackendParity:
     def test_fast_matches_every_circuit_backend_on_uccsd(self):
         from repro.vqe.energy import EnergyEvaluator
@@ -214,14 +199,6 @@ class TestFastBackendParity:
             for theta in thetas:
                 assert fast.energy(theta) == pytest.approx(
                     circ_eval.energy(theta), abs=ATOL), name
-
-    def test_fast_rejects_measurement_knob(self):
-        from repro.vqe.vqe import VQE
-
-        ham = _random_hermitian_operator(4, 6, seed=4)
-        with pytest.raises(ValidationError, match="circuit backend"):
-            VQE(ham, UCCSDAnsatz(2, 2), simulator="fast",
-                measurement="sweep")
 
     def test_fast_requires_structured_ansatz(self):
         from repro.circuits.hea import brick_ansatz

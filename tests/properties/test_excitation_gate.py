@@ -279,8 +279,7 @@ def test_particle_number_is_conserved_after_every_gate() -> None:
             apply_gate(state, gate)
             if gate.name == "X":      # still preparing the reference
                 continue
-            n = engine.expectation(state, number, ansatz.n_qubits,
-                                   mode="per_term")
+            n = engine.expectation_per_term(state, number)
             worst = max(worst, abs(n - ansatz.n_electrons))
         return worst
 

@@ -33,7 +33,8 @@ from repro.vqe.energy import EnergyEvaluator
 from repro.vqe.gradients import n_parametric_gates
 
 #: one MPS energy evaluation at theta = 0 (a single direct measurement
-#: of the UCCSD reference state); keyed by (molecule, measurement mode).
+#: of the UCCSD reference state); keyed by (molecule, the path label of
+#: ``mps_measure.evaluations``).
 #: Every UCCSD factor is one ``EX`` gate applied by
 #: ``MPS.apply_excitation``: mps.svd is the summed span (hi - lo) of the
 #: excitations - 2 + 2 + 3 bonds for H2's two singles and one double, 824
@@ -63,18 +64,10 @@ _LIH_PREP = {
 MPS_BUDGETS = {
     ("h2", "sweep"): {**_H2_PREP, "mps_measure.env_steps": 21,
                       "mps_measure.gemm_calls": 22},
-    ("h2", "mpo"): {**_H2_PREP, "mps_measure.env_steps": 0,
-                    "mps_measure.gemm_calls": 0},
-    ("h2", "per_term"): {**_H2_PREP, "mps_measure.env_steps": 0,
-                         "mps_measure.gemm_calls": 0},
     ("lih", "sweep"): {**_LIH_PREP, "mps_measure.env_steps": 1767,
                        "mps_measure.gemm_calls": 86,
                        "kernels.gemm_calls": 2476,
                        "kernels.svd_calls": 824},
-    ("lih", "mpo"): {**_LIH_PREP, "mps_measure.env_steps": 0,
-                     "mps_measure.gemm_calls": 0,
-                     "kernels.gemm_calls": 2534,
-                     "kernels.svd_calls": 857},
 }
 
 #: the same evaluation with every ``EX`` gate expanded one level, into its
@@ -147,27 +140,25 @@ def _measured_energy(ham, ansatz, **evaluator_kwargs):
 
 
 class TestMPSBudgets:
-    @pytest.mark.parametrize("mode", ["sweep", "mpo", "per_term"])
-    def test_h2(self, h2, mode):
+    @pytest.mark.parametrize("path", ["sweep"])
+    def test_h2(self, h2, path):
         ham, ansatz = _hamiltonian_and_ansatz(h2)
-        energy, reg = _measured_energy(ham, ansatz, simulator="mps",
-                                       measurement=mode)
-        budget = MPS_BUDGETS[("h2", mode)]
+        energy, reg = _measured_energy(ham, ansatz, simulator="mps")
+        budget = MPS_BUDGETS[("h2", path)]
         got = {name: reg.value(name) for name in budget}
         assert got == budget
-        assert reg.value("mps_measure.evaluations", path=mode) == 1
+        assert reg.value("mps_measure.evaluations", path=path) == 1
         # theta = 0 prepares the reference determinant
         assert abs(energy - h2.scf.energy) <= 1e-10
 
-    @pytest.mark.parametrize("mode", ["sweep", "mpo"])
-    def test_lih(self, lih, mode):
+    @pytest.mark.parametrize("path", ["sweep"])
+    def test_lih(self, lih, path):
         ham, ansatz = _hamiltonian_and_ansatz(lih)
-        energy, reg = _measured_energy(ham, ansatz, simulator="mps",
-                                       measurement=mode)
-        budget = MPS_BUDGETS[("lih", mode)]
+        energy, reg = _measured_energy(ham, ansatz, simulator="mps")
+        budget = MPS_BUDGETS[("lih", path)]
         got = {name: reg.value(name) for name in budget}
         assert got == budget
-        assert reg.value("mps_measure.evaluations", path=mode) == 1
+        assert reg.value("mps_measure.evaluations", path=path) == 1
         assert abs(energy - lih.scf.energy) <= 1e-10
 
     @pytest.mark.parametrize("molecule", ["h2", "lih"])
@@ -176,7 +167,7 @@ class TestMPSBudgets:
         ham, ansatz = _hamiltonian_and_ansatz(
             request.getfixturevalue(molecule))
         _, reg = _measured_energy(ham, ansatz.decomposed(),
-                                  simulator="mps", measurement="sweep")
+                                  simulator="mps")
         budget = STAIRCASE_BUDGETS[molecule]
         assert {name: reg.value(name) for name in budget} == budget
 
@@ -191,22 +182,9 @@ class TestMPSBudgets:
                             [p for g in ansatz for p in g.decompose()],
                             n_parameters=ansatz.n_parameters)
         assert set(rotations.count_gates()) == {"X", "PR"}
-        _, reg = _measured_energy(ham, rotations, simulator="mps",
-                                  measurement="sweep")
+        _, reg = _measured_energy(ham, rotations, simulator="mps")
         budget = ROTATION_BUDGETS[molecule]
         assert {name: reg.value(name) for name in budget} == budget
-
-    def test_budgets_identical_across_measurement_modes(self, h2):
-        """State-preparation work must not depend on how we measure."""
-        ham, ansatz = _hamiltonian_and_ansatz(h2)
-        prep = ("mps.excitation", "mps.pauli_rotation", "mps.gate_2q",
-                "mps.svd", "mps.swap")
-        seen = []
-        for mode in ("sweep", "mpo", "per_term"):
-            _, reg = _measured_energy(ham, ansatz, simulator="mps",
-                                      measurement=mode)
-            seen.append({name: reg.value(name) for name in prep})
-        assert seen[0] == seen[1] == seen[2]
 
 
 class TestRepeatedRDMMeasurement:
@@ -261,13 +239,11 @@ class TestRepeatedRDMMeasurement:
 
 
 #: fused-kernel call totals for one cold-cache H2 theta = 0 evaluation;
-#: keyed by measurement mode.  These count *executed* kernels, so they
+#: keyed by measurement path.  These count *executed* kernels, so they
 #: are independent of the module-global plan-LRU warmth (unlike the
 #: hit/miss split, which depends on what earlier tests left cached).
 KERNEL_BUDGETS = {
     "sweep": {"kernels.gemm_calls": 23, "kernels.svd_calls": 7},
-    "mpo": {"kernels.gemm_calls": 41, "kernels.svd_calls": 16},
-    "per_term": {"kernels.gemm_calls": 127, "kernels.svd_calls": 7},
 }
 
 
@@ -276,12 +252,11 @@ class TestKernelCounterBudgets:
     obs counters.  GEMM/SVD call totals are pure functions of the
     workload; every GEMM is preceded by exactly one plan-cache lookup."""
 
-    @pytest.mark.parametrize("mode", ["sweep", "mpo", "per_term"])
-    def test_h2_kernel_calls_pinned(self, h2, mode):
+    @pytest.mark.parametrize("path", ["sweep"])
+    def test_h2_kernel_calls_pinned(self, h2, path):
         ham, ansatz = _hamiltonian_and_ansatz(h2)
-        _, reg = _measured_energy(ham, ansatz, simulator="mps",
-                                  measurement=mode)
-        budget = KERNEL_BUDGETS[mode]
+        _, reg = _measured_energy(ham, ansatz, simulator="mps")
+        budget = KERNEL_BUDGETS[path]
         got = {name: reg.value(name) for name in budget}
         assert got == budget
         lookups = sum(
@@ -489,6 +464,28 @@ class TestGradientBudgets:
         assert reg.value("mps.excitation") == 6
         assert reg.value("mps.pauli_rotation") == 0
 
+    def test_h2_631g_energy_and_gradient_compile_one_mpo(self,
+                                                         solved_molecule):
+        """The ``h2_vqe`` unit of work.  The one MPO compiled is the
+        adjoint's H|psi> bra operator; the energy is a sweep and compiles
+        none (the retired ``auto`` dispatch compiled a second one here,
+        to price an arm it then did not run)."""
+        from repro.chem import geometry
+        from repro.vqe.gradients import adjoint_gradient
+
+        ham, ansatz = _hamiltonian_and_ansatz(
+            solved_molecule(geometry.h2(0.7414), basis="6-31g"))
+        theta = np.zeros(ansatz.n_parameters)
+        _clear_all_caches()
+        with obs.collect() as reg:
+            evaluator = EnergyEvaluator(ham, ansatz, simulator="mps",
+                                        max_bond_dimension=16)
+            evaluator.energy(theta)
+            adjoint_gradient(evaluator, theta)
+            assert reg.value("mps_measure.mpo_cache", outcome="miss") == 1
+            assert reg.value("mps_measure.mpo_cache", outcome="hit") == 0
+            assert reg.value("mps_measure.evaluations", path="sweep") == 1
+
     def test_h2_mps_environment_cache(self, h2):
         _, reg = self._gradient(h2, simulator="mps")
         # two overlaps (T, T+) per excitation, two environment requests
@@ -574,13 +571,13 @@ class TestDMETBudgets:
 
         # a circuit solver, one shot at mu = 0: the *work* the workers
         # did ships home exactly, wherever each fragment ran.  Cold starts
-        # and the sweep arm keep a solve independent of what its process
-        # solved before (no warm-start amplitudes, no shared MPO compiles)
+        # keep a solve independent of what its process solved before (no
+        # warm-start amplitudes)
         from repro.dmet.solvers import VQEFragmentSolver
         from repro.parallel.threelevel import ThreeLevelDriver
 
-        solver = VQEFragmentSolver(simulator="mps", measurement="sweep",
-                                   max_iterations=6, warm_start=False)
+        solver = VQEFragmentSolver(simulator="mps", max_iterations=6,
+                                   warm_start=False)
         # one-atom fragments: four 4-qubit problems, two per worker at w2
         problems = DMET(system, atoms_per_fragment(system, 1),
                         solver).problems

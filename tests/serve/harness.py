@@ -3,7 +3,7 @@
 Three pieces the ``tests/serve`` suite shares:
 
 * :data:`VQE_COMBOS` / :func:`full_combo_workload` - the pinned
-  backend / measurement / optimizer / executor matrix every served
+  backend / optimizer / executor matrix every served
   result must reproduce bitwise;
 * :func:`direct_result` - the *independent* reference: the same
   computation through the plain :mod:`repro.q2chem` library path, no
@@ -28,17 +28,15 @@ from repro import q2chem
 from repro.chem.geometry import molecule_from_spec
 from repro.serve import JobService, JobSpec
 
-#: the backend/measurement/optimizer matrix served VQE results must
+#: the backend/optimizer matrix served VQE results must
 #: reproduce bitwise (kept h2-sized so the whole matrix runs in
-#: seconds); fields: simulator, measurement, optimizer, grad
+#: seconds); fields: simulator, optimizer, grad
 VQE_COMBOS: tuple[dict, ...] = (
     {"simulator": "fast", "optimizer": "cobyla"},
     {"simulator": "statevector", "optimizer": "cobyla"},
     {"simulator": "statevector", "optimizer": "adam", "grad": "adjoint"},
-    {"simulator": "mps", "measurement": "sweep", "optimizer": "cobyla"},
-    {"simulator": "mps", "measurement": "mpo", "optimizer": "cobyla"},
-    {"simulator": "mps", "measurement": "auto", "optimizer": "adam",
-     "grad": "adjoint"},
+    {"simulator": "mps", "optimizer": "cobyla"},
+    {"simulator": "mps", "optimizer": "adam", "grad": "adjoint"},
 )
 
 #: iteration budget keeping the matrix fast while still optimizing
@@ -79,7 +77,6 @@ def direct_result(spec: JobSpec) -> dict:
     if spec.kind == "vqe":
         res = system.vqe_energy(
             simulator=spec.simulator, optimizer=spec.optimizer,
-            measurement=spec.measurement,
             max_bond_dimension=spec.max_bond_dimension,
             max_iterations=spec.max_iterations, tolerance=spec.tolerance,
             grad=spec.grad, seed=spec.seed)

@@ -2,7 +2,7 @@
 
 The service's three load-bearing contracts (docs/SERVING.md):
 
-* **bitwise parity** - for every backend / measurement / optimizer /
+* **bitwise parity** - for every backend / optimizer /
   executor combo in the pinned matrix, the served result equals the
   direct :mod:`repro.q2chem` call exactly (``==`` on floats, not
   ``isclose``);
@@ -54,8 +54,7 @@ class TestBitwiseParity:
         specs, records, _ = combo_run
         for spec, record in zip(specs, records):
             expected = direct_result(spec)
-            label = (spec.kind, spec.simulator, spec.measurement,
-                     spec.optimizer)
+            label = (spec.kind, spec.simulator, spec.optimizer)
             assert record.result == expected, label
 
     def test_per_request_metrics_are_valid_obs2(self, combo_run):

@@ -23,7 +23,9 @@ class TestJobSpec:
                 ({"kind": "energy", "molcule": "h2"}, "molcule"),
                 # retired with the level-2 dispatch: workers are not physics
                 ({"kind": "vqe", "parallel": "thread"}, "parallel"),
-                ({"kind": "vqe", "n_workers": 2}, "n_workers")):
+                ({"kind": "vqe", "n_workers": 2}, "n_workers"),
+                # retired with the MPO <H> arm: one measurement path
+                ({"kind": "vqe", "measurement": "sweep"}, "measurement")):
             with pytest.raises(
                     ValidationError,
                     match=rf"unknown job spec field\(s\) \['{field}'\]"):
@@ -31,7 +33,7 @@ class TestJobSpec:
 
     def test_dict_round_trip(self):
         spec = JobSpec(kind="vqe", molecule="lih", simulator="mps",
-                       measurement="sweep", tag="t1")
+                       tag="t1")
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
     def test_spec_key_ignores_labels_and_checkpoint_plumbing(self):
@@ -56,9 +58,9 @@ class TestJobSpec:
 
     def test_batch_key_groups_backend_compatible_work(self):
         a = JobSpec(kind="vqe", molecule="h2", simulator="mps",
-                    measurement="sweep", optimizer="cobyla")
+                    optimizer="cobyla")
         b = JobSpec(kind="vqe", molecule="h2", simulator="mps",
-                    measurement="sweep", optimizer="adam", grad="adjoint")
+                    optimizer="adam", grad="adjoint")
         c = JobSpec(kind="vqe", molecule="h2", simulator="statevector")
         assert a.batch_key() == b.batch_key()
         assert a.batch_key() != c.batch_key()
@@ -116,6 +118,31 @@ class TestServiceLifecycle:
         with JobService(observe=False) as service:
             with pytest.raises(ValidationError, match="JobSpec or dict"):
                 service.submit(["kind", "energy"])
+
+    @pytest.mark.parametrize("field,value", [
+        ("molecule", 7), ("max_iterations", "ten"), ("bond", "far"),
+        ("simulator", 7), ("seed", 1.5), ("resume", "yes"),
+        ("max_iterations", True), ("tolerance", None)])
+    def test_mistyped_payload_is_rejected_at_submit(self, field, value):
+        """``molecule=7`` used to be queued, raise ``AttributeError`` in
+        the scheduler's ``batch_key()`` - outside the per-job isolation -
+        and leave that job and every later one ``queued`` forever."""
+        with JobService(observe=False) as service:
+            with pytest.raises(ValidationError, match=repr(field)):
+                service.submit({"kind": "energy", field: value})
+            good = service.submit({"kind": "energy", "molecule": "h2"})
+            assert service.result(good, timeout=60)["energy"] < -1.0
+            assert service.status(good) == "done"
+
+    def test_well_typed_payloads_still_pass(self):
+        # the serve_mix request shapes, and an int where a float is declared
+        for entry in ({"kind": "energy", "molecule": "h2", "bond": 1.5},
+                      {"kind": "dmet", "molecule": "chain:4"},
+                      {"kind": "energy", "molecule": "h2", "bond": 1},
+                      {"kind": "vqe", "tolerance": 1, "seed": 3,
+                       "max_bond_dimension": None, "resume": True}):
+            assert JobSpec.from_dict(entry).to_dict().items() \
+                >= entry.items()
 
     def test_result_timeout(self):
         # close() drains queued work, so keep the job seconds-scale:

@@ -1,11 +1,12 @@
 """Parity + cache-invalidation suite for the batched MPS measurement engine.
 
-Every evaluation path (shared-environment sweep, compressed-MPO contraction,
-cost-model auto) must agree with the per-term transfer-matrix oracle to
-1e-10 on molecular Hamiltonians (H2, LiH) and random canonical states, and
-with the dense Rayleigh quotient to 1e-12 on states truncation has pushed
-out of canonical form; and the revision-keyed environment caches must
-never survive ``run()`` / ``apply_*`` / ``reset()``.
+The shared-environment sweep (the one <H> path) and the compiled MPO (the
+operator the adjoint gradient builds its bra from) must agree with the
+per-term transfer-matrix oracle to 1e-10 on molecular Hamiltonians (H2,
+LiH) and random canonical states, and with the dense Rayleigh quotient to
+1e-12 on states truncation has pushed out of canonical form; and the
+revision-keyed environment caches must never survive ``run()`` /
+``apply_*`` / ``reset()``.
 """
 
 import numpy as np
@@ -17,10 +18,7 @@ from repro.operators.pauli import PauliTerm, QubitOperator
 from repro.simulators.mps import MPS, RoutingPlan, routing_plan
 from repro.simulators.mps_circuit import MPSSimulator
 from repro.simulators.mps_measure import (
-    MEASUREMENT_MODES,
     MPSMeasurementEngine,
-    _mpo_flops,
-    _sweep_flops,
     build_sweep_plan,
     compiled_mpo,
     sweep_plan,
@@ -41,6 +39,11 @@ def random_operator(n_qubits, n_terms, seed, complex_coeffs=False):
                     rng.standard_normal() if complex_coeffs else 0.0)
         terms[term] = terms.get(term, 0.0) + c
     return QubitOperator(terms)
+
+
+def mpo_expectation(mps, op):
+    """<H> through the compiled MPO: what the adjoint's bra is built from."""
+    return compiled_mpo(op, mps.n_qubits).expectation(mps) / mps.norm() ** 2
 
 
 @pytest.fixture(scope="module")
@@ -110,23 +113,23 @@ class TestSweepParity:
 
 
 class TestMPOParity:
+    """No <H> is measured through the MPO any more, but the adjoint
+    gradient applies it to build H|psi>: it must be the operator the sweep
+    measures."""
+
     @pytest.mark.parametrize("n_qubits,n_terms,seed",
                              [(2, 8, 5), (4, 20, 6), (8, 40, 7)])
     def test_random_states_match_oracle(self, n_qubits, n_terms, seed):
         mps = MPS.random_state(n_qubits, bond_dimension=8, seed=seed)
         op = random_operator(n_qubits, n_terms, seed + 80)
-        engine = MPSMeasurementEngine()
-        ref = engine.expectation_per_term(mps, op)
-        assert engine.expectation_mpo(mps, op) == pytest.approx(ref,
-                                                                abs=ATOL)
+        ref = MPSMeasurementEngine().expectation_per_term(mps, op)
+        assert mpo_expectation(mps, op) == pytest.approx(ref, abs=ATOL)
 
     def test_lih_hamiltonian(self, lih_hamiltonian):
         ham, n = lih_hamiltonian
         mps = MPS.random_state(n, bond_dimension=16, seed=3)
-        engine = MPSMeasurementEngine()
-        ref = engine.expectation_per_term(mps, ham)
-        assert engine.expectation_mpo(mps, ham) == pytest.approx(ref,
-                                                                 abs=ATOL)
+        ref = MPSMeasurementEngine().expectation_per_term(mps, ham)
+        assert mpo_expectation(mps, ham) == pytest.approx(ref, abs=ATOL)
 
     def test_compiled_mpo_bond_dimensions_are_compressed(self,
                                                          lih_hamiltonian):
@@ -134,60 +137,6 @@ class TestMPOParity:
         # dimensions, far below the 630-term worst case
         ham, n = lih_hamiltonian
         assert max(compiled_mpo(ham, n).bond_dimensions()) < 64
-
-
-class TestAutoMode:
-    def test_auto_matches_oracle_on_lih(self, lih_hamiltonian):
-        ham, n = lih_hamiltonian
-        mps = MPS.random_state(n, bond_dimension=32, seed=4)
-        engine = MPSMeasurementEngine()
-        ref = engine.expectation_per_term(mps, ham)
-        assert engine.expectation(mps, ham, mode="auto") \
-            == pytest.approx(ref, abs=ATOL)
-
-    def test_flop_model_crossover_on_lih(self, lih_hamiltonian):
-        # the sweep's D^3 term count outgrows the MPO's between D=4 and D=8
-        ham, n = lih_hamiltonian
-        plan, mpo = sweep_plan(ham, n), compiled_mpo(ham, n)
-        assert (_sweep_flops(plan, 4), _mpo_flops(mpo, 4)) == \
-            (1890048.0, 2580992.0)
-        for d in (1, 2, 4):
-            assert _sweep_flops(plan, d) < _mpo_flops(mpo, d), d
-        for d in (8, 16, 32, 64):
-            assert _mpo_flops(mpo, d) < _sweep_flops(plan, d), d
-
-    @pytest.mark.parametrize("bond_dimension,arm",
-                             [(4, "sweep"), (32, "mpo")])
-    def test_auto_pick_pinned_on_both_sides_of_crossover(
-            self, lih_hamiltonian, bond_dimension, arm):
-        """``auto`` runs the arm the flop rule names and is bitwise that
-        arm (the retired lih_tuned_sweep / lih_tuned_mpo ledger shapes)."""
-        from repro import obs
-
-        ham, n = lih_hamiltonian
-        mps = MPS.random_state(n, bond_dimension=bond_dimension, seed=7)
-        explicit = MPSMeasurementEngine().expectation(mps, ham, mode=arm)
-        with obs.collect() as reg:
-            auto = MPSMeasurementEngine().expectation(mps, ham, mode="auto")
-            assert reg.value("mps_measure.evaluations", path=arm) == 1
-        assert auto == explicit
-
-    def test_auto_handles_tiny_operators(self):
-        # below the MPO window: must silently use the sweep
-        mps = MPS.random_state(4, bond_dimension=4, seed=5)
-        op = random_operator(4, 3, 11)
-        engine = MPSMeasurementEngine()
-        ref = engine.expectation_per_term(mps, op)
-        assert engine.expectation(mps, op) == pytest.approx(ref, abs=ATOL)
-
-    def test_unknown_mode_rejected(self):
-        mps = MPS.random_state(3, bond_dimension=2, seed=0)
-        with pytest.raises(ValidationError):
-            MPSMeasurementEngine().expectation(mps, QubitOperator.zero(),
-                                               mode="fastest")
-
-    def test_modes_tuple_is_canonical(self):
-        assert MEASUREMENT_MODES == ("auto", "sweep", "mpo", "per_term")
 
 
 class TestCacheInvalidation:
@@ -223,7 +172,7 @@ class TestCacheInvalidation:
     def test_run_and_reset_invalidate_through_simulator(self):
         from repro.circuits.hea import random_brick_circuit
 
-        sim = MPSSimulator(4, measurement="sweep")
+        sim = MPSSimulator(4)
         op = random_operator(4, 10, 23)
         sim.expectation(op)
         state = sim.state
@@ -241,7 +190,7 @@ class TestCacheInvalidation:
         assert sim.expectation(op) == pytest.approx(ref, abs=ATOL)
 
     def test_copied_simulator_gets_fresh_engine(self):
-        sim = MPSSimulator(3, measurement="sweep")
+        sim = MPSSimulator(3)
         op = random_operator(3, 6, 24)
         sim.expectation(op)
         clone = sim.copy()
@@ -315,11 +264,31 @@ class TestTruncatedStates:
         op = self.local_operator(8, 11)
         ref = self.rayleigh(mps, op)
         engine = MPSMeasurementEngine()
-        for mode in MEASUREMENT_MODES:
-            assert engine.expectation(mps, op, mode=mode) == \
-                pytest.approx(ref, abs=1e-12), mode
+        for path in (engine.expectation_sweep(mps, op),
+                     engine.expectation_per_term(mps, op),
+                     mpo_expectation(mps, op)):
+            assert path == pytest.approx(ref, abs=1e-12)
         psi = mps.to_statevector()
         assert mps.norm() == pytest.approx(np.linalg.norm(psi), abs=1e-12)
+
+    @pytest.mark.parametrize("molecule,bond", [("h4_ring", 16), ("lih", 8)])
+    def test_energy_and_adjoint_bra_see_the_same_operator(self, request,
+                                                          molecule, bond):
+        """The cross-check the MPO <H> arm gave for free: at the benchmark
+        workloads' caps (8 qubits D=16, LiH D=8, UCCSD as rotations, which
+        truncate LiH for real) the sweep reads what the MPO contracts."""
+        solved = request.getfixturevalue(molecule)
+        ham, circuit = solved.qubit_hamiltonian, solved.uccsd_circuit
+        theta = 0.3 * np.random.default_rng(7).standard_normal(
+            circuit.n_parameters)
+        bound = circuit.bind(theta)
+        bound.gates[:] = [r for g in bound.gates for r in g.decompose()]
+        mps = MPSSimulator(bound.n_qubits,
+                           max_bond_dimension=bond).run(bound).state
+        if molecule == "lih":
+            assert mps.stats.total_discarded_weight > 1e-6
+        assert MPSMeasurementEngine().expectation_sweep(mps, ham) == \
+            pytest.approx(mpo_expectation(mps, ham), abs=1e-12)
 
     def test_h2_at_d2_never_reads_below_fci(self, h2_hamiltonian):
         from repro.circuits.uccsd import UCCSDAnsatz

@@ -18,7 +18,10 @@ class TestParser:
     @pytest.mark.parametrize("argv", [["calibrate"],
                                       ["energy", "--tune", "auto"],
                                       ["bench"],
-                                      ["energy", "--level3-workers", "2"]])
+                                      ["energy", "--level3-workers", "2"],
+                                      ["energy", "--method", "vqe",
+                                       "--simulator", "mps",
+                                       "--measurement", "sweep"]])
     def test_retired_surface_is_an_argparse_error(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -110,12 +113,6 @@ class TestEnergyCommand:
         assert main(["energy", "--molecule", "h2", "--method", "dmet-vqe",
                      "--simulator", "mps", "--grad", "adjoint"]) == 1
         assert "--grad applies to --method vqe" in capsys.readouterr().err
-
-    def test_dmet_rejects_measurement(self, capsys):
-        assert main(["energy", "--molecule", "h2", "--method", "dmet-vqe",
-                     "--simulator", "mps", "--measurement", "sweep"]) == 1
-        assert "--measurement applies to --method vqe" \
-            in capsys.readouterr().err
 
     def test_vqe_line_reports_gradient_evaluations(self, capsys):
         assert main(["energy", "--molecule", "h2", "--method", "vqe",
