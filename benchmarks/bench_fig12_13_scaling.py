@@ -1,8 +1,9 @@
 """Figs. 12-13: strong and weak scaling to 21,299,200 cores.
 
-The decomposition, LPT scheduling and communicator traffic execute for real;
-time comes from the SW26010Pro machine model with kernel costs calibrated
-against this machine's measured MPS timings (DESIGN.md substitution #1).
+The decomposition and LPT scheduling execute for real; communication and
+time come from the closed-form SW26010Pro machine model with kernel costs
+calibrated against this machine's measured MPS timings (DESIGN.md
+substitution #1).
 
 Paper targets: strong scaling of the H1280 chain from 10,240 to 327,680
 processes with >=92% efficiency and 30x speedup; weak scaling (40..1280
@@ -11,8 +12,13 @@ atoms) at ~92% efficiency.
 
 import pytest
 
-from repro.parallel.perfmodel import CircuitCostModel, ScalingExperiment
-from repro.parallel.threelevel import ThreeLevelDriver
+from repro.parallel.perfmodel import (
+    CircuitCostModel,
+    ScalingExperiment,
+    VQEIterationModel,
+    synthetic_fragment_strings,
+)
+from repro.parallel.topology import SunwayMachine
 
 from conftest import print_table
 
@@ -68,21 +74,17 @@ def test_fig4_communication_profile(benchmark):
     Paper measurement: ~15.6 KB per process and <0.001 s of communication
     per VQE iteration.
     """
-    drv = ThreeLevelDriver(processes_per_group=2048)
-    rep = benchmark.pedantic(
-        lambda: drv.simulate(n_fragments=5, n_processes=10_240,
-                             n_iterations=1),
+    model = VQEIterationModel(SunwayMachine(), CircuitCostModel())
+    t_iter, bd = benchmark.pedantic(
+        lambda: model.iteration_seconds(synthetic_fragment_strings(8), 2048),
         rounds=1, iterations=1)
-    comm_per_iter = rep.comm_seconds / max(1, rep.n_fragments)
+    comm_per_iter = bd["bcast_s"] + bd["reduce_s"]
     print_table(
-        "Fig 4 profile: per-iteration communication",
-        ["bytes/proc/iter", "comm s/iter", "comm share %",
-         "idle fraction %"],
-        [[rep.bytes_per_process_per_iteration, comm_per_iter,
-          (rep.breakdown["bcast_s"] + rep.breakdown["reduce_s"])
-          / rep.makespan_s * 100,
-          rep.idle_fraction * 100]],
+        "Fig 4 profile: per-iteration communication of one sub-group",
+        ["bytes/proc/iter", "comm s/iter", "comm share %"],
+        [[bd["bytes_per_process"], comm_per_iter,
+          comm_per_iter / t_iter * 100]],
         "paper: 15.6 KB/process, <0.001 s communication per VQE iteration",
     )
-    assert rep.bytes_per_process_per_iteration < 15_600
+    assert bd["bytes_per_process"] < 15_600
     assert comm_per_iter < 1e-3

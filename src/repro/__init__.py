@@ -13,7 +13,7 @@ Public entry points:
 * :mod:`repro.simulators` - statevector, density-matrix and MPS simulators;
 * :mod:`repro.vqe` - energy evaluation, circuit stores, optimizers;
 * :mod:`repro.dmet` - bath construction, embedding, chemical potential;
-* :mod:`repro.parallel` - Sunway machine model, simulated MPI, scaling.
+* :mod:`repro.parallel` - fragment executors; Sunway scaling replay.
 """
 
 __version__ = "1.0.0"

@@ -109,6 +109,7 @@ def _run_energy(args) -> int:
                               all_fragments_equivalent=args.equivalent,
                               max_bond_dimension=args.bond_dimension,
                               vqe_optimizer=args.optimizer or "cobyla",
+                              vqe_max_iterations=args.max_iterations,
                               n_workers=args.workers,
                               executor=args.executor)
         print(f"E(DMET) = {res.energy:+.8f} Ha "
@@ -342,14 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
                          "adam with --grad, cobyla without); with dmet-vqe "
                          "the fragment solver's optimizer")
     pe.add_argument("--max-iterations", type=int, default=4000,
-                    help="VQE optimizer iteration budget")
+                    help="VQE optimizer iteration budget (with dmet-vqe "
+                         "the fragment solver's)")
     pe.add_argument("--workers", type=int, default=1,
                     help="worker count for the DMET fragment solves "
                          "(dmet-* methods only); results are bitwise "
                          "independent of the count")
     pe.add_argument("--executor", default="thread",
-                    help="registered executor backend: serial | thread | "
-                         "process (used when --workers > 1)")
+                    help="executor for the fragment solves: serial | "
+                         "thread | process (used when --workers > 1)")
     pe.add_argument("--fragment-atoms", type=int, default=2)
     pe.add_argument("--equivalent", action="store_true",
                     help="treat all fragments as symmetry equivalent")

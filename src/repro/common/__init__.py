@@ -11,7 +11,6 @@ from repro.common.errors import (
     ConvergenceError,
     ValidationError,
     TruncationOverflowError,
-    CommunicatorError,
 )
 from repro.common.constants import (
     ANGSTROM_TO_BOHR,
@@ -29,7 +28,6 @@ __all__ = [
     "ConvergenceError",
     "ValidationError",
     "TruncationOverflowError",
-    "CommunicatorError",
     "ANGSTROM_TO_BOHR",
     "BOHR_TO_ANGSTROM",
     "HARTREE_TO_EV",

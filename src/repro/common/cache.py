@@ -152,16 +152,6 @@ class ServeCache:
             _M_MISSES.inc(namespace=namespace)
             return None, False
 
-    def peek(self, namespace: str, key) -> object | None:
-        """The cached value or None - no counters, no LRU touch.
-
-        For probe-style callers ("is this already compiled?") that must
-        not look like demand.
-        """
-        with self._lock:
-            entry = self._entries.get((namespace, key))
-            return None if entry is None else entry[0]
-
     def insert(self, namespace: str, key, value, *,
                nbytes: int | None = None) -> bool:
         """Store ``value``; returns False when it exceeds the whole budget.

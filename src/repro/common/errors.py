@@ -102,7 +102,3 @@ class CheckpointError(ReproError, RuntimeError):
         super().__init__(message)
         self.path = path
         self.reason = reason
-
-
-class CommunicatorError(ReproError, RuntimeError):
-    """Misuse of the simulated MPI communicator (rank mismatch, dead comm...)."""

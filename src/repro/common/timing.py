@@ -1,15 +1,10 @@
 """Timing utilities used by the benchmark harness and the parallel runtime.
 
-Two clocks coexist in this library:
-
-* real wall-clock time, measured with :class:`Timer` / :func:`timed`, used by
-  the single-node micro-benchmarks (Figs. 8-11 of the paper);
-* the simulated event clock of :class:`repro.parallel.comm.SimCommunicator`,
-  advanced by the calibrated performance model, used to regenerate the
-  strong/weak scaling results (Figs. 12-13) that required 20M Sunway cores.
-
-:class:`WallClock` abstracts over both so the three-level driver can run
-unchanged in either mode.
+Real wall-clock time, measured with :class:`Timer` / :func:`timed`, is used
+by the single-node micro-benchmarks (Figs. 8-11 of the paper) and by the
+cost-model calibration behind the strong/weak scaling replay (Figs. 12-13,
+:mod:`repro.parallel.perfmodel`).  :class:`WallClock` is a clock that is
+either real or advanced by hand.
 """
 
 from __future__ import annotations
@@ -80,10 +75,10 @@ class Timer:
 
 
 class WallClock:
-    """A clock that can be real (``perf_counter``) or virtual (event-driven).
+    """A clock that can be real (``perf_counter``) or virtual.
 
-    The parallel runtime advances a virtual clock through :meth:`advance`;
-    everything else reads :meth:`now`.
+    A virtual clock moves only through :meth:`advance`; readers call
+    :meth:`now` either way.
     """
 
     def __init__(self, virtual: bool = False):

@@ -100,9 +100,12 @@ class DMET:
     n_workers / executor:
         ``n_workers > 1`` solves distinct fragments concurrently - the
         paper's first (embarrassingly parallel) level executed for real.
-        ``executor`` names the registered execution engine: "thread" (the
-        default) or "process" for real multiprocess fragment dispatch
-        (requires a picklable solver).
+        ``executor`` names the execution engine
+        (:func:`repro.parallel.resolve_executor`): "thread" (the default),
+        "serial", or "process" for real multiprocess fragment dispatch
+        (requires a picklable solver).  A count below 1 or an unknown
+        name is a ``ValidationError`` here, whether or not a dispatch
+        ever happens.
     """
 
     def __init__(self, system: OrthogonalSystem,
@@ -118,6 +121,14 @@ class DMET:
         self.all_fragments_equivalent = all_fragments_equivalent
         self.mu_tolerance = mu_tolerance
         self.max_mu_iterations = max_mu_iterations
+        if n_workers < 1:
+            raise ValidationError(
+                f"n_workers must be at least 1, got {n_workers!r}")
+        if isinstance(executor, str):
+            from repro.parallel.executor import resolve_executor
+
+            # pools start on first use, so this only checks the name
+            resolve_executor(executor, n_workers)
         self.n_workers = n_workers
         self.executor = executor
 

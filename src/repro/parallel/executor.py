@@ -1,16 +1,16 @@
 """Real execution engines for the DMET fragment level.
 
 The paper's parallel scheme (Sec. III-C, Fig. 4) has three levels; this
-repo runs the first one for real and replays the other two on simulated
-clocks (:meth:`repro.parallel.threelevel.ThreeLevelDriver.simulate`,
-Figs. 12-13).  DMET fragments are independent embedded problems, so
+repo runs the first one for real and replays the other two in closed
+form (:mod:`repro.parallel.perfmodel`, Figs. 12-13).  DMET fragments are
+independent embedded problems, so
 :meth:`repro.parallel.threelevel.ThreeLevelEngine.run_fragments` maps them
 over a worker pool.  Splitting the measurement of one prepared state over
 workers never paid at any size this repo reaches - EXPERIMENTS.md,
 Ablation 6, holds the numbers - so there is no such path.
 
-Executors are selected by name through a registry mirroring
-:mod:`repro.backends`: ``serial`` (in-line baseline), ``thread``
+Executors are selected by name through :func:`resolve_executor`, one of
+three: ``serial`` (in-line baseline), ``thread``
 (``ThreadPoolExecutor``; BLAS releases the GIL in the heavy kernels) and
 ``process`` (``ProcessPoolExecutor``; true multi-core for pure-python
 paths).  Process workers record their own :mod:`repro.obs` telemetry per
@@ -23,34 +23,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
 from multiprocessing import get_context, get_all_start_methods
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.common.errors import ValidationError, WorkerError
 from repro.obs import flight as _flight
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
-
-# observability instruments (no-ops unless `repro.obs` is enabled)
-_M_WORKER_TASKS = _obs.counter(
-    "parallel.worker_tasks",
-    "tasks per round-robin worker slot, labelled level/worker")
-_M_CHUNK_SIZES = _obs.histogram(
-    "parallel.chunk_sizes",
-    "round-robin chunk sizes per dispatch, labelled by level")
-
-
-def _record_worker_chunks(chunks: Iterable[Sequence], level: str) -> None:
-    """Mirror a round-robin chunking into per-worker task counters."""
-    if not _obs.REGISTRY.enabled:
-        return
-    sizes = []
-    for worker, idxs in enumerate(chunks):
-        _M_WORKER_TASKS.inc(len(idxs), level=level, worker=worker)
-        sizes.append(len(idxs))
-    _M_CHUNK_SIZES.observe_many(sizes, level=level)
-
 
 # -- worker-side observability protocol ---------------------------------------
 
@@ -65,8 +44,8 @@ def _obs_directive(worker: int | None = None):
 
     ``None`` when the parent registry is disabled - the worker goes quiet
     and drops any fork-inherited state - otherwise ``(worker_slot,
-    trace_flag)``.  Worker slots are deterministic round-robin chunk
-    indices, never PIDs, so merged labels are reproducible run-to-run.
+    trace_flag)``.  Worker slots are task indices modulo the pool width,
+    never PIDs, so merged labels are reproducible run-to-run.
     """
     if not _obs.REGISTRY.enabled:
         return None
@@ -159,6 +138,16 @@ def default_worker_count() -> int:
         return max(1, os.cpu_count() or 1)
 
 
+def _pool_width(max_workers: int | None) -> int:
+    """``max_workers``, or the default when None; 0 is not "unset"."""
+    if max_workers is None:
+        return default_worker_count()
+    if max_workers < 1:
+        raise ValidationError(
+            f"need at least one worker, got max_workers={max_workers!r}")
+    return max_workers
+
+
 # -- executor backends --------------------------------------------------------
 
 
@@ -194,9 +183,7 @@ class ThreadExecutor:
     in_process = True
 
     def __init__(self, max_workers: int | None = None):
-        self.workers = max_workers or default_worker_count()
-        if self.workers < 1:
-            raise ValidationError("need at least one worker")
+        self.workers = _pool_width(max_workers)
         self._pool: ThreadPoolExecutor | None = None
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
@@ -237,9 +224,7 @@ class ProcessExecutor:
     in_process = False
 
     def __init__(self, max_workers: int | None = None):
-        self.workers = max_workers or default_worker_count()
-        if self.workers < 1:
-            raise ValidationError("need at least one worker")
+        self.workers = _pool_width(max_workers)
         self._pool: ProcessPoolExecutor | None = None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -285,109 +270,29 @@ class ProcessExecutor:
         return False
 
 
-# -- executor registry (mirrors repro.backends) -------------------------------
+# -- executor lookup ----------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class ExecutorSpec:
-    """Registry entry describing one executor backend."""
-
-    name: str
-    factory: Callable[..., Any]
-    description: str = ""
-
-
-_EXECUTORS: dict[str, ExecutorSpec] = {}
-
-
-def register_executor(name: str, factory: Callable[..., Any], *,
-                      description: str = "",
-                      overwrite: bool = False) -> ExecutorSpec:
-    """Register an executor backend under ``name`` (third parties welcome)."""
-    key = name.lower()
-    if key in _EXECUTORS and not overwrite:
-        raise ValidationError(f"executor {name!r} is already registered")
-    spec = ExecutorSpec(name=key, factory=factory, description=description)
-    _EXECUTORS[key] = spec
-    return spec
-
-
-def unregister_executor(name: str) -> None:
-    """Remove a registration (mainly for tests of third-party plugging)."""
-    _EXECUTORS.pop(name.lower(), None)
-
-
-def executor_spec(name: str) -> ExecutorSpec:
-    """Look up an :class:`ExecutorSpec`; raises with the known names listed."""
-    if not isinstance(name, str):
-        raise ValidationError(f"executor name must be a string, got {name!r}")
-    spec = _EXECUTORS.get(name.lower())
-    if spec is None:
-        known = ", ".join(sorted(_EXECUTORS))
-        raise ValidationError(
-            f"unknown executor {name!r}; registered: {known}"
-        )
-    return spec
+_EXECUTORS = {"serial": SerialExecutor, "thread": ThreadExecutor,
+              "process": ProcessExecutor}
 
 
 def resolve_executor(name, max_workers: int | None = None):
-    """Instantiate a registered executor (or pass one through unchanged)."""
+    """Instantiate an executor by name (or pass one through unchanged)."""
     if hasattr(name, "map") and hasattr(name, "close"):
         return name  # already an executor instance
-    return executor_spec(name).factory(max_workers=max_workers)
-
-
-def available_executors() -> list[str]:
-    """Sorted names of registered executor backends."""
-    return sorted(_EXECUTORS)
-
-
-register_executor("serial", SerialExecutor,
-                  description="in-line execution (deterministic baseline)")
-register_executor("thread", ThreadExecutor,
-                  description="thread pool; concurrency through "
-                              "GIL-releasing BLAS kernels")
-register_executor("process", ProcessExecutor,
-                  description="process pool; true multi-core")
-
-
-# -- per-level timing counters ------------------------------------------------
-
-
-@dataclass
-class ExecutorCounters:
-    """Per-level wall-time/task accounting for the real execution engine.
-
-    Levels follow the paper's naming; ``fragments`` (level 1) is the one
-    that runs for real.
-    """
-
-    levels: dict[str, dict] = field(default_factory=dict)
-
-    def record(self, level: str, seconds: float, n_tasks: int) -> None:
-        """Accumulate one dispatched batch at ``level``."""
-        slot = self.levels.setdefault(
-            level, {"calls": 0, "seconds": 0.0, "tasks": 0})
-        slot["calls"] += 1
-        slot["seconds"] += float(seconds)
-        slot["tasks"] += int(n_tasks)
-
-    def to_dict(self) -> dict:
-        """JSON-serializable snapshot."""
-        return {level: dict(slot) for level, slot in self.levels.items()}
+    factory = _EXECUTORS.get(name.lower()) if isinstance(name, str) else None
+    if factory is None:
+        raise ValidationError(
+            f"unknown executor {name!r}; known: "
+            f"{', '.join(sorted(_EXECUTORS))}")
+    return factory(max_workers=max_workers)
 
 
 __all__ = [
-    "ExecutorCounters",
-    "ExecutorSpec",
     "ProcessExecutor",
     "SerialExecutor",
     "ThreadExecutor",
-    "available_executors",
     "clear_worker_compiled_cache",
     "default_worker_count",
-    "executor_spec",
-    "register_executor",
     "resolve_executor",
-    "unregister_executor",
 ]

@@ -2,15 +2,21 @@
 
 We cannot run 21M Sunway cores, so the Fig. 12/13 reproduction separates:
 
-* *policy*, which runs for real - the DMET fragment decomposition, the
-  2048-process sub-groups, LPT string scheduling, the bcast/reduce traffic
-  (15.6 KB/process/iteration in the paper) - and
-* *cost*, which comes from a :class:`CircuitCostModel` whose constants are
-  **calibrated by timing our own MPS simulator** on small circuits, then
-  extrapolated with the algorithm's known complexity (gates x D^3).
+* *policy*, which runs for real - the DMET fragment decomposition into
+  waves over 2048-process sub-groups and the LPT string scheduling - and
+* *cost*, in closed form - compute from a :class:`CircuitCostModel` whose
+  constants are **calibrated by timing our own MPS simulator** on small
+  circuits, then extrapolated with the algorithm's known complexity
+  (gates x D^3); the bcast/reduce seconds and bytes per iteration
+  (15.6 KB/process/iteration in the paper) from the machine model's tree
+  collectives (:class:`repro.parallel.topology.SunwayMachine`).
 
-The scaling *shape* - who wins, where efficiency falls - is produced by the
-real decomposition and communication model, not assumed.
+This is the one replay of the Sunway machine in the package:
+:meth:`VQEIterationModel.iteration_seconds` returns the per-phase
+(bcast / compute / reduce) breakdown of one sub-group's iteration and
+:class:`ScalingExperiment` stacks it into the Fig. 12/13 curves.  The
+scaling *shape* - who wins, where efficiency falls - is produced by the
+decomposition and communication model, not assumed.
 """
 
 from __future__ import annotations
@@ -23,8 +29,7 @@ from repro.common.errors import ValidationError
 from repro.common.rng import default_rng
 from repro.common.timing import timed
 from repro.parallel.topology import SunwayMachine
-from repro.parallel.comm import SimCluster
-from repro.parallel.scheduler import Task, schedule_lpt, makespan
+from repro.parallel.scheduler import Task, schedule_lpt
 
 
 @dataclass
@@ -61,7 +66,6 @@ class CircuitCostModel:
         times = []
         for nq in qubit_sizes:
             circ = random_brick_circuit(nq, n_layers, seed=seed)
-            sim = MPSSimulator(nq, max_bond_dimension=bond_dimension)
             t, _ = timed(lambda: MPSSimulator(
                 nq, max_bond_dimension=bond_dimension).run(circ), repeat=2)
             gates.append(circ.n_two_qubit_gates())

@@ -54,27 +54,6 @@ def schedule_lpt(tasks: list[Task], n_workers: int) -> list[list[Task]]:
     return out
 
 
-def chunk_round_robin(n_items: int, n_chunks: int) -> list[list[int]]:
-    """Deterministic round-robin index chunks (never returns empty chunks).
-
-    The worker-slot layout of the real executor's fragment tasks: item
-    ``i`` goes to chunk ``i mod n_chunks``, chunk count is clamped to the
-    item count, and the layout depends only on the two arguments - never
-    on scheduling - so per-worker telemetry labels are reproducible.
-    """
-    if n_chunks < 1:
-        raise ValidationError("need at least one chunk")
-    if n_items < 0:
-        raise ValidationError("negative item count")
-    if n_items == 0:
-        return []
-    n_chunks = min(n_chunks, n_items)
-    chunks: list[list[int]] = [[] for _ in range(n_chunks)]
-    for i in range(n_items):
-        chunks[i % n_chunks].append(i)
-    return chunks
-
-
 def makespan(assignment: list[list[Task]]) -> float:
     """Maximum per-worker load of an assignment."""
     return max((sum(t.cost for t in worker) for worker in assignment),

@@ -142,6 +142,7 @@ class Q2Chemistry:
                     fit_chemical_potential: bool = True,
                     vqe_optimizer: str = "cobyla",
                     vqe_tolerance: float = 1e-7,
+                    vqe_max_iterations: int = 4000,
                     n_workers: int = 1,
                     executor: str = "thread") -> DMETResult:
         """DMET with FCI or (MPS-)VQE fragment solvers.
@@ -156,7 +157,8 @@ class Q2Chemistry:
             fragments = atoms_per_fragment(self.system, atoms_per_group)
         frag_solver = make_fragment_solver(
             solver, max_bond_dimension=max_bond_dimension,
-            optimizer=vqe_optimizer, tolerance=vqe_tolerance)
+            optimizer=vqe_optimizer, tolerance=vqe_tolerance,
+            max_iterations=vqe_max_iterations)
         dmet = DMET(self.system, fragments, frag_solver,
                     all_fragments_equivalent=all_fragments_equivalent,
                     mu_tolerance=mu_tolerance, n_workers=n_workers,

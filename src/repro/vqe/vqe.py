@@ -6,7 +6,7 @@ reduce to the energy, hand it to the optimizer, repeat.  The loop is
 sequential; what runs concurrently is one level up, where
 :mod:`repro.parallel.threelevel` maps whole DMET fragment solves (each
 one of these loops) over workers, and the paper's per-string distribution
-is replayed on simulated clocks by ``ThreeLevelDriver.simulate``.
+is replayed in closed form by :mod:`repro.parallel.perfmodel`.
 """
 
 from __future__ import annotations

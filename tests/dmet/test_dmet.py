@@ -35,6 +35,28 @@ class TestExactLimits:
         with pytest.raises(ValidationError):
             DMET(system, [[0, 1, 2], [2, 3, 4, 5]])
 
+    @pytest.mark.parametrize("n_workers, executor, message", [
+        (0, "thread", "n_workers must be at least 1"),
+        (-3, "process", "n_workers must be at least 1"),
+        (1, "proces", "unknown executor 'proces'"),
+        (2, "threads", "unknown executor 'threads'"),
+    ])
+    def test_bad_workers_or_executor_rejected(self, h6_system, n_workers,
+                                              executor, message):
+        """At construction - not only if a dispatch ever happens."""
+        _, system = h6_system
+        with pytest.raises(ValidationError, match=message):
+            DMET(system, [list(range(6))], n_workers=n_workers,
+                 executor=executor)
+
+    def test_executor_instance_passes_through(self, h6_system):
+        from repro.parallel import SerialExecutor
+
+        _, system = h6_system
+        executor = SerialExecutor()
+        assert DMET(system, [list(range(6))],
+                    executor=executor).executor is executor
+
 
 class TestAccuracy:
     def test_h6_two_atom_fragments(self, h6_system):

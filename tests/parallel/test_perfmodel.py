@@ -13,6 +13,22 @@ from repro.parallel.perfmodel import (
 from repro.parallel.topology import SunwayMachine
 
 
+#: (n_processes, time_s, speedup, efficiency) of the default strong and weak
+#: scaling curves - the numbers behind EXPERIMENTS.md "Figs. 12-13"
+PINNED_CURVES = [
+    [(10240, 15.474769099366469, 1.0, 1.0),
+     (20480, 7.884866803119436, 1.962591060288335, 0.9812955301441675),
+     (40960, 4.005692294981894, 3.8631946639417087, 0.9657986659854272),
+     (81920, 2.030993313582427, 7.619310706676253, 0.9524138383345316),
+     (163840, 1.0283100478633989, 15.04873858961081, 0.9405461618506756),
+     (327680, 0.5200833029074711, 29.754404751808792, 0.9298251484940248)],
+    [(10240, 0.4836136864802022, 1.0, 1.0),
+     (20480, 0.4928323283199648, 1.962589135046443, 0.9812945675232215),
+     (81920, 0.5077738538956068, 7.61935547125872, 0.95241943390734),
+     (327680, 0.5200833029074711, 29.756075384177, 0.9298773557555312)],
+]
+
+
 class TestCircuitCostModel:
     def test_cubic_in_bond_dimension(self):
         small = CircuitCostModel(bond_dimension=32)
@@ -68,6 +84,15 @@ class TestIterationModel:
         t128, _ = model.iteration_seconds(strings, 128)
         assert t128 < t16
 
+    def test_communication_is_small_fraction(self):
+        """Paper: 15.6 KB and <1ms comm per iteration - comm must be a tiny
+        share of one sub-group's iteration."""
+        model = VQEIterationModel(SunwayMachine(), CircuitCostModel())
+        total, bd = model.iteration_seconds(synthetic_fragment_strings(8), 64)
+        assert bd["bcast_s"] + bd["reduce_s"] < 0.05 * total
+        # parameter vector + scalar result, well under the paper's 15.6 KB
+        assert bd["bytes_per_process"] < 16_000
+
 
 class TestScalingExperiments:
     def test_strong_scaling_matches_paper(self):
@@ -101,6 +126,22 @@ class TestScalingExperiments:
     def test_non_divisible_processes_rejected(self):
         with pytest.raises(ValidationError):
             ScalingExperiment()._time_for(1280, 1000)
+
+    def test_more_groups_faster(self):
+        exp = ScalingExperiment(processes_per_group=32)
+        slow = exp._time_for(16, 32)
+        fast = exp._time_for(16, 256)
+        assert (slow.n_waves, fast.n_waves) == (8, 1)
+        assert fast.time_s < slow.time_s
+
+    def test_curves_pinned(self):
+        """The one replay must not drift: the values `python -m repro
+        scaling` and EXPERIMENTS.md "Figs. 12-13" print (29.75x, 93.0%)."""
+        exp = ScalingExperiment()
+        curves = [[(p.n_processes, p.time_s, p.speedup, p.efficiency)
+                   for p in points]
+                  for points in (exp.strong_scaling(), exp.weak_scaling())]
+        assert curves == [pytest.approx(c, rel=1e-12) for c in PINNED_CURVES]
 
     def test_zero_jitter_gives_ideal_scaling(self):
         exp = ScalingExperiment(straggler_sigma=0.0)

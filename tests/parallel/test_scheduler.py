@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.common.errors import ValidationError
 from repro.parallel.scheduler import (
     Task,
-    chunk_round_robin,
     load_imbalance,
     makespan,
     schedule_lpt,
@@ -85,41 +84,6 @@ class TestLPT:
         lpt = makespan(schedule_lpt(tasks, m))
         static = makespan(schedule_static(tasks, m))
         assert lpt <= (4.0 / 3.0) * static + 1e-9
-
-
-class TestChunkRoundRobin:
-    def test_partitions_every_index_once(self):
-        chunks = chunk_round_robin(10, 3)
-        assert sorted(i for c in chunks for i in c) == list(range(10))
-
-    def test_deterministic_assignment(self):
-        assert chunk_round_robin(5, 2) == [[0, 2, 4], [1, 3]]
-
-    def test_empty(self):
-        assert chunk_round_robin(0, 4) == []
-
-    def test_more_chunks_than_items(self):
-        chunks = chunk_round_robin(2, 6)
-        assert chunks == [[0], [1]]
-
-    def test_single_chunk(self):
-        assert chunk_round_robin(4, 1) == [[0, 1, 2, 3]]
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            chunk_round_robin(4, 0)
-        with pytest.raises(ValidationError):
-            chunk_round_robin(-1, 2)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 200), st.integers(1, 16))
-    def test_balanced_within_one(self, n_items, n_chunks):
-        """Round-robin chunk sizes never differ by more than one item."""
-        chunks = chunk_round_robin(n_items, n_chunks)
-        assert sorted(i for c in chunks for i in c) == list(range(n_items))
-        if chunks:
-            sizes = [len(c) for c in chunks]
-            assert max(sizes) - min(sizes) <= 1
 
 
 class TestDiagnostics:

@@ -3,42 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.common.errors import ValidationError
-from repro.parallel.perfmodel import CircuitCostModel
 from repro.parallel.threelevel import ThreeLevelDriver
-
-
-class TestSimulatedMode:
-    def test_report_fields(self):
-        drv = ThreeLevelDriver(processes_per_group=32)
-        rep = drv.simulate(n_fragments=4, n_processes=128, n_iterations=2)
-        assert rep.n_processes == 128
-        assert rep.n_fragments == 4
-        assert rep.makespan_s > 0
-        assert rep.bytes_per_process_per_iteration > 0
-        assert 0.0 <= rep.idle_fraction <= 1.0
-        assert set(rep.breakdown) == {"bcast_s", "compute_s", "reduce_s"}
-
-    def test_communication_is_small_fraction(self):
-        """Paper: 15.6 KB and <1ms comm per iteration - comm must be a tiny
-        share of the makespan."""
-        drv = ThreeLevelDriver(processes_per_group=64)
-        rep = drv.simulate(n_fragments=8, n_processes=512, n_iterations=3)
-        assert rep.breakdown["bcast_s"] + rep.breakdown["reduce_s"] < \
-            0.05 * rep.makespan_s
-        # parameter vector + scalar result, well under the paper's 15.6 KB
-        assert rep.bytes_per_process_per_iteration < 16_000
-
-    def test_more_groups_faster(self):
-        drv = ThreeLevelDriver(processes_per_group=32)
-        slow = drv.simulate(n_fragments=8, n_processes=32)
-        fast = drv.simulate(n_fragments=8, n_processes=256)
-        assert fast.makespan_s < slow.makespan_s
-
-    def test_indivisible_processes_rejected(self):
-        drv = ThreeLevelDriver(processes_per_group=64)
-        with pytest.raises(ValidationError):
-            drv.simulate(n_fragments=2, n_processes=100)
 
 
 class TestLocalMode:

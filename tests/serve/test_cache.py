@@ -130,15 +130,6 @@ class TestStats:
             "hits": hits, "misses": misses, "evictions": 0}
         assert stats["hit_rate"] == pytest.approx(hits / (hits + misses))
 
-    def test_peek_is_silent(self):
-        cache = ServeCache(max_bytes=1 << 20)
-        cache.insert("ns", "k", 42)
-        assert cache.peek("ns", "k") == 42
-        assert cache.peek("ns", "absent") is None
-        tally = cache.stats()["namespaces"].get("ns",
-                                               {"hits": 0, "misses": 0})
-        assert tally["hits"] == 0 and tally["misses"] == 0
-
     def test_clear_drops_entries_keeps_lifetime_tally(self):
         cache = ServeCache(max_bytes=1 << 20)
         cache.insert("ns", "k", 42)

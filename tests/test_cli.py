@@ -65,6 +65,18 @@ class TestEnergyCommand:
                      "--workers", "2"]) == 1
         assert "apply to the DMET methods" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--workers", "-3"], "n_workers must be at least 1"),
+        (["--workers", "0"], "n_workers must be at least 1"),
+        (["--executor", "proces"], "unknown executor 'proces'"),
+    ])
+    def test_bad_workers_or_executor_is_an_error(self, flags, message,
+                                                 capsys):
+        """Never a silent serial run, dispatch or no dispatch."""
+        assert main(["energy", "--molecule", "h2", "--method", "dmet-fci",
+                     *flags]) == 1
+        assert message in capsys.readouterr().err
+
     def test_dmet_on_ring(self, capsys):
         assert main(["energy", "--molecule", "ring:6", "--method",
                      "dmet-fci", "--equivalent"]) == 0
@@ -107,6 +119,16 @@ class TestEnergyCommand:
         assert solver.optimizer == "slsqp"
         assert solver.grad == "adjoint"
         assert "-1.1372" in capsys.readouterr().out
+
+    def test_dmet_vqe_max_iterations_reaches_the_solver(self, monkeypatch,
+                                                        capsys):
+        seen = self._record_solver(monkeypatch)
+        assert main(["energy", "--molecule", "h2", "--method", "dmet-vqe",
+                     "--simulator", "mps", "--optimizer", "slsqp",
+                     "--max-iterations", "2"]) == 0
+        (_, solver), = seen
+        assert solver.max_iterations == 2
+        assert "E(DMET)" in capsys.readouterr().out
 
     def test_dmet_rejects_grad(self, capsys):
         """The fragment solver resolves its own source; never ignored."""
