@@ -19,7 +19,7 @@ from repro.common.constants import (
     EV_TO_HARTREE,
 )
 from repro.common.rng import default_rng
-from repro.common.timing import Timer, WallClock, timed
+from repro.common.timing import Timer, timed
 
 __all__ = [
     "popcount",
@@ -34,6 +34,5 @@ __all__ = [
     "EV_TO_HARTREE",
     "default_rng",
     "Timer",
-    "WallClock",
     "timed",
 ]

@@ -3,8 +3,7 @@
 Real wall-clock time, measured with :class:`Timer` / :func:`timed`, is used
 by the single-node micro-benchmarks (Figs. 8-11 of the paper) and by the
 cost-model calibration behind the strong/weak scaling replay (Figs. 12-13,
-:mod:`repro.parallel.perfmodel`).  :class:`WallClock` is a clock that is
-either real or advanced by hand.
+:mod:`repro.parallel.perfmodel`).
 """
 
 from __future__ import annotations
@@ -72,31 +71,6 @@ class Timer:
         for name in sorted(self.totals, key=self.totals.get, reverse=True):
             lines.append(f"{name:<28} {self.totals[name]:>10.4f} {self.counts[name]:>8d}")
         return "\n".join(lines)
-
-
-class WallClock:
-    """A clock that can be real (``perf_counter``) or virtual.
-
-    A virtual clock moves only through :meth:`advance`; readers call
-    :meth:`now` either way.
-    """
-
-    def __init__(self, virtual: bool = False):
-        self.virtual = virtual
-        self._t = 0.0
-
-    def now(self) -> float:
-        if self.virtual:
-            return self._t
-        return time.perf_counter()
-
-    def advance(self, dt: float) -> None:
-        """Advance a virtual clock by ``dt`` seconds (no-op guard for real)."""
-        if not self.virtual:
-            raise RuntimeError("cannot advance a real wall clock")
-        if dt < 0:
-            raise ValueError(f"negative time step: {dt}")
-        self._t += dt
 
 
 def timed(fn: Callable, *args, repeat: int = 1, **kwargs) -> tuple[float, object]:

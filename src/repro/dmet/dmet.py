@@ -34,9 +34,6 @@ _M_FRAGMENT_SOLVES = _obs.counter(
     "dmet.fragment_solves", "embedded fragment problems solved")
 _M_MU_ITERATIONS = _obs.counter(
     "dmet.mu_iterations", "chemical-potential (mu) fitting iterations")
-_M_FRAGMENT_SIZES = _obs.histogram(
-    "dmet.fragment_sizes",
-    "embedded-problem orbital counts per mu evaluation", unit="orbitals")
 
 
 def atoms_per_fragment(system: OrthogonalSystem,
@@ -164,9 +161,6 @@ class DMET:
         mult = len(self.fragments) if self.all_fragments_equivalent else 1
         _M_MU_ITERATIONS.inc()
         _M_FRAGMENT_SOLVES.inc(len(self.problems))
-        if _obs.REGISTRY.enabled:
-            _M_FRAGMENT_SIZES.observe_many(
-                [p.n_orbitals for p in self.problems])
         with _trace.span("dmet.evaluate", mu=float(mu),
                          n_fragments=len(self.problems)):
             if self.n_workers > 1 and len(self.problems) > 1:

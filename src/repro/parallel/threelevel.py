@@ -28,8 +28,6 @@ from repro.parallel.executor import (
 # observability instruments (no-ops unless `repro.obs` is enabled)
 _M_FRAG_TASKS = _obs.counter(
     "parallel.tasks", "tasks dispatched, labelled by level (fragments)")
-_M_FRAG_DISPATCHES = _obs.counter(
-    "parallel.dispatches", "dispatched batches, labelled by level")
 
 
 class ThreeLevelDriver:
@@ -137,7 +135,6 @@ class ThreeLevelEngine:
                     out.append(solution)
         if _obs.REGISTRY.enabled:
             _M_FRAG_TASKS.inc(len(tasks), level="fragments")
-            _M_FRAG_DISPATCHES.inc(level="fragments")
         return out
 
     # -- lifecycle ------------------------------------------------------------

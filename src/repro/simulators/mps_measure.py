@@ -62,9 +62,6 @@ _M_PLAN_CACHE = _obs.counter(
 _M_MPO_CACHE = _obs.counter(
     "mps_measure.mpo_cache",
     "compiled-MPO cache lookups, labelled hit/miss")
-_M_TERM_CACHE = _obs.counter(
-    "mps_measure.term_value_cache_hits",
-    "evaluations answered entirely from the per-revision term-value cache")
 
 _PAULI_MATS = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -495,7 +492,6 @@ class MPSMeasurementEngine:
         if all(k in values for k in plan.term_keys):
             # every term was measured against this exact state revision
             # already (e.g. a repeated RDM measurement)
-            _M_TERM_CACHE.inc()
             _M_EVALS.inc(path="cached")
             return np.array([values[k] for k in plan.term_keys])
         if _obs.REGISTRY.enabled:

@@ -32,12 +32,6 @@ from repro.operators.pauli import PauliTerm, QubitOperator
 # observability instruments (no-ops unless `repro.obs` is enabled)
 _M_COMPILES = _obs.counter(
     "pauli.compiles", "dense observables compiled into flip-mask groups")
-_M_BATCH_TERMS = _obs.histogram(
-    "pauli.compiled_terms", "non-identity terms per compiled observable")
-_M_BATCH_GROUPS = _obs.histogram(
-    "pauli.compiled_mask_groups",
-    "distinct flip-mask groups per compiled observable (the batch size: "
-    "gathers per evaluation)")
 _M_EXPECT = _obs.counter(
     "pauli.expectations", "batched dense expectation evaluations")
 _M_COMPILE_CACHE = _obs.counter(
@@ -148,8 +142,6 @@ class CompiledObservable:
             self._groups.append((perm, diag))
         if _obs.REGISTRY.enabled:
             _M_COMPILES.inc()
-            _M_BATCH_TERMS.observe(self.n_terms)
-            _M_BATCH_GROUPS.observe(len(self._groups))
 
     @property
     def n_groups(self) -> int:

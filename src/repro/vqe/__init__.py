@@ -1,12 +1,13 @@
 """Variational quantum eigensolver on top of the circuit simulators.
 
-Implements the paper's VQE pipeline: the qubit Hamiltonian is split into
-Pauli strings, each measured by its own circuit (optionally via the
-paper-faithful ancilla Hadamard test), with the memory-efficient shared
-ansatz storage of Sec. III-D.
+Implements the paper's VQE pipeline: one prepared ansatz state per theta,
+every Pauli string of the qubit Hamiltonian measured on it in one batched
+call.  The paper's own scheme - one ancilla Hadamard-test circuit per
+string over the memory-efficient shared ansatz storage of Sec. III-D - is
+reproduced by :mod:`repro.vqe.circuit_store`.
 """
 
-from repro.vqe.energy import EnergyEvaluator, hadamard_test_circuit
+from repro.vqe.energy import EnergyEvaluator
 from repro.vqe.circuit_store import (
     ReplicatedCircuitStore,
     SharedAnsatzCircuitStore,
@@ -30,7 +31,6 @@ from repro.vqe.rdm import measure_rdms
 
 __all__ = [
     "EnergyEvaluator",
-    "hadamard_test_circuit",
     "ReplicatedCircuitStore",
     "SharedAnsatzCircuitStore",
     "OptimizationResult",

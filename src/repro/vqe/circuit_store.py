@@ -18,23 +18,30 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuits.circuit import Circuit
+from repro.circuits.gates import Gate, controlled_pauli_gate
+from repro.common.errors import ValidationError
 from repro.operators.pauli import PauliTerm
-from repro.vqe.energy import hadamard_test_circuit
 
 
-def _gadget(ansatz: Circuit, term: PauliTerm) -> Circuit:
-    """Hadamard-test measurement gadget on the ansatz register.
+def hadamard_test_circuit(term: PauliTerm, n_qubits: int,
+                          ancilla: int | None = None) -> Circuit:
+    """Measurement gadget computing Re<P> as <Z_ancilla>.
 
-    The ansatz register's last qubit is the ancilla (the paper's Fig. 5
-    layout: q4 for the 4-qubit H2 problem), so the gadget stays within the
-    existing width.
+    The returned circuit acts on ``n_qubits + 1`` qubits (ancilla defaults
+    to the last), mirroring the paper's Fig. 5 layout where q4 is the H2
+    Hadamard-test ancilla.  The stores below keep the ancilla as the last
+    qubit of the ansatz register, so a gadget stays within that width.
     """
-    g = hadamard_test_circuit(term, ansatz.n_qubits - 1,
-                              ancilla=ansatz.n_qubits - 1)
-    if g.n_qubits < ansatz.n_qubits:
-        g = Circuit(n_qubits=ansatz.n_qubits, gates=list(g.gates),
-                    n_parameters=0)
-    return g
+    anc = ancilla if ancilla is not None else n_qubits
+    width = max(n_qubits, anc + 1)
+    c = Circuit(n_qubits=width, name="hadamard_test")
+    c.append(Gate("H", (anc,)))
+    for q, ch in term.ops():
+        if q == anc:
+            raise ValidationError("Pauli support overlaps the ancilla")
+        c.append(controlled_pauli_gate(anc, q, ch))
+    c.append(Gate("H", (anc,)))
+    return c
 
 
 class ReplicatedCircuitStore:
@@ -49,7 +56,8 @@ class ReplicatedCircuitStore:
         self.ansatz = ansatz
         self.terms = list(terms)
         self.circuits: list[Circuit] = [
-            ansatz.compose(_gadget(ansatz, t)) for t in self.terms
+            ansatz.compose(hadamard_test_circuit(t, ansatz.n_qubits - 1))
+            for t in self.terms
         ]
 
     def n_circuits(self) -> int:
@@ -79,7 +87,7 @@ class SharedAnsatzCircuitStore:
     def measurement_circuit(self, term: PauliTerm) -> Circuit:
         g = self._gadgets.get(term)
         if g is None:
-            g = _gadget(self.ansatz, term)
+            g = hadamard_test_circuit(term, self.ansatz.n_qubits - 1)
             self._gadgets[term] = g
         return g
 

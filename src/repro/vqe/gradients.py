@@ -16,20 +16,22 @@ one above it, and the property suite pins their pairwise agreement):
   ``Im <phi_k|G_k|ket_k>``; an ``EX`` excitation ``exp(a (T - T+))`` has
   ``D_k = T - T+``, two overlaps (where its eight Pauli rotations took
   eight).
-  The forward pass prepares ``|psi> = U|0>`` once; ``H|psi>`` is built once
-  (densely on statevector, as a zip-up MPO application on MPS); the backward
-  sweep then steps both states back one gate at a time and accumulates one
-  overlap per parametric gate - all P partials from a single backward
-  sweep instead of 2P (finite differences) or 2G (parameter shift,
-  G = parametric gate count) energy evaluations.  The dense oracle *undoes*
-  each gate on both states.  On MPS only the bra is un-evolved: the ket
-  is read back from the forward pass's trail
+  The forward pass is the evaluator's
+  (:meth:`repro.vqe.energy.EnergyEvaluator.prepare`): the state
+  ``energy(theta)`` measured is the state the gradient unwinds, and when an
+  energy came first at this theta no circuit runs at all.  ``H|psi>`` is
+  built once (with the evaluator's compiled observable on statevector, as
+  a zip-up MPO application on MPS); the backward sweep then steps both
+  states back one gate at a time and accumulates one overlap per
+  parametric gate - all P partials from a single backward sweep instead
+  of 2P (finite differences) or 2G (parameter shift, G = parametric gate
+  count) energy evaluations.  The dense oracle starts from a copy of the
+  prepared simulator and *undoes* each gate on both states through that
+  simulator's own gate application.  On MPS only the bra is un-evolved:
+  the ket is read back from the forward pass's trail
   (:class:`repro.simulators.mps_circuit.ForwardTrail` - the site tensors
   each gate replaced, by reference), so every overlap sees exactly the
-  state the forward pass went through, and for ansaetze parametrised by
-  composite gates (``EX``, ``PR``) that pass is the one ``energy(theta)``
-  already ran
-  (:meth:`repro.vqe.energy.EnergyEvaluator.prepare`).  The overlaps reuse
+  state the forward pass went through.  The overlaps reuse
   the measurement engine's environment-advance kernels
   (:func:`repro.simulators.mps_measure._advance_left` /
   ``_advance_right``) with prefix/suffix environment caches that are
@@ -62,13 +64,13 @@ import numpy as np
 
 from repro.backends import backend_spec
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import COMPOSITE, GATE_MATRICES, PARAMETRIC, Gate
+from repro.circuits.gates import COMPOSITE, PARAMETRIC, Gate
 from repro.common.errors import ValidationError
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 from repro.operators.pauli import QubitOperator
 from repro.simulators.mps import MPS, site_operator_times
-from repro.simulators.mps_circuit import ForwardTrail, apply_gate, evolve
+from repro.simulators.mps_circuit import ForwardTrail, apply_gate
 from repro.simulators.mps_measure import (
     _advance_left,
     _advance_right,
@@ -106,7 +108,8 @@ _G_EQUIV = _obs.counter(
     "grad.eval_equivalents",
     "energy-evaluation equivalents consumed per gradient, labelled by "
     "source (adjoint: the forward pass if the gradient ran it + bra build "
-    "+ one backward evolution per un-evolved state)")
+    "+ one backward evolution per un-evolved state: MPS the bra, dense "
+    "ket and bra)")
 
 
 #: the ladder string of T+ from the one of T
@@ -140,6 +143,15 @@ def _strip_identity(op: QubitOperator) -> QubitOperator:
                           if not t.is_identity()})
 
 
+def _inverse(gate: Gate) -> Gate:
+    """The bound gate undoing ``gate``: EX/PR(-angle), else the adjoint
+    matrix."""
+    if gate.name in COMPOSITE:
+        return replace(gate, angle=-gate.angle)
+    return Gate("U1" if gate.n_qubits == 1 else "U2", gate.qubits,
+                unitary=gate.matrix().conj().T)
+
+
 def n_parametric_gates(circuit: Circuit) -> int:
     """Parametric gate count G (parameter-shift costs 2G evaluations)."""
     return sum(1 for g in circuit.gates if g.param is not None)
@@ -148,59 +160,36 @@ def n_parametric_gates(circuit: Circuit) -> int:
 # -- dense adjoint (the exact oracle) -----------------------------------------
 
 
-def _apply_dense(psi: np.ndarray, mat: np.ndarray,
-                 qubits: tuple[int, ...]) -> np.ndarray:
-    """Contract a 1- or 2-qubit matrix onto a rank-n amplitude tensor."""
-    k = len(qubits)
-    mat = np.asarray(mat, dtype=complex).reshape((2,) * (2 * k))
-    moved = np.tensordot(mat, psi, axes=(tuple(range(k, 2 * k)), qubits))
-    return np.moveaxis(moved, tuple(range(k)), qubits)
-
-
-def _apply_operator_dense(op: QubitOperator, psi: np.ndarray) -> np.ndarray:
-    """H|psi> on the dense tensor, term by term."""
-    out = np.zeros_like(psi)
-    for term, coeff in op.terms.items():
-        cur = psi
-        for q, ch in term.ops():
-            cur = _apply_dense(cur, GATE_MATRICES[ch], (q,))
-        out = out + coeff * cur
-    return out
-
-
-def _adjoint_dense(hamiltonian: QubitOperator, circuit: Circuit,
-                   theta: np.ndarray) -> np.ndarray:
+def _adjoint_dense(evaluator, sim, theta: np.ndarray) -> np.ndarray:
     """Exact adjoint gradient on the dense statevector (the oracle).
 
-    Runs the elementary-gate stream: the parameter of an ``EX`` or ``PR``
-    gate moves to the central RZ of each of its staircases, whose generator
-    Z differentiates the same angle.
+    ``sim`` holds |psi(theta)> as the evaluator prepared it; it is copied,
+    never changed.  Unwinds the elementary-gate stream the evaluator ran:
+    the parameter of an ``EX`` or ``PR`` gate sits on the central RZ of
+    each of its staircases, whose generator Z differentiates the same
+    angle.
     """
-    n = circuit.n_qubits
-    gates = list(circuit.decomposed().gates)
-    bound = [g.bound(theta) for g in gates]
-    psi = np.zeros((2,) * n, dtype=complex)
-    psi[(0,) * n] = 1.0
-    for g in bound:
-        psi = _apply_dense(psi, g.matrix(), g.qubits)
-    _G_FWD.inc()
-    grad = np.zeros(circuit.n_parameters)
-    op = _strip_identity(hamiltonian)
-    if not op.terms:
+    grad = np.zeros(evaluator.program.n_parameters)
+    observable = evaluator.compiled()
+    if not observable.n_terms:
         _G_BWD.inc()
         return grad
-    phi = _apply_operator_dense(op, psi)
-    for g, raw in zip(reversed(bound), reversed(gates)):
+    # constants never contribute to the gradient
+    psi = sim.statevector()
+    ket, bra = sim.copy(), sim.copy()
+    bra.set_state(observable.apply(psi) - observable.constant * psi)
+    for raw in reversed(evaluator.program.gates):
         if raw.param is not None:
             idx, mult = raw.param
             (coeff, ops), = _angle_derivative(raw)
-            gp = psi
+            gp = ket.copy()
             for q, ch in ops.items():
-                gp = _apply_dense(gp, GATE_MATRICES[ch], (q,))
-            grad[idx] += mult * 2.0 * float(np.real(coeff * np.vdot(phi, gp)))
-        inv = g.matrix().conj().T
-        psi = _apply_dense(psi, inv, g.qubits)
-        phi = _apply_dense(phi, inv, g.qubits)
+                gp.apply_gate(Gate(ch, (q,)))
+            grad[idx] += mult * 2.0 * float(
+                np.real(coeff * np.vdot(bra.state, gp.state)))
+        inv = _inverse(raw.bound(theta))
+        ket.apply_gate(inv)
+        bra.apply_gate(inv)
         if _obs.REGISTRY.enabled:
             _G_UNDO.inc(2)
     _G_BWD.inc()
@@ -289,32 +278,6 @@ class _OverlapEnvironments:
             env = _advance_left(env, bk, bc)
         r = self.right(e + 1)
         return complex(np.einsum("ij,ij->", env[0], r[0]))
-
-
-def _inverse(gate: Gate) -> Gate:
-    """The bound gate undoing ``gate``: EX/PR(-angle), else the adjoint
-    matrix."""
-    if gate.name in COMPOSITE:
-        return replace(gate, angle=-gate.angle)
-    return Gate("U1" if gate.n_qubits == 1 else "U2", gate.qubits,
-                unitary=gate.matrix().conj().T)
-
-
-def _own_forward_mps(evaluator, theta: np.ndarray):
-    """The gradient's own forward pass: the *unfused* bound stream.
-
-    For circuits whose parametric gates fusion would absorb into opaque
-    U2 blocks, so the fused state ``energy()`` prepares cannot be unwound
-    gate by gate.  Returns ``(final MPS, trail, refs)`` like
-    :meth:`repro.vqe.energy.EnergyEvaluator.prepare`.
-    """
-    circuit = evaluator.program
-    state = MPS(circuit.n_qubits,
-                max_bond_dimension=evaluator.max_bond_dimension,
-                cutoff=evaluator.cutoff)
-    trail = ForwardTrail()
-    evolve(state, [g.bound(theta) for g in circuit.gates], trail)
-    return state, trail, [g.param for g in circuit.gates]
 
 
 def _adjoint_mps(hamiltonian: QubitOperator, state, trail: ForwardTrail,
@@ -451,9 +414,6 @@ class GradientSource:
         self.source = source
         self.evaluator = evaluator
         self.fd_step = fd_step
-        if n_parameters is None:
-            circuit = getattr(evaluator, "ansatz", None)
-            n_parameters = getattr(circuit, "n_parameters", None)
         self.n_parameters = n_parameters
         self.n_evaluations = 0
 
@@ -471,42 +431,44 @@ class GradientSource:
                                         parameters=parameters)
 
 
+def _adjoint_spec(simulator: str):
+    """The backend's spec - if it declares an adjoint gradient engine."""
+    spec = backend_spec(simulator)
+    if "adjoint" not in spec.gradients:
+        raise ValidationError(
+            f"backend {simulator!r} declares no adjoint gradient support; "
+            f"registered analytic sources: {spec.gradients or '()'}"
+        )
+    return spec
+
+
 def adjoint_gradient(evaluator, theta: np.ndarray) -> np.ndarray:
     """All P partials from one forward + one backward pass.
 
-    Dispatches on the evaluator's backend: the MPS backend runs the
-    two-state tensor-network sweep at the evaluator's truncation settings,
-    on the state ``evaluator.energy(theta)`` prepared when there is one;
-    dense backends run the exact statevector oracle.
+    The forward pass is ``evaluator.prepare(theta)`` - the state
+    ``evaluator.energy(theta)`` prepared when there is one.  Dispatches on
+    the evaluator's backend, which must declare the capability: the MPS
+    backend runs the two-state tensor-network sweep at the evaluator's
+    truncation settings, dense backends the exact statevector oracle.
     """
-    circuit = evaluator.program
     theta = finite_parameters(theta)
-    spec = backend_spec(evaluator.simulator)
-    if "adjoint" not in spec.gradients:
-        raise ValidationError(
-            f"backend {evaluator.simulator!r} declares no adjoint gradient "
-            f"support (BackendSpec.gradients={spec.gradients}); use "
-            f"grad='param_shift' or 'finite_diff'"
-        )
+    spec = _adjoint_spec(evaluator.simulator)
+    n_parameters = evaluator.program.n_parameters
     with _trace.span("grad.adjoint", simulator=evaluator.simulator,
-                     n_parameters=int(circuit.n_parameters)):
+                     n_parameters=int(n_parameters)):
+        prepared, ran_forward = evaluator.prepare(theta)
+        if ran_forward:
+            _G_FWD.inc()
         if spec.name == "mps":
-            if evaluator.shares_prepared_state:
-                prepared, ran_forward = evaluator.prepare(theta)
-                forward = prepared.sim.state, prepared.trail, prepared.refs
-            else:
-                forward, ran_forward = _own_forward_mps(evaluator, theta), True
-            if ran_forward:
-                _G_FWD.inc()
-            grad = _adjoint_mps(evaluator.hamiltonian, *forward,
-                                circuit.n_parameters)
+            grad = _adjoint_mps(evaluator.hamiltonian, prepared.sim.state,
+                                prepared.trail, prepared.refs, n_parameters)
             # bra build + the bra's backward evolution (the ket is read
-            # back from the trail), + the forward pass if it ran here
+            # back from the trail)
             equivalents = 2 + ran_forward
         else:
-            grad = _adjoint_dense(evaluator.hamiltonian, circuit, theta)
-            # forward + bra build + ket and bra backward evolutions
-            equivalents = 4
+            grad = _adjoint_dense(evaluator, prepared.sim, theta)
+            # bra build + ket and bra backward evolutions
+            equivalents = 3 + ran_forward
     _G_EQUIV.inc(equivalents, source="adjoint")
     _G_EVALS.inc(source="adjoint")
     return grad
@@ -529,8 +491,8 @@ def make_gradient(evaluator, source: str = "adjoint", *,
             f"unknown gradient source {source!r}; "
             f"expected one of {GRADIENT_SOURCES}"
         )
+    circuit = getattr(evaluator, "ansatz", None)
     if key != "finite_diff":
-        circuit = getattr(evaluator, "ansatz", None)
         if not isinstance(circuit, Circuit):
             raise ValidationError(
                 f"gradient source {key!r} needs a circuit evaluator; "
@@ -538,15 +500,8 @@ def make_gradient(evaluator, source: str = "adjoint", *,
                 f"'finite_diff'"
             )
         if key == "adjoint":
-            spec = backend_spec(evaluator.simulator)
-            if "adjoint" not in spec.gradients:
-                raise ValidationError(
-                    f"backend {evaluator.simulator!r} declares no adjoint "
-                    f"gradient support; registered analytic sources: "
-                    f"{spec.gradients or '()'}"
-                )
-    if key == "finite_diff" and n_parameters is None:
-        circuit = getattr(evaluator, "ansatz", None)
+            _adjoint_spec(evaluator.simulator)
+    elif n_parameters is None:
         n_parameters = getattr(circuit, "n_parameters", None)
         if n_parameters is None:
             n_parameters = getattr(evaluator, "n_parameters", None)

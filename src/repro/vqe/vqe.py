@@ -69,10 +69,10 @@ class VQE:
         Qubit Hamiltonian.
     ansatz:
         Parametric circuit, or a :class:`UCCSDAnsatz` (its circuit is built).
-    simulator / method / max_bond_dimension:
+    simulator / max_bond_dimension:
         Backend name resolved through :mod:`repro.backends` (any registered
-        circuit backend, or an ansatz backend such as "fast"); method and
-        bond dimension are forwarded to :class:`EnergyEvaluator`.
+        circuit backend, or an ansatz backend such as "fast"); the bond
+        dimension is forwarded to :class:`EnergyEvaluator`.
     optimizer:
         "cobyla" | "l-bfgs-b" | "nelder-mead" | "spsa" | "adam".
     grad:
@@ -105,7 +105,7 @@ class VQE:
 
     def __init__(self, hamiltonian: QubitOperator,
                  ansatz: Circuit | UCCSDAnsatz, *,
-                 simulator: str = "mps", method: str = "direct",
+                 simulator: str = "mps",
                  max_bond_dimension: int | None = None,
                  optimizer: str = "cobyla", tolerance: float = 1e-8,
                  max_iterations: int = 2000, grad: str | None = None,
@@ -128,7 +128,7 @@ class VQE:
             if circuit.n_parameters == 0:
                 raise ValidationError("ansatz has no variational parameters")
             self.evaluator = EnergyEvaluator(
-                hamiltonian, circuit, simulator=simulator, method=method,
+                hamiltonian, circuit, simulator=simulator,
                 max_bond_dimension=max_bond_dimension)
             self.n_parameters = circuit.n_parameters
         self.optimizer = optimizer.lower()
@@ -148,32 +148,20 @@ class VQE:
             raise ValidationError(
                 "resume=True requires checkpoint_path"
             )
-        self.grad = None if grad is None else \
-            str(grad).lower().replace("-", "_")
-        if self.grad is not None:
-            from repro.vqe.gradients import GRADIENT_SOURCES
+        #: the configured gradient source (None: the optimizer's own
+        #: behaviour); built here so a source the backend or the evaluator
+        #: cannot serve fails at construction.  Every run() reuses it: its
+        #: ``n_evaluations`` counts across runs, like ``evaluator.evaluations``
+        self.gradient = None
+        if grad is not None:
+            from repro.vqe.gradients import make_gradient
 
-            if self.grad not in GRADIENT_SOURCES:
-                raise ValidationError(
-                    f"unknown gradient source {grad!r}; expected one of "
-                    f"{GRADIENT_SOURCES}"
-                )
+            self.gradient = make_gradient(self.evaluator, grad,
+                                          n_parameters=self.n_parameters)
             if self.optimizer not in self.GRADIENT_OPTIMIZERS:
                 raise ValidationError(
                     f"optimizer {self.optimizer!r} is gradient-free; "
                     f"grad= applies to {self.GRADIENT_OPTIMIZERS}"
-                )
-            if spec.kind == "ansatz" and self.grad != "finite_diff":
-                raise ValidationError(
-                    f"backend {simulator!r} evaluates in closed form; "
-                    f"only grad='finite_diff' applies (adjoint and "
-                    f"parameter-shift need circuits)"
-                )
-            if self.grad == "adjoint" and "adjoint" not in spec.gradients:
-                raise ValidationError(
-                    f"backend {simulator!r} declares no adjoint gradient "
-                    f"support; registered analytic sources: "
-                    f"{spec.gradients or '()'}"
                 )
 
     def run(self, initial_parameters: np.ndarray | None = None,
@@ -208,12 +196,7 @@ class VQE:
 
     def _dispatch(self, x0: np.ndarray, seed: int | None) -> OptimizationResult:
         f = self.evaluator
-        gradient = None
-        if self.grad is not None:
-            from repro.vqe.gradients import make_gradient
-
-            gradient = make_gradient(self.evaluator, self.grad,
-                                     n_parameters=self.n_parameters)
+        gradient = self.gradient
         if self.optimizer in ("cobyla", "l-bfgs-b", "nelder-mead", "slsqp",
                               "powell", "bfgs"):
             return minimize_scipy(f, x0, method=self.optimizer.upper(),

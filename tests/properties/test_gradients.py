@@ -26,7 +26,6 @@ from repro.simulators.mps import MPS
 from repro.vqe.energy import EnergyEvaluator
 from repro.vqe.gradients import (
     GradientSource,
-    _own_forward_mps,
     adjoint_gradient,
     finite_diff_gradient,
     make_gradient,
@@ -282,11 +281,8 @@ def pauli_rotation_ansatz(rng: np.random.Generator, n: int, n_params: int,
 
 def _forward_pass(evaluator, theta):
     """(final MPS, trail) of the pass the adjoint gradient unwinds."""
-    if evaluator.shares_prepared_state:
-        prepared, _ = evaluator.prepare(theta)
-        return prepared.sim.state, prepared.trail
-    state, trail, _ = _own_forward_mps(evaluator, theta)
-    return state, trail
+    prepared, _ = evaluator.prepare(theta)
+    return prepared.sim.state, prepared.trail
 
 
 @pytest.mark.parametrize("ansatz", ["pauli_rotations", "bricks"])
@@ -371,10 +367,13 @@ class TestGradientSourceDispatch:
 
         assert "adjoint" not in backend_spec("density_matrix").gradients
         evaluator = self._evaluator(h2, simulator="density_matrix")
-        with pytest.raises(ValidationError):
-            make_gradient(evaluator, "adjoint")
-        # the universal fallbacks still work on that backend
         theta = np.zeros(h2.uccsd_circuit.n_parameters)
+        with pytest.raises(ValidationError, match="no adjoint gradient"):
+            make_gradient(evaluator, "adjoint")
+        # a direct call goes through the same check
+        with pytest.raises(ValidationError, match="no adjoint gradient"):
+            adjoint_gradient(evaluator, theta)
+        # the universal fallbacks still work on that backend
         g_ps = make_gradient(evaluator, "param_shift")(theta)
         g_fd = make_gradient(evaluator, "finite_diff")(theta)
         assert np.abs(g_ps - g_fd).max() <= ATOL_FD

@@ -64,6 +64,26 @@ def lih_frozen_core():
             "gradient": exact.gradient_source("adjoint")(theta)}
 
 
+#: ``lih_frozen_core["gradient"]`` as commit ``dec2258`` returned it, when
+#: the dense adjoint ran its own forward pass and built H|psi> term by term
+DENSE_GRADIENT_AT_DEC2258 = np.array([
+    8.108380488081252e-07, -6.036884815441411e-08,
+    -1.6805694378668094e-08, -8.618598605007352e-08,
+    -6.341694958624517e-07, 2.3632269818507303e-07,
+    1.0995289601090555e-08, 6.846358172810142e-07,
+    -2.1896178288676938e-07, -1.5789651916755111e-07,
+    -1.2680276918159567e-07, 1.8601809736639882e-07,
+    4.880213957828804e-08, -1.0189839570659076e-07])
+
+
+def test_dense_adjoint_gradient_did_not_move(lih_frozen_core):
+    """The oracle now unwinds the evaluator's prepared state and builds
+    H|psi> with its compiled observable - one gather per flip mask, which
+    sums the 276 terms in another order, so to 1e-12 and not bitwise."""
+    moved = np.abs(lih_frozen_core["gradient"] - DENSE_GRADIENT_AT_DEC2258)
+    assert moved.max() <= 1e-12
+
+
 @pytest.mark.parametrize("mode", ["optimized", "naive"])
 def test_both_mps_kernels_match_the_statevector_at_unbounded_d(
         lih_frozen_core, mode):

@@ -89,7 +89,10 @@ def direct_result(spec: JobSpec) -> dict:
                 "converged": bool(res.converged)}
     res = system.dmet_energy(solver=spec.solver,
                              atoms_per_group=spec.atoms_per_group,
-                             max_bond_dimension=spec.max_bond_dimension)
+                             max_bond_dimension=spec.max_bond_dimension,
+                             vqe_optimizer=spec.optimizer,
+                             vqe_max_iterations=spec.max_iterations,
+                             vqe_tolerance=spec.tolerance)
     return {"kind": "dmet", "molecule": spec.molecule,
             "basis": spec.basis, "solver": spec.solver,
             "energy": float(res.energy),

@@ -89,6 +89,28 @@ class TestServiceLifecycle:
             assert record.error_type == "ValidationError"
             assert "gradient-free" in record.error
 
+    def test_dmet_job_forwards_the_vqe_options(self):
+        """``optimizer`` / ``max_iterations`` / ``tolerance`` reach the
+        fragment solver: they were dropped, so a starved job returned the
+        4,000-iteration energy (under its own result-cache key)."""
+        from repro.chem.geometry import molecule_from_spec
+        from repro.q2chem import Q2Chemistry
+
+        full = JobSpec(kind="dmet", molecule="h2", solver="vqe-fast",
+                       atoms_per_group=1)
+        starved = JobSpec(**{**full.to_dict(), "max_iterations": 3})
+        with JobService(observe=False) as service:
+            ids = [service.submit(spec) for spec in (starved, full)]
+            short, long = (service.result(i, timeout=120)["energy"]
+                           for i in ids)
+        assert short != long
+        direct = Q2Chemistry.from_molecule(
+            molecule_from_spec("h2")).dmet_energy(
+                solver="vqe-fast", atoms_per_group=1,
+                vqe_optimizer=starved.optimizer, vqe_max_iterations=3,
+                vqe_tolerance=starved.tolerance)
+        assert short == direct.energy
+
     def test_failed_job_does_not_poison_the_service(self):
         with JobService(observe=False) as service:
             bad = service.submit(JobSpec(kind="energy", molecule="xx99"))

@@ -14,7 +14,6 @@ from repro.common import (
     Timer,
     TruncationOverflowError,
     ValidationError,
-    WallClock,
     default_rng,
     timed,
 )
@@ -119,25 +118,6 @@ class TestTimer:
             pass
         assert t.count("a") == 3
         assert t._depth["a"] == 0
-
-
-class TestWallClock:
-    def test_real_clock_advances(self):
-        c = WallClock()
-        t0 = c.now()
-        assert c.now() >= t0
-
-    def test_real_clock_rejects_advance(self):
-        with pytest.raises(RuntimeError):
-            WallClock().advance(1.0)
-
-    def test_virtual_clock(self):
-        c = WallClock(virtual=True)
-        assert c.now() == 0.0
-        c.advance(2.5)
-        assert c.now() == 2.5
-        with pytest.raises(ValueError):
-            c.advance(-1.0)
 
 
 def test_timed_returns_best_and_result():

@@ -107,3 +107,27 @@ class TestBinding:
         sim.run(shared.measurement_circuit(terms[0]))
         e_shr = sim.expectation_pauli(anc_z)
         assert e_rep == pytest.approx(e_shr, abs=1e-10)
+
+    def test_hadamard_test_sum_matches_the_evaluator(self, stores, h2):
+        """The paper's scheme end to end - one ancilla circuit per string
+        on the shared ansatz state, sum of c_P <Z_anc> - is the energy the
+        evaluator measures directly, constant aside."""
+        from repro.operators.pauli import pauli_string
+        from repro.simulators.statevector import StatevectorSimulator
+        from repro.vqe.energy import EnergyEvaluator
+
+        _, shared, _ = stores
+        ham = molecular_qubit_hamiltonian(h2.mo)
+        theta = np.array([0.21, -0.12])
+        anc_z = pauli_string([(4, "Z")])
+        base = StatevectorSimulator(5).run(shared.bind(theta))
+        total = 0.0
+        for term, coeff in ham:
+            if term.is_identity():
+                continue
+            sim = base.copy().run(shared.measurement_circuit(term))
+            total += coeff.real * sim.expectation_pauli(anc_z)
+        direct = EnergyEvaluator(ham, UCCSDAnsatz(2, 2).circuit(),
+                                 simulator="statevector").energy(theta)
+        assert total == pytest.approx(direct - ham.constant().real,
+                                      abs=1e-10)

@@ -157,16 +157,19 @@ class TestGradientWiring:
             pytest.approx(energies["finite_diff"], abs=1e-8)
 
     def test_gradient_free_optimizer_rejects_grad(self, h2):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="gradient-free"):
             VQE(h2.qubit_hamiltonian, h2.uccsd_circuit,
                 simulator="statevector", optimizer="cobyla",
                 grad="adjoint")
 
     def test_unknown_source_rejected(self, h2):
-        with pytest.raises(ValidationError):
-            VQE(h2.qubit_hamiltonian, h2.uccsd_circuit,
-                simulator="statevector", optimizer="adam",
-                grad="hessian")
+        # named first, whatever else is wrong with the call
+        for optimizer in ("adam", "cobyla"):
+            with pytest.raises(ValidationError,
+                               match="unknown gradient source"):
+                VQE(h2.qubit_hamiltonian, h2.uccsd_circuit,
+                    simulator="statevector", optimizer=optimizer,
+                    grad="hessian")
 
     def test_closed_form_backend_only_finite_diff(self, h2):
         with pytest.raises(ValidationError):
