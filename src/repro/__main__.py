@@ -6,7 +6,6 @@ energy      RHF / CCSD / FCI / VQE / DMET energies of a molecule
 scaling     replay the paper's strong/weak scaling (Figs. 12-13)
 info        system inventory: basis functions, qubits, Pauli strings
 serve       run the in-process job service over a JSON request file
-status      render the live snapshot a serve --status-file maintains
 
 Examples
 --------
@@ -145,10 +144,7 @@ def cmd_serve(args) -> int:
     failures = 0
     with JobService(max_cache_bytes=args.cache_bytes or DEFAULT_MAX_BYTES,
                     observe=metrics_dir is not None,
-                    trace=args.trace,
-                    telemetry_out=args.telemetry_out,
-                    status_file=args.status_file,
-                    telemetry_interval_s=args.telemetry_interval) as service:
+                    trace=args.trace) as service:
         job_ids = [service.submit(spec) for spec in specs]
         for job_id in job_ids:
             print(f"submitted {job_id}")
@@ -191,53 +187,7 @@ def cmd_serve(args) -> int:
     print(f"throughput: {stats['throughput_jobs_per_s']:.2f} jobs/s")
     if metrics_dir is not None:
         print(f"per-request metrics written to {metrics_dir}")
-    if args.telemetry_out:
-        print(f"telemetry stream written to {args.telemetry_out}")
-    if args.status_file:
-        print(f"status file written to {args.status_file}")
     return 1 if failures else 0
-
-
-def cmd_status(args) -> int:
-    """Render the service status file written by ``serve --status-file``."""
-    import json
-
-    from repro.obs.export import validate_document
-
-    try:
-        with open(args.status_file) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ReproError(
-            f"status file {args.status_file} does not exist (is the "
-            f"service running with --status-file?)")
-    except json.JSONDecodeError as exc:
-        raise ReproError(
-            f"status file {args.status_file} is not valid JSON ({exc})")
-    validate_document(doc)
-    jobs = doc.get("jobs", {})
-    cache = doc.get("cache", {})
-    totals = cache.get("totals", {})
-    print(f"service pid {doc.get('pid', '?')}: {doc.get('state', '?')} "
-          f"(uptime {doc.get('uptime_s', 0.0):.1f}s, "
-          f"sample #{doc['seq']} at t={doc['t_s']:.1f}s)")
-    print(f"jobs   : {jobs.get('done', 0)} done, "
-          f"{jobs.get('error', 0)} failed, "
-          f"{doc.get('in_flight', 0)} running, "
-          f"{doc.get('queue_depth', 0)} queued "
-          f"({doc.get('batches', 0)} batches)")
-    print(f"cache  : {totals.get('hits', 0)} hits / "
-          f"{totals.get('misses', 0)} misses "
-          f"(rate {cache.get('hit_rate', 0.0):.2f}), "
-          f"{cache.get('entries', 0)} entries, "
-          f"{cache.get('bytes', 0):,} bytes")
-    print(f"rate   : {doc.get('throughput_jobs_per_s', 0.0):.2f} jobs/s, "
-          f"busy {doc.get('busy_s', 0.0):.2f}s")
-    deltas = doc.get("counters") or {}
-    if deltas:
-        print("deltas : " + ", ".join(
-            f"{name}=+{value:g}" for name, value in sorted(deltas.items())))
-    return 0
 
 
 def cmd_scaling(args) -> int:
@@ -393,27 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="record per-request timing spans into the "
                          "--metrics-out documents and write a Chrome "
                          "trace (<job-id>.trace.json) next to each")
-    pv.add_argument("--telemetry-out", default=None, metavar="PATH",
-                    help="append periodic service samples (schema "
-                         "'repro.obs.ts/1': queue depth, in-flight, cache, "
-                         "counter deltas) to a JSONL stream")
-    pv.add_argument("--status-file", default=None, metavar="PATH",
-                    help="atomically rewrite a single-sample status "
-                         "document on every telemetry tick (read it with "
-                         "`python -m repro status`)")
-    pv.add_argument("--telemetry-interval", type=float, default=1.0,
-                    metavar="S",
-                    help="seconds between telemetry samples (default: 1.0)")
     pv.set_defaults(func=cmd_serve)
-
-    pst = sub.add_parser(
-        "status",
-        help="render the live daemon snapshot a running `serve "
-             "--status-file` maintains (pid, queue depth, cache, "
-             "throughput)")
-    pst.add_argument("--status-file", required=True, metavar="PATH",
-                    help="status document written by serve --status-file")
-    pst.set_defaults(func=cmd_status)
 
     ps = sub.add_parser("scaling", help="replay the Sunway scaling runs")
     ps.add_argument("--mode", default="both",

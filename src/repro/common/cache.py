@@ -16,11 +16,11 @@ byte budget:
 * **size-bounded** - one byte budget across all namespaces, enforced by
   least-recently-used eviction (:func:`sizeof` estimates entry payloads
   by walking numpy buffers);
-* **observable** - ``serve.cache.{hits,misses,evictions}`` counters
-  (labelled by namespace) and the ``serve.cache.bytes`` gauge ride the
-  standard :mod:`repro.obs` registry, while an always-on internal tally
-  (:meth:`ServeCache.stats`) survives the per-request
-  ``obs.collect()`` resets the job service performs.
+* **observable** - an always-on per-namespace tally of hits, misses and
+  evictions plus the byte footprint (:meth:`ServeCache.stats`), which the
+  per-request ``obs.collect()`` resets of the job service never touch;
+  each producer counts its own lookups once more, by outcome, in the
+  ``{outcome}`` counter it hands to :meth:`ServeCache.get_or_build`.
 
 :func:`install` swaps the current store and returns the one it replaced;
 a :class:`repro.serve.JobService` installs its own for its lifetime and
@@ -38,18 +38,6 @@ from typing import Callable
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.obs import metrics as _obs
-
-# observability instruments (no-ops unless `repro.obs` is enabled)
-_M_HITS = _obs.counter(
-    "serve.cache.hits", "cross-request cache hits, labelled by namespace")
-_M_MISSES = _obs.counter(
-    "serve.cache.misses", "cross-request cache misses, labelled by namespace")
-_M_EVICTIONS = _obs.counter(
-    "serve.cache.evictions",
-    "LRU evictions from the cross-request cache, labelled by namespace")
-_M_BYTES = _obs.gauge(
-    "serve.cache.bytes", "bytes held by the cross-request cache", unit="By")
 
 #: default byte budget of a store (256 MiB)
 DEFAULT_MAX_BYTES = 256 << 20
@@ -121,7 +109,6 @@ class ServeCache:
         #: (namespace, key) -> [value, nbytes]; insertion/touch order = LRU
         self._entries: "OrderedDict[tuple, list]" = OrderedDict()
         self._bytes = 0
-        #: always-on tally (survives obs.collect() registry resets):
         #: namespace -> {"hits": int, "misses": int, "evictions": int}
         self._stats: dict[str, dict[str, int]] = {}
 
@@ -138,7 +125,7 @@ class ServeCache:
         """``(value, True)`` on a hit, ``(None, False)`` on a miss.
 
         A hit moves the entry to most-recently-used position.  Both
-        outcomes tick the namespace-labelled counters.
+        outcomes are tallied per namespace (:meth:`stats`).
         """
         full = (namespace, key)
         with self._lock:
@@ -146,10 +133,8 @@ class ServeCache:
             if entry is not None:
                 self._entries.move_to_end(full)
                 self._tally(namespace)["hits"] += 1
-                _M_HITS.inc(namespace=namespace)
                 return entry[0], True
             self._tally(namespace)["misses"] += 1
-            _M_MISSES.inc(namespace=namespace)
             return None, False
 
     def insert(self, namespace: str, key, value, *,
@@ -173,16 +158,20 @@ class ServeCache:
                 (ev_ns, _), (_, ev_size) = self._entries.popitem(last=False)
                 self._bytes -= ev_size
                 self._tally(ev_ns)["evictions"] += 1
-                _M_EVICTIONS.inc(namespace=ev_ns)
             self._entries[full] = [value, size]
             self._bytes += size
-            _M_BYTES.set(self._bytes)
             return True
 
     def get_or_build(self, namespace: str, key,
-                     build: Callable[[], object]) -> object:
-        """Return the cached value, building (and caching) it on a miss."""
+                     build: Callable[[], object], outcomes=None) -> object:
+        """Return the cached value, building (and caching) it on a miss.
+
+        ``outcomes`` is the producer's ``repro.obs`` counter; the lookup is
+        booked there as ``outcome="hit"`` or ``"miss"``.
+        """
         value, found = self.lookup(namespace, key)
+        if outcomes is not None:
+            outcomes.inc(outcome="hit" if found else "miss")
         if found:
             return value
         value = build()
@@ -209,8 +198,7 @@ class ServeCache:
     def stats(self) -> dict:
         """Always-on tally: per-namespace hits/misses/evictions + totals.
 
-        Unlike the ``serve.cache.*`` obs counters this tally is never
-        reset by ``obs.collect()`` scopes, so the service can report
+        Never reset by ``obs.collect()`` scopes, so the service can report
         lifetime hit rates no matter how per-request metrics are scoped.
         """
         with self._lock:
@@ -234,7 +222,6 @@ class ServeCache:
         with self._lock:
             self._entries.clear()
             self._bytes = 0
-            _M_BYTES.set(0)
 
 
 # -- the process-wide current store -------------------------------------------

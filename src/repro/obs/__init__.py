@@ -5,23 +5,25 @@ MPS engine is steered by quantities (per-bond truncation error, GEMM/SVD
 counts, task distributions) that the rest of the stack computes and then
 throws away.  This package records them behind a **no-op default**:
 
-* :mod:`repro.obs.metrics` - a registry of counters / gauges / histograms
-  with labels; every instrument checks one shared flag and returns
+* :mod:`repro.obs.metrics` - a registry of counters and high-water-mark
+  gauges with labels; every instrument checks one shared flag and returns
   immediately when disabled, so instrumented hot paths cost one branch.
 * :mod:`repro.obs.trace` - ``span("vqe.iteration")`` context managers
   with nesting, wall (``perf_counter``) and CPU (``process_time``) time.
-* :mod:`repro.obs.export` - the documented ``repro.obs/2`` JSON / JSONL
-  schema behind ``--metrics-out`` and ``VQEResult.metrics``.
+* :mod:`repro.obs.export` - the documented ``repro.obs/2`` JSON schema
+  behind ``--metrics-out`` and ``VQEResult.metrics``.
+* :mod:`repro.obs.flight` - the always-on ring of recent coarse events
+  attached to structured errors and failed ``serve`` jobs.
 
 Performance is measured outside this package, by
 ``python3 benchmarks/e2e/run.py`` (``--compare A B`` is the regression
 gate).
 
-Worker processes snapshot their local registry/tracer at task completion
-and ship the delta back through the executor reduction path; the parent
-folds it in with the merge-order-invariant
-:meth:`~repro.obs.metrics.MetricsRegistry.merge`, so counter totals are
-identical for serial/thread/process executors at any worker count.
+Worker processes snapshot their local registry / tracer / flight ring at
+task completion and ship the delta back with the task result; the parent
+folds it in with :func:`merge_snapshot` (counters add, gauges take the
+maximum - both commute), so totals are identical for serial / thread /
+process executors at any worker count.
 
 Because counters record algorithmic events (never durations), their
 values are deterministic: ``tests/regression/`` pins exact SVD/GEMM/task
@@ -45,11 +47,9 @@ from contextlib import contextmanager
 
 from repro.obs.export import (
     SCHEMA_VERSION,
-    TS_SCHEMA,
     snapshot,
     validate_document,
     write_json,
-    write_jsonl,
 )
 from repro.obs.flight import (
     FLIGHT,
@@ -62,11 +62,9 @@ from repro.obs.metrics import (
     REGISTRY,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     counter,
     gauge,
-    histogram,
 )
 from repro.obs.trace import TRACER, SpanRecord, Tracer, span
 
@@ -100,24 +98,20 @@ def reset() -> None:
     TRACER.reset()
 
 
-def value(name: str, default=0, **labels):
-    """Convenience read of one labelled metric slot off the registry."""
-    return REGISTRY.value(name, default, **labels)
+def merge_snapshot(doc: dict | None, *, worker: int | None = None) -> None:
+    """Fold one exported document into the global registry, tracer and ring.
 
-
-def merge_snapshot(doc: dict, *, worker: int | None = None) -> float:
-    """Fold one exported document into the global registry and tracer.
-
-    ``doc`` is a ``repro.obs/2`` (or ``/1``) document - typically the
-    snapshot a worker process ships back with its task result.  Counters
-    add, gauges are last-write-by-worker-id, histograms combine aggregate
-    fields, and merged spans are re-based into the local id space with
-    ``attrs.worker`` set.  Returns the total counter increment merged.
+    ``doc`` is a ``repro.obs/2`` document - the snapshot a worker process
+    ships back with its task result (``None`` when the worker was told
+    not to record).  Counters add, gauges take the maximum, merged spans
+    are re-based into the local id space and merged flight events
+    re-sequenced, both tagged with the ``worker`` slot.
     """
-    delta = REGISTRY.merge(doc.get("metrics", {}), worker=worker)
+    if doc is None:
+        return
+    REGISTRY.merge(doc.get("metrics", {}), worker=worker)
     TRACER.merge(doc.get("spans", []), worker=worker)
     FLIGHT.merge(doc.get("flight"), worker=worker)
-    return delta
 
 
 @contextmanager
@@ -150,13 +144,11 @@ __all__ = [
     "FLIGHT_SCHEMA",
     "FlightRecorder",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "REGISTRY",
     "SCHEMA_VERSION",
     "SpanRecord",
     "TRACER",
-    "TS_SCHEMA",
     "Tracer",
     "attach_flight",
     "collect",
@@ -165,14 +157,11 @@ __all__ = [
     "enable",
     "enabled",
     "gauge",
-    "histogram",
     "merge_snapshot",
     "reset",
     "snapshot",
     "span",
     "validate_document",
     "validate_flight",
-    "value",
     "write_json",
-    "write_jsonl",
 ]

@@ -1,8 +1,8 @@
-"""JSON / JSONL export of the observability state.
+"""JSON export of the observability state.
 
 The documented schema (``repro.obs/2``) is what ``--metrics-out`` writes,
-what ``VQEResult.metrics`` carries, and what the CI regression job uploads
-as an artifact:
+what ``VQEResult.metrics`` carries, what a process worker ships home with
+its task result, and what the CI regression job uploads as an artifact:
 
 .. code-block:: json
 
@@ -20,24 +20,20 @@ as an artifact:
         {"span_id": 0, "parent_id": null, "name": "vqe.run",
          "depth": 0, "start_s": 0.0, "wall_s": 1.2, "cpu_s": 1.1,
          "thread": "MainThread"}
-      ]
+      ],
+      "flight": {"schema": "repro.obs.flight/1", "capacity": 256,
+                 "dropped": 0, "events": []}
     }
 
 ``metrics`` maps metric name to its instrument snapshot (only instruments
-with at least one recorded value appear).  Counter/gauge ``value`` is a
-number; histogram ``value`` is a ``{count, sum, min, max}`` summary.
-``spans`` is present only when tracing is on.  The JSONL exporter writes
-one span object per line after a single header line carrying the metrics -
-the streaming-friendly form for long traces.
+with at least one recorded value appear); every ``value`` is a number.
+``spans`` is present only when tracing is on.  ``flight`` is the optional
+flight-recorder section (:mod:`repro.obs.flight`) a worker payload carries.
 
-``repro.obs/2`` documents cross-process semantics: metric snapshots may
-be the result of
-:meth:`~repro.obs.metrics.MetricsRegistry.merge` folds of worker-process
-deltas (counters add, gauges last-write-by-worker-id, histograms combine
-aggregate fields), per-worker provenance appears in the built-in
-``obs.merges{worker}`` / ``obs.merged_events{worker}`` counters, and
-merged spans carry ``attrs.worker``.  :func:`validate_document` also
-dispatches flight dumps and telemetry samples to their own validators.
+A document may be the result of merging worker deltas
+(:func:`repro.obs.merge_snapshot`): counters add, gauges take the maximum,
+``obs.merges{worker}`` counts the snapshots folded per worker slot, and
+merged spans and flight events carry the worker slot.
 """
 
 from __future__ import annotations
@@ -45,43 +41,12 @@ from __future__ import annotations
 import json
 from typing import IO
 
+from repro.obs.flight import FLIGHT_SCHEMA, validate_flight
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import TRACER, Tracer
 
 #: bumped when the exported structure changes shape
 SCHEMA_VERSION = "repro.obs/2"
-
-#: metrics-document revisions validate_document accepts
-_ACCEPTED_VERSIONS = ("repro.obs/2",)
-
-#: one serve-telemetry time-series sample (a JSONL line of the
-#: ``--telemetry-out`` stream and the body of the ``--status-file``)
-TS_SCHEMA = "repro.obs.ts/1"
-
-
-def validate_ts_sample(doc: dict) -> None:
-    """Raise ``ValueError`` unless ``doc`` is a well-formed ts/1 sample."""
-    if doc.get("schema") != TS_SCHEMA:
-        raise ValueError(
-            f"not a telemetry sample: schema={doc.get('schema')!r} "
-            f"(expected {TS_SCHEMA!r})")
-    seq = doc.get("seq")
-    if not isinstance(seq, int) or seq < 0:
-        raise ValueError(f"ts sample seq must be a non-negative int: {seq!r}")
-    if not isinstance(doc.get("t_s"), (int, float)):
-        raise ValueError("ts sample missing numeric 't_s'")
-    for field in ("queue_depth", "in_flight"):
-        value = doc.get(field)
-        if not isinstance(value, int) or value < 0:
-            raise ValueError(
-                f"ts sample {field!r} must be a non-negative int: {value!r}")
-    for field in ("jobs", "cache", "counters"):
-        if not isinstance(doc.get(field), dict):
-            raise ValueError(f"ts sample {field!r} must be an object")
-    for metric, delta in doc["counters"].items():
-        if not isinstance(delta, (int, float)):
-            raise ValueError(
-                f"ts sample counter delta {metric!r} is not a number")
 
 
 def snapshot(registry: MetricsRegistry | None = None,
@@ -119,71 +84,40 @@ def write_json(path_or_file: str | IO, *,
     return doc
 
 
-def write_jsonl(path_or_file: str | IO, *,
-                registry: MetricsRegistry | None = None,
-                tracer: Tracer | None = None) -> int:
-    """Streaming form: a metrics header line, then one line per span.
-
-    Returns the number of lines written.
-    """
-    reg = REGISTRY if registry is None else registry
-    trc = TRACER if tracer is None else tracer
-
-    def _emit(fh) -> int:
-        lines = 1
-        header = {"schema": SCHEMA_VERSION, "metrics": reg.snapshot()}
-        fh.write(json.dumps(header) + "\n")
-        for span in trc.snapshot():
-            fh.write(json.dumps(span) + "\n")
-            lines += 1
-        return lines
-
-    if hasattr(path_or_file, "write"):
-        return _emit(path_or_file)
-    with open(path_or_file, "w") as fh:
-        return _emit(fh)
-
-
-def _validate_flight(doc: dict) -> None:
-    from repro.obs.flight import validate_flight
-    validate_flight(doc)
-
-
 def _validate_metrics(doc: dict) -> None:
-    """The ``repro.obs/2`` metrics (+ optional spans) document."""
+    """The ``repro.obs/2`` document: metrics, optional spans and flight."""
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict):
         raise ValueError("'metrics' must be an object")
     for name, inst in metrics.items():
-        if inst.get("type") not in ("counter", "gauge", "histogram"):
+        if not isinstance(inst, dict):
+            raise ValueError(f"metric {name!r} must be an object: {inst!r}")
+        if inst.get("type") not in ("counter", "gauge"):
             raise ValueError(f"metric {name!r} has bad type {inst.get('type')!r}")
         values = inst.get("values")
         if not isinstance(values, list):
             raise ValueError(f"metric {name!r} has no values list")
         for slot in values:
-            if "labels" not in slot or "value" not in slot:
+            if not isinstance(slot, dict) \
+                    or "labels" not in slot or "value" not in slot:
                 raise ValueError(f"metric {name!r} slot missing labels/value")
-            if inst["type"] == "histogram":
-                summary = slot["value"]
-                missing = {"count", "sum", "min", "max"} - set(summary)
-                if missing:
-                    raise ValueError(
-                        f"histogram {name!r} summary missing {sorted(missing)}"
-                    )
     spans = doc.get("spans", [])
     if not isinstance(spans, list):
         raise ValueError("'spans' must be a list when present")
     for span in spans:
+        if not isinstance(span, dict):
+            raise ValueError(f"span must be an object: {span!r}")
         for field in ("span_id", "name", "depth", "wall_s", "cpu_s"):
             if field not in span:
                 raise ValueError(f"span missing field {field!r}")
+    if "flight" in doc:
+        validate_flight(doc["flight"])
 
 
 #: schema -> validator; the one place a document kind is made acceptable
 _VALIDATORS = {
-    **{version: _validate_metrics for version in _ACCEPTED_VERSIONS},
-    "repro.obs.flight/1": _validate_flight,
-    TS_SCHEMA: validate_ts_sample,
+    SCHEMA_VERSION: _validate_metrics,
+    FLIGHT_SCHEMA: validate_flight,
 }
 
 
@@ -206,10 +140,7 @@ def validate_document(doc: dict) -> None:
 
 __all__ = [
     "SCHEMA_VERSION",
-    "TS_SCHEMA",
     "snapshot",
     "validate_document",
-    "validate_ts_sample",
     "write_json",
-    "write_jsonl",
 ]

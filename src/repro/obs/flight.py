@@ -14,7 +14,7 @@ Design constraints (mirrored by the overhead assertion in
 * **O(1) append** - one lock, one tuple, one ``deque.append``; eviction
   is the deque's own ``maxlen`` behaviour, never a scan.
 * **Coarse events only** - jobs, batches, dispatches, checkpoints,
-  span edges, sampled counter deltas.  Per-gate / per-term events stay
+  span edges.  Per-gate / per-term events stay
   in the metrics registry; the recorder budget is <2% of any workload
   even with full obs disabled, which only holds because instrumented
   sites fire a handful of times per evaluation, not per kernel call.
@@ -61,7 +61,6 @@ class FlightRecorder:
         self._dropped = 0
         self._lock = threading.Lock()
         self._t0 = time.perf_counter()
-        self._counter_marks: dict[str, float] = {}
 
     # -- recording -------------------------------------------------------------
 
@@ -84,40 +83,6 @@ class FlightRecorder:
             return
         self.note("span", rec.name, wall_s=rec.wall_s, depth=rec.depth)
 
-    def note_counter_deltas(self, registry=None, *,
-                            name: str = "sample") -> dict[str, float]:
-        """Record counter movement since the previous call as one event.
-
-        Computes per-counter total deltas against the marks left by the
-        last call and appends a single ``counters`` event carrying the
-        non-zero ones.  A counter whose total *decreased* (the registry
-        was reset between calls, e.g. by a ``serve`` per-job collect
-        scope) is treated as restarting from zero rather than producing
-        a negative delta.  Returns the delta mapping (empty when nothing
-        moved), so the serve telemetry sampler can reuse it.
-        """
-        if registry is None:
-            from repro.obs.metrics import REGISTRY as registry
-        totals: dict[str, float] = {}
-        with registry._lock:
-            for cname, inst in registry._instruments.items():
-                if inst.kind == "counter" and inst._values:
-                    totals[cname] = sum(inst._values.values())
-        deltas: dict[str, float] = {}
-        with self._lock:
-            marks = self._counter_marks
-            for cname in sorted(totals):
-                total = totals[cname]
-                prev = marks.get(cname, 0.0)
-                if total < prev:        # registry reset since the mark
-                    prev = 0.0
-                if total != prev:
-                    deltas[cname] = total - prev
-                marks[cname] = total
-        if deltas:
-            self.note("counters", name, **deltas)
-        return deltas
-
     # -- lifecycle -------------------------------------------------------------
 
     def reset(self) -> None:
@@ -127,7 +92,6 @@ class FlightRecorder:
             self._seq = 0
             self._dropped = 0
             self._t0 = time.perf_counter()
-            self._counter_marks.clear()
 
     def __len__(self) -> int:
         with self._lock:
@@ -191,10 +155,9 @@ class FlightRecorder:
 
 def validate_flight(doc: dict) -> None:
     """Raise ``ValueError`` unless ``doc`` is a well-formed flight dump."""
-    if doc.get("schema") != FLIGHT_SCHEMA:
+    if not isinstance(doc, dict) or doc.get("schema") != FLIGHT_SCHEMA:
         raise ValueError(
-            f"not a flight dump: schema={doc.get('schema')!r} "
-            f"(expected {FLIGHT_SCHEMA!r})")
+            f"not a flight dump (expected schema {FLIGHT_SCHEMA!r}): {doc!r}")
     capacity = doc.get("capacity")
     if not isinstance(capacity, int) or capacity < 1:
         raise ValueError(f"flight capacity must be a positive int: {capacity!r}")
@@ -218,6 +181,9 @@ def validate_flight(doc: dict) -> None:
             raise ValueError(
                 f"flight event {i} seq {ev['seq']!r} not strictly increasing")
         prev_seq = ev["seq"]
+        if not isinstance(ev["t_s"], (int, float)):
+            raise ValueError(
+                f"flight event {i} t_s must be a number: {ev['t_s']!r}")
         if not isinstance(ev["kind"], str) or not isinstance(ev["name"], str):
             raise ValueError(f"flight event {i} kind/name must be strings")
 

@@ -1,23 +1,25 @@
-"""The metrics registry: counters, gauges and histograms with labels.
+"""The metrics registry: counters and high-water-mark gauges with labels.
 
 Design constraints (in priority order):
 
 1. **Free when disabled.**  Every instrument checks one shared boolean and
    returns before touching any other state, so instrumented hot paths -
-   gate applications, batched GEMM sweeps, group dispatches - cost a
+   gate applications, batched GEMM sweeps, fragment dispatches - cost a
    single attribute load + branch per event when observability is off
    (the default).
 2. **Deterministic when enabled.**  Counters record *algorithmic* event
    counts (gates applied, SVDs taken, tasks dispatched), never wall time,
    so their values are exact integers/floats reproducible across runs,
    machines and worker counts.  The regression suite pins them.
-3. **Zero dependencies.**  Plain dicts and a :mod:`threading` lock; the
+3. **Commutative merges.**  A counter merges by ``+`` and a gauge by
+   ``max``, so folding worker snapshots in any order gives one answer.
+4. **Zero dependencies.**  Plain dicts and a :mod:`threading` lock; the
    JSON export is stdlib-only (:mod:`repro.obs.export`).
 
 Instruments are created once at import time through the module-level
-factories (:func:`counter` / :func:`gauge` / :func:`histogram`) and held
-in module globals by the instrumented code, so the per-event path never
-performs a registry lookup.  Labels are passed as keyword arguments:
+factories (:func:`counter` / :func:`gauge`) and held in module globals by
+the instrumented code, so the per-event path never performs a registry
+lookup.  Labels are passed as keyword arguments:
 
 >>> from repro import obs
 >>> svds = obs.counter("demo.svd", "SVDs taken")
@@ -39,11 +41,6 @@ from repro.common.errors import ValidationError
 
 #: value key for the label-less slot of an instrument
 _NO_LABELS: tuple = ()
-
-#: histogram summaries keep these aggregate fields (no buckets: the use
-#: cases here - batch sizes, reduction widths - need distribution shape,
-#: not quantiles, and aggregates stay deterministic under any merge order)
-_HIST_FIELDS = ("count", "sum", "min", "max")
 
 
 def _label_key(labels: dict) -> tuple:
@@ -107,104 +104,34 @@ class Counter(Instrument):
             raise ValidationError(
                 f"counter {self.name!r} cannot decrease (got {value})"
             )
-        key = _label_key(labels)
         with reg._lock:
-            self._values[key] = self._values.get(key, 0) + value
+            self._fold(_label_key(labels), value)
+
+    def _fold(self, key: tuple, value) -> None:
+        self._values[key] = self._values.get(key, 0) + value
 
 
 class Gauge(Instrument):
-    """Last-written value (per label set); also supports set-to-max."""
+    """High-water mark: the largest value seen (per label set)."""
 
     kind = "gauge"
     __slots__ = ()
-
-    def set(self, value: float, **labels) -> None:
-        """Overwrite the labelled slot; no-op when disabled."""
-        reg = self._registry
-        if not reg.enabled:
-            return
-        with reg._lock:
-            self._values[_label_key(labels)] = value
 
     def set_max(self, value: float, **labels) -> None:
         """Keep the running maximum of the labelled slot."""
         reg = self._registry
         if not reg.enabled:
             return
-        key = _label_key(labels)
         with reg._lock:
-            cur = self._values.get(key)
-            if cur is None or value > cur:
-                self._values[key] = value
+            self._fold(_label_key(labels), value)
+
+    def _fold(self, key: tuple, value) -> None:
+        cur = self._values.get(key)
+        if cur is None or value > cur:
+            self._values[key] = value
 
 
-class Histogram(Instrument):
-    """Aggregate distribution summary: count / sum / min / max."""
-
-    kind = "histogram"
-    __slots__ = ()
-
-    def observe(self, value: float, **labels) -> None:
-        """Fold one observation into the labelled summary."""
-        reg = self._registry
-        if not reg.enabled:
-            return
-        key = _label_key(labels)
-        with reg._lock:
-            slot = self._values.get(key)
-            if slot is None:
-                self._values[key] = {
-                    "count": 1, "sum": value, "min": value, "max": value,
-                }
-            else:
-                slot["count"] += 1
-                slot["sum"] += value
-                if value < slot["min"]:
-                    slot["min"] = value
-                if value > slot["max"]:
-                    slot["max"] = value
-
-    def observe_many(self, values, **labels) -> None:
-        """Fold a batch of observations in one lock/lookup round trip.
-
-        Bitwise-equivalent to calling :meth:`observe` once per value in
-        order (the sum is folded left-to-right from the existing slot), but
-        pays the label canonicalization, dict lookup and lock acquisition
-        once per batch instead of once per event - the executor dispatch
-        sites observe whole chunk layouts through this path.
-        """
-        reg = self._registry
-        if not reg.enabled:
-            return
-        values = list(values)
-        if not values:
-            return
-        key = _label_key(labels)
-        with reg._lock:
-            slot = self._values.get(key)
-            if slot is None:
-                # match observe(): the first value seeds the summary
-                slot = {"count": 1, "sum": values[0],
-                        "min": values[0], "max": values[0]}
-                self._values[key] = slot
-                rest = values[1:]
-            else:
-                rest = values
-            acc = slot["sum"]
-            lo, hi = slot["min"], slot["max"]
-            for v in rest:
-                acc += v
-                if v < lo:
-                    lo = v
-                if v > hi:
-                    hi = v
-            slot["count"] += len(rest)
-            slot["sum"] = acc
-            slot["min"] = lo
-            slot["max"] = hi
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+_KINDS = {"counter": Counter, "gauge": Gauge}
 
 
 class MetricsRegistry:
@@ -220,9 +147,6 @@ class MetricsRegistry:
         self.enabled = False
         self._lock = threading.Lock()
         self._instruments: dict[str, Instrument] = {}
-        #: (name, label key) -> worker id of the last merged gauge write;
-        #: maintained only by :meth:`merge` (last-write-by-worker-id)
-        self._gauge_provenance: dict[tuple, int] = {}
 
     # -- instrument creation ---------------------------------------------------
 
@@ -250,11 +174,6 @@ class MetricsRegistry:
         """Create (or fetch) the gauge called ``name``."""
         return self._make("gauge", name, description, unit)
 
-    def histogram(self, name: str, description: str = "",
-                  unit: str = "1") -> Histogram:
-        """Create (or fetch) the histogram called ``name``."""
-        return self._make("histogram", name, description, unit)
-
     # -- lifecycle -------------------------------------------------------------
 
     def enable(self) -> None:
@@ -270,42 +189,33 @@ class MetricsRegistry:
         with self._lock:
             for inst in self._instruments.values():
                 inst._reset()
-            self._gauge_provenance.clear()
 
     # -- cross-process merging ---------------------------------------------------
 
-    def merge(self, metrics, *, worker: int | None = None) -> float:
-        """Fold another registry's values into this one, deterministically.
+    def merge(self, metrics, *, worker: int | None = None) -> None:
+        """Fold another registry's values into this one.
 
         ``metrics`` is a :class:`MetricsRegistry` or a metrics snapshot
         mapping (``{name: instrument snapshot}``, the shape
-        :meth:`snapshot` produces and worker processes ship back through
-        the executor reduction path).  Merge semantics are
-        **merge-order invariant** so the parent's totals do not depend on
-        which worker's delta lands first:
+        :meth:`snapshot` produces and worker processes ship back with
+        their task result).  Both rules commute, so the parent's values do
+        not depend on which worker's delta lands first:
 
         * **counters add** - totals equal the serial run's for any worker
-          count (extends the bitwise-determinism guarantee to telemetry);
-        * **gauges are last-write-by-worker-id** - among merged snapshots
-          the write from the highest ``worker`` id wins (tracked per slot
-          in ``_gauge_provenance``); an unattributed merge
-          (``worker=None``) plainly overwrites;
-        * **histograms combine aggregate fields** - counts and sums add,
-          mins/maxes extremize.
+          count;
+        * **gauges take the maximum** - a high-water mark over workers is
+          the largest any of them (or the parent) saw.
 
-        When ``worker`` is given the merge is also recorded in two
-        built-in per-worker counters - ``obs.merges{worker=w}`` (snapshots
-        merged) and ``obs.merged_events{worker=w}`` (counter increments
-        merged) - which make per-worker load imbalance visible without
-        disturbing the merged totals of any other metric.
+        When ``worker`` is given the merge is also counted in the built-in
+        ``obs.merges{worker=w}``, which makes the spread of tasks over
+        worker slots visible without disturbing any other metric.
 
         Values are written directly (bypassing the ``enabled`` flag): a
-        merge is deterministic bookkeeping of already-recorded data, not a
-        hot-path event.  Returns the total counter increment merged.
+        merge is bookkeeping of already-recorded data, not a hot-path
+        event.
         """
         if isinstance(metrics, MetricsRegistry):
             metrics = metrics.snapshot()
-        counter_delta = 0.0
         with self._lock:
             for name in sorted(metrics):
                 snap = metrics[name]
@@ -314,58 +224,16 @@ class MetricsRegistry:
                     raise ValidationError(
                         f"cannot merge metric {name!r} of kind {kind!r}"
                     )
-                inst = self._instruments.get(name)
-                if inst is None:
-                    inst = _KINDS[kind](name, snap.get("description", ""),
-                                        snap.get("unit", "1"), self)
-                    self._instruments[name] = inst
-                elif inst.kind != kind:
-                    raise ValidationError(
-                        f"metric {name!r} is a {inst.kind} here but a "
-                        f"{kind} in the merged snapshot"
-                    )
+                inst = self._make(kind, name, snap.get("description", ""),
+                                  snap.get("unit", "1"))
                 for slot in snap.get("values", ()):
-                    key = _label_key(dict(slot.get("labels") or {}))
-                    value = slot["value"]
-                    if kind == "counter":
-                        inst._values[key] = inst._values.get(key, 0) + value
-                        counter_delta += value
-                    elif kind == "gauge":
-                        pkey = (name, key)
-                        prev = self._gauge_provenance.get(pkey)
-                        if worker is None:
-                            inst._values[key] = value
-                        elif prev is None or worker >= prev:
-                            inst._values[key] = value
-                            self._gauge_provenance[pkey] = worker
-                    else:  # histogram
-                        cur = inst._values.get(key)
-                        if cur is None:
-                            inst._values[key] = {
-                                "count": value["count"], "sum": value["sum"],
-                                "min": value["min"], "max": value["max"],
-                            }
-                        else:
-                            cur["count"] += value["count"]
-                            cur["sum"] += value["sum"]
-                            if value["min"] < cur["min"]:
-                                cur["min"] = value["min"]
-                            if value["max"] > cur["max"]:
-                                cur["max"] = value["max"]
+                    inst._fold(_label_key(slot.get("labels") or {}),
+                               slot["value"])
             if worker is not None:
-                wkey = _label_key({"worker": int(worker)})
-                merges = self._make(
+                self._make(
                     "counter", "obs.merges",
                     "worker metric snapshots merged, labelled by worker "
-                    "slot", "1")
-                merges._values[wkey] = merges._values.get(wkey, 0) + 1
-                events = self._make(
-                    "counter", "obs.merged_events",
-                    "counter increments merged from worker snapshots, "
-                    "labelled by worker slot", "1")
-                events._values[wkey] = \
-                    events._values.get(wkey, 0) + counter_delta
-        return counter_delta
+                    "slot", "1")._fold(_label_key({"worker": int(worker)}), 1)
 
     # -- reading ---------------------------------------------------------------
 
@@ -411,19 +279,12 @@ def gauge(name: str, description: str = "", unit: str = "1") -> Gauge:
     return REGISTRY.gauge(name, description, unit)
 
 
-def histogram(name: str, description: str = "", unit: str = "1") -> Histogram:
-    """Create (or fetch) a histogram on the global registry."""
-    return REGISTRY.histogram(name, description, unit)
-
-
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "Instrument",
     "MetricsRegistry",
     "REGISTRY",
     "counter",
     "gauge",
-    "histogram",
 ]

@@ -181,20 +181,6 @@ class Tracer:
         with self._lock:
             return [rec.to_dict() for rec in self.spans]
 
-    def totals(self) -> dict[str, dict]:
-        """Per-name aggregate: {name: {count, wall_s, cpu_s}}."""
-        out: dict[str, dict] = {}
-        with self._lock:
-            for rec in self.spans:
-                slot = out.setdefault(
-                    rec.name, {"count": 0, "wall_s": 0.0, "cpu_s": 0.0})
-                slot["count"] += 1
-                # only top-of-name spans would avoid double counting, but
-                # self-recursive spans are not used here; keep the raw sum
-                slot["wall_s"] += rec.wall_s
-                slot["cpu_s"] += rec.cpu_s
-        return out
-
 
 #: the process-wide tracer (paired with :data:`repro.obs.metrics.REGISTRY`)
 TRACER = Tracer()

@@ -23,7 +23,8 @@ from repro.common.errors import ValidationError
 _PAULI_CHARS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _CHAR_FROM_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
-_PAULI_MATRICES = {
+#: the one table of 2x2 Pauli matrices (the simulators import it)
+PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -120,7 +121,7 @@ class PauliTerm:
         out = np.array([[1.0 + 0j]])
         for j in range(n_qubits):
             ch = _CHAR_FROM_BITS[((self.x >> j) & 1, (self.z >> j) & 1)]
-            out = np.kron(out, _PAULI_MATRICES[ch])
+            out = np.kron(out, PAULI_MATRICES[ch])
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

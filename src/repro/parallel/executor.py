@@ -14,8 +14,9 @@ three: ``serial`` (in-line baseline), ``thread``
 (``ThreadPoolExecutor``; BLAS releases the GIL in the heavy kernels) and
 ``process`` (``ProcessPoolExecutor``; true multi-core for pure-python
 paths).  Process workers record their own :mod:`repro.obs` telemetry per
-task and ship it home with the result (the directive / merge functions
-below), so counter totals do not depend on where a fragment ran.
+task and ship it home with the result (the directive functions below;
+the parent folds it in with :func:`repro.obs.merge_snapshot`), so counter
+totals do not depend on where a fragment ran.
 """
 
 from __future__ import annotations
@@ -26,17 +27,13 @@ from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context, get_all_start_methods
 from typing import Any, Callable, Sequence
 
+from repro import obs
 from repro.common.errors import ValidationError, WorkerError
 from repro.obs import flight as _flight
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 
 # -- worker-side observability protocol ---------------------------------------
-
-#: set once this process acts as a pool worker with recording on; lets
-#: :func:`clear_worker_compiled_cache` reset worker obs state without ever
-#: touching a parent registry (where the flag stays False)
-_WORKER_OBS = {"active": False}
 
 
 def _obs_directive(worker: int | None = None):
@@ -52,6 +49,13 @@ def _obs_directive(worker: int | None = None):
     return (worker, _trace.TRACER.enabled)
 
 
+def _go_quiet() -> None:
+    """Stop recording and drop every metric, span and flight event."""
+    obs.disable()
+    obs.reset()
+    _flight.FLIGHT.reset()
+
+
 def _worker_obs_begin(directive) -> None:
     """Worker-side: reset local obs state per the parent's directive.
 
@@ -59,75 +63,33 @@ def _worker_obs_begin(directive) -> None:
     enabled flag as of pool creation; both can be stale by the time a task
     runs (the lifecycle bug this protocol fixes).  Every task therefore
     carries a directive: ``None`` means "be quiet" (disable and drop any
-    inherited values), a tuple means "record fresh from zero".
+    inherited values), a tuple means "record fresh from zero" - the flight
+    ring included, so the shipped dump holds exactly this task's events.
     """
     if directive is None:
         if _obs.REGISTRY.enabled or _trace.TRACER.enabled:
-            _obs.REGISTRY.disable()
-            _trace.TRACER.disable()
-            _obs.REGISTRY.reset()
-            _trace.TRACER.reset()
+            _go_quiet()
         return
-    _WORKER_OBS["active"] = True
-    _obs.REGISTRY.reset()
-    _trace.TRACER.reset()
-    # the flight ring restarts per task so the shipped dump holds exactly
-    # this task's events (pool reuse never double-ships)
-    _flight.FLIGHT.reset()
-    _obs.REGISTRY.enable()
-    if directive[1]:
-        _trace.TRACER.enable()
-    else:
-        _trace.TRACER.disable()
+    _go_quiet()
+    obs.enable(trace=directive[1])
     _flight.FLIGHT.note("task", "begin", worker=directive[0])
 
 
 def _worker_obs_finish(directive):
     """Worker-side: snapshot the task's telemetry delta and go quiet.
 
-    Returns the export document to ship back with the task result, or
-    None when the directive asked for no recording.  The local registry
-    is reset afterwards so pool reuse never double-ships events.
+    Returns the ``repro.obs/2`` document (``flight`` section included) to
+    ship back with the task result for :func:`repro.obs.merge_snapshot`,
+    or None when the directive asked for no recording.  The local state is
+    dropped afterwards so pool reuse never double-ships events.
     """
     if directive is None:
         return None
-    from repro.obs import export as _export
-
     _flight.FLIGHT.note("task", "end", worker=directive[0])
-    doc = _export.snapshot()
+    doc = obs.snapshot()
     doc["flight"] = _flight.FLIGHT.snapshot()
-    _obs.REGISTRY.disable()
-    _trace.TRACER.disable()
-    _obs.REGISTRY.reset()
-    _trace.TRACER.reset()
-    _flight.FLIGHT.reset()
+    _go_quiet()
     return doc
-
-
-def _merge_worker_payload(doc, worker: int | None) -> None:
-    """Parent-side: fold one worker's telemetry delta into the registry."""
-    if doc is None:
-        return
-    _obs.REGISTRY.merge(doc.get("metrics", {}), worker=worker)
-    _trace.TRACER.merge(doc.get("spans", []), worker=worker)
-    _flight.FLIGHT.merge(doc.get("flight"), worker=worker)
-
-
-def clear_worker_compiled_cache() -> None:
-    """Drop the obs state a recording pool worker leaves in this process.
-
-    In a process that has acted as a recording pool worker this disables
-    and resets the local obs registry/tracer, so no stale telemetry
-    survives into the next run; in a parent process (``_WORKER_OBS`` flag
-    unset) obs state is untouched.
-    """
-    if _WORKER_OBS["active"]:
-        _obs.REGISTRY.disable()
-        _trace.TRACER.disable()
-        _obs.REGISTRY.reset()
-        _trace.TRACER.reset()
-        _flight.FLIGHT.reset()
-        _WORKER_OBS["active"] = False
 
 
 def default_worker_count() -> int:
@@ -292,7 +254,6 @@ __all__ = [
     "ProcessExecutor",
     "SerialExecutor",
     "ThreadExecutor",
-    "clear_worker_compiled_cache",
     "default_worker_count",
     "resolve_executor",
 ]

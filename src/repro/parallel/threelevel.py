@@ -13,12 +13,12 @@ this module does not touch.
 
 from __future__ import annotations
 
+from repro import obs
 from repro.common.errors import ValidationError
 from repro.obs import flight as _flight
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 from repro.parallel.executor import (
-    _merge_worker_payload,
     _obs_directive,
     _worker_obs_begin,
     _worker_obs_finish,
@@ -131,7 +131,7 @@ class ThreeLevelEngine:
                 out = []
                 for i, (solution, doc) in enumerate(
                         self.executor.map(_solve_fragment, obs_tasks)):
-                    _merge_worker_payload(doc, i % workers)
+                    obs.merge_snapshot(doc, worker=i % workers)
                     out.append(solution)
         if _obs.REGISTRY.enabled:
             _M_FRAG_TASKS.inc(len(tasks), level="fragments")

@@ -40,20 +40,10 @@ import numpy as np
 
 from repro.common.errors import CheckpointError
 from repro.obs import flight as _flight
-from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 
 #: schema tag of the checkpoint document
 CKPT_SCHEMA = "repro.ckpt/1"
-
-# observability instruments (no-ops unless `repro.obs` is enabled)
-_M_WRITES = _obs.counter(
-    "serve.checkpoint.writes", "checkpoint documents written")
-_M_LOADS = _obs.counter(
-    "serve.checkpoint.loads", "checkpoint documents loaded for resume")
-_M_ERRORS = _obs.counter(
-    "serve.checkpoint.errors",
-    "checkpoint loads rejected, labelled by failure reason")
 
 
 def _encode(obj):
@@ -122,7 +112,6 @@ def save_checkpoint(path: str | Path, *, optimizer: str, iteration: int,
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_text(json.dumps(doc, indent=2) + "\n")
         os.replace(tmp, path)
-    _M_WRITES.inc()
     _flight.FLIGHT.note("checkpoint", "save", path=str(path),
                         iteration=int(iteration))
     return path
@@ -130,12 +119,11 @@ def save_checkpoint(path: str | Path, *, optimizer: str, iteration: int,
 
 def _reject(path: Path, reason: str, message: str,
             cause: Exception | None = None):
-    """Count, flight-note and raise one structured load rejection.
+    """Flight-note and raise one structured load rejection.
 
     The flight event lands in the ring *before* the dump is attached, so
     the error's own black box records the rejection it describes.
     """
-    _M_ERRORS.inc(reason=reason)
     _flight.FLIGHT.note("checkpoint", "load_rejected", reason=reason,
                         path=str(path))
     exc = _flight.attach_flight(
@@ -187,7 +175,6 @@ def load_checkpoint(path: str | Path, *,
             _reject(path, "mismatch",
                     f"checkpoint {path} was written by optimizer "
                     f"{doc['optimizer']!r}, not {expect_optimizer!r}")
-        _M_LOADS.inc()
         _flight.FLIGHT.note("checkpoint", "load", path=str(path),
                             iteration=int(doc["iteration"]))
         return {

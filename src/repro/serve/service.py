@@ -35,8 +35,6 @@ attributed (the service keeps its own lifetime tallies out-of-band in
 from __future__ import annotations
 
 import copy
-import json
-import os
 import threading
 import time
 from collections import deque
@@ -54,8 +52,6 @@ from repro.serve.jobs import JobRecord, JobSpec
 # that job's metrics document)
 _M_JOBS = _obs.counter(
     "serve.jobs", "jobs executed by the service, labelled by kind")
-_M_RESULT_HITS = _obs.counter(
-    "serve.result_cache_hits", "jobs answered from the result cache")
 
 #: terminal job states
 _TERMINAL = ("done", "error")
@@ -80,24 +76,10 @@ class JobService:
         per-request metrics document carries a timeline (exportable with
         :func:`repro.obs.timeline.chrome_trace`).  Implies nothing when
         ``observe`` is off.
-    telemetry_out:
-        Append one ``repro.obs.ts/1`` JSON line per sampling interval to
-        this path (queue depth, in-flight jobs, cache stats, counter
-        deltas) - the live time-series stream of the daemon.
-    status_file:
-        Atomically rewrite this path (tmp + ``os.replace``) with the
-        latest telemetry sample each interval; ``python -m repro status``
-        renders it.
-    telemetry_interval_s:
-        Sampling period of the telemetry thread (default 1s); only
-        meaningful when ``telemetry_out`` or ``status_file`` is set.
     """
 
     def __init__(self, *, max_cache_bytes: int = DEFAULT_MAX_BYTES,
-                 observe: bool = True, trace: bool = False,
-                 telemetry_out: str | None = None,
-                 status_file: str | None = None,
-                 telemetry_interval_s: float = 1.0):
+                 observe: bool = True, trace: bool = False):
         self.cache = ServeCache(max_bytes=max_cache_bytes)
         self.observe = bool(observe)
         self.trace = bool(trace)
@@ -108,26 +90,12 @@ class JobService:
         self._n_submitted = 0
         self._n_batches = 0
         self._busy_s = 0.0
-        self._started_unix = time.time()
-        self._t0 = time.perf_counter()
-        self._telemetry_out = str(telemetry_out) if telemetry_out else None
-        self._status_file = str(status_file) if status_file else None
-        self._telemetry_interval_s = float(telemetry_interval_s)
-        self._ts_seq = 0
-        self._ts_lock = threading.Lock()
-        self._telemetry_stop = threading.Event()
-        self._telemetry_thread: threading.Thread | None = None
         self._previous_store = install(self.cache)
         _flight.FLIGHT.note("serve", "service_start",
                             max_cache_bytes=int(max_cache_bytes))
         self._thread = threading.Thread(
             target=self._loop, name="repro-serve-scheduler", daemon=True)
         self._thread.start()
-        if self._telemetry_out or self._status_file:
-            self._telemetry_thread = threading.Thread(
-                target=self._telemetry_loop, name="repro-serve-telemetry",
-                daemon=True)
-            self._telemetry_thread.start()
 
     # -- client API ----------------------------------------------------------
 
@@ -212,59 +180,6 @@ class JobService:
                 "cache": self.cache.stats(),
             }
 
-    # -- time-series telemetry -----------------------------------------------
-
-    def sample(self) -> dict:
-        """One ``repro.obs.ts/1`` telemetry sample of the live service.
-
-        Carries queue depth, in-flight jobs, lifetime job/batch/cache
-        statistics and the global-registry counter deltas since the
-        previous sample (the deltas also land in the flight ring as a
-        ``counters`` event, so crash dumps show recent counter motion).
-        """
-        stats = self.stats()
-        with self._cv:
-            depth = len(self._queue)
-            closed = self._closed
-        with self._ts_lock:
-            seq = self._ts_seq
-            self._ts_seq += 1
-        return {
-            "schema": _export.TS_SCHEMA,
-            "seq": seq,
-            "t_s": time.perf_counter() - self._t0,
-            "pid": os.getpid(),
-            "state": "closed" if closed else "running",
-            "started_unix": self._started_unix,
-            "uptime_s": time.time() - self._started_unix,
-            "queue_depth": depth,
-            "in_flight": stats["jobs"]["running"],
-            "jobs": stats["jobs"],
-            "batches": stats["batches"],
-            "busy_s": stats["busy_s"],
-            "throughput_jobs_per_s": stats["throughput_jobs_per_s"],
-            "cache": stats["cache"],
-            "counters": _flight.FLIGHT.note_counter_deltas(
-                name="serve.telemetry"),
-        }
-
-    def _emit_sample(self) -> dict:
-        doc = self.sample()
-        if self._telemetry_out:
-            with open(self._telemetry_out, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(doc, sort_keys=True) + "\n")
-        if self._status_file:
-            tmp = self._status_file + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, self._status_file)     # atomic: never torn
-        return doc
-
-    def _telemetry_loop(self) -> None:
-        while not self._telemetry_stop.wait(self._telemetry_interval_s):
-            self._emit_sample()
-
     def close(self) -> None:
         """Drain remaining work, stop the scheduler, restore the store."""
         with self._cv:
@@ -273,10 +188,6 @@ class JobService:
             self._closed = True
             self._cv.notify_all()
         self._thread.join()
-        if self._telemetry_thread is not None:
-            self._telemetry_stop.set()
-            self._telemetry_thread.join()
-            self._emit_sample()     # final sample reports state="closed"
         _flight.FLIGHT.note("serve", "service_close")
         install(self._previous_store)
 
@@ -383,7 +294,6 @@ class JobService:
         key = spec.spec_key()
         cached, found = self.cache.lookup("serve.result", key)
         if found:
-            _M_RESULT_HITS.inc()
             return copy.deepcopy(cached), True
         system = self._system(spec)
         result = getattr(self, f"_run_{spec.kind}")(spec, system)
@@ -392,16 +302,14 @@ class JobService:
 
     def _system(self, spec: JobSpec):
         """The prepared Q2Chemistry system, shared across methods."""
-        value, found = self.cache.lookup("serve.system", spec.system_key())
-        if found:
-            return value
         from repro.chem.geometry import molecule_from_spec
         from repro.q2chem import Q2Chemistry
 
-        molecule = molecule_from_spec(spec.molecule, bond=spec.bond)
-        system = Q2Chemistry.from_molecule(molecule, basis=spec.basis)
-        self.cache.insert("serve.system", spec.system_key(), system)
-        return system
+        return self.cache.get_or_build(
+            "serve.system", spec.system_key(),
+            lambda: Q2Chemistry.from_molecule(
+                molecule_from_spec(spec.molecule, bond=spec.bond),
+                basis=spec.basis))
 
     def _run_energy(self, spec: JobSpec, system) -> dict:
         energy = {

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.common.errors import ValidationError
 from repro.circuits.circuit import Circuit
-from repro.operators.pauli import PauliTerm, QubitOperator
+from repro.operators.pauli import PAULI_MATRICES, PauliTerm, QubitOperator
 from repro.simulators.pauli_kernels import dense_term_expectations
 
 
@@ -82,7 +82,7 @@ class DensityMatrixSimulator:
         """tr(rho P)."""
         rho = self.rho
         for q, ch in term.ops():
-            mat = _PAULIS[ch]
+            mat = PAULI_MATRICES[ch]
             moved = np.tensordot(mat, rho, axes=([1], [q]))
             rho = np.moveaxis(moved, 0, q)
         dim = 2 ** self.n_qubits
@@ -114,10 +114,3 @@ class DensityMatrixSimulator:
         probs = probs / probs.sum()
         draws = default_rng(seed).choice(probs.size, size=n_samples, p=probs)
         return [format(int(d), f"0{self.n_qubits}b") for d in draws]
-
-
-_PAULIS = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}

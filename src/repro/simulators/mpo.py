@@ -13,15 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.operators.pauli import QubitOperator
+from repro.operators.pauli import PAULI_MATRICES, QubitOperator
 from repro.simulators.kernels import svd_truncated, tensordot_fused
-
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 class MPO:
@@ -67,7 +60,7 @@ class MPO:
         if n_qubits == 1:
             w = np.zeros((1, 2, 2, 1), dtype=complex)
             for (term, coeff), lab in zip(terms, labels):
-                w[0, :, :, 0] += coeff * _PAULI_MATS[lab[0]]
+                w[0, :, :, 0] += coeff * PAULI_MATRICES[lab[0]]
             return cls([w])
         tensors: list[np.ndarray] = []
         # suffixes[c]: the Pauli string on sites k.. carried by channel c;
@@ -85,7 +78,7 @@ class MPO:
                 col_new.append(rest_index.setdefault(rest, len(rest_index)))
             m_new = len(rest_index)
             w = np.zeros((r, 2, 2, m_new), dtype=complex)
-            for ch, mat in _PAULI_MATS.items():
+            for ch, mat in PAULI_MATRICES.items():
                 old = [c for c, cc in enumerate(col_char) if cc == ch]
                 if old:
                     # (ch, rest) determines the old channel, so within one
@@ -99,7 +92,7 @@ class MPO:
             carry = s[:, None] * vh
             suffixes = sorted(rest_index, key=rest_index.get)
         wl = np.zeros((carry.shape[0], 2, 2, 1), dtype=complex)
-        for ch, mat in _PAULI_MATS.items():
+        for ch, mat in PAULI_MATRICES.items():
             cols = [c for c, s in enumerate(suffixes) if s == ch]
             if cols:
                 wl[:, :, :, 0] += carry[:, cols].sum(axis=1)[:, None, None] \

@@ -39,7 +39,7 @@ import numpy as np
 from repro.common import cache as _cache
 from repro.common.errors import ValidationError
 from repro.obs import metrics as _obs
-from repro.operators.pauli import QubitOperator
+from repro.operators.pauli import PAULI_MATRICES, QubitOperator
 from repro.simulators.mps import MPS
 from repro.simulators.pauli_kernels import observable_cache_key
 
@@ -62,12 +62,6 @@ _M_PLAN_CACHE = _obs.counter(
 _M_MPO_CACHE = _obs.counter(
     "mps_measure.mpo_cache",
     "compiled-MPO cache lookups, labelled hit/miss")
-
-_PAULI_MATS = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 _Groups = tuple[tuple[str, np.ndarray, np.ndarray], ...]
 
@@ -311,32 +305,18 @@ _MPO_NAMESPACE = "mps.mpo"
 
 def sweep_plan(op: QubitOperator, n_qubits: int) -> SweepPlan:
     """Fetch (or build and cache) the :class:`SweepPlan` for an operator."""
-    key = observable_cache_key(op, n_qubits)
-    store = _cache.current()
-    hit, found = store.lookup(_PLAN_NAMESPACE, key)
-    if found:
-        _M_PLAN_CACHE.inc(outcome="hit")
-        return hit
-    _M_PLAN_CACHE.inc(outcome="miss")
-    hit = build_sweep_plan(op, n_qubits)
-    store.insert(_PLAN_NAMESPACE, key, hit)
-    return hit
+    return _cache.current().get_or_build(
+        _PLAN_NAMESPACE, observable_cache_key(op, n_qubits),
+        lambda: build_sweep_plan(op, n_qubits), _M_PLAN_CACHE)
 
 
 def compiled_mpo(op: QubitOperator, n_qubits: int):
     """Fetch (or compile and cache) the compressed MPO for an operator."""
     from repro.simulators.mpo import MPO
 
-    key = observable_cache_key(op, n_qubits)
-    store = _cache.current()
-    hit, found = store.lookup(_MPO_NAMESPACE, key)
-    if found:
-        _M_MPO_CACHE.inc(outcome="hit")
-        return hit
-    _M_MPO_CACHE.inc(outcome="miss")
-    hit = MPO.from_qubit_operator(op, n_qubits)
-    store.insert(_MPO_NAMESPACE, key, hit)
-    return hit
+    return _cache.current().get_or_build(
+        _MPO_NAMESPACE, observable_cache_key(op, n_qubits),
+        lambda: MPO.from_qubit_operator(op, n_qubits), _M_MPO_CACHE)
 
 
 # -- environment advance kernels ----------------------------------------------
@@ -425,7 +405,7 @@ class MPSMeasurementEngine:
             if ch == "I":
                 hit = b
             else:
-                hit = np.tensordot(_PAULI_MATS[ch], b,
+                hit = np.tensordot(PAULI_MATRICES[ch], b,
                                    axes=((1,), (1,))).transpose(1, 0, 2)
             self._site_ops[key] = hit
         return hit

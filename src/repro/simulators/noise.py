@@ -17,12 +17,10 @@ import numpy as np
 
 from repro.common.errors import ValidationError
 from repro.circuits.circuit import Circuit
+from repro.operators.pauli import PAULI_MATRICES
 from repro.simulators.density_matrix import DensityMatrixSimulator
 
-_I = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_I, _X, _Y, _Z = (PAULI_MATRICES[ch] for ch in "IXYZ")
 
 
 def depolarizing_channel(p: float) -> list[np.ndarray]:

@@ -230,15 +230,8 @@ def compile_observable(op: QubitOperator,
     """Compile (or fetch a cached) :class:`CompiledObservable`."""
     n = max(op.n_qubits(), 1) if n_qubits is None else int(n_qubits)
     key = observable_cache_key(op, n)
-    store = _cache.current()
-    hit, found = store.lookup(_NAMESPACE, key)
-    if found:
-        _M_COMPILE_CACHE.inc(outcome="hit")
-        return hit
-    _M_COMPILE_CACHE.inc(outcome="miss")
-    hit = CompiledObservable(op, n)
-    store.insert(_NAMESPACE, key, hit)
-    return hit
+    return _cache.current().get_or_build(
+        _NAMESPACE, key, lambda: CompiledObservable(op, n), _M_COMPILE_CACHE)
 
 
 __all__ = [

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.common.errors import ValidationError
 from repro.circuits.circuit import Circuit
-from repro.operators.pauli import PauliTerm, QubitOperator
+from repro.operators.pauli import PAULI_MATRICES, PauliTerm, QubitOperator
 from repro.simulators.pauli_kernels import (
     MAX_COMPILED_QUBITS,
     compile_observable,
@@ -110,7 +110,7 @@ class StatevectorSimulator:
         psi = self.state
         phi = psi
         for q, ch in term.ops():
-            mat = _PAULIS[ch]
+            mat = PAULI_MATRICES[ch]
             moved = np.tensordot(mat, phi, axes=([1], [q]))
             phi = np.moveaxis(moved, 0, q)
         return float(np.real(np.vdot(psi, phi)))
@@ -165,10 +165,3 @@ class StatevectorSimulator:
         probs = probs / probs.sum()
         draws = default_rng(seed).choice(probs.size, size=n_samples, p=probs)
         return [format(int(d), f"0{self.n_qubits}b") for d in draws]
-
-
-_PAULIS = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}

@@ -114,15 +114,9 @@ def build_rdm_program(n_spatial: int) -> RDMProgram:
 
 def rdm_program(n_spatial: int) -> RDMProgram:
     """Fetch (or build and cache) the :class:`RDMProgram` of a register."""
-    store = _cache.current()
-    hit, found = store.lookup(_NAMESPACE, n_spatial)
-    if found:
-        _M_PROGRAM_CACHE.inc(outcome="hit")
-        return hit
-    _M_PROGRAM_CACHE.inc(outcome="miss")
-    hit = build_rdm_program(n_spatial)
-    store.insert(_NAMESPACE, n_spatial, hit)
-    return hit
+    return _cache.current().get_or_build(
+        _NAMESPACE, n_spatial, lambda: build_rdm_program(n_spatial),
+        _M_PROGRAM_CACHE)
 
 
 def per_term_expectations(sim, terms) -> np.ndarray:

@@ -33,8 +33,6 @@ from repro.vqe.rdm import measure_rdms
 
 # observability instruments (no-ops unless `repro.obs` is enabled)
 _M_RUNS = _obs.counter("vqe.runs", "completed VQE optimizations")
-_M_ITERATIONS = _obs.counter(
-    "vqe.iterations", "optimizer iterations across completed runs")
 
 
 @dataclass
@@ -178,9 +176,7 @@ class VQE:
         with _trace.span("vqe.run", optimizer=self.optimizer,
                          n_parameters=int(self.n_parameters)):
             res = self._dispatch(x0, seed)
-        if _obs.REGISTRY.enabled:
-            _M_RUNS.inc()
-            _M_ITERATIONS.inc(res.n_iterations)
+        _M_RUNS.inc()
         return VQEResult(
             energy=float(res.fun),
             parameters=res.x,

@@ -12,7 +12,6 @@ from repro.obs.export import (
     snapshot,
     validate_document,
     write_json,
-    write_jsonl,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -23,7 +22,7 @@ def populated():
     reg = MetricsRegistry()
     reg.enable()
     reg.counter("svd", "SVDs").inc(4)
-    reg.histogram("batch").observe(2.0)
+    reg.gauge("bond").set_max(2)
     trc = Tracer()
     trc.enable()
     with trc.span("work"):
@@ -68,16 +67,6 @@ class TestWriters:
         write_json(buf, registry=reg, tracer=trc)
         validate_document(json.loads(buf.getvalue()))
 
-    def test_write_jsonl_header_plus_spans(self, tmp_path, populated):
-        reg, trc = populated
-        path = tmp_path / "metrics.jsonl"
-        n = write_jsonl(str(path), registry=reg, tracer=trc)
-        lines = path.read_text().splitlines()
-        assert n == len(lines) == 2  # header + one span
-        header = json.loads(lines[0])
-        assert header["schema"] == SCHEMA_VERSION
-        assert json.loads(lines[1])["name"] == "work"
-
 
 class TestValidation:
     def test_rejects_wrong_schema(self):
@@ -97,19 +86,30 @@ class TestValidation:
         with pytest.raises(ValueError, match="labels/value"):
             validate_document(doc)
 
-    def test_rejects_incomplete_histogram_summary(self):
-        doc = {"schema": SCHEMA_VERSION,
-               "metrics": {"m": {"type": "histogram",
-                                 "values": [{"labels": {},
-                                             "value": {"count": 1}}]}}}
-        with pytest.raises(ValueError, match="summary missing"):
-            validate_document(doc)
-
     def test_rejects_span_missing_fields(self):
         doc = {"schema": SCHEMA_VERSION, "metrics": {},
                "spans": [{"span_id": 0}]}
         with pytest.raises(ValueError, match="span missing"):
             validate_document(doc)
+
+
+    @pytest.mark.parametrize("body, match", [
+        ({"metrics": {"x": 3}}, "metric 'x'"),
+        ({"metrics": {"m": {"type": "histogram", "values": []}}},
+         "bad type"),
+        ({"metrics": {"m": {"type": "counter", "values": [3]}}},
+         "labels/value"),
+        ({"metrics": {}, "spans": [3]}, "span"),
+        ({"metrics": {}, "flight": {"schema": "nope"}}, "flight"),
+        ({"metrics": {}, "flight": 3}, "flight"),
+        ({"metrics": {}, "flight": {
+            "schema": "repro.obs.flight/1", "capacity": 4, "dropped": 0,
+            "events": [{"seq": 0, "t_s": "soon", "kind": "serve",
+                        "name": "job_start"}]}}, "t_s"),
+    ])
+    def test_malformed_sections_are_value_errors(self, body, match):
+        with pytest.raises(ValueError, match=match):
+            validate_document({"schema": SCHEMA_VERSION, **body})
 
 
 class TestSchemaV2:
@@ -125,18 +125,18 @@ class TestSchemaV2:
                 validate_document(doc)
             assert str(err.value) == (
                 f"unknown schema {retired!r}; expected one of 'repro.obs/2', "
-                f"'repro.obs.flight/1', 'repro.obs.ts/1'")
+                f"'repro.obs.flight/1'")
 
     def test_merged_multiworker_document_roundtrips(self, populated):
         """The shape the parent produces after folding worker deltas -
-        per-worker labels, merge bookkeeping counters, worker-tagged
+        per-worker labels, the merge bookkeeping counter, worker-tagged
         spans - must survive a JSON round trip and validate."""
         reg, trc = populated
         for worker in (0, 1):
             wreg = MetricsRegistry()
             wreg.enable()
             wreg.counter("svd", "SVDs").inc(2 + worker)
-            wreg.histogram("batch").observe_many([1.0, 4.0])
+            wreg.gauge("bond").set_max(4 + worker)
             wtrc = Tracer()
             wtrc.enable()
             with wtrc.span("worker.task"):
@@ -150,26 +150,22 @@ class TestSchemaV2:
         assert {s["labels"]["worker"] for s in merge_slots} == {0, 1}
         assert next(s["value"] for s in doc["metrics"]["svd"]["values"]
                     if not s["labels"]) == 4 + 2 + 3
+        assert doc["metrics"]["bond"]["values"] == [
+            {"labels": {}, "value": 5}]
         tagged = [s for s in doc["spans"]
                   if s.get("attrs", {}).get("worker") is not None]
         assert {s["attrs"]["worker"] for s in tagged} == {0, 1}
 
 
 class TestFlightAndTelemetrySchemas:
-    """validate_document dispatch for the two observability side schemas."""
+    """validate_document on flight dumps, alone and as the ``flight``
+    section of a ``repro.obs/2`` document (the worker payload)."""
 
     def _flight(self):
         return {"schema": "repro.obs.flight/1", "capacity": 4, "dropped": 1,
                 "events": [{"seq": 3, "t_s": 0.5, "kind": "serve",
                             "name": "job_start", "worker": 1,
                             "data": {"job": "job-1"}}]}
-
-    def _ts(self):
-        return {"schema": "repro.obs.ts/1", "seq": 2, "t_s": 3.5,
-                "queue_depth": 1, "in_flight": 2,
-                "jobs": {"done": 4, "error": 0},
-                "cache": {"hit_rate": 0.5},
-                "counters": {"serve.batches": 2.0}}
 
     def test_flight_dump_round_trips(self):
         validate_document(json.loads(json.dumps(self._flight())))
@@ -181,25 +177,11 @@ class TestFlightAndTelemetrySchemas:
         with pytest.raises(ValueError, match="increasing"):
             validate_document(doc)
 
-    def test_ts_sample_round_trips(self):
-        validate_document(json.loads(json.dumps(self._ts())))
-
-    def test_ts_status_extras_accepted(self):
-        # the serve status file is a ts/1 sample with daemon fields
-        doc = self._ts()
-        doc.update(pid=1234, state="running", started_unix=1.7e9,
-                   uptime_s=12.5)
+    def test_worker_payload_with_flight_section_validates(self, populated):
+        reg, trc = populated
+        doc = snapshot(reg, trc)
+        doc["flight"] = self._flight()
         validate_document(json.loads(json.dumps(doc)))
-
-    @pytest.mark.parametrize("field,bad", [
-        ("seq", -1), ("t_s", "soon"), ("queue_depth", -2),
-        ("in_flight", 1.5), ("jobs", []), ("counters", {"x": "many"}),
-    ])
-    def test_ts_malformed_rejected(self, field, bad):
-        doc = self._ts()
-        doc[field] = bad
-        with pytest.raises(ValueError):
-            validate_document(doc)
 
     def test_obs_documents_still_accepted(self, populated):
         reg, trc = populated

@@ -22,7 +22,6 @@ from repro.obs.flight import (
     attach_flight,
     validate_flight,
 )
-from repro.obs.metrics import MetricsRegistry
 
 from tests.properties.support import given_seed, rng_for
 
@@ -92,41 +91,6 @@ class TestDisabled:
         # the recorder is the component that stays on when obs is off
         assert FlightRecorder().enabled is True
         assert FlightRecorder().capacity == DEFAULT_CAPACITY
-
-
-class TestCounterDeltas:
-    def test_deltas_since_previous_call(self, rec):
-        reg = MetricsRegistry()
-        reg.enable()
-        reg.counter("a.hits", "x").inc(3)
-        assert rec.note_counter_deltas(reg) == {"a.hits": 3.0}
-        reg.counter("a.hits", "x").inc(2)
-        assert rec.note_counter_deltas(reg) == {"a.hits": 2.0}
-        # nothing moved: no delta, no event appended
-        before = len(rec)
-        assert rec.note_counter_deltas(reg) == {}
-        assert len(rec) == before
-
-    def test_registry_reset_clamps_to_restart(self, rec):
-        """A per-job collect scope resets the registry between samples;
-        the sampler must treat that as a restart, never a negative delta."""
-        reg = MetricsRegistry()
-        reg.enable()
-        reg.counter("a.hits", "x").inc(10)
-        rec.note_counter_deltas(reg)
-        reg.reset()
-        reg.counter("a.hits", "x").inc(4)
-        assert rec.note_counter_deltas(reg) == {"a.hits": 4.0}
-
-    def test_event_carries_the_deltas(self, rec):
-        reg = MetricsRegistry()
-        reg.enable()
-        reg.counter("a.hits", "x").inc(7)
-        rec.note_counter_deltas(reg, name="tick")
-        (ev,) = rec.snapshot()["events"]
-        assert ev["kind"] == "counters"
-        assert ev["name"] == "tick"
-        assert ev["data"] == {"a.hits": 7.0}
 
 
 class TestSnapshotSchema:
@@ -245,6 +209,18 @@ class TestValidateRejects:
         del doc["events"][0]["kind"]
         with pytest.raises(ValueError, match="kind"):
             validate_flight(doc)
+
+
+    @pytest.mark.parametrize("t_s", ["soon", None])
+    def test_non_numeric_time(self, t_s):
+        doc = self._base()
+        doc["events"][0]["t_s"] = t_s
+        with pytest.raises(ValueError, match="t_s"):
+            validate_flight(doc)
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError, match="flight dump"):
+            validate_flight(3)
 
 
 class _SquareSolver:

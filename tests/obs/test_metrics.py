@@ -25,10 +25,8 @@ class TestDisabledDefault:
         r = MetricsRegistry()
         c = r.counter("c")
         g = r.gauge("g")
-        h = r.histogram("h")
         c.inc()
-        g.set(3.0)
-        h.observe(1.0)
+        g.set_max(3.0)
         assert r.snapshot() == {}
 
     def test_disabled_counter_skips_validation(self):
@@ -78,51 +76,12 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_overwrites(self, reg):
-        g = reg.gauge("bond")
-        g.set(4)
-        g.set(2)
-        assert reg.value("bond") == 2
-
     def test_set_max_keeps_maximum(self, reg):
         g = reg.gauge("bond")
         g.set_max(4)
         g.set_max(2)
         g.set_max(7)
         assert reg.value("bond") == 7
-
-
-class TestHistogram:
-    def test_summary_fields(self, reg):
-        h = reg.histogram("batch")
-        for v in (3.0, 1.0, 2.0):
-            h.observe(v)
-        s = reg.value("batch")
-        assert s == {"count": 3, "sum": 6.0, "min": 1.0, "max": 3.0}
-
-    def test_observe_many_matches_sequential_observes(self, reg):
-        values = [3.0, 1.5, 2.0, 1.5, 9.25, 0.5]
-        one = reg.histogram("one")
-        for v in values:
-            one.observe(v, level="x")
-        batch = reg.histogram("batch")
-        batch.observe_many(values, level="x")
-        assert reg.value("batch", level="x") == reg.value("one", level="x")
-
-    def test_observe_many_extends_existing_slot(self, reg):
-        h = reg.histogram("batch")
-        h.observe(10.0)
-        h.observe_many([1.0, 20.0])
-        assert reg.value("batch") == {
-            "count": 3, "sum": 31.0, "min": 1.0, "max": 20.0}
-
-    def test_observe_many_empty_and_disabled_are_noops(self, reg):
-        h = reg.histogram("batch")
-        h.observe_many([])
-        assert reg.snapshot() == {}
-        reg.disable()
-        h.observe_many([1.0, 2.0])
-        assert reg.snapshot() == {}
 
 
 class TestRegistry:

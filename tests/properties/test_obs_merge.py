@@ -2,13 +2,14 @@
 
 The cross-process aggregation contract: folding worker snapshots into a
 parent registry must give the same result for *every* merge order -
-counters add (commutative), gauges resolve by worker id (not arrival
-order), histogram aggregates combine (count/sum add, min/max extremize).
+counters add, gauges (high-water marks) take the maximum; both commute.
 Observations are integers so float non-associativity cannot mask an
 ordering bug (the float caveat is documented in docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
+
+from itertools import permutations
 
 import pytest
 
@@ -21,7 +22,7 @@ METRIC_NAMES = ("mps.svd", "mps.gemm", "pauli.expectations")
 LABEL_SETS = ({}, {"level": "pauli_groups"}, {"worker": "w"})
 
 
-def _random_worker_registry(rng, histogram: bool = False) -> MetricsRegistry:
+def _random_worker_registry(rng) -> MetricsRegistry:
     """A worker-like registry with random integer-valued instruments."""
     reg = MetricsRegistry()
     reg.enable()
@@ -33,11 +34,7 @@ def _random_worker_registry(rng, histogram: bool = False) -> MetricsRegistry:
             if rng.random() < 0.5:
                 c.inc(int(rng.integers(1, 100)), **labels)
     g = reg.gauge("mps.max_bond_dimension", "bond")
-    g.set(int(rng.integers(1, 64)))
-    if histogram:
-        h = reg.histogram("parallel.chunk_sizes", "sizes")
-        values = rng.integers(0, 50, size=int(rng.integers(1, 8)))
-        h.observe_many([int(v) for v in values])
+    g.set_max(int(rng.integers(1, 64)))
     return reg
 
 
@@ -60,31 +57,35 @@ def test_counter_totals_invariant_under_merge_order(seed):
     assert _merged(shuffled) == forward
 
 
-@given_seed()
-def test_histogram_combination_invariant_under_merge_order(seed):
-    rng = rng_for(seed)
-    workers = [(w, _random_worker_registry(rng, histogram=True).snapshot())
-               for w in range(int(rng.integers(2, 6)))]
-    forward = _merged(workers)
-    reverse = _merged(list(reversed(workers)))
-    assert reverse == forward
-    # and the combined aggregate equals a single registry observing
-    # every worker's values at once
-    direct = MetricsRegistry()
-    direct.enable()
-    h = direct.histogram("parallel.chunk_sizes", "sizes")
-    count = 0
-    for _, snap in workers:
-        for slot in snap["parallel.chunk_sizes"]["values"]:
-            agg = slot["value"]
-            count += agg["count"]
-    merged_agg = next(
-        s["value"] for s in forward["parallel.chunk_sizes"]["values"])
-    assert merged_agg["count"] == count
+def _bond_snapshot(*bonds: int) -> dict:
+    """A worker snapshot whose ``mps.max_bond_dimension`` saw ``bonds``."""
+    reg = MetricsRegistry()
+    reg.enable()
+    for bond in bonds:
+        reg.gauge("mps.max_bond_dimension", "bond").set_max(bond)
+    return reg.snapshot()
+
+
+@pytest.mark.parametrize("parent_bond, workers, expect", [
+    (None, [(0, 16), (1, 8)], 16),     # two slots: not the last worker's
+    (None, [(0, 16), (0, 4)], 16),     # one slot, two tasks
+    (32, [(0, 16), (1, 4)], 32),       # the parent's own mark stands
+])
+def test_gauge_merges_to_the_maximum_in_every_order(parent_bond, workers,
+                                                    expect):
+    for order in permutations(workers):
+        parent = MetricsRegistry()
+        parent.enable()
+        if parent_bond is not None:
+            parent.gauge("mps.max_bond_dimension", "bond").set_max(
+                parent_bond)
+        for worker, bond in order:
+            parent.merge(_bond_snapshot(bond), worker=worker)
+        assert parent.value("mps.max_bond_dimension") == expect, order
 
 
 @given_seed(max_examples=15)
-def test_gauge_resolves_by_worker_id_not_arrival_order(seed):
+def test_gauge_maximum_invariant_under_merge_order(seed):
     rng = rng_for(seed)
     workers = [(w, _random_worker_registry(rng).snapshot())
                for w in range(int(rng.integers(2, 6)))]
@@ -92,21 +93,45 @@ def test_gauge_resolves_by_worker_id_not_arrival_order(seed):
     shuffled = list(workers)
     rng.shuffle(shuffled)
     assert _merged(shuffled) == forward
-    # the surviving gauge value is specifically the highest worker's
-    top_worker = max(w for w, _ in workers)
-    expect = next(
-        s["value"]
-        for s in dict(workers)[top_worker]["mps.max_bond_dimension"]["values"])
-    got = next(
-        s["value"] for s in forward["mps.max_bond_dimension"]["values"])
-    assert got == expect
+    expect = max(slot["value"] for _, snap in workers
+                 for slot in snap["mps.max_bond_dimension"]["values"])
+    assert forward["mps.max_bond_dimension"]["values"] == [
+        {"labels": {}, "value": expect}]
+
+
+def test_process_workers_ship_the_serial_high_water_mark(h4_ring):
+    """The merged ``mps.max_bond_dimension`` of a 2-worker process run is
+    the serial run's, even when the last worker slot held the smaller
+    fragment (8 qubits on slot 0, 4 qubits on slot 1)."""
+    from repro import obs
+    from repro.common import cache
+    from repro.dmet.dmet import DMET, atoms_per_fragment
+    from repro.dmet.orthogonalize import attach_labels, lowdin_orthogonalize
+    from repro.dmet.solvers import VQEFragmentSolver
+    from repro.parallel.threelevel import ThreeLevelDriver
+
+    attach_labels(h4_ring.scf, h4_ring.rhf.basis)
+    system = lowdin_orthogonalize(h4_ring.scf, h4_ring.eri_ao)
+    solver = VQEFragmentSolver(simulator="mps", max_iterations=6,
+                               warm_start=False)
+    problems = [DMET(system, atoms_per_fragment(system, n), solver).problems[0]
+                for n in (2, 1)]
+    bonds = {}
+    for executor, workers in (("serial", 1), ("process", 2)):
+        cache.current().clear()
+        with obs.collect() as reg:
+            ThreeLevelDriver.run_fragments_local(
+                problems, solver, 0.0, max_workers=workers,
+                executor=executor)
+            bonds[executor] = reg.value("mps.max_bond_dimension")
+    assert bonds["process"] == bonds["serial"] > 2
 
 
 def test_merge_is_associative_with_incremental_parents():
     """Merging A then B equals merging a pre-merged (A+B) registry."""
     rng = rng_for(7)
-    a = _random_worker_registry(rng, histogram=True)
-    b = _random_worker_registry(rng, histogram=True)
+    a = _random_worker_registry(rng)
+    b = _random_worker_registry(rng)
     one_by_one = MetricsRegistry()
     one_by_one.merge(a, worker=0)
     one_by_one.merge(b, worker=0)
@@ -134,7 +159,7 @@ def test_merge_rejects_kind_conflicts():
     worker.counter("x", "d").inc()
     parent = MetricsRegistry()
     parent.enable()
-    parent.gauge("x", "d").set(1)
+    parent.gauge("x", "d").set_max(1)
     with pytest.raises(ValidationError, match="gauge"):
         parent.merge(worker)
 

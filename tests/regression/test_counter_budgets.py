@@ -28,7 +28,6 @@ import pytest
 
 from repro import obs
 from repro.common import cache
-from repro.parallel.executor import clear_worker_compiled_cache
 from repro.vqe.energy import EnergyEvaluator
 from repro.vqe.gradients import n_parametric_gates
 
@@ -339,30 +338,6 @@ class TestWorkerObsLifecycle:
             assert not REGISTRY.enabled
             assert REGISTRY.snapshot() == {}
         finally:
-            clear_worker_compiled_cache()
-            REGISTRY.disable()
-            REGISTRY.reset()
-
-    def test_clear_worker_compiled_cache_resets_worker_obs_state(self):
-        from repro.obs.metrics import REGISTRY
-        from repro.parallel import executor as exec_mod
-
-        # parent side: the flag is unset, obs state must be untouched
-        REGISTRY.enable()
-        REGISTRY.counter("parent.value", "kept").inc(3)
-        try:
-            clear_worker_compiled_cache()
-            assert REGISTRY.enabled
-            assert REGISTRY.value("parent.value") == 3
-            # worker side: the flag marks this process as a recorder;
-            # clearing must disable and drop everything
-            exec_mod._WORKER_OBS["active"] = True
-            clear_worker_compiled_cache()
-            assert not exec_mod._WORKER_OBS["active"]
-            assert not REGISTRY.enabled
-            assert REGISTRY.snapshot() == {}
-        finally:
-            exec_mod._WORKER_OBS["active"] = False
             REGISTRY.disable()
             REGISTRY.reset()
 

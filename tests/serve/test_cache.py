@@ -98,6 +98,35 @@ class TestByteBound:
         assert value.shape == (4096,)
         assert len(cache) == 0
 
+    def test_a_lookup_is_booked_once_in_the_producers_counter(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        reg = MetricsRegistry()
+        reg.enable()
+        outcomes = reg.counter("demo.cache")
+        cache = ServeCache()
+        builds = []
+        for _ in range(3):
+            cache.get_or_build("ns", "k", lambda: builds.append(1) or 7,
+                               outcomes)
+        assert len(builds) == 1
+        assert reg.value("demo.cache", outcome="miss") == 1
+        assert reg.value("demo.cache", outcome="hit") == 2
+        assert cache.stats()["namespaces"]["ns"] == {
+            "hits": 2, "misses": 1, "evictions": 0}
+
+    def test_the_store_itself_ticks_no_obs_instrument(self):
+        from repro import obs
+
+        with obs.collect() as reg:
+            cache = ServeCache(max_bytes=2 * (1024 * 8 + 512))
+            for i in range(4):
+                cache.lookup("ns", i)
+                cache.insert("ns", i, np.ones(1024))
+            cache.clear()
+            assert cache.stats()["totals"]["evictions"] > 0
+            assert reg.snapshot() == {}
+
     def test_reinsert_replaces_and_rebalances_budget(self):
         cache = ServeCache(max_bytes=1 << 20)
         cache.insert("ns", "k", np.ones(1000))

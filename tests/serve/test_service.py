@@ -251,80 +251,6 @@ class TestSchedulerSemantics:
         assert cache.current() is default
 
 
-class TestTelemetry:
-    def test_sample_is_a_valid_ts_document(self):
-        import json
-
-        from repro.obs.export import validate_document
-
-        with JobService(observe=False) as service:
-            service.submit(JobSpec(kind="energy", molecule="h2"))
-            service.wait(timeout=60)
-            sample = service.sample()
-        validate_document(json.loads(json.dumps(sample)))
-        assert sample["schema"] == "repro.obs.ts/1"
-        assert sample["jobs"]["done"] == 1
-        assert sample["queue_depth"] == 0
-
-    def test_sample_seq_increments(self):
-        with JobService(observe=False) as service:
-            assert service.sample()["seq"] == 0
-            assert service.sample()["seq"] == 1
-
-    def test_telemetry_stream_is_jsonl_of_valid_samples(self, tmp_path):
-        import json
-
-        from repro.obs.export import validate_document
-
-        out = tmp_path / "telemetry.jsonl"
-        with JobService(observe=False, telemetry_out=str(out),
-                        telemetry_interval_s=0.02) as service:
-            service.submit(JobSpec(kind="energy", molecule="h2"))
-            service.wait(timeout=60)
-        lines = out.read_text().splitlines()
-        assert lines  # close() always emits the final sample
-        samples = [json.loads(line) for line in lines]
-        for sample in samples:
-            validate_document(sample)
-        assert [s["seq"] for s in samples] == sorted(
-            s["seq"] for s in samples)
-        assert samples[-1]["state"] == "closed"
-        assert samples[-1]["jobs"]["done"] == 1
-
-    def test_status_file_is_rewritten_atomically(self, tmp_path):
-        import json
-        import os
-
-        from repro.obs.export import validate_document
-
-        status = tmp_path / "status.json"
-        with JobService(observe=False, status_file=str(status),
-                        telemetry_interval_s=0.02) as service:
-            service.submit(JobSpec(kind="energy", molecule="h2"))
-            service.wait(timeout=60)
-            service._emit_sample()
-            live = json.loads(status.read_text())
-            assert live["state"] == "running"
-            assert live["pid"] == os.getpid()
-        final = json.loads(status.read_text())
-        validate_document(final)
-        assert final["state"] == "closed"
-        assert not status.with_name(status.name + ".tmp").exists()
-
-    def test_counter_deltas_ride_the_samples(self):
-        from repro import obs
-        from repro.obs.flight import FLIGHT
-
-        FLIGHT.reset()      # fresh delta marks
-        with obs.collect():
-            with JobService(observe=False) as service:
-                service.submit(JobSpec(kind="energy", molecule="h2"))
-                service.wait(timeout=60)
-                deltas = service.sample()["counters"]
-        # service-level counters always move once a batch drains
-        assert any(name.startswith("serve.") for name in deltas)
-
-
 class TestFailureFlightDumps:
     def test_failed_job_record_carries_flight_dump(self):
         from repro.obs.flight import validate_flight

@@ -358,48 +358,17 @@ class TestServeTelemetry:
         path.write_text(json.dumps(self.REQUESTS))
         return str(path)
 
-    def test_telemetry_stream_and_status_file(self, tmp_path, capsys):
-        import json
-
-        from repro.obs.export import validate_document
-
-        telemetry = tmp_path / "telemetry.jsonl"
-        status = tmp_path / "status.json"
-        assert main(["serve", "--requests", self._request_file(tmp_path),
-                     "--telemetry-out", str(telemetry),
-                     "--status-file", str(status),
-                     "--telemetry-interval", "0.02"]) == 0
-        out = capsys.readouterr().out
-        assert "telemetry stream written" in out
-        assert "status file written" in out
-        samples = [json.loads(line)
-                   for line in telemetry.read_text().splitlines()]
-        assert samples
-        for sample in samples:
-            validate_document(sample)
-        final = json.loads(status.read_text())
-        validate_document(final)
-        assert final["state"] == "closed"
-        assert final["jobs"]["done"] == 2
-
-    def test_status_command_renders_snapshot(self, tmp_path, capsys):
-        status = tmp_path / "status.json"
-        assert main(["serve", "--requests", self._request_file(tmp_path),
-                     "--status-file", str(status),
-                     "--telemetry-interval", "0.02"]) == 0
+    @pytest.mark.parametrize("argv", [
+        ["status", "--status-file", "s.json"],
+        ["serve", "--requests", "r.json", "--telemetry-out", "t.jsonl"],
+        ["serve", "--requests", "r.json", "--status-file", "s.json"],
+        ["serve", "--requests", "r.json", "--telemetry-interval", "0.5"],
+    ])
+    def test_the_sampler_surface_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
         capsys.readouterr()
-        assert main(["status", "--status-file", str(status)]) == 0
-        out = capsys.readouterr().out
-        assert "service pid" in out
-        assert "closed" in out
-        assert "jobs   : 2 done" in out
-        assert "cache  :" in out
-        assert "jobs/s" in out
-
-    def test_status_missing_file_is_a_cli_error(self, tmp_path, capsys):
-        assert main(["status", "--status-file",
-                     str(tmp_path / "nope.json")]) == 1
-        assert "does not exist" in capsys.readouterr().err
 
     def test_serve_trace_writes_per_job_chrome_traces(self, tmp_path,
                                                       capsys):
