@@ -156,25 +156,13 @@ def spatial_to_spin_orbital(mo: MOIntegrals) -> tuple[np.ndarray, np.ndarray, fl
     ``h2_so`` stays in chemists' notation: (pq|rs) with p,q,r,s spin orbitals,
     nonzero only when spin(p)==spin(q) and spin(r)==spin(s).
     """
-    m = mo.n_orbitals
-    n = 2 * m
+    n = mo.n_qubits
     h1 = np.zeros((n, n))
     h2 = np.zeros((n, n, n, n))
-    for p in range(m):
-        for q in range(m):
-            h1[2 * p, 2 * q] = mo.h1[p, q]
-            h1[2 * p + 1, 2 * q + 1] = mo.h1[p, q]
-    for p in range(m):
-        for q in range(m):
-            for r in range(m):
-                for s in range(m):
-                    v = mo.h2[p, q, r, s]
-                    if v == 0.0:
-                        continue
-                    for sp in (0, 1):
-                        for sr in (0, 1):
-                            h2[2 * p + sp, 2 * q + sp,
-                               2 * r + sr, 2 * s + sr] = v
+    for sp in (0, 1):
+        h1[sp::2, sp::2] = mo.h1
+        for sr in (0, 1):
+            h2[sp::2, sp::2, sr::2, sr::2] = mo.h2 + 0.0  # -0.0 stored as +0.0
     return h1, h2, mo.constant
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.operators.fermion import FermionOperator
+from repro.operators.fermion import FermionOperator, ladder_arrays
 from repro.operators.pauli import PauliTerm, QubitOperator
 
 
@@ -113,6 +113,7 @@ def bk_encode_occupation(occupations: list[int]) -> list[int]:
 def bravyi_kitaev(op: FermionOperator, n_qubits: int | None = None,
                   tolerance: float = 1e-12) -> QubitOperator:
     """Transform a :class:`FermionOperator` under the BK encoding."""
+    ladder_arrays(op)  # validates every term
     n = n_qubits if n_qubits is not None else op.n_spin_orbitals()
     out = QubitOperator.zero()
     for term, coeff in op.terms.items():

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from repro.common.errors import ValidationError
 
 #: A single ladder operator: (spin-orbital index, is_creation)
@@ -138,6 +140,24 @@ class FermionOperator:
             parts.append(f"({c:+.4g}) {ops}")
         more = "" if len(self.terms) <= 6 else f" ... ({len(self.terms)} terms)"
         return " + ".join(parts) + more
+
+
+def ladder_arrays(op: FermionOperator) -> list:
+    """Terms grouped by length k: ``(positions, (T, k, 2) ops, coeffs)``.
+    A negative index or a flag other than 0/1 is a ValidationError."""
+    by_k: dict[int, list] = {}
+    for pos, (term, c) in enumerate(op.terms.items()):
+        by_k.setdefault(len(term), []).append((pos, term, c))
+    groups = []
+    for k, items in by_k.items():
+        pos, terms, coeffs = zip(*items)
+        lad = np.array(terms, dtype=np.int64).reshape(len(terms), k, 2)
+        bad = ((lad[..., 0] < 0) | ((lad[..., 1] & ~1) != 0)).any(1)
+        if bad.any():
+            raise ValidationError(f"bad ladder operator in term {terms[bad.argmax()]}"
+                                  ": index must be >= 0 and flag 0 or 1")
+        groups.append((np.array(pos), lad, np.array(coeffs, dtype=complex)))
+    return groups
 
 
 def _normal_order_term(ops: list[LadderOp], coeff: complex) -> FermionOperator:

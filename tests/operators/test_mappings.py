@@ -1,8 +1,11 @@
 """Tests for Jordan-Wigner and Bravyi-Kitaev transformations."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.common.errors import ValidationError
 from repro.operators.fermion import FermionOperator
 from repro.operators.jordan_wigner import jordan_wigner
 from repro.operators.bravyi_kitaev import bravyi_kitaev
@@ -80,6 +83,25 @@ class TestBravyiKitaev:
             evals = np.linalg.eigvalsh(op.matrix(n))
             assert np.allclose(np.sort(np.unique(np.round(evals, 10))),
                                [0.0, 1.0])
+
+
+_MAPPINGS = {"jw": jordan_wigner,
+             "bk": lambda op: bravyi_kitaev(op, n_qubits=4)}
+
+
+@pytest.mark.parametrize("mapping", sorted(_MAPPINGS))
+@pytest.mark.parametrize("term", [
+    ((0, 2),),
+    ((-1, 1),),
+    ((1, 1), (0, -1)),
+    ((2, 1), (-3, 0)),
+], ids=["flag-2", "index-minus-1", "flag-minus-1", "index-minus-3"])
+def test_malformed_ladder_operator_is_a_validation_error(mapping, term):
+    """A flag outside {0, 1} or a negative index names its term; the
+    operator's constructor does not check a raw terms dict."""
+    op = FermionOperator({((0, 1), (1, 0)): 0.5, term: 1.0})
+    with pytest.raises(ValidationError, match=re.escape(repr(term))):
+        _MAPPINGS[mapping](op)
 
 
 class TestSpectralEquivalence:
