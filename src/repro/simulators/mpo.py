@@ -131,7 +131,8 @@ class MPO:
         """``O|psi>`` as a normalized right-canonical MPS plus its norm.
 
         A left-to-right *zip-up* sweep contracts one MPO tensor into one
-        site tensor at a time and immediately SVD-splits the result, so the
+        site tensor at a time - two fused permute+GEMMs on the state's
+        kernel backend - and immediately SVD-splits the result, so the
         working bond never exceeds ``(previous rank) * 2`` instead of the
         naive ``D_psi * D_mpo`` product; with ``cutoff`` at numerical noise
         the kept rank is the exact Schmidt rank of ``O|psi>`` (capped at
@@ -149,25 +150,29 @@ class MPO:
             raise ValidationError(
                 f"MPO register {n} != state register {mps.n_qubits}"
             )
+        be = mps.backend
         carry = np.ones((1, 1, 1), dtype=complex)  # (new bond, ket, mpo)
         tensors: list[np.ndarray] = []
         for k in range(n):
-            b = mps.tensors[k]
-            w = self.tensors[k]
             # t[x, j, c, d] = carry[x, a, m] B[a, i, c] W[m, j, i, d]
-            t = np.einsum("xam,aic,mjid->xjcd", carry, b, w, optimize=True)
+            t = tensordot_fused(carry, mps.tensors[k], axes=((1,), (0,)),
+                                backend=be)                      # x m i c
+            t = tensordot_fused(t, self.tensors[k], axes=((1, 2), (0, 2)),
+                                backend=be).transpose(0, 2, 1, 3)  # x j c d
             x, _, ac, mc = t.shape
             if k == n - 1:
                 tensors.append(t.reshape(x, 2, ac * mc))
                 break
             u, s, vh, _ = svd_truncated(t.reshape(x * 2, ac * mc),
-                                        max_bond_dimension, cutoff)
+                                        max_bond_dimension, cutoff,
+                                        backend=be)
             tensors.append(u.reshape(x, 2, s.size))
             carry = (s[:, None] * vh).reshape(s.size, ac, mc)
         norm = float(np.linalg.norm(tensors[-1]))
         if norm == 0.0:
             raise ValidationError("operator annihilates the state")
-        out = MPS(n, max_bond_dimension=max_bond_dimension, cutoff=cutoff)
+        out = MPS(n, max_bond_dimension=max_bond_dimension, cutoff=cutoff,
+                  backend=be)
         out.tensors = tensors
         out._canonicalize()
         out.stats = TruncationStats()  # construction is not evolution
@@ -179,7 +184,8 @@ class MPO:
             raise ValidationError("refusing dense MPO expansion")
         out = self.tensors[0]  # (1, 2, 2, D)
         for k in range(1, self.n_qubits):
-            out = np.einsum("aijb,bklc->aikjlc", out, self.tensors[k])
+            out = tensordot_fused(out, self.tensors[k], axes=((3,), (0,))
+                                  ).transpose(0, 1, 3, 2, 4, 5)  # a i k j l c
             s = out.shape
             out = out.reshape(s[0], s[1] * s[2], s[3] * s[4], s[5])
         return out[0, :, :, 0]

@@ -19,6 +19,9 @@ wanders either side of it (at D = 16 it books 1.40e-2 for a real 2.86e-2,
 at D = 24 6.1e-3 for 1.4e-3).  A ``max_truncation_error`` ceiling set on
 the old ledger's reading at a cap that bites hard now trips where it
 should have.
+
+One adjoint row: on the H4 chain at D = 4 the bra ``H|psi>`` of the MPS
+gradient is built at its full rank, above the ket's cap.
 """
 
 from __future__ import annotations
@@ -26,10 +29,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import Q2Chemistry
+from repro.chem.geometry import hydrogen_chain
 from repro.circuits.circuit import Circuit
 from repro.circuits.uccsd import UCCSDAnsatz
+from repro.simulators.mpo import MPO
 from repro.simulators.mps_circuit import MPSSimulator
 from repro.simulators.statevector import StatevectorSimulator
+from repro.vqe.energy import EnergyEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +77,34 @@ def test_d32_fits_the_symmetric_state(six_orbitals):
     infidelity, booked = _infidelity_and_ledger(excitations, exact, 32)
     assert infidelity <= 1e-10
     assert booked <= 1e-20
+
+
+def test_adjoint_bra_stays_uncapped_where_the_ket_truncates(monkeypatch):
+    """H4 chain at 1.0 A, D = 4: the bra H|psi> peaks at bond 16.
+
+    Built uncapped, the MPS adjoint gradient is 0.67 (max-norm) from the
+    statevector's; capping the bra at the ket's D moves it to 1.20.
+    """
+    job = Q2Chemistry.from_molecule(hydrogen_chain(4, 1.0))
+    mo = job.mo_integrals
+    ham = job.qubit_hamiltonian()
+    circuit = UCCSDAnsatz(mo.n_orbitals, mo.n_electrons).circuit()
+    theta = 0.05 * np.random.default_rng(0).standard_normal(
+        circuit.n_parameters)
+    exact = EnergyEvaluator(ham, circuit, simulator="statevector")
+    reference = exact.gradient_source("adjoint")(theta)
+
+    bra_bonds = []
+    apply = MPO.apply
+
+    def spy(self, mps, **kwargs):
+        bra, norm = apply(self, mps, **kwargs)
+        bra_bonds.append(bra.max_bond())
+        return bra, norm
+
+    monkeypatch.setattr(MPO, "apply", spy)
+    mps = EnergyEvaluator(ham, circuit, simulator="mps",
+                          max_bond_dimension=4)
+    gradient = mps.gradient_source("adjoint")(theta)
+    assert bra_bonds == [16]
+    assert np.max(np.abs(gradient - reference)) <= 0.75

@@ -10,6 +10,7 @@ import pytest
 from repro.common.errors import ConvergenceError, ValidationError
 from repro.operators.pauli import QubitOperator, pauli_string
 from repro.simulators.dmrg import DMRG, _number_penalty
+from repro.simulators.kernels import KernelBackend
 from repro.simulators.mpo import MPO
 from repro.simulators.mps import MPS
 
@@ -59,6 +60,67 @@ class TestMPO:
     def test_zero_operator_rejected(self):
         with pytest.raises(ValidationError):
             MPO.from_qubit_operator(QubitOperator.zero(), 3)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_apply_matches_dense(self, n):
+        op = (_random_operator(n, 2 * n, seed=n)
+              + 1j * _random_operator(n, 2 * n, seed=50 + n))
+        mpo = MPO.from_qubit_operator(op, n)
+        state = MPS.random_state(n, 4, seed=n)
+        out, norm = mpo.apply(state)
+        assert out.check_right_canonical()
+        assert np.allclose(norm * out.to_statevector(),
+                           mpo.matrix() @ state.to_statevector(),
+                           rtol=0.0, atol=1e-12)
+
+    def test_apply_respects_bond_cap(self):
+        mpo = MPO.from_qubit_operator(_random_operator(6, 20, seed=3), 6)
+        state = MPS.random_state(6, 8, seed=3)
+        assert mpo.apply(state)[0].max_bond() > 3  # the cap below bites
+        out, _ = mpo.apply(state, max_bond_dimension=3)
+        assert out.max_bond() <= 3
+        assert out.check_right_canonical()
+
+    def test_apply_runs_on_the_state_backend(self):
+        be = KernelBackend("blas")
+        state = MPS.random_state(5, 4, seed=2, backend=be)
+        mpo = MPO.from_qubit_operator(_random_operator(5, 8, seed=2), 5)
+        gemms, svds = be.gemm_calls, be.svd_calls
+        out, _ = mpo.apply(state)
+        assert out.backend is state.backend
+        assert be.gemm_calls > gemms
+        assert be.svd_calls > svds
+
+    def test_apply_width_mismatch_rejected(self):
+        mpo = MPO.from_qubit_operator(_random_operator(3, 4, seed=1), 3)
+        with pytest.raises(ValidationError):
+            mpo.apply(MPS(4))
+
+    @pytest.mark.parametrize("bits", ["1", "001", "100"])
+    def test_apply_annihilating_operator_rejected(self, bits):
+        # |0><0| on every qubit that holds |1>, identity elsewhere: exactly
+        # zero, which a compressed Pauli-sum MPO is only to rounding
+        tensors = [np.diag([1.0, float(b == "0")]).astype(complex)
+                   .reshape(1, 2, 2, 1) for b in bits]
+        with pytest.raises(ValidationError):
+            MPO(tensors).apply(MPS.from_bitstring(bits))
+
+    def test_apply_and_matrix_use_no_einsum(self, monkeypatch):
+        op = _random_operator(4, 6, seed=9)
+        mpo = MPO.from_qubit_operator(op, 4)
+        state = MPS.random_state(4, 4, seed=9)
+        psi = state.to_statevector()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        monkeypatch.setattr(np, "einsum", refuse)
+        out, norm = mpo.apply(state)
+        dense = mpo.matrix()
+        monkeypatch.undo()
+        assert np.allclose(dense, op.matrix(4), atol=1e-9)
+        assert np.allclose(norm * out.to_statevector(), dense @ psi,
+                           rtol=0.0, atol=1e-12)
 
 
 class TestNumberPenalty:
