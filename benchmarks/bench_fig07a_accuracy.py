@@ -4,8 +4,9 @@ Paper setup: (i) the potential curve of the 10-atom hydrogen ring with
 two-atom DMET fragments stays within 0.5% relative error of FCI; (ii) full
 MPS-VQE on H2, LiH and H2O reproduces FCI to ~0.01% relative error.
 
-Energies are simulator-independent: the VQE runs use the fast UCC evaluator,
-which the test-suite proves numerically identical to the MPS pipeline.
+Energies are simulator-independent: the VQE runs use the dense statevector
+backend, which the test-suite proves numerically identical to the MPS
+pipeline.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ def test_fig07a_h10_ring_curve(benchmark):
     def point(r):
         job = Q2Chemistry.from_molecule(geometry.hydrogen_ring(10, r))
         e_fci = job.fci_energy()
-        res = job.dmet_energy(atoms_per_group=2, solver="vqe-fast",
+        res = job.dmet_energy(atoms_per_group=2, solver="vqe-statevector",
                               all_fragments_equivalent=True,
                               vqe_tolerance=1e-8, mu_tolerance=1e-4)
         return e_fci, res.energy
@@ -67,7 +68,7 @@ def test_fig07a_mps_vqe_small_molecules(benchmark):
         # the target is the paper's ~0.01% relative error (7.5 mHa for
         # H2O); COBYLA crosses that within ~1000 evaluations, so the
         # budget below bounds wall time without endangering the claim
-        res = job.vqe_energy(simulator="fast", tolerance=1e-6,
+        res = job.vqe_energy(simulator="statevector", tolerance=1e-6,
                              max_iterations=2500)
         return e_fci, res.energy, res.n_evaluations
 

@@ -66,7 +66,7 @@ def test_fig07b_dmet_vqe_agrees(benchmark):
         lat = ppp_carbon_ring(18, bla=bla)
         job = Q2Chemistry.from_lattice(lat)
         frags = [[i, i + 1] for i in range(0, 18, 2)]
-        res = job.dmet_energy(fragments=frags, solver="vqe-fast",
+        res = job.dmet_energy(fragments=frags, solver="vqe-statevector",
                               all_fragments_equivalent=True,
                               vqe_tolerance=1e-7, mu_tolerance=5e-3)
         return res.energy

@@ -55,7 +55,7 @@ def main() -> None:
         row = [bla, e_hf, e_ccsd]
         if use_dmet:
             frags = [[i, i + 1] for i in range(0, n_sites, 2)]
-            res = job.dmet_energy(fragments=frags, solver="vqe-fast",
+            res = job.dmet_energy(fragments=frags, solver="vqe-statevector",
                                   all_fragments_equivalent=True,
                                   vqe_tolerance=1e-7, mu_tolerance=1e-3)
             row.append(res.energy)

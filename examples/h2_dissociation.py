@@ -27,7 +27,7 @@ def main() -> None:
         job = Q2Chemistry.from_molecule(h2(r))
         e_hf = job.hartree_fock_energy()
         e_fci = job.fci_energy()
-        e_vqe = job.vqe_energy(simulator="fast").energy
+        e_vqe = job.vqe_energy(simulator="statevector").energy
         print(f"{r:6.2f} {e_hf:12.6f} {e_fci:12.6f} {e_vqe:12.6f} "
               f"{e_hf - e_fci:10.6f} {e_vqe - e_fci:10.2e}")
     print("\nRHF's error grows without bound at dissociation "

@@ -33,7 +33,8 @@ def main() -> None:
         e_fci = job.fci_energy()
         dmet_fci = job.dmet_energy(atoms_per_group=2, solver="fci",
                                    all_fragments_equivalent=True)
-        dmet_vqe = job.dmet_energy(atoms_per_group=2, solver="vqe-fast",
+        dmet_vqe = job.dmet_energy(atoms_per_group=2,
+                                   solver="vqe-statevector",
                                    all_fragments_equivalent=True,
                                    vqe_tolerance=1e-9)
         rel = abs((dmet_vqe.energy - e_fci) / e_fci) * 100

@@ -11,7 +11,8 @@ computed through the identical DMET pipeline.  The printed table mirrors the
 paper's screen: a clear ranking emerges, with the strongest binder being the
 ligand whose charge distribution is most complementary to the pocket.
 
-Usage:  python examples/ligand_binding.py [--method hf|fci|dmet-fci|dmet-vqe-fast]
+Usage:  python examples/ligand_binding.py
+            [--method hf|fci|dmet-fci|dmet-vqe-statevector]
 """
 
 import sys

@@ -241,11 +241,9 @@ def cmd_info(args) -> int:
           f"{circ.count_gates().get('EX', 0)} excitation gates = "
           f"{n_rotations} Pauli rotations = "
           f"{len(gates)} gates ({gates.n_two_qubit_gates()} two-qubit)")
-    from repro.backends import available_backends, backend_spec
+    from repro.backends import available_backends
 
-    print("backends        : " + ", ".join(
-        f"{name} ({backend_spec(name).kind})"
-        for name in available_backends()))
+    print("backends        : " + ", ".join(available_backends()))
     return 0
 
 
@@ -275,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_molecule_args(pe)
     pe.add_argument("--method", default="vqe",
                     help="hf | ccsd | fci | vqe | dmet-fci | dmet-vqe")
-    pe.add_argument("--simulator", default="fast",
+    pe.add_argument("--simulator", default="statevector",
                     choices=available_backends(), metavar="BACKEND",
                     help=f"registered backend: {backend_names} (vqe only)")
     pe.add_argument("--bond-dimension", type=int, default=None,

@@ -2,8 +2,9 @@
 
 Public surface of the execution layer: the :class:`Backend` protocol, the
 :class:`BackendSpec` descriptor and the registry functions.  The built-in
-``statevector``, ``mps``, ``density_matrix`` and ``fast`` backends register
-themselves on import; third parties call :func:`register_backend` and every
+``statevector``, ``mps`` and ``density_matrix`` backends register
+themselves on import (``fast`` is a second name for ``statevector``);
+third parties call :func:`register_backend` and every
 consumer (VQE, DMET, the CLI, the benchmarks) picks the new backend up by
 name with no further changes.
 """

@@ -15,13 +15,9 @@ GPU-style, a real device...) makes it available everywhere at once:
 >>> register_backend("my_sv", factory=my_factory, description="...")
 >>> sim = resolve_backend("my_sv", n_qubits=8)
 
-Two backend kinds exist:
-
-* ``"circuit"`` — executes arbitrary bound circuits (statevector, mps,
-  density_matrix).  ``factory(n_qubits, **opts)`` returns a fresh simulator.
-* ``"ansatz"`` — bypasses circuits for a structured ansatz (the ``fast``
-  permutation+phase UCC evaluator).  ``make_evaluator(hamiltonian, ansatz,
-  **opts)`` returns an energy-callable evaluator instead.
+Every backend executes bound circuits: ``factory(n_qubits, **opts)``
+returns a fresh simulator, and one ansatz description (a
+:class:`repro.circuits.circuit.Circuit`) runs on all of them.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from repro.operators.pauli import PauliTerm, QubitOperator
 
 @runtime_checkable
 class Backend(Protocol):
-    """Structural interface every circuit backend provides.
+    """Structural interface every backend provides.
 
     Attributes
     ----------
@@ -83,7 +79,7 @@ class Backend(Protocol):
         ...
 
 
-#: options the evaluator layer forwards to every circuit backend
+#: options the evaluator layer forwards to every backend
 _CROSS_BACKEND_OPTIONS = ("max_bond_dimension", "cutoff")
 
 
@@ -113,9 +109,7 @@ class BackendSpec:
     """
 
     name: str
-    kind: str = "circuit"  # "circuit" | "ansatz"
-    factory: Callable[..., Any] | None = None
-    make_evaluator: Callable[..., Any] | None = None
+    factory: Callable[..., Any]
     description: str = ""
     options: tuple[str, ...] = field(default=())
     #: instances survive pickling to process-pool workers
@@ -126,12 +120,7 @@ class BackendSpec:
     gradients: tuple[str, ...] = field(default=())
 
     def create(self, n_qubits: int, **opts) -> Any:
-        """Instantiate the backend for ``n_qubits`` (circuit kind only)."""
-        if self.kind != "circuit" or self.factory is None:
-            raise ValidationError(
-                f"backend {self.name!r} does not execute circuits; "
-                f"use its evaluator interface"
-            )
+        """Instantiate the backend for ``n_qubits``."""
         accepted = set(self.options) | set(_CROSS_BACKEND_OPTIONS)
         unknown = sorted(set(opts) - accepted)
         if unknown:
@@ -146,9 +135,7 @@ class BackendSpec:
 _REGISTRY: dict[str, BackendSpec] = {}
 
 
-def register_backend(name: str, factory: Callable[..., Any] | None = None, *,
-                     kind: str = "circuit",
-                     make_evaluator: Callable[..., Any] | None = None,
+def register_backend(name: str, factory: Callable[..., Any], *,
                      description: str = "", options: tuple[str, ...] = (),
                      picklable: bool = True,
                      gradients: tuple[str, ...] = (),
@@ -160,11 +147,7 @@ def register_backend(name: str, factory: Callable[..., Any] | None = None, *,
     name:
         Registry key, e.g. ``"statevector"``; resolved case-insensitively.
     factory:
-        ``(n_qubits, **opts) -> Backend`` for circuit backends.
-    kind:
-        ``"circuit"`` or ``"ansatz"``.
-    make_evaluator:
-        ``(hamiltonian, ansatz, **opts) -> evaluator`` for ansatz backends.
+        ``(n_qubits, **opts) -> Backend``.
     description:
         Documentation surfaced by the CLI (`--simulator` help) and docs.
     options:
@@ -180,16 +163,11 @@ def register_backend(name: str, factory: Callable[..., Any] | None = None, *,
         Allow replacing an existing registration.
     """
     key = name.lower()
-    if kind not in ("circuit", "ansatz"):
-        raise ValidationError(f"unknown backend kind {kind!r}")
-    if kind == "circuit" and factory is None:
-        raise ValidationError("circuit backends need a factory")
-    if kind == "ansatz" and make_evaluator is None:
-        raise ValidationError("ansatz backends need make_evaluator")
+    if factory is None:
+        raise ValidationError("a backend needs a factory")
     if key in _REGISTRY and not overwrite:
         raise ValidationError(f"backend {name!r} is already registered")
-    spec = BackendSpec(name=key, kind=kind, factory=factory,
-                       make_evaluator=make_evaluator,
+    spec = BackendSpec(name=key, factory=factory,
                        description=description, options=tuple(options),
                        picklable=picklable,
                        gradients=tuple(gradients))
@@ -216,7 +194,7 @@ def backend_spec(name: str) -> BackendSpec:
 
 
 def resolve_backend(name: str, n_qubits: int, **opts) -> Backend:
-    """Instantiate a registered circuit backend for ``n_qubits``.
+    """Instantiate a registered backend for ``n_qubits``.
 
     The single entry point replacing every ad-hoc
     ``if simulator name ... else ...`` construction site; standard options
@@ -227,10 +205,9 @@ def resolve_backend(name: str, n_qubits: int, **opts) -> Backend:
     return backend_spec(name).create(n_qubits, **opts)
 
 
-def available_backends(kind: str | None = None) -> list[str]:
-    """Sorted names of registered backends, optionally filtered by kind."""
-    return sorted(n for n, s in _REGISTRY.items()
-                  if kind is None or s.kind == kind)
+def available_backends() -> list[str]:
+    """Sorted names of registered backends."""
+    return sorted(_REGISTRY)
 
 
 # -- built-in registrations ---------------------------------------------------
@@ -267,23 +244,11 @@ def _make_density_matrix(n_qubits: int, *, max_qubits: int = 13,
     return DensityMatrixSimulator(n_qubits, max_qubits=max_qubits)
 
 
-def _make_fast_evaluator(hamiltonian: QubitOperator, ansatz, *,
-                         max_qubits: int = 16, **_cross_backend_opts):
-    """Permutation+phase dense UCC evaluator (no circuits involved)."""
-    from repro.circuits.uccsd import UCCSDAnsatz
-    from repro.vqe.fast_sv import FastUCCEvaluator
-
-    if not isinstance(ansatz, UCCSDAnsatz):
-        raise ValidationError(
-            "the 'fast' backend requires a structured UCCSDAnsatz"
-        )
-    return FastUCCEvaluator(hamiltonian, ansatz, max_qubits=max_qubits)
-
-
 register_backend(
     "statevector", _make_statevector,
-    description="dense 2^n amplitude vector; gate-by-gate tensordot, "
-                "batched compiled-observable measurement",
+    description="dense 2^n amplitude vector; excitations and wide Pauli "
+                "rotations applied whole, batched compiled-observable "
+                "measurement",
     options=("max_qubits",),
     gradients=("adjoint",),
 )
@@ -300,10 +265,15 @@ register_backend(
     description="dense 4^n density matrix; supports noise channels",
     options=("max_qubits",),
 )
+# A second name for the statevector backend, kept only because the frozen
+# end-to-end benchmark (benchmarks/e2e) runs `vqe-fast` solves and pins
+# their energies.  It declares no adjoint on purpose: the pinned 1-iteration
+# SLSQP `vqe-fast` oracle of ring6_dmet_mps would move with an adjoint
+# jacobian.  The benchmark change that retires the name retires this.
 register_backend(
-    "fast", kind="ansatz", make_evaluator=_make_fast_evaluator,
-    description="closed-form permutation+phase UCC evaluator; ~100x faster "
-                "than gate-by-gate simulation at DMET fragment sizes",
+    "fast", _make_statevector,
+    description="the statevector backend under its former name; no "
+                "adjoint gradient",
     options=("max_qubits",),
 )
 

@@ -13,6 +13,7 @@ is the paper's ~20x memory saving.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -90,12 +91,12 @@ class Circuit:
             raise ValidationError(
                 f"need {self.n_parameters} parameters, got {theta.size}"
             )
-        return Circuit(
-            n_qubits=self.n_qubits,
-            gates=[g.bound(theta) for g in self.gates],
-            n_parameters=0,
-            name=self.name,
-        )
+        # every gate was checked against the register when it was added
+        # and binding moves only angles, so the copy is not checked again
+        bound = copy.copy(self)
+        bound.gates = [g.bound(theta) for g in self.gates]
+        bound.n_parameters = 0
+        return bound
 
     def decomposed(self) -> "Circuit":
         """Equivalent circuit of one- and two-qubit gates only.

@@ -99,20 +99,19 @@ class VQEFragmentSolver:
     orbital basis for the DMET energy assembly.
 
     ``simulator`` is any backend registered in :mod:`repro.backends`:
-    "fast" (permutation+phase dense evaluator - numerically identical to
-    the circuit simulators and ~100x faster at DMET fragment sizes, the
-    default), "mps" (the paper-faithful MPS pipeline), "statevector"
-    (gate-by-gate dense), "density_matrix", or anything registered by a
-    third party.
+    "statevector" (dense; each excitation one rotation of the amplitude
+    pairs it couples, the fastest engine at DMET fragment sizes, the
+    default), "mps" (the paper-faithful MPS pipeline), "density_matrix",
+    or anything registered by a third party.
 
     The gradient source is not an option: it is worked out here, once.
     When the optimizer consumes gradients (``VQE.GRADIENT_OPTIMIZERS``)
     and the backend declares the adjoint engine ("mps", "statevector"),
     ``VQE`` gets ``grad="adjoint"`` - energy, gradient and the final RDM
     state then share one prepared state per theta.  Otherwise it gets no
-    source, so gradient-free optimizers (the "cobyla" default) and the
-    "fast" backend run as they always did.  ``self.grad`` and
-    ``details["grad"]`` record which.
+    source, so gradient-free optimizers (the "cobyla" default) and
+    "fast" (the statevector under a name that declares no adjoint) run as
+    they always did.  ``self.grad`` and ``details["grad"]`` record which.
     """
 
     #: holds only plain config + a numpy array, so process-pool fragment
@@ -120,7 +119,7 @@ class VQEFragmentSolver:
     #: the worker between calls it receives)
     picklable = True
 
-    def __init__(self, *, simulator: str = "fast",
+    def __init__(self, *, simulator: str = "statevector",
                  max_bond_dimension: int | None = None,
                  optimizer: str = "cobyla", tolerance: float = 1e-8,
                  max_iterations: int = 4000,
@@ -210,8 +209,8 @@ def make_fragment_solver(name: str, *,
 
     ``"fci"`` gives exact diagonalization; ``"vqe-<backend>"`` gives
     UCCSD-VQE on any backend registered in :mod:`repro.backends`
-    (``vqe-fast``, ``vqe-mps``, ``vqe-statevector``, ``vqe-density_matrix``,
-    or a third-party registration).  VQE options are ignored by the FCI
+    (``vqe-statevector``, ``vqe-mps``, ``vqe-density_matrix``, or a
+    third-party registration).  VQE options are ignored by the FCI
     solver so one call signature serves every solver choice.
     """
     if name == "fci":

@@ -148,8 +148,7 @@ class Q2Chemistry:
         """DMET with FCI or (MPS-)VQE fragment solvers.
 
         ``solver``: "fci" or "vqe-<backend>" for any backend registered in
-        :mod:`repro.backends` (e.g. "vqe-fast", "vqe-mps",
-        "vqe-statevector").  ``n_workers > 1`` dispatches distinct
+        :mod:`repro.backends` (e.g. "vqe-statevector", "vqe-mps").  ``n_workers > 1`` dispatches distinct
         fragments concurrently through the named ``executor`` ("thread" or
         "process").
         """

@@ -55,7 +55,7 @@ class JobSpec:
     #: kind="energy": "hf" | "fci" | "ccsd"
     method: str = "hf"
     #: kind="vqe": backend + optimizer knobs (mirrors Q2Chemistry.vqe_energy)
-    simulator: str = "fast"
+    simulator: str = "statevector"
     optimizer: str = "cobyla"
     max_bond_dimension: int | None = None
     max_iterations: int = 4000

@@ -12,10 +12,10 @@ compiles into one complex diagonal plus one index gather per *distinct* mask
 turning the O(terms x weight) per-term contraction loop into O(#masks)
 vector passes.
 
-This module is the layer both the fast UCC evaluator
-(:mod:`repro.vqe.fast_sv`) and the dense circuit simulators build on; every
-backend registered in :mod:`repro.backends` that exposes a dense state gets
-batched expectations through it.  Conventions match the statevector
+This module is the layer the dense simulators build on: the statevector
+backend applies wide Pauli rotations through :class:`PauliAction`, and
+every backend registered in :mod:`repro.backends` that exposes a dense
+state gets batched expectations through it.  Conventions match the statevector
 simulator: qubit 0 is the most significant index bit.
 """
 

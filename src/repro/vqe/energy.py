@@ -1,6 +1,6 @@
 """Energy evaluation for VQE: <psi(theta)|H|psi(theta)>.
 
-One path on every circuit backend: :meth:`EnergyEvaluator.prepare` runs
+One path on every backend: :meth:`EnergyEvaluator.prepare` runs
 the bound ansatz - the only place one runs - and keeps the backend holding
 |psi(theta)> in a one-theta slot; the whole Hamiltonian is then measured
 on that state in one batched call.  On dense backends the operator is
@@ -66,12 +66,14 @@ def _whole_rotations(circuit: Circuit) -> Circuit:
     """``circuit`` with each parametric RX/RY/RZ/RZZ written as the ``PR``
     Pauli rotation it is.
 
-    The MPS backend runs the fused stream, and fusion absorbs elementary
-    single-qubit gates into opaque U2 blocks but hands a composite gate
-    through whole: as a ``PR`` the rotation reaches the simulator as
-    itself, where the adjoint sweep can unwind it (a one-site ``PR`` is
-    applied as the single-qubit gate it is).  Gates no parameter drives
-    stay as they are and fuse.
+    The program every backend runs.  Composite gates (``EX``, ``PR``) stay
+    whole: the MPS and statevector backends apply them as themselves and
+    the density matrix decomposes them itself.  The MPS backend runs the
+    fused stream, and fusion absorbs elementary single-qubit gates into
+    opaque U2 blocks but hands a composite gate through whole: as a ``PR``
+    the rotation reaches the simulator as itself, where the adjoint sweep
+    can unwind it (a one- or two-site ``PR`` is applied as the gate it
+    is).  Gates no parameter drives stay as they are and fuse.
     """
     return Circuit(
         n_qubits=circuit.n_qubits, n_parameters=circuit.n_parameters,
@@ -110,7 +112,7 @@ class EnergyEvaluator:
     ansatz:
         Parametric circuit preparing |psi(theta)>.
     simulator:
-        Name of any registered circuit backend (see
+        Name of any registered backend (see
         :func:`repro.backends.available_backends`), e.g. "mps",
         "statevector" or "density_matrix".
     max_bond_dimension, cutoff:
@@ -124,21 +126,12 @@ class EnergyEvaluator:
                  cutoff: float = 1e-12):
         if not hamiltonian.is_hermitian():
             raise ValidationError("Hamiltonian must be hermitian")
-        spec = backend_spec(simulator)
-        if spec.kind != "circuit":
-            raise ValidationError(
-                f"backend {simulator!r} does not execute circuits; "
-                f"construct its evaluator through repro.backends instead"
-            )
+        backend_spec(simulator)  # unknown names fail here, listing the known
         self.hamiltonian = hamiltonian
         self.ansatz = ansatz
-        #: the circuit every evaluation binds and runs.  The MPS backend
-        #: applies composite gates (``EX``, ``PR``) whole, and every
-        #: parametric gate reaches it as one; every other backend runs
-        #: elementary gates, so the staircases are laid out once here, not
-        #: on each evaluation (binding re-creates only parametric gates)
-        self.program = (_whole_rotations(ansatz) if spec.name == "mps"
-                        else ansatz.decomposed())
+        #: the circuit every evaluation binds and runs, every parametric
+        #: gate in it a composite one (see :func:`_whole_rotations`)
+        self.program = _whole_rotations(ansatz)
         self._prepared: PreparedState | None = None
         self.simulator = simulator
         self.max_bond_dimension = max_bond_dimension

@@ -1,185 +1,11 @@
-"""Fast dense-vector evaluator for UCC ansatz states.
-
-Every factor of the Trotterized UCC ansatz is exp(i phi P) for a Pauli
-string P, and a Pauli string acts on the computational basis as a
-permutation with phases:
-
-    P |b> = phase(b) |b ^ xmask>
-
-so exp(i phi P) |psi> = cos(phi) |psi> + i sin(phi) (P |psi>) costs one
-gather + two axpys on the dense amplitude vector - no per-gate tensor
-reshapes, no SVDs.  For the small embedded problems DMET produces
-(4-6 orbitals, 8-12 qubits) this evaluates a VQE energy in well under a
-millisecond, ~100x faster than the gate-by-gate simulators, while remaining
-*numerically identical* to them: the Pauli factors within one excitation
-do not all commute, but those sharing a flip mask do and the circuit lists
-them next to each other, so evolving group by group
-(:attr:`repro.circuits.uccsd.Excitation.mask_groups`, the grouping and the
-order the circuit is emitted in) is the same unitary; the test-suite
-asserts agreement with both circuit simulators.
-
-This is the ansatz-evaluation half of the shared Pauli-kernel layer; the
-permutation+phase primitives themselves (:class:`PauliAction`,
-:class:`CompiledObservable`) live in
-:mod:`repro.simulators.pauli_kernels` where every dense backend shares
-them.  It registers in :mod:`repro.backends` as the ``fast`` backend; the
-paper-faithful MPS pipeline in :mod:`repro.simulators` remains the measured
-artifact in the benchmarks.
-"""
-
-from __future__ import annotations
-
-import numpy as np
-
-from repro.common.errors import ValidationError
-from repro.circuits.uccsd import UCCSDAnsatz
-from repro.operators.pauli import QubitOperator
-from repro.simulators.pauli_kernels import (  # noqa: F401  (PauliAction is
-    CompiledObservable,                       # re-exported for back-compat)
-    PauliAction,
-    compile_observable,
-    dense_term_expectations,
-)
-from repro.vqe.energy import finite_parameters
+"""Placeholder: the ``fast`` backend is the statevector simulator."""
 
 
 class FastUCCEvaluator:
-    """Energy/state evaluator for a UCCSD ansatz on a dense vector.
+    """Kept only because the frozen end-to-end benchmark's tracer
+    (``benchmarks/e2e/tracing.py``) wraps ``FastUCCEvaluator.energy`` in
+    every traced pass.  Nothing calls it, so its ``simulators.fast_*``
+    metrics read 0.  Delete with that tracer entry."""
 
-    Parameters
-    ----------
-    hamiltonian:
-        Qubit Hamiltonian.
-    ansatz:
-        The UCCSD ansatz whose excitations define the evolution.
-    max_qubits:
-        Safety cap on the dense representation (default 16: 1 MB states).
-    """
-
-    def __init__(self, hamiltonian: QubitOperator, ansatz: UCCSDAnsatz, *,
-                 max_qubits: int = 16):
-        n = ansatz.n_qubits
-        if n > max_qubits:
-            raise ValidationError(
-                f"{n} qubits exceed the fast evaluator's cap of {max_qubits}"
-            )
-        if not hamiltonian.is_hermitian():
-            raise ValidationError("Hamiltonian must be hermitian")
-        self.n_qubits = n
-        self.ansatz = ansatz
-        self.n_parameters = ansatz.n_parameters
-        dim = 1 << n
-        # Hartree-Fock reference in the ansatz's own encoding (JW: first
-        # n_electrons qubits; BK: the Fenwick-encoded occupation parities)
-        ref_index = 0
-        for q in ansatz._reference_qubits():
-            ref_index |= 1 << (n - 1 - q)
-        self._reference = np.zeros(dim, dtype=complex)
-        self._reference[ref_index] = 1.0
-        # Excitation generators in closed form.  The Pauli terms of one
-        # flip-mask group commute and combine into
-        # A = i D X_m (D diagonal, X_m a basis permutation) whose square is
-        # the real non-positive diagonal -W^2, so
-        #     exp(theta A) = cos(theta W) + sin(theta W)/W * A
-        # - one gather per mask group instead of one per Pauli string.
-        self._factors: list[tuple[int, list]] = []
-        for exc in ansatz.excitations:
-            compiled = []
-            for members in exc.mask_groups:
-                perm = PauliAction(members[0][0], n).perm
-                diag = np.zeros(dim, dtype=complex)
-                for pt, c in members:
-                    action = PauliAction(pt, n)
-                    diag += c * action.phase
-                # A^2 = -D[j] D[j^m] = -|D|^2 (anti-hermiticity makes
-                # D[j^m] = conj(D[j])), so W^2 = D * (D o perm)
-                w2 = diag * diag[perm]
-                if np.max(np.abs(w2.imag)) > 1e-10 or w2.real.min() < -1e-10:
-                    raise ValidationError(
-                        "excitation generator is not anti-hermitian in "
-                        "closed form; cannot use the fast evaluator"
-                    )
-                w = np.sqrt(np.maximum(w2.real, 0.0))
-                # W takes only a handful of distinct values (sums of a few
-                # unit phases), so trig evaluates on a tiny table and is
-                # broadcast back by one integer gather
-                w_vals, inv = np.unique(np.round(w, 14), return_inverse=True)
-                compiled.append((perm, diag, w_vals,
-                                 inv.astype(np.int32)))
-            self._factors.append((exc.param_index, compiled))
-        # Hamiltonian terms grouped by flip pattern: the shared
-        # CompiledObservable kernel collapses all strings sharing an X/Y
-        # mask into one complex diagonal + one gather (molecular
-        # Hamiltonians compress ~7x)
-        self._ham = CompiledObservable(hamiltonian, n)
-        self.evaluations = 0
-
-    # -- state preparation ----------------------------------------------------
-
-    def state(self, theta: np.ndarray) -> np.ndarray:
-        """|psi(theta)> as a dense vector (qubit 0 = MSB).
-
-        Hot loop: one gather + three in-place passes per Pauli factor,
-        reusing a scratch buffer to avoid per-factor allocations.
-        """
-        theta = finite_parameters(theta)
-        if theta.size < self.n_parameters:
-            raise ValidationError(
-                f"need {self.n_parameters} parameters, got {theta.size}"
-            )
-        psi = self._reference.copy()
-        tmp = np.empty_like(psi)
-        for idx, compiled in self._factors:
-            t = theta[idx]
-            if t == 0.0:
-                continue
-            for perm, diag, w_vals, inv in compiled:
-                # exp(t * i D X_m) psi, elementwise in the W spectrum
-                np.take(psi, perm, out=tmp)
-                tmp *= diag
-                tw = t * w_vals
-                ratio_tab = 1j * np.where(w_vals > 1e-30,
-                                          np.sin(tw)
-                                          / np.where(w_vals > 1e-30,
-                                                     w_vals, 1.0),
-                                          t)
-                cos_tab = np.cos(tw)
-                psi *= cos_tab[inv]
-                tmp *= ratio_tab[inv]
-                psi += tmp
-        return psi
-
-    # -- measurement -----------------------------------------------------------
-
-    def energy(self, theta: np.ndarray) -> float:
-        """<H> at the given parameters via the compiled observable."""
-        self.evaluations += 1
-        return self._ham.expectation(self.state(theta))
-
-    __call__ = energy
-
-    def final_state(self, theta: np.ndarray) -> "FastStateAdapter":
-        """Adapter measuring |psi(theta)> (for RDMs)."""
-        return FastStateAdapter(self.n_qubits, self.state(theta))
-
-
-class FastStateAdapter:
-    """Duck-typed 'simulator' over a fixed dense state.
-
-    Exposes the measurement half of the backend contract
-    (``term_expectations`` - what :func:`repro.vqe.rdm.measure_rdms`
-    asks for - and ``expectation``), backed by the shared dense Pauli
-    kernels.
-    """
-
-    def __init__(self, n_qubits: int, psi: np.ndarray):
-        self.n_qubits = n_qubits
-        self._psi = psi
-
-    def expectation(self, op: QubitOperator) -> float:
-        """<psi| op |psi> through the shared compile cache."""
-        return compile_observable(op, self.n_qubits).expectation(self._psi)
-
-    def term_expectations(self, terms) -> np.ndarray:
-        """<psi| P |psi> of every Pauli string, one gather per flip mask."""
-        return dense_term_expectations(terms, self.n_qubits, self._psi)
+    def energy(self, theta):
+        raise NotImplementedError("'fast' is the statevector backend")

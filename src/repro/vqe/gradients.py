@@ -27,7 +27,8 @@ one above it, and the property suite pins their pairwise agreement):
   of 2P (finite differences) or 2G (parameter shift, G = parametric gate
   count) energy evaluations.  The dense oracle starts from a copy of the
   prepared simulator and *undoes* each gate on both states through that
-  simulator's own gate application.  On MPS only the bra is un-evolved:
+  simulator's own gate application - an ``EX`` whole, its overlap taken
+  on the amplitude pairs it rotates.  On MPS only the bra is un-evolved:
   the ket is read back from the forward pass's trail
   (:class:`repro.simulators.mps_circuit.ForwardTrail` - the site tensors
   each gate replaced, by reference), so every overlap sees exactly the
@@ -47,8 +48,7 @@ one above it, and the property suite pins their pairwise agreement):
   rotations first: its generator T - T+ has spectrum {0, +-i}, not +-1.
   Costs 2G energy evaluations (G counted after the expansion).
 * ``finite_diff`` - central differences per parameter (2P evaluations);
-  works with any energy callable, including the circuit-free "fast"
-  ansatz backend.
+  works with any energy callable.
 
 All three are deterministic functions of (hamiltonian, circuit, theta):
 the adjoint path never touches the executor layer, so gradients are
@@ -76,6 +76,7 @@ from repro.simulators.mps_measure import (
     _advance_right,
     compiled_mpo,
 )
+from repro.simulators.statevector import ladder_pairs, pauli_action
 from repro.vqe.energy import finite_parameters
 
 #: valid values for the ``grad`` knob exposed by the VQE layer / CLI
@@ -160,14 +161,30 @@ def n_parametric_gates(circuit: Circuit) -> int:
 # -- dense adjoint (the exact oracle) -----------------------------------------
 
 
+def _dense_derivative_overlap(gate: Gate, bra: np.ndarray, ket: np.ndarray,
+                              n_qubits: int) -> complex:
+    """<bra| D |ket> for D of :func:`_angle_derivative`, on flat amplitudes.
+
+    ``EX``: D = T - T+, nonzero only on the amplitude pairs of
+    :func:`repro.simulators.statevector.ladder_pairs`.  ``PR``:
+    D = -i/2 P, one signed permutation.
+    """
+    if gate.name == "EX":
+        rows, partners, signs = ladder_pairs(n_qubits, gate.qubits,
+                                             gate.pauli)
+        return np.vdot(bra[rows], signs * ket[partners])
+    action = pauli_action(n_qubits, gate.qubits, gate.pauli)
+    return -0.5j * np.vdot(bra, action.apply(ket))
+
+
 def _adjoint_dense(evaluator, sim, theta: np.ndarray) -> np.ndarray:
     """Exact adjoint gradient on the dense statevector (the oracle).
 
     ``sim`` holds |psi(theta)> as the evaluator prepared it; it is copied,
-    never changed.  Unwinds the elementary-gate stream the evaluator ran:
-    the parameter of an ``EX`` or ``PR`` gate sits on the central RZ of
-    each of its staircases, whose generator Z differentiates the same
-    angle.
+    never changed.  Unwinds the program the evaluator ran, whose
+    parametric gates are all ``EX`` or ``PR`` (:func:`_whole_rotations`
+    of :mod:`repro.vqe.energy`): each is undone whole, by the kernel that
+    applied it, at -angle.
     """
     grad = np.zeros(evaluator.program.n_parameters)
     observable = evaluator.compiled()
@@ -178,15 +195,13 @@ def _adjoint_dense(evaluator, sim, theta: np.ndarray) -> np.ndarray:
     psi = sim.statevector()
     ket, bra = sim.copy(), sim.copy()
     bra.set_state(observable.apply(psi) - observable.constant * psi)
+    n = sim.n_qubits
     for raw in reversed(evaluator.program.gates):
         if raw.param is not None:
             idx, mult = raw.param
-            (coeff, ops), = _angle_derivative(raw)
-            gp = ket.copy()
-            for q, ch in ops.items():
-                gp.apply_gate(Gate(ch, (q,)))
-            grad[idx] += mult * 2.0 * float(
-                np.real(coeff * np.vdot(bra.state, gp.state)))
+            overlap = _dense_derivative_overlap(
+                raw, bra.state.reshape(-1), ket.state.reshape(-1), n)
+            grad[idx] += mult * 2.0 * overlap.real
         inv = _inverse(raw.bound(theta))
         ket.apply_gate(inv)
         bra.apply_gate(inv)
@@ -477,11 +492,10 @@ def adjoint_gradient(evaluator, theta: np.ndarray) -> np.ndarray:
 def make_gradient(evaluator, source: str = "adjoint", *,
                   fd_step: float = 1e-6,
                   n_parameters: int | None = None) -> GradientSource:
-    """Build a :class:`GradientSource` for an evaluator.
+    """Build a :class:`GradientSource` for an
+    :class:`repro.vqe.energy.EnergyEvaluator`.
 
-    ``finite_diff`` works with any energy callable (including the
-    circuit-free "fast" backend); ``param_shift`` needs a circuit
-    evaluator exposing ``energy_of_circuit``; ``adjoint`` additionally
+    ``finite_diff`` and ``param_shift`` run on every backend; ``adjoint``
     needs a backend declaring the capability on its
     :class:`repro.backends.BackendSpec`.
     """
@@ -491,20 +505,10 @@ def make_gradient(evaluator, source: str = "adjoint", *,
             f"unknown gradient source {source!r}; "
             f"expected one of {GRADIENT_SOURCES}"
         )
-    circuit = getattr(evaluator, "ansatz", None)
-    if key != "finite_diff":
-        if not isinstance(circuit, Circuit):
-            raise ValidationError(
-                f"gradient source {key!r} needs a circuit evaluator; "
-                f"the closed-form ansatz backends support only "
-                f"'finite_diff'"
-            )
-        if key == "adjoint":
-            _adjoint_spec(evaluator.simulator)
-    elif n_parameters is None:
-        n_parameters = getattr(circuit, "n_parameters", None)
-        if n_parameters is None:
-            n_parameters = getattr(evaluator, "n_parameters", None)
+    if key == "adjoint":
+        _adjoint_spec(evaluator.simulator)
+    elif key == "finite_diff" and n_parameters is None:
+        n_parameters = evaluator.ansatz.n_parameters
     return GradientSource(key, evaluator, fd_step=fd_step,
                           n_parameters=n_parameters)
 

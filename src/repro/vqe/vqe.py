@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backends import backend_spec
 from repro.common.errors import CheckpointError, ValidationError
 from repro.circuits.circuit import Circuit
 from repro.circuits.uccsd import UCCSDAnsatz
@@ -68,8 +67,7 @@ class VQE:
     ansatz:
         Parametric circuit, or a :class:`UCCSDAnsatz` (its circuit is built).
     simulator / max_bond_dimension:
-        Backend name resolved through :mod:`repro.backends` (any registered
-        circuit backend, or an ansatz backend such as "fast"); the bond
+        Backend name resolved through :mod:`repro.backends`; the bond
         dimension is forwarded to :class:`EnergyEvaluator`.
     optimizer:
         "cobyla" | "l-bfgs-b" | "nelder-mead" | "spsa" | "adam".
@@ -109,26 +107,14 @@ class VQE:
                  max_iterations: int = 2000, grad: str | None = None,
                  checkpoint_path: str | None = None,
                  checkpoint_every: int = 1, resume: bool = False):
-        self.uccsd = ansatz if isinstance(ansatz, UCCSDAnsatz) else None
-        spec = backend_spec(simulator)
-        if spec.kind == "ansatz":
-            # closed-form evaluator (e.g. "fast"): bypasses circuits, so it
-            # needs the structured ansatz rather than a flat gate list
-            if self.uccsd is None:
-                raise ValidationError(
-                    f"backend {simulator!r} requires a UCCSDAnsatz"
-                )
-            self.evaluator = spec.make_evaluator(hamiltonian, self.uccsd)
-            self.n_parameters = self.uccsd.n_parameters
-        else:
-            circuit = (ansatz.circuit() if isinstance(ansatz, UCCSDAnsatz)
-                       else ansatz)
-            if circuit.n_parameters == 0:
-                raise ValidationError("ansatz has no variational parameters")
-            self.evaluator = EnergyEvaluator(
-                hamiltonian, circuit, simulator=simulator,
-                max_bond_dimension=max_bond_dimension)
-            self.n_parameters = circuit.n_parameters
+        circuit = (ansatz.circuit() if isinstance(ansatz, UCCSDAnsatz)
+                   else ansatz)
+        if circuit.n_parameters == 0:
+            raise ValidationError("ansatz has no variational parameters")
+        self.evaluator = EnergyEvaluator(
+            hamiltonian, circuit, simulator=simulator,
+            max_bond_dimension=max_bond_dimension)
+        self.n_parameters = circuit.n_parameters
         self.optimizer = optimizer.lower()
         self.tolerance = tolerance
         self.max_iterations = max_iterations

@@ -1,11 +1,10 @@
 """Cross-backend parity: every registered backend is interchangeable.
 
 Random bound circuits and random hermitian operators run through every
-circuit backend in the registry, and the ansatz-kind `fast` backend is
-checked against the circuit path on a UCCSD ansatz - energies and
-expectations must agree to 1e-10.  This is the contract the backend
-registry exists to enforce: register a backend and this suite certifies it
-against all the others.
+backend in the registry, and every backend runs a UCCSD ansatz to the
+same energies - energies and expectations must agree to 1e-10.  This is
+the contract the backend registry exists to enforce: register a backend
+and this suite certifies it against all the others.
 """
 
 import numpy as np
@@ -37,10 +36,6 @@ def _random_hermitian_operator(n_qubits, n_terms, seed):
     return op + QubitOperator.identity(float(rng.standard_normal()))
 
 
-def _circuit_backends():
-    return available_backends(kind="circuit")
-
-
 class TestRegistry:
     def test_all_four_builtins_registered(self):
         names = available_backends()
@@ -51,17 +46,9 @@ class TestRegistry:
         with pytest.raises(ValidationError, match="statevector"):
             resolve_backend("quantum", 4)
 
-    def test_specs_have_kinds(self):
-        assert backend_spec("mps").kind == "circuit"
-        assert backend_spec("fast").kind == "ansatz"
-
-    def test_ansatz_backend_refuses_circuit_creation(self):
-        with pytest.raises(ValidationError):
-            resolve_backend("fast", 4)
-
     def test_cross_backend_options_are_tolerated(self):
-        # every circuit backend must accept the uniform option set
-        for name in _circuit_backends():
+        # every backend must accept the uniform option set
+        for name in available_backends():
             sim = resolve_backend(name, 4, max_bond_dimension=8,
                                   cutoff=1e-12)
             assert sim.n_qubits == 4
@@ -76,7 +63,7 @@ class TestRegistry:
 
     def test_retired_measurement_option_is_rejected(self):
         assert "measurement" not in backend_spec("mps").options
-        for name in _circuit_backends():
+        for name in available_backends():
             with pytest.raises(ValidationError, match="measurement"):
                 resolve_backend(name, 4, measurement="sweep")
 
@@ -126,7 +113,7 @@ class TestCircuitBackendParity:
         circ = random_brick_circuit(n_qubits, 2, seed=seed)
         op = _random_hermitian_operator(n_qubits, 12, seed=seed + 100)
         values = {}
-        for name in _circuit_backends():
+        for name in available_backends():
             sim = resolve_backend(name, n_qubits)
             sim.run(circ)
             values[name] = sim.expectation(op)
@@ -140,7 +127,7 @@ class TestCircuitBackendParity:
         circ = random_brick_circuit(n, 2, seed=seed)
         rng = np.random.default_rng(seed)
         sims = {name: resolve_backend(name, n).run(circ)
-                for name in _circuit_backends()}
+                for name in available_backends()}
         for _ in range(4):
             qubits = rng.choice(n, size=int(rng.integers(1, 4)),
                                 replace=False)
@@ -156,7 +143,7 @@ class TestCircuitBackendParity:
         circ = random_brick_circuit(4, 2, seed=7)
         more = random_brick_circuit(4, 1, seed=8)
         op = _random_hermitian_operator(4, 8, seed=9)
-        for name in _circuit_backends():
+        for name in available_backends():
             sim = resolve_backend(name, 4).run(circ)
             before = sim.expectation(op)
             clone = sim.copy()
@@ -174,7 +161,7 @@ class TestCircuitBackendParity:
         c.append(Gate("H", (0,)))
         for q in range(3):
             c.append(Gate("CX", (q, q + 1)))
-        for name in _circuit_backends():
+        for name in available_backends():
             sim = resolve_backend(name, 4).run(c)
             samples = sim.sample(200, seed=11)
             assert set(samples) <= {"0000", "1111"}, name
@@ -193,17 +180,28 @@ class TestFastBackendParity:
         rng = np.random.default_rng(5)
         thetas = [np.zeros(ansatz.n_parameters),
                   rng.standard_normal(ansatz.n_parameters) * 0.3]
-        for name in _circuit_backends():
+        for name in available_backends():
             circ_eval = EnergyEvaluator(ham, ansatz.circuit(),
                                         simulator=name)
             for theta in thetas:
                 assert fast.energy(theta) == pytest.approx(
                     circ_eval.energy(theta), abs=ATOL), name
 
-    def test_fast_requires_structured_ansatz(self):
+    @pytest.mark.parametrize("ansatz", ["uccsd", "brick"])
+    def test_fast_is_the_statevector_bitwise(self, ansatz):
+        """`fast` is a second name for the statevector backend (kept for
+        the frozen end-to-end benchmark): same energies to the last bit,
+        on a structured ansatz and on a circuit that has none."""
         from repro.circuits.hea import brick_ansatz
-        from repro.vqe.vqe import VQE
+        from repro.vqe.energy import EnergyEvaluator
 
-        ham = _random_hermitian_operator(4, 6, seed=3)
-        with pytest.raises(ValidationError):
-            VQE(ham, brick_ansatz(4), simulator="fast")
+        circuit = (UCCSDAnsatz(3, 2).circuit() if ansatz == "uccsd"
+                   else brick_ansatz(6, window=3))
+        ham = _random_hermitian_operator(6, 12, seed=4)
+        rng = np.random.default_rng(8)
+        fast, sv = (EnergyEvaluator(ham, circuit, simulator=name)
+                    for name in ("fast", "statevector"))
+        for _ in range(3):
+            theta = 0.4 * rng.standard_normal(circuit.n_parameters)
+            assert fast.energy(theta) == sv.energy(theta)
+        assert "adjoint" not in backend_spec("fast").gradients

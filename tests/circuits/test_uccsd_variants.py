@@ -7,7 +7,7 @@ from repro.common.errors import ValidationError
 from repro.circuits.uccsd import UCCSDAnsatz
 from repro.operators.bravyi_kitaev import bk_encode_occupation
 from repro.operators.molecular import molecular_qubit_hamiltonian
-from repro.vqe.fast_sv import FastUCCEvaluator
+from repro.vqe.energy import EnergyEvaluator
 from repro.vqe.vqe import VQE
 
 
@@ -39,14 +39,14 @@ class TestBKAnsatz:
     def test_reference_energy_is_hf(self, h2):
         ham = molecular_qubit_hamiltonian(h2.mo, "bk")
         ansatz = UCCSDAnsatz(2, 2, mapping="bk")
-        ev = FastUCCEvaluator(ham, ansatz)
+        ev = EnergyEvaluator(ham, ansatz.circuit(), simulator="statevector")
         e_ref = ev.energy(np.zeros(ansatz.n_parameters))
         assert e_ref == pytest.approx(h2.scf.energy, abs=1e-8)
 
     def test_vqe_reaches_fci(self, h2):
         ham = molecular_qubit_hamiltonian(h2.mo, "bk")
         ansatz = UCCSDAnsatz(2, 2, mapping="bk")
-        res = VQE(ham, ansatz, simulator="fast").run()
+        res = VQE(ham, ansatz, simulator="statevector").run()
         assert res.energy == pytest.approx(h2.fci.energy, abs=1e-7)
 
     def test_same_parameter_count_as_jw(self):
@@ -87,7 +87,7 @@ class TestUCCGSD:
         errors = {}
         for gen in (False, True):
             ansatz = UCCSDAnsatz(4, 4, generalized=gen)
-            r = VQE(ham, ansatz, simulator="fast",
+            r = VQE(ham, ansatz, simulator="statevector",
                     max_iterations=6000).run()
             errors[gen] = r.energy - e_fci
         assert errors[True] < 0.05 * errors[False]

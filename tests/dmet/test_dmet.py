@@ -86,7 +86,7 @@ class TestAccuracy:
         frags = atoms_per_fragment(system, 2)
         fci_res = DMET(system, frags, all_fragments_equivalent=True).run()
         vqe_res = DMET(system, frags,
-                       solver=VQEFragmentSolver(simulator="fast",
+                       solver=VQEFragmentSolver(simulator="statevector",
                                                 tolerance=1e-9),
                        all_fragments_equivalent=True).run()
         assert vqe_res.energy == pytest.approx(fci_res.energy, abs=5e-4)

@@ -46,7 +46,7 @@ class TestWavefunctionSectors:
         from repro.vqe.vqe import VQE
 
         ham = molecular_qubit_hamiltonian(h2.mo)
-        vqe = VQE(ham, UCCSDAnsatz(2, 2), simulator="fast")
+        vqe = VQE(ham, UCCSDAnsatz(2, 2), simulator="statevector")
         res = vqe.run()
         sim = vqe.evaluator.final_state(res.parameters)
         assert sim.expectation(number_operator(4)) == pytest.approx(

@@ -374,15 +374,18 @@ GRADIENT_BUDGETS = {
         "mps.gate_2q": 0,
         "mps.swap": 0,
     },
+    # ket + bra over the gates the evaluator ran: each excitation whole,
+    # where the parent unwound its decomposed() staircases (2 x 158 for
+    # H2, 2 x 14692 for LiH)
     ("h2", "statevector"): {
         "grad.forward_sweeps": 1,
         "grad.backward_sweeps": 1,
-        "grad.gate_undos": 316,       # 2 x 158 decomposed gates
+        "grad.gate_undos": 10,        # 2 x (3 excitations + 2 X)
     },
     ("lih", "statevector"): {
         "grad.forward_sweeps": 1,
         "grad.backward_sweeps": 1,
-        "grad.gate_undos": 29384,     # 2 x 14692 gates
+        "grad.gate_undos": 216,       # 2 x (104 excitations + 4 X)
     },
     # D = 16: 104 excitations + 4 reference X gates, bra only
     ("lih", "mps"): {

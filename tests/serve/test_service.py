@@ -96,7 +96,7 @@ class TestServiceLifecycle:
         from repro.chem.geometry import molecule_from_spec
         from repro.q2chem import Q2Chemistry
 
-        full = JobSpec(kind="dmet", molecule="h2", solver="vqe-fast",
+        full = JobSpec(kind="dmet", molecule="h2", solver="vqe-statevector",
                        atoms_per_group=1)
         starved = JobSpec(**{**full.to_dict(), "max_iterations": 3})
         with JobService(observe=False) as service:
@@ -106,7 +106,7 @@ class TestServiceLifecycle:
         assert short != long
         direct = Q2Chemistry.from_molecule(
             molecule_from_spec("h2")).dmet_energy(
-                solver="vqe-fast", atoms_per_group=1,
+                solver="vqe-statevector", atoms_per_group=1,
                 vqe_optimizer=starved.optimizer, vqe_max_iterations=3,
                 vqe_tolerance=starved.tolerance)
         assert short == direct.energy

@@ -87,7 +87,7 @@ class TestNoisyCircuits:
         from repro.vqe.vqe import VQE
 
         ham = molecular_qubit_hamiltonian(h2.mo)
-        vqe = VQE(ham, UCCSDAnsatz(2, 2), simulator="fast")
+        vqe = VQE(ham, UCCSDAnsatz(2, 2), simulator="statevector")
         theta = vqe.run().parameters
         circ = UCCSDAnsatz(2, 2).circuit().bind(theta)
 

@@ -193,7 +193,7 @@ class TestMetricsOut:
 
         path = tmp_path / "metrics.json"
         assert main(["energy", "--molecule", "h2", "--method", "vqe",
-                     "--simulator", "fast", "--metrics-out", str(path),
+                     "--simulator", "statevector", "--metrics-out", str(path),
                      "--trace"]) == 0
         doc = json.loads(path.read_text())
         validate_document(doc)
@@ -239,7 +239,7 @@ class TestServeCommand:
         {"kind": "energy", "molecule": "h2", "method": "hf"},
         {"kind": "energy", "molecule": "h2", "method": "fci"},
         {"kind": "energy", "molecule": "h2", "method": "hf", "tag": "dup"},
-        {"kind": "vqe", "molecule": "h2", "simulator": "fast"},
+        {"kind": "vqe", "molecule": "h2", "simulator": "statevector"},
     ]
 
     def _request_file(self, tmp_path, entries=None):

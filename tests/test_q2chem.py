@@ -23,7 +23,7 @@ class TestMoleculePipeline:
         assert e_ccsd == pytest.approx(e_fci, abs=1e-8)  # 2 electrons
 
     def test_vqe_matches_fci(self, h2_job):
-        res = h2_job.vqe_energy(simulator="fast")
+        res = h2_job.vqe_energy(simulator="statevector")
         assert res.energy == pytest.approx(h2_job.fci_energy(), abs=1e-7)
 
     def test_vqe_mps_matches_fci(self, h2_job):
@@ -46,7 +46,7 @@ class TestRingPipeline:
         e_fci = job.fci_energy()
         dmet_fci = job.dmet_energy(atoms_per_group=2, solver="fci",
                                    all_fragments_equivalent=True)
-        dmet_vqe = job.dmet_energy(atoms_per_group=2, solver="vqe-fast",
+        dmet_vqe = job.dmet_energy(atoms_per_group=2, solver="vqe-statevector",
                                    all_fragments_equivalent=True,
                                    vqe_tolerance=1e-9)
         for res in (dmet_fci, dmet_vqe):

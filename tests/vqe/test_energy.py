@@ -305,9 +305,11 @@ class TestNonFiniteParameters:
         self._assert_structured(excinfo, 0, "inf")
 
     def test_fast_evaluator(self):
-        from repro.vqe.fast_sv import FastUCCEvaluator
-
-        ev = FastUCCEvaluator(self.ham, self.ansatz)
+        """What the closed-form `fast` evaluator checked: the statevector
+        backend, which now applies its excitations, names the first
+        non-finite entry."""
+        ev = EnergyEvaluator(self.ham, self.ansatz.circuit(),
+                             simulator="statevector")
         with pytest.raises(ValidationError) as excinfo:
             ev.energy(np.array([-np.inf, np.nan]))
         self._assert_structured(excinfo, 0, "-inf")

@@ -1,13 +1,16 @@
-"""Tests for the permutation+phase Pauli actions and the fast evaluator."""
+"""Tests for the permutation+phase Pauli actions.
+
+The closed-form UCC evaluator these rode with is gone; the statevector
+backend applies excitations itself (tests/simulators/test_statevector.py).
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import ValidationError
-from repro.operators.pauli import PauliTerm, QubitOperator
-from repro.vqe.fast_sv import FastUCCEvaluator, PauliAction
+from repro.operators.pauli import PauliTerm
+from repro.simulators.pauli_kernels import PauliAction
 
 N = 4
 
@@ -48,47 +51,3 @@ class TestPauliAction:
         assert np.linalg.norm(action.apply(psi)) == pytest.approx(
             np.linalg.norm(psi))
 
-
-class TestFastUCCEvaluator:
-    def test_qubit_cap(self, h2):
-        from repro.circuits.uccsd import UCCSDAnsatz
-        from repro.operators.molecular import molecular_qubit_hamiltonian
-
-        ham = molecular_qubit_hamiltonian(h2.mo)
-        with pytest.raises(ValidationError):
-            FastUCCEvaluator(ham, UCCSDAnsatz(2, 2), max_qubits=3)
-
-    def test_nonhermitian_rejected(self):
-        from repro.circuits.uccsd import UCCSDAnsatz
-
-        bad = QubitOperator.from_term("XYZI", 1j)
-        with pytest.raises(ValidationError):
-            FastUCCEvaluator(bad, UCCSDAnsatz(2, 2))
-
-    def test_parameter_count_enforced(self, h2):
-        from repro.circuits.uccsd import UCCSDAnsatz
-        from repro.operators.molecular import molecular_qubit_hamiltonian
-
-        ham = molecular_qubit_hamiltonian(h2.mo)
-        ev = FastUCCEvaluator(ham, UCCSDAnsatz(2, 2))
-        with pytest.raises(ValidationError):
-            ev.energy(np.zeros(1))
-
-    def test_state_normalized(self, h2):
-        from repro.circuits.uccsd import UCCSDAnsatz
-        from repro.operators.molecular import molecular_qubit_hamiltonian
-
-        ham = molecular_qubit_hamiltonian(h2.mo)
-        ev = FastUCCEvaluator(ham, UCCSDAnsatz(2, 2))
-        psi = ev.state(np.array([0.4, -0.9]))
-        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-
-    def test_evaluation_counter(self, h2):
-        from repro.circuits.uccsd import UCCSDAnsatz
-        from repro.operators.molecular import molecular_qubit_hamiltonian
-
-        ham = molecular_qubit_hamiltonian(h2.mo)
-        ev = FastUCCEvaluator(ham, UCCSDAnsatz(2, 2))
-        ev.energy(np.zeros(2))
-        ev.energy(np.zeros(2))
-        assert ev.evaluations == 2

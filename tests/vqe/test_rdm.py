@@ -5,7 +5,7 @@ import pytest
 
 from repro.circuits.uccsd import UCCSDAnsatz
 from repro.operators.molecular import molecular_qubit_hamiltonian
-from repro.vqe.fast_sv import FastUCCEvaluator
+from repro.vqe.energy import EnergyEvaluator
 from repro.vqe.rdm import (
     build_rdm_program,
     excitation_qubit_operators,
@@ -18,11 +18,11 @@ from ..properties.support import ExpectationOnly
 
 @pytest.fixture(scope="module")
 def h2_state(request):
-    """Optimal H2 state prepared with the fast evaluator."""
+    """Optimal H2 state prepared on the statevector backend."""
     h2 = request.getfixturevalue("h2")
     ham = molecular_qubit_hamiltonian(h2.mo)
-    ansatz = UCCSDAnsatz(2, 2)
-    ev = FastUCCEvaluator(ham, ansatz)
+    ev = EnergyEvaluator(ham, UCCSDAnsatz(2, 2).circuit(),
+                         simulator="statevector")
     from repro.vqe.optimizers import minimize_scipy
 
     res = minimize_scipy(ev, np.zeros(2), method="COBYLA", tolerance=1e-10)
@@ -66,7 +66,8 @@ class TestMeasureRDMs:
     def test_hf_reference_rdms(self, h2):
         """At theta=0 the RDMs are the closed-shell HF ones."""
         ham = molecular_qubit_hamiltonian(h2.mo)
-        ev = FastUCCEvaluator(ham, UCCSDAnsatz(2, 2))
+        ev = EnergyEvaluator(ham, UCCSDAnsatz(2, 2).circuit(),
+                             simulator="statevector")
         sim = ev.final_state(np.zeros(2))
         g1, g2 = measure_rdms(sim, 2)
         assert g1[0, 0] == pytest.approx(2.0, abs=1e-10)  # occupied
@@ -109,9 +110,12 @@ class TestOnePassAgainstPerTermOracle:
                                              abs=1e-12)
 
     def test_fast_adapter(self, h4_ring):
+        """The UCCSD state the closed-form `fast` evaluator handed over
+        through an adapter: the statevector backend's own final state."""
         ham = molecular_qubit_hamiltonian(h4_ring.mo)
-        ev = FastUCCEvaluator(ham, UCCSDAnsatz(4, 4))
-        theta = np.linspace(-0.2, 0.3, ev.n_parameters)
+        ev = EnergyEvaluator(ham, UCCSDAnsatz(4, 4).circuit(),
+                             simulator="statevector")
+        theta = np.linspace(-0.2, 0.3, ev.ansatz.n_parameters)
         sim = ev.final_state(theta)
         g1, g2 = measure_rdms(sim, 4)
         o1, o2 = measure_rdms(ExpectationOnly(sim), 4)
