@@ -66,9 +66,9 @@ def _run_energy(args) -> int:
     method = args.method.lower()
     if args.workers != 1 and not method.startswith("dmet"):
         raise ValidationError(
-            f"--workers/--executor apply to the DMET methods (fragments are "
-            f"what runs on workers); --method {args.method} runs in one "
-            f"process")
+            f"--workers: worker processes apply to the DMET methods "
+            f"(fragments are what runs on workers); --method {args.method} "
+            f"runs in one process")
     molecule = _build_molecule(args)
     job = Q2Chemistry.from_molecule(molecule, basis=args.basis,
                                     frozen_core=args.frozen_core)
@@ -109,8 +109,7 @@ def _run_energy(args) -> int:
                               max_bond_dimension=args.bond_dimension,
                               vqe_optimizer=args.optimizer or "cobyla",
                               vqe_max_iterations=args.max_iterations,
-                              n_workers=args.workers,
-                              executor=args.executor)
+                              n_workers=args.workers)
         print(f"E(DMET) = {res.energy:+.8f} Ha "
               f"(mu={res.chemical_potential:+.5f}, "
               f"{res.mu_iterations} mu iterations, "
@@ -294,12 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="VQE optimizer iteration budget (with dmet-vqe "
                          "the fragment solver's)")
     pe.add_argument("--workers", type=int, default=1,
-                    help="worker count for the DMET fragment solves "
-                         "(dmet-* methods only); results are bitwise "
-                         "independent of the count")
-    pe.add_argument("--executor", default="thread",
-                    help="executor for the fragment solves: serial | "
-                         "thread | process (used when --workers > 1)")
+                    help="worker processes for the DMET fragment solves "
+                         "(dmet-* methods only; 1 solves them in-line)")
     pe.add_argument("--fragment-atoms", type=int, default=2)
     pe.add_argument("--equivalent", action="store_true",
                     help="treat all fragments as symmetry equivalent")

@@ -92,9 +92,6 @@ class BackendSpec:
     `cutoff` are always forwarded by the evaluator layer so that one call
     signature drives every backend.
 
-    ``picklable`` advertises whether instances can be shipped to the
-    process-pool fragment workers of :mod:`repro.parallel.executor`.
-
     ``options`` names every other option the factory accepts;
     :meth:`create` rejects anything outside ``options`` and the two
     standard ones, so a misspelt option is an error and never a backend
@@ -112,8 +109,6 @@ class BackendSpec:
     factory: Callable[..., Any]
     description: str = ""
     options: tuple[str, ...] = field(default=())
-    #: instances survive pickling to process-pool workers
-    picklable: bool = True
     #: analytic gradient engines available for this backend (see
     #: :mod:`repro.vqe.gradients`); empty means only the universal
     #: parameter-shift / finite-difference sources apply
@@ -137,7 +132,6 @@ _REGISTRY: dict[str, BackendSpec] = {}
 
 def register_backend(name: str, factory: Callable[..., Any], *,
                      description: str = "", options: tuple[str, ...] = (),
-                     picklable: bool = True,
                      gradients: tuple[str, ...] = (),
                      overwrite: bool = False) -> BackendSpec:
     """Register a backend under ``name`` (third parties welcome).
@@ -154,8 +148,6 @@ def register_backend(name: str, factory: Callable[..., Any], *,
         Names of the factory's own keyword options; with
         ``max_bond_dimension`` and ``cutoff`` (always accepted) the only
         ones :func:`resolve_backend` lets through.
-    picklable:
-        Instances survive pickling to process-pool workers.
     gradients:
         Analytic gradient engines the VQE gradient layer may run against
         the backend (see :class:`BackendSpec`).
@@ -169,7 +161,6 @@ def register_backend(name: str, factory: Callable[..., Any], *,
         raise ValidationError(f"backend {name!r} is already registered")
     spec = BackendSpec(name=key, factory=factory,
                        description=description, options=tuple(options),
-                       picklable=picklable,
                        gradients=tuple(gradients))
     _REGISTRY[key] = spec
     return spec

@@ -10,6 +10,12 @@ Implements the 5-step procedure of the paper's Sec. III-B:
 5. check sum of fragment electron numbers against the whole system;
    if off, adjust the global chemical potential mu and repeat from 3.
 
+Step 4 is the paper's first parallel level.  With ``n_workers=1`` the
+fragments are solved in-line, one after the other; with more they are
+mapped over worker processes
+(:meth:`repro.parallel.threelevel.ThreeLevelDriver.run_fragments_local`).
+Nothing else selects between the two.
+
 The total energy uses democratic partitioning with the core mean field
 shared half-and-half between fragments, which reduces to the exact energy
 when a single fragment spans the whole system (a test-suite invariant).
@@ -94,15 +100,16 @@ class DMET:
         Convergence threshold on |N(mu) - N_target| (electrons).
     max_mu_iterations:
         Budget for the chemical-potential search.
-    n_workers / executor:
-        ``n_workers > 1`` solves distinct fragments concurrently - the
-        paper's first (embarrassingly parallel) level executed for real.
-        ``executor`` names the execution engine
-        (:func:`repro.parallel.resolve_executor`): "thread" (the default),
-        "serial", or "process" for real multiprocess fragment dispatch
-        (requires a picklable solver).  A count below 1 or an unknown
-        name is a ``ValidationError`` here, whether or not a dispatch
+    n_workers:
+        1 solves the fragments in-line; ``n_workers > 1`` solves distinct
+        fragments on that many worker processes - the paper's first
+        (embarrassingly parallel) level executed for real, as separate
+        processes that share nothing (the solver must pickle).  A count
+        below 1 is a ``ValidationError`` here, whether or not a dispatch
         ever happens.
+    executor:
+        Must be "process".  Kept only because ``benchmarks/e2e`` is
+        frozen and passes it; any other value is a ``ValidationError``.
     """
 
     def __init__(self, system: OrthogonalSystem,
@@ -111,7 +118,7 @@ class DMET:
                  all_fragments_equivalent: bool = False,
                  mu_tolerance: float = 1e-5,
                  max_mu_iterations: int = 30,
-                 n_workers: int = 1, executor: str = "thread"):
+                 n_workers: int = 1, executor: str = "process"):
         self.system = system
         self.solver = solver if solver is not None else FCIFragmentSolver()
         self.bath_tolerance = bath_tolerance
@@ -121,13 +128,11 @@ class DMET:
         if n_workers < 1:
             raise ValidationError(
                 f"n_workers must be at least 1, got {n_workers!r}")
-        if isinstance(executor, str):
-            from repro.parallel.executor import resolve_executor
-
-            # pools start on first use, so this only checks the name
-            resolve_executor(executor, n_workers)
+        if executor != "process":
+            raise ValidationError(
+                f"unknown executor {executor!r}; fragments run in-line "
+                f"(n_workers=1) or on 'process' workers (n_workers > 1)")
         self.n_workers = n_workers
-        self.executor = executor
 
         seen: set[int] = set()
         for frag in fragments:
@@ -168,7 +173,7 @@ class DMET:
 
                 solutions = ThreeLevelDriver.run_fragments_local(
                     self.problems, self.solver, mu,
-                    max_workers=self.n_workers, executor=self.executor)
+                    max_workers=self.n_workers)
             else:
                 solutions = [self.solver.solve(p, mu=mu)
                              for p in self.problems]

@@ -67,8 +67,6 @@ class FCIFragmentSolver:
     """Exact diagonalization of the embedded problem."""
 
     name = "fci"
-    #: instances survive pickling to process-pool fragment workers
-    picklable = True
 
     def solve(self, problem: EmbeddingProblem, mu: float = 0.0
               ) -> FragmentSolution:
@@ -112,12 +110,11 @@ class VQEFragmentSolver:
     source, so gradient-free optimizers (the "cobyla" default) and
     "fast" (the statevector under a name that declares no adjoint) run as
     they always did.  ``self.grad`` and ``details["grad"]`` record which.
-    """
 
-    #: holds only plain config + a numpy array, so process-pool fragment
-    #: dispatch can ship the solver to workers (warm-start state stays in
-    #: the worker between calls it receives)
-    picklable = True
+    The solver holds plain config and its warm-start amplitudes, so it
+    pickles.  Process workers receive a copy per task and solve cold: what
+    a worker learns never comes back to this object.
+    """
 
     def __init__(self, *, simulator: str = "statevector",
                  max_bond_dimension: int | None = None,
@@ -139,9 +136,11 @@ class VQEFragmentSolver:
         self.initial_parameters = initial_parameters
         # the DMET mu loop re-solves the same fragment at nearby chemical
         # potentials; starting from the previous amplitudes cuts the
-        # optimizer's work dramatically
+        # optimizer's work dramatically.  Keyed by the fragment's orbitals,
+        # so fragment k at mu_i starts from fragment k at mu_(i-1), never
+        # from another fragment's (a different Hamiltonian)
         self.warm_start = warm_start
-        self._last_parameters: np.ndarray | None = None
+        self._last_parameters: dict[tuple[int, ...], np.ndarray] = {}
         self.name = f"vqe-{simulator}"
 
     def solve(self, problem: EmbeddingProblem, mu: float = 0.0
@@ -167,13 +166,15 @@ class VQEFragmentSolver:
                   max_bond_dimension=self.max_bond_dimension,
                   optimizer=self.optimizer, tolerance=self.tolerance,
                   max_iterations=self.max_iterations, grad=self.grad)
-        if (self.warm_start and self._last_parameters is not None
-                and self._last_parameters.size == ansatz.n_parameters):
-            x0 = self._last_parameters
+        key = tuple(problem.basis.fragment)
+        last = self._last_parameters.get(key)
+        if (self.warm_start and last is not None
+                and last.size == ansatz.n_parameters):
+            x0 = last
         else:
             x0 = ansatz.initial_parameters(self.initial_parameters)
         result = vqe.run(x0)
-        self._last_parameters = result.parameters.copy()
+        self._last_parameters[key] = result.parameters.copy()
         gamma_mo, g2_mo = vqe.reduced_density_matrices(result.parameters)
 
         # rotate RDMs back to the embedding orbital basis

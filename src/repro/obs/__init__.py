@@ -22,8 +22,8 @@ gate).
 Worker processes snapshot their local registry / tracer / flight ring at
 task completion and ship the delta back with the task result; the parent
 folds it in with :func:`merge_snapshot` (counters add, gauges take the
-maximum - both commute), so totals are identical for serial / thread /
-process executors at any worker count.
+maximum - both commute), so totals are identical whether fragments are
+solved in-line or on worker processes, at any worker count.
 
 Because counters record algorithmic events (never durations), their
 values are deterministic: ``tests/regression/`` pins exact SVD/GEMM/task

@@ -21,8 +21,8 @@ Design constraints (mirrored by the overhead assertion in
 * **Crash-ordered** - events carry a monotonic sequence number and a
   wall offset from recorder start, so the dump reads as a timeline.
 
-Worker processes keep their own module-global :data:`FLIGHT`; the
-executor ships each worker buffer back through the same obs-directive
+Worker processes keep their own module-global :data:`FLIGHT`; fragment
+dispatch ships each worker buffer back through the same obs-directive
 path that carries metrics, and the parent folds it in with
 :meth:`FlightRecorder.merge` (events re-sequenced locally, tagged with
 the worker slot).

@@ -139,8 +139,9 @@ class MetricsRegistry:
 
     ``enabled`` is the single switch every instrument checks first; it
     starts False so importing instrumented modules costs nothing.  The
-    lock only guards *enabled* mutations (the thread executor increments
-    counters from worker threads; without it increments could be lost).
+    lock only guards *enabled* mutations: the serve scheduler thread
+    increments counters while the caller's thread may read or merge, and
+    without it increments could be lost.
     """
 
     def __init__(self):

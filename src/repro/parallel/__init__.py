@@ -9,10 +9,11 @@ The paper's parallelization (Sec. III-C) has three levels:
 
 We cannot run on 20M Sunway cores, so the package is two things:
 
-* one engine - level 1 runs for real: :class:`ThreeLevelEngine` /
-  ``DMET(n_workers=, executor=)`` map fragments over serial, thread or
-  process workers (:func:`resolve_executor`; 1.90x on 2 processes on the
-  ``chain8_dmet_w2`` benchmark workload);
+* one engine - level 1 runs for real: ``DMET(n_workers=1)`` solves the
+  fragments in-line, ``n_workers > 1`` maps them over a
+  :class:`ProcessExecutor` pool through
+  :meth:`ThreeLevelDriver.run_fragments_local` (1.90x on 2 processes on
+  the ``chain8_dmet_w2`` benchmark workload);
 * one replay - levels 2 and 3 in closed form: the fragment decomposition
   and LPT scheduling run for real, compute seconds come from a cost model
   calibrated on our own MPS simulator and communication seconds / bytes
@@ -34,18 +35,13 @@ from repro.parallel.scheduler import (
     makespan,
     Task,
 )
-from repro.parallel.executor import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    resolve_executor,
-)
+from repro.parallel.executor import ProcessExecutor, resolve_executor
 from repro.parallel.perfmodel import (
     CircuitCostModel,
     VQEIterationModel,
     ScalingExperiment,
 )
-from repro.parallel.threelevel import ThreeLevelDriver, ThreeLevelEngine
+from repro.parallel.threelevel import ThreeLevelDriver
 
 __all__ = [
     "SW26010Pro",
@@ -55,12 +51,9 @@ __all__ = [
     "makespan",
     "Task",
     "ProcessExecutor",
-    "SerialExecutor",
-    "ThreadExecutor",
     "resolve_executor",
     "CircuitCostModel",
     "VQEIterationModel",
     "ScalingExperiment",
     "ThreeLevelDriver",
-    "ThreeLevelEngine",
 ]

@@ -1,28 +1,27 @@
-"""Real execution engines for the DMET fragment level.
+"""The process pool behind the DMET fragment level.
 
 The paper's parallel scheme (Sec. III-C, Fig. 4) has three levels; this
 repo runs the first one for real and replays the other two in closed
 form (:mod:`repro.parallel.perfmodel`, Figs. 12-13).  DMET fragments are
-independent embedded problems, so
-:meth:`repro.parallel.threelevel.ThreeLevelEngine.run_fragments` maps them
-over a worker pool.  Splitting the measurement of one prepared state over
-workers never paid at any size this repo reaches - EXPERIMENTS.md,
-Ablation 6, holds the numbers - so there is no such path.
+independent embedded problems - in the paper each runs on its own MPI
+sub-group, separate processes that share nothing - so
+:meth:`repro.parallel.threelevel.ThreeLevelDriver.run_fragments_local`
+maps them over :class:`ProcessExecutor`.  With one worker the DMET driver
+solves them in-line instead.  A thread pool lost to in-line solving on
+every case measured (the solves hold the GIL; EXPERIMENTS.md, Ablation
+15) and is gone, and so is splitting the measurement of one prepared
+state over workers (Ablation 6).
 
-Executors are selected by name through :func:`resolve_executor`, one of
-three: ``serial`` (in-line baseline), ``thread``
-(``ThreadPoolExecutor``; BLAS releases the GIL in the heavy kernels) and
-``process`` (``ProcessPoolExecutor``; true multi-core for pure-python
-paths).  Process workers record their own :mod:`repro.obs` telemetry per
-task and ship it home with the result (the directive functions below;
-the parent folds it in with :func:`repro.obs.merge_snapshot`), so counter
-totals do not depend on where a fragment ran.
+Process workers record their own :mod:`repro.obs` telemetry per task and
+ship it home with the result (the directive functions below; the parent
+folds it in with :func:`repro.obs.merge_snapshot`), so counter totals do
+not depend on where a fragment ran.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context, get_all_start_methods
 from typing import Any, Callable, Sequence
@@ -110,80 +109,20 @@ def _pool_width(max_workers: int | None) -> int:
     return max_workers
 
 
-# -- executor backends --------------------------------------------------------
-
-
-class SerialExecutor:
-    """In-line execution: the baseline every parallel result must match."""
-
-    name = "serial"
-    #: tasks run in the caller's address space (no pickling)
-    in_process = True
-
-    def __init__(self, max_workers: int | None = None):
-        self.workers = 1
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list:
-        """Apply ``fn`` to every item, in order."""
-        return [fn(item) for item in items]
-
-    def close(self) -> None:
-        """Nothing to tear down."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
-class ThreadExecutor:
-    """Thread-pool execution (the BLAS kernels release the GIL)."""
-
-    name = "thread"
-    in_process = True
-
-    def __init__(self, max_workers: int | None = None):
-        self.workers = _pool_width(max_workers)
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list:
-        """Apply ``fn`` concurrently; results return in submission order."""
-        pool = self._ensure_pool()
-        return [f.result() for f in [pool.submit(fn, it) for it in items]]
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
+# -- the executor -------------------------------------------------------------
 
 
 class ProcessExecutor:
     """Process-pool execution: true multi-core for pure-python work.
 
     Tasks and results cross process boundaries, so submitted functions and
-    payloads must be picklable.  The pool is created lazily on first use
-    and reused across calls.  A worker that dies mid-task breaks the whole
+    payloads must pickle.  The pool is created lazily on first use and
+    reused across calls.  A worker that dies mid-task breaks the whole
     pool: :meth:`map` discards it and raises :class:`WorkerError`, and the
     next call starts a fresh pool.
     """
 
     name = "process"
-    in_process = False
 
     def __init__(self, max_workers: int | None = None):
         self.workers = _pool_width(max_workers)
@@ -232,28 +171,21 @@ class ProcessExecutor:
         return False
 
 
-# -- executor lookup ----------------------------------------------------------
+def resolve_executor(name, max_workers: int | None = None) -> ProcessExecutor:
+    """A :class:`ProcessExecutor` of ``max_workers``; ``name`` must be
+    ``"process"``.
 
-_EXECUTORS = {"serial": SerialExecutor, "thread": ThreadExecutor,
-              "process": ProcessExecutor}
-
-
-def resolve_executor(name, max_workers: int | None = None):
-    """Instantiate an executor by name (or pass one through unchanged)."""
-    if hasattr(name, "map") and hasattr(name, "close"):
-        return name  # already an executor instance
-    factory = _EXECUTORS.get(name.lower()) if isinstance(name, str) else None
-    if factory is None:
+    Kept only because ``benchmarks/e2e`` is frozen: its ``run.py`` times
+    ``resolve_executor("process", 2)`` as ``parallel.pool_start_s``.
+    """
+    if name != "process":
         raise ValidationError(
-            f"unknown executor {name!r}; known: "
-            f"{', '.join(sorted(_EXECUTORS))}")
-    return factory(max_workers=max_workers)
+            f"unknown executor {name!r}; the only one is 'process'")
+    return ProcessExecutor(max_workers=max_workers)
 
 
 __all__ = [
     "ProcessExecutor",
-    "SerialExecutor",
-    "ThreadExecutor",
     "default_worker_count",
     "resolve_executor",
 ]

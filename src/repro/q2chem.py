@@ -4,6 +4,8 @@ One object wires the whole pipeline together the way the paper's Fig. 3
 flowchart does: molecule -> integrals -> RHF -> (optionally DMET
 fragmentation) -> qubit Hamiltonians -> (MPS-)VQE -> energy.  Lattice models
 (Hubbard / PPP) enter the same pipeline through :meth:`from_lattice`.
+DMET fragments are solved in-line, or on worker processes when
+:meth:`Q2Chemistry.dmet_energy` gets ``n_workers > 1``.
 
 Example
 -------
@@ -143,14 +145,13 @@ class Q2Chemistry:
                     vqe_optimizer: str = "cobyla",
                     vqe_tolerance: float = 1e-7,
                     vqe_max_iterations: int = 4000,
-                    n_workers: int = 1,
-                    executor: str = "thread") -> DMETResult:
+                    n_workers: int = 1) -> DMETResult:
         """DMET with FCI or (MPS-)VQE fragment solvers.
 
         ``solver``: "fci" or "vqe-<backend>" for any backend registered in
-        :mod:`repro.backends` (e.g. "vqe-statevector", "vqe-mps").  ``n_workers > 1`` dispatches distinct
-        fragments concurrently through the named ``executor`` ("thread" or
-        "process").
+        :mod:`repro.backends` (e.g. "vqe-statevector", "vqe-mps").
+        ``n_workers=1`` solves the fragments in-line; ``n_workers > 1``
+        solves distinct fragments on that many worker processes.
         """
         if fragments is None:
             fragments = atoms_per_fragment(self.system, atoms_per_group)
@@ -160,8 +161,7 @@ class Q2Chemistry:
             max_iterations=vqe_max_iterations)
         dmet = DMET(self.system, fragments, frag_solver,
                     all_fragments_equivalent=all_fragments_equivalent,
-                    mu_tolerance=mu_tolerance, n_workers=n_workers,
-                    executor=executor)
+                    mu_tolerance=mu_tolerance, n_workers=n_workers)
         return dmet.run(fit_chemical_potential=fit_chemical_potential)
 
     # -- internals ----------------------------------------------------------------------

@@ -51,9 +51,8 @@ one above it, and the property suite pins their pairwise agreement):
   works with any energy callable.
 
 All three are deterministic functions of (hamiltonian, circuit, theta):
-the adjoint path never touches the executor layer, so gradients are
-bitwise identical across serial/thread/process executors and any worker
-count - the invariant the regression suite pins.
+none dispatches to worker processes, so a gradient does not depend on the
+DMET worker count - the invariant the regression suite pins.
 """
 
 from __future__ import annotations

@@ -40,22 +40,16 @@ class TestExactLimits:
         (-3, "process", "n_workers must be at least 1"),
         (1, "proces", "unknown executor 'proces'"),
         (2, "threads", "unknown executor 'threads'"),
+        (2, "thread", "unknown executor 'thread'"),
     ])
     def test_bad_workers_or_executor_rejected(self, h6_system, n_workers,
                                               executor, message):
-        """At construction - not only if a dispatch ever happens."""
+        """At construction - not only if a dispatch ever happens.  The
+        only executor name left is "process"."""
         _, system = h6_system
         with pytest.raises(ValidationError, match=message):
             DMET(system, [list(range(6))], n_workers=n_workers,
                  executor=executor)
-
-    def test_executor_instance_passes_through(self, h6_system):
-        from repro.parallel import SerialExecutor
-
-        _, system = h6_system
-        executor = SerialExecutor()
-        assert DMET(system, [list(range(6))],
-                    executor=executor).executor is executor
 
 
 class TestAccuracy:
@@ -293,21 +287,21 @@ class TestGradientFirstSolver:
         res, frag = _one_shot(h4_system, 2, solver)
         assert res.energy == pytest.approx(-1.914017267277309, abs=1e-6)
         assert frag.energy == pytest.approx(-4.779095143240721, abs=1e-6)
-        assert np.abs(solver._last_parameters).sum() == pytest.approx(
-            0.6079950163619384, abs=1e-3)
+        (theta,) = solver._last_parameters.values()
+        assert np.abs(theta).sum() == pytest.approx(0.6079950163619384,
+                                                    abs=1e-3)
         assert frag.details["vqe_evaluations"] > 100
         assert frag.details["vqe_gradient_evaluations"] == 0
 
     def test_process_workers_match_serial(self, h4_system):
-        """The solver with its resolved ``grad`` still pickles.  (No warm
-        start: in one process fragment k would start from fragment k-1's
-        amplitudes, on workers from whatever that worker solved last.)"""
+        """The solver with its resolved ``grad`` still pickles, and the
+        default warm start is per fragment: in-line, fragment k's first
+        solve starts cold as it does on a worker, not from fragment
+        k-1's amplitudes."""
         frags = atoms_per_fragment(h4_system, 1)
         runs = [DMET(h4_system, frags,
-                     VQEFragmentSolver(simulator="mps", optimizer="slsqp",
-                                       warm_start=False),
-                     n_workers=n_workers, executor="process"
-                     ).run(fit_chemical_potential=False)
+                     VQEFragmentSolver(simulator="mps", optimizer="slsqp"),
+                     n_workers=n_workers).run(fit_chemical_potential=False)
                 for n_workers in (1, 2)]
         # not bitwise: pickling hands the worker C-contiguous integrals, so
         # its einsum sums in another order (last-bit, as at the parent)
@@ -332,7 +326,37 @@ class TestGradientFirstSolver:
     def test_nan_start_is_a_structured_error(self, h4_system):
         """A poisoned warm start must not reach the DMET energy."""
         solver = VQEFragmentSolver(simulator="mps", optimizer="slsqp")
-        solver._last_parameters = np.array([0.0, np.nan])
+        first = atoms_per_fragment(h4_system, 1)[0]
+        solver._last_parameters[tuple(first)] = np.array([0.0, np.nan])
         with pytest.raises(ValidationError, match="parameter 1 is nan") as err:
             _one_shot(h4_system, 1, solver)
         assert err.value.flight is not None
+
+
+class TestWarmStart:
+    def test_each_fragment_starts_from_its_own_amplitudes(self, h4_system,
+                                                          monkeypatch):
+        """Fragment k at mu_i starts from fragment k at mu_(i-1); the first
+        solve of every fragment starts cold, whatever was solved before."""
+        from repro.vqe.vqe import VQE
+
+        starts, finals = [], []
+        run = VQE.run
+
+        def wrapper(self, x0, *args, **kwargs):
+            starts.append(np.array(x0, copy=True))
+            result = run(self, x0, *args, **kwargs)
+            finals.append(result.parameters.copy())
+            return result
+
+        monkeypatch.setattr(VQE, "run", wrapper)
+        dmet = DMET(h4_system, atoms_per_fragment(h4_system, 1),
+                    VQEFragmentSolver(simulator="statevector",
+                                      optimizer="slsqp"))
+        n = len(dmet.problems)
+        dmet.evaluate(0.0)
+        dmet.evaluate(0.05)
+        assert len(starts) == 2 * n
+        for k in range(n):
+            assert not np.any(starts[k])
+            assert np.array_equal(starts[n + k], finals[k])

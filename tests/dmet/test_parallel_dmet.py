@@ -1,4 +1,5 @@
-"""Tests for threaded fragment solving inside the DMET driver."""
+"""Tests for fragment solving on worker processes inside the DMET driver
+(``n_workers > 1``) against the in-line path (``n_workers=1``)."""
 
 import pytest
 
@@ -18,9 +19,9 @@ class TestThreadedDMET:
         h6, system = h6_system
         frags = atoms_per_fragment(system, 2)
         serial = DMET(system, frags).run()
-        threaded = DMET(system, frags, n_workers=3).run()
-        assert threaded.energy == pytest.approx(serial.energy, abs=1e-9)
-        assert threaded.chemical_potential == pytest.approx(
+        parallel = DMET(system, frags, n_workers=3).run()
+        assert parallel.energy == pytest.approx(serial.energy, abs=1e-9)
+        assert parallel.chemical_potential == pytest.approx(
             serial.chemical_potential, abs=1e-6)
 
     def test_single_worker_path(self, h6_system):
@@ -30,7 +31,7 @@ class TestThreadedDMET:
         assert len(res.fragment_solutions) == 3
 
     def test_equivalent_shortcut_ignores_workers(self, h6_system):
-        """With one representative fragment there is nothing to thread."""
+        """With one representative fragment there is nothing to dispatch."""
         h6, system = h6_system
         frags = atoms_per_fragment(system, 2)
         res = DMET(system, frags, all_fragments_equivalent=True,

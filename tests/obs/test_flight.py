@@ -241,14 +241,12 @@ class TestCrossProcessMerge:
 
     @staticmethod
     def _run(workers: int):
-        from repro.parallel.threelevel import ThreeLevelEngine
+        from repro.parallel.threelevel import ThreeLevelDriver
 
         FLIGHT.reset()
         with obs.collect():
-            with ThreeLevelEngine(executor="process",
-                                  max_workers=workers) as engine:
-                squares = engine.run_fragments(list(range(6)),
-                                               _SquareSolver())
+            squares = ThreeLevelDriver.run_fragments_local(
+                list(range(6)), _SquareSolver(), max_workers=workers)
         dump = FLIGHT.snapshot()
         validate_flight(dump)
         return squares, dump

@@ -1,5 +1,6 @@
-"""Tests for the real execution engine: executors (including a worker
-that dies mid-task), deterministic reductions, and the fragment engine.
+"""Tests for the real execution engine: the process executor (including a
+worker that dies mid-task), deterministic reductions, and fragment
+dispatch.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from repro.common.reductions import kahan_sum, pairwise_sum
 from repro.obs.flight import validate_flight
 from repro.parallel.executor import (
     ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
     default_worker_count,
     resolve_executor,
 )
-from repro.parallel.threelevel import ThreeLevelEngine
+from repro.parallel.threelevel import ThreeLevelDriver
 
 
 class TestReductions:
@@ -49,31 +48,29 @@ class TestReductions:
 
 class TestExecutors:
     def test_unknown_name_lists_known(self):
-        with pytest.raises(ValidationError, match="serial"):
+        with pytest.raises(ValidationError, match="the only one is 'process'"):
             resolve_executor("nope")
-
-    def test_instance_passthrough(self):
-        ex = SerialExecutor()
-        assert resolve_executor(ex) is ex
+        for gone in ("thread", "serial"):
+            with pytest.raises(ValidationError, match="unknown executor"):
+                resolve_executor(gone)
 
     def test_default_worker_count_positive(self):
         assert default_worker_count() >= 1
 
-    @pytest.mark.parametrize("cls", [ThreadExecutor, ProcessExecutor])
+    @pytest.mark.parametrize("cls", [ProcessExecutor])
     def test_zero_workers_rejected(self, cls):
         # 0 is not "unset" (None is): it must not fall back to every CPU
         with pytest.raises(ValidationError, match="at least one worker"):
             cls(max_workers=0)
 
-    @pytest.mark.parametrize("cls", [SerialExecutor, ThreadExecutor,
-                                     ProcessExecutor])
+    @pytest.mark.parametrize("cls", [ProcessExecutor])
     def test_map_preserves_order(self, cls):
         with cls(max_workers=2) as ex:
             assert ex.map(_square, list(range(10))) == [i * i
                                                         for i in range(10)]
 
     def test_close_idempotent(self):
-        ex = ThreadExecutor(max_workers=2)
+        ex = ProcessExecutor(max_workers=2)
         ex.map(_square, [1, 2])
         ex.close()
         ex.close()
@@ -110,6 +107,8 @@ def _square_or_die(x: int) -> int:
 
 
 class TestThreeLevelEngine:
+    """Fragment dispatch through ``ThreeLevelDriver.run_fragments_local``."""
+
     def test_fragment_dispatch_matches_serial(self, h4_ring):
         from repro.dmet.bath import build_bath
         from repro.dmet.dmet import atoms_per_fragment
@@ -123,22 +122,27 @@ class TestThreeLevelEngine:
         for frag in atoms_per_fragment(system, 2):
             basis = build_bath(system.density, frag)
             problems.append(build_embedding_hamiltonian(system, basis))
-        serial = [FCIFragmentSolver().solve(p) for p in problems]
-        with ThreeLevelEngine(executor="process", max_workers=2) as engine:
-            parallel = engine.run_fragments(problems, "fci")
+        solver = FCIFragmentSolver()
+        serial = [solver.solve(p) for p in problems]
+        parallel = ThreeLevelDriver.run_fragments_local(problems, solver,
+                                                        max_workers=2)
         for s, p in zip(serial, parallel):
             assert p.energy == pytest.approx(s.energy, abs=1e-10)
 
     def test_unpicklable_solver_rejected(self):
-        class LocalSolver:
-            """Deliberately unpicklable (class defined in a function)."""
+        """Checked by pickling it, not by trusting a flag: a solver that
+        does not pickle is a ``ValidationError`` naming it, never a bare
+        ``AttributeError`` from inside the pool."""
 
-            picklable = False
+        class LocalSolver:
+            """Does not pickle (class defined in a function)."""
+
             name = "local"
 
             def solve(self, problem, mu=0.0):
                 raise AssertionError("should not be called")
 
-        with ThreeLevelEngine(executor="process", max_workers=2) as engine:
-            with pytest.raises(ValidationError, match="picklable"):
-                engine.run_fragments([object()], LocalSolver())
+        with pytest.raises(ValidationError,
+                           match="'local' does not pickle.*n_workers=1"):
+            ThreeLevelDriver.run_fragments_local([object()], LocalSolver(),
+                                                 max_workers=2)

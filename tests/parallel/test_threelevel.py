@@ -7,8 +7,9 @@ from repro.parallel.threelevel import ThreeLevelDriver
 
 
 class TestLocalMode:
-    def test_threaded_fragments_match_serial(self, h6_ring):
-        """Level-1 parallelism for real: same results as sequential."""
+    def test_process_fragments_match_inline(self, h6_ring):
+        """Level-1 parallelism for real: three fragments on three worker
+        processes give the in-line results."""
         from repro.dmet.bath import build_bath
         from repro.dmet.embedding import build_embedding_hamiltonian
         from repro.dmet.orthogonalize import attach_labels, \
@@ -23,9 +24,9 @@ class TestLocalMode:
             for frag in ([0, 1], [2, 3], [4, 5])
         ]
         solver = FCIFragmentSolver()
-        serial = [solver.solve(p, 0.0) for p in problems]
+        inline = [solver.solve(p, 0.0) for p in problems]
         parallel = ThreeLevelDriver.run_fragments_local(problems, solver,
                                                         max_workers=3)
-        for s, p in zip(serial, parallel):
+        for s, p in zip(inline, parallel):
             assert p.energy == pytest.approx(s.energy, abs=1e-10)
             assert np.allclose(p.one_rdm, s.one_rdm, atol=1e-10)

@@ -526,8 +526,7 @@ class TestDMETBudgets:
         results = {}
         for workers in (1, 2):
             with obs.collect() as reg:
-                dmet = DMET(system, fragments, n_workers=workers,
-                            executor="thread")
+                dmet = DMET(system, fragments, n_workers=workers)
                 res = dmet.run()
                 results[workers] = (
                     res.energy,
@@ -536,12 +535,12 @@ class TestDMETBudgets:
                 )
         assert results[1] == results[2]
         # 2 fragments per mu evaluation; workers=2 routes them through
-        # the level-1 executor (counter registered on first parallel use)
+        # the level-1 process pool (counter registered on first parallel use)
         assert results[1][1] == 2 * results[1][2]
 
     def test_process_fragments_merge_worker_telemetry(self, h4_ring):
         """Level-1 process dispatch ships each fragment solve's counters
-        back to the parent: totals match the thread run and per-worker
+        back to the parent: totals match the in-line run and per-worker
         merge provenance appears."""
         from repro.dmet.dmet import DMET, atoms_per_fragment
         from repro.dmet.orthogonalize import (
@@ -553,17 +552,16 @@ class TestDMETBudgets:
         system = lowdin_orthogonalize(h4_ring.scf, h4_ring.eri_ao)
         fragments = atoms_per_fragment(system, 2)
         results = {}
-        for executor in ("thread", "process"):
+        for workers in (1, 2):
             with obs.collect() as reg:
-                res = DMET(system, fragments, n_workers=2,
-                           executor=executor).run()
+                res = DMET(system, fragments, n_workers=workers).run()
                 snap = reg.snapshot()
-                results[executor] = (
+                results[workers] = (
                     res.energy,
                     reg.value("dmet.fragment_solves"),
                     reg.value("dmet.mu_iterations"),
                 )
-        assert results["thread"] == results["process"]
+        assert results[1] == results[2]
         merges = {s["labels"]["worker"]
                   for s in snap["obs.merges"]["values"]}
         assert merges == {0, 1}
@@ -583,13 +581,15 @@ class TestDMETBudgets:
         work = ("vqe.runs", "vqe.energy_evaluations", "kernels.gemm_calls",
                 "mps.svd")
         runs = {}
-        for executor, workers in (("serial", 1), ("process", 1),
+        for executor, workers in (("inline", 1), ("process", 1),
                                   ("process", 2)):
             _clear_all_caches()
             with obs.collect() as reg:
-                solutions = ThreeLevelDriver.run_fragments_local(
-                    problems, solver, 0.0, max_workers=workers,
-                    executor=executor)
+                if executor == "inline":
+                    solutions = [solver.solve(p, 0.0) for p in problems]
+                else:
+                    solutions = ThreeLevelDriver.run_fragments_local(
+                        problems, solver, 0.0, max_workers=workers)
                 snap = reg.snapshot()
             totals = {name: sum(slot["value"]
                                 for slot in snap[name]["values"])
@@ -598,7 +598,7 @@ class TestDMETBudgets:
                       snap.get("obs.merges", {}).get("values", ())}
             runs[executor, workers] = (
                 [sol.energy for sol in solutions], totals, merged)
-        energies, totals, merged = runs["serial", 1]
+        energies, totals, merged = runs["inline", 1]
         assert totals["vqe.runs"] == len(problems) == 4
         assert min(totals.values()) > 0 and merged == set()
         for workers, slots in ((1, {0}), (2, {0, 1})):

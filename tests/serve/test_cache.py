@@ -251,8 +251,8 @@ class TestInstalledStore:
         concurrent lookup/insert/evict must neither raise nor hand back
         an artifact of another operator."""
         import sys
+        from concurrent.futures import ThreadPoolExecutor
 
-        from repro.parallel.executor import ThreadExecutor
         from repro.simulators.mps_measure import build_sweep_plan, sweep_plan
         from repro.simulators.pauli_kernels import (
             CompiledObservable,
@@ -274,8 +274,8 @@ class TestInstalledStore:
         sys.setswitchinterval(1e-5)
         try:
             with _installed(ServeCache(max_bytes=64 << 10)) as store, \
-                    ThreadExecutor(8) as pool:
-                got = pool.map(produce, list(range(len(ops))) * 3)
+                    ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(produce, list(range(len(ops))) * 3))
         finally:
             sys.setswitchinterval(interval)
         assert store.stats()["totals"]["evictions"] > 0

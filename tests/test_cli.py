@@ -68,7 +68,6 @@ class TestEnergyCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--workers", "-3"], "n_workers must be at least 1"),
         (["--workers", "0"], "n_workers must be at least 1"),
-        (["--executor", "proces"], "unknown executor 'proces'"),
     ])
     def test_bad_workers_or_executor_is_an_error(self, flags, message,
                                                  capsys):
@@ -76,6 +75,15 @@ class TestEnergyCommand:
         assert main(["energy", "--molecule", "h2", "--method", "dmet-fci",
                      *flags]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["process", "thread"])
+    def test_executor_flag_is_gone(self, name, capsys):
+        """--workers alone picks in-line (1) or worker processes (> 1)."""
+        with pytest.raises(SystemExit) as exc:
+            main(["energy", "--molecule", "h2", "--method", "dmet-fci",
+                  "--workers", "2", "--executor", name])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --executor" in capsys.readouterr().err
 
     def test_dmet_on_ring(self, capsys):
         assert main(["energy", "--molecule", "ring:6", "--method",
