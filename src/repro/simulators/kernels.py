@@ -1,8 +1,8 @@
-"""Tensor kernels: fused permute+GEMM contraction and truncated SVD.
+"""Tensor kernels: fused permute+GEMM contraction, QR and truncated SVD.
 
 This module plays the role the Julia JIT + swBLAS stack plays in the paper
-(Sec. III-E): the hot operations of the MPS simulator - tensor contraction
-and SVD - are routed through a small set of kernels with
+(Sec. III-E): the hot operations of the MPS simulator - tensor contraction,
+QR and SVD - are routed through a small set of kernels with
 
 * a *specialization cache*: contraction plans (permutation + reshape
   metadata) are compiled once per (shape, axes, dtype) signature and reused,
@@ -15,18 +15,19 @@ and SVD - are routed through a small set of kernels with
   standing in for the paper's MPE-only baseline in the Fig. 11 experiment.
 
 Backends are process-global and selectable with :func:`set_backend`
-("blas" - optimized; "naive" - reference loops).
+("blas" - optimized, QR on LAPACK bound once; "naive" - reference loops).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import linalg as sla
 
-from repro.common.errors import ValidationError
+from repro.common.errors import ConvergenceError, ValidationError
 from repro.obs import metrics as _obs
 
 #: compiled contraction plans kept per backend; one (shape, axes) signature
@@ -106,10 +107,10 @@ def get_backend() -> KernelBackend:
 def set_backend(name: str) -> KernelBackend:
     """Select the process-global kernel backend.
 
-    * "blas"  - fused permute+GEMM, gesdd SVD, plan cache (the paper's
-      optimized pipeline);
-    * "plain" - generic-library choices: unfused einsum contraction and
-      gesvd full-matrices SVD (the quimb-like reference of Fig. 8);
+    * "blas"  - fused permute+GEMM, bound geqrf/orgqr QR, numpy's gesdd
+      SVD, plan cache (the paper's optimized pipeline);
+    * "plain" - generic-library choices: einsum, np.linalg.qr and gesvd
+      full-matrices SVD (the quimb-like reference of Fig. 8);
     * "naive" - pure-loop reference kernels (the Fig. 11 MPE-only stand-in).
     """
     if name not in ("blas", "plain", "naive"):
@@ -126,12 +127,10 @@ def _compile_plan(shape_a: tuple[int, ...], shape_b: tuple[int, ...],
                   axes_a: tuple[int, ...], axes_b: tuple[int, ...]) -> _Plan:
     free_a = [i for i in range(len(shape_a)) if i not in axes_a]
     free_b = [i for i in range(len(shape_b)) if i not in axes_b]
-    rows_a = int(np.prod([shape_a[i] for i in free_a], dtype=np.int64)) \
-        if free_a else 1
-    cols = int(np.prod([shape_a[i] for i in axes_a], dtype=np.int64)) \
-        if axes_a else 1
-    cols_b = int(np.prod([shape_b[i] for i in free_b], dtype=np.int64)) \
-        if free_b else 1
+    # an empty product is 1: a contraction over no axes is an outer product
+    rows_a = int(np.prod([shape_a[i] for i in free_a], dtype=np.int64))
+    cols = int(np.prod([shape_a[i] for i in axes_a], dtype=np.int64))
+    cols_b = int(np.prod([shape_b[i] for i in free_b], dtype=np.int64))
     out_shape = tuple([shape_a[i] for i in free_a]
                       + [shape_b[i] for i in free_b])
     return _Plan(
@@ -154,14 +153,19 @@ def tensordot_fused(a: np.ndarray, b: np.ndarray,
     iterations re-use compiled plans (the cache-hit counter exposes this).
     """
     be = backend or _BACKEND
-    axes_a = tuple(int(x) for x in axes[0])
-    axes_b = tuple(int(x) for x in axes[1])
-    key = (a.shape, b.shape, axes_a, axes_b)
     cache = be.plan_cache
-    plan = cache.get(key)
+    key = (a.shape, b.shape, axes)
+    try:
+        plan = cache.get(key)
+    except TypeError:  # list-valued axes do not hash: normalised below
+        plan = None
+    if plan is None:
+        axes = tuple(tuple(int(x) for x in ax) for ax in axes)
+        key = (a.shape, b.shape, axes)
+        plan = cache.get(key)
     enabled = _obs.REGISTRY.enabled
     if plan is None:
-        plan = _compile_plan(a.shape, b.shape, axes_a, axes_b)
+        plan = _compile_plan(a.shape, b.shape, *axes)
         if len(cache) >= be.max_plans:
             cache.popitem(last=False)
             be.cache_evictions += 1
@@ -178,11 +182,11 @@ def tensordot_fused(a: np.ndarray, b: np.ndarray,
             _M_PLAN_CACHE.inc(outcome="hit")
 
     if be.name == "naive":
-        return _tensordot_naive(a, b, axes_a, axes_b, plan)
+        return _tensordot_naive(a, b, plan)
     if be.name == "plain":
         # generic-library path: per-call contraction without the fused
         # permute+GEMM plan (np.einsum with optimization disabled)
-        return _tensordot_plain(a, b, axes_a, axes_b)
+        return _tensordot_plain(a, b, *axes)
 
     am = a.transpose(plan.perm_a).reshape(plan.rows_a, plan.cols)
     bm = b.transpose(plan.perm_b).reshape(plan.cols, plan.cols_b)
@@ -207,9 +211,7 @@ def _tensordot_plain(a: np.ndarray, b: np.ndarray,
     return np.einsum(spec, a, b, optimize=False)
 
 
-def _tensordot_naive(a: np.ndarray, b: np.ndarray,
-                     axes_a: tuple[int, ...], axes_b: tuple[int, ...],
-                     plan: _Plan) -> np.ndarray:
+def _tensordot_naive(a: np.ndarray, b: np.ndarray, plan: _Plan) -> np.ndarray:
     """Reference contraction: permute, then triple-loop matrix multiply."""
     am = np.ascontiguousarray(a.transpose(plan.perm_a)).reshape(
         plan.rows_a, plan.cols)
@@ -228,8 +230,38 @@ def _tensordot_naive(a: np.ndarray, b: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# SVD kernels
+# QR and SVD kernels
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=PLAN_CACHE_MAX)
+def _qr_plan(dtype: np.dtype, m: int, n: int) -> tuple:
+    """geqrf/orgqr bound for ``dtype``, the workspaces numpy's queries size
+    for m x n, and the upper-triangle mask np.triu builds on every call."""
+    geqrf, orgqr = sla.get_lapack_funcs(("geqrf", "orgqr"), dtype=dtype)
+    k, dt = min(m, n), geqrf.dtype
+    lwork_r = geqrf(np.zeros((m, n), dt), lwork=-1)[2][0].real
+    lwork_q = orgqr(np.zeros((m, k), dt), np.zeros(k, dt), lwork=-1)[1][0]
+    return (geqrf, orgqr, int(lwork_r), int(lwork_q.real),
+            np.triu(np.ones((k, n), dtype=bool)))
+
+
+def qr_reduced(a: np.ndarray, backend: KernelBackend | None = None) -> tuple:
+    """Reduced QR ``a = Q R``, bit for bit ``np.linalg.qr(a)``.
+
+    On "blas", numpy's geqrf/orgqr and workspace but none of its per-call
+    wrapping (an F-ordered ``a`` is not copied); else ``np.linalg.qr``.
+    """
+    be = backend or _BACKEND
+    if be.name != "blas":
+        return np.linalg.qr(a)
+    geqrf, orgqr, lwork_r, lwork_q, upper = _qr_plan(a.dtype, *a.shape)
+    qr, tau, _, info = geqrf(a, lwork=lwork_r)
+    r = np.where(upper, qr[:tau.size], 0)
+    q, _, info_q = orgqr(qr[:, :tau.size], tau, lwork=lwork_q, overwrite_a=1)
+    if info or info_q:  # an illegal argument: the outputs are not a QR
+        raise ValidationError(f"LAPACK QR: bad argument {-(info or info_q)}")
+    return q, r
+
 
 def svd_truncated(m: np.ndarray, max_dim: int | None = None,
                   cutoff: float = 0.0,
@@ -258,20 +290,27 @@ def svd_truncated(m: np.ndarray, max_dim: int | None = None,
             # numpy's gesdd binding has the lowest call overhead, which
             # matters at the small bond dimensions typical of VQE circuits
             u, s, vh = np.linalg.svd(m, full_matrices=False)
-        except np.linalg.LinAlgError:
+        except np.linalg.LinAlgError as exc:
             # gesdd's divide-and-conquer can fail to converge where the
-            # slower QR-iteration driver does not
-            u, s, vh = sla.svd(m, full_matrices=False, lapack_driver="gesvd")
-    total = float(np.sum(s * s))
-    if total == 0.0:
-        raise ValidationError("SVD of a zero matrix in MPS update")
+            # slower QR-iteration driver does not; a NaN entry fails both
+            if not np.isfinite(m).all():
+                raise ValidationError("SVD of a non-finite matrix") from exc
+            try:
+                u, s, vh = sla.svd(m, full_matrices=False,
+                                   lapack_driver="gesvd", check_finite=False)
+            except np.linalg.LinAlgError as err:
+                raise ConvergenceError("gesdd and gesvd both failed") from err
+    total = float((s * s).sum())
+    if not 0.0 < total < np.inf:  # an inf entry: gesdd returns s = [nan]
+        raise ValidationError(f"SVD of a {'non-finite' if total else 'zero'}"
+                              " matrix in MPS update")
     keep = s.size
     if cutoff > 0.0:
         keep = int(np.count_nonzero(s > cutoff * s[0]))
         keep = max(keep, 1)
     if max_dim is not None:
         keep = min(keep, max_dim)
-    discarded = float(np.sum(s[keep:] ** 2)) / total
+    discarded = float((s[keep:] ** 2).sum()) / total
     return u[:, :keep], s[:keep], vh[:keep, :], discarded
 
 

@@ -42,6 +42,7 @@ from repro.obs import metrics as _obs
 from repro.simulators.kernels import (
     KernelBackend,
     get_backend,
+    qr_reduced,
     svd_truncated,
     tensordot_fused,
 )
@@ -305,7 +306,7 @@ class MPS:
         for q in range(n - 1):
             dl, d, dr = self.tensors[q].shape
             mat = self.tensors[q].reshape(dl * d, dr)
-            qm, rm = np.linalg.qr(mat)
+            qm, rm = qr_reduced(mat, self.backend)
             self.tensors[q] = qm.reshape(dl, d, qm.shape[1])
             self.tensors[q + 1] = tensordot_fused(
                 rm, self.tensors[q + 1], axes=((1,), (0,)),
@@ -320,7 +321,7 @@ class MPS:
             if _obs.REGISTRY.enabled:
                 _M_SVD.inc()
             self.stats.record(disc, s.size, bond=q)
-            norm = np.linalg.norm(s)
+            norm = np.sqrt(s.dot(s))
             s = s / norm
             self.lambdas[q] = s
             self.tensors[q] = vh.reshape(s.size, d, dr)
@@ -508,7 +509,7 @@ class MPS:
                 f"{self.max_bond_dimension})",
                 accumulated_error=self.stats.total_discarded_weight,
             )
-        self.lambdas[bond] = s / np.linalg.norm(s)
+        self.lambdas[bond] = s / np.sqrt(s.dot(s))
         return u, s, vh, disc
 
     def apply_pauli_rotation(self, ops, angle: float) -> None:
@@ -639,7 +640,7 @@ class MPS:
             blocks = stacked(q, carry)
             dl, _, k = blocks.shape
             # rows = R^T Q^T with Q^T Q^* = 1: an LQ without conjugations
-            qm, rm = np.linalg.qr(blocks.reshape(dl * w, 2 * k).T)
+            qm, rm = qr_reduced(blocks.reshape(dl * w, 2 * k).T, be)
             canon[q] = qm.T.reshape(-1, 2, k)
             carry = rm.T.reshape(dl, -1)
         blocks = stacked(lo, carry, np.repeat(coeffs, 2).reshape(1, 2 * w, 1))

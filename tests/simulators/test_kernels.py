@@ -1,14 +1,21 @@
-"""Tests for the tensor-kernel layer: fused contraction, SVD, caches."""
+"""Tests for the tensor-kernel layer: fused contraction, QR, SVD, caches."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.common.errors import ValidationError
+from repro.common.errors import ConvergenceError, ValidationError
 from repro.common.rng import default_rng
+from repro.simulators import kernels
 from repro.simulators.kernels import (
     KernelBackend,
     _svd_reference,
     get_backend,
+    qr_reduced,
     set_backend,
     svd_truncated,
     tensordot_fused,
@@ -59,6 +66,34 @@ class TestTensordotFused:
         tensordot_fused(a, a, axes=((1,), (0,)), backend=backend)
         assert backend.gemm_calls == 1
 
+    @pytest.mark.parametrize("axes", [
+        [[2, 1], [0, 1]],
+        ([2, 1], (0, 1)),
+        ((np.int64(2), np.int64(1)), (np.intp(0), np.int32(1))),
+        (np.array([2, 1]), np.array([0, 1])),
+    ])
+    @pytest.mark.parametrize("name", ["blas", "plain", "naive"])
+    def test_axes_forms_hit_the_tuple_plan(self, rng, axes, name):
+        """The plan key holds ``axes`` as passed: lists and numpy ints give
+        numpy's result and hit the plan the int-tuple form compiled, with
+        the same hit/miss/GEMM counts."""
+        a = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+        b = rng.standard_normal((5, 4, 2)) + 1j * rng.standard_normal((5, 4, 2))
+        ref = np.tensordot(a, b, axes=((2, 1), (0, 1)))
+        be = KernelBackend(name=name)
+        tuple_out = tensordot_fused(a, b, axes=((2, 1), (0, 1)), backend=be)
+        out = tensordot_fused(a, b, axes=axes, backend=be)
+        assert np.allclose(out, ref, atol=1e-12)
+        assert np.array_equal(out, tuple_out)
+        assert (be.cache_misses, be.cache_hits) == (1, 1)
+        assert len(be.plan_cache) == 1
+        assert be.gemm_calls == (2 if name == "blas" else 0)
+        # and the other way round: a plan compiled from lists serves tuples
+        be = KernelBackend(name=name)
+        tensordot_fused(a, b, axes=axes, backend=be)
+        tensordot_fused(a, b, axes=((2, 1), (0, 1)), backend=be)
+        assert (be.cache_misses, be.cache_hits) == (1, 1)
+
 
 class TestSVD:
     def test_reconstruction(self, backend, rng):
@@ -89,6 +124,27 @@ class TestSVD:
     def test_zero_matrix_rejected(self, backend):
         with pytest.raises(ValidationError):
             svd_truncated(np.zeros((3, 3)), backend=backend)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_matrix_rejected(self, rng, bad):
+        """An inf comes back from gesdd as s = [nan] and a NaN fails both
+        drivers: either way a ValidationError, never a NaN Schmidt value
+        or a bare numpy/scipy exception."""
+        m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        m[1, 2] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            svd_truncated(m, max_dim=2, backend=KernelBackend())
+
+    def test_both_drivers_failing_is_a_convergence_error(self, monkeypatch,
+                                                         rng):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        monkeypatch.setattr(kernels.sla, "svd", failing)
+        m = rng.standard_normal((5, 3))
+        with pytest.raises(ConvergenceError, match="gesdd and gesvd"):
+            svd_truncated(m, backend=KernelBackend())
 
     def test_gesdd_failure_falls_back_to_gesvd(self, monkeypatch, rng):
         """Fault injection: ``np.linalg.svd`` raising LinAlgError once must
@@ -132,6 +188,103 @@ class TestSVD:
         u, s, vh, _ = svd_truncated(m, backend=be)
         assert np.allclose(u * s @ vh, m, atol=1e-8)
         assert be.svd_calls == 1
+
+
+def _bits(x):
+    """Raw bytes in C order: equal iff every element is bit for bit."""
+    return np.ascontiguousarray(x).tobytes()
+
+
+class TestQRReduced:
+    @pytest.mark.parametrize("shape", [(2, 5), (5, 2), (40, 10), (10, 40),
+                                       (64, 30), (7, 7), (1, 1)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_bitwise_parity_with_numpy(self, rng, shape, dtype, order,
+                                       transpose):
+        """The bound geqrf/orgqr pair is numpy's: the same Q and R bits on
+        tall, wide and square blocks, including the transposed view the
+        sweep passes."""
+        a = rng.standard_normal(shape).astype(dtype)
+        if dtype is np.complex128:
+            a += 1j * rng.standard_normal(shape)
+        a = np.asarray(a, order=order)
+        if transpose:
+            a = a.T
+        q, r = qr_reduced(a, KernelBackend())
+        q_ref, r_ref = np.linalg.qr(a)
+        assert q.dtype == q_ref.dtype and r.dtype == r_ref.dtype
+        assert q.shape == q_ref.shape and r.shape == r_ref.shape
+        assert _bits(q) == _bits(q_ref)
+        assert _bits(r) == _bits(r_ref)
+
+    def test_bitwise_parity_in_the_blocked_code(self):
+        """Past min(m, n) = 128 LAPACK switches to blocked code, whose
+        bits depend on the workspace: the kernel passes the size numpy's
+        workspace query returns.  numpy and scipy may link separate BLAS
+        builds whose threaded level-3 kernels split work differently, so
+        this runs in a child on one BLAS thread, as the benchmarks do."""
+        code = """if True:
+            import numpy as np
+            from repro.simulators.kernels import KernelBackend, qr_reduced
+            rng = np.random.default_rng(7)
+            for shape in [(160, 140), (140, 300), (300, 140)]:
+                a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for x in (a, np.asfortranarray(a).T, a.real.copy()):
+                    q, r = qr_reduced(x, KernelBackend())
+                    q0, r0 = np.linalg.qr(x)
+                    assert q.tobytes() == np.ascontiguousarray(q0).tobytes()
+                    assert r.tobytes() == np.ascontiguousarray(r0).tobytes()
+        """
+        env = {**os.environ, "OMP_NUM_THREADS": "1",
+               "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   [str(Path(kernels.__file__).parents[2])]
+                   + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 9), (6, 6)])
+    def test_r_is_upper_triangular(self, rng, shape):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        q, r = qr_reduced(a, KernelBackend())
+        k = min(shape)
+        assert q.shape == (shape[0], k) and r.shape == (k, shape[1])
+        assert not np.tril(r, -1).any()
+        assert np.allclose(q @ r, a, atol=1e-13)
+        assert np.allclose(q.conj().T @ q, np.eye(k), atol=1e-13)
+
+    @pytest.mark.parametrize("name", ["plain", "naive"])
+    def test_reference_backends_call_numpy(self, monkeypatch, rng, name):
+        calls = []
+        real_qr = np.linalg.qr
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        a = rng.standard_normal((6, 3))
+        qr_reduced(a, KernelBackend(name=name))
+        assert calls == [(6, 3)]
+        qr_reduced(a, KernelBackend())
+        assert calls == [(6, 3)]
+
+    def test_lapack_argument_error_is_raised(self, monkeypatch, rng):
+        """LAPACK's info < 0 leaves zeros in the outputs: an error, never
+        a result."""
+        a = rng.standard_normal((4, 3))
+        geqrf, *rest = kernels._qr_plan(a.dtype, *a.shape)
+
+        def rejecting(x, lwork):
+            return np.zeros_like(x), np.zeros(min(x.shape)), None, -4
+
+        monkeypatch.setattr(kernels, "_qr_plan",
+                            lambda *key: (rejecting, *rest))
+        with pytest.raises(ValidationError, match="argument 4"):
+            qr_reduced(a, KernelBackend())
 
 
 class TestGlobalBackend:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.common.errors import TruncationOverflowError, ValidationError
 from repro.circuits.gates import GATE_MATRICES
 from repro.operators.pauli import pauli_string
+from repro.simulators.kernels import KernelBackend, get_backend, set_backend
 from repro.simulators.mps import MPS
 from scipy.stats import unitary_group
 
@@ -300,3 +301,35 @@ class TestExcitation:
         with pytest.raises(TruncationOverflowError):
             mps.apply_excitation(
                 [(0, "-"), (2, "-"), (3, "+"), (5, "+")], 1.1)
+
+
+class TestStateBackend:
+    def test_sweep_qrs_run_on_the_state_backend(self, monkeypatch):
+        """The QRs of both sweeps - the canonicalization's and an
+        excitation's - run on the state's own ``KernelBackend``, not on the
+        process-global one: a reference backend goes through
+        ``np.linalg.qr``, "blas" through the bound LAPACK pair."""
+        calls, real_qr = [], np.linalg.qr
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        double = [(0, "-"), (1, "-"), (3, "+"), (4, "+")]
+        assert get_backend().name == "blas"
+        want = MPS.random_state(5, 4, seed=3, backend=KernelBackend("plain"))
+        assert len(calls) == 4                    # one per bond, left sweep
+        want.apply_excitation(double, 0.4)
+        assert len(calls) == 4 + 4                # sites 4..1 of the span
+        calls.clear()
+        original = get_backend().name
+        set_backend("naive")
+        try:
+            mps = MPS.random_state(5, 4, seed=3, backend=KernelBackend())
+            mps.apply_excitation(double, 0.4)
+        finally:
+            set_backend(original)
+        assert calls == []
+        assert np.allclose(mps.to_statevector(), want.to_statevector(),
+                           atol=1e-12)
