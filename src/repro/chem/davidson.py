@@ -93,8 +93,12 @@ def davidson(matvec: Callable[[np.ndarray], np.ndarray],
             v, _ = np.linalg.qr(v)
             sigma = np.empty((dim, 0))
             continue
-        # preconditioned correction vectors, orthogonalized against v
-        new_dirs = []
+        # preconditioned corrections, each appended after two Gram-Schmidt
+        # passes against the basis so far.  The old columns are never
+        # re-factored: a QR of the whole basis may flip a column's sign
+        # (always so for a unit guess off index 0) and so desynchronize the
+        # sigma vectors kept for it.
+        n_basis = v.shape[1]
         for k in range(n_roots):
             if norms[k] < tolerance:
                 continue
@@ -102,21 +106,21 @@ def davidson(matvec: Callable[[np.ndarray], np.ndarray],
             denom = np.where(np.abs(denom) < 1e-8,
                              np.sign(denom + 1e-30) * 1e-8, denom)
             corr = residuals[:, k] / denom
-            corr -= v @ (v.T @ corr)
+            before = np.linalg.norm(corr)
+            for _ in range(2):
+                corr -= v @ (v.T @ corr)
             nrm = np.linalg.norm(corr)
-            if nrm > 1e-10:
-                new_dirs.append(corr / nrm)
-        if not new_dirs:
+            # relative test: near convergence a tiny correction is still a
+            # valid new direction
+            if nrm > 1e-8 * before:
+                v = np.column_stack([v, corr / nrm])
+        if v.shape[1] == n_basis:
             # stagnation: residuals above tolerance but no usable direction
             raise ConvergenceError(
                 "Davidson stagnated (preconditioner produced no new "
                 "directions)", iterations=it,
                 residual=float(norms.max()),
             )
-        add = np.column_stack(new_dirs)
-        # re-orthogonalize the combined basis for numerical safety
-        v = np.column_stack([v, add])
-        v, _ = np.linalg.qr(v)
     raise ConvergenceError(
         f"Davidson did not converge in {max_iterations} iterations",
         iterations=max_iterations, residual=float(norms.max()),

@@ -4,9 +4,11 @@ The exact-diagonalization baseline of the paper's Fig. 7a, and the exact
 fragment solver used to validate the DMET pipeline.  Uses the alpha/beta
 string factorization: a determinant is a pair of occupation bitstrings, the
 CI vector is a (n_alpha_strings, n_beta_strings) matrix, and the spin-summed
-excitation operators E_pq act by matrix multiplication from the left (alpha)
-or right (beta).  Small problems are diagonalized densely; larger ones use a
-matrix-free sigma build with :func:`scipy.sparse.linalg.eigsh`.
+excitation operators E_pq = e^a_pq + e^b_pq act by matrix multiplication from
+the left (alpha) or right (beta).  Each per-spin e_pq lives in sparse link
+tables (one signed entry per single excitation of a string).  Small problems
+build H in closed form from three GEMMs and diagonalize it densely; larger
+ones run Davidson on a sigma build of one dense GEMM and four sparse products.
 
 The solver also returns spin-summed 1- and 2-RDMs, which DMET's democratic
 partitioning and electron-number fitting consume.
@@ -19,10 +21,10 @@ from itertools import combinations
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from repro.common.bits import popcount
 from repro.common.errors import ValidationError
+from repro.chem.davidson import davidson
 from repro.chem.mo import MOIntegrals
 
 
@@ -41,15 +43,19 @@ def occupation_strings(n_orbitals: int, n_electrons: int) -> list[int]:
     return sorted(out)
 
 
-def _excitation_matrices(strings: list[int], n_orbitals: int) -> np.ndarray:
-    """Dense e_pq matrices over a string basis: shape (M, M, ns, ns).
+def _excitation_tables(strings: list[int],
+                       n_orbitals: int) -> tuple[csr_matrix, csr_matrix]:
+    """Sparse e_pq link tables over a string basis, in two CSR layouts.
 
-    e[p, q, I, J] = <I| a+_p a_q |J> restricted to one spin sector, with the
-    fermionic sign from the number of occupied orbitals passed over.
+    Each nonzero <I| a+_p a_q |J> of one spin sector, with the fermionic sign
+    from the number of occupied orbitals passed over, is one link
+    (pq, I, J, sign), as in PySCF's ``direct_spin1``.  Returns E, rows
+    (pq, I) by columns J, so ``E @ V`` stacks every e_pq V; and F, rows I by
+    columns (pq, J), so ``F @ W`` sums e_pq W_pq over pq for W stacked by pq.
     """
     ns = len(strings)
     index = {s: i for i, s in enumerate(strings)}
-    e = np.zeros((n_orbitals, n_orbitals, ns, ns))
+    links = []
     for j_idx, s in enumerate(strings):
         for q in range(n_orbitals):
             if not (s >> q) & 1:
@@ -59,14 +65,18 @@ def _excitation_matrices(strings: list[int], n_orbitals: int) -> np.ndarray:
                 if (s1 >> p) & 1:
                     continue
                 t = s1 | (1 << p)
-                i_idx = index[t]
                 lo, hi = (p, q) if p < q else (q, p)
                 between = s1 >> (lo + 1)
                 count = popcount(between & ((1 << (hi - lo - 1)) - 1)) \
                     if hi > lo + 1 else 0
                 sign = -1.0 if count % 2 else 1.0
-                e[p, q, i_idx, j_idx] += sign
-    return e
+                links.append((p * n_orbitals + q, index[t], j_idx, sign))
+    pq, i_idx, j_idx, sign = np.array(links).reshape(-1, 4).T
+    pq, i_idx, j_idx = (x.astype(np.intp) for x in (pq, i_idx, j_idx))
+    size = n_orbitals * n_orbitals * ns
+    e = csr_matrix((sign, (pq * ns + i_idx, j_idx)), shape=(size, ns))
+    f = csr_matrix((sign, (i_idx, pq * ns + j_idx)), shape=(ns, size))
+    return e, f
 
 
 @dataclass
@@ -94,15 +104,14 @@ class FCISolver:
     n_alpha, n_beta:
         Spin populations; default splits ``mo.n_electrons`` evenly.
     dense_cutoff:
-        Determinant count below which a dense eigensolve is used.
+        Determinant count up to which H is built and diagonalized densely;
+        larger problems run Davidson.  The default is the measured crossover
+        of the two (even near 225 determinants, Davidson ~2x faster at 300
+        and ~7x at 784; EXPERIMENTS.md, Ablation 17).
     """
 
     def __init__(self, mo: MOIntegrals, n_alpha: int | None = None,
-                 n_beta: int | None = None, *, dense_cutoff: int = 3000,
-                 method: str = "davidson"):
-        if method not in ("davidson", "eigsh"):
-            raise ValidationError(f"unknown FCI method {method!r}")
-        self.method = method
+                 n_beta: int | None = None, *, dense_cutoff: int = 250):
         self.mo = mo
         n_elec = mo.n_electrons
         if n_alpha is None or n_beta is None:
@@ -118,45 +127,73 @@ class FCISolver:
         m = mo.n_orbitals
         self.alpha_strings = occupation_strings(m, n_alpha)
         self.beta_strings = occupation_strings(m, n_beta)
-        self._ea = _excitation_matrices(self.alpha_strings, m)
+        self._ea, self._fa = _excitation_tables(self.alpha_strings, m)
         if (n_beta, tuple(self.beta_strings)) == (n_alpha, tuple(self.alpha_strings)):
-            self._eb = self._ea
+            self._eb, self._fb = self._ea, self._fa
         else:
-            self._eb = _excitation_matrices(self.beta_strings, m)
+            self._eb, self._fb = _excitation_tables(self.beta_strings, m)
         # effective one-body: h'_ps = h_ps - 1/2 sum_q (pq|qs)
         self._h_eff = mo.h1 - 0.5 * np.einsum("pqqs->ps", mo.h2)
+        self._g = mo.h2.reshape(m * m, m * m)
 
     # -- sigma build ----------------------------------------------------------
 
     def _apply_e(self, v: np.ndarray) -> np.ndarray:
         """D[p,q] = E_pq |v> for all pq; shape (M, M, na, nb)."""
-        # alpha: e[p,q] @ V ; beta: V @ e[p,q].T
-        da = np.einsum("pqij,jk->pqik", self._ea, v, optimize=True)
-        db = np.einsum("ik,pqjk->pqij", v, self._eb, optimize=True)
-        return da + db
+        # alpha: e[p,q] @ V ; beta: V @ e[p,q].T = (e[p,q] @ V.T).T
+        m = self.mo.n_orbitals
+        na, nb = v.shape
+        d = (self._ea @ v).reshape(m, m, na, nb)
+        d += (self._eb @ v.T).reshape(m, m, nb, na).transpose(0, 1, 3, 2)
+        return d
 
     def _sigma(self, v: np.ndarray) -> np.ndarray:
         """H|v> (without the scalar constant)."""
-        m = self.mo.n_orbitals
-        d = self._apply_e(v)
+        m2 = self.mo.n_orbitals ** 2
+        na, nb = v.shape
+        d = self._apply_e(v).reshape(m2, na * nb)
         # one-body (with the delta correction folded into h_eff)
-        sigma = np.einsum("pq,pqij->ij", self._h_eff, d, optimize=True)
-        # two-body: 1/2 sum_pq E_pq [ sum_rs (pq|rs) E_rs v ]
-        w = np.einsum("pqrs,rsij->pqij", self.mo.h2, d, optimize=True)
-        # E_pq acts on w[p,q]: alpha part e_pq @ W_pq, beta part W_pq @ e_pq^T
-        sigma += 0.5 * np.einsum("pqij,pqjk->ik", self._ea, w, optimize=True)
-        sigma += 0.5 * np.einsum("pqik,pqjk->ij", w, self._eb, optimize=True)
+        sigma = (self._h_eff.reshape(m2) @ d).reshape(na, nb)
+        # two-body: 1/2 sum_pq E_pq W_pq with W_pq = sum_rs (pq|rs) E_rs v;
+        # alpha part e_pq @ W_pq, beta part W_pq @ e_pq^T
+        w = (self._g @ d).reshape(m2, na, nb)
+        sigma += 0.5 * (self._fa @ w.reshape(m2 * na, nb))
+        w_t = w.transpose(0, 2, 1).reshape(m2 * nb, na)
+        sigma += 0.5 * (self._fb @ w_t).T
         return sigma
 
     def _dense_hamiltonian(self) -> np.ndarray:
+        """H over determinants in closed form (without the scalar constant).
+
+        H = A (x) 1 + 1 (x) B + sum 1/2[(pq|rs) + (rs|pq)] e^a_pq (x) e^b_rs
+        with A = sum h'_pq e^a_pq + 1/2 sum (pq|rs) e^a_pq e^a_rs (B the same
+        for beta), from the densified per-spin tables; H is written one alpha
+        row block at a time.
+        """
+        m2 = self.mo.n_orbitals ** 2
         na, nb = len(self.alpha_strings), len(self.beta_strings)
-        dim = na * nb
-        h = np.zeros((dim, dim))
-        basis = np.eye(dim)
-        for col in range(dim):
-            v = basis[:, col].reshape(na, nb)
-            h[:, col] = self._sigma(v).ravel()
-        return h
+
+        def one_spin(e, f, ns):
+            """Densified tables (M^2, ns^2) and the one-spin block A."""
+            e2 = e.toarray().reshape(m2, ns * ns)
+            one = (self._h_eff.reshape(m2) @ e2).reshape(ns, ns)
+            return e2, one + 0.5 * (f @ (self._g @ e2).reshape(m2 * ns, ns))
+
+        ea, a = one_spin(self._ea, self._fa, na)
+        if self._eb is self._ea:
+            eb, b = ea, a
+        else:
+            eb, b = one_spin(self._eb, self._fb, nb)
+        x = 0.5 * (self._g + self._g.T) @ eb
+        ea = ea.reshape(m2, na, na)
+        h = np.empty((na, nb, na, nb))
+        j = np.arange(nb)
+        for i in range(na):
+            # H[(i, J), (K, L)] = sum_pq e^a_pq[i, K] X_pq[J, L]
+            h[i] = (ea[:, i, :].T @ x).reshape(na, nb, nb).transpose(1, 0, 2)
+            h[i][j, :, j] += a[i]
+            h[i, :, i, :] += b
+        return h.reshape(na * nb, na * nb)
 
     # -- public API ------------------------------------------------------------
 
@@ -164,42 +201,25 @@ class FCISolver:
         """Compute the lowest ``n_roots`` eigenstates; returns the ground root."""
         na, nb = len(self.alpha_strings), len(self.beta_strings)
         dim = na * nb
-        if dim == 1:
-            civec = np.ones((na, nb))
-            e0 = float(self._sigma(civec)[0, 0]) + self.mo.constant
-            energies = np.array([e0])
-        elif dim <= self.dense_cutoff:
-            h = self._dense_hamiltonian()
-            evals, evecs = np.linalg.eigh(h)
-            energies = evals[:n_roots] + self.mo.constant
-            civec = evecs[:, 0].reshape(na, nb)
-            e0 = float(energies[0])
-        elif self.method == "davidson":
-            from repro.chem.davidson import davidson
-
+        if not 1 <= n_roots <= dim:
+            raise ValidationError(
+                f"n_roots={n_roots} invalid for {dim} determinants"
+            )
+        if dim <= max(self.dense_cutoff, 1):
+            evals, evecs = np.linalg.eigh(self._dense_hamiltonian())
+            energies, civec = evals[:n_roots], evecs[:, 0]
+        else:
             out = davidson(
                 lambda x: self._sigma(x.reshape(na, nb)).ravel(),
                 self.hamiltonian_diagonal().ravel(),
                 n_roots=n_roots,
             )
-            energies = out.eigenvalues + self.mo.constant
-            civec = out.eigenvectors[:, 0].reshape(na, nb)
-            e0 = float(energies[0])
-        else:
-            op = LinearOperator(
-                (dim, dim),
-                matvec=lambda x: self._sigma(x.reshape(na, nb)).ravel(),
-                dtype=float,
-            )
-            k = max(n_roots, 1)
-            evals, evecs = eigsh(op, k=k, which="SA")
-            order = np.argsort(evals)
-            energies = evals[order][:n_roots] + self.mo.constant
-            civec = evecs[:, order[0]].reshape(na, nb)
-            e0 = float(energies[0])
+            energies, civec = out.eigenvalues, out.eigenvectors[:, 0]
+        energies = energies + self.mo.constant
+        civec = civec.reshape(na, nb)
         one_rdm, two_rdm = self._rdms(civec)
-        return FCIResult(energy=e0, civec=civec, energies=np.asarray(energies),
-                         one_rdm=one_rdm, two_rdm=two_rdm)
+        return FCIResult(energy=float(energies[0]), civec=civec,
+                         energies=energies, one_rdm=one_rdm, two_rdm=two_rdm)
 
     def hamiltonian_diagonal(self) -> np.ndarray:
         """Slater-Condon diagonal over determinants: (na, nb) array.

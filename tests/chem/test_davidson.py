@@ -44,6 +44,13 @@ class TestDavidson:
                        max_subspace=6, max_iterations=500)
         assert out.eigenvalues[0] == pytest.approx(exact, abs=1e-7)
 
+    def test_lowest_diagonal_not_at_index_zero(self):
+        """A unit guess off index 0 keeps its sign as the basis grows."""
+        a = _random_sparse_symmetric(200, seed=1)[::-1, ::-1].copy()
+        exact = np.linalg.eigvalsh(a)[0]
+        out = davidson(lambda x: a @ x, np.diag(a).copy())
+        assert out.eigenvalues[0] == pytest.approx(exact, abs=1e-8)
+
     def test_initial_guess(self):
         a = _random_sparse_symmetric(80, seed=5)
         exact_val, exact_vec = np.linalg.eigh(a)
@@ -76,20 +83,43 @@ class TestFCIDavidson:
     def test_matches_dense(self, water):
         from repro.chem.fci import FCISolver
 
-        dav = FCISolver(water.mo, dense_cutoff=1, method="davidson").solve()
-        assert dav.energy == pytest.approx(water.fci.energy, abs=1e-9)
+        dense = FCISolver(water.mo, dense_cutoff=10**6).solve()
+        dav = FCISolver(water.mo, dense_cutoff=1).solve()
+        assert dav.energy == pytest.approx(dense.energy, abs=1e-12)
 
-    def test_diagonal_matches_dense(self, h2):
+    def test_lih_does_not_stagnate(self, lih):
+        """LiH/STO-3G (225 determinants) used to stall at residual 2.9e-8."""
         from repro.chem.fci import FCISolver
 
-        solver = FCISolver(h2.mo)
-        hdiag = solver.hamiltonian_diagonal().ravel()
-        dense = solver._dense_hamiltonian()
-        assert np.allclose(hdiag, np.diag(dense), atol=1e-12)
+        dense = FCISolver(lih.mo, dense_cutoff=10**6).solve()
+        dav = FCISolver(lih.mo, dense_cutoff=1).solve()
+        assert dav.energy == pytest.approx(dense.energy, abs=1e-12)
+
+    @pytest.mark.parametrize("n_sites", [4, 6])
+    def test_hubbard_ring_lowest_diagonal_off_index_zero(self, n_sites):
+        """The guess is a unit vector away from index 0: no sign flips."""
+        from repro.chem.fci import FCISolver
+        from repro.chem.lattice import hubbard_ring
+
+        mo = hubbard_ring(n_sites, u=4.0, t=1.0).to_mo_integrals()
+        solver = FCISolver(mo, dense_cutoff=1)
+        assert np.argmin(solver.hamiltonian_diagonal()) != 0
+        dense = FCISolver(mo, dense_cutoff=10**6).solve()
+        assert solver.solve().energy == pytest.approx(dense.energy, abs=1e-12)
+
+    def test_diagonal_matches_dense(self, h2, water):
+        from repro.chem.fci import FCISolver
+
+        for solver in (FCISolver(h2.mo),
+                       FCISolver(water.mo, n_alpha=6, n_beta=4)):
+            hdiag = solver.hamiltonian_diagonal().ravel()
+            dense = solver._dense_hamiltonian()
+            assert np.allclose(hdiag, np.diag(dense), atol=1e-12)
 
     def test_unknown_method(self, h2):
+        """Davidson is the one iterative path: ``method=`` is no keyword."""
         from repro.chem.fci import FCISolver
-        from repro.common.errors import ValidationError
 
-        with pytest.raises(ValidationError):
-            FCISolver(h2.mo, method="lanczos")
+        for method in ("davidson", "eigsh", "lanczos"):
+            with pytest.raises(TypeError):
+                FCISolver(h2.mo, method=method)

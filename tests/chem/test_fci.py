@@ -2,10 +2,32 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.common.errors import ValidationError
-from repro.chem.fci import FCISolver, occupation_strings, _excitation_matrices
+from repro.chem.fci import FCISolver, occupation_strings, _excitation_tables
+from repro.chem.lattice import hubbard_chain, hubbard_ring
 from repro.chem.mo import MOIntegrals
+
+
+def _densified_tables(strings, n_orbitals):
+    """The sparse E table densified to e[p, q] = (ns, ns) matrices."""
+    e, _ = _excitation_tables(strings, n_orbitals)
+    ns = len(strings)
+    return e.toarray().reshape(n_orbitals, n_orbitals, ns, ns)
+
+
+def _sigma_columns(solver):
+    """H built one sigma call per determinant: the closed form's oracle."""
+    na, nb = len(solver.alpha_strings), len(solver.beta_strings)
+    basis = np.eye(na * nb)
+    return np.column_stack([
+        solver._sigma(basis[:, col].reshape(na, nb)).ravel()
+        for col in range(na * nb)])
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("called on a path that must not call it")
 
 
 class TestOccupationStrings:
@@ -30,7 +52,7 @@ class TestExcitationMatrices:
     def test_number_operator(self):
         """e_pp is diagonal with the occupation of orbital p."""
         strings = occupation_strings(4, 2)
-        e = _excitation_matrices(strings, 4)
+        e = _densified_tables(strings, 4)
         for p in range(4):
             diag = np.diag(e[p, p])
             for i, s in enumerate(strings):
@@ -39,7 +61,7 @@ class TestExcitationMatrices:
     def test_adjoint_relation(self):
         """e_pq^T = e_qp (real matrices)."""
         strings = occupation_strings(4, 2)
-        e = _excitation_matrices(strings, 4)
+        e = _densified_tables(strings, 4)
         for p in range(4):
             for q in range(4):
                 assert np.allclose(e[p, q].T, e[q, p])
@@ -47,11 +69,90 @@ class TestExcitationMatrices:
     def test_commutator_algebra(self):
         """[E_pq, E_rs] = delta_qr E_ps - delta_sp E_rq on one spin sector."""
         strings = occupation_strings(4, 2)
-        e = _excitation_matrices(strings, 4)
+        e = _densified_tables(strings, 4)
         p, q, r, s = 0, 1, 1, 2
         comm = e[p, q] @ e[r, s] - e[r, s] @ e[p, q]
         expected = e[p, s]  # delta_qr = 1, delta_sp = 0
         assert np.allclose(comm, expected)
+
+    def test_f_is_e_relaid(self):
+        """F[I, (pq, J)] = E[(pq, I), J]: the same links, two layouts."""
+        m, strings = 5, occupation_strings(5, 2)
+        ns = len(strings)
+        e, f = _excitation_tables(strings, m)
+        dense_f = f.toarray().reshape(ns, m * m, ns).transpose(1, 0, 2)
+        assert np.array_equal(dense_f, e.toarray().reshape(m * m, ns, ns))
+
+    def test_tables_are_sparse_one_entry_per_link(self):
+        """chain:8 sector (8 orbitals, 4 electrons): 1,400 links, not 313,600
+        dense entries."""
+        e, f = _excitation_tables(occupation_strings(8, 4), 8)
+        assert sparse.issparse(e) and sparse.issparse(f)
+        assert e.shape == (64 * 70, 70) and f.shape == (70, 64 * 70)
+        # each string: q among its 4 electrons, p = q or one of 4 holes
+        assert e.nnz == f.nnz == 70 * 4 * 5
+
+    def test_empty_sector(self):
+        e, f = _excitation_tables(occupation_strings(3, 0), 3)
+        assert e.shape == (9, 1) and f.shape == (1, 9) and e.nnz == f.nnz == 0
+
+
+#: (id, molecule fixture or lattice, sector): spin-balanced molecules, an
+#: n_alpha != n_beta sector and Hubbard lattices (one with 3 alpha, 2 beta)
+SECTORS = [
+    ("h2", "h2", {}), ("lih", "lih", {}), ("water", "water", {}),
+    ("lih-3a1b", "lih", {"n_alpha": 3, "n_beta": 1}),
+    ("hubbard-ring-4", hubbard_ring(4, u=4.0, t=1.0), {}),
+    ("hubbard-chain-5", hubbard_chain(5, u=2.0, t=1.0), {}),
+]
+
+
+@pytest.fixture(params=SECTORS, ids=[row[0] for row in SECTORS])
+def sector_solver(request):
+    _, system, sector = request.param
+    if isinstance(system, str):
+        mo = request.getfixturevalue(system).mo
+    else:
+        mo = system.to_mo_integrals()
+    return FCISolver(mo, **sector)
+
+
+class TestClosedFormHamiltonian:
+    def test_matches_column_by_column_sigma(self, sector_solver):
+        h = sector_solver._dense_hamiltonian()
+        assert np.abs(h - _sigma_columns(sector_solver)).max() < 1e-12
+        assert np.abs(h - h.T).max() < 1e-12
+
+    def test_sparse_sigma_is_h_times_v(self, sector_solver):
+        na = len(sector_solver.alpha_strings)
+        nb = len(sector_solver.beta_strings)
+        h = sector_solver._dense_hamiltonian()
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            v = rng.standard_normal((na, nb))
+            sigma = sector_solver._sigma(v)
+            assert sigma.shape == (na, nb)
+            assert np.abs(sigma.ravel() - h @ v.ravel()).max() < 1e-12
+
+    def test_dense_path_makes_no_sigma_call(self, water, monkeypatch):
+        expected = FCISolver(water.mo, dense_cutoff=1).solve().energy
+        monkeypatch.setattr(FCISolver, "_sigma", _raise)
+        res = FCISolver(water.mo, dense_cutoff=10**6).solve()
+        assert res.energy == pytest.approx(expected, abs=1e-12)
+
+    def test_davidson_path_holds_no_excitation_tensor(self, water,
+                                                      monkeypatch):
+        expected = FCISolver(water.mo, dense_cutoff=10**6).solve().energy
+        solver = FCISolver(water.mo, dense_cutoff=1)
+        monkeypatch.setattr(FCISolver, "_dense_hamiltonian", _raise)
+        monkeypatch.setattr(sparse.csr_matrix, "toarray", _raise)
+        assert solver.solve().energy == pytest.approx(expected, abs=1e-12)
+        m, ns = water.mo.n_orbitals, len(solver.alpha_strings)
+        for value in vars(solver).values():
+            if isinstance(value, np.ndarray):
+                assert value.size < m * m * ns * ns
+            elif sparse.issparse(value):
+                assert value.nnz == ns * 5 * (m - 5 + 1)
 
 
 class TestFCIEnergies:
@@ -74,6 +175,17 @@ class TestFCIEnergies:
     def test_excited_roots_ordered(self, h2):
         res = FCISolver(h2.mo).solve(n_roots=3)
         assert res.energies[0] <= res.energies[1] <= res.energies[2]
+
+    @pytest.mark.parametrize("cutoff", [10**6, 1], ids=["dense", "davidson"])
+    @pytest.mark.parametrize("n_roots", [0, -1, 5, 10])
+    def test_n_roots_out_of_range_rejected(self, h2, n_roots, cutoff):
+        """H2/STO-3G has 4 determinants: every path asks 1 <= n_roots <= 4."""
+        with pytest.raises(ValidationError, match="n_roots"):
+            FCISolver(h2.mo, dense_cutoff=cutoff).solve(n_roots=n_roots)
+
+    def test_every_root_of_the_dense_path(self, h2):
+        res = FCISolver(h2.mo, dense_cutoff=10**6).solve(n_roots=4)
+        assert res.energies.shape == (4,)
 
 
 class TestRDMs:
