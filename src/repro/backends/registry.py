@@ -253,7 +253,7 @@ register_backend(
 )
 register_backend(
     "density_matrix", _make_density_matrix,
-    description="dense 4^n density matrix; supports noise channels",
+    description="dense 4^n density matrix (the Fig. 2c memory baseline)",
     options=("max_qubits",),
 )
 # A second name for the statevector backend, kept only because the frozen

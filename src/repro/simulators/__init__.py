@@ -10,7 +10,6 @@ enforces on random circuits.
 from repro.simulators.kernels import (
     KernelBackend,
     get_backend,
-    set_backend,
     tensordot_fused,
     svd_truncated,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "compile_observable",
     "KernelBackend",
     "get_backend",
-    "set_backend",
     "tensordot_fused",
     "svd_truncated",
     "StatevectorSimulator",

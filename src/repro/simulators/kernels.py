@@ -14,8 +14,11 @@ QR and SVD - are routed through a small set of kernels with
 * *reference kernels*: deliberately unoptimized pure-loop implementations
   standing in for the paper's MPE-only baseline in the Fig. 11 experiment.
 
-Backends are process-global and selectable with :func:`set_backend`
-("blas" - optimized, QR on LAPACK bound once; "naive" - reference loops).
+A :class:`KernelBackend` is chosen per state, never switched process-wide:
+every MPS built without one shares the "blas" default (:func:`get_backend`);
+the reference kernels run only on a state handed an explicit
+``KernelBackend(name="plain" | "naive")``.  The ``kernels.*`` obs counters
+are the one ledger of plan-cache lookups, GEMMs and SVDs.
 """
 
 from __future__ import annotations
@@ -64,11 +67,19 @@ class _Plan:
 
 @dataclass
 class KernelBackend:
-    """Kernel dispatch table plus cache statistics.
+    """Kernel dispatch table plus its contraction-plan cache.
+
+    ``name`` picks the pipeline:
+
+    * "blas"  - fused permute+GEMM, bound geqrf/orgqr QR, numpy's gesdd
+      SVD (the paper's optimized pipeline);
+    * "plain" - generic-library choices: einsum, np.linalg.qr and gesvd
+      full-matrices SVD (the quimb-like reference of Fig. 8);
+    * "naive" - pure-loop reference kernels (the Fig. 11 MPE-only stand-in).
 
     ``plan_cache`` is a bounded per-backend LRU: hits
     refresh recency, overflow evicts the least-recently-used signature,
-    and the hit/miss/eviction traffic is mirrored into the labelled
+    and the hit/miss/eviction traffic is booked in the labelled
     ``kernels.plan_cache`` obs counter so it merges across processes and
     shows up in the pinned counter budgets.
     """
@@ -76,46 +87,19 @@ class KernelBackend:
     name: str = "blas"
     plan_cache: OrderedDict = field(default_factory=OrderedDict)
     max_plans: int = PLAN_CACHE_MAX
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    gemm_calls: int = 0
-    svd_calls: int = 0
 
-    def stats(self) -> dict[str, int]:
-        return {
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "gemm_calls": self.gemm_calls,
-            "svd_calls": self.svd_calls,
-        }
-
-    def reset_stats(self) -> None:
-        self.cache_hits = self.cache_misses = self.cache_evictions = 0
-        self.gemm_calls = self.svd_calls = 0
+    def __post_init__(self) -> None:
+        if self.name not in ("blas", "plain", "naive"):
+            raise ValidationError(
+                f"unknown kernel backend {self.name!r}; known: blas, plain, "
+                "naive")
 
 
 _BACKEND = KernelBackend()
 
 
 def get_backend() -> KernelBackend:
-    """The process-global kernel backend (see :func:`set_backend`)."""
-    return _BACKEND
-
-
-def set_backend(name: str) -> KernelBackend:
-    """Select the process-global kernel backend.
-
-    * "blas"  - fused permute+GEMM, bound geqrf/orgqr QR, numpy's gesdd
-      SVD, plan cache (the paper's optimized pipeline);
-    * "plain" - generic-library choices: einsum, np.linalg.qr and gesvd
-      full-matrices SVD (the quimb-like reference of Fig. 8);
-    * "naive" - pure-loop reference kernels (the Fig. 11 MPE-only stand-in).
-    """
-    if name not in ("blas", "plain", "naive"):
-        raise ValidationError(f"unknown kernel backend {name!r}")
-    _BACKEND.name = name
+    """The shared "blas" backend of every state built without its own."""
     return _BACKEND
 
 
@@ -150,7 +134,7 @@ def tensordot_fused(a: np.ndarray, b: np.ndarray,
 
     Semantically identical to :func:`numpy.tensordot` but with an explicit
     plan cache keyed on the shape/axes signature, so steady-state VQE
-    iterations re-use compiled plans (the cache-hit counter exposes this).
+    iterations re-use compiled plans (``kernels.plan_cache`` counts this).
     """
     be = backend or _BACKEND
     cache = be.plan_cache
@@ -168,16 +152,13 @@ def tensordot_fused(a: np.ndarray, b: np.ndarray,
         plan = _compile_plan(a.shape, b.shape, *axes)
         if len(cache) >= be.max_plans:
             cache.popitem(last=False)
-            be.cache_evictions += 1
             if enabled:
                 _M_PLAN_CACHE.inc(outcome="evict")
         cache[key] = plan
-        be.cache_misses += 1
         if enabled:
             _M_PLAN_CACHE.inc(outcome="miss")
     else:
         cache.move_to_end(key)
-        be.cache_hits += 1
         if enabled:
             _M_PLAN_CACHE.inc(outcome="hit")
 
@@ -190,7 +171,6 @@ def tensordot_fused(a: np.ndarray, b: np.ndarray,
 
     am = a.transpose(plan.perm_a).reshape(plan.rows_a, plan.cols)
     bm = b.transpose(plan.perm_b).reshape(plan.cols, plan.cols_b)
-    be.gemm_calls += 1
     if enabled:
         _M_GEMM.inc()
     return (am @ bm).reshape(plan.out_shape)
@@ -274,7 +254,6 @@ def svd_truncated(m: np.ndarray, max_dim: int | None = None,
     this is the truncation-error monitor of the paper (Sec. III-A).
     """
     be = backend or _BACKEND
-    be.svd_calls += 1
     if _obs.REGISTRY.enabled:
         _M_SVD.inc()
     if be.name == "naive":

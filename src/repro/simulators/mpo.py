@@ -126,8 +126,7 @@ class MPO:
             self.tensors[k - 1] = tensordot_fused(
                 self.tensors[k - 1], carry, axes=((3,), (0,)))
 
-    def apply(self, mps, *, cutoff: float = 1e-13,
-              max_bond_dimension: int | None = None):
+    def apply(self, mps, *, cutoff: float = 1e-13):
         """``O|psi>`` as a normalized right-canonical MPS plus its norm.
 
         A left-to-right *zip-up* sweep contracts one MPO tensor into one
@@ -164,15 +163,13 @@ class MPO:
                 tensors.append(t.reshape(x, 2, ac * mc))
                 break
             u, s, vh, _ = svd_truncated(t.reshape(x * 2, ac * mc),
-                                        max_bond_dimension, cutoff,
-                                        backend=be)
+                                        cutoff=cutoff, backend=be)
             tensors.append(u.reshape(x, 2, s.size))
             carry = (s[:, None] * vh).reshape(s.size, ac, mc)
         norm = float(np.linalg.norm(tensors[-1]))
         if norm == 0.0:
             raise ValidationError("operator annihilates the state")
-        out = MPS(n, max_bond_dimension=max_bond_dimension, cutoff=cutoff,
-                  backend=be)
+        out = MPS(n, cutoff=cutoff, backend=be)
         out.tensors = tensors
         out._canonicalize()
         out.stats = TruncationStats()  # construction is not evolution

@@ -198,25 +198,15 @@ class MPS:
     def __init__(self, n_qubits: int, *, max_bond_dimension: int | None = None,
                  cutoff: float = 1e-12,
                  max_truncation_error: float | None = None,
-                 backend: KernelBackend | None = None,
-                 update_scheme: str = "hastings"):
+                 backend: KernelBackend | None = None):
         if n_qubits < 1:
             raise ValidationError("MPS needs at least one site")
         if max_bond_dimension is not None and max_bond_dimension < 1:
             raise ValidationError("max_bond_dimension must be >= 1")
-        if update_scheme not in ("hastings", "vidal"):
-            raise ValidationError(
-                f"unknown update scheme {update_scheme!r}"
-            )
         self.n_qubits = n_qubits
         self.max_bond_dimension = max_bond_dimension
         self.cutoff = cutoff
         self.max_truncation_error = max_truncation_error
-        #: "hastings" restores B_q = M V+ (Eq. 10, no division); "vidal"
-        #: divides U S by the left Schmidt values - the numerically fragile
-        #: alternative the paper's scheme avoids (kept for the ablation
-        #: benchmark).
-        self.update_scheme = update_scheme
         self.backend = backend or get_backend()
         self.stats = TruncationStats()
         #: monotone state-revision counter, bumped by every mutating
@@ -464,22 +454,13 @@ class MPS:
         m_scaled = m * lam_left[:, None, None, None]
         dl, _, _, dr = m.shape
         # Eq. 9: SVD + truncation
-        u, s, vh, disc = self._split_bond(
+        _, s, vh, disc = self._split_bond(
             m_scaled.reshape(dl * 2, 2 * dr), q + 1)
-        chi = s.size
-        new_b2 = vh.reshape(chi, 2, dr)
+        new_b2 = vh.reshape(s.size, 2, dr)
         self.tensors[q + 1] = new_b2
-        if self.update_scheme == "vidal":
-            # divide the left Schmidt values back out of U S - correct in
-            # exact arithmetic but amplifies noise when lambdas are small
-            lam_safe = np.where(lam_left > 1e-14, lam_left, 1.0)
-            new_b1 = ((u * s[None, :] / np.linalg.norm(s))
-                      .reshape(dl, 2, chi)
-                      / lam_safe[:, None, None])
-        else:
-            # Eq. 10 (Hastings): B_q = M V+, right-canonical by construction
-            new_b1 = tensordot_fused(m, new_b2.conj(), axes=((2, 3), (1, 2)),
-                                     backend=self.backend)  # l i chi
+        # Eq. 10 (Hastings): B_q = M V+, right-canonical by construction
+        new_b1 = tensordot_fused(m, new_b2.conj(), axes=((2, 3), (1, 2)),
+                                 backend=self.backend)      # l i chi
         if disc > 0.0:
             new_b1 = _renormalized(new_b1, lam_left)
         self.tensors[q] = new_b1
@@ -583,11 +564,6 @@ class MPS:
             raise ValidationError(f"gate string {ops} out of range")
         if any(ch is None or ch not in tables for ch in factors.values()):
             raise ValidationError(f"bad gate string {ops}")
-        if self.update_scheme != "hastings":
-            raise ValidationError(
-                "whole-gate application implements the Hastings update "
-                f"only; run the decomposed() gate stream on a "
-                f"{self.update_scheme!r} state")
         return factors
 
     def _apply_product_sum(self, factors: dict[int, str], tables: dict,
@@ -773,8 +749,7 @@ class MPS:
                     max_bond_dimension=self.max_bond_dimension,
                     cutoff=self.cutoff,
                     max_truncation_error=self.max_truncation_error,
-                    backend=self.backend,
-                    update_scheme=self.update_scheme)
+                    backend=self.backend)
         other.tensors = [t.copy() for t in self.tensors]
         other.lambdas = [l.copy() for l in self.lambdas]
         other.stats = TruncationStats(

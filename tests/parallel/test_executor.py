@@ -1,18 +1,14 @@
 """Tests for the real execution engine: the process executor (including a
-worker that dies mid-task), deterministic reductions, and fragment
-dispatch.
+worker that dies mid-task) and fragment dispatch.
 """
 
 from __future__ import annotations
 
-import math
 import os
 
-import numpy as np
 import pytest
 
 from repro.common.errors import ReproError, ValidationError, WorkerError
-from repro.common.reductions import kahan_sum, pairwise_sum
 from repro.obs.flight import validate_flight
 from repro.parallel.executor import (
     ProcessExecutor,
@@ -20,30 +16,6 @@ from repro.parallel.executor import (
     resolve_executor,
 )
 from repro.parallel.threelevel import ThreeLevelDriver
-
-
-class TestReductions:
-    def test_kahan_matches_fsum(self):
-        rng = np.random.default_rng(3)
-        vals = list(rng.standard_normal(500) * 10.0**rng.integers(-8, 8, 500))
-        assert kahan_sum(vals) == pytest.approx(math.fsum(vals), abs=1e-9)
-
-    def test_kahan_beats_naive(self):
-        # small addends lost against a large total: naive addition drops
-        # every 1.0, compensation recovers them
-        vals = [1e16] + [1.0] * 100
-        assert kahan_sum(vals) == 1e16 + 100.0
-        assert sum(vals) != kahan_sum(vals)
-
-    def test_pairwise_fixed_topology(self):
-        rng = np.random.default_rng(4)
-        vals = list(rng.standard_normal(100))
-        assert pairwise_sum(vals) == pairwise_sum(list(vals))
-        assert pairwise_sum(vals) == pytest.approx(math.fsum(vals), abs=1e-12)
-
-    def test_empty_sums(self):
-        assert kahan_sum([]) == 0.0
-        assert pairwise_sum([]) == 0.0
 
 
 class TestExecutors:

@@ -268,9 +268,9 @@ KERNEL_BUDGETS = {
 
 
 class TestKernelCounterBudgets:
-    """The PR 8 satellite: `KernelBackend.stats()` bridged into labelled
-    obs counters.  GEMM/SVD call totals are pure functions of the
-    workload; every GEMM is preceded by exactly one plan-cache lookup."""
+    """The `kernels.*` obs counters, the kernel layer's one ledger.
+    GEMM/SVD call totals are pure functions of the workload; every GEMM
+    is preceded by exactly one plan-cache lookup."""
 
     @pytest.mark.parametrize("path", ["sweep"])
     def test_h2_kernel_calls_pinned(self, h2, path):

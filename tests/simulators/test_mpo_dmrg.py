@@ -7,6 +7,7 @@ or exceed the MPS-VQE's precision - these tests pin that substitutability.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.common.errors import ConvergenceError, ValidationError
 from repro.operators.pauli import QubitOperator, pauli_string
 from repro.simulators.dmrg import DMRG, _number_penalty
@@ -73,23 +74,23 @@ class TestMPO:
                            mpo.matrix() @ state.to_statevector(),
                            rtol=0.0, atol=1e-12)
 
-    def test_apply_respects_bond_cap(self):
-        mpo = MPO.from_qubit_operator(_random_operator(6, 20, seed=3), 6)
-        state = MPS.random_state(6, 8, seed=3)
-        assert mpo.apply(state)[0].max_bond() > 3  # the cap below bites
-        out, _ = mpo.apply(state, max_bond_dimension=3)
-        assert out.max_bond() <= 3
-        assert out.check_right_canonical()
-
     def test_apply_runs_on_the_state_backend(self):
-        be = KernelBackend("blas")
+        """Every contraction of the zip-up and of the canonicalization runs
+        on the state's backend: the reference kernels book plan lookups
+        but no fused GEMM, so one GEMM would be the shared "blas" one."""
+        be = KernelBackend("naive")
         state = MPS.random_state(5, 4, seed=2, backend=be)
         mpo = MPO.from_qubit_operator(_random_operator(5, 8, seed=2), 5)
-        gemms, svds = be.gemm_calls, be.svd_calls
-        out, _ = mpo.apply(state)
-        assert out.backend is state.backend
-        assert be.gemm_calls > gemms
-        assert be.svd_calls > svds
+        with obs.collect() as reg:
+            out, norm = mpo.apply(state)
+        assert out.backend is be
+        lookups = sum(reg.value("kernels.plan_cache", outcome=outcome)
+                      for outcome in ("hit", "miss"))
+        assert lookups >= 2 * 5                   # two per site
+        assert reg.value("kernels.gemm_calls") == 0
+        assert reg.value("kernels.svd_calls") >= 4
+        assert np.allclose(norm * out.to_statevector(),
+                           mpo.matrix() @ state.to_statevector(), atol=1e-8)
 
     def test_apply_width_mismatch_rejected(self):
         mpo = MPO.from_qubit_operator(_random_operator(3, 4, seed=1), 3)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.common.errors import TruncationOverflowError, ValidationError
 from repro.circuits.gates import GATE_MATRICES
 from repro.operators.pauli import pauli_string
-from repro.simulators.kernels import KernelBackend, get_backend, set_backend
+from repro.simulators.kernels import KernelBackend, get_backend
 from repro.simulators.mps import MPS
 from scipy.stats import unitary_group
 
@@ -213,15 +213,6 @@ class TestPauliRotation:
         with pytest.raises(ValidationError):
             MPS(4).apply_pauli_rotation(ops, 0.3)
 
-    def test_vidal_state_rejected(self):
-        """The sweep is the Hastings update; a vidal state must get the
-        decomposed gate stream instead of a silently different scheme."""
-        mps = MPS(4, update_scheme="vidal")
-        with pytest.raises(ValidationError, match="decomposed"):
-            mps.apply_pauli_rotation([(0, "X"), (2, "Y")], 0.3)
-        with pytest.raises(ValidationError):
-            mps.apply_pauli_rotation([(1, "Z")], 0.3)
-
     def test_one_site_span_is_a_single_qubit_gate(self):
         from repro import obs
 
@@ -273,11 +264,6 @@ class TestExcitation:
         with pytest.raises(ValidationError):
             MPS(4).apply_excitation(ops, 0.3)
 
-    def test_vidal_state_rejected(self):
-        mps = MPS(4, update_scheme="vidal")
-        with pytest.raises(ValidationError, match="decomposed"):
-            mps.apply_excitation([(0, "-"), (2, "+")], 0.3)
-
     def test_one_svd_per_bond_of_the_span_and_no_swaps(self):
         from repro import obs
 
@@ -306,9 +292,10 @@ class TestExcitation:
 class TestStateBackend:
     def test_sweep_qrs_run_on_the_state_backend(self, monkeypatch):
         """The QRs of both sweeps - the canonicalization's and an
-        excitation's - run on the state's own ``KernelBackend``, not on the
-        process-global one: a reference backend goes through
-        ``np.linalg.qr``, "blas" through the bound LAPACK pair."""
+        excitation's - run on the state's own ``KernelBackend``: a
+        reference backend goes through ``np.linalg.qr``, "blas" through the
+        bound LAPACK pair, and a state built without one shares the "blas"
+        default."""
         calls, real_qr = [], np.linalg.qr
 
         def counted(a, *args, **kwargs):
@@ -317,19 +304,16 @@ class TestStateBackend:
 
         monkeypatch.setattr(np.linalg, "qr", counted)
         double = [(0, "-"), (1, "-"), (3, "+"), (4, "+")]
-        assert get_backend().name == "blas"
         want = MPS.random_state(5, 4, seed=3, backend=KernelBackend("plain"))
         assert len(calls) == 4                    # one per bond, left sweep
         want.apply_excitation(double, 0.4)
         assert len(calls) == 4 + 4                # sites 4..1 of the span
         calls.clear()
-        original = get_backend().name
-        set_backend("naive")
-        try:
-            mps = MPS.random_state(5, 4, seed=3, backend=KernelBackend())
+        for backend in (KernelBackend(), None):
+            mps = MPS.random_state(5, 4, seed=3, backend=backend)
             mps.apply_excitation(double, 0.4)
-        finally:
-            set_backend(original)
-        assert calls == []
-        assert np.allclose(mps.to_statevector(), want.to_statevector(),
-                           atol=1e-12)
+            assert calls == []
+            assert mps.backend.name == "blas"
+            assert np.allclose(mps.to_statevector(), want.to_statevector(),
+                               atol=1e-12)
+        assert MPS(2).backend is get_backend()

@@ -325,13 +325,6 @@ class TestRoutingPlans:
 
 
 class TestMPSCopyAndSampling:
-    def test_copy_preserves_update_scheme(self):
-        # regression: copies of "vidal"-mode states silently reverted to
-        # the "hastings" default before the propagation fix
-        mps = MPS(4, update_scheme="vidal")
-        assert mps.copy().update_scheme == "vidal"
-        assert MPS(4).copy().update_scheme == "hastings"
-
     def test_vectorized_sampling_statistics(self):
         # the batched sampler must reproduce the state's marginals
         mps = MPS.random_state(5, bond_dimension=4, seed=14)
