@@ -66,8 +66,8 @@ def test_fig07a_mps_vqe_small_molecules(benchmark):
         job = Q2Chemistry.from_molecule(molecule)
         e_fci = job.fci_energy()
         # the target is the paper's ~0.01% relative error (7.5 mHa for
-        # H2O); COBYLA crosses that within ~1000 evaluations, so the
-        # budget below bounds wall time without endangering the claim
+        # H2O); the default L-BFGS-B on adjoint gradients crosses it in
+        # tens of evaluations, so the budget below only bounds wall time
         res = job.vqe_energy(simulator="statevector", tolerance=1e-6,
                              max_iterations=2500)
         return e_fci, res.energy, res.n_evaluations

@@ -62,6 +62,7 @@ def cmd_energy(args) -> int:
 
 def _run_energy(args) -> int:
     from repro.q2chem import Q2Chemistry
+    from repro.vqe.optimizers import DEFAULT_OPTIMIZER
 
     method = args.method.lower()
     if args.workers != 1 and not method.startswith("dmet"):
@@ -82,12 +83,10 @@ def _run_energy(args) -> int:
     elif method == "fci":
         print(f"E(FCI)  = {job.fci_energy():+.8f} Ha")
     elif method == "vqe":
-        # --grad switches the optimizer from energy-only (cobyla) to a
-        # gradient consumer (adam unless --optimizer says otherwise)
-        optimizer = args.optimizer or ("adam" if args.grad else "cobyla")
         res = job.vqe_energy(simulator=args.simulator,
                              max_bond_dimension=args.bond_dimension,
-                             optimizer=optimizer, grad=args.grad,
+                             optimizer=args.optimizer or DEFAULT_OPTIMIZER,
+                             grad=args.grad,
                              max_iterations=args.max_iterations)
         print(f"E(VQE)  = {res.energy:+.8f} Ha "
               f"({res.n_evaluations} evaluations, "
@@ -107,7 +106,8 @@ def _run_energy(args) -> int:
                               solver=solver,
                               all_fragments_equivalent=args.equivalent,
                               max_bond_dimension=args.bond_dimension,
-                              vqe_optimizer=args.optimizer or "cobyla",
+                              vqe_optimizer=(args.optimizer
+                                             or DEFAULT_OPTIMIZER),
                               vqe_max_iterations=args.max_iterations,
                               n_workers=args.workers)
         print(f"E(DMET) = {res.energy:+.8f} Ha "
@@ -285,10 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "sweep (backends declaring the capability: "
                          "statevector, mps)")
     pe.add_argument("--optimizer", default=None,
-                    help="VQE optimizer: cobyla | l-bfgs-b | bfgs | slsqp "
-                         "| nelder-mead | powell | spsa | adam (default: "
-                         "adam with --grad, cobyla without); with dmet-vqe "
-                         "the fragment solver's optimizer")
+                    help="VQE optimizer: l-bfgs-b (default) | bfgs | "
+                         "slsqp | adam | cobyla | nelder-mead | powell | "
+                         "spsa; gradient optimizers run on the adjoint where "
+                         "the backend has one; with dmet-vqe the fragment "
+                         "solver's optimizer")
     pe.add_argument("--max-iterations", type=int, default=4000,
                     help="VQE optimizer iteration budget (with dmet-vqe "
                          "the fragment solver's)")

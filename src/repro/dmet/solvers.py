@@ -18,6 +18,7 @@ from repro.common.errors import ConvergenceError, ValidationError
 from repro.chem.mo import MOIntegrals
 from repro.chem.fci import FCISolver
 from repro.dmet.embedding import EmbeddingProblem
+from repro.vqe.optimizers import DEFAULT_OPTIMIZER
 
 
 @dataclass
@@ -102,14 +103,15 @@ class VQEFragmentSolver:
     default), "mps" (the paper-faithful MPS pipeline), "density_matrix",
     or anything registered by a third party.
 
-    The gradient source is not an option: it is worked out here, once.
-    When the optimizer consumes gradients (``VQE.GRADIENT_OPTIMIZERS``)
-    and the backend declares the adjoint engine ("mps", "statevector"),
-    ``VQE`` gets ``grad="adjoint"`` - energy, gradient and the final RDM
-    state then share one prepared state per theta.  Otherwise it gets no
-    source, so gradient-free optimizers (the "cobyla" default) and
-    "fast" (the statevector under a name that declares no adjoint) run as
-    they always did.  ``self.grad`` and ``details["grad"]`` record which.
+    The gradient source is not an option: ``VQE`` resolves it by its one
+    rule (:meth:`repro.vqe.vqe.VQE.default_gradient`).  The default
+    optimizer ("l-bfgs-b") and the other gradient optimizers on a backend
+    declaring the adjoint engine ("mps", "statevector") get
+    ``grad="adjoint"`` - energy, gradient and the final RDM state then
+    share one prepared state per theta.  Gradient-free optimizers
+    ("cobyla" by name) and "fast" (the statevector under a name that
+    declares no adjoint) get no source.  ``self.grad`` and
+    ``details["grad"]`` record which.
 
     The solver holds plain config and its warm-start amplitudes, so it
     pickles.  Process workers receive a copy per task and solve cold: what
@@ -118,16 +120,15 @@ class VQEFragmentSolver:
 
     def __init__(self, *, simulator: str = "statevector",
                  max_bond_dimension: int | None = None,
-                 optimizer: str = "cobyla", tolerance: float = 1e-8,
+                 optimizer: str = DEFAULT_OPTIMIZER,
+                 tolerance: float = 1e-8,
                  max_iterations: int = 4000,
                  initial_parameters: str = "zeros",
                  warm_start: bool = True):
         from repro.vqe.vqe import VQE
 
-        spec = backend_spec(simulator)  # fail fast on unknown backend names
-        adjoint = (optimizer.lower() in VQE.GRADIENT_OPTIMIZERS
-                   and "adjoint" in spec.gradients)
-        self.grad = "adjoint" if adjoint else None
+        # fails fast on unknown backend names
+        self.grad = VQE.default_gradient(optimizer, simulator)
         self.simulator = simulator
         self.max_bond_dimension = max_bond_dimension
         self.optimizer = optimizer
@@ -165,7 +166,7 @@ class VQEFragmentSolver:
         vqe = VQE(hamiltonian, ansatz, simulator=self.simulator,
                   max_bond_dimension=self.max_bond_dimension,
                   optimizer=self.optimizer, tolerance=self.tolerance,
-                  max_iterations=self.max_iterations, grad=self.grad)
+                  max_iterations=self.max_iterations)
         key = tuple(problem.basis.fragment)
         last = self._last_parameters.get(key)
         if (self.warm_start and last is not None
@@ -194,7 +195,7 @@ class VQEFragmentSolver:
             details={
                 "vqe_evaluations": result.n_evaluations,
                 "vqe_gradient_evaluations": result.n_gradient_evaluations,
-                "grad": self.grad,
+                "grad": vqe.grad,
                 "vqe_iterations": result.n_iterations,
                 "n_parameters": ansatz.n_parameters,
             },
@@ -203,7 +204,8 @@ class VQEFragmentSolver:
 
 def make_fragment_solver(name: str, *,
                          max_bond_dimension: int | None = None,
-                         optimizer: str = "cobyla", tolerance: float = 1e-8,
+                         optimizer: str = DEFAULT_OPTIMIZER,
+                         tolerance: float = 1e-8,
                          max_iterations: int = 4000,
                          **vqe_options):
     """Build a fragment solver from its name (the single dispatch point).

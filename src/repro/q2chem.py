@@ -30,6 +30,7 @@ from repro.chem.ccsd import CCSDSolver
 from repro.chem.lattice import LatticeHamiltonian
 from repro.operators.molecular import molecular_qubit_hamiltonian
 from repro.circuits.uccsd import UCCSDAnsatz
+from repro.vqe.optimizers import DEFAULT_OPTIMIZER
 from repro.vqe.vqe import VQE, VQEResult
 from repro.dmet.orthogonalize import (
     OrthogonalSystem,
@@ -97,7 +98,8 @@ class Q2Chemistry:
 
     def vqe_energy(self, *, simulator: str = "mps",
                    max_bond_dimension: int | None = None,
-                   optimizer: str = "cobyla", tolerance: float = 1e-8,
+                   optimizer: str = DEFAULT_OPTIMIZER,
+                   tolerance: float = 1e-8,
                    max_iterations: int = 4000, grad: str | None = None,
                    initial_parameters: np.ndarray | None = None,
                    checkpoint_path: str | None = None,
@@ -108,7 +110,9 @@ class Q2Chemistry:
 
         ``grad`` selects the gradient source for gradient-based
         optimizers ("adjoint" | "param_shift" | "finite_diff", see
-        :mod:`repro.vqe.gradients`).
+        :mod:`repro.vqe.gradients`); ``None`` lets :class:`VQE` resolve
+        it (the adjoint for the default "l-bfgs-b" on "mps" /
+        "statevector", scipy's own differences elsewhere).
         ``checkpoint_path``/``checkpoint_every``/``resume`` snapshot the
         optimizer state each iteration and restart interrupted runs to a
         bitwise-identical trajectory (adam/spsa only, see
@@ -142,7 +146,7 @@ class Q2Chemistry:
                     max_bond_dimension: int | None = None,
                     mu_tolerance: float = 1e-5,
                     fit_chemical_potential: bool = True,
-                    vqe_optimizer: str = "cobyla",
+                    vqe_optimizer: str = DEFAULT_OPTIMIZER,
                     vqe_tolerance: float = 1e-7,
                     vqe_max_iterations: int = 4000,
                     n_workers: int = 1) -> DMETResult:

@@ -27,6 +27,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.common.errors import ValidationError
+from repro.vqe.optimizers import DEFAULT_OPTIMIZER
 
 #: request kinds the service understands
 JOB_KINDS = ("energy", "vqe", "dmet")
@@ -56,7 +57,7 @@ class JobSpec:
     method: str = "hf"
     #: kind="vqe": backend + optimizer knobs (mirrors Q2Chemistry.vqe_energy)
     simulator: str = "statevector"
-    optimizer: str = "cobyla"
+    optimizer: str = DEFAULT_OPTIMIZER
     max_bond_dimension: int | None = None
     max_iterations: int = 4000
     tolerance: float = 1e-8

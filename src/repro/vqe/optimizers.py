@@ -2,8 +2,9 @@
 
 Three families, all consuming a plain ``f(theta) -> float`` callable:
 
-* :func:`minimize_scipy` - bridge to scipy.optimize (COBYLA / L-BFGS-B /
-  Nelder-Mead), the workhorse for exact noiseless simulation;
+* :func:`minimize_scipy` - bridge to scipy.optimize (L-BFGS-B, the
+  default, / COBYLA / Nelder-Mead / ...), the workhorse for exact
+  noiseless simulation;
 * :func:`minimize_spsa` - simultaneous perturbation stochastic approximation,
   the measurement-frugal optimizer relevant on hardware (2 evaluations per
   step regardless of parameter count);
@@ -47,12 +48,28 @@ class OptimizationResult:
     n_gradient_evaluations: int = 0
 
 
+#: the one default optimizer of the VQE layer (VQE, Q2Chemistry,
+#: the DMET fragment solver, JobSpec, the CLI and minimize_scipy)
+DEFAULT_OPTIMIZER = "l-bfgs-b"
+
 #: scipy methods that consume an analytic jacobian when one is supplied
 SCIPY_GRADIENT_METHODS = ("L-BFGS-B", "BFGS", "SLSQP", "CG")
 
+#: size of the saddle-escape kick (every parameter moves by +-1e-3) and
+#: the seed of its signs: a fixed seed, so every process kicks alike
+RESTART_KICK = 1e-3
+_RESTART_SEED = 0
+
+
+def _restart_kick(n: int) -> np.ndarray:
+    """The saddle-escape step: +-RESTART_KICK per parameter, signs from
+    a fixed seed (the same vector in every process)."""
+    signs = np.random.default_rng(_RESTART_SEED).choice([-1.0, 1.0], size=n)
+    return RESTART_KICK * signs
+
 
 def minimize_scipy(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
-                   method: str = "COBYLA", tolerance: float = 1e-8,
+                   method: str = DEFAULT_OPTIMIZER, tolerance: float = 1e-8,
                    max_iterations: int = 2000,
                    gradient: Callable[[np.ndarray], np.ndarray] | None = None
                    ) -> OptimizationResult:
@@ -62,7 +79,26 @@ def minimize_scipy(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
     analytic jacobian to the gradient-based methods
     (:data:`SCIPY_GRADIENT_METHODS`); gradient-free methods reject it
     rather than silently ignoring an expensive callable.
+
+    A gradient method that reports success can have stopped at a saddle
+    (the gradient vanishes there too; from theta = 0 UCCSD on a stretched
+    H4 ring does).  So it is restarted once from x* plus a fixed
+    :data:`RESTART_KICK` on the iterations its budget has left, and the
+    restart's point is kept only if its value is lower by more than
+    ``tolerance``; otherwise the first run's result is returned unchanged.
+    Evaluations, gradient calls, iterations and the history count both
+    runs.  A run stopped by its budget (or any other failure) is never
+    restarted.
+
+    COBYLA's ``max_iterations`` is its evaluation budget, which it cannot
+    keep below ``n + 2`` evaluations: a smaller one is a
+    :class:`ValidationError`, not a silently raised budget.
     """
+    x0 = np.asarray(x0, dtype=float)
+    if method.upper() == "COBYLA" and max_iterations < x0.size + 2:
+        raise ValidationError(
+            f"COBYLA needs max_iterations >= n_parameters + 2 = "
+            f"{x0.size + 2} evaluations, got {max_iterations}")
     history: list[float] = []
     calls = [0]
     jac_calls = [0]
@@ -86,14 +122,23 @@ def minimize_scipy(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
             return np.asarray(gradient(np.asarray(x, dtype=float)),
                               dtype=float)
 
-    res = sopt.minimize(wrapped, np.asarray(x0, dtype=float), method=method,
-                        tol=tolerance, jac=jac,
-                        options={"maxiter": max_iterations})
+    def run(start: np.ndarray, budget: int):
+        return sopt.minimize(wrapped, start, method=method, tol=tolerance,
+                             jac=jac, options={"maxiter": budget})
+
+    res = run(x0, max_iterations)
+    n_iterations = int(getattr(res, "nit", calls[0]))
+    left = max_iterations - n_iterations
+    if method.upper() in SCIPY_GRADIENT_METHODS and res.success and left > 0:
+        again = run(res.x + _restart_kick(x0.size), left)
+        n_iterations += int(again.nit)
+        if again.fun < res.fun - tolerance:
+            res = again
     return OptimizationResult(
         x=np.asarray(res.x, dtype=float),
         fun=float(res.fun),
         n_evaluations=calls[0],
-        n_iterations=int(getattr(res, "nit", calls[0])),
+        n_iterations=n_iterations,
         converged=bool(res.success),
         history=history,
         message=str(res.message),

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.backends import backend_spec
 from repro.common.errors import CheckpointError, ValidationError
 from repro.circuits.circuit import Circuit
 from repro.circuits.uccsd import UCCSDAnsatz
@@ -23,6 +24,7 @@ from repro.obs import trace as _trace
 from repro.operators.pauli import QubitOperator
 from repro.vqe.energy import EnergyEvaluator
 from repro.vqe.optimizers import (
+    DEFAULT_OPTIMIZER,
     OptimizationResult,
     minimize_adam,
     minimize_scipy,
@@ -70,16 +72,19 @@ class VQE:
         Backend name resolved through :mod:`repro.backends`; the bond
         dimension is forwarded to :class:`EnergyEvaluator`.
     optimizer:
-        "cobyla" | "l-bfgs-b" | "nelder-mead" | "spsa" | "adam".
+        "l-bfgs-b" (the default, :data:`DEFAULT_OPTIMIZER`) | "bfgs" |
+        "slsqp" | "adam" | "cobyla" | "nelder-mead" | "powell" | "spsa".
     grad:
         Gradient source for gradient-based optimizers ("adjoint" |
-        "param_shift" | "finite_diff", see :mod:`repro.vqe.gradients`);
-        ``None`` keeps each optimizer's built-in behaviour (adam:
-        internal central finite differences; scipy methods: their own
-        numerical jacobians).  "adjoint" requires a backend declaring the
-        capability on its :class:`repro.backends.BackendSpec`
-        ("statevector", "mps"); naming a source with a gradient-free
-        optimizer (cobyla, nelder-mead, powell, spsa) is a validation
+        "param_shift" | "finite_diff", see :mod:`repro.vqe.gradients`).
+        ``None`` resolves through :meth:`default_gradient`: the adjoint
+        when the optimizer consumes gradients and the backend declares
+        the engine on its :class:`repro.backends.BackendSpec`
+        ("statevector", "mps"), else no source (scipy methods take their
+        own numerical jacobians, adam its central finite differences).
+        ``self.grad`` records the resolved source.  "adjoint" on a
+        backend without the engine, or any source with a gradient-free
+        optimizer (cobyla, nelder-mead, powell, spsa), is a validation
         error.
     checkpoint_path / checkpoint_every / resume:
         Per-iteration optimizer snapshots (:mod:`repro.serve.checkpoint`,
@@ -103,7 +108,8 @@ class VQE:
                  ansatz: Circuit | UCCSDAnsatz, *,
                  simulator: str = "mps",
                  max_bond_dimension: int | None = None,
-                 optimizer: str = "cobyla", tolerance: float = 1e-8,
+                 optimizer: str = DEFAULT_OPTIMIZER,
+                 tolerance: float = 1e-8,
                  max_iterations: int = 2000, grad: str | None = None,
                  checkpoint_path: str | None = None,
                  checkpoint_every: int = 1, resume: bool = False):
@@ -132,10 +138,14 @@ class VQE:
             raise ValidationError(
                 "resume=True requires checkpoint_path"
             )
-        #: the configured gradient source (None: the optimizer's own
-        #: behaviour); built here so a source the backend or the evaluator
-        #: cannot serve fails at construction.  Every run() reuses it: its
-        #: ``n_evaluations`` counts across runs, like ``evaluator.evaluations``
+        #: the resolved gradient source name (None: the optimizer's own
+        #: behaviour) and its callable, built here so a source the backend
+        #: or the evaluator cannot serve fails at construction.  Every run()
+        #: reuses it: its ``n_evaluations`` counts across runs, like
+        #: ``evaluator.evaluations``
+        if grad is None:
+            grad = self.default_gradient(self.optimizer, simulator)
+        self.grad = grad
         self.gradient = None
         if grad is not None:
             from repro.vqe.gradients import make_gradient
@@ -147,6 +157,16 @@ class VQE:
                     f"optimizer {self.optimizer!r} is gradient-free; "
                     f"grad= applies to {self.GRADIENT_OPTIMIZERS}"
                 )
+
+    @classmethod
+    def default_gradient(cls, optimizer: str, simulator: str) -> str | None:
+        """The source ``grad=None`` resolves to: "adjoint" when
+        ``optimizer`` consumes gradients and ``simulator`` declares the
+        adjoint engine, else None."""
+        if (optimizer.lower() in cls.GRADIENT_OPTIMIZERS
+                and "adjoint" in backend_spec(simulator).gradients):
+            return "adjoint"
+        return None
 
     def run(self, initial_parameters: np.ndarray | None = None,
             seed: int | None = None) -> VQEResult:

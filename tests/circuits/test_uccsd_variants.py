@@ -88,7 +88,7 @@ class TestUCCGSD:
         for gen in (False, True):
             ansatz = UCCSDAnsatz(4, 4, generalized=gen)
             r = VQE(ham, ansatz, simulator="statevector",
-                    max_iterations=6000).run()
+                    optimizer="cobyla", max_iterations=6000).run()
             errors[gen] = r.energy - e_fci
         assert errors[True] < 0.05 * errors[False]
         assert errors[True] < 1e-3

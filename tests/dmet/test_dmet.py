@@ -208,8 +208,9 @@ class TestGradientFirstSolver:
 
     def test_eight_qubit_fragment_reaches_the_fast_optimum(self, h4_system):
         """The benchmark's configuration (vqe-mps, D=16, SLSQP) run to
-        convergence: 21 energies + 12 adjoint gradients where scipy's
-        forward differences took 190 energies."""
+        convergence: 21 energies + 12 adjoint gradients, then the rejected
+        saddle-escape restart's 25 + 12 (both runs counted), where scipy's
+        forward differences took ~400 energies over the same two runs."""
         fast, _ = _one_shot(h4_system, 2, VQEFragmentSolver(
             simulator="fast", optimizer="slsqp", tolerance=1e-10))
         res, frag = _one_shot(h4_system, 2, VQEFragmentSolver(
@@ -219,7 +220,7 @@ class TestGradientFirstSolver:
         assert frag.details["grad"] == "adjoint"
         assert frag.details["vqe_gradient_evaluations"] \
             == frag.details["vqe_iterations"]
-        assert frag.details["vqe_evaluations"] < 40
+        assert frag.details["vqe_evaluations"] < 50
 
     #: (simulator, optimizer, budget) -> (DMET energy, fragment energy,
     #: theta, sum of the energy history), recorded at the parent of ISSUE 19

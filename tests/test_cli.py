@@ -45,13 +45,25 @@ class TestEnergyCommand:
         assert "-1.1372" in capsys.readouterr().out
 
     def test_vqe_adjoint_grad(self, capsys):
-        """--grad adjoint switches to gradient-driven adam and converges."""
+        """--grad adjoint names a source for the default optimizer; it no
+        longer switches the optimizer to adam."""
         assert main(["energy", "--molecule", "h2", "--method", "vqe",
                      "--simulator", "mps", "--grad", "adjoint",
                      "--max-iterations", "120"]) == 0
         out = capsys.readouterr().out
         assert "-1.137" in out
-        assert "adam" in out
+        assert out.rstrip().endswith(", l-bfgs-b)")
+
+    def test_vqe_default_runs_on_adjoint_gradients(self, capsys):
+        """No --optimizer, no --grad: l-bfgs-b on the statevector's
+        adjoint (the CI smoke checks the same line)."""
+        assert main(["energy", "--molecule", "h2", "--method", "vqe",
+                     "--simulator", "statevector"]) == 0
+        out = capsys.readouterr().out
+        assert "-1.1372" in out
+        gradients = int(out.split(" gradients, ")[0].rsplit(" ", 1)[1])
+        assert gradients > 0
+        assert out.rstrip().endswith(", l-bfgs-b)")
 
     def test_grad_rejects_gradient_free_optimizer(self, capsys):
         assert main(["energy", "--molecule", "h2", "--method", "vqe",
@@ -148,7 +160,10 @@ class TestEnergyCommand:
         assert main(["energy", "--molecule", "h2", "--method", "vqe",
                      "--simulator", "mps", "--grad", "adjoint",
                      "--optimizer", "slsqp"]) == 0
-        assert "5 evaluations, 4 gradients, slsqp" in capsys.readouterr().out
+        # 5 energies + 4 adjoint gradients converge; the saddle-escape
+        # restart from the kicked optimum takes 6 + 4 more and is
+        # rejected (its energy is not lower), both runs counted
+        assert "11 evaluations, 8 gradients, slsqp" in capsys.readouterr().out
 
     def test_bond_override(self, capsys):
         main(["energy", "--molecule", "h2", "--method", "hf",

@@ -169,3 +169,122 @@ class TestScipyGradientBridge:
                             tolerance=0.0)
         assert own.n_gradient_evaluations == 0
         assert own.n_evaluations == 7 * (1 + 2 * 3)
+
+
+def saddle(x):
+    """x0^2 - x1^2 + x1^4: a saddle at the origin, minima -1/4 at
+    x1 = +-1/sqrt(2)."""
+    return float(x[0] ** 2 - x[1] ** 2 + x[1] ** 4)
+
+
+def saddle_gradient(x):
+    return np.array([2.0 * x[0], -2.0 * x[1] + 4.0 * x[1] ** 3])
+
+
+class TestSaddleEscapeRestart:
+    """A gradient method that reports success is restarted once from a
+    fixed kick; the restart is kept only when it lands lower."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Every scipy call minimize_scipy makes, in order."""
+        from scipy import optimize as sopt
+
+        from repro.vqe import optimizers
+
+        seen = []
+        minimize = sopt.minimize
+
+        def spy(*args, **kwargs):
+            seen.append(minimize(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(optimizers.sopt, "minimize", spy)
+        return seen
+
+    def test_saddle_is_escaped(self, runs):
+        """The gradient vanishes at the start: the first run stops there
+        with success, the kicked restart finds a minimum and is kept."""
+        res = minimize_scipy(saddle, np.zeros(2), method="L-BFGS-B",
+                             gradient=saddle_gradient)
+        first, again = runs
+        assert first.success and first.fun == 0.0
+        assert res.fun == pytest.approx(-0.25, abs=1e-10)
+        assert np.array_equal(res.x, again.x)
+        assert res.converged
+
+    def test_both_runs_are_counted(self, runs):
+        res = minimize_scipy(saddle, np.zeros(2), method="L-BFGS-B",
+                             gradient=saddle_gradient)
+        assert len(runs) == 2
+        assert res.n_evaluations == sum(r.nfev for r in runs)
+        assert res.n_gradient_evaluations == sum(r.njev for r in runs)
+        assert res.n_iterations == sum(r.nit for r in runs)
+        assert len(res.history) == res.n_evaluations
+
+    def test_restart_runs_on_the_remaining_budget(self, runs):
+        minimize_scipy(rosenbrock2, np.zeros(2), method="BFGS",
+                       max_iterations=200)
+        first, again = runs
+        assert first.success
+        assert again.nit <= 200 - first.nit
+
+    @pytest.mark.parametrize("method", ["L-BFGS-B", "SLSQP", "BFGS"])
+    def test_no_restart_needed_returns_the_first_run_bitwise(self, runs,
+                                                             method):
+        """On a convex quadratic the restart cannot gain more than the
+        tolerance: x and value are the first run's, bit for bit."""
+        res = minimize_scipy(quadratic, np.zeros(3), method=method,
+                             gradient=quadratic_gradient)
+        first, _ = runs
+        assert np.array_equal(res.x, first.x)
+        assert res.fun == first.fun
+        assert res.message == str(first.message)
+        assert res.n_evaluations > first.nfev
+
+    @pytest.mark.parametrize("method", ["L-BFGS-B", "SLSQP", "BFGS"])
+    def test_budget_stopped_run_never_restarts(self, runs, method):
+        res = minimize_scipy(rosenbrock2, np.array([-1.0, 1.0]),
+                             method=method, max_iterations=3)
+        (only,) = runs
+        assert not only.success and not res.converged
+        assert res.n_evaluations == only.nfev
+        assert res.n_iterations == only.nit == 3
+
+    @pytest.mark.parametrize("method", ["L-BFGS-B", "SLSQP", "BFGS"])
+    def test_failed_run_never_restarts(self, runs, method):
+        """A jacobian pointing uphill makes the line search fail with
+        budget to spare: only success earns the restart."""
+        res = minimize_scipy(quadratic, np.zeros(3), method=method,
+                             gradient=lambda x: -quadratic_gradient(x))
+        (only,) = runs
+        assert not only.success and not res.converged
+        assert only.nit < 2000
+        assert res.n_evaluations == only.nfev
+
+    def test_gradient_free_methods_never_restart(self, runs):
+        minimize_scipy(quadratic, np.zeros(3), method="COBYLA")
+        assert len(runs) == 1
+
+    def test_kick_is_fixed(self):
+        """The same vector in every call (and so in every process)."""
+        from repro.vqe.optimizers import RESTART_KICK, _restart_kick
+
+        kick = _restart_kick(14)
+        assert np.array_equal(kick, _restart_kick(14))
+        assert np.array_equal(np.abs(kick), np.full(14, RESTART_KICK))
+        assert np.array_equal(_restart_kick(20)[:14], kick)
+
+
+class TestCobylaBudget:
+    @pytest.mark.parametrize("budget", [1, 4])
+    def test_budget_below_n_plus_two_is_rejected(self, budget):
+        """PRIMA would warn and run n + 2 = 5 evaluations anyway."""
+        with pytest.raises(ValidationError, match="n_parameters \\+ 2"):
+            minimize_scipy(quadratic, np.zeros(3), method="COBYLA",
+                           max_iterations=budget)
+
+    def test_budget_of_n_plus_two_is_kept(self):
+        res = minimize_scipy(quadratic, np.zeros(3), method="COBYLA",
+                             max_iterations=5)
+        assert res.n_evaluations == 5
