@@ -33,6 +33,13 @@ class CCSDResult:
     iterations: int
 
 
+#: Largest amplitude change of one Jacobi step at which the CC equations
+#: count as solved.  The energy test alone stops on a DIIS iterate whose
+#: energy is off by ~1e-12 Ha with either sign (H2, where CCSD is exact,
+#: landed below FCI); at round-off level the energy is the fixed point's.
+AMPLITUDE_TOLERANCE = 1e-14
+
+
 class CCSDSolver:
     """Spin-orbital CCSD on an :class:`MOIntegrals` active space.
 
@@ -95,10 +102,11 @@ class CCSDSolver:
         e_old = 0.0
         for it in range(1, self.max_iterations + 1):
             t1n, t2n = self._update(t1, t2, d1, d2)
+            vec = np.concatenate([t1n.ravel(), t2n.ravel()])
+            err = vec - np.concatenate([t1.ravel(), t2.ravel()])
+            residual = float(np.max(np.abs(err)))
             # DIIS on the stacked amplitude vector
             if self.diis_size > 0:
-                vec = np.concatenate([t1n.ravel(), t2n.ravel()])
-                err = vec - np.concatenate([t1.ravel(), t2.ravel()])
                 diis_t.append(vec)
                 diis_e.append(err)
                 if len(diis_t) > self.diis_size:
@@ -111,7 +119,8 @@ class CCSDSolver:
                         t2n = ext[t1.size:].reshape(t2.shape)
             t1, t2 = t1n, t2n
             e_corr = self._energy(t1, t2)
-            if abs(e_corr - e_old) < self.tolerance and it > 1:
+            if (abs(e_corr - e_old) < self.tolerance
+                    and residual < AMPLITUDE_TOLERANCE and it > 1):
                 return CCSDResult(
                     energy=float(self.hf_energy + e_corr),
                     correlation_energy=float(e_corr),

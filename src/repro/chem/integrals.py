@@ -1,12 +1,19 @@
-"""Gaussian integrals via the McMurchie-Davidson scheme.
+"""Gaussian integrals via the McMurchie-Davidson scheme, batched by class.
 
-Implements overlap, kinetic, nuclear-attraction (including external point
-charges) and electron-repulsion integrals for contracted Cartesian Gaussians
-of arbitrary angular momentum.  All primitive loops are vectorized over the
-primitive grids of a shell pair / quartet; an additional fully-vectorized
-fast path handles all-s bases (the hydrogen chains and rings that dominate
-the paper's workloads) with one :func:`numpy.add.reduceat` segment reduction
-per bra pair.
+S, T, dipole, V (nuclei plus point charges) and ERIs for contracted Cartesian
+Gaussians of any angular momentum.  Shell pairs are grouped by angular class
+(l_a >= l_b) and each class is flattened once into primitive-pair rows: p, P,
+the coefficient of every Cartesian component pair, the Hermite coefficients
+E, and one segment of rows per shell pair.  Every integral is then a few
+array operations per class and one segment reduction (``np.add.reduceat``):
+S, T and the dipole from the 1D E_0/E_1; V from one Hermite R_tuv build over
+rows x (nuclei and charges); the ERIs from one Boys call and one R_tuv build
+per (bra class, ket class) block over the primitive-quartet grid, contracted
+with E on both sides.  Only the shell-pair triangle is evaluated, in chunks
+of about ``_CHUNK_ELEMENTS`` doubles per temporary, and the eight-fold
+symmetry fills the rest; Cauchy-Schwarz screening drops ket shell pairs
+before a block is built.  The Boys function is tabulated (Helgaker,
+Jorgensen and Olsen, *Molecular Electronic-Structure Theory*, 9.8.1).
 
 Conventions: ERIs are returned in chemists' notation ``(ij|kl)``; all
 quantities are in atomic units.
@@ -14,436 +21,417 @@ quantities are in atomic units.
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
-from scipy import special as _sps
 
-from repro.common.errors import ValidationError
 from repro.chem.geometry import Molecule
-from repro.chem.basis import BasisSet
+from repro.chem.basis import BasisSet, cartesian_components
+
+_BOYS_DX = 0.02          # grid spacing of the table
+_BOYS_TERMS = 6          # Taylor terms about the nearest grid point
+_BOYS_FAR = 40.0         # F_0 = sqrt(pi/x)/2 to double precision beyond this
+_BOYS_M = 16             # highest order served (four g shells)
 
 
-# ---------------------------------------------------------------------------
-# Boys function
-# ---------------------------------------------------------------------------
+def _boys_table() -> np.ndarray:
+    """F_n(k dx), n < _BOYS_M + _BOYS_TERMS: the all-positive series
+    e^-x sum_k (2x)^k / ((2n+1)(2n+3)...(2n+2k+1)) at the top order, the
+    stable downward recursion below it."""
+    x = np.arange(int(round(_BOYS_FAR / _BOYS_DX)) + 2) * _BOYS_DX
+    top = _BOYS_M + _BOYS_TERMS - 1
+    term = np.full_like(x, 1.0 / (2 * top + 1))
+    total = term.copy()
+    k = 0
+    while term.max() > 1e-17 * total.min():
+        k += 1
+        term = term * (2.0 * x) / (2 * top + 2 * k + 1)
+        total += term
+    ex = np.exp(-x)
+    table = np.empty((top + 1, x.size))
+    table[top] = ex * total
+    for n in range(top - 1, -1, -1):
+        table[n] = (2.0 * x * table[n + 1] + ex) / (2 * n + 1)
+    return table
+
+
+_BOYS_TABLE = _boys_table()
+
 
 def boys(m_max: int, x: np.ndarray) -> np.ndarray:
-    """Boys functions F_0..F_{m_max} evaluated at ``x`` (elementwise).
+    """F_0..F_{m_max}(x), shape ``(m_max+1, *x.shape)``, ``m_max <= 16``.
 
-    Returns an array of shape ``(m_max+1, *x.shape)``.  Uses the regularized
-    lower incomplete gamma function for the highest order and stable downward
-    recursion below, with a Taylor series close to zero.
-    """
+    Below ``_BOYS_FAR``: Taylor series about the nearest grid point for the
+    top order, downward recursion below it.  Above: F_0 = sqrt(pi/x)/2 and
+    the upward recursion, which is stable there."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty((m_max + 1,) + x.shape)
-    a = m_max + 0.5
-    tiny = x < 1e-12
-    xs = np.where(tiny, 1.0, x)  # avoid 0**a warnings
-    fm = 0.5 * _sps.gamma(a) * _sps.gammainc(a, xs) / xs ** a
-    # series F_m(x) = sum_k (-x)^k / (k! (2m+2k+1)) near 0
-    series = np.zeros_like(x)
-    term = np.ones_like(x)
-    for k in range(6):
-        series += term / (2 * m_max + 2 * k + 1)
-        term *= -x / (k + 1)
-    out[m_max] = np.where(tiny, series, fm)
-    ex = np.exp(-x)
-    for m in range(m_max - 1, -1, -1):
-        out[m] = (2.0 * x * out[m + 1] + ex) / (2 * m + 1)
-    if scalar:
-        return out[:, 0]
-    return out
+    flat = x.ravel()
+    out = np.empty((m_max + 1, flat.size))
+    near = flat < _BOYS_FAR
+    every = near.all()
+    xs = flat if every else flat[near]
+    fn = out if every else np.empty((m_max + 1, xs.size))
+    k = (xs * (1.0 / _BOYS_DX) + 0.5).astype(np.intp)
+    h = k * _BOYS_DX - xs
+    f = _BOYS_TABLE[m_max + _BOYS_TERMS - 1].take(k)
+    for j in range(_BOYS_TERMS - 2, -1, -1):
+        f *= h
+        f *= 1.0 / (j + 1)
+        f += _BOYS_TABLE[m_max + j].take(k)
+    fn[m_max] = f
+    if m_max:
+        ex = np.exp(-xs)
+        x2 = 2.0 * xs
+        for m in range(m_max - 1, -1, -1):
+            np.multiply(fn[m + 1], x2, out=fn[m])
+            fn[m] += ex
+            fn[m] *= 1.0 / (2 * m + 1)
+    if not every:
+        out[:, near] = fn
+        far = ~near
+        xs = flat[far]
+        fm = 0.5 * np.sqrt(np.pi / xs)
+        out[0, far] = fm
+        ex = np.exp(-xs) if m_max else None
+        for m in range(m_max):
+            fm = ((2 * m + 1) * fm - ex) / (2.0 * xs)
+            out[m + 1, far] = fm
+    return out.reshape((m_max + 1,) + x.shape)
 
 
-# ---------------------------------------------------------------------------
-# Hermite expansion coefficients E_t^{ij}
-# ---------------------------------------------------------------------------
-
-def hermite_coefficients(i: int, j: int, qx: float,
-                         a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
-    """E_t^{ij} for t = 0..i+j, vectorized over primitive grids a (na,1), b (1,nb).
-
-    ``qx = Ax - Bx`` is the center separation along one Cartesian direction.
-    Returns a list of arrays broadcastable to (na, nb).
-    """
-    p = a + b
-    mu = a * b / p
-    memo: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def e(ii: int, jj: int, t: int) -> np.ndarray:
-        if t < 0 or t > ii + jj or ii < 0 or jj < 0:
-            return np.zeros_like(p)
-        key = (ii, jj, t)
-        if key in memo:
-            return memo[key]
-        if ii == jj == t == 0:
-            val = np.exp(-mu * qx * qx) * np.ones_like(p)
-        elif jj == 0:
-            val = (e(ii - 1, 0, t - 1) / (2.0 * p)
-                   - (mu * qx / a) * e(ii - 1, 0, t)
-                   + (t + 1) * e(ii - 1, 0, t + 1))
-        else:
-            val = (e(ii, jj - 1, t - 1) / (2.0 * p)
-                   + (mu * qx / b) * e(ii, jj - 1, t)
-                   + (t + 1) * e(ii, jj - 1, t + 1))
-        memo[key] = val
-        return val
-
-    return [e(i, j, t) for t in range(i + j + 1)]
+@functools.lru_cache(maxsize=None)
+def _hermite_index(L: int) -> np.ndarray:
+    """All (t, u, v) with t+u+v <= L by degree, so L' < L is a prefix."""
+    return np.array([(t, u, n - t - u) for n in range(L + 1)
+                     for t in range(n, -1, -1) for u in range(n - t, -1, -1)],
+                    dtype=np.intp).reshape(-1, 3)
 
 
-def hermite_r_tensor(tmax: int, umax: int, vmax: int, p: np.ndarray,
-                     pc: np.ndarray) -> dict[tuple[int, int, int], np.ndarray]:
-    """Hermite Coulomb integrals R_{tuv} for all t<=tmax, u<=umax, v<=vmax.
+@functools.lru_cache(maxsize=None)
+def _hermite_position(L: int) -> dict[tuple[int, int, int], int]:
+    return {tuple(h): i for i, h in enumerate(_hermite_index(L).tolist())}
 
-    ``p`` is the (combined) exponent array and ``pc`` the center displacement
-    with shape ``(*p.shape, 3)``.  Returns arrays shaped like ``p``.
-    """
-    r2 = np.sum(pc * pc, axis=-1)
-    nmax = tmax + umax + vmax
-    fn = boys(nmax, p * r2)  # (nmax+1, *shape)
-    base = {}
-    mp = -2.0 * p
-    scale = np.ones_like(p)
-    for n in range(nmax + 1):
-        base[n] = scale * fn[n]
+
+@functools.lru_cache(maxsize=None)
+def _r_step(L: int):
+    """Plan for R^n (degree <= L) from R^{n+1}: entry i >= 1 lowers its first
+    nonzero index, R^n_t = (t-1) R^{n+1}_{t-2} + PQ_axis R^{n+1}_{t-1}."""
+    pos = _hermite_position(L)
+    axis, i1, i2, c2 = [], [], [], []
+    for tuv in _hermite_index(L)[1:].tolist():
+        ax = 0 if tuv[0] else 1 if tuv[1] else 2
+        one = list(tuv)
+        one[ax] -= 1
+        two = list(one)
+        two[ax] -= 1
+        axis.append(ax)
+        i1.append(pos[tuple(one)])
+        i2.append(pos[tuple(two)] if two[ax] >= 0 else 0)
+        c2.append(float(max(tuv[ax] - 1, 0)))
+    return (np.array(axis), np.array(i1), np.array(i2),
+            np.array(c2)[:, None])
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_sum(lb: int, lk: int) -> np.ndarray:
+    """Index into _hermite_index(lb+lk) of every bra (t,u,v) + ket (t,u,v)."""
+    pos = _hermite_position(lb + lk)
+    return np.array([[pos[tuple(hb + hk)] for hk in _hermite_index(lk)]
+                     for hb in _hermite_index(lb)], dtype=np.intp)
+
+
+def _hermite_r(L: int, alpha: np.ndarray, pq: np.ndarray,
+               scale: np.ndarray) -> np.ndarray:
+    """``scale`` * R_tuv(alpha, PQ), (len(_hermite_index(L)), n), from flat
+    (n,) alpha/scale and (3, n) pq; the recursion is linear in the seeds
+    R^n_000 = (-2 alpha)^n F_n, so ``scale`` is applied to those."""
+    fn = boys(L, alpha * np.einsum("an,an->n", pq, pq))
+    seeds = [scale * fn[0]]
+    mp = -2.0 * alpha
+    for n in range(1, L + 1):
         scale = scale * mp
-
-    memo: dict[tuple[int, int, int, int], np.ndarray] = {}
-
-    def r(t: int, u: int, v: int, n: int) -> np.ndarray:
-        if t < 0 or u < 0 or v < 0:
-            return np.zeros_like(p)
-        key = (t, u, v, n)
-        if key in memo:
-            return memo[key]
-        if t == u == v == 0:
-            val = base[n]
-        elif t > 0:
-            val = (t - 1) * r(t - 2, u, v, n + 1) + pc[..., 0] * r(t - 1, u, v, n + 1)
-        elif u > 0:
-            val = (u - 1) * r(t, u - 2, v, n + 1) + pc[..., 1] * r(t, u - 1, v, n + 1)
-        else:
-            val = (v - 1) * r(t, u, v - 2, n + 1) + pc[..., 2] * r(t, u, v - 1, n + 1)
-        memo[key] = val
-        return val
-
-    return {(t, u, v): r(t, u, v, 0)
-            for t in range(tmax + 1)
-            for u in range(umax + 1)
-            for v in range(vmax + 1)}
+        seeds.append(scale * fn[n])
+    r = seeds[L][None]
+    for n in range(L - 1, -1, -1):
+        axis, i1, i2, c2 = _r_step(L - n)
+        new = np.empty((len(axis) + 1, alpha.size))
+        new[0] = seeds[n]
+        new[1:] = c2 * r[i2] + pq[axis] * r[i1]
+        r = new
+    return r
 
 
-# ---------------------------------------------------------------------------
-# Integral engine
-# ---------------------------------------------------------------------------
+#: Doubles per temporary of a chunk of the ERI or V grid (256 KiB: cache
+#: resident, and below the size at which each temporary is a fresh mmap).
+_CHUNK_ELEMENTS = 1 << 15
+
+
+class _PairClass:
+    """Every shell pair of class (la, lb), one row per primitive pair: shell
+    pair s owns rows ``starts[s]:starts[s+1]``; ``ao_a``/``ao_b`` (ns, nab)
+    are the AOs of each Cartesian component pair."""
+
+    def __init__(self, la: int, lb: int, pairs: list, shells: dict):
+        self.la, self.lb = la, lb
+        sa, sb = np.array(pairs, dtype=np.intp).T
+        na, nb = shells["nprim"][sa], shells["nprim"][sb]
+        sizes = na * nb
+        self.starts = np.concatenate(([0], np.cumsum(sizes)))
+        self.seg = np.repeat(np.arange(len(pairs)), sizes)
+        local = np.arange(self.starts[-1]) - self.starts[self.seg]
+        ia = shells["first"][sa][self.seg] + local // nb[self.seg]
+        ib = shells["first"][sb][self.seg] + local % nb[self.seg]
+        comps_a = np.array(cartesian_components(la))
+        comps_b = np.array(cartesian_components(lb))
+        ca = np.repeat(np.arange(len(comps_a)), len(comps_b))
+        cb = np.tile(np.arange(len(comps_b)), len(comps_a))
+        self.ao_a = shells["ao"][sa][:, None] + ca
+        self.ao_b = shells["ao"][sb][:, None] + cb
+        self.pa, self.pb = comps_a[ca], comps_b[cb]            # (nab, 3)
+        self.coef = (shells["coef"][la][ca[:, None], ia]
+                     * shells["coef"][lb][cb[:, None], ib])   # (nab, rows)
+        a, b = shells["alpha"][ia], shells["alpha"][ib]
+        A, B = shells["center"][:, ia], shells["center"][:, ib]
+        self.b, self.p = b, a + b
+        self.P = (a * A + b * B) / self.p
+        self.E = self._hermite_e(a, b, A - B)
+        # E_tuv of every component pair, and their ERI forms with the
+        # coefficient and 1/p folded in (ket: times (-1)^(t+u+v))
+        herm = _hermite_index(la + lb)
+        e = self.E[self.pa[:, None, :], self.pb[:, None, :], herm,
+                   np.arange(3)].prod(axis=2)                 # (nab, nh, rows)
+        self.herm = e
+        self.eri_bra = e * (self.coef / self.p)[:, None, :]
+        self.eri_ket = self.eri_bra * (1.0 - 2.0 * (herm.sum(1) % 2))[:, None]
+
+    def _hermite_e(self, a, b, qab) -> np.ndarray:
+        """E^{ij}_t per axis, (la+1, lb+3, la+lb+3, 3, rows), zero-padded; j
+        runs to lb+2 for the kinetic integrals (HJO eqs. 9.5.6-9.5.7)."""
+        p = self.p
+        xpa, xpb = -b / p * qab, a / p * qab
+        inv2p = 0.5 / p
+        la, lb = self.la, self.lb
+        nt = la + lb + 3
+        E = np.zeros((la + 1, lb + 3, nt, 3, p.size))
+        E[0, 0, 0] = np.exp(-(a * b / p) * qab * qab)
+        t1 = np.arange(1, nt)[:, None, None]
+        for j in range(lb + 3):
+            for i in range(la + 1):
+                if i == j == 0:
+                    continue
+                prev, x = (E[i - 1, 0], xpa) if j == 0 else (E[i, j - 1], xpb)
+                cur = E[i, j]
+                cur[:] = x * prev
+                cur[1:] += inv2p * prev[:-1]
+                cur[:-1] += t1 * prev[1:]
+        return E
+
+    def one_electron(self, charges: np.ndarray, centres: np.ndarray):
+        """Per-row S, T, dipole (3, ...) and V of every component pair."""
+        ax = np.arange(3)
+        pa, pb = self.pa, self.pb
+        s1 = self.E[pa, pb, 0, ax]                            # (nab, 3, rows)
+        e1 = self.E[pa, pb, 1, ax]
+        e2 = self.E[pa, pb + 2, 0, ax]
+        em2 = self.E[pa, np.maximum(pb - 2, 0), 0, ax]
+        b = self.b
+        jb = pb[..., None]
+        k1 = (-2.0 * b * b * e2 + b * (2 * jb + 1) * s1
+              - 0.5 * jb * (jb - 1) * em2)
+        w = self.coef * (np.pi / self.p) ** 1.5
+        s = w * s1[:, 0] * s1[:, 1] * s1[:, 2]
+        t = w * (k1[:, 0] * s1[:, 1] * s1[:, 2] + s1[:, 0] * k1[:, 1]
+                 * s1[:, 2] + s1[:, 0] * s1[:, 1] * k1[:, 2])
+        mom = e1 + self.P * s1
+        dip = np.stack([w * mom[:, 0] * s1[:, 1] * s1[:, 2],
+                        w * s1[:, 0] * mom[:, 1] * s1[:, 2],
+                        w * s1[:, 0] * s1[:, 1] * mom[:, 2]])
+        L = self.la + self.lb
+        nh = len(_hermite_index(L))
+        nc = len(charges)
+        rz = np.empty((nh, self.p.size))
+        step = max(1, _CHUNK_ELEMENTS // (nc * nh))
+        for r0 in range(0, self.p.size, step):
+            rows = slice(r0, r0 + step)
+            p = self.p[rows]
+            pc = (self.P[:, rows, None] - centres[:, None, :]).reshape(3, -1)
+            r = _hermite_r(L, np.repeat(p, nc), pc,
+                           np.tile(-charges, p.size))
+            rz[:, rows] = r.reshape(nh, p.size, nc).sum(axis=2)
+        v = (self.coef * (2.0 * np.pi / self.p)
+             * np.einsum("ahr,hr->ar", self.herm, rz))
+        return s, t, dip, v
+
 
 class IntegralEngine:
     """Computes AO integrals for a (molecule, basis set) pair.
 
-    Results are cached: each public method computes once and re-serves the
-    stored array (callers must not mutate them in place).
-    """
+    Each public method computes once and re-serves the cached, read-only
+    array."""
 
     def __init__(self, molecule: Molecule, basis: BasisSet, *,
                  screening_threshold: float = 0.0):
         self.molecule = molecule
         self.basis = basis
-        #: Cauchy-Schwarz ERI screening: quartets with
-        #: sqrt((ij|ij)) * sqrt((kl|kl)) below this bound are skipped.
-        #: 0.0 disables screening (exact tensors).
+        #: Cauchy-Schwarz ERI screening: ket shell pairs whose bound
+        #: sqrt((ij|ij)) * sqrt((kl|kl)) against every bra pair of a chunk
+        #: is below this are skipped.  0.0 disables screening (exact tensors).
         self.screening_threshold = screening_threshold
+        #: AO quartets (Cartesian component quartets) skipped by screening.
         self.screened_quartets = 0
         self._cache: dict[str, np.ndarray] = {}
-        # per-AO primitive data
-        self._alphas: list[np.ndarray] = []
-        self._coefs: list[np.ndarray] = []
-        self._centers: list[np.ndarray] = []
-        self._powers: list[tuple[int, int, int]] = []
-        for ao in range(basis.n_ao):
-            shell = basis.ao_shell(ao)
-            lx, ly, lz = basis.ao_powers(ao)
-            self._alphas.append(np.asarray(shell.exponents, dtype=float))
-            self._coefs.append(shell.normalized_coefficients(lx, ly, lz))
-            self._centers.append(np.asarray(shell.center, dtype=float))
-            self._powers.append((lx, ly, lz))
-        self._pair_cache: dict[tuple[int, int], dict] = {}
+        shells = basis.shells
+        nprim = np.array([len(sh.exponents) for sh in shells], dtype=np.intp)
+        ncomp = np.array([sh.n_components for sh in shells], dtype=np.intp)
+        first = np.concatenate(([0], np.cumsum(nprim)[:-1]))
+        coef = {l: np.zeros((len(cartesian_components(l)), nprim.sum()))
+                for l in {sh.l for sh in shells}}
+        for sh, f, n in zip(shells, first, nprim):
+            coef[sh.l][:, f:f + n] = [sh.normalized_coefficients(*c)
+                                      for c in sh.components]
+        table = {
+            "nprim": nprim, "first": first, "coef": coef,
+            "ao": np.concatenate(([0], np.cumsum(ncomp)[:-1])),
+            "alpha": np.concatenate([sh.exponents for sh in shells]),
+            "center": np.repeat(np.array([sh.center for sh in shells],
+                                         dtype=float), nprim, axis=0).T,
+        }
+        groups: dict[tuple[int, int], list] = {}
+        for i, si in enumerate(shells):
+            for j in range(i + 1):
+                a, b = (i, j) if si.l >= shells[j].l else (j, i)
+                groups.setdefault((shells[a].l, shells[b].l), []).append((a, b))
+        self._classes = [_PairClass(la, lb, groups[(la, lb)], table)
+                         for (la, lb) in sorted(groups)]
 
-    # -- pair data ---------------------------------------------------------
-
-    def _pair(self, i: int, j: int) -> dict:
-        """Primitive-grid data for an AO pair (cached)."""
-        key = (i, j)
-        hit = self._pair_cache.get(key)
-        if hit is not None:
-            return hit
-        a = self._alphas[i][:, None]
-        b = self._alphas[j][None, :]
-        p = a + b
-        A, B = self._centers[i], self._centers[j]
-        P = (a[..., None] * A + b[..., None] * B) / p[..., None]
-        li, lj = self._powers[i], self._powers[j]
-        ex = hermite_coefficients(li[0], lj[0], A[0] - B[0], a, b)
-        ey = hermite_coefficients(li[1], lj[1], A[1] - B[1], a, b)
-        ez = hermite_coefficients(li[2], lj[2], A[2] - B[2], a, b)
-        cc = self._coefs[i][:, None] * self._coefs[j][None, :]
-        data = {"a": a, "b": b, "p": p, "P": P, "ex": ex, "ey": ey, "ez": ez,
-                "cc": cc, "li": li, "lj": lj}
-        self._pair_cache[key] = data
-        return data
+    def _store(self, key: str, arr: np.ndarray) -> np.ndarray:
+        arr.flags.writeable = False
+        self._cache[key] = arr
+        return arr
 
     # -- one-electron integrals ---------------------------------------------
 
+    def _one_electron(self) -> None:
+        n = self.basis.n_ao
+        mol = self.molecule
+        centres = np.array([a.position for a in mol.atoms]
+                           + [pc.position for pc in mol.point_charges],
+                           dtype=float).T
+        charges = np.array([float(a.z) for a in mol.atoms]
+                           + [pc.charge for pc in mol.point_charges])
+        out = np.zeros((6, n, n))
+        for cls in self._classes:
+            s, t, dip, v = cls.one_electron(charges, centres)
+            vals = np.concatenate([s[None], t[None], dip, v[None]])
+            vals = np.add.reduceat(vals, cls.starts[:-1], axis=2)
+            vals = vals.transpose(0, 2, 1)                    # (6, ns, nab)
+            out[:, cls.ao_a, cls.ao_b] = vals
+            out[:, cls.ao_b, cls.ao_a] = vals
+        out = np.tril(out) + np.tril(out, -1).transpose(0, 2, 1)
+        for key, arr in (("S", out[0]), ("T", out[1]), ("DIP", out[2:5]),
+                         ("V", out[5])):
+            self._store(key, arr.copy())
+
+    def _one(self, key: str) -> np.ndarray:
+        if key not in self._cache:
+            self._one_electron()
+        return self._cache[key]
+
     def overlap(self) -> np.ndarray:
         """AO overlap matrix S."""
-        if "S" in self._cache:
-            return self._cache["S"]
-        n = self.basis.n_ao
-        s = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1):
-                d = self._pair(i, j)
-                val = (d["cc"] * d["ex"][0] * d["ey"][0] * d["ez"][0]
-                       * (np.pi / d["p"]) ** 1.5).sum()
-                s[i, j] = s[j, i] = val
-        self._cache["S"] = s
-        return s
+        return self._one("S")
 
     def kinetic(self) -> np.ndarray:
         """AO kinetic-energy matrix T."""
-        if "T" in self._cache:
-            return self._cache["T"]
-        n = self.basis.n_ao
-        t = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1):
-                t[i, j] = t[j, i] = self._kinetic_element(i, j)
-        self._cache["T"] = t
-        return t
-
-    def _kinetic_element(self, i: int, j: int) -> float:
-        d = self._pair(i, j)
-        a, b, p = d["a"], d["b"], d["p"]
-        A, B = self._centers[i], self._centers[j]
-        li, lj = d["li"], d["lj"]
-        sqrt_pi_p = np.sqrt(np.pi / p)
-
-        def s1d(axis: int, jx: int) -> np.ndarray:
-            """1D overlap with the ket power shifted to jx (>= 0 required)."""
-            if jx < 0:
-                return np.zeros_like(p)
-            e = hermite_coefficients(li[axis], jx, A[axis] - B[axis], a, b)
-            return e[0] * sqrt_pi_p
-
-        sx = [s1d(0, lj[0]), s1d(1, lj[1]), s1d(2, lj[2])]
-        tx = []
-        for axis in range(3):
-            jx = lj[axis]
-            term = (-2.0 * b * b * s1d(axis, jx + 2)
-                    + b * (2 * jx + 1) * sx[axis])
-            if jx >= 2:
-                term = term - 0.5 * jx * (jx - 1) * s1d(axis, jx - 2)
-            tx.append(term)
-        val = (d["cc"] * (tx[0] * sx[1] * sx[2]
-                          + sx[0] * tx[1] * sx[2]
-                          + sx[0] * sx[1] * tx[2])).sum()
-        return float(val)
+        return self._one("T")
 
     def nuclear_attraction(self) -> np.ndarray:
         """AO nuclear-attraction matrix V (negative), including point charges."""
-        if "V" in self._cache:
-            return self._cache["V"]
-        n = self.basis.n_ao
-        centers = [np.asarray(a.position, dtype=float)
-                   for a in self.molecule.atoms]
-        charges = [float(a.z) for a in self.molecule.atoms]
-        centers += [np.asarray(pc.position, dtype=float)
-                    for pc in self.molecule.point_charges]
-        charges += [pc.charge for pc in self.molecule.point_charges]
-        v = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1):
-                d = self._pair(i, j)
-                li, lj = d["li"], d["lj"]
-                tmax = li[0] + lj[0]
-                umax = li[1] + lj[1]
-                vmax = li[2] + lj[2]
-                p, P = d["p"], d["P"]
-                acc = 0.0
-                for C, Z in zip(centers, charges):
-                    rt = hermite_r_tensor(tmax, umax, vmax, p, P - C)
-                    g = np.zeros_like(p)
-                    for tt in range(tmax + 1):
-                        for uu in range(umax + 1):
-                            for vv in range(vmax + 1):
-                                g = g + (d["ex"][tt] * d["ey"][uu]
-                                         * d["ez"][vv] * rt[(tt, uu, vv)])
-                    acc += -Z * float((d["cc"] * 2.0 * np.pi / p * g).sum())
-                v[i, j] = v[j, i] = acc
-        self._cache["V"] = v
-        return v
+        return self._one("V")
 
     def core_hamiltonian(self) -> np.ndarray:
         """h = T + V."""
         return self.kinetic() + self.nuclear_attraction()
 
     def dipole(self) -> np.ndarray:
-        """Electric-dipole AO integrals: (3, n, n) array of <a| r_c |b>.
-
-        Uses the Hermite-moment identity int x Lambda_t dx =
-        sqrt(pi/p) (P_x delta_t0 + delta_t1): the first moment needs only
-        E_0, E_1 and the Gaussian product center P.
-        """
-        if "DIP" in self._cache:
-            return self._cache["DIP"]
-        n = self.basis.n_ao
-        out = np.zeros((3, n, n))
-        for i in range(n):
-            for j in range(i + 1):
-                d = self._pair(i, j)
-                p = d["p"]
-                pref = (np.pi / p) ** 1.5
-                e0 = [d["ex"][0], d["ey"][0], d["ez"][0]]
-                for axis in range(3):
-                    li, lj = d["li"][axis], d["lj"][axis]
-                    e_ax = d["ex" if axis == 0 else "ey" if axis == 1
-                             else "ez"]
-                    e1 = e_ax[1] if li + lj >= 1 else np.zeros_like(p)
-                    moment = e1 + d["P"][..., axis] * e_ax[0]
-                    others = [e0[a] for a in range(3) if a != axis]
-                    val = (d["cc"] * moment * others[0] * others[1]
-                           * pref).sum()
-                    out[axis, i, j] = out[axis, j, i] = val
-        self._cache["DIP"] = out
-        return out
+        """Electric-dipole AO integrals: (3, n, n) array of <a| r_c |b>
+        (int x Lambda_t dx = sqrt(pi/p) (P_x delta_t0 + delta_t1))."""
+        return self._one("DIP")
 
     # -- two-electron integrals ----------------------------------------------
+
+    def _eri_block(self, bra: _PairClass, s0: int, s1: int,
+                   ket: _PairClass, keep: np.ndarray) -> np.ndarray:
+        """(ab|cd), (s1-s0, nab, n_kept, ncd), of bra pairs s0:s1 x kept kets."""
+        xs = slice(bra.starts[s0], bra.starts[s1])
+        yk = np.flatnonzero(keep[ket.seg])
+        ksize = np.diff(ket.starts)[keep]
+        kstarts = np.concatenate(([0], np.cumsum(ksize)[:-1]))
+        p = bra.p[xs, None]
+        q = ket.p[None, yk]
+        shape = (p.size, q.size)
+        pq = (bra.P[:, xs, None] - ket.P[:, None, yk]).reshape(3, -1)
+        lb, lk = bra.la + bra.lb, ket.la + ket.lb
+        r = _hermite_r(lb + lk, (p * q / (p + q)).ravel(), pq,
+                       (2.0 * np.pi ** 2.5 / np.sqrt(p + q)).ravel())
+        index = _hermite_sum(lb, lk)
+        r = r[index].reshape(index.shape + shape)
+        w = np.einsum("hkxy,cky->xhcy", r, ket.eri_ket[:, :, yk])
+        w = np.add.reduceat(w, kstarts, axis=3)
+        g = np.einsum("ahx,xhcs->xasc", bra.eri_bra[:, :, xs], w)
+        return np.add.reduceat(g, bra.starts[s0:s1] - bra.starts[s0], axis=0)
+
+    def _schwarz(self) -> list[np.ndarray]:
+        """max sqrt((ab|ab)) per shell pair, for every class."""
+        bounds = []
+        for cls in self._classes:
+            ns = len(cls.starts) - 1
+            q = np.empty(ns)
+            for s in range(ns):
+                g = self._eri_block(cls, s, s + 1, cls, np.arange(ns) == s)
+                diag = np.einsum("aa->a", g[0, :, 0, :])
+                q[s] = np.sqrt(np.maximum(diag, 0.0)).max()
+            bounds.append(q)
+        return bounds
 
     def eri(self) -> np.ndarray:
         """Full ERI tensor (ij|kl) in chemists' notation, 8-fold symmetric."""
         if "ERI" in self._cache:
             return self._cache["ERI"]
-        if self.basis.max_l() == 0:
-            out = self._eri_s_only()
-        else:
-            out = self._eri_general()
-        self._cache["ERI"] = out
-        return out
-
-    def _eri_general(self) -> np.ndarray:
         n = self.basis.n_ao
-        eri = np.zeros((n, n, n, n))
-        pairs = [(i, j) for i in range(n) for j in range(i + 1)]
+        i, j = np.tril_indices(n)
+        pair = np.empty((n, n), dtype=np.intp)
+        pair[i, j] = pair[j, i] = np.arange(i.size)
         tau = self.screening_threshold
-        if tau > 0.0:
-            # Cauchy-Schwarz bounds: |(ij|kl)| <= sqrt((ij|ij)(kl|kl))
-            q = {p: np.sqrt(max(0.0, self._eri_element(*p, *p)))
-                 for p in pairs}
+        bounds = self._schwarz() if tau > 0.0 else None
         self.screened_quartets = 0
-        for pi, (i, j) in enumerate(pairs):
-            for (k, l) in pairs[: pi + 1]:
-                if tau > 0.0 and q[(i, j)] * q[(k, l)] < tau:
-                    self.screened_quartets += 1
-                    continue
-                val = self._eri_element(i, j, k, l)
-                for (x, y) in ((i, j), (j, i)):
-                    for (z, w) in ((k, l), (l, k)):
-                        eri[x, y, z, w] = val
-                        eri[z, w, x, y] = val
-        return eri
-
-    def _eri_element(self, i: int, j: int, k: int, l: int) -> float:
-        bra = self._pair(i, j)
-        ket = self._pair(k, l)
-        li, lj = bra["li"], bra["lj"]
-        lk, ll = ket["li"], ket["lj"]
-        t1, u1, v1 = li[0] + lj[0], li[1] + lj[1], li[2] + lj[2]
-        t2, u2, v2 = lk[0] + ll[0], lk[1] + ll[1], lk[2] + ll[2]
-        p = bra["p"].ravel()
-        q = ket["p"].ravel()
-        P = bra["P"].reshape(-1, 3)
-        Q = ket["P"].reshape(-1, 3)
-        m, kk = p.size, q.size
-        alpha = p[:, None] * q[None, :] / (p[:, None] + q[None, :])
-        pq = P[:, None, :] - Q[None, :, :]
-        rt = hermite_r_tensor(t1 + t2, u1 + u2, v1 + v2, alpha, pq)
-        ebra = {}
-        for tt in range(t1 + 1):
-            for uu in range(u1 + 1):
-                for vv in range(v1 + 1):
-                    ebra[(tt, uu, vv)] = (bra["ex"][tt] * bra["ey"][uu]
-                                          * bra["ez"][vv]).ravel()
-        eket = {}
-        for tt in range(t2 + 1):
-            for uu in range(u2 + 1):
-                for vv in range(v2 + 1):
-                    sign = (-1.0) ** (tt + uu + vv)
-                    eket[(tt, uu, vv)] = sign * (ket["ex"][tt] * ket["ey"][uu]
-                                                 * ket["ez"][vv]).ravel()
-        g = np.zeros((m, kk))
-        for (tb, ub, vb), eb in ebra.items():
-            acc = np.zeros((m, kk))
-            for (tk, uk, vk), ek in eket.items():
-                acc += ek[None, :] * rt[(tb + tk, ub + uk, vb + vk)]
-            g += eb[:, None] * acc
-        pref = (2.0 * np.pi ** 2.5
-                / (p[:, None] * q[None, :] * np.sqrt(p[:, None] + q[None, :])))
-        cc = bra["cc"].ravel()[:, None] * ket["cc"].ravel()[None, :]
-        return float((cc * pref * g).sum())
-
-    def _eri_s_only(self) -> np.ndarray:
-        """Vectorized ERI path for bases containing only s functions.
-
-        For s shells every Hermite expansion collapses to the pair Gaussian
-        prefactor, so (ij|kl) reduces to a single Boys F0 per primitive
-        quartet; we flatten all ket-pair primitives into one array and reduce
-        per bra pair with ``np.add.reduceat``.
-        """
-        n = self.basis.n_ao
-        pairs = [(i, j) for i in range(n) for j in range(i + 1)]
-        # flatten primitive data of every pair
-        p_all, P_all, c_all, offsets = [], [], [], [0]
-        for (i, j) in pairs:
-            d = self._pair(i, j)
-            p = d["p"].ravel()
-            P = d["P"].reshape(-1, 3)
-            kfac = (d["ex"][0] * d["ey"][0] * d["ez"][0]).ravel()
-            c = d["cc"].ravel() * kfac
-            p_all.append(p)
-            P_all.append(P)
-            c_all.append(c)
-            offsets.append(offsets[-1] + p.size)
-        pf = np.concatenate(p_all)
-        Pf = np.concatenate(P_all, axis=0)
-        cf = np.concatenate(c_all)
-        starts = np.asarray(offsets[:-1])
-        eri = np.zeros((n, n, n, n))
-        npair = len(pairs)
-        for bi, (i, j) in enumerate(pairs):
-            pb = p_all[bi][:, None]
-            Pb = P_all[bi][:, None, :]
-            cb = c_all[bi][:, None]
-            psum = pb + pf[None, :]
-            alpha = pb * pf[None, :] / psum
-            r2 = np.sum((Pb - Pf[None, :, :]) ** 2, axis=-1)
-            f0 = boys(0, alpha * r2)[0]
-            contrib = (cb * cf[None, :] * 2.0 * np.pi ** 2.5
-                       / (pb * pf[None, :] * np.sqrt(psum)) * f0)
-            per_prim = contrib.sum(axis=0)
-            per_pair = np.add.reduceat(per_prim, starts)
-            for ki in range(npair):
-                if ki > bi:
-                    break
-                k, l = pairs[ki]
-                val = per_pair[ki]
-                for (x, y) in ((i, j), (j, i)):
-                    for (z, w) in ((k, l), (l, k)):
-                        eri[x, y, z, w] = val
-                        eri[z, w, x, y] = val
-        return eri
+        g = np.zeros((i.size, i.size))
+        for ci, bra in enumerate(self._classes):
+            for cj, ket in enumerate(self._classes[:ci + 1]):
+                nab, ncd = bra.ao_a.shape[1], ket.ao_a.shape[1]
+                nks = len(ket.starts) - 1
+                per_row = ket.starts[-1] * max(
+                    len(_hermite_index(bra.la + bra.lb + ket.la + ket.lb)),
+                    _hermite_sum(bra.la + bra.lb, ket.la + ket.lb).size,
+                    bra.herm.shape[1] * ncd, nab * ncd)
+                for s0, s1 in _chunks(bra.starts, _CHUNK_ELEMENTS // per_row):
+                    keep = np.ones(nks, dtype=bool)
+                    if ci == cj:
+                        keep[s1:] = False
+                    if bounds is not None:
+                        ok = bounds[cj] * bounds[ci][s0:s1].max() >= tau
+                        self.screened_quartets += int(
+                            (keep & ~ok).sum()) * (s1 - s0) * nab * ncd
+                        keep &= ok
+                    if not keep.any():
+                        continue
+                    block = self._eri_block(bra, s0, s1, ket, keep)
+                    pb = pair[bra.ao_a[s0:s1], bra.ao_b[s0:s1]]
+                    pk = pair[ket.ao_a[keep], ket.ao_b[keep]]
+                    g[pb[:, :, None, None], pk] = block
+                    g[pk[:, :, None, None], pb] = block.transpose(2, 3, 0, 1)
+        g = np.tril(g) + np.tril(g, -1).T
+        return self._store("ERI", g[pair[:, :, None, None], pair])
 
     # -- convenience ---------------------------------------------------------
 
@@ -451,3 +439,14 @@ class IntegralEngine:
         """Return (S, h_core, ERI, E_nuclear)."""
         return (self.overlap(), self.core_hamiltonian(), self.eri(),
                 self.molecule.nuclear_repulsion())
+
+
+def _chunks(starts: np.ndarray, max_rows: int):
+    """Runs [s0, s1) of whole segments holding about ``max_rows`` rows."""
+    s0, ns = 0, len(starts) - 1
+    while s0 < ns:
+        s1 = int(np.searchsorted(starts, starts[s0] + max(max_rows, 1),
+                                 side="right")) - 1
+        s1 = min(max(s1, s0 + 1), ns)
+        yield s0, s1
+        s0 = s1

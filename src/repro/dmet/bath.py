@@ -53,6 +53,32 @@ class EmbeddingBasis:
         return self.n_fragment + self.n_bath
 
 
+def _align_degenerate(u: np.ndarray, s: np.ndarray,
+                      vt: np.ndarray) -> np.ndarray:
+    """Fix the bath basis inside each group of equal singular values.
+
+    Any rotation of a degenerate group's singular vectors is an equally
+    valid SVD, so LAPACK's basis there follows last-bit rounding of the
+    density (the fragments of a symmetric ring).  Each group is rotated so
+    that its right vectors are as close as possible to the fragment
+    orbitals they weigh most (orthogonal Procrustes): bath orbital k is
+    then D_env,frag e_k / s_k whenever the group spans those axes.
+    """
+    start = 0
+    while start < s.size:
+        stop = start + 1
+        while stop < s.size and s[start] - s[stop] <= 1e-10 * max(s[0], 1.0):
+            stop += 1
+        if stop - start > 1:
+            v = vt[start:stop].T                      # (nf, k)
+            axes = np.sort(np.argsort(-np.einsum("ik,ik->i", v, v))
+                           [:stop - start])
+            w, _, zt = np.linalg.svd(v[axes])
+            u[:, start:stop] = u[:, start:stop] @ (w @ zt).T
+        start = stop
+    return u
+
+
 def build_bath(density: np.ndarray, fragment: list[int], *,
                bath_tolerance: float = 1e-8) -> EmbeddingBasis:
     """Construct the embedding basis for ``fragment``.
@@ -89,7 +115,8 @@ def build_bath(density: np.ndarray, fragment: list[int], *,
 
     # environment x fragment block of the density
     b = density[np.ix_(env, frag)]
-    u, s, _ = sla.svd(b, full_matrices=False)
+    u, s, vt = sla.svd(b, full_matrices=False)
+    u = _align_degenerate(u, s, vt)
     keep = s > bath_tolerance
     nb = int(np.count_nonzero(keep))
     bath_vectors = u[:, keep]

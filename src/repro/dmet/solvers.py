@@ -21,6 +21,14 @@ from repro.dmet.embedding import EmbeddingProblem
 from repro.vqe.optimizers import DEFAULT_OPTIMIZER
 
 
+#: Default VQE tolerance of a fragment solve.  The DMET energy is built
+#: from the fragment's RDMs, which are first order in the VQE parameters:
+#: a solve stopped at 1e-8 Ha left the H4 ring's 2-atom-fragment DMET
+#: energy uncertain by ~5e-6 Ha (forward-difference SLSQP under 1e-16
+#: perturbations of h1), at 1e-12 by ~3e-8 Ha.
+FRAGMENT_TOLERANCE = 1e-12
+
+
 @dataclass
 class FragmentSolution:
     """Solver output for one embedded fragment."""
@@ -48,8 +56,47 @@ def orthonormal_rhf_density(h1: np.ndarray, h2: np.ndarray, n_electrons: int,
     n = h1.shape[0]
     if n_occ > n:
         raise ValidationError(f"{n_electrons} electrons exceed 2x{n} orbitals")
-    # core guess
-    _, c = sla.eigh(h1)
+    # core guess.  When its frontier shell is degenerate, which of its
+    # orbitals LAPACK returns first follows last-bit rounding of h1, and so
+    # does the SCF solution reached (on the H4 ring's fragments, one 66 mHa
+    # above the other).  Start from rotations of the HOMO into each
+    # degenerate virtual too and keep the lowest energy; ties go to the
+    # plain guess.
+    e, c = sla.eigh(h1)
+    best = None
+    for guess in _frontier_guesses(e, c, n_occ):
+        try:
+            d, c_out = _closed_shell_scf(h1, h2, n_occ, guess,
+                                         max_iterations, tolerance)
+        except ConvergenceError:
+            if best is None:
+                raise
+            continue
+        j = np.einsum("pqrs,rs->pq", h2, d, optimize=True)
+        k = np.einsum("prqs,rs->pq", h2, d, optimize=True)
+        energy = float(np.sum(d * (h1 + 0.5 * j - 0.25 * k)))
+        if best is None or energy < best[0] - 1e-10:
+            best = (energy, d, c_out)
+    return best[1], best[2]
+
+
+def _frontier_guesses(e: np.ndarray, c: np.ndarray, n_occ: int):
+    """The core guess, then its HOMO rotated into each degenerate virtual."""
+    yield c
+    if n_occ == 0 or n_occ == e.size:
+        return
+    homo = n_occ - 1
+    for r in range(n_occ, e.size):
+        if e[r] - e[homo] > 1e-8 * max(1.0, abs(e[homo])):
+            break
+        for angle in (0.25 * np.pi, 0.5 * np.pi, 0.75 * np.pi):
+            g = c.copy()
+            g[:, homo] = np.cos(angle) * c[:, homo] + np.sin(angle) * c[:, r]
+            g[:, r] = -np.sin(angle) * c[:, homo] + np.cos(angle) * c[:, r]
+            yield g
+
+
+def _closed_shell_scf(h1, h2, n_occ, c, max_iterations, tolerance):
     d = 2.0 * c[:, :n_occ] @ c[:, :n_occ].T
     for _ in range(max_iterations):
         j = np.einsum("pqrs,rs->pq", h2, d, optimize=True)
@@ -121,7 +168,7 @@ class VQEFragmentSolver:
     def __init__(self, *, simulator: str = "statevector",
                  max_bond_dimension: int | None = None,
                  optimizer: str = DEFAULT_OPTIMIZER,
-                 tolerance: float = 1e-8,
+                 tolerance: float = FRAGMENT_TOLERANCE,
                  max_iterations: int = 4000,
                  initial_parameters: str = "zeros",
                  warm_start: bool = True):
@@ -205,7 +252,7 @@ class VQEFragmentSolver:
 def make_fragment_solver(name: str, *,
                          max_bond_dimension: int | None = None,
                          optimizer: str = DEFAULT_OPTIMIZER,
-                         tolerance: float = 1e-8,
+                         tolerance: float = FRAGMENT_TOLERANCE,
                          max_iterations: int = 4000,
                          **vqe_options):
     """Build a fragment solver from its name (the single dispatch point).

@@ -1,12 +1,20 @@
 """Tests for McMurchie-Davidson integrals: analytic values, symmetries,
-literature energies, and the s-only fast path against the general path."""
+literature energies, and the class-batched engine against the per-quartet
+reference in :mod:`tests.chem.md_reference`."""
+
+import math
 
 import numpy as np
 import pytest
+from scipy import special as sps
 
+from repro.chem import integrals
 from repro.chem.basis import get_basis
-from repro.chem.geometry import Molecule, h2, water
+from repro.chem.geometry import (Molecule, PointCharge, h2, hydrogen_ring,
+                                 lih, water)
 from repro.chem.integrals import IntegralEngine, boys
+
+from .md_reference import ReferenceIntegrals
 
 
 class TestBoys:
@@ -40,6 +48,30 @@ class TestBoys:
         x = np.array([50.0])
         assert boys(0, x)[0] == pytest.approx(
             np.sqrt(np.pi) / (2 * np.sqrt(50.0)), rel=1e-8)
+
+    def test_table_matches_the_incomplete_gamma_formula(self):
+        """F_m(x) = Gamma(m+1/2) P(m+1/2, x) / (2 x^(m+1/2)) on every grid
+        point and midpoint up to x = 100, and on both sides of the switch
+        to the asymptote.  The series replaces gammainc below x = 0.5,
+        where gammainc loses ~1e-14 of its own."""
+        dx, far = integrals._BOYS_DX, integrals._BOYS_FAR
+        k = np.arange(int(round(100.0 / dx)) + 1)
+        x = np.concatenate([k * dx, (k + 0.5) * dx, [1e-13, 1e-9],
+                            far * (1.0 + np.array([-1e-12, 0.0, 1e-12]))])
+        x = x[x <= 100.0]
+        f = boys(16, x)
+        small = x < 0.5
+        for m in range(17):
+            a = m + 0.5
+            series = sum((-x[small]) ** j
+                         / (math.factorial(j) * (2 * m + 2 * j + 1))
+                         for j in range(30))
+            big = x[~small]
+            exact = np.empty_like(x)
+            exact[small] = series
+            exact[~small] = sps.gamma(a) * sps.gammainc(a, big) / (2 * big ** a)
+            rel = np.max(np.abs(f[m] - exact) / exact)
+            assert rel <= (1e-14 if m <= 8 else 5e-14), (m, rel)
 
 
 @pytest.fixture(scope="module")
@@ -110,16 +142,6 @@ class TestERI:
         assert np.allclose(g, g.transpose(0, 1, 3, 2))
         assert np.allclose(g, g.transpose(2, 3, 0, 1))
 
-    def test_s_only_fast_path_matches_general(self):
-        """The reduceat fast path must equal the general MD path."""
-        mol = Molecule.from_angstrom(
-            [("H", 0, 0, 0), ("H", 0, 0, 0.9), ("H", 0.7, 0.3, 1.8)],
-            charge=1)
-        eng = IntegralEngine(mol, get_basis(mol, "sto-3g"))
-        fast = eng._eri_s_only()
-        general = eng._eri_general()
-        assert np.allclose(fast, general, atol=1e-12)
-
     def test_eri_positivity(self, water_engine):
         # (ii|ii) > 0 for any orbital
         g = water_engine.eri()
@@ -128,6 +150,14 @@ class TestERI:
 
     def test_cache_returns_same_array(self, h2_engine):
         assert h2_engine.eri() is h2_engine.eri()
+
+    def test_cached_arrays_are_read_only(self):
+        mol = h2(0.7414)
+        eng = IntegralEngine(mol, get_basis(mol, "sto-3g"))
+        for arr in (eng.overlap(), eng.kinetic(), eng.nuclear_attraction(),
+                    eng.dipole(), eng.eri()):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
 
 
 class TestHigherAngularMomentum:
@@ -147,3 +177,55 @@ class TestHigherAngularMomentum:
         eng = IntegralEngine(mol, get_basis(mol, "sto-3g"))
         s = eng.overlap()
         assert abs(s[0, 2]) < 1e-12  # 1s - 2px
+
+
+def _stretched_lih_dimer():
+    return Molecule.from_angstrom([
+        ("Li", 0, 0, 0), ("H", 0, 0, 1.6),
+        ("Li", 0, 0, 14.0), ("H", 0, 0, 15.6),
+    ])
+
+
+def _h2_with_point_charge():
+    return h2(0.7414).with_point_charges(
+        [PointCharge(charge=-0.8, position=(0.3, 0.5, 2.0))])
+
+
+class TestAgainstPerQuartetOracle:
+    """The class-batched engine against the per-quartet, per-centre
+    McMurchie-Davidson path it replaced (gammainc Boys function)."""
+
+    @pytest.mark.parametrize("make, basis", [
+        (water, "sto-3g"), (lih, "sto-3g"), (lambda: h2(0.7414), "6-31g"),
+        (lambda: hydrogen_ring(10, 1.0), "sto-3g"),
+        (_stretched_lih_dimer, "sto-3g"), (_h2_with_point_charge, "sto-3g"),
+    ], ids=["h2o", "lih", "h2-631g", "ring10", "lih-dimer", "h2-charge"])
+    def test_every_integral_matches(self, make, basis):
+        mol = make()
+        bs = get_basis(mol, basis)
+        eng, ref = IntegralEngine(mol, bs), ReferenceIntegrals(mol, bs)
+        for got, want in ((eng.overlap(), ref.overlap()),
+                          (eng.kinetic(), ref.kinetic()),
+                          (eng.nuclear_attraction(), ref.nuclear_attraction()),
+                          (eng.dipole(), ref.dipole()),
+                          (eng.eri(), ref.eri())):
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_d_shells_cc_pvdz(self):
+        """Carbon cc-pVDZ: one-electron integrals in full, ERIs on 300
+        seeded AO quartets, among them (dd|dd) ones that need F_8."""
+        mol = Molecule.from_angstrom([("C", 0, 0, 0), ("H", 0.6, 0.3, 0.9)],
+                                     charge=1)
+        bs = get_basis(mol, "cc-pvdz")
+        eng, ref = IntegralEngine(mol, bs), ReferenceIntegrals(mol, bs)
+        for got, want in ((eng.overlap(), ref.overlap()),
+                          (eng.kinetic(), ref.kinetic()),
+                          (eng.nuclear_attraction(), ref.nuclear_attraction()),
+                          (eng.dipole(), ref.dipole())):
+            assert np.max(np.abs(got - want)) <= 1e-13
+        g = eng.eri()
+        quartets = np.random.default_rng(36).integers(0, bs.n_ao, (300, 4))
+        ls = np.array([sum(bs.ao_powers(ao)) for ao in range(bs.n_ao)])
+        assert ls[quartets].sum(axis=1).max() == 8
+        for i, j, k, l in quartets:
+            assert abs(g[i, j, k, l] - ref.eri_element(i, j, k, l)) <= 1e-13
