@@ -286,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "statevector, mps)")
     pe.add_argument("--optimizer", default=None,
                     help="VQE optimizer: l-bfgs-b (default) | bfgs | "
-                         "slsqp | adam | cobyla | nelder-mead | powell | "
-                         "spsa; gradient optimizers run on the adjoint where "
+                         "slsqp | adam | cobyla | nelder-mead | powell; "
+                         "gradient optimizers run on the adjoint where "
                          "the backend has one; with dmet-vqe the fragment "
                          "solver's optimizer")
     pe.add_argument("--max-iterations", type=int, default=4000,

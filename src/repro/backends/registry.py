@@ -207,12 +207,11 @@ def available_backends() -> list[str]:
 # cheap and free of import cycles (the vqe layer imports this module).
 
 
-def _make_statevector(n_qubits: int, *, max_qubits: int = 26,
-                      **_cross_backend_opts) -> Backend:
+def _make_statevector(n_qubits: int, **_cross_backend_opts) -> Backend:
     """Dense statevector backend (batched Pauli-kernel measurements)."""
     from repro.simulators.statevector import StatevectorSimulator
 
-    return StatevectorSimulator(n_qubits, max_qubits=max_qubits)
+    return StatevectorSimulator(n_qubits)
 
 
 def _make_mps(n_qubits: int, *, max_bond_dimension: int | None = None,
@@ -227,12 +226,11 @@ def _make_mps(n_qubits: int, *, max_bond_dimension: int | None = None,
                         max_truncation_error=max_truncation_error)
 
 
-def _make_density_matrix(n_qubits: int, *, max_qubits: int = 13,
-                         **_cross_backend_opts) -> Backend:
+def _make_density_matrix(n_qubits: int, **_cross_backend_opts) -> Backend:
     """Density-matrix backend (the 4^n mixed-state baseline)."""
     from repro.simulators.density_matrix import DensityMatrixSimulator
 
-    return DensityMatrixSimulator(n_qubits, max_qubits=max_qubits)
+    return DensityMatrixSimulator(n_qubits)
 
 
 register_backend(
@@ -240,7 +238,6 @@ register_backend(
     description="dense 2^n amplitude vector; excitations and wide Pauli "
                 "rotations applied whole, batched compiled-observable "
                 "measurement",
-    options=("max_qubits",),
     gradients=("adjoint",),
 )
 register_backend(
@@ -254,7 +251,6 @@ register_backend(
 register_backend(
     "density_matrix", _make_density_matrix,
     description="dense 4^n density matrix (the Fig. 2c memory baseline)",
-    options=("max_qubits",),
 )
 # A second name for the statevector backend, kept only because the frozen
 # end-to-end benchmark (benchmarks/e2e) runs `vqe-fast` solves and pins
@@ -265,7 +261,6 @@ register_backend(
     "fast", _make_statevector,
     description="the statevector backend under its former name; no "
                 "adjoint gradient",
-    options=("max_qubits",),
 )
 
 

@@ -4,21 +4,13 @@ from __future__ import annotations
 
 from repro.common.errors import ValidationError
 
-#: symbol -> (atomic number, standard atomic mass in u)
-ELEMENTS: dict[str, tuple[int, float]] = {
-    "H": (1, 1.008),
-    "He": (2, 4.0026),
-    "Li": (3, 6.94),
-    "Be": (4, 9.0122),
-    "B": (5, 10.81),
-    "C": (6, 12.011),
-    "N": (7, 14.007),
-    "O": (8, 15.999),
-    "F": (9, 18.998),
-    "Ne": (10, 20.180),
+#: symbol -> atomic number
+ELEMENTS: dict[str, int] = {
+    "H": 1, "He": 2, "Li": 3, "Be": 4, "B": 5,
+    "C": 6, "N": 7, "O": 8, "F": 9, "Ne": 10,
 }
 
-_NUMBER_TO_SYMBOL = {z: sym for sym, (z, _) in ELEMENTS.items()}
+_NUMBER_TO_SYMBOL = {z: sym for sym, z in ELEMENTS.items()}
 
 
 def atomic_number(symbol: str) -> int:
@@ -26,7 +18,7 @@ def atomic_number(symbol: str) -> int:
     key = symbol.strip().capitalize()
     if key not in ELEMENTS:
         raise ValidationError(f"unsupported element symbol: {symbol!r}")
-    return ELEMENTS[key][0]
+    return ELEMENTS[key]
 
 
 def atomic_symbol(z: int) -> str:
@@ -35,10 +27,3 @@ def atomic_symbol(z: int) -> str:
         raise ValidationError(f"unsupported atomic number: {z}")
     return _NUMBER_TO_SYMBOL[z]
 
-
-def atomic_mass(symbol: str) -> float:
-    """Standard atomic mass in unified atomic mass units."""
-    key = symbol.strip().capitalize()
-    if key not in ELEMENTS:
-        raise ValidationError(f"unsupported element symbol: {symbol!r}")
-    return ELEMENTS[key][1]

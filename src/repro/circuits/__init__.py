@@ -15,7 +15,6 @@ from repro.circuits.trotter import (
 from repro.circuits.uccsd import UCCSDAnsatz, uccsd_circuit
 from repro.circuits.hea import brick_ansatz, random_brick_circuit
 from repro.circuits.fusion import fuse_single_qubit_gates
-from repro.circuits.routing import route_to_nearest_neighbour
 
 __all__ = [
     "Gate",
@@ -32,5 +31,4 @@ __all__ = [
     "brick_ansatz",
     "random_brick_circuit",
     "fuse_single_qubit_gates",
-    "route_to_nearest_neighbour",
 ]

@@ -174,9 +174,6 @@ class Gate:
     def n_qubits(self) -> int:
         return len(self.qubits)
 
-    def is_parametric(self) -> bool:
-        return self.param is not None
-
     def bound(self, theta: np.ndarray) -> "Gate":
         """Resolve the angle from a parameter vector."""
         if self.param is None:

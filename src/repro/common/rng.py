@@ -1,7 +1,7 @@
 """Deterministic random-number policy.
 
-Every stochastic component in the library (SPSA perturbations, random initial
-MPS states, synthetic workload generators) draws randomness through
+Every stochastic component in the library (random initial MPS states,
+random circuits, synthetic workload generators) draws randomness through
 :func:`default_rng` with an explicit seed, so that benchmarks and tests are
 bit-for-bit reproducible.
 """

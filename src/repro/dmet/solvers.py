@@ -18,7 +18,7 @@ from repro.common.errors import ConvergenceError, ValidationError
 from repro.chem.mo import MOIntegrals
 from repro.chem.fci import FCISolver
 from repro.dmet.embedding import EmbeddingProblem
-from repro.vqe.optimizers import DEFAULT_OPTIMIZER
+from repro.vqe.optimizers import DEFAULT_OPTIMIZER, check_optimizer
 
 
 #: Default VQE tolerance of a fragment solve.  The DMET energy is built
@@ -174,7 +174,8 @@ class VQEFragmentSolver:
                  warm_start: bool = True):
         from repro.vqe.vqe import VQE
 
-        # fails fast on unknown backend names
+        # fails fast on unknown optimizer and backend names
+        check_optimizer(optimizer)
         self.grad = VQE.default_gradient(optimizer, simulator)
         self.simulator = simulator
         self.max_bond_dimension = max_bond_dimension

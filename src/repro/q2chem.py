@@ -102,9 +102,7 @@ class Q2Chemistry:
                    tolerance: float = 1e-8,
                    max_iterations: int = 4000, grad: str | None = None,
                    initial_parameters: np.ndarray | None = None,
-                   checkpoint_path: str | None = None,
-                   checkpoint_every: int = 1, resume: bool = False,
-                   seed: int | None = None,
+                   checkpoint_path: str | None = None, resume: bool = False,
                    observe: bool = False) -> VQEResult:
         """MPS-VQE (or SV-VQE) on the full active space.
 
@@ -113,10 +111,9 @@ class Q2Chemistry:
         :mod:`repro.vqe.gradients`); ``None`` lets :class:`VQE` resolve
         it (the adjoint for the default "l-bfgs-b" on "mps" /
         "statevector", scipy's own differences elsewhere).
-        ``checkpoint_path``/``checkpoint_every``/``resume`` snapshot the
-        optimizer state each iteration and restart interrupted runs to a
-        bitwise-identical trajectory (adam/spsa only, see
-        docs/SERVING.md); ``seed`` feeds the SPSA perturbation stream.
+        ``checkpoint_path``/``resume`` snapshot the optimizer state each
+        iteration and restart interrupted runs to a bitwise-identical
+        trajectory (adam only, see docs/SERVING.md).
         ``observe=True`` collects the
         :mod:`repro.obs` instrumentation for just this run and attaches
         the snapshot as ``result.metrics`` (see docs/OBSERVABILITY.md).
@@ -128,14 +125,13 @@ class Q2Chemistry:
                   max_bond_dimension=max_bond_dimension,
                   optimizer=optimizer, tolerance=tolerance,
                   max_iterations=max_iterations, grad=grad,
-                  checkpoint_path=checkpoint_path,
-                  checkpoint_every=checkpoint_every, resume=resume)
+                  checkpoint_path=checkpoint_path, resume=resume)
         if observe:
             from repro import obs
 
             with obs.collect():
-                return vqe.run(initial_parameters, seed)
-        return vqe.run(initial_parameters, seed)
+                return vqe.run(initial_parameters)
+        return vqe.run(initial_parameters)
 
     # -- DMET ------------------------------------------------------------------------
 

@@ -11,7 +11,7 @@ The layer a long-running deployment needs on top of the numerical stack:
   size-bounded LRU store every memoised artifact (compiled observables,
   sweep plans, MPOs, results, prepared systems) lives in; the service
   installs its own for its lifetime;
-* :mod:`repro.serve.checkpoint` - bitwise-reproducible optimizer
+* :mod:`repro.serve.checkpoint` - bitwise-reproducible adam
   checkpoints (schema ``repro.ckpt/1``) behind the VQE
   ``checkpoint_path`` / ``resume`` knobs.
 

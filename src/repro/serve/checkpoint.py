@@ -2,12 +2,12 @@
 
 Long VQE optimizations are the jobs a multi-tenant service cannot afford
 to lose to a restart.  This module serializes the *complete* optimizer
-state - the parameter vector, the optimizer's internal moments, the
-energy history, the RNG state for stochastic optimizers - after every
-iteration, so a killed job resumes to a **bitwise-identical trajectory**:
-the resumed run's final energy, parameters and iteration count equal the
-uninterrupted run's exactly (the contract the fault-injection suite in
-``tests/serve`` pins on both the statevector and MPS backends).
+state - the parameter vector, adam's moments, the energy history - after
+every iteration, so a killed job resumes to a **bitwise-identical
+trajectory**: the resumed run's final energy, parameters and iteration
+count equal the uninterrupted run's exactly (the contract the
+fault-injection suite in ``tests/serve`` pins on both the statevector
+and MPS backends).
 
 Document format (schema ``repro.ckpt/1``)::
 
@@ -20,8 +20,7 @@ Document format (schema ``repro.ckpt/1``)::
     }
 
 Arrays are encoded as ``{"__ndarray__": <base64 of tobytes()>, "dtype",
-"shape"}`` - byte-exact, no float/JSON round-trip ambiguity.  RNG state
-(numpy bit-generator state dicts) serializes as plain JSON.  Writes are
+"shape"}`` - byte-exact, no float/JSON round-trip ambiguity.  Writes are
 atomic (tmp + ``os.replace``), so a crash mid-write leaves the previous
 checkpoint intact; loads verify the checksum and schema and raise a
 structured :class:`repro.common.errors.CheckpointError` on any damage -
@@ -185,39 +184,20 @@ def load_checkpoint(path: str | Path, *,
 
 
 class CheckpointWriter:
-    """Per-iteration checkpoint sink handed to the optimizers.
+    """Per-iteration checkpoint sink handed to adam.
 
-    Callable as ``writer(state_dict)``; writes every ``every``-th
-    iteration (and always remembers the latest state so :meth:`flush`
-    can persist it after an interruption).  The optimizer's state dict
-    must carry an ``"iteration"`` key.
+    Callable as ``writer(state_dict)``; every call writes the state, so
+    the checkpoint on disk is always the last completed iteration.  The
+    optimizer's state dict must carry an ``"iteration"`` key.
     """
 
-    def __init__(self, path: str | Path, *, optimizer: str, every: int = 1):
-        if every < 1:
-            raise CheckpointError(
-                f"checkpoint interval must be >= 1 (got {every})",
-                reason="schema")
+    def __init__(self, path: str | Path, *, optimizer: str):
         self.path = Path(path)
         self.optimizer = str(optimizer)
-        self.every = int(every)
-        self.writes = 0
-        self._latest: dict | None = None
 
     def __call__(self, state: dict) -> None:
-        self._latest = state
-        iteration = int(state["iteration"])
-        if iteration % self.every == 0:
-            self.flush()
-
-    def flush(self) -> Path | None:
-        """Persist the most recent state (no-op before any iteration)."""
-        if self._latest is None:
-            return None
-        self.writes += 1
-        return save_checkpoint(self.path, optimizer=self.optimizer,
-                               iteration=int(self._latest["iteration"]),
-                               state=self._latest)
+        save_checkpoint(self.path, optimizer=self.optimizer,
+                        iteration=int(state["iteration"]), state=state)
 
 
 __all__ = [

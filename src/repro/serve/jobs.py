@@ -16,9 +16,8 @@ projections drive the whole service:
   back-to-back so they reuse the prepared system and hit the same
   compiled-artifact namespaces while they are hottest.
 
-All computations a spec can name are deterministic (the default RNG is
-seeded, see :mod:`repro.common.rng`), which is what makes result-level
-caching sound.
+All computations a spec can name are deterministic, which is what makes
+result-level caching sound.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.common.errors import ValidationError
-from repro.vqe.optimizers import DEFAULT_OPTIMIZER
+from repro.vqe.optimizers import DEFAULT_OPTIMIZER, check_optimizer
 
 #: request kinds the service understands
 JOB_KINDS = ("energy", "vqe", "dmet")
@@ -38,7 +37,7 @@ ENERGY_METHODS = ("hf", "fci", "ccsd")
 #: JobSpec fields that do NOT affect the computed numbers - excluded
 #: from :meth:`JobSpec.spec_key` (checkpoint plumbing changes where
 #: intermediate state is persisted, never the trajectory itself)
-NON_RESULT_FIELDS = ("tag", "checkpoint_path", "checkpoint_every", "resume")
+NON_RESULT_FIELDS = ("tag", "checkpoint_path", "resume")
 
 #: what each name in a JobSpec annotation accepts (an int is a float;
 #: a bool is never a number, it is matched by name below)
@@ -62,13 +61,11 @@ class JobSpec:
     max_iterations: int = 4000
     tolerance: float = 1e-8
     grad: str | None = None
-    seed: int | None = None
     #: kind="dmet": fragment solver + partitioning
     solver: str = "fci"
     atoms_per_group: int = 2
-    #: checkpoint/resume plumbing (kind="vqe", adam/spsa only)
+    #: checkpoint/resume plumbing (kind="vqe", adam only)
     checkpoint_path: str | None = None
-    checkpoint_every: int = 1
     resume: bool = False
     #: caller-chosen label, echoed back verbatim (never keyed on)
     tag: str = ""
@@ -90,6 +87,7 @@ class JobSpec:
                 raise ValidationError(
                     f"job spec field {f.name!r} must be {f.type}, "
                     f"got {value!r}")
+        check_optimizer(self.optimizer)
         if self.kind not in JOB_KINDS:
             raise ValidationError(
                 f"unknown job kind {self.kind!r}; expected one of {JOB_KINDS}")

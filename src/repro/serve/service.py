@@ -14,8 +14,7 @@ service is cross-request artifact reuse, not intra-process parallelism.
 Client-side concurrency is free: any number of threads may submit and
 await results.
 
-Determinism contract: every serveable computation is deterministic (the
-default RNG is seeded), so
+Determinism contract: every serveable computation is deterministic, so
 
 * a served result is **bitwise identical** to the direct library call
   (the load harness in ``tests/serve`` pins this for every backend /
@@ -326,9 +325,8 @@ class JobService:
             simulator=spec.simulator, optimizer=spec.optimizer,
             max_bond_dimension=spec.max_bond_dimension,
             max_iterations=spec.max_iterations, tolerance=spec.tolerance,
-            grad=spec.grad, seed=spec.seed,
-            checkpoint_path=spec.checkpoint_path,
-            checkpoint_every=spec.checkpoint_every, resume=spec.resume)
+            grad=spec.grad, checkpoint_path=spec.checkpoint_path,
+            resume=spec.resume)
         return {"kind": "vqe", "molecule": spec.molecule,
                 "basis": spec.basis, "simulator": spec.simulator,
                 "optimizer": spec.optimizer, "energy": float(res.energy),

@@ -14,6 +14,9 @@ from repro.circuits.circuit import Circuit
 from repro.operators.pauli import PAULI_MATRICES, PauliTerm, QubitOperator
 from repro.simulators.pauli_kernels import dense_term_expectations
 
+#: widest register held as a dense 4^n density matrix (1 GiB at 13)
+MAX_QUBITS = 13
+
 
 class DensityMatrixSimulator:
     """Exact mixed-state simulation of bound circuits."""
@@ -21,13 +24,13 @@ class DensityMatrixSimulator:
     #: mixed states have no dense amplitude vector to hand to the kernels
     natively_dense = False
 
-    def __init__(self, n_qubits: int, *, max_qubits: int = 13):
+    def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise ValidationError("need at least one qubit")
-        if n_qubits > max_qubits:
+        if n_qubits > MAX_QUBITS:
             raise ValidationError(
                 f"{n_qubits} qubits need {16 * 4 ** n_qubits / 1e9:.1f} GB "
-                f"as a density matrix; raise max_qubits to allow"
+                f"as a density matrix; it stops at {MAX_QUBITS}"
             )
         self.n_qubits = n_qubits
         dim = 2 ** n_qubits
@@ -46,8 +49,7 @@ class DensityMatrixSimulator:
 
     def copy(self) -> "DensityMatrixSimulator":
         """Independent snapshot of the current mixed state."""
-        clone = DensityMatrixSimulator(self.n_qubits,
-                                       max_qubits=max(self.n_qubits, 13))
+        clone = DensityMatrixSimulator(self.n_qubits)
         clone.rho = self.rho.copy()
         return clone
 

@@ -21,6 +21,8 @@ simulator: qubit 0 is the most significant index bit.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from repro.common import cache as _cache
@@ -118,16 +120,26 @@ class CompiledObservable:
                 f"(cap {MAX_COMPILED_QUBITS})"
             )
         dim = 1 << n
+        # the masks first: the memory bound is checked before any 2^n array
+        masks = [(term_masks(term, n), coeff) for term, coeff in op
+                 if not term.is_identity()]
+        n_groups = len({xmask for (xmask, _, _), _ in masks})
+        # a complex diagonal and an int64 permutation per group, 24 B an
+        # amplitude, against the machine's physical memory
+        need = 24 * n_groups * dim
+        bound = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > bound:
+            raise ValidationError(
+                f"compiling this observable on {n} qubits needs "
+                f"{n_groups} flip-mask groups x 24 B x 2^{n} = "
+                f"{need / 2 ** 30:.1f} GiB, more than the "
+                f"{bound / 2 ** 30:.1f} GiB of physical memory")
         self.n_qubits = n
         self.constant = complex(op.constant())
-        self.n_terms = 0
+        self.n_terms = len(masks)
         # xmask -> summed complex diagonal (phases weighted by coefficients)
         diags: dict[int, np.ndarray] = {}
-        for term, coeff in op:
-            if term.is_identity():
-                continue
-            self.n_terms += 1
-            xmask, zbits, n_y = term_masks(term, n)
+        for (xmask, zbits, n_y), coeff in masks:
             src = np.arange(dim) ^ xmask
             signs = np.where(np.bitwise_count(src & zbits) & 1, -1.0, 1.0)
             phase = (complex(coeff) * 1j ** (n_y % 4)) * signs

@@ -36,11 +36,13 @@ from repro.common.errors import ValidationError
 from repro.circuits.circuit import Circuit
 from repro.operators.pauli import PAULI_MATRICES, PauliTerm, QubitOperator
 from repro.simulators.pauli_kernels import (
-    MAX_COMPILED_QUBITS,
     PauliAction,
     compile_observable,
     dense_term_expectations,
 )
+
+#: widest dense register (1 GiB of amplitudes at 26)
+MAX_QUBITS = 26
 
 
 # Both caches hold one entry per distinct gate of a circuit: an ansatz
@@ -94,21 +96,19 @@ class StatevectorSimulator:
     Parameters
     ----------
     n_qubits:
-        Register width (memory check refuses > ``max_qubits``).
-    max_qubits:
-        Hard safety limit on the dense representation.
+        Register width (refused above :data:`MAX_QUBITS`).
     """
 
     #: dense amplitude access is native, so batched Pauli kernels apply
     natively_dense = True
 
-    def __init__(self, n_qubits: int, *, max_qubits: int = 26):
+    def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise ValidationError("need at least one qubit")
-        if n_qubits > max_qubits:
+        if n_qubits > MAX_QUBITS:
             raise ValidationError(
                 f"{n_qubits} qubits need {16 * 2 ** n_qubits / 1e9:.1f} GB; "
-                f"raise max_qubits to allow"
+                f"the dense register stops at {MAX_QUBITS}"
             )
         self.n_qubits = n_qubits
         self.state = np.zeros((2,) * n_qubits, dtype=complex)
@@ -134,8 +134,7 @@ class StatevectorSimulator:
 
     def copy(self) -> "StatevectorSimulator":
         """Independent snapshot of the current state (same width)."""
-        clone = StatevectorSimulator(self.n_qubits,
-                                     max_qubits=max(self.n_qubits, 26))
+        clone = StatevectorSimulator(self.n_qubits)
         clone.state = self.state.copy()
         return clone
 
@@ -214,8 +213,6 @@ class StatevectorSimulator:
         compiled observables are cached, so repeated measurement of the
         same operator pays compilation once.
         """
-        if self.n_qubits > MAX_COMPILED_QUBITS:
-            return self.expectation_per_term(op)
         compiled = compile_observable(op, self.n_qubits)
         return compiled.expectation(self.state.reshape(-1))
 

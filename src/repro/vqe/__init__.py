@@ -14,7 +14,6 @@ from repro.vqe.circuit_store import (
 )
 from repro.vqe.optimizers import (
     OptimizationResult,
-    minimize_spsa,
     minimize_adam,
     minimize_scipy,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "ReplicatedCircuitStore",
     "SharedAnsatzCircuitStore",
     "OptimizationResult",
-    "minimize_spsa",
     "minimize_adam",
     "minimize_scipy",
     "GRADIENT_SOURCES",

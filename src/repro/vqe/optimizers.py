@@ -1,13 +1,10 @@
 """Classical optimizers driving the VQE loop.
 
-Three families, all consuming a plain ``f(theta) -> float`` callable:
+Two families, both consuming a plain ``f(theta) -> float`` callable:
 
 * :func:`minimize_scipy` - bridge to scipy.optimize (L-BFGS-B, the
   default, / COBYLA / Nelder-Mead / ...), the workhorse for exact
   noiseless simulation;
-* :func:`minimize_spsa` - simultaneous perturbation stochastic approximation,
-  the measurement-frugal optimizer relevant on hardware (2 evaluations per
-  step regardless of parameter count);
 * :func:`minimize_adam` - Adam on an injected gradient callable (any
   source from :mod:`repro.vqe.gradients`: adjoint, parameter-shift,
   finite differences), falling back to its historic built-in central
@@ -29,7 +26,6 @@ import numpy as np
 from scipy import optimize as sopt
 
 from repro.common.errors import ValidationError
-from repro.common.rng import default_rng
 
 
 @dataclass
@@ -51,6 +47,23 @@ class OptimizationResult:
 #: the one default optimizer of the VQE layer (VQE, Q2Chemistry,
 #: the DMET fragment solver, JobSpec, the CLI and minimize_scipy)
 DEFAULT_OPTIMIZER = "l-bfgs-b"
+
+#: every optimizer name the VQE layer accepts (VQE, the DMET fragment
+#: solver, JobSpec); adam is the one that is not a scipy method
+OPTIMIZERS = (DEFAULT_OPTIMIZER, "bfgs", "slsqp", "adam", "cobyla",
+              "nelder-mead", "powell")
+
+
+def check_optimizer(name: str) -> str:
+    """``name`` lower-cased; anything outside :data:`OPTIMIZERS` is a
+    :class:`ValidationError`, so a typo fails where it is set, not at the
+    first run."""
+    key = name.lower()
+    if key not in OPTIMIZERS:
+        raise ValidationError(
+            f"unknown optimizer {name!r}; expected one of {OPTIMIZERS}")
+    return key
+
 
 #: scipy methods that consume an analytic jacobian when one is supplied
 SCIPY_GRADIENT_METHODS = ("L-BFGS-B", "BFGS", "SLSQP", "CG")
@@ -143,70 +156,6 @@ def minimize_scipy(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
         history=history,
         message=str(res.message),
         n_gradient_evaluations=jac_calls[0],
-    )
-
-
-def minimize_spsa(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
-                  max_iterations: int = 300, a: float = 0.1, c: float = 0.1,
-                  alpha: float = 0.602, gamma: float = 0.101,
-                  seed: int | None = None,
-                  tolerance: float = 0.0,
-                  checkpoint: Callable[[dict], None] | None = None,
-                  resume_state: dict | None = None) -> OptimizationResult:
-    """SPSA with the standard gain sequences a_k = a/(k+1)^alpha etc.
-
-    ``checkpoint`` (if given) is called after every iteration with the
-    complete optimizer state - including the PCG64 bit-generator state,
-    so the stochastic perturbation stream survives a restart;
-    ``resume_state`` restores such a snapshot and continues the exact
-    trajectory the uninterrupted run would have taken (bitwise).
-    """
-    rng = default_rng(seed)
-    x = np.asarray(x0, dtype=float).copy()
-    if x.ndim != 1:
-        raise ValidationError("x0 must be a vector")
-    history: list[float] = []
-    evals = 0
-    best_x, best_f = x.copy(), np.inf
-    start_k = 0
-    if resume_state is not None:
-        x = np.asarray(resume_state["x"], dtype=float).copy()
-        best_x = np.asarray(resume_state["best_x"], dtype=float).copy()
-        best_f = float(resume_state["best_f"])
-        history = [float(v) for v in resume_state["history"]]
-        evals = int(resume_state["n_evaluations"])
-        start_k = int(resume_state["iteration"])
-        rng.bit_generator.state = resume_state["rng_state"]
-    for k in range(start_k, max_iterations):
-        ak = a / (k + 1) ** alpha
-        ck = c / (k + 1) ** gamma
-        delta = rng.choice([-1.0, 1.0], size=x.size)
-        fp = f(x + ck * delta)
-        fm = f(x - ck * delta)
-        evals += 2
-        ghat = (fp - fm) / (2.0 * ck) * delta
-        x = x - ak * ghat
-        cur = min(fp, fm)
-        history.append(cur)
-        if cur < best_f:
-            best_f, best_x = cur, x.copy()
-        if checkpoint is not None:
-            checkpoint({
-                "iteration": k + 1, "x": x, "best_x": best_x,
-                "best_f": best_f, "history": list(history),
-                "n_evaluations": evals,
-                "rng_state": rng.bit_generator.state,
-            })
-        if tolerance > 0.0 and k > 10:
-            recent = history[-5:]
-            if max(recent) - min(recent) < tolerance:
-                break
-    final = f(best_x)
-    evals += 1
-    return OptimizationResult(
-        x=best_x, fun=float(final), n_evaluations=evals,
-        n_iterations=len(history), converged=True, history=history,
-        message="SPSA budget exhausted or plateaued",
     )
 
 

@@ -26,9 +26,9 @@ from repro.vqe.energy import EnergyEvaluator
 from repro.vqe.optimizers import (
     DEFAULT_OPTIMIZER,
     OptimizationResult,
+    check_optimizer,
     minimize_adam,
     minimize_scipy,
-    minimize_spsa,
 )
 from repro.vqe.rdm import measure_rdms
 
@@ -73,7 +73,9 @@ class VQE:
         dimension is forwarded to :class:`EnergyEvaluator`.
     optimizer:
         "l-bfgs-b" (the default, :data:`DEFAULT_OPTIMIZER`) | "bfgs" |
-        "slsqp" | "adam" | "cobyla" | "nelder-mead" | "powell" | "spsa".
+        "slsqp" | "adam" | "cobyla" | "nelder-mead" | "powell"
+        (:data:`repro.vqe.optimizers.OPTIMIZERS`); any other name is a
+        validation error here, at construction.
     grad:
         Gradient source for gradient-based optimizers ("adjoint" |
         "param_shift" | "finite_diff", see :mod:`repro.vqe.gradients`).
@@ -84,12 +86,11 @@ class VQE:
         own numerical jacobians, adam its central finite differences).
         ``self.grad`` records the resolved source.  "adjoint" on a
         backend without the engine, or any source with a gradient-free
-        optimizer (cobyla, nelder-mead, powell, spsa), is a validation
-        error.
-    checkpoint_path / checkpoint_every / resume:
+        optimizer (cobyla, nelder-mead, powell), is a validation error.
+    checkpoint_path / resume:
         Per-iteration optimizer snapshots (:mod:`repro.serve.checkpoint`,
-        schema ``repro.ckpt/1``).  Only the iteration-structured
-        optimizers (:data:`CHECKPOINT_OPTIMIZERS`) can checkpoint - the
+        schema ``repro.ckpt/1``), one written after every iteration.
+        Only adam (:data:`CHECKPOINT_OPTIMIZERS`) can checkpoint - the
         scipy bridges hide their loop state.  With ``resume=True`` an
         existing checkpoint is restored and the run continues to a
         trajectory bitwise identical to the uninterrupted one; a missing
@@ -102,7 +103,7 @@ class VQE:
     GRADIENT_OPTIMIZERS = ("adam", "l-bfgs-b", "bfgs", "slsqp")
 
     #: optimizers whose loop state can be checkpointed and resumed
-    CHECKPOINT_OPTIMIZERS = ("adam", "spsa")
+    CHECKPOINT_OPTIMIZERS = ("adam",)
 
     def __init__(self, hamiltonian: QubitOperator,
                  ansatz: Circuit | UCCSDAnsatz, *,
@@ -111,8 +112,7 @@ class VQE:
                  optimizer: str = DEFAULT_OPTIMIZER,
                  tolerance: float = 1e-8,
                  max_iterations: int = 2000, grad: str | None = None,
-                 checkpoint_path: str | None = None,
-                 checkpoint_every: int = 1, resume: bool = False):
+                 checkpoint_path: str | None = None, resume: bool = False):
         circuit = (ansatz.circuit() if isinstance(ansatz, UCCSDAnsatz)
                    else ansatz)
         if circuit.n_parameters == 0:
@@ -121,11 +121,10 @@ class VQE:
             hamiltonian, circuit, simulator=simulator,
             max_bond_dimension=max_bond_dimension)
         self.n_parameters = circuit.n_parameters
-        self.optimizer = optimizer.lower()
+        self.optimizer = check_optimizer(optimizer)
         self.tolerance = tolerance
         self.max_iterations = max_iterations
         self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = int(checkpoint_every)
         self.resume = bool(resume)
         if checkpoint_path is not None and \
                 self.optimizer not in self.CHECKPOINT_OPTIMIZERS:
@@ -168,8 +167,8 @@ class VQE:
             return "adjoint"
         return None
 
-    def run(self, initial_parameters: np.ndarray | None = None,
-            seed: int | None = None) -> VQEResult:
+    def run(self, initial_parameters: np.ndarray | None = None
+            ) -> VQEResult:
         """Minimize the energy; returns the best parameters found."""
         if initial_parameters is None:
             x0 = np.zeros(self.n_parameters)
@@ -181,7 +180,7 @@ class VQE:
                 )
         with _trace.span("vqe.run", optimizer=self.optimizer,
                          n_parameters=int(self.n_parameters)):
-            res = self._dispatch(x0, seed)
+            res = self._dispatch(x0)
         _M_RUNS.inc()
         return VQEResult(
             energy=float(res.fun),
@@ -196,29 +195,22 @@ class VQE:
             else None,
         )
 
-    def _dispatch(self, x0: np.ndarray, seed: int | None) -> OptimizationResult:
+    def _dispatch(self, x0: np.ndarray) -> OptimizationResult:
         f = self.evaluator
         gradient = self.gradient
-        if self.optimizer in ("cobyla", "l-bfgs-b", "nelder-mead", "slsqp",
-                              "powell", "bfgs"):
+        if self.optimizer != "adam":
             return minimize_scipy(f, x0, method=self.optimizer.upper(),
                                   tolerance=self.tolerance,
                                   max_iterations=self.max_iterations,
                                   gradient=gradient)
         checkpoint, resume_state = self._checkpoint_hooks()
-        if self.optimizer == "spsa":
-            return minimize_spsa(f, x0, max_iterations=self.max_iterations,
-                                 seed=seed, checkpoint=checkpoint,
-                                 resume_state=resume_state)
-        if self.optimizer == "adam":
-            return minimize_adam(f, x0, max_iterations=self.max_iterations,
-                                 tolerance=self.tolerance,
-                                 gradient=gradient, checkpoint=checkpoint,
-                                 resume_state=resume_state)
-        raise ValidationError(f"unknown optimizer {self.optimizer!r}")
+        return minimize_adam(f, x0, max_iterations=self.max_iterations,
+                             tolerance=self.tolerance,
+                             gradient=gradient, checkpoint=checkpoint,
+                             resume_state=resume_state)
 
     def _checkpoint_hooks(self):
-        """(checkpoint sink, resume state) for the iteration optimizers."""
+        """(checkpoint sink, resume state) for adam."""
         if self.checkpoint_path is None:
             return None, None
         from repro.serve.checkpoint import CheckpointWriter, load_checkpoint
@@ -234,8 +226,7 @@ class VQE:
             else:
                 resume_state = doc["state"]
         writer = CheckpointWriter(self.checkpoint_path,
-                                  optimizer=self.optimizer,
-                                  every=self.checkpoint_every)
+                                  optimizer=self.optimizer)
         return writer, resume_state
 
     # -- post-processing --------------------------------------------------------

@@ -58,7 +58,7 @@ class TestRegistry:
         # dropped what it did not know
         with pytest.raises(ValidationError, match="max_bond_dimension"):
             resolve_backend("mps", 4, max_bond_dimention=2)
-        with pytest.raises(ValidationError, match="max_qubits"):
+        with pytest.raises(ValidationError, match="max_bond_dimension"):
             backend_spec("statevector").create(4, max_qbits=2)
 
     def test_retired_measurement_option_is_rejected(self):

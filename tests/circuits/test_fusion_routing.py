@@ -1,4 +1,4 @@
-"""Tests for gate fusion and SWAP routing passes."""
+"""Tests for the gate fusion pass."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,7 @@ from repro.common.rng import default_rng
 from repro.circuits.circuit import Circuit
 from repro.circuits.fusion import fuse_single_qubit_gates
 from repro.circuits.gates import Gate
-from repro.circuits.hea import random_brick_circuit, random_product_layer
-from repro.circuits.routing import route_to_nearest_neighbour
+from repro.circuits.hea import random_product_layer
 from repro.simulators.statevector import StatevectorSimulator
 
 
@@ -88,33 +87,6 @@ class TestFusion:
             fuse_single_qubit_gates(c)
 
 
-class TestRouting:
-    def test_all_gates_adjacent_after_routing(self):
-        c = _random_mixed_circuit(n=6, seed=9)
-        routed = route_to_nearest_neighbour(c)
-        for g in routed:
-            if g.n_qubits == 2:
-                assert abs(g.qubits[0] - g.qubits[1]) == 1
-
-    def test_preserves_state(self):
-        for seed in (4, 5):
-            c = _random_mixed_circuit(n=5, seed=seed)
-            routed = route_to_nearest_neighbour(c)
-            assert np.allclose(_state(c), _state(routed), atol=1e-10)
-
-    def test_adjacent_circuit_unchanged(self):
-        c = random_brick_circuit(4, 2, seed=0)
-        routed = route_to_nearest_neighbour(c)
-        assert len(routed) == len(c)
-
-    def test_descending_pair(self):
-        c = Circuit(4)
-        c.append(Gate("H", (3,)))
-        c.append(Gate("CX", (3, 0)))  # control above target
-        routed = route_to_nearest_neighbour(c)
-        assert np.allclose(_state(c), _state(routed), atol=1e-12)
-
-
 def _mixed_circuit_with_rotations(n=5, seed=8):
     """1q/2q gates interleaved with PR rotations on overlapping qubits."""
     rng = default_rng(seed)
@@ -149,11 +121,3 @@ class TestPauliRotationBarrier:
                         Gate("CX", (0, 1))])
         assert [g.name for g in fuse_single_qubit_gates(c)] \
             == ["U2", "PR", "U2"]
-
-    def test_routing_decomposes_rotations_first(self):
-        c = Circuit(5, [Gate("PR", (0, 2, 4), pauli="XZY", angle=0.7)])
-        routed = route_to_nearest_neighbour(c)
-        assert all(g.name != "PR" for g in routed)
-        assert all(abs(g.qubits[0] - g.qubits[1]) == 1
-                   for g in routed if g.n_qubits == 2)
-        assert np.allclose(_state(routed), _state(c), atol=1e-12)

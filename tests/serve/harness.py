@@ -79,7 +79,7 @@ def direct_result(spec: JobSpec) -> dict:
             simulator=spec.simulator, optimizer=spec.optimizer,
             max_bond_dimension=spec.max_bond_dimension,
             max_iterations=spec.max_iterations, tolerance=spec.tolerance,
-            grad=spec.grad, seed=spec.seed)
+            grad=spec.grad)
         return {"kind": "vqe", "molecule": spec.molecule,
                 "basis": spec.basis, "simulator": spec.simulator,
                 "optimizer": spec.optimizer, "energy": float(res.energy),

@@ -14,6 +14,12 @@ class TestJobSpec:
         with pytest.raises(ValidationError, match="unknown job kind"):
             JobSpec(kind="teleport")
 
+    def test_rejects_unknown_optimizer(self):
+        """At submit, not when the job runs; "spsa" is retired."""
+        for name in ("bogus", "spsa"):
+            with pytest.raises(ValidationError, match="unknown optimizer"):
+                JobSpec(kind="vqe", optimizer=name)
+
     def test_rejects_unknown_energy_method(self):
         with pytest.raises(ValidationError, match="unknown energy method"):
             JobSpec(kind="energy", method="vqe")
@@ -25,7 +31,11 @@ class TestJobSpec:
                 ({"kind": "vqe", "parallel": "thread"}, "parallel"),
                 ({"kind": "vqe", "n_workers": 2}, "n_workers"),
                 # retired with the MPO <H> arm: one measurement path
-                ({"kind": "vqe", "measurement": "sweep"}, "measurement")):
+                ({"kind": "vqe", "measurement": "sweep"}, "measurement"),
+                # retired with SPSA: every optimizer is deterministic and
+                # a checkpoint is written on every iteration
+                ({"kind": "vqe", "seed": 3}, "seed"),
+                ({"kind": "vqe", "checkpoint_every": 5}, "checkpoint_every")):
             with pytest.raises(
                     ValidationError,
                     match=rf"unknown job spec field\(s\) \['{field}'\]"):
@@ -39,11 +49,9 @@ class TestJobSpec:
     def test_spec_key_ignores_labels_and_checkpoint_plumbing(self):
         base = JobSpec(kind="vqe", molecule="h2")
         relabeled = JobSpec(kind="vqe", molecule="h2", tag="other",
-                            checkpoint_path="/tmp/x.ckpt",
-                            checkpoint_every=5, resume=True)
+                            checkpoint_path="/tmp/x.ckpt", resume=True)
         assert base.spec_key() == relabeled.spec_key()
-        assert set(NON_RESULT_FIELDS) == {
-            "tag", "checkpoint_path", "checkpoint_every", "resume"}
+        assert set(NON_RESULT_FIELDS) == {"tag", "checkpoint_path", "resume"}
 
     def test_spec_key_separates_physics(self):
         base = JobSpec(kind="vqe", molecule="h2")
@@ -143,7 +151,7 @@ class TestServiceLifecycle:
 
     @pytest.mark.parametrize("field,value", [
         ("molecule", 7), ("max_iterations", "ten"), ("bond", "far"),
-        ("simulator", 7), ("seed", 1.5), ("resume", "yes"),
+        ("simulator", 7), ("max_bond_dimension", 1.5), ("resume", "yes"),
         ("max_iterations", True), ("tolerance", None)])
     def test_mistyped_payload_is_rejected_at_submit(self, field, value):
         """``molecule=7`` used to be queued, raise ``AttributeError`` in
@@ -161,7 +169,7 @@ class TestServiceLifecycle:
         for entry in ({"kind": "energy", "molecule": "h2", "bond": 1.5},
                       {"kind": "dmet", "molecule": "chain:4"},
                       {"kind": "energy", "molecule": "h2", "bond": 1},
-                      {"kind": "vqe", "tolerance": 1, "seed": 3,
+                      {"kind": "vqe", "tolerance": 1, "max_iterations": 3,
                        "max_bond_dimension": None, "resume": True}):
             assert JobSpec.from_dict(entry).to_dict().items() \
                 >= entry.items()

@@ -91,6 +91,28 @@ class TestExpectations:
         expected = np.real(psi.conj() @ op.matrix(4) @ psi)
         assert sim.expectation(op) == pytest.approx(expected, abs=1e-10)
 
+    def test_compile_past_physical_memory_is_an_error(self):
+        """4,096 flip-mask groups on 26 qubits would hold 24 B x 4,096 x
+        2^26 = 6 TiB: a ValidationError naming the sizes, raised from the
+        masks alone before any 2^n array exists (it was an OOM kill)."""
+        import tracemalloc
+
+        from repro.operators.pauli import PauliTerm
+        from repro.simulators.pauli_kernels import CompiledObservable
+
+        op = QubitOperator({PauliTerm(x=k, z=k >> 1): 0.5
+                            for k in range(1, 4097)})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError,
+                               match=r"26 qubits .* 4096 flip-mask groups "
+                                     r".* GiB of physical memory"):
+                CompiledObservable(op, 26)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
     def test_probability_of_bit(self):
         sim = StatevectorSimulator(2)
         sim.apply_gate(Gate("H", (0,)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.vqe.optimizers import minimize_adam, minimize_scipy, minimize_spsa
+from repro.vqe.optimizers import minimize_adam, minimize_scipy
 
 
 def quadratic(x):
@@ -30,30 +30,6 @@ class TestScipyBridge:
     def test_history_monotone_tail(self):
         res = minimize_scipy(quadratic, np.ones(2) * 5)
         assert min(res.history) <= res.history[0]
-
-
-class TestSPSA:
-    def test_converges_on_quadratic(self):
-        res = minimize_spsa(quadratic, np.zeros(4), max_iterations=400,
-                            a=0.5, seed=1)
-        assert res.fun < 0.05
-        # 2 evaluations per iteration + final
-        assert res.n_evaluations == 2 * res.n_iterations + 1
-
-    def test_deterministic_with_seed(self):
-        r1 = minimize_spsa(quadratic, np.zeros(2), max_iterations=50, seed=5)
-        r2 = minimize_spsa(quadratic, np.zeros(2), max_iterations=50, seed=5)
-        assert np.allclose(r1.x, r2.x)
-        assert r1.fun == r2.fun
-
-    def test_plateau_stops_early(self):
-        res = minimize_spsa(lambda x: 0.0, np.zeros(2), max_iterations=500,
-                            tolerance=1e-12, seed=0)
-        assert res.n_iterations < 500
-
-    def test_vector_required(self):
-        with pytest.raises(ValidationError):
-            minimize_spsa(quadratic, np.zeros((2, 2)))
 
 
 def quadratic_gradient(x):
