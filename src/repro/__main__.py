@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="hf | ccsd | fci | vqe | dmet-fci | dmet-vqe")
     pe.add_argument("--simulator", default="statevector",
                     choices=available_backends(), metavar="BACKEND",
-                    help=f"registered backend: {backend_names} (vqe only)")
+                    help=f"backend: {backend_names} (vqe and dmet-vqe)")
     pe.add_argument("--bond-dimension", type=int, default=None,
                     help="MPS bond-dimension cap (vqe and dmet-vqe)")
     pe.add_argument("--grad", default=None,
@@ -282,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="gradient source for gradient-based VQE "
                          "optimizers; 'adjoint' computes all partials "
                          "analytically from one forward + one backward "
-                         "sweep (backends declaring the capability: "
-                         "statevector, mps)")
+                         "sweep (statevector and mps only)")
     pe.add_argument("--optimizer", default=None,
                     help="VQE optimizer: l-bfgs-b (default) | bfgs | "
                          "slsqp | adam | cobyla | nelder-mead | powell; "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from repro.backends import backend_spec
+from repro.backends import check_backend
 from repro.common.errors import ConvergenceError, ValidationError
 from repro.chem.mo import MOIntegrals
 from repro.chem.fci import FCISolver
@@ -144,20 +144,20 @@ class VQEFragmentSolver:
     :func:`repro.vqe.rdm.measure_rdms`) and rotated back to the embedding
     orbital basis for the DMET energy assembly.
 
-    ``simulator`` is any backend registered in :mod:`repro.backends`:
+    ``simulator`` is a name of :data:`repro.backends.BACKENDS`:
     "statevector" (dense; each excitation one rotation of the amplitude
     pairs it couples, the fastest engine at DMET fragment sizes, the
-    default), "mps" (the paper-faithful MPS pipeline), "density_matrix",
-    or anything registered by a third party.
+    default), "mps" (the paper-faithful MPS pipeline), "density_matrix"
+    or "fast".
 
     The gradient source is not an option: ``VQE`` resolves it by its one
     rule (:meth:`repro.vqe.vqe.VQE.default_gradient`).  The default
     optimizer ("l-bfgs-b") and the other gradient optimizers on a backend
-    declaring the adjoint engine ("mps", "statevector") get
+    with the adjoint ("mps", "statevector") get
     ``grad="adjoint"`` - energy, gradient and the final RDM state then
     share one prepared state per theta.  Gradient-free optimizers
-    ("cobyla" by name) and "fast" (the statevector under a name that
-    declares no adjoint) get no source.  ``self.grad`` and
+    ("cobyla" by name) and "fast" (the statevector under a name without
+    the adjoint) get no source.  ``self.grad`` and
     ``details["grad"]`` record which.
 
     The solver holds plain config and its warm-start amplitudes, so it
@@ -259,18 +259,17 @@ def make_fragment_solver(name: str, *,
     """Build a fragment solver from its name (the single dispatch point).
 
     ``"fci"`` gives exact diagonalization; ``"vqe-<backend>"`` gives
-    UCCSD-VQE on any backend registered in :mod:`repro.backends`
-    (``vqe-statevector``, ``vqe-mps``, ``vqe-density_matrix``, or a
-    third-party registration).  VQE options are ignored by the FCI
-    solver so one call signature serves every solver choice.
+    UCCSD-VQE on a backend of :data:`repro.backends.BACKENDS`
+    (``vqe-statevector``, ``vqe-mps``, ``vqe-density_matrix``,
+    ``vqe-fast``).  VQE options are ignored by the FCI solver so one call
+    signature serves every solver choice.
     """
     if name == "fci":
         return FCIFragmentSolver()
     if name.startswith("vqe-"):
-        backend = name.split("-", 1)[1]
-        backend_spec(backend)  # surfaces the registered names on typos
         return VQEFragmentSolver(
-            simulator=backend, max_bond_dimension=max_bond_dimension,
+            simulator=check_backend(name, "vqe-"),
+            max_bond_dimension=max_bond_dimension,
             optimizer=optimizer, tolerance=tolerance,
             max_iterations=max_iterations, **vqe_options)
     raise ValidationError(

@@ -148,8 +148,8 @@ class Q2Chemistry:
                     n_workers: int = 1) -> DMETResult:
         """DMET with FCI or (MPS-)VQE fragment solvers.
 
-        ``solver``: "fci" or "vqe-<backend>" for any backend registered in
-        :mod:`repro.backends` (e.g. "vqe-statevector", "vqe-mps").
+        ``solver``: "fci" or "vqe-<backend>" for a backend of
+        :data:`repro.backends.BACKENDS` (e.g. "vqe-statevector", "vqe-mps").
         ``n_workers=1`` solves the fragments in-line; ``n_workers > 1``
         solves distinct fragments on that many worker processes.
         """

@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+from repro.backends import check_backend
 from repro.common.errors import ValidationError
 from repro.vqe.optimizers import DEFAULT_OPTIMIZER, check_optimizer
 
@@ -88,6 +89,9 @@ class JobSpec:
                     f"job spec field {f.name!r} must be {f.type}, "
                     f"got {value!r}")
         check_optimizer(self.optimizer)
+        check_backend(self.simulator)
+        if self.solver != "fci":
+            check_backend(self.solver, "vqe-")
         if self.kind not in JOB_KINDS:
             raise ValidationError(
                 f"unknown job kind {self.kind!r}; expected one of {JOB_KINDS}")

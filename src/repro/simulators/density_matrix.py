@@ -21,9 +21,6 @@ MAX_QUBITS = 13
 class DensityMatrixSimulator:
     """Exact mixed-state simulation of bound circuits."""
 
-    #: mixed states have no dense amplitude vector to hand to the kernels
-    natively_dense = False
-
     def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise ValidationError("need at least one qubit")

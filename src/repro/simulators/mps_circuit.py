@@ -118,10 +118,6 @@ class MPSSimulator:
         Forwarded to :class:`repro.simulators.mps.MPS`.
     """
 
-    #: the state lives in tensor-train form; expectations go through the
-    #: transfer-matrix path rather than the dense Pauli kernels
-    natively_dense = False
-
     def __init__(self, n_qubits: int, *, max_bond_dimension: int | None = None,
                  mode: str = "optimized", cutoff: float = 1e-12,
                  max_truncation_error: float | None = None):

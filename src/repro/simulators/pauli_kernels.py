@@ -14,8 +14,8 @@ vector passes.
 
 This module is the layer the dense simulators build on: the statevector
 backend applies wide Pauli rotations through :class:`PauliAction`, and
-every backend registered in :mod:`repro.backends` that exposes a dense
-state gets batched expectations through it.  Conventions match the statevector
+the VQE energy of a dense state is measured through
+:class:`CompiledObservable`.  Conventions match the statevector
 simulator: qubit 0 is the most significant index bit.
 """
 

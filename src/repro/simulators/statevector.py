@@ -99,9 +99,6 @@ class StatevectorSimulator:
         Register width (refused above :data:`MAX_QUBITS`).
     """
 
-    #: dense amplitude access is native, so batched Pauli kernels apply
-    natively_dense = True
-
     def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise ValidationError("need at least one qubit")

@@ -22,17 +22,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.backends import backend_spec, resolve_backend
+from repro.backends import BACKENDS, check_backend, resolve_backend
 from repro.common.errors import ValidationError
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import COMPOSITE
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 from repro.operators.pauli import QubitOperator
-from repro.simulators.pauli_kernels import (
-    MAX_COMPILED_QUBITS,
-    CompiledObservable,
-)
+from repro.simulators.mps_circuit import ForwardTrail, MPSSimulator
+from repro.simulators.pauli_kernels import CompiledObservable
+from repro.simulators.statevector import StatevectorSimulator
 
 # observability instruments (no-ops unless `repro.obs` is enabled)
 _M_ENERGY_EVALS = _obs.counter(
@@ -112,9 +111,8 @@ class EnergyEvaluator:
     ansatz:
         Parametric circuit preparing |psi(theta)>.
     simulator:
-        Name of any registered backend (see
-        :func:`repro.backends.available_backends`), e.g. "mps",
-        "statevector" or "density_matrix".
+        A name of :data:`repro.backends.BACKENDS`: "mps", "statevector",
+        "density_matrix" or "fast".
     max_bond_dimension, cutoff:
         Cross-backend options forwarded to the backend factory (the MPS
         backend consumes them; dense backends ignore them).
@@ -126,7 +124,9 @@ class EnergyEvaluator:
                  cutoff: float = 1e-12):
         if not hamiltonian.is_hermitian():
             raise ValidationError("Hamiltonian must be hermitian")
-        backend_spec(simulator)  # unknown names fail here, listing the known
+        # a dense amplitude vector, measured through the compiled observable
+        self._dense = BACKENDS[check_backend(simulator)][0] is \
+            StatevectorSimulator
         self.hamiltonian = hamiltonian
         self.ansatz = ansatz
         #: the circuit every evaluation binds and runs, every parametric
@@ -162,11 +162,13 @@ class EnergyEvaluator:
             return held, False
         self._prepared = None
         bound = self.program.bind(theta)
+        if self._dense:
+            # the compile checks its memory bound before any 2^n array
+            # exists, the register included
+            self.compiled()
         sim = self._fresh_sim()
         _M_ANSATZ_RUNS.inc()
-        if backend_spec(self.simulator).name == "mps":
-            from repro.simulators.mps_circuit import ForwardTrail
-
+        if isinstance(sim, MPSSimulator):
             trail = ForwardTrail()
             sim.run(bound, trail=trail)
             # fusion hands a composite gate through as the object bind()
@@ -210,8 +212,7 @@ class EnergyEvaluator:
         sim.run(circuit)
         return self._measure_state(sim)
 
-    def gradient_source(self, source: str = "adjoint", *,
-                        fd_step: float = 1e-6):
+    def gradient_source(self, source: str = "adjoint"):
         """A configured ``gradient(theta) -> dE/dtheta`` callable.
 
         Thin forwarding to :func:`repro.vqe.gradients.make_gradient`
@@ -220,7 +221,7 @@ class EnergyEvaluator:
         """
         from repro.vqe.gradients import make_gradient
 
-        return make_gradient(self, source, fd_step=fd_step)
+        return make_gradient(self, source)
 
     def compiled(self) -> CompiledObservable:
         """The Hamiltonian compiled for batched dense measurement - built
@@ -233,13 +234,12 @@ class EnergyEvaluator:
 
     def _measure_state(self, sim) -> float:
         """Measure <H> on a prepared backend."""
-        if (getattr(sim, "natively_dense", False)
-                and self.n_qubits <= MAX_COMPILED_QUBITS):
+        if self._dense:
             # O(#distinct masks) gathers per evaluation instead of
             # O(terms x weight) tensor contractions
             return self.compiled().expectation(sim.statevector())
-        # non-dense backends (MPS, density matrix) batch internally behind
-        # the same expectation(op) interface
+        # the MPS and the density matrix batch internally behind the same
+        # expectation(op) interface
         return sim.expectation(self.hamiltonian)
 
     def final_state(self, theta: np.ndarray):

@@ -61,7 +61,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.backends import backend_spec
+from repro.backends import BACKENDS
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import COMPOSITE, PARAMETRIC, Gate
 from repro.common.errors import ValidationError
@@ -423,11 +423,10 @@ class GradientSource:
     bitwise-identical trajectories for value-identical sources).
     """
 
-    def __init__(self, source: str, evaluator, *, fd_step: float = 1e-6,
+    def __init__(self, source: str, evaluator, *,
                  n_parameters: int | None = None):
         self.source = source
         self.evaluator = evaluator
-        self.fd_step = fd_step
         self.n_parameters = n_parameters
         self.n_evaluations = 0
 
@@ -440,40 +439,37 @@ class GradientSource:
                 return param_shift_gradient(self.evaluator, theta,
                                             parameters=parameters)
             return finite_diff_gradient(self.evaluator, theta,
-                                        step=self.fd_step,
                                         n_parameters=self.n_parameters,
                                         parameters=parameters)
 
 
-def _adjoint_spec(simulator: str):
-    """The backend's spec - if it declares an adjoint gradient engine."""
-    spec = backend_spec(simulator)
-    if "adjoint" not in spec.gradients:
+def _check_adjoint(simulator: str) -> None:
+    """A ``ValidationError`` unless the backend has the adjoint gradient."""
+    if not BACKENDS[simulator][2]:
         raise ValidationError(
-            f"backend {simulator!r} declares no adjoint gradient support; "
-            f"registered analytic sources: {spec.gradients or '()'}"
-        )
-    return spec
+            f"backend {simulator!r} has no adjoint gradient; those with "
+            f"one: {', '.join(b for b, row in BACKENDS.items() if row[2])}")
 
 
 def adjoint_gradient(evaluator, theta: np.ndarray) -> np.ndarray:
     """All P partials from one forward + one backward pass.
 
     The forward pass is ``evaluator.prepare(theta)`` - the state
-    ``evaluator.energy(theta)`` prepared when there is one.  Dispatches on
-    the evaluator's backend, which must declare the capability: the MPS
-    backend runs the two-state tensor-network sweep at the evaluator's
-    truncation settings, dense backends the exact statevector oracle.
+    ``evaluator.energy(theta)`` prepared when there is one.  The
+    evaluator's backend must have the adjoint (:data:`repro.backends
+    .BACKENDS`): on the MPS, whose forward pass left a trail, it is the
+    two-state tensor-network sweep at the evaluator's truncation settings;
+    on the statevector the exact dense oracle.
     """
     theta = finite_parameters(theta)
-    spec = _adjoint_spec(evaluator.simulator)
+    _check_adjoint(evaluator.simulator)
     n_parameters = evaluator.program.n_parameters
     with _trace.span("grad.adjoint", simulator=evaluator.simulator,
                      n_parameters=int(n_parameters)):
         prepared, ran_forward = evaluator.prepare(theta)
         if ran_forward:
             _G_FWD.inc()
-        if spec.name == "mps":
+        if prepared.trail is not None:
             grad = _adjoint_mps(evaluator.hamiltonian, prepared.sim.state,
                                 prepared.trail, prepared.refs, n_parameters)
             # bra build + the bra's backward evolution (the ket is read
@@ -489,14 +485,12 @@ def adjoint_gradient(evaluator, theta: np.ndarray) -> np.ndarray:
 
 
 def make_gradient(evaluator, source: str = "adjoint", *,
-                  fd_step: float = 1e-6,
                   n_parameters: int | None = None) -> GradientSource:
     """Build a :class:`GradientSource` for an
     :class:`repro.vqe.energy.EnergyEvaluator`.
 
     ``finite_diff`` and ``param_shift`` run on every backend; ``adjoint``
-    needs a backend declaring the capability on its
-    :class:`repro.backends.BackendSpec`.
+    on a backend whose :data:`repro.backends.BACKENDS` row has it.
     """
     key = str(source).lower().replace("-", "_")
     if key not in GRADIENT_SOURCES:
@@ -505,11 +499,10 @@ def make_gradient(evaluator, source: str = "adjoint", *,
             f"expected one of {GRADIENT_SOURCES}"
         )
     if key == "adjoint":
-        _adjoint_spec(evaluator.simulator)
+        _check_adjoint(evaluator.simulator)
     elif key == "finite_diff" and n_parameters is None:
         n_parameters = evaluator.ansatz.n_parameters
-    return GradientSource(key, evaluator, fd_step=fd_step,
-                          n_parameters=n_parameters)
+    return GradientSource(key, evaluator, n_parameters=n_parameters)
 
 
 __all__ = [

@@ -122,9 +122,8 @@ def rdm_program(n_spatial: int) -> RDMProgram:
 def per_term_expectations(sim, terms) -> np.ndarray:
     """``<P>`` of each string through ``sim.expectation``, one call apiece.
 
-    Serves backends that expose nothing batched (third-party
-    registrations) and is the oracle the one-pass hooks are tested
-    against.
+    The oracle the one-pass hooks are tested against, and the path of a
+    state without a ``term_expectations`` hook.
     """
     return np.array([sim.expectation(QubitOperator({term: 1.0}))
                      for term in terms])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backends import backend_spec
+from repro.backends import BACKENDS, check_backend
 from repro.common.errors import CheckpointError, ValidationError
 from repro.circuits.circuit import Circuit
 from repro.circuits.uccsd import UCCSDAnsatz
@@ -69,8 +69,8 @@ class VQE:
     ansatz:
         Parametric circuit, or a :class:`UCCSDAnsatz` (its circuit is built).
     simulator / max_bond_dimension:
-        Backend name resolved through :mod:`repro.backends`; the bond
-        dimension is forwarded to :class:`EnergyEvaluator`.
+        A name of :data:`repro.backends.BACKENDS`; the bond dimension is
+        forwarded to :class:`EnergyEvaluator`.
     optimizer:
         "l-bfgs-b" (the default, :data:`DEFAULT_OPTIMIZER`) | "bfgs" |
         "slsqp" | "adam" | "cobyla" | "nelder-mead" | "powell"
@@ -80,10 +80,10 @@ class VQE:
         Gradient source for gradient-based optimizers ("adjoint" |
         "param_shift" | "finite_diff", see :mod:`repro.vqe.gradients`).
         ``None`` resolves through :meth:`default_gradient`: the adjoint
-        when the optimizer consumes gradients and the backend declares
-        the engine on its :class:`repro.backends.BackendSpec`
-        ("statevector", "mps"), else no source (scipy methods take their
-        own numerical jacobians, adam its central finite differences).
+        when the optimizer consumes gradients and the backend's
+        :data:`repro.backends.BACKENDS` row has it ("statevector", "mps"),
+        else no source (scipy methods take their own numerical jacobians,
+        adam its central finite differences).
         ``self.grad`` records the resolved source.  "adjoint" on a
         backend without the engine, or any source with a gradient-free
         optimizer (cobyla, nelder-mead, powell), is a validation error.
@@ -160,10 +160,10 @@ class VQE:
     @classmethod
     def default_gradient(cls, optimizer: str, simulator: str) -> str | None:
         """The source ``grad=None`` resolves to: "adjoint" when
-        ``optimizer`` consumes gradients and ``simulator`` declares the
-        adjoint engine, else None."""
+        ``optimizer`` consumes gradients and ``simulator`` has the
+        adjoint, else None."""
         if (optimizer.lower() in cls.GRADIENT_OPTIMIZERS
-                and "adjoint" in backend_spec(simulator).gradients):
+                and BACKENDS[check_backend(simulator)][2]):
             return "adjoint"
         return None
 

@@ -1,22 +1,16 @@
-"""Cross-backend parity: every registered backend is interchangeable.
+"""Cross-backend parity: every backend is interchangeable.
 
 Random bound circuits and random hermitian operators run through every
-backend in the registry, and every backend runs a UCCSD ansatz to the
-same energies - energies and expectations must agree to 1e-10.  This is
-the contract the backend registry exists to enforce: register a backend
-and this suite certifies it against all the others.
+backend of the table, and every backend runs a UCCSD ansatz to the same
+energies - energies and expectations must agree to 1e-10.  This is the
+contract that makes backends swappable by name: a row added to
+:data:`repro.backends.BACKENDS` is certified here against all the others.
 """
 
 import numpy as np
 import pytest
 
-from repro.backends import (
-    available_backends,
-    backend_spec,
-    register_backend,
-    resolve_backend,
-    unregister_backend,
-)
+from repro.backends import BACKENDS, available_backends, resolve_backend
 from repro.circuits.hea import random_brick_circuit
 from repro.circuits.uccsd import UCCSDAnsatz
 from repro.common.errors import ValidationError
@@ -59,51 +53,14 @@ class TestRegistry:
         with pytest.raises(ValidationError, match="max_bond_dimension"):
             resolve_backend("mps", 4, max_bond_dimention=2)
         with pytest.raises(ValidationError, match="max_bond_dimension"):
-            backend_spec("statevector").create(4, max_qbits=2)
+            resolve_backend("statevector", 4, max_qbits=2)
 
     def test_retired_measurement_option_is_rejected(self):
-        assert "measurement" not in backend_spec("mps").options
+        _, mps_options, _ = BACKENDS["mps"]
+        assert "measurement" not in mps_options
         for name in available_backends():
             with pytest.raises(ValidationError, match="measurement"):
                 resolve_backend(name, 4, measurement="sweep")
-
-    def test_third_party_backend_still_gets_the_standard_options(self):
-        from repro.simulators.statevector import StatevectorSimulator
-
-        seen = {}
-
-        def factory(n, **opts):
-            seen.update(opts)
-            return StatevectorSimulator(n)
-
-        register_backend("parity_test_opts", factory)  # options=()
-        try:
-            resolve_backend("parity_test_opts", 3, max_bond_dimension=8,
-                            cutoff=1e-9)
-            assert seen == {"max_bond_dimension": 8, "cutoff": 1e-9}
-            with pytest.raises(ValidationError, match="parity_test_opts"):
-                resolve_backend("parity_test_opts", 3, mode="naive")
-        finally:
-            unregister_backend("parity_test_opts")
-
-    def test_third_party_registration_roundtrip(self):
-        from repro.simulators.statevector import StatevectorSimulator
-
-        register_backend(
-            "parity_test_sv",
-            lambda n, **opts: StatevectorSimulator(n),
-            description="test double")
-        try:
-            sim = resolve_backend("parity_test_sv", 3)
-            assert sim.statevector()[0] == pytest.approx(1.0)
-            with pytest.raises(ValidationError):
-                register_backend(
-                    "parity_test_sv",
-                    lambda n, **opts: StatevectorSimulator(n))
-        finally:
-            unregister_backend("parity_test_sv")
-        with pytest.raises(ValidationError):
-            resolve_backend("parity_test_sv", 3)
 
 
 class TestCircuitBackendParity:
@@ -204,4 +161,5 @@ class TestFastBackendParity:
         for _ in range(3):
             theta = 0.4 * rng.standard_normal(circuit.n_parameters)
             assert fast.energy(theta) == sv.energy(theta)
-        assert "adjoint" not in backend_spec("fast").gradients
+        _, _, adjoint = BACKENDS["fast"]
+        assert not adjoint

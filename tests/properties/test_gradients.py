@@ -362,10 +362,11 @@ class TestGradientSourceDispatch:
             make_gradient(self._evaluator(h2), "spsa")
 
     def test_adjoint_requires_backend_capability(self, h2):
-        from repro.backends import backend_spec
+        from repro.backends import BACKENDS
         from repro.common.errors import ValidationError
 
-        assert "adjoint" not in backend_spec("density_matrix").gradients
+        _, _, adjoint = BACKENDS["density_matrix"]
+        assert not adjoint
         evaluator = self._evaluator(h2, simulator="density_matrix")
         theta = np.zeros(h2.uccsd_circuit.n_parameters)
         with pytest.raises(ValidationError, match="no adjoint gradient"):

@@ -20,6 +20,21 @@ class TestJobSpec:
             with pytest.raises(ValidationError, match="unknown optimizer"):
                 JobSpec(kind="vqe", optimizer=name)
 
+    @pytest.mark.parametrize("field,name", [
+        ("simulator", "quantum"),
+        ("solver", "vqe-quantum"),
+        # names are exact: "MPS" would be a second spec key for "mps"
+        ("simulator", "MPS")])
+    def test_rejects_unknown_backend(self, field, name):
+        """At submit, listing the known names, not when the job runs."""
+        prefix = "vqe-" if field == "solver" else ""
+        kind = "dmet" if field == "solver" else "vqe"
+        with pytest.raises(ValidationError,
+                           match=rf"unknown backend '{name}'; known: "
+                                 rf"{prefix}density_matrix, {prefix}fast, "
+                                 rf"{prefix}mps, {prefix}statevector"):
+            JobSpec(kind=kind, **{field: name})
+
     def test_rejects_unknown_energy_method(self):
         with pytest.raises(ValidationError, match="unknown energy method"):
             JobSpec(kind="energy", method="vqe")

@@ -86,6 +86,33 @@ class TestEvaluatorPaths:
             with pytest.raises(TypeError):
                 VQE(self.ham, self.ansatz, **retired)
 
+    def test_dense_energy_past_memory_fails_before_the_register(self):
+        """The observable's memory bound is checked before the 2^26
+        register exists and before the ansatz runs (both used to come
+        first).  A lone X gate leaves the register's pages untouched, so
+        the 1 GiB allocation shows only in the tracemalloc peak."""
+        import tracemalloc
+
+        from repro import obs
+        from repro.circuits.circuit import Circuit
+        from repro.circuits.gates import Gate
+        from repro.operators.pauli import PauliTerm
+
+        op = QubitOperator({PauliTerm(x=k, z=k >> 1): 0.5
+                            for k in range(1, 4097)})
+        ev = EnergyEvaluator(op, Circuit(26, gates=[Gate("X", (0,))]),
+                             simulator="statevector")
+        tracemalloc.start()
+        try:
+            with obs.collect() as reg, pytest.raises(
+                    ValidationError, match="GiB of physical memory"):
+                ev.energy(np.zeros(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert reg.value("vqe.ansatz_runs") == 0
+
 
 #: (simulator, ansatz) pairs the slot tests run over; the brick circuit's
 #: RY gates are the ones fusion used to absorb
@@ -123,13 +150,13 @@ class TestPreparedStateSlot:
     def test_one_pass_serves_energy_gradient_and_final_state(
             self, simulator, ansatz):
         from repro import obs
-        from repro.backends import backend_spec
+        from repro.backends import BACKENDS
         from repro.circuits.circuit import Circuit
         from repro.circuits.gates import Gate
         from repro.vqe.gradients import adjoint_gradient
 
         theta, _ = self._thetas(ansatz)
-        adjoint = "adjoint" in backend_spec(simulator).gradients
+        _, _, adjoint = BACKENDS[simulator]
         with obs.collect() as reg:
             ev = self._evaluator(simulator=simulator, ansatz=ansatz)
             energy = ev.energy(theta)
