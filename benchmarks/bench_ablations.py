@@ -242,9 +242,7 @@ def test_ablation_scheduling(benchmark):
         schedule_static,
     )
 
-    rhf = RHF(geometry.lih(), "sto-3g")
-    res = rhf.run()
-    momod.attach_eri(res, rhf.engine.eri())
+    res = RHF(geometry.lih(), "sto-3g").run()
     ham = molecular_qubit_hamiltonian(momod.from_scf(res))
 
     # the transfer contraction of Eq. 11 runs over the contiguous range

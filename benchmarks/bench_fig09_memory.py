@@ -33,9 +33,7 @@ from conftest import print_table
 
 
 def _setup(molecule, circuits_per_process: int):
-    rhf = RHF(molecule, "sto-3g")
-    res = rhf.run()
-    momod.attach_eri(res, rhf.engine.eri())
+    res = RHF(molecule, "sto-3g").run()
     mo = momod.from_scf(res)
     ham = molecular_qubit_hamiltonian(mo)
     terms = [t for t, _ in ham if not t.is_identity()]

@@ -39,9 +39,7 @@ def h2_mo():
     from repro.chem.scf import RHF
     from repro.chem import mo as momod
 
-    rhf = RHF(geometry.h2(0.7414), "sto-3g")
-    res = rhf.run()
-    momod.attach_eri(res, rhf.engine.eri())
+    res = RHF(geometry.h2(0.7414), "sto-3g").run()
     return momod.from_scf(res), res
 
 
@@ -51,9 +49,7 @@ def lih_mo():
     from repro.chem.scf import RHF
     from repro.chem import mo as momod
 
-    rhf = RHF(geometry.lih(), "sto-3g")
-    res = rhf.run()
-    momod.attach_eri(res, rhf.engine.eri())
+    res = RHF(geometry.lih(), "sto-3g").run()
     return momod.from_scf(res), res
 
 
@@ -63,7 +59,5 @@ def water_mo():
     from repro.chem.scf import RHF
     from repro.chem import mo as momod
 
-    rhf = RHF(geometry.water(), "sto-3g")
-    res = rhf.run()
-    momod.attach_eri(res, rhf.engine.eri())
+    res = RHF(geometry.water(), "sto-3g").run()
     return momod.from_scf(res), res

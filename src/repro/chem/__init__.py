@@ -6,7 +6,7 @@ determinant FCI, spin-orbital CCSD, and model lattice Hamiltonians used for
 the C18 substitution experiment.
 """
 
-from repro.chem.periodic import ELEMENTS, atomic_number, atomic_symbol
+from repro.chem.periodic import ELEMENTS, atomic_number
 from repro.chem.geometry import (
     Atom,
     Molecule,
@@ -23,16 +23,10 @@ from repro.chem.fci import FCISolver, FCIResult
 from repro.chem.davidson import davidson, DavidsonResult
 from repro.chem.ccsd import CCSDSolver, CCSDResult
 from repro.chem.lattice import hubbard_ring, ppp_carbon_ring, LatticeHamiltonian
-from repro.chem.properties import (
-    scf_dipole,
-    correlated_dipole,
-    mulliken_charges,
-)
 
 __all__ = [
     "ELEMENTS",
     "atomic_number",
-    "atomic_symbol",
     "Atom",
     "Molecule",
     "PointCharge",
@@ -53,9 +47,6 @@ __all__ = [
     "DavidsonResult",
     "CCSDSolver",
     "CCSDResult",
-    "scf_dipole",
-    "correlated_dipole",
-    "mulliken_charges",
     "hubbard_ring",
     "ppp_carbon_ring",
     "LatticeHamiltonian",

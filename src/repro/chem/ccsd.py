@@ -19,6 +19,7 @@ import numpy as np
 from repro.common.errors import ConvergenceError, ValidationError
 from repro.chem.mo import MOIntegrals, spatial_to_spin_orbital, \
     antisymmetrized_physicist
+from repro.chem.scf import DIIS_SIZE, diis
 
 
 @dataclass
@@ -48,12 +49,10 @@ class CCSDSolver:
     """
 
     def __init__(self, mo: MOIntegrals, *, max_iterations: int = 100,
-                 tolerance: float = 1e-9, diis_size: int = 8,
-                 level_shift: float = 0.0):
+                 tolerance: float = 1e-9, level_shift: float = 0.0):
         self.mo = mo
         self.max_iterations = max_iterations
         self.tolerance = tolerance
-        self.diis_size = diis_size
         self.level_shift = level_shift
         n_so = 2 * mo.n_orbitals
         n_occ = mo.n_electrons
@@ -106,17 +105,14 @@ class CCSDSolver:
             err = vec - np.concatenate([t1.ravel(), t2.ravel()])
             residual = float(np.max(np.abs(err)))
             # DIIS on the stacked amplitude vector
-            if self.diis_size > 0:
-                diis_t.append(vec)
-                diis_e.append(err)
-                if len(diis_t) > self.diis_size:
-                    diis_t.pop(0)
-                    diis_e.pop(0)
-                if len(diis_t) > 1:
-                    ext = self._diis(diis_t, diis_e)
-                    if ext is not None:
-                        t1n = ext[: t1.size].reshape(t1.shape)
-                        t2n = ext[t1.size:].reshape(t2.shape)
+            diis_t.append(vec)
+            diis_e.append(err)
+            del diis_t[:-DIIS_SIZE], diis_e[:-DIIS_SIZE]
+            if len(diis_t) > 1:
+                ext = diis(diis_t, diis_e)
+                if ext is not None:
+                    t1n = ext[: t1.size].reshape(t1.shape)
+                    t2n = ext[t1.size:].reshape(t2.shape)
             t1, t2 = t1n, t2n
             e_corr = self._energy(t1, t2)
             if (abs(e_corr - e_old) < self.tolerance
@@ -213,22 +209,3 @@ class CCSDSolver:
         t2_new = rhs2 / d2
 
         return t1_new, t2_new
-
-    @staticmethod
-    def _diis(vecs: list[np.ndarray], errs: list[np.ndarray]) -> np.ndarray | None:
-        m = len(vecs)
-        b = -np.ones((m + 1, m + 1))
-        b[m, m] = 0.0
-        for i in range(m):
-            for j in range(m):
-                b[i, j] = float(errs[i] @ errs[j])
-        rhs = np.zeros(m + 1)
-        rhs[m] = -1.0
-        try:
-            c = np.linalg.solve(b, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        out = np.zeros_like(vecs[0])
-        for i in range(m):
-            out += c[i] * vecs[i]
-        return out

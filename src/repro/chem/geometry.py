@@ -284,20 +284,21 @@ def molecule_from_spec(spec: str, *, bond: float | None = None) -> Molecule:
     The vocabulary shared by the ``energy``/``info`` CLI and the serve
     request format: ``h2 | lih | h2o | water | ring:N | chain:N``
     (case-insensitive), with an optional bond-length override in
-    angstrom.  Unknown specs raise :class:`ValidationError` listing the
-    vocabulary, so callers can surface the message verbatim.
+    angstrom.  Unknown specs, and ``ring:``/``chain:`` without a whole
+    atom count, raise :class:`ValidationError` listing the vocabulary, so
+    callers can surface the message verbatim.
     """
     name = str(spec).lower()
+    kind, colon, count = name.partition(":")
     if name == "h2":
         return h2(bond or 0.7414)
     if name == "lih":
         return lih(bond or 1.5949)
     if name in ("h2o", "water"):
         return water()
-    if name.startswith("ring:"):
-        return hydrogen_ring(int(name.split(":")[1]), bond or 1.0)
-    if name.startswith("chain:"):
-        return hydrogen_chain(int(name.split(":")[1]), bond or 1.0)
+    if colon and count.isdecimal() and kind in ("ring", "chain"):
+        builder = hydrogen_ring if kind == "ring" else hydrogen_chain
+        return builder(int(count), bond or 1.0)
     raise ValidationError(
         f"unknown molecule spec {spec!r}; use h2 | lih | h2o | "
         "ring:N | chain:N"

@@ -1,18 +1,17 @@
 """Gaussian integrals via the McMurchie-Davidson scheme, batched by class.
 
-S, T, dipole, V (nuclei plus point charges) and ERIs for contracted Cartesian
+S, T, V (nuclei plus point charges) and ERIs for contracted Cartesian
 Gaussians of any angular momentum.  Shell pairs are grouped by angular class
 (l_a >= l_b) and each class is flattened once into primitive-pair rows: p, P,
 the coefficient of every Cartesian component pair, the Hermite coefficients
 E, and one segment of rows per shell pair.  Every integral is then a few
 array operations per class and one segment reduction (``np.add.reduceat``):
-S, T and the dipole from the 1D E_0/E_1; V from one Hermite R_tuv build over
+S and T from the 1D E_0; V from one Hermite R_tuv build over
 rows x (nuclei and charges); the ERIs from one Boys call and one R_tuv build
 per (bra class, ket class) block over the primitive-quartet grid, contracted
 with E on both sides.  Only the shell-pair triangle is evaluated, in chunks
 of about ``_CHUNK_ELEMENTS`` doubles per temporary, and the eight-fold
-symmetry fills the rest; Cauchy-Schwarz screening drops ket shell pairs
-before a block is built.  The Boys function is tabulated (Helgaker,
+symmetry fills the rest.  The Boys function is tabulated (Helgaker,
 Jorgensen and Olsen, *Molecular Electronic-Structure Theory*, 9.8.1).
 
 Conventions: ERIs are returned in chemists' notation ``(ij|kl)``; all
@@ -227,11 +226,10 @@ class _PairClass:
         return E
 
     def one_electron(self, charges: np.ndarray, centres: np.ndarray):
-        """Per-row S, T, dipole (3, ...) and V of every component pair."""
+        """Per-row S, T and V of every component pair."""
         ax = np.arange(3)
         pa, pb = self.pa, self.pb
         s1 = self.E[pa, pb, 0, ax]                            # (nab, 3, rows)
-        e1 = self.E[pa, pb, 1, ax]
         e2 = self.E[pa, pb + 2, 0, ax]
         em2 = self.E[pa, np.maximum(pb - 2, 0), 0, ax]
         b = self.b
@@ -242,10 +240,6 @@ class _PairClass:
         s = w * s1[:, 0] * s1[:, 1] * s1[:, 2]
         t = w * (k1[:, 0] * s1[:, 1] * s1[:, 2] + s1[:, 0] * k1[:, 1]
                  * s1[:, 2] + s1[:, 0] * s1[:, 1] * k1[:, 2])
-        mom = e1 + self.P * s1
-        dip = np.stack([w * mom[:, 0] * s1[:, 1] * s1[:, 2],
-                        w * s1[:, 0] * mom[:, 1] * s1[:, 2],
-                        w * s1[:, 0] * s1[:, 1] * mom[:, 2]])
         L = self.la + self.lb
         nh = len(_hermite_index(L))
         nc = len(charges)
@@ -260,7 +254,7 @@ class _PairClass:
             rz[:, rows] = r.reshape(nh, p.size, nc).sum(axis=2)
         v = (self.coef * (2.0 * np.pi / self.p)
              * np.einsum("ahr,hr->ar", self.herm, rz))
-        return s, t, dip, v
+        return s, t, v
 
 
 class IntegralEngine:
@@ -269,16 +263,9 @@ class IntegralEngine:
     Each public method computes once and re-serves the cached, read-only
     array."""
 
-    def __init__(self, molecule: Molecule, basis: BasisSet, *,
-                 screening_threshold: float = 0.0):
+    def __init__(self, molecule: Molecule, basis: BasisSet):
         self.molecule = molecule
         self.basis = basis
-        #: Cauchy-Schwarz ERI screening: ket shell pairs whose bound
-        #: sqrt((ij|ij)) * sqrt((kl|kl)) against every bra pair of a chunk
-        #: is below this are skipped.  0.0 disables screening (exact tensors).
-        self.screening_threshold = screening_threshold
-        #: AO quartets (Cartesian component quartets) skipped by screening.
-        self.screened_quartets = 0
         self._cache: dict[str, np.ndarray] = {}
         shells = basis.shells
         nprim = np.array([len(sh.exponents) for sh in shells], dtype=np.intp)
@@ -319,17 +306,15 @@ class IntegralEngine:
                            dtype=float).T
         charges = np.array([float(a.z) for a in mol.atoms]
                            + [pc.charge for pc in mol.point_charges])
-        out = np.zeros((6, n, n))
+        out = np.zeros((3, n, n))
         for cls in self._classes:
-            s, t, dip, v = cls.one_electron(charges, centres)
-            vals = np.concatenate([s[None], t[None], dip, v[None]])
+            vals = np.stack(cls.one_electron(charges, centres))
             vals = np.add.reduceat(vals, cls.starts[:-1], axis=2)
-            vals = vals.transpose(0, 2, 1)                    # (6, ns, nab)
+            vals = vals.transpose(0, 2, 1)                    # (3, ns, nab)
             out[:, cls.ao_a, cls.ao_b] = vals
             out[:, cls.ao_b, cls.ao_a] = vals
         out = np.tril(out) + np.tril(out, -1).transpose(0, 2, 1)
-        for key, arr in (("S", out[0]), ("T", out[1]), ("DIP", out[2:5]),
-                         ("V", out[5])):
+        for key, arr in (("S", out[0]), ("T", out[1]), ("V", out[2])):
             self._store(key, arr.copy())
 
     def _one(self, key: str) -> np.ndarray:
@@ -352,11 +337,6 @@ class IntegralEngine:
     def core_hamiltonian(self) -> np.ndarray:
         """h = T + V."""
         return self.kinetic() + self.nuclear_attraction()
-
-    def dipole(self) -> np.ndarray:
-        """Electric-dipole AO integrals: (3, n, n) array of <a| r_c |b>
-        (int x Lambda_t dx = sqrt(pi/p) (P_x delta_t0 + delta_t1))."""
-        return self._one("DIP")
 
     # -- two-electron integrals ----------------------------------------------
 
@@ -381,19 +361,6 @@ class IntegralEngine:
         g = np.einsum("ahx,xhcs->xasc", bra.eri_bra[:, :, xs], w)
         return np.add.reduceat(g, bra.starts[s0:s1] - bra.starts[s0], axis=0)
 
-    def _schwarz(self) -> list[np.ndarray]:
-        """max sqrt((ab|ab)) per shell pair, for every class."""
-        bounds = []
-        for cls in self._classes:
-            ns = len(cls.starts) - 1
-            q = np.empty(ns)
-            for s in range(ns):
-                g = self._eri_block(cls, s, s + 1, cls, np.arange(ns) == s)
-                diag = np.einsum("aa->a", g[0, :, 0, :])
-                q[s] = np.sqrt(np.maximum(diag, 0.0)).max()
-            bounds.append(q)
-        return bounds
-
     def eri(self) -> np.ndarray:
         """Full ERI tensor (ij|kl) in chemists' notation, 8-fold symmetric."""
         if "ERI" in self._cache:
@@ -402,9 +369,6 @@ class IntegralEngine:
         i, j = np.tril_indices(n)
         pair = np.empty((n, n), dtype=np.intp)
         pair[i, j] = pair[j, i] = np.arange(i.size)
-        tau = self.screening_threshold
-        bounds = self._schwarz() if tau > 0.0 else None
-        self.screened_quartets = 0
         g = np.zeros((i.size, i.size))
         for ci, bra in enumerate(self._classes):
             for cj, ket in enumerate(self._classes[:ci + 1]):
@@ -418,13 +382,6 @@ class IntegralEngine:
                     keep = np.ones(nks, dtype=bool)
                     if ci == cj:
                         keep[s1:] = False
-                    if bounds is not None:
-                        ok = bounds[cj] * bounds[ci][s0:s1].max() >= tau
-                        self.screened_quartets += int(
-                            (keep & ~ok).sum()) * (s1 - s0) * nab * ncd
-                        keep &= ok
-                    if not keep.any():
-                        continue
                     block = self._eri_block(bra, s0, s1, ket, keep)
                     pb = pair[bra.ao_a[s0:s1], bra.ao_b[s0:s1]]
                     pk = pair[ket.ao_a[keep], ket.ao_b[keep]]

@@ -48,18 +48,19 @@ class MOIntegrals:
         return 2 * self.n_orbitals
 
 
-def ao_to_mo(h_ao: np.ndarray, eri_ao: np.ndarray,
-             c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Transform AO integrals into the MO basis defined by coefficients C.
-
-    The ERI transform is the standard O(N^5) quarter-transformation chain.
-    """
-    h_mo = c.T @ h_ao @ c
-    g = np.einsum("pqrs,pi->iqrs", eri_ao, c, optimize=True)
+def transform_eri(eri: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(ij|kl) = sum_pqrs C_pi C_qj C_rk C_sl (pq|rs): the standard O(N^5)
+    quarter-transformation chain, one index at a time."""
+    g = np.einsum("pqrs,pi->iqrs", eri, c, optimize=True)
     g = np.einsum("iqrs,qj->ijrs", g, c, optimize=True)
     g = np.einsum("ijrs,rk->ijks", g, c, optimize=True)
-    g = np.einsum("ijks,sl->ijkl", g, c, optimize=True)
-    return h_mo, g
+    return np.einsum("ijks,sl->ijkl", g, c, optimize=True)
+
+
+def ao_to_mo(h_ao: np.ndarray, eri_ao: np.ndarray,
+             c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transform AO integrals into the MO basis defined by coefficients C."""
+    return c.T @ h_ao @ c, transform_eri(eri_ao, c)
 
 
 def from_scf(scf: SCFResult, *, frozen_core: int = 0,
@@ -97,11 +98,9 @@ def from_scf(scf: SCFResult, *, frozen_core: int = 0,
             f"{n_active_orbitals} active orbitals"
         )
 
-    h_ao = scf.core_hamiltonian
     # full MO transform once; slice afterwards (clarity over peak efficiency
     # at the problem sizes we run ab initio)
-    eri_ao = _eri_from_scf(scf)
-    h_mo, g_mo = ao_to_mo(h_ao, eri_ao, c)
+    h_mo, g_mo = ao_to_mo(scf.core_hamiltonian, scf.eri, c)
 
     core = list(range(frozen_core))
     active = list(range(frozen_core, last))
@@ -123,29 +122,6 @@ def from_scf(scf: SCFResult, *, frozen_core: int = 0,
     h1 = h_eff[np.ix_(active, active)]
     h2 = g_mo[np.ix_(active, active, active, active)]
     return MOIntegrals(h1=h1, h2=h2, constant=float(e_core), n_electrons=n_elec)
-
-
-def _eri_from_scf(scf: SCFResult) -> np.ndarray:
-    """Recover the AO ERI used by an SCF result.
-
-    SCFResult intentionally does not store the ERI tensor (it can be large);
-    callers that need MO integrals attach it via :func:`attach_eri` or let
-    this helper find it on the result object.
-    """
-    eri = getattr(scf, "_eri_ao", None)
-    if eri is None:
-        raise ValidationError(
-            "SCFResult has no attached AO ERI tensor; use "
-            "repro.chem.mo.attach_eri(scf, engine.eri()) or the "
-            "high-level q2chem pipeline"
-        )
-    return eri
-
-
-def attach_eri(scf: SCFResult, eri_ao: np.ndarray) -> SCFResult:
-    """Attach the AO ERI tensor to an SCF result for later MO transforms."""
-    scf._eri_ao = eri_ao  # type: ignore[attr-defined]
-    return scf
 
 
 def spatial_to_spin_orbital(mo: MOIntegrals) -> tuple[np.ndarray, np.ndarray, float]:

@@ -10,8 +10,6 @@ ELEMENTS: dict[str, int] = {
     "C": 6, "N": 7, "O": 8, "F": 9, "Ne": 10,
 }
 
-_NUMBER_TO_SYMBOL = {z: sym for sym, z in ELEMENTS.items()}
-
 
 def atomic_number(symbol: str) -> int:
     """Atomic number for an element symbol (case-normalized)."""
@@ -19,11 +17,3 @@ def atomic_number(symbol: str) -> int:
     if key not in ELEMENTS:
         raise ValidationError(f"unsupported element symbol: {symbol!r}")
     return ELEMENTS[key]
-
-
-def atomic_symbol(z: int) -> str:
-    """Element symbol for an atomic number."""
-    if z not in _NUMBER_TO_SYMBOL:
-        raise ValidationError(f"unsupported atomic number: {z}")
-    return _NUMBER_TO_SYMBOL[z]
-

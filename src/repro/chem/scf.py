@@ -7,7 +7,7 @@ for every VQE Hamiltonian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
@@ -36,6 +36,10 @@ class SCFResult:
         Number of doubly-occupied spatial orbitals.
     iterations:
         SCF iterations used.
+    eri:
+        The AO ERI the SCF ran on (chemists'; the engine's read-only array).
+    ao_labels:
+        The basis's AO labels; ``label[4]`` is the owning atom.
     converged:
         Always True for returned results (failure raises).
     """
@@ -50,6 +54,8 @@ class SCFResult:
     nuclear_repulsion: float
     n_occupied: int
     iterations: int
+    eri: np.ndarray = field(repr=False, compare=False)
+    ao_labels: list = field(repr=False, compare=False)
     converged: bool = True
 
     @property
@@ -61,11 +67,38 @@ class SCFResult:
         return self.mo_coefficients.shape[1]
 
 
+#: Iterates (and error vectors) a DIIS extrapolation mixes.
+DIIS_SIZE = 8
+
+
 def build_jk(eri: np.ndarray, density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coulomb J and exchange K matrices from the AO ERI (chemists') and D."""
+    """Coulomb J and exchange K matrices from chemists' ERIs and a density."""
     j = np.einsum("pqrs,rs->pq", eri, density, optimize=True)
     k = np.einsum("prqs,rs->pq", eri, density, optimize=True)
     return j, k
+
+
+def diis(vectors: list[np.ndarray],
+         errors: list[np.ndarray]) -> np.ndarray | None:
+    """Pulay's DIIS: the combination of ``vectors`` whose weights sum to one
+    and minimise the norm of the same combination of ``errors``; None when
+    the error overlap matrix is singular."""
+    m = len(vectors)
+    b = -np.ones((m + 1, m + 1))
+    b[m, m] = 0.0
+    for i in range(m):
+        for j in range(m):
+            b[i, j] = np.vdot(errors[i], errors[j])
+    rhs = np.zeros(m + 1)
+    rhs[m] = -1.0
+    try:
+        coeff = np.linalg.solve(b, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    out = np.zeros_like(vectors[0])
+    for i in range(m):
+        out += coeff[i] * vectors[i]
+    return out
 
 
 class RHF:
@@ -78,14 +111,13 @@ class RHF:
     basis:
         Basis-set name or a prebuilt :class:`BasisSet`.
     max_iterations, energy_tolerance, density_tolerance:
-        Convergence controls.
-    diis_size:
-        Number of Fock/error pairs kept for DIIS extrapolation (0 disables).
+        Convergence controls.  The Fock matrix is DIIS-extrapolated from
+        the last :data:`DIIS_SIZE` iterations.
     """
 
     def __init__(self, molecule: Molecule, basis: str | BasisSet = "sto-3g",
                  *, max_iterations: int = 200, energy_tolerance: float = 1e-10,
-                 density_tolerance: float = 1e-8, diis_size: int = 8):
+                 density_tolerance: float = 1e-8):
         if molecule.n_electrons % 2:
             raise ValidationError(
                 "RHF requires an even electron count; got "
@@ -97,7 +129,6 @@ class RHF:
         self.max_iterations = max_iterations
         self.energy_tolerance = energy_tolerance
         self.density_tolerance = density_tolerance
-        self.diis_size = diis_size
 
     def run(self) -> SCFResult:
         """Iterate to self-consistency; raises ConvergenceError on failure."""
@@ -129,16 +160,13 @@ class RHF:
         for it in range(1, self.max_iterations + 1):
             j, k = build_jk(eri, d)
             f = h + j - 0.5 * k
-            # DIIS
-            err = x.T @ (f @ d @ s - s @ d @ f) @ x
-            if self.diis_size > 0:
-                fock_list.append(f.copy())
-                err_list.append(err.copy())
-                if len(fock_list) > self.diis_size:
-                    fock_list.pop(0)
-                    err_list.pop(0)
-                if len(fock_list) > 1:
-                    f = self._diis_extrapolate(fock_list, err_list)
+            fock_list.append(f)
+            err_list.append(x.T @ (f @ d @ s - s @ d @ f) @ x)
+            del fock_list[:-DIIS_SIZE], err_list[:-DIIS_SIZE]
+            if len(fock_list) > 1:
+                extrapolated = diis(fock_list, err_list)
+                if extrapolated is not None:
+                    f = extrapolated
             c, e_mo = self._diagonalize(f, x)
             d_new = self._density(c, n_occ)
             e_elec = 0.5 * np.einsum("pq,pq->", d_new, h + f)
@@ -158,6 +186,8 @@ class RHF:
                     nuclear_repulsion=e_nuc,
                     n_occupied=n_occ,
                     iterations=it,
+                    eri=eri,
+                    ao_labels=list(self.basis.ao_labels),
                 )
         raise ConvergenceError(
             f"RHF did not converge in {self.max_iterations} iterations "
@@ -178,23 +208,3 @@ class RHF:
     def _density(c: np.ndarray, n_occ: int) -> np.ndarray:
         occ = c[:, :n_occ]
         return 2.0 * occ @ occ.T
-
-    @staticmethod
-    def _diis_extrapolate(focks: list[np.ndarray],
-                          errors: list[np.ndarray]) -> np.ndarray:
-        m = len(focks)
-        b = -np.ones((m + 1, m + 1))
-        b[m, m] = 0.0
-        for i in range(m):
-            for j in range(m):
-                b[i, j] = np.vdot(errors[i], errors[j])
-        rhs = np.zeros(m + 1)
-        rhs[m] = -1.0
-        try:
-            coeff = np.linalg.solve(b, rhs)
-        except np.linalg.LinAlgError:
-            return focks[-1]
-        f = np.zeros_like(focks[0])
-        for i in range(m):
-            f += coeff[i] * focks[i]
-        return f

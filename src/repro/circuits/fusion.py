@@ -8,7 +8,7 @@ next two-qubit gate touching that qubit; leftovers at the end of the circuit
 are folded backwards into the last two-qubit gate, or emitted as U1 gates on
 qubits no two-qubit gate ever touches.
 
-Optionally, consecutive two-qubit gates acting on the same pair are merged.
+Consecutive two-qubit gates acting on the same pair are merged.
 The output circuit contains only U2 (and possibly U1) gates, which is the
 densest form for the simulators.
 
@@ -34,8 +34,7 @@ def _expand_single(u: np.ndarray, position: int) -> np.ndarray:
     return np.kron(u, _ID2) if position == 0 else np.kron(_ID2, u)
 
 
-def fuse_single_qubit_gates(circuit: Circuit, *,
-                            merge_two_qubit_runs: bool = True) -> Circuit:
+def fuse_single_qubit_gates(circuit: Circuit) -> Circuit:
     """Return an equivalent circuit of fused U2 (+ residual U1, + composite)
     gates."""
     if not circuit.is_bound():
@@ -64,7 +63,7 @@ def fuse_single_qubit_gates(circuit: Circuit, *,
         for pos, q in enumerate(gate.qubits):
             if q in pending:
                 mat = mat @ _expand_single(pending.pop(q), pos)
-        merge = merge_two_qubit_runs and fused and fused[-1].name == "U2"
+        merge = fused and fused[-1].name == "U2"
         if merge and fused[-1].qubits == gate.qubits:
             mat = mat @ fused[-1].matrix()
             fused[-1] = Gate("U2", gate.qubits, unitary=mat)

@@ -13,16 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.chem.mo import transform_eri
+from repro.chem.scf import build_jk
 from repro.dmet.bath import EmbeddingBasis
 from repro.dmet.orthogonalize import OrthogonalSystem
-
-
-def coulomb_exchange(h2: np.ndarray, density: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """J(P), K(P) for chemists' integrals and a spin-summed density."""
-    j = np.einsum("pqrs,rs->pq", h2, density, optimize=True)
-    k = np.einsum("prqs,rs->pq", h2, density, optimize=True)
-    return j, k
 
 
 @dataclass
@@ -71,18 +65,12 @@ def build_embedding_hamiltonian(system: OrthogonalSystem,
     """Project the full Hamiltonian into a fragment's embedding space."""
     t = basis.transform
     h1_bare = t.T @ system.h1 @ t
-    j, k = coulomb_exchange(system.h2, basis.core_density)
+    j, k = build_jk(system.h2, basis.core_density)
     h1 = t.T @ (system.h1 + j - 0.5 * k) @ t
-
-    g = np.einsum("pqrs,pi->iqrs", system.h2, t, optimize=True)
-    g = np.einsum("iqrs,qj->ijrs", g, t, optimize=True)
-    g = np.einsum("ijrs,rk->ijks", g, t, optimize=True)
-    g = np.einsum("ijks,sl->ijkl", g, t, optimize=True)
-
     return EmbeddingProblem(
         h1_bare=h1_bare,
         h1=h1,
-        h2=g,
+        h2=transform_eri(system.h2, t),
         n_electrons=basis.n_electrons,
         basis=basis,
     )

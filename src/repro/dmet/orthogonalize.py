@@ -14,6 +14,8 @@ import numpy as np
 from scipy import linalg as sla
 
 from repro.common.errors import ValidationError
+from repro.chem.mo import transform_eri
+from repro.chem.scf import SCFResult, build_jk
 
 
 @dataclass
@@ -47,14 +49,13 @@ class OrthogonalSystem:
 
     def mean_field_energy(self) -> float:
         """HF energy evaluated from the stored density (consistency check)."""
-        j = np.einsum("pqrs,rs->pq", self.h2, self.density, optimize=True)
-        k = np.einsum("prqs,rs->pq", self.h2, self.density, optimize=True)
+        j, k = build_jk(self.h2, self.density)
         f = self.h1 + j - 0.5 * k
         return float(self.constant
                      + 0.5 * np.einsum("pq,pq->", self.density, self.h1 + f))
 
 
-def lowdin_orthogonalize(scf_result, eri_ao: np.ndarray) -> OrthogonalSystem:
+def lowdin_orthogonalize(scf_result: SCFResult) -> OrthogonalSystem:
     """Build an :class:`OrthogonalSystem` from a converged RHF result."""
     s = scf_result.overlap
     evals, evecs = sla.eigh(s)
@@ -63,39 +64,18 @@ def lowdin_orthogonalize(scf_result, eri_ao: np.ndarray) -> OrthogonalSystem:
     s_half = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
     s_inv_half = evecs @ np.diag(evals ** -0.5) @ evecs.T
 
+    # S^-1/2 from eigh is symmetric only to the last bit, so this is not
+    # ao_to_mo's C^T h C: one ulp in h moves budget-stopped VQE fragments
     h_lao = s_inv_half @ scf_result.core_hamiltonian @ s_inv_half
-    g = np.einsum("pqrs,pi->iqrs", eri_ao, s_inv_half, optimize=True)
-    g = np.einsum("iqrs,qj->ijrs", g, s_inv_half, optimize=True)
-    g = np.einsum("ijrs,rk->ijks", g, s_inv_half, optimize=True)
-    g = np.einsum("ijks,sl->ijkl", g, s_inv_half, optimize=True)
     p_lao = s_half @ scf_result.density @ s_half
-
-    # atom assignment comes from the basis AO labels via the engine's basis
-    orbital_atoms = [lab[4] for lab in scf_result_basis_labels(scf_result)]
     return OrthogonalSystem(
         h1=h_lao,
-        h2=g,
+        h2=transform_eri(scf_result.eri, s_inv_half),
         constant=scf_result.nuclear_repulsion,
         n_electrons=2 * scf_result.n_occupied,
         density=p_lao,
-        orbital_atoms=orbital_atoms,
+        orbital_atoms=[lab[4] for lab in scf_result.ao_labels],
     )
-
-
-def scf_result_basis_labels(scf_result):
-    """AO labels attached to the SCF result by the pipeline."""
-    labels = getattr(scf_result, "_ao_labels", None)
-    if labels is None:
-        raise ValidationError(
-            "SCF result has no attached AO labels; use attach_labels or the "
-            "q2chem pipeline"
-        )
-    return labels
-
-
-def attach_labels(scf_result, basis) -> None:
-    """Attach a BasisSet's AO labels to an SCF result for fragmentation."""
-    scf_result._ao_labels = list(basis.ao_labels)  # type: ignore[attr-defined]
 
 
 def from_lattice(lattice) -> OrthogonalSystem:

@@ -15,8 +15,9 @@ from scipy import linalg as sla
 
 from repro.backends import check_backend
 from repro.common.errors import ConvergenceError, ValidationError
-from repro.chem.mo import MOIntegrals
+from repro.chem.mo import MOIntegrals, ao_to_mo
 from repro.chem.fci import FCISolver
+from repro.chem.scf import build_jk
 from repro.dmet.embedding import EmbeddingProblem
 from repro.vqe.optimizers import DEFAULT_OPTIMIZER, check_optimizer
 
@@ -72,8 +73,7 @@ def orthonormal_rhf_density(h1: np.ndarray, h2: np.ndarray, n_electrons: int,
             if best is None:
                 raise
             continue
-        j = np.einsum("pqrs,rs->pq", h2, d, optimize=True)
-        k = np.einsum("prqs,rs->pq", h2, d, optimize=True)
+        j, k = build_jk(h2, d)
         energy = float(np.sum(d * (h1 + 0.5 * j - 0.25 * k)))
         if best is None or energy < best[0] - 1e-10:
             best = (energy, d, c_out)
@@ -99,8 +99,7 @@ def _frontier_guesses(e: np.ndarray, c: np.ndarray, n_occ: int):
 def _closed_shell_scf(h1, h2, n_occ, c, max_iterations, tolerance):
     d = 2.0 * c[:, :n_occ] @ c[:, :n_occ].T
     for _ in range(max_iterations):
-        j = np.einsum("pqrs,rs->pq", h2, d, optimize=True)
-        k = np.einsum("prqs,rs->pq", h2, d, optimize=True)
+        j, k = build_jk(h2, d)
         f = h1 + j - 0.5 * k
         _, c = sla.eigh(f)
         d_new = 2.0 * c[:, :n_occ] @ c[:, :n_occ].T
@@ -170,7 +169,6 @@ class VQEFragmentSolver:
                  optimizer: str = DEFAULT_OPTIMIZER,
                  tolerance: float = FRAGMENT_TOLERANCE,
                  max_iterations: int = 4000,
-                 initial_parameters: str = "zeros",
                  warm_start: bool = True):
         from repro.vqe.vqe import VQE
 
@@ -182,7 +180,6 @@ class VQEFragmentSolver:
         self.optimizer = optimizer
         self.tolerance = tolerance
         self.max_iterations = max_iterations
-        self.initial_parameters = initial_parameters
         # the DMET mu loop re-solves the same fragment at nearby chemical
         # potentials; starting from the previous amplitudes cuts the
         # optimizer's work dramatically.  Keyed by the fragment's orbitals,
@@ -202,12 +199,7 @@ class VQEFragmentSolver:
         n_elec = problem.n_electrons
         # canonical orbitals of the embedded problem
         _, c = orthonormal_rhf_density(h1, problem.h2, n_elec)
-        h1_mo = c.T @ h1 @ c
-        g = np.einsum("pqrs,pi->iqrs", problem.h2, c, optimize=True)
-        g = np.einsum("iqrs,qj->ijrs", g, c, optimize=True)
-        g = np.einsum("ijrs,rk->ijks", g, c, optimize=True)
-        g_mo = np.einsum("ijks,sl->ijkl", g, c, optimize=True)
-
+        h1_mo, g_mo = ao_to_mo(h1, problem.h2, c)
         mo = MOIntegrals(h1=h1_mo, h2=g_mo, constant=0.0, n_electrons=n_elec)
         hamiltonian = molecular_qubit_hamiltonian(mo)
         ansatz = UCCSDAnsatz(mo.n_orbitals, n_elec)
@@ -221,17 +213,14 @@ class VQEFragmentSolver:
                 and last.size == ansatz.n_parameters):
             x0 = last
         else:
-            x0 = ansatz.initial_parameters(self.initial_parameters)
+            x0 = ansatz.initial_parameters()
         result = vqe.run(x0)
         self._last_parameters[key] = result.parameters.copy()
         gamma_mo, g2_mo = vqe.reduced_density_matrices(result.parameters)
 
-        # rotate RDMs back to the embedding orbital basis
-        gamma = c @ gamma_mo @ c.T
-        g2 = np.einsum("pqrs,ip->iqrs", g2_mo, c, optimize=True)
-        g2 = np.einsum("iqrs,jq->ijrs", g2, c, optimize=True)
-        g2 = np.einsum("ijrs,kr->ijks", g2, c, optimize=True)
-        g2 = np.einsum("ijks,ls->ijkl", g2, c, optimize=True)
+        # rotate RDMs back to the embedding orbital basis (c is
+        # orthogonal, so c.T undoes it)
+        gamma, g2 = ao_to_mo(gamma_mo, g2_mo, c.T)
 
         nf = problem.basis.n_fragment
         return FragmentSolution(
@@ -282,8 +271,7 @@ def embedded_rhf(problem: EmbeddingProblem, mu: float = 0.0
     """Mean-field fragment 'solver' (diagnostics/baselines)."""
     h1 = problem.h1_with_mu(mu)
     d, _ = orthonormal_rhf_density(h1, problem.h2, problem.n_electrons)
-    j = np.einsum("pqrs,rs->pq", problem.h2, d, optimize=True)
-    k = np.einsum("prqs,rs->pq", problem.h2, d, optimize=True)
+    j, k = build_jk(problem.h2, d)
     energy = float(0.5 * np.einsum("pq,pq->", d, 2 * h1 + j - 0.5 * k))
     # mean-field 2-RDM: Gamma_pqrs = g_pq g_rs - 1/2 g_ps g_rq
     g2 = (np.einsum("pq,rs->pqrs", d, d)

@@ -12,7 +12,6 @@ from repro.operators.bravyi_kitaev import bravyi_kitaev
 from repro.operators.molecular import (
     molecular_fermion_operator,
     molecular_qubit_hamiltonian,
-    qubit_hamiltonian_matrix,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "bravyi_kitaev",
     "molecular_fermion_operator",
     "molecular_qubit_hamiltonian",
-    "qubit_hamiltonian_matrix",
 ]

@@ -62,9 +62,3 @@ def molecular_qubit_hamiltonian(mo: MOIntegrals, mapping: str = "jordan_wigner",
         return bravyi_kitaev(molecular_fermion_operator(mo),
                              n_qubits=mo.n_qubits, tolerance=tolerance)
     raise ValidationError(f"unknown mapping {mapping!r}")
-
-
-def qubit_hamiltonian_matrix(h: QubitOperator,
-                             n_qubits: int | None = None) -> np.ndarray:
-    """Dense matrix of a qubit Hamiltonian (small registers; for tests)."""
-    return h.matrix(n_qubits)

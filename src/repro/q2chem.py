@@ -17,7 +17,7 @@ Example
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from repro.vqe.optimizers import DEFAULT_OPTIMIZER
 from repro.vqe.vqe import VQE, VQEResult
 from repro.dmet.orthogonalize import (
     OrthogonalSystem,
-    attach_labels,
     from_lattice,
     lowdin_orthogonalize,
 )
@@ -50,7 +49,6 @@ class Q2Chemistry:
     scf: SCFResult | None = None
     mo_integrals: momod.MOIntegrals | None = None
     name: str = ""
-    options: dict = field(default_factory=dict)
 
     # -- constructors -------------------------------------------------------
 
@@ -59,12 +57,8 @@ class Q2Chemistry:
                       frozen_core: int = 0,
                       n_active_orbitals: int | None = None) -> "Q2Chemistry":
         """Run integrals + RHF and set up for VQE/DMET on a molecule."""
-        rhf = RHF(molecule, basis)
-        scf = rhf.run()
-        eri = rhf.engine.eri()
-        momod.attach_eri(scf, eri)
-        attach_labels(scf, rhf.basis)
-        system = lowdin_orthogonalize(scf, eri)
+        scf = RHF(molecule, basis).run()
+        system = lowdin_orthogonalize(scf)
         mo = momod.from_scf(scf, frozen_core=frozen_core,
                             n_active_orbitals=n_active_orbitals)
         return cls(system=system, scf=scf, mo_integrals=mo,

@@ -26,6 +26,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.backends import check_backend
+from repro.chem.geometry import molecule_from_spec
 from repro.common.errors import ValidationError
 from repro.vqe.optimizers import DEFAULT_OPTIMIZER, check_optimizer
 
@@ -89,6 +90,7 @@ class JobSpec:
                     f"job spec field {f.name!r} must be {f.type}, "
                     f"got {value!r}")
         check_optimizer(self.optimizer)
+        molecule_from_spec(self.molecule, bond=self.bond)
         check_backend(self.simulator)
         if self.solver != "fci":
             check_backend(self.solver, "vqe-")

@@ -102,14 +102,3 @@ class DensityMatrixSimulator:
         dim = 2 ** self.n_qubits
         return dense_term_expectations(terms, self.n_qubits,
                                        self.rho.reshape(dim, dim))
-
-    def sample(self, n_samples: int, seed: int | None = None) -> list[str]:
-        """Computational-basis samples from the diagonal of rho."""
-        if n_samples < 1:
-            raise ValidationError("need at least one sample")
-        from repro.common.rng import default_rng
-
-        probs = np.real(np.diag(self.density_matrix())).clip(min=0.0)
-        probs = probs / probs.sum()
-        draws = default_rng(seed).choice(probs.size, size=n_samples, p=probs)
-        return [format(int(d), f"0{self.n_qubits}b") for d in draws]

@@ -701,49 +701,6 @@ class MPS:
                                   backend=self.backend)
         return out.reshape(-1)
 
-    def sample(self, n_samples: int, seed: int | None = None) -> list[str]:
-        """Draw computational-basis samples by sequential conditioning.
-
-        Exploits the right-canonical form: sweeping left to right, the
-        conditional distribution of qubit k given the already-sampled
-        prefix comes from one small contraction per site, never
-        materializing the 2^n distribution (on a truncated state the form,
-        and so the distribution, holds up to the discarded weight - see
-        :meth:`environments`).  All samples advance together:
-        their left-bond environment vectors are stacked into one
-        (n_samples, D) matrix, so each site costs two GEMMs for the whole
-        batch instead of a Python-level loop per sample.  (This is the
-        measurement primitive a sampling-based benchmark like the paper's
-        RQC references would use.)
-        """
-        if n_samples < 1:
-            raise ValidationError("need at least one sample")
-        rng = default_rng(seed)
-        # env: one amplitude row per in-flight sample over the left bond
-        env = np.ones((n_samples, 1), dtype=complex)
-        bits = np.empty((n_samples, self.n_qubits), dtype=np.uint8)
-        for k in range(self.n_qubits):
-            b = self.tensors[k]
-            dl, _, dr = b.shape
-            # unnormalized amplitudes of extending every prefix by 0/1:
-            # both branches in ONE fused GEMM against the (dl, 2*dr)
-            # unfolding instead of two half-width multiplies
-            both = env @ b.reshape(dl, 2 * dr)
-            vec0, vec1 = both[:, :dr], both[:, dr:]
-            # right-canonicality: P(prefix+i) = |vec_i|^2; squared-modulus
-            # row sums avoid the complex einsum products
-            p0 = (vec0.real ** 2 + vec0.imag ** 2).sum(axis=1)
-            p1 = (vec1.real ** 2 + vec1.imag ** 2).sum(axis=1)
-            total = p0 + p1
-            if np.any(total <= 0.0):
-                raise ValidationError("zero-norm branch while sampling")
-            take1 = rng.random(n_samples) >= p0 / total
-            bits[:, k] = take1
-            env = np.where(take1[:, None], vec1, vec0)
-            norm = np.sqrt(np.where(take1, p1, p0))
-            env = env / np.where(norm > 0.0, norm, 1.0)[:, None]
-        return ["".join("1" if v else "0" for v in row) for row in bits]
-
     def copy(self) -> "MPS":
         other = MPS(self.n_qubits,
                     max_bond_dimension=self.max_bond_dimension,

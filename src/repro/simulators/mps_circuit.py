@@ -204,10 +204,6 @@ class MPSSimulator:
         """Dense expansion (small registers; for cross-simulator tests)."""
         return self.state.to_statevector()
 
-    def sample(self, n_samples: int, seed: int | None = None) -> list[str]:
-        """Sequential-conditioning samples (delegates to the MPS state)."""
-        return self.state.sample(n_samples, seed=seed)
-
     # -- diagnostics -----------------------------------------------------------------
 
     @property

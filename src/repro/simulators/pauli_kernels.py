@@ -66,14 +66,6 @@ def term_masks(term: PauliTerm, n_qubits: int) -> tuple[int, int, int]:
     return xmask, zbits, popcount(term.x & term.z)
 
 
-def phase_vector(term: PauliTerm, n_qubits: int) -> np.ndarray:
-    """phase(b) over all basis states b = j ^ xmask (the gather sources)."""
-    xmask, zbits, n_y = term_masks(term, n_qubits)
-    src = np.arange(1 << n_qubits) ^ xmask
-    signs = np.where(np.bitwise_count(src & zbits) & 1, -1.0, 1.0)
-    return (1j ** (n_y % 4)) * signs
-
-
 class PauliAction:
     """Precomputed permutation+phase action of one Pauli string."""
 
@@ -253,6 +245,5 @@ __all__ = [
     "compile_observable",
     "dense_term_expectations",
     "observable_cache_key",
-    "phase_vector",
     "term_masks",
 ]

@@ -239,14 +239,3 @@ class StatevectorSimulator:
         if len(bits) != self.n_qubits:
             raise ValidationError("bitstring length mismatch")
         return complex(self.state[tuple(int(b) for b in bits)])
-
-    def sample(self, n_samples: int, seed: int | None = None) -> list[str]:
-        """Computational-basis samples from |amplitudes|^2 (qubit 0 first)."""
-        if n_samples < 1:
-            raise ValidationError("need at least one sample")
-        from repro.common.rng import default_rng
-
-        probs = np.abs(self.state.reshape(-1)) ** 2
-        probs = probs / probs.sum()
-        draws = default_rng(seed).choice(probs.size, size=n_samples, p=probs)
-        return [format(int(d), f"0{self.n_qubits}b") for d in draws]

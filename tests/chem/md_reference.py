@@ -1,7 +1,7 @@
 """Per-quartet McMurchie-Davidson reference for the batched integral engine.
 
 This is the engine's former implementation, kept as a test oracle: one
-Python call per AO pair for S, T, V and the dipole (V loops over the nuclei
+Python call per AO pair for S, T and V (V loops over the nuclei
 and point charges one at a time), one :meth:`ReferenceIntegrals.eri_element`
 per AO quartet, and the Boys function from the regularised lower incomplete
 gamma function.  It is slow and independent of the class-batched code: it
@@ -100,7 +100,7 @@ def hermite_r_tensor(tmax: int, umax: int, vmax: int, p: np.ndarray,
 
 
 class ReferenceIntegrals:
-    """S, T, V, dipole and ERI elements, one AO pair / quartet at a time."""
+    """S, T, V and ERI elements, one AO pair / quartet at a time."""
 
     def __init__(self, molecule, basis):
         self.molecule = molecule
@@ -187,22 +187,6 @@ class ReferenceIntegrals:
                 acc += -Z * float((d["cc"] * 2.0 * np.pi / d["p"] * g).sum())
             return acc
         return self._matrix(element)
-
-    def dipole(self) -> np.ndarray:
-        out = np.zeros((3, self.n, self.n))
-        for i in range(self.n):
-            for j in range(i + 1):
-                d = self._pair(i, j)
-                e = d["e"]
-                for axis in range(3):
-                    e1 = (e[axis][1] if d["li"][axis] + d["lj"][axis] >= 1
-                          else np.zeros_like(d["p"]))
-                    moment = e1 + d["P"][..., axis] * e[axis][0]
-                    others = [e[x][0] for x in range(3) if x != axis]
-                    val = (d["cc"] * moment * others[0] * others[1]
-                           * (np.pi / d["p"]) ** 1.5).sum()
-                    out[axis, i, j] = out[axis, j, i] = val
-        return out
 
     def eri_element(self, i: int, j: int, k: int, l: int) -> float:
         bra, ket = self._pair(i, j), self._pair(k, l)

@@ -17,6 +17,7 @@ from repro.chem.geometry import (
     hydrogen_chain,
     hydrogen_ring,
     lih,
+    molecule_from_spec,
     water,
 )
 
@@ -148,3 +149,10 @@ class TestBuilders:
         c = water(oh=0.9572).coordinates
         assert np.linalg.norm(c[1] - c[0]) / ANGSTROM_TO_BOHR == \
             pytest.approx(0.9572)
+
+
+class TestMoleculeSpec:
+    @pytest.mark.parametrize("spec", ["ring:x", "ring:2.5", "chain:"])
+    def test_malformed_count_is_the_vocabulary_error(self, spec):
+        with pytest.raises(ValidationError, match="unknown molecule spec"):
+            molecule_from_spec(spec)

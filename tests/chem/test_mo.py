@@ -30,16 +30,6 @@ class TestAOtoMO:
                 e += 2 * mo.h2[i, i, j, j] - mo.h2[i, j, j, i]
         assert e == pytest.approx(water.scf.energy, abs=1e-8)
 
-    def test_missing_eri_raises(self, h2):
-        scf = h2.scf
-        eri = scf._eri_ao
-        try:
-            del scf._eri_ao
-            with pytest.raises(ValidationError):
-                momod.from_scf(scf)
-        finally:
-            momod.attach_eri(scf, eri)
-
 
 class TestActiveSpace:
     def test_frozen_core_lih(self, lih):

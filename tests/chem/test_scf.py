@@ -82,15 +82,14 @@ class TestFailureModes:
     def test_nonconvergence_raises(self):
         from repro.common.errors import ConvergenceError
 
-        rhf = RHF(hydrogen_chain(4, 1.0), "sto-3g", max_iterations=1,
-                  diis_size=0)
+        rhf = RHF(hydrogen_chain(4, 1.0), "sto-3g", max_iterations=1)
         with pytest.raises(ConvergenceError):
             rhf.run()
 
 
 class TestJK:
     def test_jk_traces(self, h2):
-        eri = h2.eri_ao
+        eri = h2.scf.eri
         d = h2.scf.density
         j, k = build_jk(eri, d)
         # both symmetric, J "more positive" than K in total energy sense

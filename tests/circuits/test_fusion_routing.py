@@ -73,13 +73,6 @@ class TestFusion:
         assert len(fused) == 1
         assert np.allclose(_state(c), _state(fused), atol=1e-12)
 
-    def test_no_merge_flag(self):
-        c = Circuit(2)
-        c.append(Gate("CX", (0, 1)))
-        c.append(Gate("CZ", (0, 1)))
-        fused = fuse_single_qubit_gates(c, merge_two_qubit_runs=False)
-        assert len(fused) == 2
-
     def test_unbound_rejected(self):
         c = Circuit(1, n_parameters=1)
         c.append(Gate("RZ", (0,), param=(0, 1.0)))

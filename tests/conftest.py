@@ -25,8 +25,6 @@ class SolvedMolecule:
         rhf = RHF(molecule, basis)
         self.rhf = rhf
         self.scf = rhf.run()
-        self.eri_ao = rhf.engine.eri()
-        momod.attach_eri(self.scf, self.eri_ao)
         self.mo = momod.from_scf(self.scf)
         self._fci = None
         self._hamiltonian = None

@@ -5,18 +5,13 @@ import pytest
 
 from repro.common.errors import ValidationError
 from repro.dmet.bath import build_bath
-from repro.dmet.orthogonalize import (
-    attach_labels,
-    from_lattice,
-    lowdin_orthogonalize,
-)
+from repro.dmet.orthogonalize import from_lattice, lowdin_orthogonalize
 
 
 @pytest.fixture(scope="module")
 def h4_system(request):
     h4 = request.getfixturevalue("h4_ring")
-    attach_labels(h4.scf, h4.rhf.basis)
-    return lowdin_orthogonalize(h4.scf, h4.eri_ao)
+    return lowdin_orthogonalize(h4.scf)
 
 
 class TestOrthogonalize:
@@ -33,15 +28,6 @@ class TestOrthogonalize:
 
     def test_orbital_atoms(self, h4_system):
         assert h4_system.orbital_atoms == [0, 1, 2, 3]
-
-    def test_missing_labels_raises(self):
-        from repro.chem.geometry import h2
-        from repro.chem.scf import RHF
-
-        rhf = RHF(h2(), "sto-3g")
-        scf = rhf.run()  # labels never attached
-        with pytest.raises(ValidationError):
-            lowdin_orthogonalize(scf, rhf.engine.eri())
 
     def test_from_lattice(self):
         # 6-site ring: closed-shell at half filling (the 4-site ring has a

@@ -5,16 +5,14 @@ import pytest
 
 from repro.common.errors import ValidationError
 from repro.dmet.dmet import DMET, atoms_per_fragment
-from repro.dmet.orthogonalize import attach_labels, from_lattice, \
-    lowdin_orthogonalize
+from repro.dmet.orthogonalize import from_lattice, lowdin_orthogonalize
 from repro.dmet.solvers import FCIFragmentSolver, VQEFragmentSolver
 
 
 @pytest.fixture(scope="module")
 def h6_system(request):
     h6 = request.getfixturevalue("h6_ring")
-    attach_labels(h6.scf, h6.rhf.basis)
-    return h6, lowdin_orthogonalize(h6.scf, h6.eri_ao)
+    return h6, lowdin_orthogonalize(h6.scf)
 
 
 class TestExactLimits:
@@ -159,8 +157,7 @@ class TestAtomsPerFragment:
         assert sorted(sum(frags, [])) == list(range(6))
 
     def test_uneven_division(self, h4_ring):
-        attach_labels(h4_ring.scf, h4_ring.rhf.basis)
-        system = lowdin_orthogonalize(h4_ring.scf, h4_ring.eri_ao)
+        system = lowdin_orthogonalize(h4_ring.scf)
         frags = atoms_per_fragment(system, 3)
         assert len(frags) == 2
         assert len(frags[0]) == 3 and len(frags[1]) == 1
@@ -174,8 +171,7 @@ class TestAtomsPerFragment:
 @pytest.fixture(scope="module")
 def h4_system(request):
     h4 = request.getfixturevalue("h4_ring")
-    attach_labels(h4.scf, h4.rhf.basis)
-    return lowdin_orthogonalize(h4.scf, h4.eri_ao)
+    return lowdin_orthogonalize(h4.scf)
 
 
 def _one_shot(system, atoms, solver, **dmet_options):

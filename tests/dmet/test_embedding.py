@@ -6,15 +6,15 @@ import pytest
 from repro.chem.fci import FCISolver
 from repro.chem.mo import MOIntegrals
 from repro.dmet.bath import build_bath
-from repro.dmet.embedding import build_embedding_hamiltonian, coulomb_exchange
-from repro.dmet.orthogonalize import attach_labels, lowdin_orthogonalize
+from repro.chem.scf import build_jk
+from repro.dmet.embedding import build_embedding_hamiltonian
+from repro.dmet.orthogonalize import lowdin_orthogonalize
 
 
 @pytest.fixture(scope="module")
 def h4_problem(request):
     h4 = request.getfixturevalue("h4_ring")
-    attach_labels(h4.scf, h4.rhf.basis)
-    system = lowdin_orthogonalize(h4.scf, h4.eri_ao)
+    system = lowdin_orthogonalize(h4.scf)
     basis = build_bath(system.density, [0, 1])
     return system, basis, build_embedding_hamiltonian(system, basis)
 
@@ -70,11 +70,11 @@ class TestEmbeddingProblem:
         E_core + Tr(D h1_emb) + 1/2 Tr(D G_emb(D)) + E_nuc = E_HF."""
         system, basis, prob = h4_problem
         d = basis.transform.T @ system.density @ basis.transform
-        j_e, k_e = coulomb_exchange(prob.h2, d)
+        j_e, k_e = build_jk(prob.h2, d)
         e_emb = (np.einsum("pq,pq->", d, prob.h1)
                  + 0.5 * np.einsum("pq,pq->", d, j_e)
                  - 0.25 * np.einsum("pq,pq->", d, k_e))
-        j, k = coulomb_exchange(system.h2, basis.core_density)
+        j, k = build_jk(system.h2, basis.core_density)
         e_core = (np.einsum("pq,pq->", basis.core_density, system.h1)
                   + 0.5 * np.einsum("pq,pq->", basis.core_density, j)
                   - 0.25 * np.einsum("pq,pq->", basis.core_density, k))
@@ -88,19 +88,9 @@ class TestEmbeddingProblem:
         from repro.dmet.solvers import embedded_rhf
 
         sol = embedded_rhf(prob, mu=0.0)
-        j, k = coulomb_exchange(prob.h2, sol.one_rdm)
+        j, k = build_jk(prob.h2, sol.one_rdm)
         e_scf = (np.einsum("pq,pq->", sol.one_rdm, prob.h1)
                  + 0.5 * np.einsum("pq,pq->", sol.one_rdm, j)
                  - 0.25 * np.einsum("pq,pq->", sol.one_rdm, k))
         assert e_scf == pytest.approx(sol.energy, abs=1e-8)
         assert sol.n_electrons_fragment > 0
-
-
-class TestCoulombExchange:
-    def test_jk_match_scf_builder(self, h4_ring):
-        from repro.chem.scf import build_jk
-
-        j1, k1 = coulomb_exchange(h4_ring.eri_ao, h4_ring.scf.density)
-        j2, k2 = build_jk(h4_ring.eri_ao, h4_ring.scf.density)
-        assert np.allclose(j1, j2)
-        assert np.allclose(k1, k2)

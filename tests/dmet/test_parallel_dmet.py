@@ -4,14 +4,13 @@
 import pytest
 
 from repro.dmet.dmet import DMET, atoms_per_fragment
-from repro.dmet.orthogonalize import attach_labels, lowdin_orthogonalize
+from repro.dmet.orthogonalize import lowdin_orthogonalize
 
 
 @pytest.fixture(scope="module")
 def h6_system(request):
     h6 = request.getfixturevalue("h6_ring")
-    attach_labels(h6.scf, h6.rhf.basis)
-    return h6, lowdin_orthogonalize(h6.scf, h6.eri_ao)
+    return h6, lowdin_orthogonalize(h6.scf)
 
 
 class TestThreadedDMET:

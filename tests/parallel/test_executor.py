@@ -85,11 +85,10 @@ class TestThreeLevelEngine:
         from repro.dmet.bath import build_bath
         from repro.dmet.dmet import atoms_per_fragment
         from repro.dmet.embedding import build_embedding_hamiltonian
-        from repro.dmet.orthogonalize import attach_labels, lowdin_orthogonalize
+        from repro.dmet.orthogonalize import lowdin_orthogonalize
         from repro.dmet.solvers import FCIFragmentSolver
 
-        attach_labels(h4_ring.scf, h4_ring.rhf.basis)
-        system = lowdin_orthogonalize(h4_ring.scf, h4_ring.eri_ao)
+        system = lowdin_orthogonalize(h4_ring.scf)
         problems = []
         for frag in atoms_per_fragment(system, 2):
             basis = build_bath(system.density, frag)

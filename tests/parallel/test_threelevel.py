@@ -12,12 +12,10 @@ class TestLocalMode:
         processes give the in-line results."""
         from repro.dmet.bath import build_bath
         from repro.dmet.embedding import build_embedding_hamiltonian
-        from repro.dmet.orthogonalize import attach_labels, \
-            lowdin_orthogonalize
+        from repro.dmet.orthogonalize import lowdin_orthogonalize
         from repro.dmet.solvers import FCIFragmentSolver
 
-        attach_labels(h6_ring.scf, h6_ring.rhf.basis)
-        system = lowdin_orthogonalize(h6_ring.scf, h6_ring.eri_ao)
+        system = lowdin_orthogonalize(h6_ring.scf)
         problems = [
             build_embedding_hamiltonian(
                 system, build_bath(system.density, frag))

@@ -106,12 +106,11 @@ def test_process_workers_ship_the_serial_high_water_mark(h4_ring):
     from repro import obs
     from repro.common import cache
     from repro.dmet.dmet import DMET, atoms_per_fragment
-    from repro.dmet.orthogonalize import attach_labels, lowdin_orthogonalize
+    from repro.dmet.orthogonalize import lowdin_orthogonalize
     from repro.dmet.solvers import VQEFragmentSolver
     from repro.parallel.threelevel import ThreeLevelDriver
 
-    attach_labels(h4_ring.scf, h4_ring.rhf.basis)
-    system = lowdin_orthogonalize(h4_ring.scf, h4_ring.eri_ao)
+    system = lowdin_orthogonalize(h4_ring.scf)
     solver = VQEFragmentSolver(simulator="mps", max_iterations=6,
                                warm_start=False)
     problems = [DMET(system, atoms_per_fragment(system, n), solver).problems[0]

@@ -515,13 +515,9 @@ class TestGradientBudgets:
 class TestDMETBudgets:
     def test_fragment_solves_independent_of_worker_count(self, h4_ring):
         from repro.dmet.dmet import DMET, atoms_per_fragment
-        from repro.dmet.orthogonalize import (
-            attach_labels,
-            lowdin_orthogonalize,
-        )
+        from repro.dmet.orthogonalize import lowdin_orthogonalize
 
-        attach_labels(h4_ring.scf, h4_ring.rhf.basis)
-        system = lowdin_orthogonalize(h4_ring.scf, h4_ring.eri_ao)
+        system = lowdin_orthogonalize(h4_ring.scf)
         fragments = atoms_per_fragment(system, 2)
         results = {}
         for workers in (1, 2):
@@ -543,13 +539,9 @@ class TestDMETBudgets:
         back to the parent: totals match the in-line run and per-worker
         merge provenance appears."""
         from repro.dmet.dmet import DMET, atoms_per_fragment
-        from repro.dmet.orthogonalize import (
-            attach_labels,
-            lowdin_orthogonalize,
-        )
+        from repro.dmet.orthogonalize import lowdin_orthogonalize
 
-        attach_labels(h4_ring.scf, h4_ring.rhf.basis)
-        system = lowdin_orthogonalize(h4_ring.scf, h4_ring.eri_ao)
+        system = lowdin_orthogonalize(h4_ring.scf)
         fragments = atoms_per_fragment(system, 2)
         results = {}
         for workers in (1, 2):
@@ -617,14 +609,10 @@ class TestDMETBudgets:
         the energy, the gradient and the final RDM state share one
         prepared state per theta."""
         from repro.dmet.dmet import DMET, atoms_per_fragment
-        from repro.dmet.orthogonalize import (
-            attach_labels,
-            lowdin_orthogonalize,
-        )
+        from repro.dmet.orthogonalize import lowdin_orthogonalize
         from repro.dmet.solvers import VQEFragmentSolver
 
-        attach_labels(h4_ring.scf, h4_ring.rhf.basis)
-        system = lowdin_orthogonalize(h4_ring.scf, h4_ring.eri_ao)
+        system = lowdin_orthogonalize(h4_ring.scf)
         dmet = DMET(system, atoms_per_fragment(system, 2),
                     VQEFragmentSolver(simulator="mps", max_bond_dimension=16,
                                       optimizer="slsqp", max_iterations=1),

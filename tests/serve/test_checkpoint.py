@@ -38,10 +38,7 @@ def h2_problem():
     from repro.circuits.uccsd import UCCSDAnsatz
     from repro.operators.molecular import molecular_qubit_hamiltonian
 
-    rhf = RHF(h2(), "sto-3g")
-    scf = rhf.run()
-    momod.attach_eri(scf, rhf.engine.eri())
-    mo = momod.from_scf(scf)
+    mo = momod.from_scf(RHF(h2(), "sto-3g").run())
     ham = molecular_qubit_hamiltonian(mo)
     return ham, UCCSDAnsatz(mo.n_orbitals, mo.n_electrons)
 

@@ -35,6 +35,12 @@ class TestJobSpec:
                                  rf"{prefix}mps, {prefix}statevector"):
             JobSpec(kind=kind, **{field: name})
 
+    @pytest.mark.parametrize("molecule", ["benzene", "ring:x"])
+    def test_rejects_unknown_molecule(self, molecule):
+        """At submit, with the spec vocabulary, not when the job runs."""
+        with pytest.raises(ValidationError, match="unknown molecule spec"):
+            JobSpec(kind="energy", molecule=molecule, method="hf")
+
     def test_rejects_unknown_energy_method(self):
         with pytest.raises(ValidationError, match="unknown energy method"):
             JobSpec(kind="energy", method="vqe")
@@ -136,7 +142,9 @@ class TestServiceLifecycle:
 
     def test_failed_job_does_not_poison_the_service(self):
         with JobService(observe=False) as service:
-            bad = service.submit(JobSpec(kind="energy", molecule="xx99"))
+            # a valid spec that fails when run: RHF needs an even
+            # electron count and H3 has three
+            bad = service.submit(JobSpec(kind="energy", molecule="ring:3"))
             good = service.submit(JobSpec(kind="energy", molecule="h2"))
             assert service.result(good, timeout=60)["energy"] < -1.0
             assert service.status(bad) == "error"
@@ -306,7 +314,7 @@ class TestFailureFlightDumps:
 
     def test_failed_job_summary_exposes_the_dump(self):
         with JobService(observe=False) as service:
-            job_id = service.submit(JobSpec(kind="energy", molecule="xx99"))
+            job_id = service.submit(JobSpec(kind="energy", molecule="ring:3"))
             service.wait(timeout=60)
             summary = service.record(job_id).summary()
         assert summary["status"] == "error"

@@ -324,26 +324,6 @@ class TestRoutingPlans:
             routing_plan(2, 2)
 
 
-class TestMPSCopyAndSampling:
-    def test_vectorized_sampling_statistics(self):
-        # the batched sampler must reproduce the state's marginals
-        mps = MPS.random_state(5, bond_dimension=4, seed=14)
-        probs = np.abs(mps.to_statevector()) ** 2
-        samples = mps.sample(4000, seed=15)
-        p1 = np.zeros(5)
-        for s in samples:
-            for q, ch in enumerate(s):
-                p1[q] += ch == "1"
-        p1 /= len(samples)
-        # statevector index bit order: qubit 0 is the most significant bit
-        exact = np.array([
-            probs[np.fromiter(((i >> (4 - q)) & 1 for i in range(32)),
-                              dtype=bool)].sum()
-            for q in range(5)
-        ])
-        assert np.all(np.abs(p1 - exact) < 0.05)
-
-
 class TestSweepPlanStructure:
     def test_plan_is_cached_by_operator_content(self):
         op = random_operator(5, 10, 30)

@@ -177,6 +177,10 @@ class TestEnergyCommand:
         assert main(["energy", "--molecule", "plutonium"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_ring_count(self, capsys):
+        assert main(["energy", "--molecule", "ring:x", "--method", "hf"]) == 1
+        assert "unknown molecule spec" in capsys.readouterr().err
+
     def test_unknown_method(self, capsys):
         assert main(["energy", "--method", "dft"]) == 1
 
@@ -319,7 +323,7 @@ class TestServeCommand:
 
     def test_failed_job_sets_exit_code(self, tmp_path, capsys):
         entries = [{"kind": "energy", "molecule": "h2", "method": "hf"},
-                   {"kind": "energy", "molecule": "nope:9"}]
+                   {"kind": "energy", "molecule": "ring:3"}]  # odd: RHF fails
         assert main(["serve", "--requests",
                      self._request_file(tmp_path, entries)]) == 1
         out = capsys.readouterr().out
@@ -415,7 +419,7 @@ class TestServeTelemetry:
 
         entries = tmp_path / "reqs.json"
         entries.write_text(json.dumps(
-            [{"kind": "energy", "molecule": "nope:9"}]))
+            [{"kind": "energy", "molecule": "ring:3"}]))
         results = tmp_path / "results.json"
         assert main(["serve", "--requests", str(entries),
                      "--results-out", str(results)]) == 1
