@@ -34,6 +34,12 @@ class CCSDResult:
     iterations: int
 
 
+def _cut(block: np.ndarray, axes: tuple[int, ...], rows: int,
+         cols: int) -> np.ndarray:
+    """``block`` with its axes permuted, copied contiguous, as a matrix."""
+    return np.ascontiguousarray(block.transpose(axes)).reshape(rows, cols)
+
+
 #: Largest amplitude change of one Jacobi step at which the CC equations
 #: count as solved.  The energy test alone stops on a DIIS iterate whose
 #: energy is off by ~1e-12 Ha with either sign (H2, where CCSD is exact,
@@ -66,18 +72,42 @@ class CCSDSolver:
         h1, h2, const = spatial_to_spin_orbital(mo)
         self.const = const
         # antisymmetrized physicists' integrals <pq||rs>
-        self.v = antisymmetrized_physicist(h2)
+        v = antisymmetrized_physicist(h2)
         # spin-orbital Fock matrix of the reference determinant
         o = slice(0, n_occ)
-        self.f = h1 + np.einsum("piqi->pq", self.v[:, o, :, o])
+        u = slice(n_occ, n_so)
+        self.f = h1 + np.einsum("piqi->pq", v[:, o, :, o])
         self.hf_energy = (const + h1[o, o].trace()
-                          + 0.5 * np.einsum("ijij->", self.v[o, o, o, o]))
+                          + 0.5 * np.einsum("ijij->", v[o, o, o, o]))
+        # the blocks of <pq||rs> the update reads, each cut once and laid
+        # out as the (rows, columns) matrix its GEMMs contract; a name
+        # lists its indices in memory order, the comment the element there
+        no, nv = n_occ, self.n_virt
+        ov, vv = no * nv, nv * nv
+        oovv, ooov, oovo = v[o, o, u, u], v[o, o, o, u], v[o, o, u, o]
+        ovvv = v[o, u, u, u]
+        self.v_oovv = np.ascontiguousarray(oovv)                   # <mn||ef>
+        self.v_oooo = np.ascontiguousarray(v[o, o, o, o])          # <mn||ij>
+        self.v_vvvv = np.ascontiguousarray(v[u, u, u, u])          # <ab||ef>
+        self.v_menf = _cut(oovv, (0, 2, 1, 3), ov, ov)            # <mn||ef>
+        self.v_maef = _cut(ovvv, (0, 1, 2, 3), no, nv * vv)       # <ma||ef>
+        self.v_mfae = _cut(ovvv, (0, 2, 1, 3), ov, vv)            # <ma||fe>
+        self.v_mefa = _cut(ovvv, (0, 2, 3, 1), ov * nv, nv)       # <ma||ef>
+        self.v_mine = _cut(ooov, (0, 2, 1, 3), no * no, ov)       # <mn||ie>
+        self.v_mnie = _cut(ooov, (0, 1, 2, 3), no * no * no, nv)  # <mn||ie>
+        self.v_mejn = _cut(oovo, (0, 2, 3, 1), ov * no, no)       # <mn||ej>
+        self.v_mnei = _cut(oovo, (1, 0, 2, 3), no * ov, no)       # <nm||ei>
+        self.v_ainf = _cut(v[o, u, o, u], (1, 2, 0, 3), ov, ov)   # <na||if>
+        self.v_mejb = _cut(v[o, u, u, o], (0, 2, 3, 1), ov, ov)   # <mb||ej>
+        # <ab||ej> at [e, a, b, j] and <mb||ij> at [m, b, i, j]
+        self.v_eabj = _cut(v[u, u, u, o], (2, 0, 1, 3), nv, vv * no)
+        self.v_mbij = _cut(v[o, u, o, o], (0, 1, 2, 3), no, nv * no * no)
 
     def run(self) -> CCSDResult:
         no, nv = self.n_occ, self.n_virt
         o = slice(0, no)
         u = slice(no, no + nv)
-        f, v = self.f, self.v
+        f = self.f
 
         fo = np.diag(f)[o]
         fu = np.diag(f)[u]
@@ -93,7 +123,7 @@ class CCSDSolver:
 
         # MP2 start
         t1 = f[o, u] / d1
-        t2 = v[o, o, u, u] / d2
+        t2 = self.v_oovv / d2
 
         diis_t: list[np.ndarray] = []
         diis_e: list[np.ndarray] = []
@@ -135,76 +165,112 @@ class CCSDSolver:
     def _energy(self, t1: np.ndarray, t2: np.ndarray) -> float:
         no, nv = self.n_occ, self.n_virt
         o, u = slice(0, no), slice(no, no + nv)
-        f, v = self.f, self.v
+        f, v_oovv = self.f, self.v_oovv
         e = np.einsum("ia,ia->", f[o, u], t1)
-        e += 0.25 * np.einsum("ijab,ijab->", v[o, o, u, u], t2)
-        e += 0.5 * np.einsum("ijab,ia,jb->", v[o, o, u, u], t1, t1)
+        e += 0.25 * np.einsum("ijab,ijab->", v_oovv, t2)
+        e += 0.5 * np.einsum("ijab,ia,jb->", v_oovv, t1, t1)
         return float(e)
 
     def _update(self, t1: np.ndarray, t2: np.ndarray,
                 d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One Jacobi step of the Stanton-Gauss spin-orbital CCSD equations."""
+        """One Jacobi step of the Stanton-Gauss spin-orbital CCSD equations.
+
+        Every contraction is one GEMM (or a batch of them) of a block cut in
+        ``__init__`` against an amplitude array laid out to match; each
+        comment gives the term in einsum form.
+        """
         no, nv = self.n_occ, self.n_virt
         o, u = slice(0, no), slice(no, no + nv)
-        f, v = self.f, self.v
+        f = self.f
+        f_ov = f[o, u]
+        oo, vv, ov = no * no, nv * nv, no * nv
 
-        tau_t = t2 + 0.5 * (np.einsum("ia,jb->ijab", t1, t1)
-                            - np.einsum("ib,ja->ijab", t1, t1))
-        tau = t2 + (np.einsum("ia,jb->ijab", t1, t1)
-                    - np.einsum("ib,ja->ijab", t1, t1))
+        # t1_ia t1_jb and its (a, b)-antisymmetrized form
+        t1t1 = t1[:, None, :, None] * t1[None, :, None, :]
+        t1t1_a = t1t1 - t1t1.transpose(0, 1, 3, 2)
+        tau_t = t2 + 0.5 * t1t1_a
+        tau = t2 + t1t1_a
+        tau_m = tau.reshape(oo, vv)
+        # amplitudes as (i, a) x (m, e) matrices
+        t2_iame = t2.transpose(0, 2, 1, 3).reshape(ov, ov)
 
+        # me,ma->ae ; mafe,mf->ae ; mnef,mnaf->ae, read as + <mn||fe>
+        # (antisymmetrization makes it the exact negative)
         fae = (f[u, u] - np.diag(np.diag(f[u, u]))
-               - 0.5 * np.einsum("me,ma->ae", f[o, u], t1)
-               + np.einsum("mafe,mf->ae", v[o, u, u, u], t1)
-               - 0.5 * np.einsum("mnef,mnaf->ae", v[o, o, u, u], tau_t))
+               - 0.5 * (t1.T @ f_ov)
+               + (t1.reshape(ov) @ self.v_mfae).reshape(nv, nv)
+               + 0.5 * (tau_t.transpose(0, 1, 3, 2).reshape(oo * nv, nv).T
+                        @ self.v_oovv.reshape(oo * nv, nv)))
+        # me,ie->mi ; mnie,ne->mi ; mnef,inef->mi
         fmi = (f[o, o] - np.diag(np.diag(f[o, o]))
-               + 0.5 * np.einsum("me,ie->mi", f[o, u], t1)
-               + np.einsum("mnie,ne->mi", v[o, o, o, u], t1)
-               + 0.5 * np.einsum("mnef,inef->mi", v[o, o, u, u], tau_t))
-        fme = f[o, u] + np.einsum("mnef,nf->me", v[o, o, u, u], t1)
+               + 0.5 * (f_ov @ t1.T)
+               + (self.v_mine @ t1.reshape(ov)).reshape(no, no)
+               + 0.5 * (self.v_oovv.reshape(no, no * vv)
+                        @ tau_t.reshape(no, no * vv).T))
+        # mnef,nf->me
+        fme = f_ov + (self.v_menf @ t1.reshape(ov)).reshape(no, nv)
 
-        wmnij = (v[o, o, o, o]
-                 + np.einsum("mnie,je->mnij", v[o, o, o, u], t1)
-                 - np.einsum("mnje,ie->mnij", v[o, o, o, u], t1)
-                 + 0.25 * np.einsum("mnef,ijef->mnij", v[o, o, u, u], tau))
-        wabef = (v[u, u, u, u]
-                 - np.einsum("amef,mb->abef", v[u, o, u, u], t1)
-                 + np.einsum("bmef,ma->abef", v[u, o, u, u], t1)
-                 + 0.25 * np.einsum("mnef,mnab->abef", v[o, o, u, u], tau))
-        wmbej = (v[o, u, u, o]
-                 + np.einsum("mbef,jf->mbej", v[o, u, u, u], t1)
-                 - np.einsum("mnej,nb->mbej", v[o, o, u, o], t1)
-                 - np.einsum("mnef,jnfb->mbej", v[o, o, u, u],
-                             0.5 * t2 + np.einsum("jf,nb->jnfb", t1, t1)))
+        # mnie,je->mnij - (i <-> j) ; mnef,ijef->mnij
+        x = (self.v_mnie @ t1.T).reshape(no, no, no, no)
+        wmnij = (self.v_oooo + x - x.transpose(0, 1, 3, 2)
+                 + 0.25 * (self.v_oovv.reshape(oo, vv) @ tau_m.T
+                           ).reshape(no, no, no, no))
+        # -amef,mb->abef + bmef,ma->abef with <am||ef> = -<ma||ef>:
+        # y[b, a, e, f] = sum_m t1_mb <ma||ef> ; mnef,mnab->abef
+        y = (t1.T @ self.v_maef).reshape(nv, nv, nv, nv)
+        wabef = (self.v_vvvv + y.transpose(1, 0, 2, 3) - y
+                 + 0.25 * (tau_m.T @ self.v_oovv.reshape(oo, vv)
+                           ).reshape(nv, nv, nv, nv))
+        # W_mbej laid out (m, e) x (j, b): mbej ; mbef,jf->mbej ;
+        # mnej,nb->mbej ; mnef,jnfb->mbej with 1/2 t2_jnfb + t1_jf t1_nb;
+        # v_mfae's memory is <mb||ef> laid out (m, e, b, f)
+        z = 0.5 * t2 + t1t1
+        wmbej = (self.v_mejb
+                 + (self.v_mfae.reshape(ov * nv, nv) @ t1.T
+                    ).reshape(no, nv, nv, no)
+                 .transpose(0, 1, 3, 2).reshape(ov, ov)
+                 - (self.v_mejn @ t1).reshape(ov, ov)
+                 - self.v_menf @ z.transpose(1, 2, 0, 3).reshape(ov, ov))
 
-        # T1 equation
-        rhs1 = (f[o, u]
-                + np.einsum("ie,ae->ia", t1, fae)
-                - np.einsum("ma,mi->ia", t1, fmi)
-                + np.einsum("imae,me->ia", t2, fme)
-                - np.einsum("nf,naif->ia", t1, v[o, u, o, u])
-                - 0.5 * np.einsum("imef,maef->ia", t2, v[o, u, u, u])
-                - 0.5 * np.einsum("mnae,nmei->ia", t2, v[o, o, u, o]))
+        # T1 equation: ie,ae->ia ; ma,mi->ia ; imae,me->ia ; nf,naif->ia ;
+        # imef,maef->ia ; mnae,nmei->ia
+        rhs1 = (f_ov + t1 @ fae.T - fmi.T @ t1
+                + (t2_iame @ fme.reshape(ov)).reshape(no, nv)
+                - (self.v_ainf @ t1.reshape(ov)).reshape(nv, no).T
+                - 0.5 * (t2.reshape(no, no * vv) @ self.v_mefa)
+                - 0.5 * (self.v_mnei.T
+                         @ t2.transpose(0, 1, 3, 2).reshape(oo * nv, nv)))
         t1_new = rhs1 / d1
 
         # T2 equation
-        fae_h = fae - 0.5 * np.einsum("mb,me->be", t1, fme)
-        fmi_h = fmi + 0.5 * np.einsum("je,me->mj", t1, fme)
+        fae_h = fae - 0.5 * (t1.T @ fme)        # mb,me->be
+        fmi_h = fmi + 0.5 * (fme @ t1.T)        # je,me->mj
 
-        rhs2 = v[o, o, u, u].copy()
-        tmp = np.einsum("ijae,be->ijab", t2, fae_h)
+        rhs2 = self.v_oovv.copy()
+        # ijae,be->ijab
+        tmp = (t2.reshape(oo * nv, nv) @ fae_h.T).reshape(no, no, nv, nv)
         rhs2 += tmp - tmp.transpose(0, 1, 3, 2)
-        tmp = np.einsum("imab,mj->ijab", t2, fmi_h)
+        # imab,mj->ijab, one (j, m) x (m, ab) GEMM per i
+        tmp = np.matmul(fmi_h.T, t2.reshape(no, no, vv)).reshape(
+            no, no, nv, nv)
         rhs2 -= tmp - tmp.transpose(1, 0, 2, 3)
-        rhs2 += 0.5 * np.einsum("mnab,mnij->ijab", tau, wmnij)
-        rhs2 += 0.5 * np.einsum("ijef,abef->ijab", tau, wabef)
-        tmp = (np.einsum("imae,mbej->ijab", t2, wmbej)
-               - np.einsum("ie,ma,mbej->ijab", t1, t1, v[o, u, u, o]))
+        # mnab,mnij->ijab ; ijef,abef->ijab
+        rhs2 += 0.5 * (wmnij.reshape(oo, oo).T @ tau_m).reshape(
+            no, no, nv, nv)
+        rhs2 += 0.5 * (tau_m @ wabef.reshape(vv, vv).T).reshape(
+            no, no, nv, nv)
+        # imae,mbej->ijab - ie,ma,mbej->ijab, both as (i, a) x (j, b)
+        t1_iame = t1[:, None, None, :] * t1.T[None, :, :, None]
+        tmp = (t2_iame @ wmbej - t1_iame.reshape(ov, ov) @ self.v_mejb
+               ).reshape(no, nv, no, nv).transpose(0, 2, 1, 3)
         tmp = tmp - tmp.transpose(0, 1, 3, 2)
         rhs2 += tmp - tmp.transpose(1, 0, 2, 3)
-        tmp = np.einsum("ie,abej->ijab", t1, v[u, u, u, o])
+        # ie,abej->ijab
+        tmp = (t1 @ self.v_eabj).reshape(no, nv, nv, no).transpose(0, 3, 1, 2)
         rhs2 += tmp - tmp.transpose(1, 0, 2, 3)
-        tmp = np.einsum("ma,mbij->ijab", t1, v[o, u, o, o])
+        # ma,mbij->ijab
+        tmp = (t1.T @ self.v_mbij).reshape(nv, nv, no, no).transpose(
+            2, 3, 0, 1)
         rhs2 -= tmp - tmp.transpose(0, 1, 3, 2)
         t2_new = rhs2 / d2
 

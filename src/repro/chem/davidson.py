@@ -64,20 +64,28 @@ def davidson(matvec: Callable[[np.ndarray], np.ndarray],
             v[order[k], k] = 1.0
     v, _ = np.linalg.qr(v)
 
-    sigma = np.empty((dim, 0))
+    # the basis and its sigma vectors, one row each, in blocks allocated
+    # once; rows [:n_basis] are live and [:n_sigma] have their sigma
+    capacity = max(max_subspace, v.shape[1])
+    basis = np.empty((capacity, dim))
+    sigma = np.empty((capacity, dim))
+    n_basis = v.shape[1]
+    basis[:n_basis] = v.T
+    n_sigma = 0
     n_matvecs = 0
     for it in range(1, max_iterations + 1):
-        # extend sigma vectors for any new basis columns
-        while sigma.shape[1] < v.shape[1]:
-            col = v[:, sigma.shape[1]]
-            sigma = np.column_stack([sigma, matvec(col)])
+        # sigma vectors for any new basis rows
+        while n_sigma < n_basis:
+            sigma[n_sigma] = matvec(basis[n_sigma])
+            n_sigma += 1
             n_matvecs += 1
-        h_sub = v.T @ sigma
+        v, s = basis[:n_basis], sigma[:n_basis]
+        h_sub = v @ s.T
         h_sub = 0.5 * (h_sub + h_sub.T)
         evals, evecs = np.linalg.eigh(h_sub)
         theta = evals[:n_roots]
-        ritz = v @ evecs[:, :n_roots]
-        residuals = sigma @ evecs[:, :n_roots] - ritz * theta[None, :]
+        ritz = v.T @ evecs[:, :n_roots]
+        residuals = s.T @ evecs[:, :n_roots] - ritz * theta[None, :]
         norms = np.linalg.norm(residuals, axis=0)
         if np.all(norms < tolerance):
             return DavidsonResult(
@@ -88,17 +96,18 @@ def davidson(matvec: Callable[[np.ndarray], np.ndarray],
                 residual_norms=norms,
             )
         # collapse the subspace when it grows too large
-        if v.shape[1] + n_roots > max_subspace:
-            v = ritz
-            v, _ = np.linalg.qr(v)
-            sigma = np.empty((dim, 0))
+        if n_basis + n_roots > max_subspace:
+            v, _ = np.linalg.qr(ritz)
+            n_basis = v.shape[1]
+            basis[:n_basis] = v.T
+            n_sigma = 0
             continue
         # preconditioned corrections, each appended after two Gram-Schmidt
-        # passes against the basis so far.  The old columns are never
-        # re-factored: a QR of the whole basis may flip a column's sign
+        # passes against the basis so far.  The old rows are never
+        # re-factored: a QR of the whole basis may flip a vector's sign
         # (always so for a unit guess off index 0) and so desynchronize the
         # sigma vectors kept for it.
-        n_basis = v.shape[1]
+        n_old = n_basis
         for k in range(n_roots):
             if norms[k] < tolerance:
                 continue
@@ -107,14 +116,16 @@ def davidson(matvec: Callable[[np.ndarray], np.ndarray],
                              np.sign(denom + 1e-30) * 1e-8, denom)
             corr = residuals[:, k] / denom
             before = np.linalg.norm(corr)
+            v = basis[:n_basis]
             for _ in range(2):
-                corr -= v @ (v.T @ corr)
+                corr -= v.T @ (v @ corr)
             nrm = np.linalg.norm(corr)
             # relative test: near convergence a tiny correction is still a
             # valid new direction
             if nrm > 1e-8 * before:
-                v = np.column_stack([v, corr / nrm])
-        if v.shape[1] == n_basis:
+                basis[n_basis] = corr / nrm
+                n_basis += 1
+        if n_basis == n_old:
             # stagnation: residuals above tolerance but no usable direction
             raise ConvergenceError(
                 "Davidson stagnated (preconditioner produced no new "

@@ -284,22 +284,37 @@ def molecule_from_spec(spec: str, *, bond: float | None = None) -> Molecule:
     The vocabulary shared by the ``energy``/``info`` CLI and the serve
     request format: ``h2 | lih | h2o | water | ring:N | chain:N``
     (case-insensitive), with an optional bond-length override in
-    angstrom.  Unknown specs, and ``ring:``/``chain:`` without a whole
-    atom count, raise :class:`ValidationError` listing the vocabulary, so
-    callers can surface the message verbatim.
+    angstrom (``None`` keeps the default; ``h2o`` takes none).  Unknown
+    specs, ``ring:``/``chain:`` without a whole atom count, a bond that is
+    not a finite length > 0, and an odd electron count (every method
+    starts from RHF) raise :class:`ValidationError` listing the
+    vocabulary, so callers can surface the message verbatim.
     """
     name = str(spec).lower()
     kind, colon, count = name.partition(":")
+    vocabulary = "use h2 | lih | h2o | ring:N | chain:N"
+    if bond is not None:
+        if name in ("h2o", "water"):
+            raise ValidationError(
+                f"molecule spec {spec!r} takes no bond override, got "
+                f"bond={bond!r}; {vocabulary}, and a bond only on the "
+                "others")
+        if not (math.isfinite(bond) and bond > 0):
+            raise ValidationError(
+                f"bond override must be a finite length > 0 angstrom, got "
+                f"{bond!r}; {vocabulary}")
     if name == "h2":
-        return h2(bond or 0.7414)
+        return h2(0.7414 if bond is None else bond)
     if name == "lih":
-        return lih(bond or 1.5949)
+        return lih(1.5949 if bond is None else bond)
     if name in ("h2o", "water"):
         return water()
     if colon and count.isdecimal() and kind in ("ring", "chain"):
+        if int(count) % 2:
+            raise ValidationError(
+                f"molecule spec {spec!r} has {int(count)} electrons; every "
+                f"method starts from RHF, which needs an even count "
+                f"({vocabulary} with N even)")
         builder = hydrogen_ring if kind == "ring" else hydrogen_chain
-        return builder(int(count), bond or 1.0)
-    raise ValidationError(
-        f"unknown molecule spec {spec!r}; use h2 | lih | h2o | "
-        "ring:N | chain:N"
-    )
+        return builder(int(count), 1.0 if bond is None else bond)
+    raise ValidationError(f"unknown molecule spec {spec!r}; {vocabulary}")

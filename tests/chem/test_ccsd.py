@@ -1,11 +1,15 @@
-"""Tests for spin-orbital CCSD."""
+"""Tests for spin-orbital CCSD, and the GEMM-planned update against the
+term-by-term einsum oracle in :mod:`tests.chem.ccsd_reference`."""
 
 import numpy as np
 import pytest
 
 from repro.common.errors import ValidationError
 from repro.chem.ccsd import CCSDSolver
+from repro.chem.geometry import hydrogen_chain
 from repro.chem.mo import MOIntegrals
+
+from .ccsd_reference import ReferenceCCSD
 
 
 class TestCCSD:
@@ -67,3 +71,69 @@ class TestCCSD:
                           n_electrons=0)
         with pytest.raises(ValidationError):
             CCSDSolver(bad)
+
+
+def _canonical(h1, h2, n_electrons, constant=0.0):
+    """Site-basis lattice integrals rotated to their RHF orbitals (CCSD
+    needs an aufbau reference)."""
+    from repro.dmet.solvers import orthonormal_rhf_density
+
+    _, c = orthonormal_rhf_density(h1, h2, n_electrons)
+    g = np.einsum("pqrs,pi,qj,rk,sl->ijkl", h2, c, c, c, c, optimize=True)
+    return MOIntegrals(h1=c.T @ h1 @ c, h2=g, constant=constant,
+                       n_electrons=n_electrons)
+
+
+def _hubbard_dimer():
+    from repro.chem.lattice import hubbard_chain
+
+    lat = hubbard_chain(2, u=2.0, t=1.0)
+    return _canonical(lat.h1, lat.h2, 2)
+
+
+def _c18_ppp():
+    """The Fig. 7b PPP/SSH C18 ring at one bond-length alternation."""
+    from repro.chem.lattice import ppp_carbon_ring
+
+    lat = ppp_carbon_ring(18, bla=0.15)
+    return _canonical(lat.h1, lat.h2, lat.n_electrons, lat.constant)
+
+
+@pytest.fixture(params=["h2", "water", "lih", "chain6", "hubbard-dimer",
+                        "c18-ppp"])
+def oracle_case(request, solved_molecule):
+    name = request.param
+    if name == "chain6":
+        return solved_molecule(hydrogen_chain(6, 1.0)).mo, {}
+    if name == "hubbard-dimer":
+        return _hubbard_dimer(), {}
+    if name == "c18-ppp":
+        return _c18_ppp(), {"max_iterations": 200}
+    return request.getfixturevalue(name).mo, {}
+
+
+class TestAgainstEinsumOracle:
+    def test_energy_and_amplitudes(self, oracle_case):
+        """Same fixed point: energy to 1e-10 Ha, amplitudes to 1e-9."""
+        mo, kwargs = oracle_case
+        res = CCSDSolver(mo, **kwargs).run()
+        ref = ReferenceCCSD(mo, **kwargs).run()
+        assert abs(res.energy - ref.energy) < 1e-10
+        assert abs(res.correlation_energy - ref.correlation_energy) < 1e-10
+        assert res.hf_energy == ref.hf_energy
+        assert np.abs(res.t1 - ref.t1).max() < 1e-9
+        assert np.abs(res.t2 - ref.t2).max() < 1e-9
+
+    def test_one_step_matches(self, water):
+        """A single Jacobi step from a random start, term for term."""
+        solver, ref = CCSDSolver(water.mo), ReferenceCCSD(water.mo)
+        no, nv = solver.n_occ, solver.n_virt
+        rng = np.random.default_rng(2)
+        t1 = 0.1 * rng.standard_normal((no, nv))
+        t2 = 0.1 * rng.standard_normal((no, no, nv, nv))
+        t2 = t2 - t2.transpose(1, 0, 2, 3)
+        t2 = t2 - t2.transpose(0, 1, 3, 2)
+        d1, d2 = np.ones((no, nv)), np.ones((no, no, nv, nv))
+        for new, old in zip(solver._update(t1, t2, d1, d2),
+                            ref._update(t1, t2, d1, d2)):
+            assert np.abs(new - old).max() < 1e-12

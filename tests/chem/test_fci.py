@@ -1,4 +1,6 @@
-"""Tests for determinant FCI: literature values, RDMs, sector handling."""
+"""Tests for determinant FCI: literature values, RDMs, sector handling, and
+the pair-packed sigma against the full-table oracle in
+:mod:`tests.chem.fci_reference`."""
 
 import numpy as np
 import pytest
@@ -6,8 +8,11 @@ from scipy import sparse
 
 from repro.common.errors import ValidationError
 from repro.chem.fci import FCISolver, occupation_strings, _excitation_tables
+from repro.chem.geometry import hydrogen_chain
 from repro.chem.lattice import hubbard_chain, hubbard_ring
 from repro.chem.mo import MOIntegrals
+
+from .fci_reference import ReferenceSigma, excitation_tables
 
 
 def _densified_tables(strings, n_orbitals):
@@ -95,6 +100,18 @@ class TestExcitationMatrices:
     def test_empty_sector(self):
         e, f = _excitation_tables(occupation_strings(3, 0), 3)
         assert e.shape == (9, 1) and f.shape == (1, 9) and e.nnz == f.nnz == 0
+
+    @pytest.mark.parametrize("m", [1, 4, 7, 10])
+    def test_tables_equal_the_loop_reference(self, m):
+        """The array-built links give the per-string loop's CSR tables
+        entry for entry (the dense H and the RDMs read them)."""
+        for n in range(m + 1):
+            strings = occupation_strings(m, n)
+            for ours, ref in zip(_excitation_tables(strings, m),
+                                 excitation_tables(strings, m)):
+                assert np.array_equal(ours.indptr, ref.indptr)
+                assert np.array_equal(ours.indices, ref.indices)
+                assert np.array_equal(ours.data, ref.data)
 
 
 #: (id, molecule fixture or lattice, sector): spin-balanced molecules, an
@@ -248,3 +265,120 @@ class TestModelHamiltonians:
         evals = np.linalg.eigvalsh(lat.h1)
         exact = 2.0 * evals[:2].sum()
         assert res.energy == pytest.approx(exact, abs=1e-10)
+
+
+def _random_integrals(m, n_electrons, seed=12):
+    """Random real integrals with the 8-fold symmetry restored, as PySCF's
+    ``examples/fci/01-given_h1e_h2e.py`` builds them."""
+    rng = np.random.default_rng(seed)
+    h1 = rng.random((m, m))
+    h1 = h1 + h1.T
+    h2 = rng.random((m, m, m, m))
+    h2 = h2 + h2.transpose(1, 0, 2, 3)
+    h2 = h2 + h2.transpose(0, 1, 3, 2)
+    h2 = h2 + h2.transpose(2, 3, 0, 1)
+    return MOIntegrals(h1=h1, h2=h2, constant=0.0, n_electrons=n_electrons)
+
+
+#: (m, n_alpha, n_beta): balanced, one extra alpha, and a 3 + 1 sector
+RANDOM_SECTORS = [(8, 4, 4), (7, 5, 4), (6, 3, 1)]
+
+
+class TestPairSigmaAgainstFullTableOracle:
+    """The m(m+1)/2-pair gather sigma is the m^2-pair sparse-product one."""
+
+    @staticmethod
+    def _assert_matches(solver, seed=3):
+        na, nb = len(solver.alpha_strings), len(solver.beta_strings)
+        oracle = ReferenceSigma(solver.mo, solver.n_alpha, solver.n_beta)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            v = rng.standard_normal((na, nb))
+            v /= np.linalg.norm(v)
+            assert np.abs(solver._sigma(v) - oracle(v)).max() < 1e-12
+
+    @pytest.mark.parametrize("m, n_alpha, n_beta", RANDOM_SECTORS,
+                             ids=[f"m{m}-{a}a{b}b" for m, a, b
+                                  in RANDOM_SECTORS])
+    def test_random_symmetric_integrals(self, m, n_alpha, n_beta):
+        mo = _random_integrals(m, n_alpha + n_beta)
+        self._assert_matches(FCISolver(mo, n_alpha, n_beta))
+
+    def test_chain8(self, solved_molecule):
+        """4,900 determinants: the served Davidson FCI."""
+        mo = solved_molecule(hydrogen_chain(8, 1.0)).mo
+        self._assert_matches(FCISolver(mo))
+
+    def test_water(self, water):
+        self._assert_matches(FCISolver(water.mo))
+
+    def test_buffers_are_reused_and_sigma_is_fresh(self, water):
+        """The gathers write into the solver's own buffers; each returned
+        sigma is a new array that a later call leaves alone."""
+        solver = FCISolver(water.mo)
+        na, nb = len(solver.alpha_strings), len(solver.beta_strings)
+        rng = np.random.default_rng(5)
+        v1, v2 = rng.standard_normal((2, na, nb))
+        s1 = solver._sigma(v1)
+        kept = s1.copy()
+        buffer = solver._y
+        s2 = solver._sigma(v2)
+        assert solver._y is buffer and s2 is not s1
+        assert np.array_equal(s1, kept)
+
+    def test_davidson_roots_match_dense(self):
+        """n_roots=3 by Davidson on 400 determinants equals the dense
+        path's lowest three."""
+        mo = _random_integrals(6, 6, seed=4)
+        dense = FCISolver(mo, dense_cutoff=10**6).solve(n_roots=3)
+        dav = FCISolver(mo, dense_cutoff=1).solve(n_roots=3)
+        assert dav.n_determinants == 400
+        assert np.abs(dav.energies - dense.energies).max() < 1e-9
+
+
+class TestRDMsOnlyWhenRead:
+    def test_energy_builds_no_rdm(self, solved_molecule, monkeypatch):
+        """An energy, dense or Davidson, never builds an RDM (nor, on the
+        Davidson path, the full m^2 excitation tables)."""
+        mo = solved_molecule(hydrogen_chain(6, 1.0)).mo
+        monkeypatch.setattr(FCISolver, "_rdms", _raise)
+        for cutoff in (1, 10**6):
+            solver = FCISolver(mo, dense_cutoff=cutoff)
+            assert solver.solve().energy < 0.0
+        assert solver._ea is not None          # the dense H reads them
+        solver = FCISolver(mo, dense_cutoff=1)
+        solver.solve()
+        assert solver._ea is None
+
+    def test_rdms_are_built_once_on_read(self, water, monkeypatch):
+        res = FCISolver(water.mo).solve()
+        first = res.one_rdm
+        monkeypatch.setattr(FCISolver, "_rdms", _raise)
+        assert res.one_rdm is first and res.two_rdm.shape == (7,) * 4
+
+    def test_dmet_fragment_rdms_are_the_full_table_ones(self, h6_ring,
+                                                        monkeypatch):
+        """The DMET-FCI fragments (dense path) read RDMs with the full-table
+        arithmetic: bitwise equal to the oracle's on the solved civec."""
+        from repro.dmet.dmet import DMET, atoms_per_fragment
+        from repro.dmet.orthogonalize import lowdin_orthogonalize
+
+        solved = []
+        solve = FCISolver.solve
+
+        def recording_solve(solver, n_roots=1):
+            res = solve(solver, n_roots)
+            solved.append((solver, res))
+            return res
+
+        monkeypatch.setattr(FCISolver, "solve", recording_solve)
+        system = lowdin_orthogonalize(h6_ring.scf)
+        DMET(system, atoms_per_fragment(system, 2),
+             all_fragments_equivalent=True).run()
+        assert solved
+        for solver, res in solved:
+            assert res.n_determinants <= solver.dense_cutoff
+            oracle = ReferenceSigma(solver.mo, solver.n_alpha, solver.n_beta)
+            gamma, g2 = oracle.rdms(res.civec)
+            assert np.array_equal(res.one_rdm, gamma)
+            assert np.array_equal(res.two_rdm, g2)

@@ -156,3 +156,28 @@ class TestMoleculeSpec:
     def test_malformed_count_is_the_vocabulary_error(self, spec):
         with pytest.raises(ValidationError, match="unknown molecule spec"):
             molecule_from_spec(spec)
+
+    def test_bond_none_is_the_default_and_zero_is_no_default(self):
+        """``None`` keeps the default length; 0.0 is not read as None."""
+        assert np.array_equal(molecule_from_spec("h2", bond=None).coordinates,
+                              molecule_from_spec("h2").coordinates)
+        with pytest.raises(ValidationError, match="finite length > 0"):
+            molecule_from_spec("h2", bond=0.0)
+
+    @pytest.mark.parametrize("spec", ["h2", "lih", "ring:4", "chain:6"])
+    @pytest.mark.parametrize("bond", [0.0, -0.7, math.inf, math.nan])
+    def test_bond_must_be_a_finite_positive_length(self, spec, bond):
+        with pytest.raises(ValidationError, match="use h2 \\| lih"):
+            molecule_from_spec(spec, bond=bond)
+
+    @pytest.mark.parametrize("spec", ["h2o", "water", "H2O"])
+    def test_water_takes_no_bond(self, spec):
+        with pytest.raises(ValidationError, match="takes no bond override"):
+            molecule_from_spec(spec, bond=1.0)
+        assert molecule_from_spec(spec).n_electrons == 10
+
+    @pytest.mark.parametrize("spec", ["ring:3", "chain:5", "chain:1"])
+    def test_odd_electron_count_is_rejected(self, spec):
+        count = spec.partition(":")[2]
+        with pytest.raises(ValidationError, match=f"has {count} electrons"):
+            molecule_from_spec(spec)

@@ -41,6 +41,23 @@ class TestJobSpec:
         with pytest.raises(ValidationError, match="unknown molecule spec"):
             JobSpec(kind="energy", molecule=molecule, method="hf")
 
+    @pytest.mark.parametrize("bond", [0.0, -1.0, float("inf")])
+    def test_rejects_a_bond_that_is_no_length(self, bond):
+        """bond=0.0 used to build the default molecule under its own key."""
+        with pytest.raises(ValidationError, match="finite length > 0"):
+            JobSpec(kind="energy", molecule="h2", bond=bond)
+
+    def test_rejects_a_bond_on_water(self):
+        with pytest.raises(ValidationError, match="takes no bond override"):
+            JobSpec(kind="energy", molecule="h2o", bond=1.0)
+
+    @pytest.mark.parametrize("molecule", ["ring:3", "chain:5"])
+    def test_rejects_an_odd_electron_count(self, molecule):
+        """At submit, naming the count, not when RHF runs."""
+        count = molecule.partition(":")[2]
+        with pytest.raises(ValidationError, match=f"has {count} electrons"):
+            JobSpec(kind="energy", molecule=molecule, method="hf")
+
     def test_rejects_unknown_energy_method(self):
         with pytest.raises(ValidationError, match="unknown energy method"):
             JobSpec(kind="energy", method="vqe")
@@ -142,11 +159,15 @@ class TestServiceLifecycle:
 
     def test_failed_job_does_not_poison_the_service(self):
         with JobService(observe=False) as service:
-            # a valid spec that fails when run: RHF needs an even
-            # electron count and H3 has three
-            bad = service.submit(JobSpec(kind="energy", molecule="ring:3"))
+            # a valid spec that fails when run: COBYLA needs more
+            # evaluations than H2's UCCSD has parameters plus two.  It
+            # shares the good job's batch, which runs the energy first.
+            bad = service.submit(JobSpec(kind="vqe", molecule="h2",
+                                         optimizer="cobyla",
+                                         max_iterations=2))
             good = service.submit(JobSpec(kind="energy", molecule="h2"))
             assert service.result(good, timeout=60)["energy"] < -1.0
+            service.wait([bad], timeout=60)
             assert service.status(bad) == "error"
 
     def test_unknown_job_id(self):
@@ -314,7 +335,9 @@ class TestFailureFlightDumps:
 
     def test_failed_job_summary_exposes_the_dump(self):
         with JobService(observe=False) as service:
-            job_id = service.submit(JobSpec(kind="energy", molecule="ring:3"))
+            job_id = service.submit(JobSpec(kind="vqe", molecule="h2",
+                                            optimizer="cobyla",
+                                            max_iterations=2))
             service.wait(timeout=60)
             summary = service.record(job_id).summary()
         assert summary["status"] == "error"

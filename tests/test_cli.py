@@ -184,6 +184,21 @@ class TestEnergyCommand:
     def test_unknown_method(self, capsys):
         assert main(["energy", "--method", "dft"]) == 1
 
+    @pytest.mark.parametrize("args", [
+        ["--molecule", "ring:3"], ["--molecule", "chain:5"],
+        ["--molecule", "h2", "--bond", "0"],
+        ["--molecule", "h2", "--bond", "-0.7"],
+        ["--molecule", "h2o", "--bond", "1.0"]])
+    def test_spec_errors_exit_1_before_rhf(self, args, capsys, monkeypatch):
+        from repro.chem.scf import RHF
+
+        def _no_rhf(*_, **__):
+            raise AssertionError("RHF ran on a spec that must not pass")
+        monkeypatch.setattr(RHF, "__init__", _no_rhf)
+        assert main(["energy", *args, "--method", "hf"]) == 1
+        err = capsys.readouterr().err
+        assert "electrons" in err or "bond" in err
+
     def test_xyz_input(self, tmp_path, capsys):
         xyz = tmp_path / "geom.xyz"
         xyz.write_text("2\nh2\nH 0 0 0\nH 0 0 0.7414\n")
@@ -323,7 +338,9 @@ class TestServeCommand:
 
     def test_failed_job_sets_exit_code(self, tmp_path, capsys):
         entries = [{"kind": "energy", "molecule": "h2", "method": "hf"},
-                   {"kind": "energy", "molecule": "ring:3"}]  # odd: RHF fails
+                   # constructs, then COBYLA's budget fails at run time
+                   {"kind": "vqe", "molecule": "h2", "optimizer": "cobyla",
+                    "max_iterations": 2}]
         assert main(["serve", "--requests",
                      self._request_file(tmp_path, entries)]) == 1
         out = capsys.readouterr().out
@@ -419,7 +436,8 @@ class TestServeTelemetry:
 
         entries = tmp_path / "reqs.json"
         entries.write_text(json.dumps(
-            [{"kind": "energy", "molecule": "ring:3"}]))
+            [{"kind": "vqe", "molecule": "h2", "optimizer": "cobyla",
+              "max_iterations": 2}]))
         results = tmp_path / "results.json"
         assert main(["serve", "--requests", str(entries),
                      "--results-out", str(results)]) == 1
