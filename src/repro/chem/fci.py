@@ -168,9 +168,10 @@ class FCISolver:
         Spin populations; default splits ``mo.n_electrons`` evenly.
     dense_cutoff:
         Determinant count up to which H is built and diagonalized densely;
-        larger problems run Davidson.  The default is the measured crossover
-        of the two (even near 225 determinants, Davidson ~2x faster at 300
-        and ~7x at 784; EXPERIMENTS.md, Ablation 17).
+        larger problems run Davidson.  The default was the measured
+        crossover with the full-table sigma (EXPERIMENTS.md, Ablation 17);
+        the pair sigma wins from 225 determinants on (Ablation 23), and
+        the value is kept so DMET-FCI fragments up to 250 keep their bits.
     """
 
     def __init__(self, mo: MOIntegrals, n_alpha: int | None = None,
