@@ -12,6 +12,7 @@ pipeline.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.chem import geometry
 from repro.q2chem import Q2Chemistry
 
@@ -27,9 +28,14 @@ def test_fig07a_h10_ring_curve(benchmark):
     def point(r):
         job = Q2Chemistry.from_molecule(geometry.hydrogen_ring(10, r))
         e_fci = job.fci_energy()
-        res = job.dmet_energy(atoms_per_group=2, solver="vqe-statevector",
-                              all_fragments_equivalent=True,
-                              vqe_tolerance=1e-8, mu_tolerance=1e-4)
+        with obs.collect() as reg:
+            res = job.dmet_energy(atoms_per_group=2,
+                                  solver="vqe-statevector",
+                                  vqe_tolerance=1e-8, mu_tolerance=1e-4)
+            # the five fragments are one symmetry orbit, found: one
+            # fragment solve per mu iteration
+            assert res.orbits == [[0, 1, 2, 3, 4]]
+            assert reg.value("dmet.fragment_solves") == res.mu_iterations
         return e_fci, res.energy
 
     for r in bond_lengths:

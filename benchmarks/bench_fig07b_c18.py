@@ -14,6 +14,7 @@ decreasing away from BLA=0, a minimum at finite BLA, rising beyond.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.chem.ccsd import CCSDSolver
 from repro.chem.lattice import ppp_carbon_ring
 from repro.chem.mo import MOIntegrals
@@ -66,9 +67,13 @@ def test_fig07b_dmet_vqe_agrees(benchmark):
         lat = ppp_carbon_ring(18, bla=bla)
         job = Q2Chemistry.from_lattice(lat)
         frags = [[i, i + 1] for i in range(0, 18, 2)]
-        res = job.dmet_energy(fragments=frags, solver="vqe-statevector",
-                              all_fragments_equivalent=True,
-                              vqe_tolerance=1e-7, mu_tolerance=5e-3)
+        with obs.collect() as reg:
+            res = job.dmet_energy(fragments=frags, solver="vqe-statevector",
+                                  vqe_tolerance=1e-7, mu_tolerance=5e-3)
+            # the nine 2-site fragments are one symmetry orbit, found: one
+            # fragment solve per mu iteration
+            assert res.orbits == [list(range(9))]
+            assert reg.value("dmet.fragment_solves") == res.mu_iterations
         return res.energy
 
     e0 = dmet_energy(0.0)

@@ -56,7 +56,6 @@ def main() -> None:
         if use_dmet:
             frags = [[i, i + 1] for i in range(0, n_sites, 2)]
             res = job.dmet_energy(fragments=frags, solver="vqe-statevector",
-                                  all_fragments_equivalent=True,
                                   vqe_tolerance=1e-7, mu_tolerance=1e-3)
             row.append(res.energy)
         rows.append(row)

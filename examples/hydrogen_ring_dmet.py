@@ -31,11 +31,10 @@ def main() -> None:
     for r in bonds:
         job = Q2Chemistry.from_molecule(hydrogen_ring(n_atoms, r))
         e_fci = job.fci_energy()
-        dmet_fci = job.dmet_energy(atoms_per_group=2, solver="fci",
-                                   all_fragments_equivalent=True)
+        # the ring's fragments form one symmetry orbit: one solve each
+        dmet_fci = job.dmet_energy(atoms_per_group=2, solver="fci")
         dmet_vqe = job.dmet_energy(atoms_per_group=2,
                                    solver="vqe-statevector",
-                                   all_fragments_equivalent=True,
                                    vqe_tolerance=1e-9)
         rel = abs((dmet_vqe.energy - e_fci) / e_fci) * 100
         print(f"{r:6.2f} {e_fci:14.6f} {dmet_fci.energy:14.6f} "

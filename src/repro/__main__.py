@@ -104,7 +104,6 @@ def _run_energy(args) -> int:
                 "--simulator allow them)")
         res = job.dmet_energy(atoms_per_group=args.fragment_atoms,
                               solver=solver,
-                              all_fragments_equivalent=args.equivalent,
                               max_bond_dimension=args.bond_dimension,
                               vqe_optimizer=(args.optimizer
                                              or DEFAULT_OPTIMIZER),
@@ -113,7 +112,8 @@ def _run_energy(args) -> int:
         print(f"E(DMET) = {res.energy:+.8f} Ha "
               f"(mu={res.chemical_potential:+.5f}, "
               f"{res.mu_iterations} mu iterations, "
-              f"max fragment {res.max_fragment_qubits()} qubits)")
+              f"{len(res.orbits)} of {sum(map(len, res.orbits))} fragments "
+              f"solved, max fragment {res.max_fragment_qubits()} qubits)")
     else:
         raise ReproError(f"unknown method {args.method!r}")
     return 0
@@ -296,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="worker processes for the DMET fragment solves "
                          "(dmet-* methods only; 1 solves them in-line)")
     pe.add_argument("--fragment-atoms", type=int, default=2)
-    pe.add_argument("--equivalent", action="store_true",
-                    help="treat all fragments as symmetry equivalent")
     pe.add_argument("--metrics-out", default=None, metavar="PATH",
                     help="enable repro.obs instrumentation and write the "
                          "metric/span snapshot as JSON (schema "

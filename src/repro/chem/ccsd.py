@@ -19,7 +19,7 @@ import numpy as np
 from repro.common.errors import ConvergenceError, ValidationError
 from repro.chem.mo import MOIntegrals, spatial_to_spin_orbital, \
     antisymmetrized_physicist
-from repro.chem.scf import DIIS_SIZE, diis
+from repro.chem.scf import DIIS
 
 
 @dataclass
@@ -125,9 +125,7 @@ class CCSDSolver:
         t1 = f[o, u] / d1
         t2 = self.v_oovv / d2
 
-        diis_t: list[np.ndarray] = []
-        diis_e: list[np.ndarray] = []
-
+        accelerator = DIIS()
         e_old = 0.0
         for it in range(1, self.max_iterations + 1):
             t1n, t2n = self._update(t1, t2, d1, d2)
@@ -135,14 +133,10 @@ class CCSDSolver:
             err = vec - np.concatenate([t1.ravel(), t2.ravel()])
             residual = float(np.max(np.abs(err)))
             # DIIS on the stacked amplitude vector
-            diis_t.append(vec)
-            diis_e.append(err)
-            del diis_t[:-DIIS_SIZE], diis_e[:-DIIS_SIZE]
-            if len(diis_t) > 1:
-                ext = diis(diis_t, diis_e)
-                if ext is not None:
-                    t1n = ext[: t1.size].reshape(t1.shape)
-                    t2n = ext[t1.size:].reshape(t2.shape)
+            ext = accelerator.extrapolate(vec, err)
+            if ext is not None:
+                t1n = ext[: t1.size].reshape(t1.shape)
+                t2n = ext[t1.size:].reshape(t2.shape)
             t1, t2 = t1n, t2n
             e_corr = self._energy(t1, t2)
             if (abs(e_corr - e_old) < self.tolerance

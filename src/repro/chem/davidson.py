@@ -52,35 +52,44 @@ def davidson(matvec: Callable[[np.ndarray], np.ndarray],
     if max_subspace < 2 * n_roots:
         raise ValidationError("max_subspace too small")
 
+    # the diagonal in increasing order: the default guesses, and where the
+    # preconditioner looks for near-zero denominators
+    order = np.argsort(diagonal)
+    sorted_diagonal = diagonal[order]
     # initial guesses: unit vectors at the lowest diagonal entries
     if initial_guess is not None:
         v = np.atleast_2d(np.asarray(initial_guess, dtype=float).T).T
         if v.shape[0] != dim:
             raise ValidationError("initial guess dimension mismatch")
     else:
-        order = np.argsort(diagonal)
         v = np.zeros((dim, n_roots))
         for k in range(n_roots):
             v[order[k], k] = 1.0
     v, _ = np.linalg.qr(v)
 
     # the basis and its sigma vectors, one row each, in blocks allocated
-    # once; rows [:n_basis] are live and [:n_sigma] have their sigma
+    # once; rows [:n_basis] are live and [:n_sigma] have their sigma.
+    # projected[i, j] = basis[i] . sigma[j] is kept for the live rows and
+    # grows by the new rows' entries only
     capacity = max(max_subspace, v.shape[1])
     basis = np.empty((capacity, dim))
     sigma = np.empty((capacity, dim))
+    projected = np.empty((capacity, capacity))
     n_basis = v.shape[1]
     basis[:n_basis] = v.T
     n_sigma = 0
     n_matvecs = 0
     for it in range(1, max_iterations + 1):
         # sigma vectors for any new basis rows
+        n_known = n_sigma
         while n_sigma < n_basis:
             sigma[n_sigma] = matvec(basis[n_sigma])
             n_sigma += 1
             n_matvecs += 1
         v, s = basis[:n_basis], sigma[:n_basis]
-        h_sub = v @ s.T
+        projected[:n_basis, n_known:n_basis] = v @ s[n_known:].T
+        projected[n_known:n_basis, :n_known] = v[n_known:] @ s[:n_known].T
+        h_sub = projected[:n_basis, :n_basis]
         h_sub = 0.5 * (h_sub + h_sub.T)
         evals, evecs = np.linalg.eigh(h_sub)
         theta = evals[:n_roots]
@@ -111,9 +120,16 @@ def davidson(matvec: Callable[[np.ndarray], np.ndarray],
         for k in range(n_roots):
             if norms[k] < tolerance:
                 continue
+            # |denominator| < 1e-8 becomes +-1e-8: only entries whose
+            # diagonal lies within 1e-8 of theta (found in the sorted
+            # diagonal, with margin) can qualify
             denom = diagonal - theta[k]
-            denom = np.where(np.abs(denom) < 1e-8,
-                             np.sign(denom + 1e-30) * 1e-8, denom)
+            near = order[np.searchsorted(sorted_diagonal, theta[k] - 2e-8):
+                         np.searchsorted(sorted_diagonal, theta[k] + 2e-8)]
+            if near.size:
+                d = denom[near]
+                denom[near] = np.where(np.abs(d) < 1e-8,
+                                       np.sign(d + 1e-30) * 1e-8, d)
             corr = residuals[:, k] / denom
             before = np.linalg.norm(corr)
             v = basis[:n_basis]

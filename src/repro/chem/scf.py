@@ -78,27 +78,53 @@ def build_jk(eri: np.ndarray, density: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return j, k
 
 
-def diis(vectors: list[np.ndarray],
-         errors: list[np.ndarray]) -> np.ndarray | None:
-    """Pulay's DIIS: the combination of ``vectors`` whose weights sum to one
-    and minimise the norm of the same combination of ``errors``; None when
-    the error overlap matrix is singular."""
-    m = len(vectors)
-    b = -np.ones((m + 1, m + 1))
-    b[m, m] = 0.0
-    for i in range(m):
-        for j in range(m):
-            b[i, j] = np.vdot(errors[i], errors[j])
-    rhs = np.zeros(m + 1)
-    rhs[m] = -1.0
-    try:
-        coeff = np.linalg.solve(b, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    out = np.zeros_like(vectors[0])
-    for i in range(m):
-        out += coeff[i] * vectors[i]
-    return out
+class DIIS:
+    """Pulay's DIIS over the last :data:`DIIS_SIZE` iterates.
+
+    The error overlap matrix is kept between calls, so each call computes
+    only the new error's row and column (each entry the ``np.vdot`` a full
+    rebuild would compute, so the extrapolation is bitwise the same).
+    """
+
+    def __init__(self):
+        self.vectors: list[np.ndarray] = []
+        self.errors: list[np.ndarray] = []
+        self.overlap = np.empty((0, 0))
+
+    def extrapolate(self, vector: np.ndarray,
+                    error: np.ndarray) -> np.ndarray | None:
+        """Store (``vector``, ``error``), dropping the oldest pair past
+        :data:`DIIS_SIZE`, and return the combination of the stored vectors
+        whose weights sum to one and minimise the norm of the same
+        combination of errors; None with one pair stored or a singular
+        overlap."""
+        if len(self.vectors) == DIIS_SIZE:
+            del self.vectors[0], self.errors[0]
+            self.overlap = self.overlap[1:, 1:]
+        self.vectors.append(vector)
+        self.errors.append(error)
+        m = len(self.vectors)
+        overlap = np.empty((m, m))
+        overlap[:-1, :-1] = self.overlap
+        for i, e in enumerate(self.errors):
+            overlap[i, -1] = np.vdot(e, error)
+            overlap[-1, i] = np.vdot(error, e)
+        self.overlap = overlap
+        if m < 2:
+            return None
+        b = -np.ones((m + 1, m + 1))
+        b[m, m] = 0.0
+        b[:m, :m] = overlap
+        rhs = np.zeros(m + 1)
+        rhs[m] = -1.0
+        try:
+            coeff = np.linalg.solve(b, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        out = np.zeros_like(self.vectors[0])
+        for i in range(m):
+            out += coeff[i] * self.vectors[i]
+        return out
 
 
 class RHF:
@@ -154,19 +180,14 @@ class RHF:
         d = self._density(c, n_occ)
         e_old = 0.0
 
-        fock_list: list[np.ndarray] = []
-        err_list: list[np.ndarray] = []
-
+        accelerator = DIIS()
         for it in range(1, self.max_iterations + 1):
             j, k = build_jk(eri, d)
             f = h + j - 0.5 * k
-            fock_list.append(f)
-            err_list.append(x.T @ (f @ d @ s - s @ d @ f) @ x)
-            del fock_list[:-DIIS_SIZE], err_list[:-DIIS_SIZE]
-            if len(fock_list) > 1:
-                extrapolated = diis(fock_list, err_list)
-                if extrapolated is not None:
-                    f = extrapolated
+            extrapolated = accelerator.extrapolate(
+                f, x.T @ (f @ d @ s - s @ d @ f) @ x)
+            if extrapolated is not None:
+                f = extrapolated
             c, e_mo = self._diagonalize(f, x)
             d_new = self._density(c, n_occ)
             e_elec = 0.5 * np.einsum("pq,pq->", d_new, h + f)

@@ -16,6 +16,13 @@ mapped over worker processes
 (:meth:`repro.parallel.threelevel.ThreeLevelDriver.run_fragments_local`).
 Nothing else selects between the two.
 
+Fragments related by a symmetry of the system share one solve
+(:func:`fragment_orbits`): a ring's fragments form one orbit under its
+rotations, a chain's pair up under its mirror.  Each orbit's lowest
+fragment is solved and its energy and electron count weighted by the
+orbit size - the translational-invariance shortcut DMET codes take on
+purpose, here taken only where a symmetry was found and checked.
+
 The total energy uses democratic partitioning with the core mean field
 shared half-and-half between fragments, which reduces to the exact energy
 when a single fragment spans the whole system (a test-suite invariant).
@@ -28,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.errors import ConvergenceError, ValidationError
-from repro.dmet.bath import build_bath
+from repro.dmet.bath import EmbeddingBasis, build_bath
 from repro.dmet.embedding import EmbeddingProblem, build_embedding_hamiltonian
 from repro.dmet.orthogonalize import OrthogonalSystem
 from repro.dmet.solvers import FCIFragmentSolver, FragmentSolution
@@ -40,6 +47,15 @@ _M_FRAGMENT_SOLVES = _obs.counter(
     "dmet.fragment_solves", "embedded fragment problems solved")
 _M_MU_ITERATIONS = _obs.counter(
     "dmet.mu_iterations", "chemical-potential (mu) fitting iterations")
+
+#: Largest entry of |M - P^T M P| (M = h1, the mean-field density, h2) a
+#: signed orbital permutation P may leave and still count as a symmetry,
+#: and the largest difference two fragments' bath singular values may
+#: show.  Exact symmetries of the systems built here leave <= 1.2e-14
+#: (rounding of the integrals and of the SCF density); moving one atom of
+#: ``chain:8`` by 1e-3 A leaves 2e-4..5e-4.  A near-symmetry accepted at
+#: this size moves the energy at about this size.
+SYMMETRY_TOLERANCE = 1e-10
 
 
 def atoms_per_fragment(system: OrthogonalSystem,
@@ -61,6 +77,132 @@ def atoms_per_fragment(system: OrthogonalSystem,
     return fragments
 
 
+def fragment_orbits(system: OrthogonalSystem, fragments: list[list[int]],
+                    baths: list[EmbeddingBasis]) -> list[list[int]]:
+    """Group fragments into orbits of the system's symmetries.
+
+    Fragment k joins the orbit of an earlier representative r when the
+    two baths have the same size and singular values (a bath-tolerance cut
+    that rounding put in different places fails here) and a symmetry maps
+    r's orbitals onto k's (:func:`_find_symmetry`); otherwise k starts an
+    orbit of its own, so a symmetry that is missed costs a solve, never
+    the energy.  Orbits list fragment indices in increasing order, the
+    first being the representative.
+    """
+    atoms: dict[int, list[int]] = {}
+    for orb, atom in enumerate(system.orbital_atoms):
+        atoms.setdefault(atom, []).append(orb)
+    orbits: list[list[int]] = []
+    for k, frag in enumerate(fragments):
+        for orbit in orbits:
+            r = orbit[0]
+            if (_same_bath(baths[r], baths[k])
+                    and _find_symmetry(system, atoms, fragments[r], frag)):
+                orbit.append(k)
+                break
+        else:
+            orbits.append([k])
+    return orbits
+
+
+def _same_bath(a: EmbeddingBasis, b: EmbeddingBasis) -> bool:
+    return (a.n_fragment == b.n_fragment and a.n_bath == b.n_bath
+            and a.entanglement_spectrum.shape == b.entanglement_spectrum.shape
+            and np.allclose(a.entanglement_spectrum, b.entanglement_spectrum,
+                            rtol=0.0, atol=SYMMETRY_TOLERANCE))
+
+
+def _find_symmetry(system: OrthogonalSystem, atoms: dict[int, list[int]],
+                   source: list[int], target: list[int]) -> bool:
+    """Is there a symmetry of ``system`` mapping orbitals ``source`` onto
+    ``target``?
+
+    A symmetry here is a signed orbital permutation induced by an atom
+    permutation: atom a's orbitals map to atom b's in label order, each
+    with a sign (a p orbital may flip), and h1, h2 and the density are
+    unchanged.  Atom maps are searched depth first, ``source``'s atoms
+    first and onto ``target``'s; an atom is placed only where the
+    magnitudes of its h1 and density blocks with the atoms placed so far
+    match, so a search never walks all n! maps.  The signs of a complete
+    map are then read off its strongest couplings and the whole map is
+    checked.
+    """
+    owner = system.orbital_atoms
+    src_atoms = sorted({owner[i] for i in source})
+    dst_atoms = sorted({owner[i] for i in target})
+    if len(src_atoms) != len(dst_atoms):
+        return False
+    # source atoms go onto target atoms, the rest onto the rest
+    order = src_atoms + [a for a in atoms if a not in src_atoms]
+    rest = [b for b in atoms if b not in dst_atoms]
+    mats = (np.abs(system.h1), np.abs(system.density))
+    placed_src: list[int] = []   # orbitals placed so far, and their images
+    placed_dst: list[int] = []
+    used: set[int] = set()
+
+    def fits(a: int, b: int) -> bool:
+        oa, ob = atoms[a], atoms[b]
+        if len(oa) != len(ob):
+            return False
+        cols_a, cols_b = placed_src + oa, placed_dst + ob
+        return all(np.max(np.abs(m[np.ix_(oa, cols_a)]
+                              - m[np.ix_(ob, cols_b)])) <= SYMMETRY_TOLERANCE
+                   for m in mats)
+
+    def extend(depth: int) -> bool:
+        if depth == len(order):
+            perm = np.empty(len(owner), dtype=int)
+            perm[placed_src] = placed_dst
+            return (set(perm[source].tolist()) == set(target)
+                    and _is_symmetry(system, perm))
+        a = order[depth]
+        for b in dst_atoms if depth < len(src_atoms) else rest:
+            if b not in used and fits(a, b):
+                used.add(b)
+                placed_src.extend(atoms[a])
+                placed_dst.extend(atoms[b])
+                if extend(depth + 1):
+                    return True
+                used.discard(b)
+                del placed_src[-len(atoms[a]):], placed_dst[-len(atoms[b]):]
+        return False
+
+    return extend(0)
+
+
+def _is_symmetry(system: OrthogonalSystem, perm: np.ndarray) -> bool:
+    """Find signs s with s_i s_j M[perm_i, perm_j] = M[i, j] and check them.
+
+    Each sign follows from the strongest h1 or density coupling to an
+    orbital signed before it (a maximum spanning tree grown from orbital
+    0, Prim's order), so a weak, rounding-sized element never sets one.
+    """
+    h1, dens = system.h1, system.density
+    n = perm.size
+    weight = np.maximum(np.abs(h1), np.abs(dens))
+    ref = np.where(np.abs(h1) >= np.abs(dens), h1, dens)
+    mapped = ref[np.ix_(perm, perm)]
+    signs = np.zeros(n)
+    signs[0] = 1.0
+    best = weight[0].copy()
+    parent = np.zeros(n, dtype=int)
+    for _ in range(n - 1):
+        j = int(np.argmax(np.where(signs == 0.0, best, -1.0)))
+        i = parent[j]
+        signs[j] = signs[i] if ref[i, j] * mapped[i, j] >= 0.0 else -signs[i]
+        closer = (signs == 0.0) & (weight[j] > best)
+        best[closer] = weight[j][closer]
+        parent[closer] = j
+    ss = np.outer(signs, signs)
+    for m in (h1, dens):
+        if np.max(np.abs(m[np.ix_(perm, perm)] * ss - m)) > SYMMETRY_TOLERANCE:
+            return False
+    s4 = ss[:, :, None, None] * ss[None, None, :, :]
+    h2 = system.h2
+    return bool(np.max(np.abs(h2[np.ix_(perm, perm, perm, perm)] * s4 - h2))
+                <= SYMMETRY_TOLERANCE)
+
+
 @dataclass
 class DMETResult:
     """Converged DMET state."""
@@ -69,8 +211,9 @@ class DMETResult:
     chemical_potential: float
     n_electrons: float              # sum of fragment electron numbers
     n_electrons_target: int
-    fragment_solutions: list[FragmentSolution]
-    fragment_energies: list[float]
+    fragment_solutions: list[FragmentSolution]  # one per orbit
+    fragment_energies: list[float]  # one per orbit, weight len(orbits[k])
+    orbits: list[list[int]]         # fragment indices; the first was solved
     mu_iterations: int
     converged: bool = True
 
@@ -92,17 +235,19 @@ class DMET:
     solver:
         Fragment solver (defaults to exact FCI).
     all_fragments_equivalent:
-        If True, only the first fragment is solved and its energy/electron
-        count is multiplied by the fragment count - exact for translationally
-        symmetric systems like the paper's hydrogen rings/chains and a large
-        saving when fragments are expensive VQE runs.
+        If True, assert that the fragments form a single symmetry orbit
+        (a ring cut into equal fragments does; a chain does not, its
+        mirror pairs them up): anything else is a ``ValidationError``
+        naming the orbits found.  Orbits are found whatever this says
+        (:func:`fragment_orbits`), so it saves nothing; it is kept because
+        ``benchmarks/e2e`` is frozen and passes it.
     mu_tolerance:
         Convergence threshold on |N(mu) - N_target| (electrons).
     max_mu_iterations:
         Budget for the chemical-potential search.
     n_workers:
-        1 solves the fragments in-line; ``n_workers > 1`` solves distinct
-        fragments on that many worker processes - the paper's first
+        1 solves the fragments in-line; ``n_workers > 1`` solves one
+        fragment per orbit on that many worker processes - the paper's first
         (embarrassingly parallel) level executed for real, as separate
         processes that share nothing (the solver must pickle).  A count
         below 1 is a ``ValidationError`` here, whether or not a dispatch
@@ -122,7 +267,6 @@ class DMET:
         self.system = system
         self.solver = solver if solver is not None else FCIFragmentSolver()
         self.bath_tolerance = bath_tolerance
-        self.all_fragments_equivalent = all_fragments_equivalent
         self.mu_tolerance = mu_tolerance
         self.max_mu_iterations = max_mu_iterations
         if n_workers < 1:
@@ -145,25 +289,29 @@ class DMET:
             raise ValidationError(f"fragments do not cover orbitals {missing}")
         self.fragments = [sorted(f) for f in fragments]
 
-        # embedding problems are mu-independent: build once
-        self.problems: list[EmbeddingProblem] = []
-        reps = self.fragments[:1] if all_fragments_equivalent else self.fragments
-        for frag in reps:
-            basis = build_bath(system.density, frag,
-                               bath_tolerance=bath_tolerance)
-            self.problems.append(build_embedding_hamiltonian(system, basis))
+        baths = [build_bath(system.density, frag,
+                            bath_tolerance=bath_tolerance)
+                 for frag in self.fragments]
+        self.orbits = fragment_orbits(system, self.fragments, baths)
+        if all_fragments_equivalent and len(self.orbits) > 1:
+            raise ValidationError(
+                f"all_fragments_equivalent=True, but the fragments form "
+                f"{len(self.orbits)} symmetry orbits: {self.orbits}")
+        # embedding problems are mu-independent: build once per orbit
+        self.problems: list[EmbeddingProblem] = [
+            build_embedding_hamiltonian(system, baths[orbit[0]])
+            for orbit in self.orbits]
 
     # -- single evaluation at fixed mu -------------------------------------------
 
     def evaluate(self, mu: float) -> tuple[float, float, list[FragmentSolution],
                                            list[float]]:
-        """Solve all (representative) fragments at ``mu``.
+        """Solve each orbit's representative fragment at ``mu``.
 
         Returns (total energy, total fragment electron count, solutions,
-        per-fragment energies), with multiplicity applied when fragments are
-        declared equivalent.
+        fragment energies), solutions and energies one per orbit; the
+        totals weight each by its orbit's size.
         """
-        mult = len(self.fragments) if self.all_fragments_equivalent else 1
         _M_MU_ITERATIONS.inc()
         _M_FRAGMENT_SOLVES.inc(len(self.problems))
         with _trace.span("dmet.evaluate", mu=float(mu),
@@ -180,11 +328,11 @@ class DMET:
         energies: list[float] = []
         e_total = self.system.constant
         n_total = 0.0
-        for problem, sol in zip(self.problems, solutions):
+        for orbit, problem, sol in zip(self.orbits, self.problems, solutions):
             e_frag = self._fragment_energy(problem, sol)
             energies.append(e_frag)
-            e_total += mult * e_frag
-            n_total += mult * sol.n_electrons_fragment
+            e_total += len(orbit) * e_frag
+            n_total += len(orbit) * sol.n_electrons_fragment
         return e_total, n_total, solutions, energies
 
     @staticmethod
@@ -217,7 +365,7 @@ class DMET:
             return DMETResult(
                 energy=energy, chemical_potential=mu0, n_electrons=n_elec,
                 n_electrons_target=int(target), fragment_solutions=sols,
-                fragment_energies=fes, mu_iterations=1,
+                fragment_energies=fes, orbits=self.orbits, mu_iterations=1,
             )
 
         # secant iteration on N(mu) - target; N is monotone increasing in mu
@@ -232,7 +380,7 @@ class DMET:
                     energy=energy, chemical_potential=mu_cur,
                     n_electrons=n_elec, n_electrons_target=int(target),
                     fragment_solutions=sols, fragment_energies=fes,
-                    mu_iterations=it,
+                    orbits=self.orbits, mu_iterations=it,
                 )
             denom = f_cur - f_prev
             if abs(denom) < 1e-14:

@@ -132,7 +132,6 @@ class Q2Chemistry:
     def dmet_energy(self, *, atoms_per_group: int = 2,
                     fragments: list[list[int]] | None = None,
                     solver: str = "fci",
-                    all_fragments_equivalent: bool = False,
                     max_bond_dimension: int | None = None,
                     mu_tolerance: float = 1e-5,
                     fit_chemical_potential: bool = True,
@@ -145,7 +144,9 @@ class Q2Chemistry:
         ``solver``: "fci" or "vqe-<backend>" for a backend of
         :data:`repro.backends.BACKENDS` (e.g. "vqe-statevector", "vqe-mps").
         ``n_workers=1`` solves the fragments in-line; ``n_workers > 1``
-        solves distinct fragments on that many worker processes.
+        solves distinct fragments on that many worker processes.  Fragments
+        related by a symmetry of the system share one solve
+        (:func:`repro.dmet.dmet.fragment_orbits`).
         """
         if fragments is None:
             fragments = atoms_per_fragment(self.system, atoms_per_group)
@@ -154,7 +155,6 @@ class Q2Chemistry:
             optimizer=vqe_optimizer, tolerance=vqe_tolerance,
             max_iterations=vqe_max_iterations)
         dmet = DMET(self.system, fragments, frag_solver,
-                    all_fragments_equivalent=all_fragments_equivalent,
                     mu_tolerance=mu_tolerance, n_workers=n_workers)
         return dmet.run(fit_chemical_potential=fit_chemical_potential)
 

@@ -347,7 +347,7 @@ class JobService:
                 "energy": float(res.energy),
                 "chemical_potential": float(res.chemical_potential),
                 "mu_iterations": int(res.mu_iterations),
-                "n_fragments": len(res.fragment_energies)}
+                "n_fragments": sum(map(len, res.orbits))}
 
 
 __all__ = ["JobService"]

@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.errors import ValidationError
 from repro.chem.geometry import Molecule, h2, hydrogen_chain, lih, water
-from repro.chem.scf import RHF, build_jk
+from repro.chem.scf import DIIS, DIIS_SIZE, RHF, build_jk
 
 
 class TestLiteratureEnergies:
@@ -98,3 +98,47 @@ class TestJK:
         ej = 0.5 * np.einsum("pq,pq->", d, j)
         ek = 0.25 * np.einsum("pq,pq->", d, k)
         assert ej > ek > 0
+
+
+def _rebuilt_diis(vectors, errors):
+    """The former ``scf.diis``: the whole error overlap rebuilt per call."""
+    m = len(vectors)
+    b = -np.ones((m + 1, m + 1))
+    b[m, m] = 0.0
+    for i in range(m):
+        for j in range(m):
+            b[i, j] = np.vdot(errors[i], errors[j])
+    rhs = np.zeros(m + 1)
+    rhs[m] = -1.0
+    coeff = np.linalg.solve(b, rhs)
+    out = np.zeros_like(vectors[0])
+    for i in range(m):
+        out += coeff[i] * vectors[i]
+    return out
+
+
+class TestDIIS:
+    def test_kept_overlap_is_bitwise_the_rebuilt_one(self, rng):
+        """Past DIIS_SIZE pairs too, where the oldest row and column go."""
+        accelerator = DIIS()
+        vectors, errors = [], []
+        for step in range(DIIS_SIZE + 5):
+            vector, error = rng.normal(size=30), rng.normal(size=30)
+            vectors.append(vector)
+            errors.append(error)
+            del vectors[:-DIIS_SIZE], errors[:-DIIS_SIZE]
+            out = accelerator.extrapolate(vector, error)
+            if step == 0:
+                assert out is None
+                continue
+            assert np.array_equal(out, _rebuilt_diis(vectors, errors))
+            assert len(accelerator.vectors) == len(vectors)
+            expected = np.array([[np.vdot(a, b) for b in errors]
+                                 for a in errors])
+            assert np.array_equal(accelerator.overlap, expected)
+
+    def test_singular_overlap_returns_none(self):
+        accelerator = DIIS()
+        error = np.ones(4)
+        accelerator.extrapolate(np.zeros(4), error)
+        assert accelerator.extrapolate(np.ones(4), error) is None

@@ -8,6 +8,8 @@ from repro.dmet.dmet import DMET, atoms_per_fragment
 from repro.dmet.orthogonalize import from_lattice, lowdin_orthogonalize
 from repro.dmet.solvers import FCIFragmentSolver, VQEFragmentSolver
 
+from .all_fragments_reference import all_fragments_evaluate
+
 
 @pytest.fixture(scope="module")
 def h6_system(request):
@@ -61,11 +63,18 @@ class TestAccuracy:
         assert res.energy < h6.scf.energy  # captures correlation
 
     def test_equivalence_shortcut_matches_full(self, h6_system):
-        h6, system = h6_system
+        """One solve for the ring's one orbit gives what solving all three
+        fragments gives, at the fitted mu."""
+        _, system = h6_system
         frags = atoms_per_fragment(system, 2)
         fast = DMET(system, frags, all_fragments_equivalent=True).run()
-        full = DMET(system, frags, all_fragments_equivalent=False).run()
-        assert fast.energy == pytest.approx(full.energy, abs=1e-6)
+        assert fast.orbits == [[0, 1, 2]]
+        energy, n_elec, energies = all_fragments_evaluate(
+            system, frags, fast.chemical_potential)
+        assert fast.energy == pytest.approx(energy, abs=1e-10)
+        assert fast.n_electrons == pytest.approx(n_elec, abs=1e-10)
+        assert energies == pytest.approx(3 * fast.fragment_energies,
+                                         abs=1e-10)
 
     def test_electron_count_conserved(self, h6_system):
         _, system = h6_system
@@ -175,9 +184,11 @@ def h4_system(request):
 
 
 def _one_shot(system, atoms, solver, **dmet_options):
-    """DMET at mu = 0 with equivalent fragments: one solve, no mu fit."""
+    """DMET at mu = 0: one solve per symmetry orbit, no mu fit.  The H4
+    ring's 2-atom fragments form one orbit, its 1-atom fragments two (the
+    RHF density keeps only the 2-atom shift and the mirrors)."""
     frags = atoms_per_fragment(system, atoms)
-    res = DMET(system, frags, solver, all_fragments_equivalent=True,
+    res = DMET(system, frags, solver,
                **dmet_options).run(fit_chemical_potential=False)
     return res, res.fragment_solutions[0]
 

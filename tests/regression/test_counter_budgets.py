@@ -517,8 +517,11 @@ class TestDMETBudgets:
         from repro.dmet.dmet import DMET, atoms_per_fragment
         from repro.dmet.orthogonalize import lowdin_orthogonalize
 
+        # one-atom fragments: two symmetry orbits, {0, 2} and {1, 3} (the
+        # RHF density keeps the 2-atom shift, not the 1-atom one), so two
+        # solves per mu evaluation
         system = lowdin_orthogonalize(h4_ring.scf)
-        fragments = atoms_per_fragment(system, 2)
+        fragments = atoms_per_fragment(system, 1)
         results = {}
         for workers in (1, 2):
             with obs.collect() as reg:
@@ -530,8 +533,8 @@ class TestDMETBudgets:
                     reg.value("dmet.mu_iterations"),
                 )
         assert results[1] == results[2]
-        # 2 fragments per mu evaluation; workers=2 routes them through
-        # the level-1 process pool (counter registered on first parallel use)
+        # 2 orbits per mu evaluation; workers=2 routes them through the
+        # level-1 process pool (counter registered on first parallel use)
         assert results[1][1] == 2 * results[1][2]
 
     def test_process_fragments_merge_worker_telemetry(self, h4_ring):
@@ -541,8 +544,11 @@ class TestDMETBudgets:
         from repro.dmet.dmet import DMET, atoms_per_fragment
         from repro.dmet.orthogonalize import lowdin_orthogonalize
 
+        # one-atom fragments: two symmetry orbits, {0, 2} and {1, 3} (the
+        # RHF density keeps the 2-atom shift, not the 1-atom one), so two
+        # solves per mu evaluation
         system = lowdin_orthogonalize(h4_ring.scf)
-        fragments = atoms_per_fragment(system, 2)
+        fragments = atoms_per_fragment(system, 1)
         results = {}
         for workers in (1, 2):
             with obs.collect() as reg:
@@ -562,14 +568,17 @@ class TestDMETBudgets:
         # did ships home exactly, wherever each fragment ran.  Cold starts
         # keep a solve independent of what its process solved before (no
         # warm-start amplitudes)
+        from repro.dmet.bath import build_bath
+        from repro.dmet.embedding import build_embedding_hamiltonian
         from repro.dmet.solvers import VQEFragmentSolver
         from repro.parallel.threelevel import ThreeLevelDriver
 
         solver = VQEFragmentSolver(simulator="mps", max_iterations=6,
                                    warm_start=False)
         # one-atom fragments: four 4-qubit problems, two per worker at w2
-        problems = DMET(system, atoms_per_fragment(system, 1),
-                        solver).problems
+        problems = [build_embedding_hamiltonian(
+            system, build_bath(system.density, fragment))
+            for fragment in fragments]
         work = ("vqe.runs", "vqe.energy_evaluations", "kernels.gemm_calls",
                 "mps.svd")
         runs = {}

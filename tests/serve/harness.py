@@ -98,7 +98,7 @@ def direct_result(spec: JobSpec) -> dict:
             "energy": float(res.energy),
             "chemical_potential": float(res.chemical_potential),
             "mu_iterations": int(res.mu_iterations),
-            "n_fragments": len(res.fragment_energies)}
+            "n_fragments": sum(map(len, res.orbits))}
 
 
 def make_workload(seed: int, n_jobs: int,

@@ -99,10 +99,11 @@ class TestEnergyCommand:
 
     def test_dmet_on_ring(self, capsys):
         assert main(["energy", "--molecule", "ring:6", "--method",
-                     "dmet-fci", "--equivalent"]) == 0
+                     "dmet-fci"]) == 0
         out = capsys.readouterr().out
         assert "E(DMET)" in out
         assert "8 qubits" in out
+        assert "1 of 3 fragments solved" in out
 
     @staticmethod
     def _record_solver(monkeypatch):

@@ -44,10 +44,8 @@ class TestRingPipeline:
     def test_h6_ring_dmet_fci_and_vqe(self):
         job = Q2Chemistry.from_molecule(hydrogen_ring(6, 1.0))
         e_fci = job.fci_energy()
-        dmet_fci = job.dmet_energy(atoms_per_group=2, solver="fci",
-                                   all_fragments_equivalent=True)
+        dmet_fci = job.dmet_energy(atoms_per_group=2, solver="fci")
         dmet_vqe = job.dmet_energy(atoms_per_group=2, solver="vqe-statevector",
-                                   all_fragments_equivalent=True,
                                    vqe_tolerance=1e-9)
         for res in (dmet_fci, dmet_vqe):
             rel = abs((res.energy - e_fci) / e_fci)
@@ -67,8 +65,7 @@ class TestLatticePipeline:
         lat = hubbard_ring(6, u=4.0)
         job = Q2Chemistry.from_lattice(lat)
         exact = FCISolver(lat.to_mo_integrals()).solve().energy
-        res = job.dmet_energy(fragments=[[0, 1], [2, 3], [4, 5]],
-                              all_fragments_equivalent=True)
+        res = job.dmet_energy(fragments=[[0, 1], [2, 3], [4, 5]])
         assert abs((res.energy - exact) / exact) < 0.03
 
     def test_lattice_hf_energy(self):
