@@ -168,14 +168,14 @@ class FCISolver:
         Spin populations; default splits ``mo.n_electrons`` evenly.
     dense_cutoff:
         Determinant count up to which H is built and diagonalized densely;
-        larger problems run Davidson.  The default was the measured
-        crossover with the full-table sigma (EXPERIMENTS.md, Ablation 17);
-        the pair sigma wins from 225 determinants on (Ablation 23), and
-        the value is kept so DMET-FCI fragments up to 250 keep their bits.
+        larger problems run Davidson.  The default is the crossover
+        measured with the pair sigma (EXPERIMENTS.md, Ablation 25c):
+        dense wins to 147 determinants on molecular integrals, Davidson
+        from 224 (LiH's 225: 5.5 against 2.5 ms).
     """
 
     def __init__(self, mo: MOIntegrals, n_alpha: int | None = None,
-                 n_beta: int | None = None, *, dense_cutoff: int = 250):
+                 n_beta: int | None = None, *, dense_cutoff: int = 150):
         self.mo = mo
         n_elec = mo.n_electrons
         if n_alpha is None or n_beta is None:

@@ -15,7 +15,7 @@ byte budget:
   entry whoever makes them;
 * **size-bounded** - one byte budget across all namespaces, enforced by
   least-recently-used eviction (:func:`sizeof` estimates entry payloads
-  by walking numpy buffers);
+  by walking numpy buffers; the compiled artifacts state their own size);
 * **observable** - an always-on per-namespace tally of hits, misses and
   evictions plus the byte footprint (:meth:`ServeCache.stats`), which the
   per-request ``obs.collect()`` resets of the job service never touch;
@@ -46,15 +46,22 @@ DEFAULT_MAX_BYTES = 256 << 20
 #: key tuples, bookkeeping) so zero-byte payloads still consume budget
 ENTRY_OVERHEAD = 256
 
+#: bytes one Pauli string held as a Python object costs - a ``PauliTerm``
+#: or an ``(x, z)`` key tuple with its two ints (tracemalloc: 132 / 99 B)
+TERM_BYTES = 128
+
 
 def sizeof(obj, _seen: set | None = None) -> int:
     """Recursive byte estimate of a cached artifact.
 
     Walks numpy arrays (``nbytes``), containers and plain-attribute
     objects; shared buffers are counted once per entry (an ``id`` guard
-    breaks cycles).  This is an *estimate* for budget enforcement, not an
-    exact allocator audit - the cached artifacts are dominated by their
-    numpy payloads, which are counted exactly.
+    breaks cycles).  An object whose class defines ``__sizeof__`` states
+    its own size and is not walked: the compiled plans, MPOs, observables
+    and RDM programs do, and walking their thousands of term objects cost
+    more than building some of them.  This is an *estimate* for budget
+    enforcement, not an exact allocator audit - the cached artifacts are
+    dominated by their numpy payloads, which are counted exactly.
     """
     if _seen is None:
         _seen = set()
@@ -75,6 +82,8 @@ def sizeof(obj, _seen: set | None = None) -> int:
     if isinstance(obj, (list, tuple, set, frozenset)):
         _seen.add(oid)
         return sys.getsizeof(obj) + sum(sizeof(item, _seen) for item in obj)
+    if type(obj).__sizeof__ is not object.__sizeof__:
+        return sys.getsizeof(obj)
     slots = getattr(obj, "__slots__", None)
     if slots is not None:
         _seen.add(oid)
@@ -249,6 +258,7 @@ __all__ = [
     "DEFAULT_MAX_BYTES",
     "ENTRY_OVERHEAD",
     "ServeCache",
+    "TERM_BYTES",
     "current",
     "install",
     "sizeof",

@@ -89,9 +89,7 @@ def fragment_orbits(system: OrthogonalSystem, fragments: list[list[int]],
     the energy.  Orbits list fragment indices in increasing order, the
     first being the representative.
     """
-    atoms: dict[int, list[int]] = {}
-    for orb, atom in enumerate(system.orbital_atoms):
-        atoms.setdefault(atom, []).append(orb)
+    atoms = _AtomGraph(system)
     orbits: list[list[int]] = []
     for k, frag in enumerate(fragments):
         for orbit in orbits:
@@ -112,7 +110,65 @@ def _same_bath(a: EmbeddingBasis, b: EmbeddingBasis) -> bool:
                             rtol=0.0, atol=SYMMETRY_TOLERANCE))
 
 
-def _find_symmetry(system: OrthogonalSystem, atoms: dict[int, list[int]],
+class _AtomGraph:
+    """What the symmetry search knows of each atom before it places any.
+
+    ``orbitals[a]`` are atom a's orbitals in label order.  ``alike[a, b]``
+    holds when a symmetry could map atom a onto atom b: as many orbitals,
+    and each orbital's |h1| and density rows equal as sorted multisets
+    (a signed permutation only reorders and signs a row).
+    ``coupling[a, b]`` is the largest |h1| or density element between the
+    two atoms' orbitals: a symmetry keeps it, so the image of a is
+    searched for first among the atoms coupled to the images of a's
+    neighbours as a is to them.
+    """
+
+    def __init__(self, system: OrthogonalSystem):
+        self.orbitals: dict[int, list[int]] = {}
+        for orb, atom in enumerate(system.orbital_atoms):
+            self.orbitals.setdefault(atom, []).append(orb)
+        n_atoms = max(self.orbitals) + 1
+        mats = (np.abs(system.h1), np.abs(system.density))
+        signature = np.concatenate([np.sort(m, axis=1) for m in mats], axis=1)
+        self.alike = np.zeros((n_atoms, n_atoms), dtype=bool)
+        for size in {len(o) for o in self.orbitals.values()}:
+            group = [a for a, o in self.orbitals.items() if len(o) == size]
+            rows = np.stack([signature[self.orbitals[a]].ravel()
+                             for a in group])
+            gap = np.abs(rows[:, None, :] - rows[None, :, :]).max(axis=2)
+            self.alike[np.ix_(group, group)] = gap <= SYMMETRY_TOLERANCE
+        strength = np.maximum(*mats)
+        by_atom = np.zeros((n_atoms, strength.shape[0]))
+        for a, orbs in self.orbitals.items():
+            by_atom[a] = strength[orbs].max(axis=0)
+        self.coupling = np.zeros((n_atoms, n_atoms))
+        for b, orbs in self.orbitals.items():
+            self.coupling[:, b] = by_atom[:, orbs].max(axis=1)
+
+    def search_order(self, first: list[int]) -> tuple[list[int], list]:
+        """``first``, then every other atom, each next the one most
+        strongly coupled to those before it; with each atom, that
+        strongest partner before it (None for the ``first`` ones)."""
+        order = list(first)
+        anchors: list = [None] * len(first)
+        rest = [a for a in self.orbitals if a not in first]
+        while rest:
+            block = self.coupling[np.ix_(order, rest)]
+            i, j = np.unravel_index(int(np.argmax(block)), block.shape)
+            order.append(rest.pop(j))
+            anchors.append(order[i])
+        return order, anchors
+
+
+def _atoms_fit(mats: tuple, oa: list[int], ob: list[int],
+               cols_a: list[int], cols_b: list[int]) -> bool:
+    """Do orbitals ``oa`` couple to ``cols_a`` as ``ob`` do to ``cols_b``,
+    in every one of ``mats`` (magnitudes)?  One placement of the search."""
+    return all(np.max(np.abs(m[np.ix_(oa, cols_a)] - m[np.ix_(ob, cols_b)]))
+               <= SYMMETRY_TOLERANCE for m in mats)
+
+
+def _find_symmetry(system: OrthogonalSystem, atoms: _AtomGraph,
                    source: list[int], target: list[int]) -> bool:
     """Is there a symmetry of ``system`` mapping orbitals ``source`` onto
     ``target``?
@@ -121,33 +177,28 @@ def _find_symmetry(system: OrthogonalSystem, atoms: dict[int, list[int]],
     permutation: atom a's orbitals map to atom b's in label order, each
     with a sign (a p orbital may flip), and h1, h2 and the density are
     unchanged.  Atom maps are searched depth first, ``source``'s atoms
-    first and onto ``target``'s; an atom is placed only where the
-    magnitudes of its h1 and density blocks with the atoms placed so far
-    match, so a search never walks all n! maps.  The signs of a complete
-    map are then read off its strongest couplings and the whole map is
-    checked.
+    first and onto ``target``'s, then each atom after the one it couples
+    to most strongly; an atom is placed only onto an atom alike to it
+    (:class:`_AtomGraph`) where the magnitudes of its h1 and density
+    blocks with the atoms placed so far match (:func:`_atoms_fit`), and
+    is tried first where its strongest coupling is kept, so a search
+    never walks all n! maps and on a ring places each atom once.  The
+    signs of a complete map are then read off its strongest couplings
+    and the whole map is checked.
     """
     owner = system.orbital_atoms
     src_atoms = sorted({owner[i] for i in source})
     dst_atoms = sorted({owner[i] for i in target})
     if len(src_atoms) != len(dst_atoms):
         return False
+    orbitals, coupling = atoms.orbitals, atoms.coupling
     # source atoms go onto target atoms, the rest onto the rest
-    order = src_atoms + [a for a in atoms if a not in src_atoms]
-    rest = [b for b in atoms if b not in dst_atoms]
+    order, anchors = atoms.search_order(src_atoms)
+    rest = [b for b in orbitals if b not in dst_atoms]
     mats = (np.abs(system.h1), np.abs(system.density))
     placed_src: list[int] = []   # orbitals placed so far, and their images
     placed_dst: list[int] = []
-    used: set[int] = set()
-
-    def fits(a: int, b: int) -> bool:
-        oa, ob = atoms[a], atoms[b]
-        if len(oa) != len(ob):
-            return False
-        cols_a, cols_b = placed_src + oa, placed_dst + ob
-        return all(np.max(np.abs(m[np.ix_(oa, cols_a)]
-                              - m[np.ix_(ob, cols_b)])) <= SYMMETRY_TOLERANCE
-                   for m in mats)
+    image: dict[int, int] = {}
 
     def extend(depth: int) -> bool:
         if depth == len(order):
@@ -155,16 +206,25 @@ def _find_symmetry(system: OrthogonalSystem, atoms: dict[int, list[int]],
             perm[placed_src] = placed_dst
             return (set(perm[source].tolist()) == set(target)
                     and _is_symmetry(system, perm))
-        a = order[depth]
-        for b in dst_atoms if depth < len(src_atoms) else rest:
-            if b not in used and fits(a, b):
-                used.add(b)
-                placed_src.extend(atoms[a])
-                placed_dst.extend(atoms[b])
+        a, anchor = order[depth], anchors[depth]
+        pool = dst_atoms if depth < len(src_atoms) else rest
+        candidates = [b for b in pool
+                      if atoms.alike[a, b] and b not in image.values()]
+        if anchor is not None:
+            want = coupling[a, anchor]
+            candidates.sort(
+                key=lambda b: abs(coupling[b, image[anchor]] - want))
+        for b in candidates:
+            if _atoms_fit(mats, orbitals[a], orbitals[b],
+                          placed_src + orbitals[a], placed_dst + orbitals[b]):
+                image[a] = b
+                placed_src.extend(orbitals[a])
+                placed_dst.extend(orbitals[b])
                 if extend(depth + 1):
                     return True
-                used.discard(b)
-                del placed_src[-len(atoms[a]):], placed_dst[-len(atoms[b]):]
+                del image[a]
+                del placed_src[-len(orbitals[a]):]
+                del placed_dst[-len(orbitals[b]):]
         return False
 
     return extend(0)

@@ -53,6 +53,27 @@ def _plan(first: tuple[int, ...]):
     return s, merges, order, first_row.ravel()[order]
 
 
+def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a (N, W) uint64 key array grouped by value: each row's
+    group, numbered in order of first appearance, and the first row of
+    every group."""
+    _, first, group = np.unique(
+        np.ascontiguousarray(keys).view(f"V{keys.shape[1] * 8}").ravel(),
+        return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[group.ravel()], first[order]
+
+
+def mask_ints(masks: np.ndarray) -> list[int]:
+    """Rows of uint64 words (least significant first) as Python ints."""
+    raw = masks.astype("<u8").tobytes()
+    size = 8 * masks.shape[1]
+    return [int.from_bytes(raw[k:k + size], "little")
+            for k in range(0, len(raw), size)]
+
+
 def jordan_wigner_arrays(groups: list, tolerance: float = 1e-12) -> QubitOperator:
     """Map ``(positions, (T, k, 2) ladder ops, coefficients)`` term groups;
     terms add up in position order."""
@@ -88,15 +109,11 @@ def jordan_wigner_arrays(groups: list, tolerance: float = 1e-12) -> QubitOperato
         return QubitOperator()
     order = np.argsort(np.concatenate(rows), kind="stable")
     keys = np.concatenate(keys)[order]
-    _, first_row, slot = np.unique(keys.view(f"V{keys.shape[1] * 8}").ravel(),
-                                   return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first_row))  # slot -> first-appearance rank
-    coef = np.zeros(len(rank), complex)
-    np.add.at(coef, rank[slot], np.concatenate(vals)[order])
+    slot, head = first_appearance(keys)
+    coef = np.zeros(head.size, complex)
+    np.add.at(coef, slot, np.concatenate(vals)[order])
     keep = np.abs(coef) > tolerance
-    raw = keys[np.sort(first_row)[keep]].astype("<u8").tobytes()
-    nb = 8 * bit.shape[1]
-    ints = [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
+    ints = mask_ints(keys[head[keep]].reshape(-1, bit.shape[1]))
     return QubitOperator(dict(zip(map(PauliTerm, ints[0::2], ints[1::2]),
                                   coef[keep].tolist())))
 

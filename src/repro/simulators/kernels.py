@@ -10,7 +10,13 @@ QR and SVD - are routed through a small set of kernels with
   multiple dispatch provides on Sunway;
 * a *fused permute+GEMM* path: the index permutation is folded into a single
   reshape-transpose feeding one ZGEMM, the technique the paper credits for
-  its contraction speedups;
+  its contraction speedups; a caller whose contraction layout is fixed
+  (the MPS gate sweeps, the MPO zip-up) reshapes its own operands and
+  calls the same :func:`gemm` directly, with no plan lookup;
+* LAPACK called bare: QR through bound geqrf/orgqr and the SVD through
+  the gesdd gufunc numpy's ``svd`` dispatches to, bit for bit numpy's
+  results without numpy's per-call wrapping, which costs more than the
+  LAPACK work itself at the 2 x 10 ... 32 x 25 blocks of a VQE sweep;
 * *reference kernels*: deliberately unoptimized pure-loop implementations
   standing in for the paper's MPE-only baseline in the Fig. 11 experiment.
 
@@ -28,6 +34,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy import linalg as sla
 
 from repro.common.errors import ConvergenceError, ValidationError
@@ -38,13 +45,20 @@ from repro.obs import metrics as _obs
 #: the bound only guards long multi-molecule runs against unbounded growth
 PLAN_CACHE_MAX = 512
 
+#: the economy-SVD gufunc (LAPACK gesdd) ``np.linalg.svd(a,
+#: full_matrices=False)`` dispatches to, called without its ~5 us of
+#: argument handling; on non-convergence it returns NaN factors
+_gesdd = _umath_linalg.svd_s
+
 # observability instruments (free unless `repro.obs` is enabled); these
 # merge across process workers like every other labelled counter
 _M_PLAN_CACHE = _obs.counter(
     "kernels.plan_cache",
     "contraction-plan cache lookups, labelled hit/miss/evict")
 _M_GEMM = _obs.counter(
-    "kernels.gemm_calls", "fused permute+GEMM contractions executed")
+    "kernels.gemm_calls",
+    "GEMMs executed: fused permute+GEMM contractions and fixed-layout "
+    "products")
 _M_SVD = _obs.counter(
     "kernels.svd_calls", "truncated SVD kernel invocations")
 
@@ -72,7 +86,7 @@ class KernelBackend:
     ``name`` picks the pipeline:
 
     * "blas"  - fused permute+GEMM, bound geqrf/orgqr QR, numpy's gesdd
-      SVD (the paper's optimized pipeline);
+      gufunc SVD (the paper's optimized pipeline);
     * "plain" - generic-library choices: einsum, np.linalg.qr and gesvd
       full-matrices SVD (the quimb-like reference of Fig. 8);
     * "naive" - pure-loop reference kernels (the Fig. 11 MPE-only stand-in).
@@ -162,18 +176,33 @@ def tensordot_fused(a: np.ndarray, b: np.ndarray,
         if enabled:
             _M_PLAN_CACHE.inc(outcome="hit")
 
-    if be.name == "naive":
-        return _tensordot_naive(a, b, plan)
     if be.name == "plain":
         # generic-library path: per-call contraction without the fused
         # permute+GEMM plan (np.einsum with optimization disabled)
         return _tensordot_plain(a, b, *axes)
-
     am = a.transpose(plan.perm_a).reshape(plan.rows_a, plan.cols)
     bm = b.transpose(plan.perm_b).reshape(plan.cols, plan.cols_b)
-    if enabled:
+    return gemm(am, bm, be).reshape(plan.out_shape)
+
+
+def gemm(a: np.ndarray, b: np.ndarray,
+         backend: KernelBackend | None = None) -> np.ndarray:
+    """The matrix product ``a @ b`` on the backend's pipeline.
+
+    What a caller whose contraction has a fixed layout calls with the
+    operands it reshaped itself: no plan lookup.  On "blas" it is one
+    ZGEMM, bit for bit :func:`tensordot_fused` on the same matrices, and
+    counted in ``kernels.gemm_calls``; "plain" runs an unoptimized einsum
+    and "naive" the triple loop.
+    """
+    be = backend or _BACKEND
+    if be.name == "naive":
+        return _gemm_naive(a, b)
+    if be.name == "plain":
+        return np.einsum("ij,jk->ik", a, b, optimize=False)
+    if _obs.REGISTRY.enabled:
         _M_GEMM.inc()
-    return (am @ bm).reshape(plan.out_shape)
+    return a @ b
 
 
 def _tensordot_plain(a: np.ndarray, b: np.ndarray,
@@ -191,22 +220,20 @@ def _tensordot_plain(a: np.ndarray, b: np.ndarray,
     return np.einsum(spec, a, b, optimize=False)
 
 
-def _tensordot_naive(a: np.ndarray, b: np.ndarray, plan: _Plan) -> np.ndarray:
-    """Reference contraction: permute, then triple-loop matrix multiply."""
-    am = np.ascontiguousarray(a.transpose(plan.perm_a)).reshape(
-        plan.rows_a, plan.cols)
-    bm = np.ascontiguousarray(b.transpose(plan.perm_b)).reshape(
-        plan.cols, plan.cols_b)
-    out = np.zeros((plan.rows_a, plan.cols_b), dtype=np.result_type(a, b))
-    for i in range(plan.rows_a):
-        row = am[i]
-        for j in range(plan.cols_b):
+def _gemm_naive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reference matrix product: a triple loop."""
+    rows, inner = a.shape
+    cols = b.shape[1]
+    out = np.zeros((rows, cols), dtype=np.result_type(a, b))
+    for i in range(rows):
+        row = a[i]
+        for j in range(cols):
             acc = 0.0 + 0.0j
-            col = bm[:, j]
-            for k in range(plan.cols):
+            col = b[:, j]
+            for k in range(inner):
                 acc += row[k] * col[k]
             out[i, j] = acc
-    return out.reshape(plan.out_shape)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,31 +292,35 @@ def svd_truncated(m: np.ndarray, max_dim: int | None = None,
         k = s.size
         u, vh = uf[:, :k], vhf[:k, :]
     else:
+        # gesdd that does not converge fills its outputs with NaN (and
+        # raises the invalid flag, silenced here): read from the spectrum
+        with np.errstate(invalid="ignore"):
+            u, s, vh = _gesdd(m, signature="D->DdD" if m.dtype.kind == "c"
+                              else "d->ddd")
+    weights = s * s
+    total = float(weights.sum())
+    if total != total and be.name == "blas" and np.isfinite(m).all():
+        # gesdd's divide-and-conquer can fail to converge where the
+        # slower QR-iteration driver does not; a NaN entry fails both
         try:
-            # numpy's gesdd binding has the lowest call overhead, which
-            # matters at the small bond dimensions typical of VQE circuits
-            u, s, vh = np.linalg.svd(m, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            # gesdd's divide-and-conquer can fail to converge where the
-            # slower QR-iteration driver does not; a NaN entry fails both
-            if not np.isfinite(m).all():
-                raise ValidationError("SVD of a non-finite matrix") from exc
-            try:
-                u, s, vh = sla.svd(m, full_matrices=False,
-                                   lapack_driver="gesvd", check_finite=False)
-            except np.linalg.LinAlgError as err:
-                raise ConvergenceError("gesdd and gesvd both failed") from err
-    total = float((s * s).sum())
+            u, s, vh = sla.svd(m, full_matrices=False, lapack_driver="gesvd",
+                               check_finite=False)
+        except np.linalg.LinAlgError as err:
+            raise ConvergenceError("gesdd and gesvd both failed") from err
+        weights = s * s
+        total = float(weights.sum())
     if not 0.0 < total < np.inf:  # an inf entry: gesdd returns s = [nan]
         raise ValidationError(f"SVD of a {'non-finite' if total else 'zero'}"
                               " matrix in MPS update")
+    # s descends: the cutoff bites only if the smallest value is below it
     keep = s.size
-    if cutoff > 0.0:
-        keep = int(np.count_nonzero(s > cutoff * s[0]))
-        keep = max(keep, 1)
-    if max_dim is not None:
-        keep = min(keep, max_dim)
-    discarded = float((s[keep:] ** 2).sum()) / total
+    if cutoff > 0.0 and s[-1] <= cutoff * s[0]:
+        keep = max(int(np.count_nonzero(s > cutoff * s[0])), 1)
+    if max_dim is not None and keep > max_dim:
+        keep = max_dim
+    if keep == s.size:
+        return u, s, vh, 0.0
+    discarded = float(weights[keep:].sum()) / total
     return u[:, :keep], s[:keep], vh[:keep, :], discarded
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.common.errors import ValidationError
 from repro.operators.pauli import PAULI_MATRICES, QubitOperator
-from repro.simulators.kernels import svd_truncated, tensordot_fused
+from repro.simulators.kernels import gemm, svd_truncated, tensordot_fused
 
 
 class MPO:
@@ -34,6 +34,10 @@ class MPO:
 
     def bond_dimensions(self) -> list[int]:
         return [w.shape[3] for w in self.tensors[:-1]]
+
+    def __sizeof__(self) -> int:
+        """Bytes held: the site tensors."""
+        return sum(w.nbytes for w in self.tensors)
 
     @classmethod
     def from_qubit_operator(cls, op: QubitOperator, n_qubits: int,
@@ -130,7 +134,7 @@ class MPO:
         """``O|psi>`` as a normalized right-canonical MPS plus its norm.
 
         A left-to-right *zip-up* sweep contracts one MPO tensor into one
-        site tensor at a time - two fused permute+GEMMs on the state's
+        site tensor at a time - two GEMMs of fixed layout on the state's
         kernel backend - and immediately SVD-splits the result, so the
         working bond never exceeds ``(previous rank) * 2`` instead of the
         naive ``D_psi * D_mpo`` product; with ``cutoff`` at numerical noise
@@ -152,13 +156,17 @@ class MPO:
         be = mps.backend
         carry = np.ones((1, 1, 1), dtype=complex)  # (new bond, ket, mpo)
         tensors: list[np.ndarray] = []
-        for k in range(n):
+        for k, (b, w) in enumerate(zip(mps.tensors, self.tensors)):
             # t[x, j, c, d] = carry[x, a, m] B[a, i, c] W[m, j, i, d]
-            t = tensordot_fused(carry, mps.tensors[k], axes=((1,), (0,)),
-                                backend=be)                      # x m i c
-            t = tensordot_fused(t, self.tensors[k], axes=((1, 2), (0, 2)),
-                                backend=be).transpose(0, 2, 1, 3)  # x j c d
-            x, _, ac, mc = t.shape
+            x, a, mb = carry.shape
+            ac, mc = b.shape[2], w.shape[3]
+            t = gemm(carry.transpose(0, 2, 1).reshape(x * mb, a),
+                     b.reshape(a, -1), be)                   # x m, i c
+            t = gemm(t.reshape(x, mb, 2, ac).transpose(0, 3, 1, 2)
+                     .reshape(x * ac, mb * 2),
+                     w.transpose(0, 2, 1, 3).reshape(mb * 2, 2 * mc),
+                     be)                                     # x c, j d
+            t = t.reshape(x, ac, 2, mc).transpose(0, 2, 1, 3)  # x j c d
             if k == n - 1:
                 tensors.append(t.reshape(x, 2, ac * mc))
                 break

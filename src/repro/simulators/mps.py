@@ -41,6 +41,7 @@ from repro.common.rng import default_rng
 from repro.obs import metrics as _obs
 from repro.simulators.kernels import (
     KernelBackend,
+    gemm,
     get_backend,
     qr_reduced,
     svd_truncated,
@@ -292,15 +293,16 @@ class MPS:
     def _canonicalize(self) -> None:
         """Restore right-canonical form + Schmidt values via two sweeps."""
         n = self.n_qubits
+        be = self.backend
         # left-to-right QR sweep -> left-canonical, accumulates norm
         for q in range(n - 1):
             dl, d, dr = self.tensors[q].shape
             mat = self.tensors[q].reshape(dl * d, dr)
-            qm, rm = qr_reduced(mat, self.backend)
+            qm, rm = qr_reduced(mat, be)
             self.tensors[q] = qm.reshape(dl, d, qm.shape[1])
-            self.tensors[q + 1] = tensordot_fused(
-                rm, self.tensors[q + 1], axes=((1,), (0,)),
-                backend=self.backend)
+            nxt = self.tensors[q + 1]
+            self.tensors[q + 1] = gemm(
+                rm, nxt.reshape(dr, -1), be).reshape(rm.shape[0], d, -1)
         # right-to-left SVD sweep -> right-canonical + Schmidt values
         for q in range(n - 1, 0, -1):
             dl, d, dr = self.tensors[q].shape
@@ -316,9 +318,9 @@ class MPS:
             self.lambdas[q] = s
             self.tensors[q] = vh.reshape(s.size, d, dr)
             carry = u * (s * norm)[None, :]
-            self.tensors[q - 1] = tensordot_fused(
-                self.tensors[q - 1], carry, axes=((2,), (0,)),
-                backend=self.backend)
+            prev = self.tensors[q - 1]
+            self.tensors[q - 1] = gemm(
+                prev.reshape(-1, dl), carry, be).reshape(-1, d, s.size)
         # overall normalization sits in tensor 0
         nrm = np.linalg.norm(self.tensors[0])
         if nrm == 0.0:
@@ -441,26 +443,28 @@ class MPS:
 
     def _apply_adjacent(self, mat: np.ndarray, q: int) -> None:
         """Gate on sites (q, q+1) via Eqs. 7-10 of the paper."""
+        be = self.backend
         b1, b2 = self.tensors[q], self.tensors[q + 1]
-        gate = mat.reshape(2, 2, 2, 2)  # [i_out, j_out, i_in, j_in]
+        dl, dr = b1.shape[0], b2.shape[2]
+        # [i_out j_out, i_in j_in], C-ordered whatever layout ``mat`` has
+        gate = mat.reshape(2, 2, 2, 2).reshape(4, 4)
         # Eq. 7: M[l, i, j, r]
-        theta = tensordot_fused(b1, b2, axes=((2,), (0,)),
-                                backend=self.backend)      # l i' j' r
-        m = tensordot_fused(gate, theta, axes=((2, 3), (1, 2)),
-                            backend=self.backend)          # i j l r
-        m = m.transpose(2, 0, 1, 3)                        # l i j r
+        theta = gemm(b1.reshape(dl * 2, -1), b2.reshape(-1, 2 * dr), be)
+        m = gemm(gate, theta.reshape(dl, 4, dr).transpose(1, 0, 2)
+                 .reshape(4, dl * dr), be)                  # i j, l r
+        m = m.reshape(2, 2, dl, dr).transpose(2, 0, 1, 3)  # l i j r
         # Eq. 8: scale by the left bond's Schmidt values
         lam_left = self.lambdas[q]
         m_scaled = m * lam_left[:, None, None, None]
-        dl, _, _, dr = m.shape
         # Eq. 9: SVD + truncation
         _, s, vh, disc = self._split_bond(
             m_scaled.reshape(dl * 2, 2 * dr), q + 1)
         new_b2 = vh.reshape(s.size, 2, dr)
         self.tensors[q + 1] = new_b2
         # Eq. 10 (Hastings): B_q = M V+, right-canonical by construction
-        new_b1 = tensordot_fused(m, new_b2.conj(), axes=((2, 3), (1, 2)),
-                                 backend=self.backend)      # l i chi
+        new_b1 = gemm(m.reshape(dl * 2, 2 * dr),
+                      new_b2.conj().transpose(1, 2, 0).reshape(2 * dr, -1),
+                      be).reshape(dl, 2, -1)                # l i chi
         if disc > 0.0:
             new_b1 = _renormalized(new_b1, lam_left)
         self.tensors[q] = new_b1
@@ -599,9 +603,8 @@ class MPS:
                 blocks = b.take(first, axis=1)
             else:
                 # one GEMM for all blocks: (left, physical, block x new right)
-                blocks = tensordot_fused(
-                    b, carry, axes=((2,), (0,)), backend=be
-                ).reshape(b.shape[0], 2 * w, -1).take(later, axis=1)
+                blocks = gemm(b.reshape(-1, b.shape[2]), carry, be).reshape(
+                    b.shape[0], 2 * w, -1).take(later, axis=1)
             if weights is not None:
                 scale = weights if scale is None else scale * weights
             if scale is not None:
@@ -628,13 +631,13 @@ class MPS:
             dl, _, k = cur.shape
             _, _, vh, disc = self._split_bond(
                 (cur * lam_left[:, None, None]).reshape(dl * 2, k), q + 1)
-            new_b = tensordot_fused(cur, vh.conj(), axes=((2,), (1,)),
-                                    backend=be)
+            new_b = gemm(cur.reshape(dl * 2, k), vh.conj().T,
+                         be).reshape(dl, 2, -1)
             if disc > 0.0:
                 new_b = _renormalized(new_b, lam_left)
             self.tensors[q] = new_b
-            cur = tensordot_fused(vh, canon[q + 1], axes=((1,), (0,)),
-                                  backend=be)
+            cur = gemm(vh, canon[q + 1].reshape(k, -1), be).reshape(
+                vh.shape[0], 2, -1)
         self.tensors[hi] = cur
         self.revision += 1
 

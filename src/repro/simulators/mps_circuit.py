@@ -185,15 +185,18 @@ class MPSSimulator:
     def expectation_pauli(self, term: PauliTerm) -> float:
         return self.state.expectation_pauli(term)
 
-    def expectation(self, op: QubitOperator) -> float:
+    def expectation(self, op: QubitOperator, key: tuple | None = None
+                    ) -> float:
         """Batched <H>: one shared-environment sweep of the measurement
         engine.
 
         <P> is real for every Pauli string; complex coefficients (e.g. in
         non-hermitian excitation operators measured for RDMs) are combined
-        before the final real part is taken.
+        before the final real part is taken.  ``key`` is the operator's
+        ``observable_cache_key`` when the caller holds it.
         """
-        return self._engine.expectation_sweep(self.state, op, self.n_qubits)
+        return self._engine.expectation_sweep(self.state, op, self.n_qubits,
+                                              key)
 
     def term_expectations(self, terms) -> np.ndarray:
         """<P> of every Pauli string from one shared-environment sweep,

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common import cache as _cache
+from repro.common.cache import TERM_BYTES
 from repro.common.errors import ValidationError
 from repro.obs import metrics as _obs
 from repro.operators.pauli import PAULI_MATRICES, QubitOperator
@@ -120,6 +121,14 @@ class SweepPlan:
         """Number of non-identity terms in the schedule."""
         return len(self.term_keys)
 
+    def __sizeof__(self) -> int:
+        """Bytes held: the row-index arrays and the per-term keys."""
+        groups = [a for sweep in (self.adv_l, self.adv_r) for site in sweep
+                  for _, src, dst in site for a in (src, dst)]
+        arrays = [self.coeffs, *self.out_l, *groups,
+                  *(a for combo in self.combos for a in combo)]
+        return sum(a.nbytes for a in arrays) + TERM_BYTES * self.n_terms
+
     @property
     def n_gemm_calls(self) -> int:
         """Batched GEMM invocations one evaluation issues.
@@ -148,9 +157,8 @@ def build_sweep_plan(op: QubitOperator, n_qubits: int) -> SweepPlan:
     dims = [min(2 ** min(b, n_qubits - b), _SPLIT_WEIGHT_CAP)
             for b in range(n_qubits + 1)]
 
-    def step_weight(q: int) -> float:
-        dl, dr = dims[q], dims[q + 1]
-        return float(dl * dl * dr + dl * dr * dr)
+    step_weight = [float(dl * dl * dr + dl * dr * dr)
+                   for dl, dr in zip(dims, dims[1:])]
 
     constant = 0.0 + 0.0j
     coeffs: list[complex] = []
@@ -206,19 +214,26 @@ def build_sweep_plan(op: QubitOperator, n_qubits: int) -> SweepPlan:
         # *new* trie nodes each side would add (existing nodes are free;
         # node existence is prefix-closed, so a plain scan suffices)
         cum_l = [0.0] * span
+        cost, prefix = 0.0, ""
         for d in range(1, span):
-            new = 0.0 if (start, "".join(chars[:d])) in lrows \
-                else step_weight(start + d - 1)
-            cum_l[d] = cum_l[d - 1] + new
+            prefix += chars[d - 1]
+            if (start, prefix) not in lrows:
+                cost += step_weight[start + d - 1]
+            cum_l[d] = cost
         cum_r = [0.0] * (span + 1)
+        cost, prefix = 0.0, rev[0]
         for d in range(2, span + 1):
             # depth 1 is the cached closing-matrix seed (free); depth d
             # adds an advance through site end-d+1
-            new = 0.0 if (end, "".join(rev[:d])) in rrows \
-                else step_weight(end - d + 1)
-            cum_r[d] = cum_r[d - 1] + new
-        split = min(range(start, end + 1),
-                    key=lambda b: cum_l[b - start] + cum_r[end - b + 1])
+            prefix += rev[d - 1]
+            if (end, prefix) not in rrows:
+                cost += step_weight[end - d + 1]
+            cum_r[d] = cost
+        split, best = start, cum_l[0] + cum_r[span]
+        for b in range(start + 1, end + 1):
+            here = cum_l[b - start] + cum_r[end - b + 1]
+            if here < best:
+                split, best = b, here
         # left side: walk the prefix trie, scheduling a batched advance
         # through site start+j whenever a node is seen for the first time
         row = left_node(start, "")
@@ -303,19 +318,27 @@ _PLAN_NAMESPACE = "mps.sweep_plan"
 _MPO_NAMESPACE = "mps.mpo"
 
 
-def sweep_plan(op: QubitOperator, n_qubits: int) -> SweepPlan:
-    """Fetch (or build and cache) the :class:`SweepPlan` for an operator."""
+def sweep_plan(op: QubitOperator, n_qubits: int,
+               key: tuple | None = None) -> SweepPlan:
+    """Fetch (or build and cache) the :class:`SweepPlan` for an operator.
+
+    ``key`` is ``observable_cache_key(op, n_qubits)`` when the caller
+    holds it already (the VQE evaluator keys its Hamiltonian once).
+    """
     return _cache.current().get_or_build(
-        _PLAN_NAMESPACE, observable_cache_key(op, n_qubits),
+        _PLAN_NAMESPACE,
+        observable_cache_key(op, n_qubits) if key is None else key,
         lambda: build_sweep_plan(op, n_qubits), _M_PLAN_CACHE)
 
 
-def compiled_mpo(op: QubitOperator, n_qubits: int):
-    """Fetch (or compile and cache) the compressed MPO for an operator."""
+def compiled_mpo(op: QubitOperator, n_qubits: int, key: tuple | None = None):
+    """Fetch (or compile and cache) the compressed MPO for an operator;
+    ``key`` as for :func:`sweep_plan`."""
     from repro.simulators.mpo import MPO
 
     return _cache.current().get_or_build(
-        _MPO_NAMESPACE, observable_cache_key(op, n_qubits),
+        _MPO_NAMESPACE,
+        observable_cache_key(op, n_qubits) if key is None else key,
         lambda: MPO.from_qubit_operator(op, n_qubits), _M_MPO_CACHE)
 
 
@@ -441,14 +464,16 @@ class MPSMeasurementEngine:
     # -- evaluation paths -----------------------------------------------------
 
     def expectation_sweep(self, mps: MPS, op: QubitOperator,
-                          n_qubits: int | None = None) -> float:
-        """Re <psi|H|psi> through the shared-environment sweeps."""
+                          n_qubits: int | None = None,
+                          key: tuple | None = None) -> float:
+        """Re <psi|H|psi> through the shared-environment sweeps; ``key``
+        as for :func:`sweep_plan`."""
         n = mps.n_qubits if n_qubits is None else int(n_qubits)
         if n != mps.n_qubits:
             raise ValidationError(
                 f"operator register {n} != state register {mps.n_qubits}"
             )
-        return self._evaluate_plan(mps, sweep_plan(op, n))
+        return self._evaluate_plan(mps, sweep_plan(op, n, key))
 
     def term_expectations(self, mps: MPS, terms) -> np.ndarray:
         """<P> of every (non-identity) Pauli string from one pair of

@@ -152,6 +152,11 @@ class CompiledObservable:
         """Number of distinct flip-mask groups (gathers per evaluation)."""
         return len(self._groups)
 
+    def __sizeof__(self) -> int:
+        """Bytes held: a diagonal and a permutation per mask group."""
+        return sum(diag.nbytes + (0 if perm is None else perm.nbytes)
+                   for perm, diag in self._groups)
+
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H |psi> on a flat dense vector (qubit 0 = MSB)."""
         psi = np.asarray(psi).reshape(-1)

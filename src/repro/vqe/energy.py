@@ -19,6 +19,7 @@ string) is reproduced, beside this path, by
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,10 @@ from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 from repro.operators.pauli import QubitOperator
 from repro.simulators.mps_circuit import ForwardTrail, MPSSimulator
-from repro.simulators.pauli_kernels import CompiledObservable
+from repro.simulators.pauli_kernels import (
+    CompiledObservable,
+    observable_cache_key,
+)
 from repro.simulators.statevector import StatevectorSimulator
 
 # observability instruments (no-ops unless `repro.obs` is enabled)
@@ -223,6 +227,22 @@ class EnergyEvaluator:
 
         return make_gradient(self, source)
 
+    @cached_property
+    def hamiltonian_key(self) -> tuple:
+        """The Hamiltonian's content key in the compile store, computed
+        once: the MPS energy fetches its sweep plan by it, and sorting the
+        terms again on every energy cost as much as a small sweep."""
+        return observable_cache_key(self.hamiltonian, self.n_qubits)
+
+    @cached_property
+    def bra_operator(self) -> tuple[QubitOperator, tuple]:
+        """The Hamiltonian without its identity term, whose compiled MPO
+        builds the MPS adjoint's bra H|psi> (a constant never contributes
+        to a gradient), and its store key, both computed once."""
+        op = QubitOperator({t: c for t, c in self.hamiltonian.terms.items()
+                            if not t.is_identity()})
+        return op, observable_cache_key(op, self.n_qubits)
+
     def compiled(self) -> CompiledObservable:
         """The Hamiltonian compiled for batched dense measurement - built
         on first use against a dense backend, then reused across every
@@ -238,8 +258,8 @@ class EnergyEvaluator:
             # O(#distinct masks) gathers per evaluation instead of
             # O(terms x weight) tensor contractions
             return self.compiled().expectation(sim.statevector())
-        # the MPS and the density matrix batch internally behind the same
-        # expectation(op) interface
+        if isinstance(sim, MPSSimulator):
+            return sim.expectation(self.hamiltonian, self.hamiltonian_key)
         return sim.expectation(self.hamiltonian)
 
     def final_state(self, theta: np.ndarray):

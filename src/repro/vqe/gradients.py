@@ -137,12 +137,6 @@ def _angle_derivative(gate: Gate) -> list[tuple[complex, dict[int, str]]]:
     return [(-0.5j, dict(zip(gate.qubits, pauli)))]
 
 
-def _strip_identity(op: QubitOperator) -> QubitOperator:
-    """Drop identity terms: constants never contribute to the gradient."""
-    return QubitOperator({t: c for t, c in op.terms.items()
-                          if not t.is_identity()})
-
-
 def _inverse(gate: Gate) -> Gate:
     """The bound gate undoing ``gate``: EX/PR(-angle), else the adjoint
     matrix."""
@@ -294,14 +288,16 @@ class _OverlapEnvironments:
         return complex(np.einsum("ij,ij->", env[0], r[0]))
 
 
-def _adjoint_mps(hamiltonian: QubitOperator, state, trail: ForwardTrail,
-                 refs, n_parameters: int) -> np.ndarray:
+def _adjoint_mps(bra_operator: tuple[QubitOperator, tuple], state,
+                 trail: ForwardTrail, refs, n_parameters: int) -> np.ndarray:
     """The backward sweep of the two-state adjoint gradient on MPS.
 
     ``state`` is the final MPS of the forward pass that wrote ``trail``;
-    it is read, never changed.  The bra ``H|psi>`` is materialized once as
-    an MPS through the compiled-MPO zip-up
-    (:meth:`repro.simulators.mpo.MPO.apply`) - its exact Schmidt rank is
+    it is read, never changed.  ``bra_operator`` is H without its identity
+    term and that operator's store key
+    (:attr:`repro.vqe.energy.EnergyEvaluator.bra_operator`).  The bra
+    ``H|psi>`` is materialized once as an MPS through the compiled-MPO
+    zip-up (:meth:`repro.simulators.mpo.MPO.apply`) - its exact Schmidt rank is
     capped at ``min(2^b, 2^(n-b))``, so it stays small - and normalized,
     carrying ``||H|psi>||`` as a scalar.  Then, last gate first:
     accumulate ``mult * scale * Im <phi|G|ket>`` for a parametric gate
@@ -313,13 +309,13 @@ def _adjoint_mps(hamiltonian: QubitOperator, state, trail: ForwardTrail,
     """
     n = state.n_qubits
     grad = np.zeros(n_parameters)
-    op = _strip_identity(hamiltonian)
+    op, key = bra_operator
     if not op.terms:
         _G_BWD.inc()
         return grad
     # bra cutoff: tight enough that the zip-up keeps the exact rank; the
     # bra is never bond-capped (its rank is bounded by the register anyway)
-    bra, scale = compiled_mpo(op, n).apply(
+    bra, scale = compiled_mpo(op, n, key).apply(
         state, cutoff=min(state.cutoff, 1e-13))
     # a working view of the ket: own site lists, shared arrays
     ket = MPS.from_attached(n, state.tensors, state.lambdas,
@@ -470,7 +466,7 @@ def adjoint_gradient(evaluator, theta: np.ndarray) -> np.ndarray:
         if ran_forward:
             _G_FWD.inc()
         if prepared.trail is not None:
-            grad = _adjoint_mps(evaluator.hamiltonian, prepared.sim.state,
+            grad = _adjoint_mps(evaluator.bra_operator, prepared.sim.state,
                                 prepared.trail, prepared.refs, n_parameters)
             # bra build + the bra's backward evolution (the ket is read
             # back from the trail)

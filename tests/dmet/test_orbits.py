@@ -14,6 +14,7 @@ from repro.chem.geometry import (Molecule, hydrogen_chain, hydrogen_ring,
                                  water)
 from repro.chem.lattice import hubbard_ring, ppp_carbon_ring
 from repro.common.errors import ValidationError
+from repro.dmet import dmet
 from repro.dmet.bath import build_bath
 from repro.dmet.dmet import (DMET, _is_symmetry, atoms_per_fragment,
                              fragment_orbits)
@@ -190,3 +191,24 @@ class TestWhatIsChecked:
         system = from_lattice(hubbard_ring(30, u=4.0, t=1.0))
         fragments = [[i, i + 1] for i in range(0, 30, 2)]
         assert DMET(system, fragments).orbits == [list(range(15))]
+
+    @pytest.mark.parametrize("n_sites", [10, 18, 30])
+    def test_each_site_is_placed_once_per_search(self, monkeypatch, n_sites):
+        """Candidates are tried where the site's strongest coupling is
+        kept, so on a ring every search places each site at its first
+        try: (fragments - 1) x sites placements, not the ~n^3 of trying
+        sites in index order (80 / 480 / 2,240 placements at 10 / 18 / 30
+        sites)."""
+        system = from_lattice(hubbard_ring(n_sites, u=4.0, t=1.0))
+        fragments = [[i, i + 1] for i in range(0, n_sites, 2)]
+        baths = [build_bath(system.density, f) for f in fragments]
+        fit, placements = dmet._atoms_fit, []
+
+        def counted(*args):
+            placements.append(1)
+            return fit(*args)
+
+        monkeypatch.setattr(dmet, "_atoms_fit", counted)
+        orbits = fragment_orbits(system, fragments, baths)
+        assert orbits == [list(range(n_sites // 2))]
+        assert len(placements) == (n_sites // 2 - 1) * n_sites

@@ -8,13 +8,14 @@ bound under random insert streams, LRU eviction order, and the producers
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro.common import cache as cache_mod
-from repro.common.cache import ENTRY_OVERHEAD, ServeCache, sizeof
+from repro.common.cache import ENTRY_OVERHEAD, TERM_BYTES, ServeCache, sizeof
 from repro.common.errors import ValidationError
 
 from ..properties.support import given_seed, random_statevector, rng_for
@@ -181,6 +182,31 @@ class TestSizeof:
                 self.b = {"x": [1, 2, 3]}
 
         assert sizeof(Thing()) > 800
+
+    def test_compiled_artifacts_state_their_own_size(self):
+        """Sweep plans, MPOs, dense observables and RDM programs are sized
+        by their own ``__sizeof__`` - numpy payload plus TERM_BYTES per
+        string held as a Python object - and are not walked."""
+        from repro.simulators.mpo import MPO
+        from repro.simulators.mps_measure import build_sweep_plan
+        from repro.simulators.pauli_kernels import CompiledObservable
+        from repro.vqe.rdm import build_rdm_program
+
+        op = _random_operator(6, 40, seed=3)
+        plan = build_sweep_plan(op, 6)
+        mpo = MPO.from_qubit_operator(op, 6)
+        program = build_rdm_program(3)
+        payload = [
+            (plan, plan.coeffs.nbytes + TERM_BYTES * plan.n_terms),
+            (mpo, sum(w.nbytes for w in mpo.tensors)),
+            (CompiledObservable(op, 6), 0),
+            (program, program.table.data.nbytes
+             + TERM_BYTES * len(program.terms)),
+        ]
+        for artifact, least in payload:
+            own = artifact.__sizeof__()
+            assert sizeof(artifact) == sys.getsizeof(artifact) >= own
+            assert own >= least and own > 0
 
 
 def _random_operator(n_qubits, n_terms, seed):

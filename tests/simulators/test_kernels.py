@@ -19,6 +19,7 @@ from repro.simulators import kernels
 from repro.simulators.kernels import (
     KernelBackend,
     _svd_reference,
+    gemm,
     qr_reduced,
     svd_truncated,
     tensordot_fused,
@@ -138,6 +139,7 @@ class TestSVD:
         with pytest.raises(ValidationError):
             svd_truncated(np.zeros((3, 3)), backend=backend)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_matrix_rejected(self, rng, bad):
         """An inf comes back from gesdd as s = [nan] and a NaN fails both
@@ -153,28 +155,29 @@ class TestSVD:
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", failing)
+        monkeypatch.setattr(kernels, "_gesdd", _not_converging(kernels._gesdd))
         monkeypatch.setattr(kernels.sla, "svd", failing)
         m = rng.standard_normal((5, 3))
         with pytest.raises(ConvergenceError, match="gesdd and gesvd"):
             svd_truncated(m, backend=KernelBackend())
 
     def test_gesdd_failure_falls_back_to_gesvd(self, monkeypatch, rng):
-        """Fault injection: ``np.linalg.svd`` raising LinAlgError once must
-        yield the same truncated factors and discarded weight through the
-        gesvd driver, not an exception or a silently different answer."""
+        """Fault injection: the gesdd gufunc not converging once (NaN
+        factors) must yield the same truncated factors and discarded
+        weight through the gesvd driver, not an exception or a silently
+        different answer."""
         m = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
         want = svd_truncated(m, max_dim=4, cutoff=1e-12,
                              backend=KernelBackend())
-        real_svd, calls = np.linalg.svd, []
+        real_gesdd, calls = kernels._gesdd, []
 
         def failing_once(*args, **kwargs):
             calls.append(1)
             if len(calls) == 1:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return real_svd(*args, **kwargs)
+                return _not_converging(real_gesdd)(*args, **kwargs)
+            return real_gesdd(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", failing_once)
+        monkeypatch.setattr(kernels, "_gesdd", failing_once)
         with obs.collect() as reg:
             u, s, vh, disc = svd_truncated(m, max_dim=4, cutoff=1e-12,
                                            backend=KernelBackend())
@@ -186,6 +189,27 @@ class TestSVD:
         # the rank-4 reconstructions
         assert np.allclose((u * s) @ vh, (want[0] * want[1]) @ want[2],
                            atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 5), (5, 2), (2, 10), (8, 16),
+                                       (32, 25), (40, 10), (64, 30),
+                                       (30, 64)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_bitwise_parity_with_numpy(self, rng, shape, dtype, transpose):
+        """The gesdd gufunc called bare is ``np.linalg.svd``: the same U, s
+        and Vh bits on real and complex blocks, tall and wide, including
+        transposed views."""
+        a = rng.standard_normal(shape).astype(dtype)
+        if dtype is np.complex128:
+            a += 1j * rng.standard_normal(shape)
+        if transpose:
+            a = a.T
+        u, s, vh, disc = svd_truncated(a, backend=KernelBackend())
+        u_ref, s_ref, vh_ref = np.linalg.svd(a, full_matrices=False)
+        assert disc == 0.0
+        for got, ref in ((u, u_ref), (s, s_ref), (vh, vh_ref)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert _bits(got) == _bits(ref)
 
     def test_reference_svd_matches(self, rng):
         for shape in [(6, 4), (4, 6), (5, 5)]:
@@ -207,6 +231,14 @@ class TestSVD:
 def _bits(x):
     """Raw bytes in C order: equal iff every element is bit for bit."""
     return np.ascontiguousarray(x).tobytes()
+
+
+def _not_converging(gesdd):
+    """``gesdd`` as it answers when it does not converge: NaN factors of
+    the right shapes."""
+    def call(*args, **kwargs):
+        return tuple(np.full_like(x, np.nan) for x in gesdd(*args, **kwargs))
+    return call
 
 
 class TestQRReduced:
@@ -299,6 +331,30 @@ class TestQRReduced:
                             lambda *key: (rejecting, *rest))
         with pytest.raises(ValidationError, match="argument 4"):
             qr_reduced(a, KernelBackend())
+
+
+class TestGemm:
+    @pytest.mark.parametrize("name", ["blas", "plain", "naive"])
+    def test_matches_matmul_without_plan_lookups(self, rng, name):
+        """The fixed-layout kernel on every pipeline: a @ b, no plan
+        lookup, and a counted GEMM on "blas" only."""
+        a = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        b = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        be = KernelBackend(name=name)
+        with obs.collect() as reg:
+            out = gemm(a, b, be)
+        assert np.allclose(out, a @ b, rtol=0, atol=1e-13)
+        assert len(be.plan_cache) == 0
+        assert reg.value("kernels.gemm_calls") == (name == "blas")
+
+    def test_blas_is_the_fused_contraction_bit_for_bit(self, rng):
+        """A caller reshaping its own operands gets the bits
+        tensordot_fused gives for the same contraction."""
+        a = rng.standard_normal((3, 2, 5)) + 1j * rng.standard_normal((3, 2, 5))
+        b = rng.standard_normal((5, 2, 4)) + 1j * rng.standard_normal((5, 2, 4))
+        fused = tensordot_fused(a, b, axes=((2,), (0,)))
+        direct = gemm(a.reshape(6, 5), b.reshape(5, 8)).reshape(3, 2, 2, 4)
+        assert _bits(direct) == _bits(fused)
 
 
 class TestBackendName:

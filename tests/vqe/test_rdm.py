@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.circuits.uccsd import UCCSDAnsatz
 from repro.operators.molecular import molecular_qubit_hamiltonian
@@ -135,7 +136,50 @@ class TestOnePassAgainstPerTermOracle:
                           ).max() <= 1e-12
 
 
+def _operator_algebra_program(m):
+    """The program built by multiplying QubitOperators term by term: the
+    oracle of the vectorised build, which must match it bit for bit."""
+    excitations = excitation_qubit_operators(m)
+    one = [(p, q) for p in range(m) for q in range(p, m)]
+    two = [(p, q, r, s)
+           for p in range(m) for q in range(m)
+           for r in range(m) for s in range(m)
+           if (p, q, r, s) <= (r, s, p, q)]
+    operators = [excitations[pq] for pq in one] + [
+        excitations[p, q] * excitations[r, s] for p, q, r, s in two]
+    column = {}
+    rows, cols, data = [], [], []
+    constant = np.zeros(len(operators))
+    for row, op in enumerate(operators):
+        for term, coeff in op:
+            weight = complex(coeff).real
+            if weight == 0.0:
+                continue
+            if term.is_identity():
+                constant[row] += weight
+                continue
+            rows.append(row)
+            cols.append(column.setdefault(term, len(column)))
+            data.append(weight)
+    table = sparse.csr_matrix((data, (rows, cols)),
+                              shape=(len(operators), len(column)))
+    return tuple(column), table, constant
+
+
 class TestProgram:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_bitwise_the_operator_algebra_build(self, m):
+        """Same strings in the same order, same table and constant bits."""
+        program = build_rdm_program(m)
+        terms, table, constant = _operator_algebra_program(m)
+        assert program.terms == terms
+        assert program.constant.tobytes() == constant.tobytes()
+        assert program.table.shape == table.shape
+        for part in ("data", "indices", "indptr"):
+            got, want = getattr(program.table, part), getattr(table, part)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_strings_are_distinct_real_weighted_and_fewer_than_operators(self):
         program = build_rdm_program(4)
         assert len(set(program.terms)) == len(program.terms) == 508
