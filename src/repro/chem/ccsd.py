@@ -56,6 +56,9 @@ class CCSDSolver:
 
     def __init__(self, mo: MOIntegrals, *, max_iterations: int = 100,
                  tolerance: float = 1e-9, level_shift: float = 0.0):
+        if max_iterations < 1:
+            raise ValidationError(
+                f"max_iterations must be at least 1, got {max_iterations}")
         self.mo = mo
         self.max_iterations = max_iterations
         self.tolerance = tolerance

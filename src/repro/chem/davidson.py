@@ -1,6 +1,6 @@
 """Davidson-Liu iterative eigensolver.
 
-The standard workhorse for lowest eigenpairs of large sparse Hermitian
+The standard workhorse for the lowest eigenpair of large sparse Hermitian
 operators in quantum chemistry (the FCI matrices behind the paper's Fig. 7a
 baselines).  Works matrix-free: the caller supplies a matvec and a diagonal
 preconditioner.
@@ -13,73 +13,66 @@ from typing import Callable
 
 import numpy as np
 
-from repro.common.errors import ConvergenceError, ValidationError
+from repro.common.errors import ConvergenceError
+
+
+#: Residual norm at which the lowest eigenpair counts as converged, the
+#: iteration cap, and the subspace size at which the basis collapses onto
+#: the Ritz vector.
+TOLERANCE = 1e-9
+MAX_ITERATIONS = 200
+MAX_SUBSPACE = 16
 
 
 @dataclass
 class DavidsonResult:
-    """Lowest eigenpairs from a Davidson run."""
+    """Lowest eigenpair from a Davidson run."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # (dim, n_roots)
+    eigenvalue: float
+    eigenvector: np.ndarray  # (dim,)
     n_iterations: int
     n_matvecs: int
-    residual_norms: np.ndarray
+    residual_norm: float
 
 
 def davidson(matvec: Callable[[np.ndarray], np.ndarray],
-             diagonal: np.ndarray, *, n_roots: int = 1,
-             tolerance: float = 1e-9, max_iterations: int = 200,
-             max_subspace: int | None = None,
-             initial_guess: np.ndarray | None = None) -> DavidsonResult:
-    """Find the ``n_roots`` lowest eigenpairs of a Hermitian operator.
+             diagonal: np.ndarray) -> DavidsonResult:
+    """Find the lowest eigenpair of a Hermitian operator.
 
     Parameters
     ----------
     matvec:
         y = H @ x for a single vector x.
     diagonal:
-        diag(H), used both for the initial guesses (lowest diagonal
-        entries) and the Davidson preconditioner.
-    max_subspace:
-        Subspace collapse threshold (default 8 * n_roots + 8).
+        diag(H), used both for the initial guess (a unit vector at the
+        lowest diagonal entry) and the Davidson preconditioner.
+
+    The arithmetic is the block method's at one root: the guess, the Ritz
+    vector and the residual are (dim, 1) blocks.
     """
     dim = diagonal.size
-    if n_roots < 1 or n_roots > dim:
-        raise ValidationError(f"n_roots={n_roots} invalid for dim={dim}")
-    if max_subspace is None:
-        max_subspace = min(dim, 8 * n_roots + 8)
-    if max_subspace < 2 * n_roots:
-        raise ValidationError("max_subspace too small")
+    capacity = min(dim, MAX_SUBSPACE)
 
-    # the diagonal in increasing order: the default guesses, and where the
+    # the diagonal in increasing order: the guess, and where the
     # preconditioner looks for near-zero denominators
     order = np.argsort(diagonal)
     sorted_diagonal = diagonal[order]
-    # initial guesses: unit vectors at the lowest diagonal entries
-    if initial_guess is not None:
-        v = np.atleast_2d(np.asarray(initial_guess, dtype=float).T).T
-        if v.shape[0] != dim:
-            raise ValidationError("initial guess dimension mismatch")
-    else:
-        v = np.zeros((dim, n_roots))
-        for k in range(n_roots):
-            v[order[k], k] = 1.0
+    v = np.zeros((dim, 1))
+    v[order[0], 0] = 1.0
     v, _ = np.linalg.qr(v)
 
     # the basis and its sigma vectors, one row each, in blocks allocated
     # once; rows [:n_basis] are live and [:n_sigma] have their sigma.
     # projected[i, j] = basis[i] . sigma[j] is kept for the live rows and
     # grows by the new rows' entries only
-    capacity = max(max_subspace, v.shape[1])
     basis = np.empty((capacity, dim))
     sigma = np.empty((capacity, dim))
     projected = np.empty((capacity, capacity))
-    n_basis = v.shape[1]
+    n_basis = 1
     basis[:n_basis] = v.T
     n_sigma = 0
     n_matvecs = 0
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         # sigma vectors for any new basis rows
         n_known = n_sigma
         while n_sigma < n_basis:
@@ -92,63 +85,57 @@ def davidson(matvec: Callable[[np.ndarray], np.ndarray],
         h_sub = projected[:n_basis, :n_basis]
         h_sub = 0.5 * (h_sub + h_sub.T)
         evals, evecs = np.linalg.eigh(h_sub)
-        theta = evals[:n_roots]
-        ritz = v.T @ evecs[:, :n_roots]
-        residuals = s.T @ evecs[:, :n_roots] - ritz * theta[None, :]
+        theta = evals[:1]
+        ritz = v.T @ evecs[:, :1]
+        residuals = s.T @ evecs[:, :1] - ritz * theta[None, :]
         norms = np.linalg.norm(residuals, axis=0)
-        if np.all(norms < tolerance):
+        if norms[0] < TOLERANCE:
             return DavidsonResult(
-                eigenvalues=theta.copy(),
-                eigenvectors=ritz,
+                eigenvalue=float(theta[0]),
+                eigenvector=ritz[:, 0],
                 n_iterations=it,
                 n_matvecs=n_matvecs,
-                residual_norms=norms,
+                residual_norm=float(norms[0]),
             )
         # collapse the subspace when it grows too large
-        if n_basis + n_roots > max_subspace:
+        if n_basis + 1 > capacity:
             v, _ = np.linalg.qr(ritz)
-            n_basis = v.shape[1]
+            n_basis = 1
             basis[:n_basis] = v.T
             n_sigma = 0
             continue
-        # preconditioned corrections, each appended after two Gram-Schmidt
+        # the preconditioned correction, appended after two Gram-Schmidt
         # passes against the basis so far.  The old rows are never
         # re-factored: a QR of the whole basis may flip a vector's sign
         # (always so for a unit guess off index 0) and so desynchronize the
         # sigma vectors kept for it.
-        n_old = n_basis
-        for k in range(n_roots):
-            if norms[k] < tolerance:
-                continue
-            # |denominator| < 1e-8 becomes +-1e-8: only entries whose
-            # diagonal lies within 1e-8 of theta (found in the sorted
-            # diagonal, with margin) can qualify
-            denom = diagonal - theta[k]
-            near = order[np.searchsorted(sorted_diagonal, theta[k] - 2e-8):
-                         np.searchsorted(sorted_diagonal, theta[k] + 2e-8)]
-            if near.size:
-                d = denom[near]
-                denom[near] = np.where(np.abs(d) < 1e-8,
-                                       np.sign(d + 1e-30) * 1e-8, d)
-            corr = residuals[:, k] / denom
-            before = np.linalg.norm(corr)
-            v = basis[:n_basis]
-            for _ in range(2):
-                corr -= v.T @ (v @ corr)
-            nrm = np.linalg.norm(corr)
-            # relative test: near convergence a tiny correction is still a
-            # valid new direction
-            if nrm > 1e-8 * before:
-                basis[n_basis] = corr / nrm
-                n_basis += 1
-        if n_basis == n_old:
-            # stagnation: residuals above tolerance but no usable direction
+        # |denominator| < 1e-8 becomes +-1e-8: only entries whose diagonal
+        # lies within 1e-8 of theta (found in the sorted diagonal, with
+        # margin) can qualify
+        denom = diagonal - theta[0]
+        near = order[np.searchsorted(sorted_diagonal, theta[0] - 2e-8):
+                     np.searchsorted(sorted_diagonal, theta[0] + 2e-8)]
+        if near.size:
+            d = denom[near]
+            denom[near] = np.where(np.abs(d) < 1e-8,
+                                   np.sign(d + 1e-30) * 1e-8, d)
+        corr = residuals[:, 0] / denom
+        before = np.linalg.norm(corr)
+        v = basis[:n_basis]
+        for _ in range(2):
+            corr -= v.T @ (v @ corr)
+        nrm = np.linalg.norm(corr)
+        # relative test: near convergence a tiny correction is still a
+        # valid new direction
+        if nrm <= 1e-8 * before:
+            # stagnation: residual above tolerance but no usable direction
             raise ConvergenceError(
                 "Davidson stagnated (preconditioner produced no new "
-                "directions)", iterations=it,
-                residual=float(norms.max()),
+                "direction)", iterations=it, residual=float(norms[0]),
             )
+        basis[n_basis] = corr / nrm
+        n_basis += 1
     raise ConvergenceError(
-        f"Davidson did not converge in {max_iterations} iterations",
-        iterations=max_iterations, residual=float(norms.max()),
+        f"Davidson did not converge in {MAX_ITERATIONS} iterations",
+        iterations=MAX_ITERATIONS, residual=float(norms[0]),
     )

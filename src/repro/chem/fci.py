@@ -125,16 +125,15 @@ def _one_spin_operator(gather: np.ndarray, links: tuple[np.ndarray, ...],
 
 @dataclass
 class FCIResult:
-    """Ground (or excited) state from determinant FCI.
+    """Ground state from determinant FCI.
 
     ``one_rdm`` (spin-summed gamma_pq = <E_pq>) and ``two_rdm`` (spin-summed
-    Gamma_pqrs, chemists' pairing) of the ground root are built on first
-    read, so an energy alone never pays for them.
+    Gamma_pqrs, chemists' pairing) are built on first read, so an energy
+    alone never pays for them.
     """
 
     energy: float
     civec: np.ndarray           # (n_alpha_strings, n_beta_strings)
-    energies: np.ndarray        # all requested roots
     solver: FCISolver = field(repr=False, compare=False)
 
     @cached_property
@@ -308,28 +307,20 @@ class FCISolver:
 
     # -- public API ------------------------------------------------------------
 
-    def solve(self, n_roots: int = 1) -> FCIResult:
-        """Compute the lowest ``n_roots`` eigenstates; returns the ground root."""
+    def solve(self) -> FCIResult:
+        """Compute the ground state."""
         na, nb = len(self.alpha_strings), len(self.beta_strings)
-        dim = na * nb
-        if not 1 <= n_roots <= dim:
-            raise ValidationError(
-                f"n_roots={n_roots} invalid for {dim} determinants"
-            )
-        if dim <= max(self.dense_cutoff, 1):
+        if na * nb <= max(self.dense_cutoff, 1):
             evals, evecs = np.linalg.eigh(self._dense_hamiltonian())
-            energies, civec = evals[:n_roots], evecs[:, 0]
+            energy, civec = evals[0], evecs[:, 0]
         else:
             out = davidson(
                 lambda x: self._sigma(x.reshape(na, nb)).ravel(),
                 self.hamiltonian_diagonal().ravel(),
-                n_roots=n_roots,
             )
-            energies, civec = out.eigenvalues, out.eigenvectors[:, 0]
-        energies = energies + self.mo.constant
-        return FCIResult(energy=float(energies[0]),
-                         civec=civec.reshape(na, nb), energies=energies,
-                         solver=self)
+            energy, civec = out.eigenvalue, out.eigenvector
+        return FCIResult(energy=float(energy + self.mo.constant),
+                         civec=civec.reshape(na, nb), solver=self)
 
     def hamiltonian_diagonal(self) -> np.ndarray:
         """Slater-Condon diagonal over determinants: (na, nb) array.

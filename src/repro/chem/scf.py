@@ -70,6 +70,12 @@ class SCFResult:
 #: Iterates (and error vectors) a DIIS extrapolation mixes.
 DIIS_SIZE = 8
 
+#: RHF iteration cap, and the energy change (Ha) and largest density
+#: change below which both hold at convergence.
+MAX_ITERATIONS = 200
+ENERGY_TOLERANCE = 1e-10
+DENSITY_TOLERANCE = 1e-8
+
 
 def build_jk(eri: np.ndarray, density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coulomb J and exchange K matrices from chemists' ERIs and a density."""
@@ -136,14 +142,13 @@ class RHF:
         Target molecule (must have an even number of electrons).
     basis:
         Basis-set name or a prebuilt :class:`BasisSet`.
-    max_iterations, energy_tolerance, density_tolerance:
-        Convergence controls.  The Fock matrix is DIIS-extrapolated from
-        the last :data:`DIIS_SIZE` iterations.
+
+    The Fock matrix is DIIS-extrapolated from the last :data:`DIIS_SIZE`
+    iterations; convergence is :data:`ENERGY_TOLERANCE` and
+    :data:`DENSITY_TOLERANCE` within :data:`MAX_ITERATIONS`.
     """
 
-    def __init__(self, molecule: Molecule, basis: str | BasisSet = "sto-3g",
-                 *, max_iterations: int = 200, energy_tolerance: float = 1e-10,
-                 density_tolerance: float = 1e-8):
+    def __init__(self, molecule: Molecule, basis: str | BasisSet = "sto-3g"):
         if molecule.n_electrons % 2:
             raise ValidationError(
                 "RHF requires an even electron count; got "
@@ -152,9 +157,6 @@ class RHF:
         self.molecule = molecule
         self.basis = basis if isinstance(basis, BasisSet) else get_basis(molecule, basis)
         self.engine = IntegralEngine(molecule, self.basis)
-        self.max_iterations = max_iterations
-        self.energy_tolerance = energy_tolerance
-        self.density_tolerance = density_tolerance
 
     def run(self) -> SCFResult:
         """Iterate to self-consistency; raises ConvergenceError on failure."""
@@ -181,7 +183,7 @@ class RHF:
         e_old = 0.0
 
         accelerator = DIIS()
-        for it in range(1, self.max_iterations + 1):
+        for it in range(1, MAX_ITERATIONS + 1):
             j, k = build_jk(eri, d)
             f = h + j - 0.5 * k
             extrapolated = accelerator.extrapolate(
@@ -195,7 +197,7 @@ class RHF:
             de = abs(e_total - e_old)
             dd = np.max(np.abs(d_new - d))
             d, e_old = d_new, e_total
-            if de < self.energy_tolerance and dd < self.density_tolerance:
+            if de < ENERGY_TOLERANCE and dd < DENSITY_TOLERANCE:
                 return SCFResult(
                     energy=float(e_total),
                     mo_coefficients=c,
@@ -211,9 +213,9 @@ class RHF:
                     ao_labels=list(self.basis.ao_labels),
                 )
         raise ConvergenceError(
-            f"RHF did not converge in {self.max_iterations} iterations "
+            f"RHF did not converge in {MAX_ITERATIONS} iterations "
             f"(dE={de:.2e}, dD={dd:.2e})",
-            iterations=self.max_iterations,
+            iterations=MAX_ITERATIONS,
             residual=float(de),
         )
 

@@ -64,9 +64,9 @@ def excitation_gate(terms: list[tuple[PauliTerm, float]],
     :func:`repro.circuits.gates.ladder_pauli_terms` times t.  Of the two
     ways to write that (T, t or T+, -t) the one with t > 0 is returned.
     Every flip-mask group of a closed-shell Jordan-Wigner UCCSD excitation
-    qualifies; None comes back for a generator that does not (Bravyi-
-    Kitaev groups hold two ladder products, number-operator-dressed
-    generalized excitations differ in their Z patterns).
+    qualifies; None comes back for a generator that does not (a
+    Bravyi-Kitaev group holds two ladder products, and strings whose Z
+    patterns differ off the flip mask are no single ladder product).
     """
     first = terms[0][0]
     flips, zs = first.x, first.z & ~first.x

@@ -17,8 +17,8 @@ exp(theta_m sum_{k in group} i c_k P_k).  The groups themselves need not
 commute (the two spin components of a mixed double share their occupied
 pair), so that order is kept.  Under Jordan-Wigner every group is one
 spin-orbital excitation t (T - T+) and is emitted as one ``EX`` gate; a
-group that is not (Bravyi-Kitaev, generalized excitations) is emitted as
-one ``PR`` rotation per string.  ``Circuit.decomposed()`` turns either into
+group that is not (Bravyi-Kitaev puts two ladder products under one mask)
+is emitted as one ``PR`` rotation per string.  ``Circuit.decomposed()`` turns either into
 CNOT staircases.
 """
 
@@ -63,17 +63,13 @@ class UCCSDAnsatz:
     """UCCSD over ``n_spatial`` orbitals with ``n_electrons`` electrons.
 
     Spin orbitals are interleaved (2p = alpha_p, 2p+1 = beta_p); the
-    reference occupies the first ``n_electrons`` qubits.
-
-    Parameters
-    ----------
-    include_singles / include_doubles:
-        Toggle excitation classes (the paper's ansatz uses both).
+    reference occupies the first ``n_electrons`` qubits.  The excitations
+    are every occupied -> virtual single, then every double, as in the
+    paper's ansatz.
     """
 
     def __init__(self, n_spatial: int, n_electrons: int, *,
-                 include_singles: bool = True, include_doubles: bool = True,
-                 generalized: bool = False, mapping: str = "jordan_wigner"):
+                 mapping: str = "jordan_wigner"):
         if n_electrons % 2:
             raise ValidationError("closed-shell UCCSD needs even n_electrons")
         if n_electrons <= 0 or n_electrons >= 2 * n_spatial:
@@ -87,52 +83,32 @@ class UCCSDAnsatz:
         self.n_electrons = n_electrons
         self.n_qubits = 2 * n_spatial
         self.mapping = "bk" if mapping in ("bravyi_kitaev", "bk") else "jw"
-        #: UCCGSD: excitations between *all* orbital pairs, not only
-        #: occupied -> virtual (a more expressive, pricier ansatz)
-        self.generalized = generalized
         n_occ = n_electrons // 2
-        if generalized:
-            occ = range(n_spatial)
-            virt = range(n_spatial)
-        else:
-            occ = range(n_occ)
-            virt = range(n_occ, n_spatial)
+        occ = range(n_occ)
+        virt = range(n_occ, n_spatial)
 
         self.excitations: list[Excitation] = []
-        m = 0
-        if include_singles:
-            for i in occ:
-                for a in virt:
-                    if generalized and a <= i:
-                        continue  # (i,a) and (a,i) give the same generator
-                    tau = FermionOperator.zero()
-                    for s in (0, 1):
+        for i in occ:
+            for a in virt:
+                tau = FermionOperator.zero()
+                for s in (0, 1):
+                    tau = tau + FermionOperator.from_term(
+                        [(2 * a + s, 1), (2 * i + s, 0)])
+                self._add_excitation(f"s_{i}->{a}", tau)
+        pairs = [(i, a) for i in occ for a in virt]
+        for x, (i, a) in enumerate(pairs):
+            for (j, b) in pairs[x:]:
+                tau = FermionOperator.zero()
+                for s1 in (0, 1):
+                    for s2 in (0, 1):
+                        p, q = 2 * a + s1, 2 * b + s2
+                        r, t = 2 * j + s2, 2 * i + s1
+                        if p == q or r == t:
+                            continue
                         tau = tau + FermionOperator.from_term(
-                            [(2 * a + s, 1), (2 * i + s, 0)])
-                    if self._add_excitation(f"s_{i}->{a}", m, tau):
-                        m += 1
-        if include_doubles:
-            if generalized:
-                pairs = [(i, a) for i in range(n_spatial)
-                         for a in range(n_spatial) if a > i]
-            else:
-                pairs = [(i, a) for i in occ for a in virt]
-            for x, (i, a) in enumerate(pairs):
-                for (j, b) in pairs[x:]:
-                    tau = FermionOperator.zero()
-                    for s1 in (0, 1):
-                        for s2 in (0, 1):
-                            p, q = 2 * a + s1, 2 * b + s2
-                            r, t = 2 * j + s2, 2 * i + s1
-                            if p == q or r == t:
-                                continue
-                            tau = tau + FermionOperator.from_term(
-                                [(p, 1), (q, 1), (r, 0), (t, 0)])
-                    if not tau.terms:
-                        continue
-                    if self._add_excitation(f"d_{i}{j}->{a}{b}", m, tau):
-                        m += 1
-        self.n_parameters = m
+                            [(p, 1), (q, 1), (r, 0), (t, 0)])
+                self._add_excitation(f"d_{i}{j}->{a}{b}", tau)
+        self.n_parameters = len(self.excitations)
 
     def _map(self, op: FermionOperator):
         if self.mapping == "bk":
@@ -141,9 +117,8 @@ class UCCSDAnsatz:
             return bravyi_kitaev(op, n_qubits=self.n_qubits)
         return jordan_wigner(op)
 
-    def _add_excitation(self, label: str, index: int,
-                        tau: FermionOperator) -> bool:
-        """Register the Pauli form of tau - tau+; False if it vanishes."""
+    def _add_excitation(self, label: str, tau: FermionOperator) -> None:
+        """Register the Pauli form of tau - tau+ as the next parameter."""
         gen = (tau - tau.dagger()).normal_ordered()
         qop = self._map(gen)
         terms: list[tuple[PauliTerm, float]] = []
@@ -155,10 +130,8 @@ class UCCSDAnsatz:
                 )
             if abs(coeff.imag) > 1e-12:
                 terms.append((pt, float(coeff.imag)))
-        if terms:
-            self.excitations.append(Excitation(label, index, terms))
-            return True
-        return False
+        self.excitations.append(
+            Excitation(label, len(self.excitations), terms))
 
     # -- circuits ------------------------------------------------------------
 
@@ -207,16 +180,9 @@ class UCCSDAnsatz:
                         pt, n, param=(exc.param_index, coeff)))
         return c
 
-    def initial_parameters(self, kind: str = "zeros",
-                           seed: int | None = None,
-                           scale: float = 1e-2) -> np.ndarray:
-        """Starting amplitudes: 'zeros' (HF start) or 'random' (break ties)."""
-        if kind == "zeros":
-            return np.zeros(self.n_parameters)
-        if kind == "random":
-            from repro.common.rng import default_rng
-            return scale * default_rng(seed).standard_normal(self.n_parameters)
-        raise ValidationError(f"unknown initial parameter kind {kind!r}")
+    def initial_parameters(self) -> np.ndarray:
+        """Starting amplitudes: all zero, the Hartree-Fock start."""
+        return np.zeros(self.n_parameters)
 
 
 def uccsd_circuit(n_spatial: int, n_electrons: int,

@@ -16,6 +16,10 @@ from scipy import linalg as sla
 
 from repro.common.errors import ValidationError
 
+#: Singular values of the environment-fragment density block at or below
+#: this are unentangled: no bath orbital is kept for them.
+BATH_TOLERANCE = 1e-8
+
 
 @dataclass
 class EmbeddingBasis:
@@ -79,8 +83,7 @@ def _align_degenerate(u: np.ndarray, s: np.ndarray,
     return u
 
 
-def build_bath(density: np.ndarray, fragment: list[int], *,
-               bath_tolerance: float = 1e-8) -> EmbeddingBasis:
+def build_bath(density: np.ndarray, fragment: list[int]) -> EmbeddingBasis:
     """Construct the embedding basis for ``fragment``.
 
     Parameters
@@ -90,9 +93,6 @@ def build_bath(density: np.ndarray, fragment: list[int], *,
         after division by 2).
     fragment:
         Orbital indices belonging to the fragment.
-    bath_tolerance:
-        Singular values below this are treated as unentangled (no bath
-        orbital is kept for them).
     """
     n = density.shape[0]
     frag = sorted(set(int(f) for f in fragment))
@@ -117,7 +117,7 @@ def build_bath(density: np.ndarray, fragment: list[int], *,
     b = density[np.ix_(env, frag)]
     u, s, vt = sla.svd(b, full_matrices=False)
     u = _align_degenerate(u, s, vt)
-    keep = s > bath_tolerance
+    keep = s > BATH_TOLERANCE
     nb = int(np.count_nonzero(keep))
     bath_vectors = u[:, keep]
 

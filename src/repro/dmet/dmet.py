@@ -57,6 +57,9 @@ _M_MU_ITERATIONS = _obs.counter(
 #: this size moves the energy at about this size.
 SYMMETRY_TOLERANCE = 1e-10
 
+#: Budget of the chemical-potential search (evaluations of N(mu)).
+MAX_MU_ITERATIONS = 30
+
 
 def atoms_per_fragment(system: OrthogonalSystem,
                        atoms_per_group: int) -> list[list[int]]:
@@ -302,9 +305,8 @@ class DMET:
         (:func:`fragment_orbits`), so it saves nothing; it is kept because
         ``benchmarks/e2e`` is frozen and passes it.
     mu_tolerance:
-        Convergence threshold on |N(mu) - N_target| (electrons).
-    max_mu_iterations:
-        Budget for the chemical-potential search.
+        Convergence threshold on |N(mu) - N_target| (electrons), met
+        within :data:`MAX_MU_ITERATIONS`.
     n_workers:
         1 solves the fragments in-line; ``n_workers > 1`` solves one
         fragment per orbit on that many worker processes - the paper's first
@@ -319,16 +321,12 @@ class DMET:
 
     def __init__(self, system: OrthogonalSystem,
                  fragments: list[list[int]], solver=None, *,
-                 bath_tolerance: float = 1e-8,
                  all_fragments_equivalent: bool = False,
                  mu_tolerance: float = 1e-5,
-                 max_mu_iterations: int = 30,
                  n_workers: int = 1, executor: str = "process"):
         self.system = system
         self.solver = solver if solver is not None else FCIFragmentSolver()
-        self.bath_tolerance = bath_tolerance
         self.mu_tolerance = mu_tolerance
-        self.max_mu_iterations = max_mu_iterations
         if n_workers < 1:
             raise ValidationError(
                 f"n_workers must be at least 1, got {n_workers!r}")
@@ -349,9 +347,7 @@ class DMET:
             raise ValidationError(f"fragments do not cover orbitals {missing}")
         self.fragments = [sorted(f) for f in fragments]
 
-        baths = [build_bath(system.density, frag,
-                            bath_tolerance=bath_tolerance)
-                 for frag in self.fragments]
+        baths = [build_bath(system.density, frag) for frag in self.fragments]
         self.orbits = fragment_orbits(system, self.fragments, baths)
         if all_fragments_equivalent and len(self.orbits) > 1:
             raise ValidationError(
@@ -413,25 +409,25 @@ class DMET:
 
     # -- chemical-potential loop -----------------------------------------------------
 
-    def run(self, *, fit_chemical_potential: bool = True,
-            mu0: float = 0.0) -> DMETResult:
-        """Run DMET; fits mu so fragment electrons sum to the target."""
+    def run(self, *, fit_chemical_potential: bool = True) -> DMETResult:
+        """Run DMET from mu = 0; fits mu so fragment electrons sum to the
+        target."""
         target = float(self.system.n_electrons)
 
-        energy, n_elec, sols, fes = self.evaluate(mu0)
-        history = [(mu0, n_elec)]
+        energy, n_elec, sols, fes = self.evaluate(0.0)
+        history = [(0.0, n_elec)]
         if (not fit_chemical_potential
                 or abs(n_elec - target) < self.mu_tolerance):
             return DMETResult(
-                energy=energy, chemical_potential=mu0, n_electrons=n_elec,
+                energy=energy, chemical_potential=0.0, n_electrons=n_elec,
                 n_electrons_target=int(target), fragment_solutions=sols,
                 fragment_energies=fes, orbits=self.orbits, mu_iterations=1,
             )
 
         # secant iteration on N(mu) - target; N is monotone increasing in mu
-        mu_prev, f_prev = mu0, n_elec - target
-        mu_cur = mu0 + (0.05 if f_prev < 0 else -0.05)
-        for it in range(2, self.max_mu_iterations + 1):
+        mu_prev, f_prev = 0.0, n_elec - target
+        mu_cur = 0.05 if f_prev < 0 else -0.05
+        for it in range(2, MAX_MU_ITERATIONS + 1):
             energy, n_elec, sols, fes = self.evaluate(mu_cur)
             history.append((mu_cur, n_elec))
             f_cur = n_elec - target
@@ -455,7 +451,7 @@ class DMET:
             mu_cur = mu_next
         raise ConvergenceError(
             f"DMET chemical potential did not converge in "
-            f"{self.max_mu_iterations} iterations; history={history[-4:]}",
-            iterations=self.max_mu_iterations,
+            f"{MAX_MU_ITERATIONS} iterations; history={history[-4:]}",
+            iterations=MAX_MU_ITERATIONS,
             residual=abs(f_cur),
         )

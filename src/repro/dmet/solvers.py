@@ -29,6 +29,11 @@ from repro.vqe.optimizers import DEFAULT_OPTIMIZER, check_optimizer
 #: perturbations of h1), at 1e-12 by ~3e-8 Ha.
 FRAGMENT_TOLERANCE = 1e-12
 
+#: Iteration cap of the orthonormal-basis SCF, and the largest density
+#: change at which it has converged.
+SCF_MAX_ITERATIONS = 200
+SCF_TOLERANCE = 1e-10
+
 
 @dataclass
 class FragmentSolution:
@@ -42,9 +47,7 @@ class FragmentSolution:
     details: dict | None = None
 
 
-def orthonormal_rhf_density(h1: np.ndarray, h2: np.ndarray, n_electrons: int,
-                            *, max_iterations: int = 200,
-                            tolerance: float = 1e-10
+def orthonormal_rhf_density(h1: np.ndarray, h2: np.ndarray, n_electrons: int
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-shell SCF in an orthonormal basis: returns (density, C).
 
@@ -67,8 +70,7 @@ def orthonormal_rhf_density(h1: np.ndarray, h2: np.ndarray, n_electrons: int,
     best = None
     for guess in _frontier_guesses(e, c, n_occ):
         try:
-            d, c_out = _closed_shell_scf(h1, h2, n_occ, guess,
-                                         max_iterations, tolerance)
+            d, c_out = _closed_shell_scf(h1, h2, n_occ, guess)
         except ConvergenceError:
             if best is None:
                 raise
@@ -96,18 +98,18 @@ def _frontier_guesses(e: np.ndarray, c: np.ndarray, n_occ: int):
             yield g
 
 
-def _closed_shell_scf(h1, h2, n_occ, c, max_iterations, tolerance):
+def _closed_shell_scf(h1, h2, n_occ, c):
     d = 2.0 * c[:, :n_occ] @ c[:, :n_occ].T
-    for _ in range(max_iterations):
+    for _ in range(SCF_MAX_ITERATIONS):
         j, k = build_jk(h2, d)
         f = h1 + j - 0.5 * k
         _, c = sla.eigh(f)
         d_new = 2.0 * c[:, :n_occ] @ c[:, :n_occ].T
-        if np.max(np.abs(d_new - d)) < tolerance:
+        if np.max(np.abs(d_new - d)) < SCF_TOLERANCE:
             return d_new, c
         d = 0.5 * d + 0.5 * d_new  # damped update for robustness
     raise ConvergenceError("orthonormal-basis SCF did not converge",
-                           iterations=max_iterations)
+                           iterations=SCF_MAX_ITERATIONS)
 
 
 class FCIFragmentSolver:

@@ -152,6 +152,15 @@ class ScalingPoint:
     efficiency: float = 1.0
 
 
+#: The paper's Fig. 12 runs: H1280 on 10,240 .. 327,680 processes.
+STRONG_SCALING_ATOMS = 1280
+STRONG_SCALING_PROCESSES = (10_240, 20_480, 40_960, 81_920, 163_840, 327_680)
+#: The paper's Fig. 13 runs: (atoms, processes), 8 atoms per 2048-process
+#: sub-group throughout.
+WEAK_SCALING_POINTS = ((40, 10_240), (80, 20_480), (320, 81_920),
+                       (1280, 327_680))
+
+
 @dataclass
 class ScalingExperiment:
     """Strong/weak scaling of DMET-MPS-VQE hydrogen chains (Figs. 12-13).
@@ -208,12 +217,10 @@ class ScalingExperiment:
             time_s=t_total,
         )
 
-    def strong_scaling(self, n_atoms: int = 1280,
-                       process_counts: tuple[int, ...] = (
-                           10_240, 20_480, 40_960, 81_920, 163_840, 327_680)
-                       ) -> list[ScalingPoint]:
+    def strong_scaling(self) -> list[ScalingPoint]:
         """Fixed problem, growing machine (Fig. 12)."""
-        points = [self._time_for(n_atoms, p) for p in process_counts]
+        points = [self._time_for(STRONG_SCALING_ATOMS, p)
+                  for p in STRONG_SCALING_PROCESSES]
         base = points[0]
         for p in points:
             p.speedup = base.time_s / p.time_s
@@ -221,13 +228,9 @@ class ScalingExperiment:
             p.efficiency = p.speedup / ideal
         return points
 
-    def weak_scaling(self,
-                     atoms_and_processes: tuple[tuple[int, int], ...] = (
-                         (40, 10_240), (80, 20_480), (320, 81_920),
-                         (1280, 327_680))
-                     ) -> list[ScalingPoint]:
+    def weak_scaling(self) -> list[ScalingPoint]:
         """Problem grows with the machine (Fig. 13)."""
-        points = [self._time_for(a, p) for a, p in atoms_and_processes]
+        points = [self._time_for(a, p) for a, p in WEAK_SCALING_POINTS]
         base = points[0]
         for p in points:
             p.efficiency = base.time_s / p.time_s

@@ -90,6 +90,9 @@ class JobSpec:
                     f"job spec field {f.name!r} must be {f.type}, "
                     f"got {value!r}")
         check_optimizer(self.optimizer)
+        if self.max_iterations < 1:
+            raise ValidationError(
+                f"max_iterations must be at least 1, got {self.max_iterations}")
         molecule_from_spec(self.molecule, bond=self.bond)
         check_backend(self.simulator)
         if self.solver != "fci":

@@ -46,15 +46,18 @@ class DMRGResult:
     converged: bool = True
 
 
-def _number_penalty(n_qubits: int, n_electrons: int,
-                    strength: float) -> QubitOperator:
-    """strength * (N_hat - n_electrons)^2 as a QubitOperator."""
+#: Weight (Ha per electron squared) of the particle-number penalty.
+PENALTY_STRENGTH = 1.0
+
+
+def _number_penalty(n_qubits: int, n_electrons: int) -> QubitOperator:
+    """PENALTY_STRENGTH * (N_hat - n_electrons)^2 as a QubitOperator."""
     number = FermionOperator.zero()
     for p in range(n_qubits):
         number = number + FermionOperator.from_term([(p, 1), (p, 0)])
     n_op = jordan_wigner(number)
     shifted = n_op - float(n_electrons)
-    return (shifted * shifted) * strength
+    return (shifted * shifted) * PENALTY_STRENGTH
 
 
 class DMRG:
@@ -68,14 +71,13 @@ class DMRG:
         Register width.
     max_bond_dimension:
         MPS bond cap D (the knob shared with the MPS-VQE comparison).
-    n_electrons / penalty_strength:
+    n_electrons:
         Optional particle-number pinning (see module docstring).
     """
 
     def __init__(self, hamiltonian: QubitOperator, n_qubits: int, *,
                  max_bond_dimension: int = 32, cutoff: float = 1e-10,
-                 n_electrons: int | None = None,
-                 penalty_strength: float = 1.0):
+                 n_electrons: int | None = None):
         if not hamiltonian.is_hermitian():
             raise ValidationError("DMRG needs a hermitian Hamiltonian")
         if n_qubits < 2:
@@ -83,11 +85,9 @@ class DMRG:
         self.n_qubits = n_qubits
         self.max_bond_dimension = max_bond_dimension
         self.cutoff = cutoff
-        self.penalty = 0.0
         op = hamiltonian
         if n_electrons is not None:
-            op = (op + _number_penalty(n_qubits, n_electrons,
-                                       penalty_strength)).simplify()
+            op = (op + _number_penalty(n_qubits, n_electrons)).simplify()
         self.mpo = MPO.from_qubit_operator(op, n_qubits)
 
     # -- environments --------------------------------------------------------
@@ -130,14 +130,11 @@ class DMRG:
     # -- driver --------------------------------------------------------------------
 
     def run(self, *, n_sweeps: int = 20, tolerance: float = 1e-9,
-            seed: int | None = None,
-            initial_state: MPS | None = None) -> DMRGResult:
-        """Sweep until the per-sweep energy change drops below tolerance."""
+            seed: int | None = None) -> DMRGResult:
+        """Sweep from a random bond-2 state until the per-sweep energy
+        change drops below tolerance."""
         n = self.n_qubits
-        if initial_state is not None:
-            mps = initial_state.copy()
-        else:
-            mps = MPS.random_state(n, bond_dimension=2, seed=seed)
+        mps = MPS.random_state(n, bond_dimension=2, seed=seed)
         mps.max_bond_dimension = self.max_bond_dimension
         mps.cutoff = self.cutoff
 

@@ -16,6 +16,9 @@ from repro.common.errors import ValidationError
 from repro.operators.pauli import PAULI_MATRICES, QubitOperator
 from repro.simulators.kernels import gemm, svd_truncated, tensordot_fused
 
+#: Singular values at or below this are dropped when an MPO is compressed.
+COMPRESS_CUTOFF = 1e-12
+
 
 class MPO:
     """An MPO over qubits: tensors W[k] of shape (Dl, 2, 2, Dr)."""
@@ -40,8 +43,7 @@ class MPO:
         return sum(w.nbytes for w in self.tensors)
 
     @classmethod
-    def from_qubit_operator(cls, op: QubitOperator, n_qubits: int,
-                            compress_cutoff: float = 1e-12) -> "MPO":
+    def from_qubit_operator(cls, op: QubitOperator, n_qubits: int) -> "MPO":
         """Sum-of-strings MPO, compressed incrementally while it is built.
 
         Each bond channel indexes a *distinct Pauli suffix* (the remaining
@@ -91,7 +93,7 @@ class MPO:
                     w[:, :, :, new] += (mat[None, :, :, None]
                                         * carry[:, None, None, old])
             u, s, vh, _ = svd_truncated(w.reshape(r * 4, m_new),
-                                        cutoff=compress_cutoff)
+                                        cutoff=COMPRESS_CUTOFF)
             tensors.append(u.reshape(r, 2, 2, s.size))
             carry = s[:, None] * vh
             suffixes = sorted(rest_index, key=rest_index.get)
@@ -103,10 +105,10 @@ class MPO:
                     * mat[None, :, :]
         tensors.append(wl)
         mpo = cls(tensors)
-        mpo._compress(compress_cutoff)
+        mpo._compress()
         return mpo
 
-    def _compress(self, cutoff: float) -> None:
+    def _compress(self) -> None:
         """Two SVD sweeps shrinking redundant bond dimensions."""
         n = self.n_qubits
         # left-to-right
@@ -114,7 +116,7 @@ class MPO:
             w = self.tensors[k]
             dl, _, _, dr = w.shape
             mat = w.reshape(dl * 4, dr)
-            u, s, vh, _ = svd_truncated(mat, cutoff=cutoff)
+            u, s, vh, _ = svd_truncated(mat, cutoff=COMPRESS_CUTOFF)
             self.tensors[k] = u.reshape(dl, 2, 2, s.size)
             carry = (s[:, None] * vh)
             self.tensors[k + 1] = tensordot_fused(
@@ -124,7 +126,7 @@ class MPO:
             w = self.tensors[k]
             dl, _, _, dr = w.shape
             mat = w.reshape(dl, 4 * dr)
-            u, s, vh, _ = svd_truncated(mat, cutoff=cutoff)
+            u, s, vh, _ = svd_truncated(mat, cutoff=COMPRESS_CUTOFF)
             self.tensors[k] = vh.reshape(s.size, 2, 2, dr)
             carry = u * s[None, :]
             self.tensors[k - 1] = tensordot_fused(

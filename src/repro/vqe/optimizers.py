@@ -159,10 +159,15 @@ def minimize_scipy(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
     )
 
 
+#: Adam's moment decay rates and its denominator regularizer (Kingma & Ba).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 def minimize_adam(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
                   max_iterations: int = 200, learning_rate: float = 0.05,
-                  beta1: float = 0.9, beta2: float = 0.999,
-                  eps: float = 1e-8, fd_step: float = 1e-4,
+                  fd_step: float = 1e-4,
                   tolerance: float = 1e-8,
                   gradient: Callable[[np.ndarray], np.ndarray] | None = None,
                   checkpoint: Callable[[dict], None] | None = None,
@@ -216,11 +221,11 @@ def minimize_adam(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
         g = np.asarray(gradient(x), dtype=float)
         evals += counted[0]
         counted[0] = 0
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        mhat = m / (1 - beta1 ** k)
-        vhat = v / (1 - beta2 ** k)
-        x = x - learning_rate * mhat / (np.sqrt(vhat) + eps)
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+        mhat = m / (1 - ADAM_BETA1 ** k)
+        vhat = v / (1 - ADAM_BETA2 ** k)
+        x = x - learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
         cur = f(x)
         evals += 1
         history.append(cur)

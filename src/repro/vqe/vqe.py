@@ -113,6 +113,9 @@ class VQE:
                  tolerance: float = 1e-8,
                  max_iterations: int = 2000, grad: str | None = None,
                  checkpoint_path: str | None = None, resume: bool = False):
+        if max_iterations < 1:
+            raise ValidationError(
+                f"max_iterations must be at least 1, got {max_iterations}")
         circuit = (ansatz.circuit() if isinstance(ansatz, UCCSDAnsatz)
                    else ansatz)
         if circuit.n_parameters == 0:

@@ -66,6 +66,12 @@ class TestCCSD:
         exact = 1.0 - np.sqrt(1.0 + 4.0)
         assert cc.energy == pytest.approx(exact, abs=1e-7)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, h2, budget):
+        """At construction: ``run()`` at budget 0 raised UnboundLocalError."""
+        with pytest.raises(ValidationError, match="max_iterations"):
+            CCSDSolver(h2.mo, max_iterations=budget)
+
     def test_invalid_electron_count(self, h2):
         bad = MOIntegrals(h1=h2.mo.h1, h2=h2.mo.h2, constant=0.0,
                           n_electrons=0)

@@ -1,10 +1,15 @@
 """Tests for the Davidson-Liu eigensolver."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from repro.common.errors import ConvergenceError, ValidationError
+from repro.common.errors import ConvergenceError
 from repro.chem.davidson import davidson
+
+# the module itself: ``repro.chem.davidson`` names the function
+davidson_module = importlib.import_module("repro.chem.davidson")
 
 
 def _random_sparse_symmetric(dim, seed=0, diag_spread=10.0):
@@ -20,44 +25,40 @@ class TestDavidson:
         a = _random_sparse_symmetric(200, seed=1)
         exact = np.linalg.eigvalsh(a)[0]
         out = davidson(lambda x: a @ x, np.diag(a).copy())
-        assert out.eigenvalues[0] == pytest.approx(exact, abs=1e-8)
-        assert out.residual_norms[0] < 1e-9
-
-    def test_multiple_roots(self):
-        a = _random_sparse_symmetric(150, seed=2)
-        exact = np.linalg.eigvalsh(a)[:3]
-        out = davidson(lambda x: a @ x, np.diag(a).copy(), n_roots=3)
-        assert np.allclose(out.eigenvalues, exact, atol=1e-7)
+        assert out.eigenvalue == pytest.approx(exact, abs=1e-8)
+        assert out.residual_norm < 1e-9
 
     def test_eigenvector_quality(self):
         a = _random_sparse_symmetric(100, seed=3)
         out = davidson(lambda x: a @ x, np.diag(a).copy())
-        v = out.eigenvectors[:, 0]
-        assert np.linalg.norm(a @ v - out.eigenvalues[0] * v) < 1e-8
+        v = out.eigenvector
+        assert np.linalg.norm(a @ v - out.eigenvalue * v) < 1e-8
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
 
-    def test_subspace_collapse_path(self):
-        """Small max_subspace forces collapses but must still converge."""
+    def test_subspace_collapse_path(self, monkeypatch):
+        """A small subspace forces collapses but must still converge."""
+        monkeypatch.setattr(davidson_module, "MAX_SUBSPACE", 6)
+        monkeypatch.setattr(davidson_module, "MAX_ITERATIONS", 500)
         a = _random_sparse_symmetric(120, seed=4)
         exact = np.linalg.eigvalsh(a)[0]
-        out = davidson(lambda x: a @ x, np.diag(a).copy(),
-                       max_subspace=6, max_iterations=500)
-        assert out.eigenvalues[0] == pytest.approx(exact, abs=1e-7)
+        out = davidson(lambda x: a @ x, np.diag(a).copy())
+        assert out.eigenvalue == pytest.approx(exact, abs=1e-7)
 
     def test_lowest_diagonal_not_at_index_zero(self):
         """A unit guess off index 0 keeps its sign as the basis grows."""
         a = _random_sparse_symmetric(200, seed=1)[::-1, ::-1].copy()
         exact = np.linalg.eigvalsh(a)[0]
         out = davidson(lambda x: a @ x, np.diag(a).copy())
-        assert out.eigenvalues[0] == pytest.approx(exact, abs=1e-8)
+        assert out.eigenvalue == pytest.approx(exact, abs=1e-8)
 
     def test_initial_guess(self):
-        a = _random_sparse_symmetric(80, seed=5)
-        exact_val, exact_vec = np.linalg.eigh(a)
-        guess = exact_vec[:, 0] + 0.01
-        out = davidson(lambda x: a @ x, np.diag(a).copy(),
-                       initial_guess=guess)
-        assert out.eigenvalues[0] == pytest.approx(exact_val[0], abs=1e-8)
+        """The guess is the unit vector at the lowest diagonal entry: on a
+        diagonal operator it is the answer, after one matvec."""
+        diagonal = np.array([3.0, 1.0, -2.0, 5.0])
+        out = davidson(lambda x: diagonal * x, diagonal)
+        assert out.n_iterations == out.n_matvecs == 1
+        assert out.eigenvalue == -2.0
+        assert np.array_equal(np.abs(out.eigenvector), [0.0, 0.0, 1.0, 0.0])
 
     def test_matvec_count_tracked(self):
         a = _random_sparse_symmetric(60, seed=6)
@@ -65,18 +66,20 @@ class TestDavidson:
         assert out.n_matvecs >= out.n_iterations
 
     def test_validation(self):
+        """One root from the lowest diagonal entry: the root count and the
+        guess are no options, the convergence controls module constants."""
         a = np.eye(4)
-        with pytest.raises(ValidationError):
-            davidson(lambda x: a @ x, np.ones(4), n_roots=0)
-        with pytest.raises(ValidationError):
-            davidson(lambda x: a @ x, np.ones(4), n_roots=2,
-                     max_subspace=2)
+        for option in ("n_roots", "initial_guess", "max_subspace",
+                       "tolerance", "max_iterations"):
+            with pytest.raises(TypeError):
+                davidson(lambda x: a @ x, np.ones(4), **{option: 2})
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(davidson_module, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(davidson_module, "TOLERANCE", 1e-14)
         a = _random_sparse_symmetric(100, seed=7, diag_spread=0.0)
         with pytest.raises(ConvergenceError):
-            davidson(lambda x: a @ x, np.diag(a).copy(), max_iterations=1,
-                     tolerance=1e-14)
+            davidson(lambda x: a @ x, np.diag(a).copy())
 
 
 class TestFCIDavidson:

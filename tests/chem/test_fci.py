@@ -189,20 +189,13 @@ class TestFCIEnergies:
         sparse = FCISolver(h2.mo, dense_cutoff=1).solve().energy
         assert dense == pytest.approx(sparse, abs=1e-9)
 
-    def test_excited_roots_ordered(self, h2):
-        res = FCISolver(h2.mo).solve(n_roots=3)
-        assert res.energies[0] <= res.energies[1] <= res.energies[2]
-
     @pytest.mark.parametrize("cutoff", [10**6, 1], ids=["dense", "davidson"])
     @pytest.mark.parametrize("n_roots", [0, -1, 5, 10])
     def test_n_roots_out_of_range_rejected(self, h2, n_roots, cutoff):
-        """H2/STO-3G has 4 determinants: every path asks 1 <= n_roots <= 4."""
-        with pytest.raises(ValidationError, match="n_roots"):
+        """FCI solves for the ground state only: there is no root count,
+        so every ``n_roots=`` is a TypeError on either path."""
+        with pytest.raises(TypeError):
             FCISolver(h2.mo, dense_cutoff=cutoff).solve(n_roots=n_roots)
-
-    def test_every_root_of_the_dense_path(self, h2):
-        res = FCISolver(h2.mo, dense_cutoff=10**6).solve(n_roots=4)
-        assert res.energies.shape == (4,)
 
 
 class TestRDMs:
@@ -326,14 +319,14 @@ class TestPairSigmaAgainstFullTableOracle:
         assert solver._y is buffer and s2 is not s1
         assert np.array_equal(s1, kept)
 
-    def test_davidson_roots_match_dense(self):
-        """n_roots=3 by Davidson on 400 determinants equals the dense
-        path's lowest three."""
+    def test_davidson_ground_state_matches_dense(self):
+        """Davidson on 400 determinants of random integrals finds the
+        dense path's ground energy."""
         mo = _random_integrals(6, 6, seed=4)
-        dense = FCISolver(mo, dense_cutoff=10**6).solve(n_roots=3)
-        dav = FCISolver(mo, dense_cutoff=1).solve(n_roots=3)
+        dense = FCISolver(mo, dense_cutoff=10**6).solve()
+        dav = FCISolver(mo, dense_cutoff=1).solve()
         assert dav.n_determinants == 400
-        assert np.abs(dav.energies - dense.energies).max() < 1e-9
+        assert abs(dav.energy - dense.energy) < 1e-9
 
 
 class TestRDMsOnlyWhenRead:
@@ -366,8 +359,8 @@ class TestRDMsOnlyWhenRead:
         solved = []
         solve = FCISolver.solve
 
-        def recording_solve(solver, n_roots=1):
-            res = solve(solver, n_roots)
+        def recording_solve(solver):
+            res = solve(solver)
             solved.append((solver, res))
             return res
 

@@ -79,10 +79,12 @@ class TestFailureModes:
         with pytest.raises(ValidationError):
             RHF(mol, "sto-3g").run()
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        from repro.chem import scf
         from repro.common.errors import ConvergenceError
 
-        rhf = RHF(hydrogen_chain(4, 1.0), "sto-3g", max_iterations=1)
+        monkeypatch.setattr(scf, "MAX_ITERATIONS", 1)
+        rhf = RHF(hydrogen_chain(4, 1.0), "sto-3g")
         with pytest.raises(ConvergenceError):
             rhf.run()
 

@@ -20,12 +20,32 @@ class TestStructure:
         assert ansatz.n_parameters == 14
 
     def test_singles_only(self):
-        ansatz = UCCSDAnsatz(3, 2, include_doubles=False)
-        assert all(e.label.startswith("s_") for e in ansatz.excitations)
+        """The singles block (one per occupied -> virtual pair) holds only
+        singles: every Pauli string flips exactly two qubits."""
+        ansatz = UCCSDAnsatz(4, 4)
+        singles = ansatz.excitations[:2 * 2]
+        assert [e.label for e in singles] == [
+            "s_0->2", "s_0->3", "s_1->2", "s_1->3"]
+        for e in singles:
+            assert {bin(p.x).count("1") for p, _ in e.pauli_terms} == {2}
 
     def test_doubles_only(self):
-        ansatz = UCCSDAnsatz(3, 2, include_singles=False)
-        assert all(e.label.startswith("d_") for e in ansatz.excitations)
+        """Every excitation after the singles is a double: every Pauli
+        string flips exactly four qubits."""
+        ansatz = UCCSDAnsatz(4, 4)
+        doubles = ansatz.excitations[2 * 2:]
+        assert len(doubles) == 10
+        for e in doubles:
+            assert e.label.startswith("d_")
+            assert {bin(p.x).count("1") for p, _ in e.pauli_terms} == {4}
+
+    def test_singles_then_doubles(self):
+        """3 orbitals, 2 electrons: the 2 singles, then the 3 doubles,
+        one parameter each in that order."""
+        ansatz = UCCSDAnsatz(3, 2)
+        labels = [e.label for e in ansatz.excitations]
+        assert [lab[:2] for lab in labels] == ["s_"] * 2 + ["d_"] * 3
+        assert [e.param_index for e in ansatz.excitations] == list(range(5))
 
     def test_generators_imaginary_coefficients(self):
         """JW(tau - tau+) = i * sum(real coeffs * Pauli)."""
@@ -133,13 +153,11 @@ class TestCircuits:
         assert circ.n_parameters == ansatz.n_parameters
 
     def test_initial_parameters(self):
+        """The Hartree-Fock start, the only one."""
         ansatz = UCCSDAnsatz(2, 2)
-        assert np.all(ansatz.initial_parameters("zeros") == 0)
-        r1 = ansatz.initial_parameters("random", seed=1)
-        r2 = ansatz.initial_parameters("random", seed=1)
-        assert np.allclose(r1, r2)
-        with pytest.raises(ValidationError):
-            ansatz.initial_parameters("bogus")
+        assert np.array_equal(ansatz.initial_parameters(), np.zeros(2))
+        with pytest.raises(TypeError):
+            ansatz.initial_parameters("random")
 
     def test_gate_count_scale_h2(self):
         """The paper's Fig. 5 quotes ~120 ansatz gates for H2 + 2 X gates."""

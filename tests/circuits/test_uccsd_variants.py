@@ -1,4 +1,4 @@
-"""Tests for UCCSD ansatz variants: Bravyi-Kitaev mapping and UCCGSD."""
+"""Tests for the Bravyi-Kitaev UCCSD ansatz and its encoding."""
 
 import numpy as np
 import pytest
@@ -68,32 +68,3 @@ class TestBKAnsatz:
     def test_unknown_mapping(self):
         with pytest.raises(ValidationError):
             UCCSDAnsatz(2, 2, mapping="parity")
-
-
-class TestUCCGSD:
-    def test_more_parameters_than_uccsd(self):
-        sd = UCCSDAnsatz(4, 4)
-        gsd = UCCSDAnsatz(4, 4, generalized=True)
-        assert gsd.n_parameters > sd.n_parameters
-
-    def test_h4_ring_accuracy_improves(self, solved_molecule):
-        """Stretched H4 ring: UCCGSD recovers what UCCSD misses."""
-        from repro.chem import geometry
-
-        solved = solved_molecule(geometry.hydrogen_ring(4, 1.2))
-        e_fci = solved.fci.energy
-        ham = molecular_qubit_hamiltonian(solved.mo)
-
-        errors = {}
-        for gen in (False, True):
-            ansatz = UCCSDAnsatz(4, 4, generalized=gen)
-            r = VQE(ham, ansatz, simulator="statevector",
-                    optimizer="cobyla", max_iterations=6000).run()
-            errors[gen] = r.energy - e_fci
-        assert errors[True] < 0.05 * errors[False]
-        assert errors[True] < 1e-3
-
-    def test_reference_unchanged(self):
-        sd = UCCSDAnsatz(3, 2)
-        gsd = UCCSDAnsatz(3, 2, generalized=True)
-        assert sd._reference_qubits() == gsd._reference_qubits()

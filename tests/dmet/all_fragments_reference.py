@@ -16,16 +16,14 @@ from repro.dmet.solvers import FCIFragmentSolver
 
 
 def all_fragments_evaluate(system, fragments, mu: float = 0.0, *,
-                           solver=None, bath_tolerance: float = 1e-8
-                           ) -> tuple[float, float, list[float]]:
+                           solver=None) -> tuple[float, float, list[float]]:
     """(energy, fragment electron count, fragment energies) at ``mu``,
     every fragment's embedding problem built and solved."""
     solver = solver if solver is not None else FCIFragmentSolver()
     energy, n_electrons, energies = system.constant, 0.0, []
     for fragment in fragments:
         problem = build_embedding_hamiltonian(
-            system, build_bath(system.density, sorted(fragment),
-                               bath_tolerance=bath_tolerance))
+            system, build_bath(system.density, sorted(fragment)))
         solution = solver.solve(problem, mu=mu)
         energies.append(DMET._fragment_energy(problem, solution))
         energy += energies[-1]

@@ -339,17 +339,15 @@ def test_param_shift_expands_only_the_excitation_it_shifts(
 
 @pytest.mark.parametrize("kwargs", [
     dict(n_spatial=3, n_electrons=2, mapping="bk"),
-    dict(n_spatial=3, n_electrons=2, generalized=True),
-], ids=["bk", "generalized"])
+], ids=["bk"])
 def test_groups_that_are_no_ladder_keep_their_rotations(kwargs) -> None:
     """Emission is decided per flip-mask group, from the strings: two
-    ladder products per mask under Bravyi-Kitaev, number-operator-dressed
-    strings with differing Z patterns in a generalized excitation."""
+    ladder products per mask under Bravyi-Kitaev."""
     ansatz = UCCSDAnsatz(**kwargs)
     circuit = ansatz.circuit()
     counts = circuit.count_gates()
     assert counts.get("PR", 0) > 0
-    assert ("EX" in counts) == ("generalized" in kwargs)
+    assert "EX" not in counts
     theta = rng_for(29).standard_normal(ansatz.n_parameters)
     state = MPS(ansatz.n_qubits)
     evolve(state, circuit.bind(theta).gates)

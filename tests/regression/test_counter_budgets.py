@@ -71,7 +71,7 @@ MPS_BUDGETS = {
 
 #: the same evaluation with every ``EX`` gate expanded one level, into its
 #: ``PR`` rotations: what a UCCSD evaluation was before ``EX``, and what a
-#: Bravyi-Kitaev or generalized ansatz still runs.  mps.svd is the summed
+#: Bravyi-Kitaev ansatz still runs.  mps.svd is the summed
 #: span of the strings - 4 x 2 + 8 x 3 bonds for H2.  The sweep is the one
 #: ``EX`` runs, with two product operators where ``EX`` has five
 ROTATION_BUDGETS = {

@@ -58,6 +58,15 @@ class TestJobSpec:
         with pytest.raises(ValidationError, match=f"has {count} electrons"):
             JobSpec(kind="energy", molecule=molecule, method="hf")
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_rejects_a_budget_below_one(self, budget):
+        """At submit: an adam job at budget 0 used to end, when it ran, as
+        "list index out of range"."""
+        payload = {"kind": "vqe", "molecule": "h2", "optimizer": "adam",
+                   "max_iterations": budget}
+        with pytest.raises(ValidationError, match="max_iterations"):
+            JobSpec.from_dict(payload)
+
     def test_rejects_unknown_energy_method(self):
         with pytest.raises(ValidationError, match="unknown energy method"):
             JobSpec(kind="energy", method="vqe")

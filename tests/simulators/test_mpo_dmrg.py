@@ -133,7 +133,7 @@ class TestMPO:
 
 class TestNumberPenalty:
     def test_penalty_spectrum(self):
-        pen = _number_penalty(3, 2, strength=1.0)
+        pen = _number_penalty(3, 2)
         evals = np.linalg.eigvalsh(pen.matrix(3))
         # eigenvalues are (n - 2)^2 for n in 0..3
         assert np.min(evals) == pytest.approx(0.0, abs=1e-10)

@@ -88,6 +88,16 @@ class TestValidation:
         with pytest.raises(ValidationError):
             VQE(ham, c)
 
+    @pytest.mark.parametrize("optimizer", ["l-bfgs-b", "adam"])
+    def test_budget_below_one_rejected(self, h2, optimizer):
+        """At construction: l-bfgs-b at budget 0 returned a number after
+        three evaluations, adam raised an IndexError."""
+        ham = molecular_qubit_hamiltonian(h2.mo)
+        for budget in (0, -1):
+            with pytest.raises(ValidationError, match="max_iterations"):
+                VQE(ham, UCCSDAnsatz(2, 2), simulator="statevector",
+                    optimizer=optimizer, max_iterations=budget)
+
     def test_unknown_optimizer(self, h2):
         """Rejected at construction, not at the first run; the retired
         "spsa" is as unknown as a typo."""
