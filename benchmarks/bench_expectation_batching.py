@@ -177,7 +177,7 @@ def test_flight_recorder_overhead(lih_mo):
     deque append, on a ring that is already full so every call also
     evicts) times a generous bound on the notes a single evaluation can
     reach.  Flight sites are coarse by design - dispatch, task begin/end,
-    job/batch/checkpoint edges - so tens of events per evaluation is
+    job/batch edges - so tens of events per evaluation is
     already a large over-estimate.
     """
     from repro import obs

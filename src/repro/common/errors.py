@@ -79,26 +79,3 @@ class WorkerError(ReproError, RuntimeError):
         super().__init__(message)
         self.executor = executor
         self.workers = workers
-
-
-class CheckpointError(ReproError, RuntimeError):
-    """A job checkpoint could not be loaded (corrupt, truncated, mismatched).
-
-    Raised by :mod:`repro.serve.checkpoint` instead of silently restarting
-    an optimization from scratch: a resume request against a damaged
-    checkpoint is an operational fault the caller must see.
-
-    Attributes
-    ----------
-    path:
-        Filesystem path of the offending checkpoint, if known.
-    reason:
-        Machine-readable failure class: "missing" | "truncated" |
-        "corrupt" | "checksum" | "schema" | "mismatch".
-    """
-
-    def __init__(self, message: str, *, path: str | None = None,
-                 reason: str = "corrupt"):
-        super().__init__(message)
-        self.path = path
-        self.reason = reason

@@ -19,7 +19,11 @@ from repro.chem.mo import MOIntegrals, ao_to_mo
 from repro.chem.fci import FCISolver
 from repro.chem.scf import build_jk
 from repro.dmet.embedding import EmbeddingProblem
-from repro.vqe.optimizers import DEFAULT_OPTIMIZER, check_optimizer
+from repro.vqe.optimizers import (
+    DEFAULT_OPTIMIZER,
+    check_budget,
+    check_optimizer,
+)
 
 
 #: Default VQE tolerance of a fragment solve.  The DMET energy is built
@@ -174,8 +178,10 @@ class VQEFragmentSolver:
                  warm_start: bool = True):
         from repro.vqe.vqe import VQE
 
-        # fails fast on unknown optimizer and backend names
+        # fails fast on unknown optimizer and backend names and on a
+        # budget below 1, before DMET builds a single embedding
         check_optimizer(optimizer)
+        check_budget(max_iterations)
         self.grad = VQE.default_gradient(optimizer, simulator)
         self.simulator = simulator
         self.max_bond_dimension = max_bond_dimension

@@ -13,11 +13,11 @@ Design constraints (mirrored by the overhead assertion in
 
 * **O(1) append** - one lock, one tuple, one ``deque.append``; eviction
   is the deque's own ``maxlen`` behaviour, never a scan.
-* **Coarse events only** - jobs, batches, dispatches, checkpoints,
-  span edges.  Per-gate / per-term events stay
-  in the metrics registry; the recorder budget is <2% of any workload
-  even with full obs disabled, which only holds because instrumented
-  sites fire a handful of times per evaluation, not per kernel call.
+* **Coarse events only** - jobs, batches, dispatches, span edges.
+  Per-gate / per-term events stay in the metrics registry; the recorder
+  budget is <2% of any workload even with full obs disabled, which only
+  holds because instrumented sites fire a handful of times per
+  evaluation, not per kernel call.
 * **Crash-ordered** - events carry a monotonic sequence number and a
   wall offset from recorder start, so the dump reads as a timeline.
 
@@ -196,7 +196,7 @@ def attach_flight(exc: BaseException) -> BaseException:
     """Attach the current ring to an exception as ``exc.flight``.
 
     Used at structured-error raise sites (``raise attach_flight(
-    CheckpointError(...))``) so the error object carries the last N
+    WorkerError(...))``) so the error object carries the last N
     events when it crosses an API or process boundary.  Returns ``exc``
     for inline use.  Never overwrites a dump attached further down the
     stack (the deepest attach wins - it is closest to the failure).

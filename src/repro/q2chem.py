@@ -96,7 +96,6 @@ class Q2Chemistry:
                    tolerance: float = 1e-8,
                    max_iterations: int = 4000, grad: str | None = None,
                    initial_parameters: np.ndarray | None = None,
-                   checkpoint_path: str | None = None, resume: bool = False,
                    observe: bool = False) -> VQEResult:
         """MPS-VQE (or SV-VQE) on the full active space.
 
@@ -105,9 +104,6 @@ class Q2Chemistry:
         :mod:`repro.vqe.gradients`); ``None`` lets :class:`VQE` resolve
         it (the adjoint for the default "l-bfgs-b" on "mps" /
         "statevector", scipy's own differences elsewhere).
-        ``checkpoint_path``/``resume`` snapshot the optimizer state each
-        iteration and restart interrupted runs to a bitwise-identical
-        trajectory (adam only, see docs/SERVING.md).
         ``observe=True`` collects the
         :mod:`repro.obs` instrumentation for just this run and attaches
         the snapshot as ``result.metrics`` (see docs/OBSERVABILITY.md).
@@ -118,8 +114,7 @@ class Q2Chemistry:
         vqe = VQE(hamiltonian, ansatz, simulator=simulator,
                   max_bond_dimension=max_bond_dimension,
                   optimizer=optimizer, tolerance=tolerance,
-                  max_iterations=max_iterations, grad=grad,
-                  checkpoint_path=checkpoint_path, resume=resume)
+                  max_iterations=max_iterations, grad=grad)
         if observe:
             from repro import obs
 
@@ -148,12 +143,14 @@ class Q2Chemistry:
         related by a symmetry of the system share one solve
         (:func:`repro.dmet.dmet.fragment_orbits`).
         """
-        if fragments is None:
-            fragments = atoms_per_fragment(self.system, atoms_per_group)
+        # built first: a bad solver name or budget fails before the system
+        # is partitioned
         frag_solver = make_fragment_solver(
             solver, max_bond_dimension=max_bond_dimension,
             optimizer=vqe_optimizer, tolerance=vqe_tolerance,
             max_iterations=vqe_max_iterations)
+        if fragments is None:
+            fragments = atoms_per_fragment(self.system, atoms_per_group)
         dmet = DMET(self.system, fragments, frag_solver,
                     mu_tolerance=mu_tolerance, n_workers=n_workers)
         return dmet.run(fit_chemical_potential=fit_chemical_potential)

@@ -10,10 +10,7 @@ The layer a long-running deployment needs on top of the numerical stack:
 * :mod:`repro.common.cache` - :class:`ServeCache`, the content-addressed
   size-bounded LRU store every memoised artifact (compiled observables,
   sweep plans, MPOs, results, prepared systems) lives in; the service
-  installs its own for its lifetime;
-* :mod:`repro.serve.checkpoint` - bitwise-reproducible adam
-  checkpoints (schema ``repro.ckpt/1``) behind the VQE
-  ``checkpoint_path`` / ``resume`` knobs.
+  installs its own for its lifetime.
 
 The CLI front end is ``python -m repro serve --requests FILE`` (see
 docs/SERVING.md).  Everything the service returns is bitwise identical
@@ -24,24 +21,14 @@ change where artifacts live and when jobs run, never what is computed.
 from __future__ import annotations
 
 from repro.common.cache import DEFAULT_MAX_BYTES, ServeCache, sizeof
-from repro.serve.checkpoint import (
-    CKPT_SCHEMA,
-    CheckpointWriter,
-    load_checkpoint,
-    save_checkpoint,
-)
 from repro.serve.jobs import JobRecord, JobSpec
 from repro.serve.service import JobService
 
 __all__ = [
-    "CKPT_SCHEMA",
-    "CheckpointWriter",
     "DEFAULT_MAX_BYTES",
     "JobRecord",
     "JobService",
     "JobSpec",
     "ServeCache",
-    "load_checkpoint",
-    "save_checkpoint",
     "sizeof",
 ]

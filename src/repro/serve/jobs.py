@@ -5,9 +5,9 @@ hashable record naming a molecule, a method and its knobs.  Three key
 projections drive the whole service:
 
 * :meth:`JobSpec.spec_key` - the content address of the *result*: every
-  field that can change the computed numbers, nothing else (labels and
-  checkpoint plumbing are excluded).  Jobs with equal spec keys are the
-  same computation, so the second one is a ``serve.result`` cache hit.
+  field that can change the computed numbers, nothing else (the label
+  is excluded).  Jobs with equal spec keys are the same computation, so
+  the second one is a ``serve.result`` cache hit.
 * :meth:`JobSpec.system_key` - the content address of the prepared
   molecular system (integrals + RHF + active space), shared by every
   method on the same molecule/basis.
@@ -28,7 +28,11 @@ from dataclasses import dataclass, field
 from repro.backends import check_backend
 from repro.chem.geometry import molecule_from_spec
 from repro.common.errors import ValidationError
-from repro.vqe.optimizers import DEFAULT_OPTIMIZER, check_optimizer
+from repro.vqe.optimizers import (
+    DEFAULT_OPTIMIZER,
+    check_budget,
+    check_optimizer,
+)
 
 #: request kinds the service understands
 JOB_KINDS = ("energy", "vqe", "dmet")
@@ -37,13 +41,12 @@ JOB_KINDS = ("energy", "vqe", "dmet")
 ENERGY_METHODS = ("hf", "fci", "ccsd")
 
 #: JobSpec fields that do NOT affect the computed numbers - excluded
-#: from :meth:`JobSpec.spec_key` (checkpoint plumbing changes where
-#: intermediate state is persisted, never the trajectory itself)
-NON_RESULT_FIELDS = ("tag", "checkpoint_path", "resume")
+#: from :meth:`JobSpec.spec_key`
+NON_RESULT_FIELDS = ("tag",)
 
 #: what each name in a JobSpec annotation accepts (an int is a float;
 #: a bool is never a number, it is matched by name below)
-_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,6 @@ class JobSpec:
     #: kind="dmet": fragment solver + partitioning
     solver: str = "fci"
     atoms_per_group: int = 2
-    #: checkpoint/resume plumbing (kind="vqe", adam only)
-    checkpoint_path: str | None = None
-    resume: bool = False
     #: caller-chosen label, echoed back verbatim (never keyed on)
     tag: str = ""
 
@@ -90,9 +90,7 @@ class JobSpec:
                     f"job spec field {f.name!r} must be {f.type}, "
                     f"got {value!r}")
         check_optimizer(self.optimizer)
-        if self.max_iterations < 1:
-            raise ValidationError(
-                f"max_iterations must be at least 1, got {self.max_iterations}")
+        check_budget(self.max_iterations)
         molecule_from_spec(self.molecule, bond=self.bond)
         check_backend(self.simulator)
         if self.solver != "fci":
@@ -112,8 +110,8 @@ class JobSpec:
         """Hashable content address of this job's *result*.
 
         Every result-relevant field in declaration order; the fields in
-        :data:`NON_RESULT_FIELDS` are excluded, so e.g. a resumed job and
-        a fresh job with the same physics share one cache entry.
+        :data:`NON_RESULT_FIELDS` are excluded, so two jobs that differ
+        only in their label share one cache entry.
         """
         return tuple(
             getattr(self, f.name) for f in dataclasses.fields(self)

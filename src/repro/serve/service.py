@@ -325,8 +325,7 @@ class JobService:
             simulator=spec.simulator, optimizer=spec.optimizer,
             max_bond_dimension=spec.max_bond_dimension,
             max_iterations=spec.max_iterations, tolerance=spec.tolerance,
-            grad=spec.grad, checkpoint_path=spec.checkpoint_path,
-            resume=spec.resume)
+            grad=spec.grad)
         return {"kind": "vqe", "molecule": spec.molecule,
                 "basis": spec.basis, "simulator": spec.simulator,
                 "optimizer": spec.optimizer, "energy": float(res.energy),

@@ -65,6 +65,14 @@ def check_optimizer(name: str) -> str:
     return key
 
 
+def check_budget(max_iterations: int) -> None:
+    """A budget below 1 is a :class:`ValidationError`, so no optimizer
+    runs an iteration it was not given (or fails on an empty history)."""
+    if max_iterations < 1:
+        raise ValidationError(
+            f"max_iterations must be at least 1, got {max_iterations}")
+
+
 #: scipy methods that consume an analytic jacobian when one is supplied
 SCIPY_GRADIENT_METHODS = ("L-BFGS-B", "BFGS", "SLSQP", "CG")
 
@@ -107,6 +115,7 @@ def minimize_scipy(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
     keep below ``n + 2`` evaluations: a smaller one is a
     :class:`ValidationError`, not a silently raised budget.
     """
+    check_budget(max_iterations)
     x0 = np.asarray(x0, dtype=float)
     if method.upper() == "COBYLA" and max_iterations < x0.size + 2:
         raise ValidationError(
@@ -163,33 +172,27 @@ def minimize_scipy(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+#: Adam's step size and the step of its built-in central differences
+ADAM_LEARNING_RATE = 0.05
+ADAM_FD_STEP = 1e-4
 
 
 def minimize_adam(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
-                  max_iterations: int = 200, learning_rate: float = 0.05,
-                  fd_step: float = 1e-4,
-                  tolerance: float = 1e-8,
-                  gradient: Callable[[np.ndarray], np.ndarray] | None = None,
-                  checkpoint: Callable[[dict], None] | None = None,
-                  resume_state: dict | None = None) -> OptimizationResult:
+                  max_iterations: int = 200, tolerance: float = 1e-8,
+                  gradient: Callable[[np.ndarray], np.ndarray] | None = None
+                  ) -> OptimizationResult:
     """Adam on an injected gradient callable.
 
     ``gradient(theta) -> ndarray`` may come from any source
     (:mod:`repro.vqe.gradients`); when omitted the historic built-in
-    central finite differences are used (2p energy evaluations per step,
-    counted in ``n_evaluations``; an injected source is called once per
-    iteration, reported as ``n_gradient_evaluations``, iterations before a
-    resume included).  The update sequence is a pure function
+    central finite differences (step :data:`ADAM_FD_STEP`) are used (2p
+    energy evaluations per step, counted in ``n_evaluations``; an injected
+    source is called once per iteration, reported as
+    ``n_gradient_evaluations``).  The update sequence is a pure function
     of the gradient values, so value-identical sources yield bitwise
     identical trajectories.
-
-    ``checkpoint`` (if given) is called after every completed iteration
-    with the full optimizer state (theta, first/second moments, energy
-    history, evaluation count); ``resume_state`` restores such a snapshot
-    and continues at the next iteration, reproducing the uninterrupted
-    trajectory bitwise (the moments and theta round-trip byte-exactly
-    through :mod:`repro.serve.checkpoint`).
     """
+    check_budget(max_iterations)
     x = np.asarray(x0, dtype=float).copy()
     m = np.zeros_like(x)
     v = np.zeros_like(x)
@@ -203,21 +206,12 @@ def minimize_adam(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
             g = np.zeros_like(xc)
             for i in range(xc.size):
                 e = np.zeros_like(xc)
-                e[i] = fd_step
-                g[i] = (f(xc + e) - f(xc - e)) / (2.0 * fd_step)
+                e[i] = ADAM_FD_STEP
+                g[i] = (f(xc + e) - f(xc - e)) / (2.0 * ADAM_FD_STEP)
                 counted[0] += 2
             return g
     prev = np.inf
-    start_k = 1
-    if resume_state is not None:
-        x = np.asarray(resume_state["x"], dtype=float).copy()
-        m = np.asarray(resume_state["m"], dtype=float).copy()
-        v = np.asarray(resume_state["v"], dtype=float).copy()
-        history = [float(val) for val in resume_state["history"]]
-        evals = int(resume_state["n_evaluations"])
-        prev = float(resume_state["prev"])
-        start_k = int(resume_state["iteration"]) + 1
-    for k in range(start_k, max_iterations + 1):
+    for k in range(1, max_iterations + 1):
         g = np.asarray(gradient(x), dtype=float)
         evals += counted[0]
         counted[0] = 0
@@ -225,7 +219,7 @@ def minimize_adam(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
         v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
         mhat = m / (1 - ADAM_BETA1 ** k)
         vhat = v / (1 - ADAM_BETA2 ** k)
-        x = x - learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        x = x - ADAM_LEARNING_RATE * mhat / (np.sqrt(vhat) + ADAM_EPS)
         cur = f(x)
         evals += 1
         history.append(cur)
@@ -237,11 +231,6 @@ def minimize_adam(f: Callable[[np.ndarray], float], x0: np.ndarray, *,
                 n_gradient_evaluations=k if injected else 0,
             )
         prev = cur
-        if checkpoint is not None:
-            checkpoint({
-                "iteration": k, "x": x, "m": m, "v": v, "prev": prev,
-                "history": list(history), "n_evaluations": evals,
-            })
     return OptimizationResult(
         x=x, fun=float(history[-1]), n_evaluations=evals,
         n_iterations=max_iterations, converged=False, history=history,

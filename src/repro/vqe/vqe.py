@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.backends import BACKENDS, check_backend
-from repro.common.errors import CheckpointError, ValidationError
+from repro.common.errors import ValidationError
 from repro.circuits.circuit import Circuit
 from repro.circuits.uccsd import UCCSDAnsatz
 from repro.obs import metrics as _obs
@@ -26,6 +26,7 @@ from repro.vqe.energy import EnergyEvaluator
 from repro.vqe.optimizers import (
     DEFAULT_OPTIMIZER,
     OptimizationResult,
+    check_budget,
     check_optimizer,
     minimize_adam,
     minimize_scipy,
@@ -87,23 +88,10 @@ class VQE:
         ``self.grad`` records the resolved source.  "adjoint" on a
         backend without the engine, or any source with a gradient-free
         optimizer (cobyla, nelder-mead, powell), is a validation error.
-    checkpoint_path / resume:
-        Per-iteration optimizer snapshots (:mod:`repro.serve.checkpoint`,
-        schema ``repro.ckpt/1``), one written after every iteration.
-        Only adam (:data:`CHECKPOINT_OPTIMIZERS`) can checkpoint - the
-        scipy bridges hide their loop state.  With ``resume=True`` an
-        existing checkpoint is restored and the run continues to a
-        trajectory bitwise identical to the uninterrupted one; a missing
-        checkpoint file starts fresh, but a damaged one raises
-        :class:`repro.common.errors.CheckpointError` (never a silent
-        restart).
     """
 
     #: optimizers able to consume an injected gradient callable
     GRADIENT_OPTIMIZERS = ("adam", "l-bfgs-b", "bfgs", "slsqp")
-
-    #: optimizers whose loop state can be checkpointed and resumed
-    CHECKPOINT_OPTIMIZERS = ("adam",)
 
     def __init__(self, hamiltonian: QubitOperator,
                  ansatz: Circuit | UCCSDAnsatz, *,
@@ -111,11 +99,8 @@ class VQE:
                  max_bond_dimension: int | None = None,
                  optimizer: str = DEFAULT_OPTIMIZER,
                  tolerance: float = 1e-8,
-                 max_iterations: int = 2000, grad: str | None = None,
-                 checkpoint_path: str | None = None, resume: bool = False):
-        if max_iterations < 1:
-            raise ValidationError(
-                f"max_iterations must be at least 1, got {max_iterations}")
+                 max_iterations: int = 2000, grad: str | None = None):
+        check_budget(max_iterations)
         circuit = (ansatz.circuit() if isinstance(ansatz, UCCSDAnsatz)
                    else ansatz)
         if circuit.n_parameters == 0:
@@ -127,19 +112,6 @@ class VQE:
         self.optimizer = check_optimizer(optimizer)
         self.tolerance = tolerance
         self.max_iterations = max_iterations
-        self.checkpoint_path = checkpoint_path
-        self.resume = bool(resume)
-        if checkpoint_path is not None and \
-                self.optimizer not in self.CHECKPOINT_OPTIMIZERS:
-            raise ValidationError(
-                f"optimizer {self.optimizer!r} cannot checkpoint (scipy "
-                f"bridges hide their loop state); checkpoint_path applies "
-                f"to {self.CHECKPOINT_OPTIMIZERS}"
-            )
-        if self.resume and checkpoint_path is None:
-            raise ValidationError(
-                "resume=True requires checkpoint_path"
-            )
         #: the resolved gradient source name (None: the optimizer's own
         #: behaviour) and its callable, built here so a source the backend
         #: or the evaluator cannot serve fails at construction.  Every run()
@@ -206,31 +178,8 @@ class VQE:
                                   tolerance=self.tolerance,
                                   max_iterations=self.max_iterations,
                                   gradient=gradient)
-        checkpoint, resume_state = self._checkpoint_hooks()
         return minimize_adam(f, x0, max_iterations=self.max_iterations,
-                             tolerance=self.tolerance,
-                             gradient=gradient, checkpoint=checkpoint,
-                             resume_state=resume_state)
-
-    def _checkpoint_hooks(self):
-        """(checkpoint sink, resume state) for adam."""
-        if self.checkpoint_path is None:
-            return None, None
-        from repro.serve.checkpoint import CheckpointWriter, load_checkpoint
-
-        resume_state = None
-        if self.resume:
-            try:
-                doc = load_checkpoint(self.checkpoint_path,
-                                      expect_optimizer=self.optimizer)
-            except CheckpointError as exc:
-                if exc.reason != "missing":
-                    raise  # damaged checkpoints must surface, not restart
-            else:
-                resume_state = doc["state"]
-        writer = CheckpointWriter(self.checkpoint_path,
-                                  optimizer=self.optimizer)
-        return writer, resume_state
+                             tolerance=self.tolerance, gradient=gradient)
 
     # -- post-processing --------------------------------------------------------
 

@@ -79,10 +79,14 @@ class TestJobSpec:
                 ({"kind": "vqe", "n_workers": 2}, "n_workers"),
                 # retired with the MPO <H> arm: one measurement path
                 ({"kind": "vqe", "measurement": "sweep"}, "measurement"),
-                # retired with SPSA: every optimizer is deterministic and
-                # a checkpoint is written on every iteration
+                # retired with SPSA: every optimizer is deterministic
                 ({"kind": "vqe", "seed": 3}, "seed"),
-                ({"kind": "vqe", "checkpoint_every": 5}, "checkpoint_every")):
+                # retired with checkpoint/resume: no served job resumes
+                ({"kind": "vqe", "checkpoint_every": 5}, "checkpoint_every"),
+                ({"kind": "vqe", "optimizer": "adam",
+                  "checkpoint_path": "run.ckpt"}, "checkpoint_path"),
+                ({"kind": "vqe", "optimizer": "adam", "resume": True},
+                 "resume")):
             with pytest.raises(
                     ValidationError,
                     match=rf"unknown job spec field\(s\) \['{field}'\]"):
@@ -93,12 +97,11 @@ class TestJobSpec:
                        tag="t1")
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
-    def test_spec_key_ignores_labels_and_checkpoint_plumbing(self):
+    def test_spec_key_ignores_the_tag(self):
         base = JobSpec(kind="vqe", molecule="h2")
-        relabeled = JobSpec(kind="vqe", molecule="h2", tag="other",
-                            checkpoint_path="/tmp/x.ckpt", resume=True)
+        relabeled = JobSpec(kind="vqe", molecule="h2", tag="other")
         assert base.spec_key() == relabeled.spec_key()
-        assert set(NON_RESULT_FIELDS) == {"tag", "checkpoint_path", "resume"}
+        assert NON_RESULT_FIELDS == ("tag",)
 
     def test_spec_key_separates_physics(self):
         base = JobSpec(kind="vqe", molecule="h2")
@@ -184,6 +187,21 @@ class TestServiceLifecycle:
             with pytest.raises(ValidationError, match="unknown job id"):
                 service.status("job-9999")
 
+    def test_resume_request_is_rejected_at_submit(self):
+        """Checkpoint/resume is retired: a request naming it fails at
+        submit with a structured error, and no job is queued."""
+        request = {"kind": "vqe", "molecule": "h2",
+                   "simulator": "statevector", "optimizer": "adam",
+                   "max_iterations": 5, "checkpoint_path": "run.ckpt",
+                   "resume": True}
+        with JobService(observe=False) as service:
+            with pytest.raises(
+                    ValidationError,
+                    match=r"unknown job spec field\(s\) "
+                          r"\['checkpoint_path', 'resume'\]"):
+                service.submit(request)
+            assert service.stats()["jobs"]["submitted"] == 0
+
     def test_submit_after_close_rejected(self):
         service = JobService(observe=False)
         service.close()
@@ -204,6 +222,7 @@ class TestServiceLifecycle:
 
     @pytest.mark.parametrize("field,value", [
         ("molecule", 7), ("max_iterations", "ten"), ("bond", "far"),
+        # "resume" is no longer a field: rejected as unknown, by name
         ("simulator", 7), ("max_bond_dimension", 1.5), ("resume", "yes"),
         ("max_iterations", True), ("tolerance", None)])
     def test_mistyped_payload_is_rejected_at_submit(self, field, value):
@@ -223,7 +242,7 @@ class TestServiceLifecycle:
                       {"kind": "dmet", "molecule": "chain:4"},
                       {"kind": "energy", "molecule": "h2", "bond": 1},
                       {"kind": "vqe", "tolerance": 1, "max_iterations": 3,
-                       "max_bond_dimension": None, "resume": True}):
+                       "max_bond_dimension": None}):
             assert JobSpec.from_dict(entry).to_dict().items() \
                 >= entry.items()
 

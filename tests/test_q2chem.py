@@ -57,6 +57,26 @@ class TestRingPipeline:
         with pytest.raises(ValidationError):
             job.dmet_energy(solver="dmrg")
 
+    def test_vqe_budget_below_one_fails_before_partitioning(self, h2_job,
+                                                            monkeypatch):
+        """It used to fail at the first fragment solve, after orbit
+        detection and the embedding builds."""
+        import repro.q2chem as q2chem
+
+        def partition(*args, **kwargs):
+            raise AssertionError("the system was partitioned")
+
+        monkeypatch.setattr(q2chem, "atoms_per_fragment", partition)
+        with pytest.raises(ValidationError, match="max_iterations"):
+            h2_job.dmet_energy(solver="vqe-statevector",
+                               vqe_max_iterations=0)
+
+    def test_vqe_energy_has_no_checkpoint_options(self, h2_job):
+        for option in ({"checkpoint_path": "run.ckpt"}, {"resume": True}):
+            with pytest.raises(TypeError, match=next(iter(option))):
+                h2_job.vqe_energy(simulator="statevector", optimizer="adam",
+                                  **option)
+
 
 class TestLatticePipeline:
     def test_hubbard_through_facade(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ValidationError
+from repro.vqe import optimizers
 from repro.vqe.optimizers import minimize_adam, minimize_scipy
 
 
@@ -22,6 +23,14 @@ class TestScipyBridge:
         assert np.allclose(res.x, 1.5, atol=1e-3)
         assert res.n_evaluations == len(res.history)
 
+    @pytest.mark.parametrize("method", ["L-BFGS-B", "Nelder-Mead"])
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_is_rejected(self, method, budget):
+        """It used to run one iteration regardless."""
+        with pytest.raises(ValidationError, match="max_iterations"):
+            minimize_scipy(quadratic, np.zeros(2), method=method,
+                           max_iterations=budget)
+
     def test_nelder_mead(self):
         res = minimize_scipy(rosenbrock2, np.array([-1.0, 1.0]),
                              method="Nelder-Mead", max_iterations=5000)
@@ -37,10 +46,16 @@ def quadratic_gradient(x):
 
 
 class TestAdam:
-    def test_converges_on_quadratic(self):
-        res = minimize_adam(quadratic, np.zeros(3), max_iterations=300,
-                            learning_rate=0.2)
+    def test_converges_on_quadratic(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "ADAM_LEARNING_RATE", 0.2)
+        res = minimize_adam(quadratic, np.zeros(3), max_iterations=300)
         assert res.fun < 1e-4
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_is_rejected(self, budget):
+        """It used to raise a bare IndexError from an empty history."""
+        with pytest.raises(ValidationError, match="max_iterations"):
+            minimize_adam(quadratic, np.zeros(2), max_iterations=budget)
 
     def test_early_stop_on_tolerance(self):
         res = minimize_adam(quadratic, np.full(2, 1.5), max_iterations=100,
@@ -54,9 +69,9 @@ class TestAdam:
         assert not res.converged
         assert res.n_iterations == 3
 
-    def test_converges_with_injected_gradient(self):
+    def test_converges_with_injected_gradient(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "ADAM_LEARNING_RATE", 0.2)
         res = minimize_adam(quadratic, np.zeros(3), max_iterations=300,
-                            learning_rate=0.2,
                             gradient=quadratic_gradient)
         assert res.fun < 1e-4
         # no finite differencing: only the per-step f(x) is counted
@@ -83,11 +98,12 @@ class TestAdam:
         assert a.history == b.history
         assert a.fun == b.fun
 
-    def test_fd_fallback_matches_explicit_fd_source(self):
+    def test_fd_fallback_matches_explicit_fd_source(self, monkeypatch):
         """The historic built-in finite differences and an injected FD
         callable with the same step produce the same trajectory (the
         fallback is just a default source, not a different optimizer)."""
         step = 1e-4
+        monkeypatch.setattr(optimizers, "ADAM_FD_STEP", step)
 
         def fd_gradient(x):
             g = np.zeros_like(x)
@@ -98,7 +114,7 @@ class TestAdam:
             return g
 
         builtin = minimize_adam(quadratic, np.zeros(2), max_iterations=30,
-                                tolerance=0.0, fd_step=step)
+                                tolerance=0.0)
         injected = minimize_adam(quadratic, np.zeros(2), max_iterations=30,
                                  tolerance=0.0, gradient=fd_gradient)
         assert np.array_equal(builtin.x, injected.x)

@@ -98,6 +98,35 @@ class TestValidation:
                 VQE(ham, UCCSDAnsatz(2, 2), simulator="statevector",
                     optimizer=optimizer, max_iterations=budget)
 
+    def test_checkpoint_path_is_no_vqe_option(self, h2):
+        """Checkpoint/resume is retired: naming a checkpoint file is a
+        TypeError, whichever optimizer is named."""
+        ham = molecular_qubit_hamiltonian(h2.mo)
+        for optimizer in ("adam", "cobyla"):
+            with pytest.raises(TypeError, match="checkpoint_path"):
+                VQE(ham, UCCSDAnsatz(2, 2), simulator="statevector",
+                    optimizer=optimizer, checkpoint_path="run.ckpt")
+
+    def test_resume_is_no_vqe_option(self, h2):
+        """Checkpoint/resume is retired: asking to resume is a
+        TypeError."""
+        ham = molecular_qubit_hamiltonian(h2.mo)
+        with pytest.raises(TypeError, match="resume"):
+            VQE(ham, UCCSDAnsatz(2, 2), simulator="statevector",
+                optimizer="adam", resume=True)
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_fragment_solver_rejects_a_budget_below_one(self, budget):
+        """Where the solver is built, not at its first fragment solve."""
+        from repro.dmet.solvers import VQEFragmentSolver, make_fragment_solver
+
+        with pytest.raises(ValidationError, match="max_iterations"):
+            VQEFragmentSolver(max_iterations=budget)
+        with pytest.raises(ValidationError, match="max_iterations"):
+            make_fragment_solver("vqe-statevector", max_iterations=budget)
+        # the FCI solver takes no budget, so none is checked
+        make_fragment_solver("fci", max_iterations=budget)
+
     def test_unknown_optimizer(self, h2):
         """Rejected at construction, not at the first run; the retired
         "spsa" is as unknown as a typo."""
